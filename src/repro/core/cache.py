@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..rdf.terms import IRI, Literal, Term
 from ..store.dictionary import TermDictionary
 from ..text.bins import LiteralBins
+from ..text.lexicon import split_camel_case
 from ..text.suffix_tree import GeneralizedSuffixTree
 from .config import SapphireConfig
 
@@ -121,6 +122,13 @@ class SapphireCache:
         self.bins = LiteralBins()
         self._tree_sids: List[int] = []   # aligned with tree string index
         self._tree_sid_set: Set[int] = set()
+        # Derived with the indexes, for the QSM's per-round scans: the
+        # tree-resident literal surfaces (IDs in tree order, and binned
+        # by length like the residual ones), and every predicate/class
+        # entry with its camel-split surface.
+        self._tree_literal_sids: List[int] = []
+        self.tree_literal_bins = LiteralBins()
+        self._pc_forms: List[Tuple[CachedTerm, str]] = []
         self._indexed = False
         # Lookup accounting (fed by the QCM, surfaced in /stats): which
         # tier answered each completion — suffix tree, literal bins, the
@@ -260,6 +268,7 @@ class SapphireCache:
             tree_sids.extend(tree_literals)
             self._tree_sids = tree_sids
             self._tree_sid_set = set(tree_sids)
+            self._derive_scan_inputs(tree_literals)
             self.tree = GeneralizedSuffixTree(
                 [self._surfaces[sid] for sid in tree_sids]
             )
@@ -357,12 +366,6 @@ class SapphireCache:
             min_len, max_len, scorer, threshold, processes
         )
 
-    def pc_shortlist(self, forms: List[str]):
-        """Surface-ID shortlist for the QSM's predicate/class search, or
-        ``None`` when every candidate must be scored (no on-disk index)."""
-        del forms
-        return None
-
     def _kind_entries(self, kind: str) -> List[CachedTerm]:
         return [
             entry
@@ -380,12 +383,31 @@ class SapphireCache:
     def literal_surfaces(self) -> List[str]:
         return [self._surfaces[sid] for sid in self._kind_sids["literal"]]
 
+    def _derive_scan_inputs(self, tree_literals: List[int]) -> None:
+        """What the QSM scans every round, derived once per (re)index."""
+        self._tree_literal_sids = tree_literals
+        self.tree_literal_bins = LiteralBins()
+        for sid in tree_literals:
+            self.tree_literal_bins.add(self._surfaces[sid], key=sid)
+        self._pc_forms = self._derive_pc_forms()
+
+    def _derive_pc_forms(self) -> List[Tuple[CachedTerm, str]]:
+        return [
+            (entry, split_camel_case(entry.surface))
+            for entry in self.predicates() + self.classes()
+        ]
+
+    def predicate_class_forms(self) -> List[Tuple[CachedTerm, str]]:
+        """Every predicate entry, then every class entry, each with its
+        camel-split surface (what the QSM scores a typed predicate
+        against).  Derived by ``build_indexes``; entries added since
+        then show up at once, at the price of re-deriving per call."""
+        with self.lock:
+            return self._pc_forms if self._indexed else self._derive_pc_forms()
+
     def tree_literal_surface_ids(self) -> List[int]:
         """Surface IDs of the literal surfaces indexed in the suffix tree."""
-        pred_class = (
-            set(self._kind_sids["predicate"]) | set(self._kind_sids["class"])
-        )
-        return [sid for sid in self._tree_sids if sid not in pred_class]
+        return self._tree_literal_sids
 
     def tree_literal_surfaces(self) -> List[str]:
         """Lower-cased literal surfaces indexed in the suffix tree."""

@@ -47,7 +47,6 @@ from ..store.term_tables import (
     META_INDEX_FTS,
     has_index_tables,
 )
-from ..text.lexicon import split_camel_case
 from ..text.suffix_tree import GeneralizedSuffixTree
 from ..text.term_index import SqliteTermIndex
 from .cache import CachedTerm, SapphireCache
@@ -170,7 +169,6 @@ class TieredSapphireCache(SapphireCache):
             self.config.suffix_tree_capacity
         )
         tree_sids: List[int] = []
-        pc_norms = []
         for sid, surface, significance, kinds in pc_rows:
             tree_sids.append(sid)
             self._surfaces[sid] = surface
@@ -180,24 +178,23 @@ class TieredSapphireCache(SapphireCache):
             for kind, bit in KIND_MASK.items():
                 if kind != "literal" and kinds & bit:
                     self._kind_sids[kind].setdefault(sid)
-            bucket = self._load_bucket(sid)
-            for entry in bucket:
-                if entry.kind in ("predicate", "class"):
-                    pc_norms.append((sid, split_camel_case(entry.surface)))
+            self._load_bucket(sid)
         seen = set(tree_sids)
+        tree_literals: List[int] = []
         for sid, surface, significance in literal_rows:
             self._surfaces.setdefault(sid, surface)
             self._surface_ids.setdefault(surface, sid)
             if significance:
                 self._significance[sid] = significance
             if sid not in seen:
-                tree_sids.append(sid)
+                tree_literals.append(sid)
+        tree_sids.extend(tree_literals)
         self._tree_sids = tree_sids
         self._tree_sid_set = set(tree_sids)
         self.tree = GeneralizedSuffixTree(
             [self._surfaces[sid] for sid in tree_sids]
         )
-        self.term_index.set_pc_norms(pc_norms)
+        self._derive_scan_inputs(tree_literals)
         self._indexed = True
 
     def _load_bucket(self, sid: int) -> List[CachedTerm]:
@@ -329,9 +326,6 @@ class TieredSapphireCache(SapphireCache):
         ]
         hits.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
         return hits
-
-    def pc_shortlist(self, forms):
-        return self.term_index.pc_shortlist(forms, self.config.theta)
 
     def note_lookup(self, tree_hit: bool, residual_hit: bool) -> None:
         with self.lock:

@@ -13,6 +13,11 @@ query, the QSM hunts for semantically close replacements:
   surface-ID space: bin hits and tree hits are surface IDs resolved to
   cached terms by list index.
 
+Every scan scores through :class:`~repro.text.similarity.ThresholdScorer`,
+which answers ``0.0`` without running the match loop for a pair that
+provably cannot reach θ and the exact score otherwise; candidates are
+discovered once per round (:meth:`AlternativeTermsFinder.candidate_positions`).
+
 One alternative query is constructed per replacement (one change at a
 time — the UI's "did you mean X instead of Y?" phrasing).  Candidate
 *execution* is batched: all candidates for one position ship as a single
@@ -25,16 +30,17 @@ are suggested, in similarity order, with their answers prefetched.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..rdf.terms import IRI, Literal, Term, Variable
 from ..sparql.ast_nodes import Query
 from ..sparql.results import SelectResult
 from ..sparql.serializer import serialize_query
-from ..text.lexicon import Lexicon, default_lexicon, split_camel_case
-from ..text.similarity import jaro_winkler
+from ..sparql.trace import Tracer
+from ..text.lexicon import Lexicon, default_lexicon
+from ..text.similarity import ThresholdScorer
 from .cache import CachedTerm, SapphireCache
 from .config import SapphireConfig
 from .probes import ProbeBatcher
@@ -43,6 +49,26 @@ __all__ = ["TermSuggestion", "AlternativeTermsFinder"]
 
 #: Executes a query AST somewhere (local store, endpoint, federation).
 QueryRunner = Callable[[Query], SelectResult]
+
+#: One candidate replacement and its Jaro–Winkler score.
+Scored = Tuple[CachedTerm, float]
+#: One probed position: triple index, position name, the query's term
+#: there, and its scored candidates.
+Position = Tuple[int, str, Term, List[Scored]]
+
+#: One candidate of a suggestion round: where, what, whether a batched
+#: probe answered for it, and that probe's rows (``None``: no rows).
+_Candidate = Tuple[Position, Scored, bool, Optional[SelectResult]]
+
+
+@dataclass
+class _ScanTally:
+    """What one round of candidate discovery looked at: the attributes
+    of its ``qsm-alternatives`` span (``docs/tracing.md``)."""
+
+    scanned: int = 0  # (needle, candidate) pairs handed to a scorer
+    scored: int = 0   # ... that the signature bound let into the match loop
+    kept: int = 0     # ... that reached θ
 
 
 @dataclass
@@ -69,14 +95,6 @@ class TermSuggestion:
         )
 
 
-def _surface_of(term: Term) -> str:
-    if isinstance(term, IRI):
-        return split_camel_case(term.local_name())
-    if isinstance(term, Literal):
-        return term.lexical
-    return str(term)
-
-
 class AlternativeTermsFinder:
     """Implements Algorithm 2 over one cache + query runner."""
 
@@ -99,38 +117,37 @@ class AlternativeTermsFinder:
     # Candidate discovery
     # ------------------------------------------------------------------
 
-    def predicate_alternatives(self, predicate: IRI) -> List[Tuple[CachedTerm, float]]:
-        """Cached predicates/classes similar to ``predicate`` or its lexica.
-
-        The cache may offer a *shortlist*: a superset of the surface IDs
-        that can clear the JW threshold, derived from character-count
-        postings (sound for θ > 0.6 — see ``text.term_index``).  Entries
-        outside the shortlist skip the JW computation entirely; the
-        surviving candidates are scored exactly as before, so the result
-        set is identical with or without the shortlist.
-        """
-        forms = self.lexicon.get_lexica(predicate)
-        with self.cache.lock:
-            candidates = self.cache.predicates() + self.cache.classes()
+    def predicate_alternatives(
+        self, predicate: IRI, tally: Optional[_ScanTally] = None
+    ) -> List[Scored]:
+        """Cached predicates/classes similar to ``predicate`` or its lexica."""
+        theta = self.config.theta
+        scorers = [
+            ThresholdScorer(form, theta)
+            for form in self.lexicon.get_lexica(predicate)
+        ]
         predicate_id = self.cache.dictionary.lookup(predicate)
-        shortlist = self.cache.pc_shortlist(list(forms))
-        scored: List[Tuple[CachedTerm, float]] = []
-        for entry in candidates:
+        scored: List[Scored] = []
+        compared = 0
+        for entry, entry_surface in self.cache.predicate_class_forms():
             if entry.term_id == predicate_id:
                 continue
-            if (
-                shortlist is not None
-                and self.cache.surface_id(entry.surface) not in shortlist
-            ):
-                continue
-            entry_surface = split_camel_case(entry.surface)
-            best = max(jaro_winkler(form, entry_surface) for form in forms)
-            if best >= self.config.theta:
+            compared += 1
+            # A scorer answers 0.0 or the exact score, and the exact
+            # score whenever that reaches θ: the max is exact above θ.
+            best = max(scorer(entry_surface) for scorer in scorers)
+            if best >= theta:
                 scored.append((entry, best))
+        if tally is not None:
+            tally.scanned += compared * len(scorers)
+            tally.scored += sum(scorer.scored_count() for scorer in scorers)
+            tally.kept += len(scored)
         scored.sort(key=lambda pair: (-pair[1], pair[0].surface))
         return scored[: self.config.max_alternatives_per_term]
 
-    def literal_alternatives(self, literal: Literal) -> List[Tuple[CachedTerm, float]]:
+    def literal_alternatives(
+        self, literal: Literal, tally: Optional[_ScanTally] = None
+    ) -> List[Scored]:
         """Cached literals JW-similar to ``literal`` within the α/β window.
 
         ID-native: both the parallel bin scan and the tree-resident set
@@ -140,28 +157,33 @@ class AlternativeTermsFinder:
         needle = surface.lower()
         min_len = max(1, len(surface) - self.config.alpha)
         max_len = len(surface) + self.config.beta
+        theta = self.config.theta
+        scorer = ThresholdScorer(needle, theta)
+        # The residual scan may run on worker threads; next() on an
+        # itertools.count is one C call, so they can share the tally.
+        calls = itertools.count()
+
+        def counted(candidate: str) -> float:
+            next(calls)
+            return scorer(candidate)
 
         # Snapshot under the lock, scan outside it: a JW sweep over the
         # bins must not stall concurrent per-keystroke completions.
         with self.cache.lock:
             _, _, bins = self.cache.snapshot_indexes()
-            tree_literal_sids = self.cache.tree_literal_surface_ids()
+            tree_literals = self.cache.tree_literal_bins
+        scan = scorer if tally is None else counted
         matches = self.cache.residual_scored(
-            needle, min_len, max_len,
-            lambda lit: jaro_winkler(needle, lit),
-            self.config.theta,
-            self.config.processes,
-            bins,
+            needle, min_len, max_len, scan, theta, self.config.processes, bins
         )
         # Also consider the tree-resident (significant) literal surfaces.
-        for sid in tree_literal_sids:
-            tree_surface = self.cache.surface_of(sid)
-            if min_len <= len(tree_surface) <= max_len:
-                score = jaro_winkler(needle, tree_surface)
-                if score >= self.config.theta:
-                    matches.append((sid, tree_surface, score))
+        matches += tree_literals.scan_scored_keyed(min_len, max_len, scan, theta)
+        if tally is not None:
+            tally.scanned += next(calls)
+            tally.scored += scorer.scored_count()
+            tally.kept += len(matches)
 
-        scored: List[Tuple[CachedTerm, float]] = []
+        scored: List[Scored] = []
         seen = set()
         for sid, match_surface, score in sorted(matches, key=lambda hit: -hit[2]):
             if match_surface == needle or sid in seen:
@@ -178,10 +200,31 @@ class AlternativeTermsFinder:
     # ------------------------------------------------------------------
 
     def candidate_positions(
-        self, query: Query
-    ) -> List[Tuple[int, str, Term, List[Tuple[CachedTerm, float]]]]:
-        """Every probed position with its scored candidate list."""
-        positions: List[Tuple[int, str, Term, List[Tuple[CachedTerm, float]]]] = []
+        self, query: Query, tracer: Optional[Tracer] = None
+    ) -> List[Position]:
+        """Every probed position with its scored candidate list.
+
+        One round discovers candidates once: ``run_query`` hands the
+        result to :meth:`suggest` and seeds the relaxer from it.  Under
+        a tracer the scan records a ``qsm-alternatives`` span.
+        """
+        if tracer is None:
+            return self._discover(query, None)
+        tally = _ScanTally()
+        with tracer.span("qsm-alternatives") as span:
+            positions = self._discover(query, tally)
+            if span is not None:
+                span.attrs.update(
+                    scanned=tally.scanned,
+                    bounded_out=tally.scanned - tally.scored,
+                    scored=tally.scored,
+                    kept=tally.kept,
+                )
+        return positions
+
+    def _discover(self, query: Query, tally: Optional[_ScanTally]) -> List[Position]:
+        positions: List[Position] = []
+        found_for: Dict[Term, List[Scored]] = {}  # a term repeated in the query scans once
         for index, pattern in enumerate(query.where.patterns):
             for position, element in (
                 ("subject", pattern.subject),
@@ -190,50 +233,53 @@ class AlternativeTermsFinder:
             ):
                 if isinstance(element, Variable):
                     continue
-                if isinstance(element, IRI):
-                    found = self.predicate_alternatives(element)
-                elif isinstance(element, Literal):
-                    found = self.literal_alternatives(element)
-                else:  # pragma: no cover - no other term kinds exist
-                    continue
+                found = found_for.get(element)
+                if found is None:
+                    if isinstance(element, IRI):
+                        found = self.predicate_alternatives(element, tally)
+                    elif isinstance(element, Literal):
+                        found = self.literal_alternatives(element, tally)
+                    else:  # pragma: no cover - no other term kinds exist
+                        continue
+                    found_for[element] = found
                 if found:
                     positions.append((index, position, element, found))
         return positions
 
-    def suggest(self, query: Query, k: Optional[int] = None) -> List[TermSuggestion]:
-        """Top-k one-term-change queries that return answers."""
-        k = k if k is not None else self.config.k_suggestions
-        predicate_candidates: List[TermSuggestion] = []
-        literal_candidates: List[TermSuggestion] = []
+    def suggest(
+        self,
+        query: Query,
+        k: Optional[int] = None,
+        positions: Optional[List[Position]] = None,
+    ) -> List[TermSuggestion]:
+        """Top-k one-term-change queries that return answers.
 
+        ``positions`` is a :meth:`candidate_positions` result for this
+        query, when the caller already has one.
+        """
+        k = k if k is not None else self.config.k_suggestions
+        if positions is None:
+            positions = self.candidate_positions(query)
+        candidates: Dict[str, List[_Candidate]] = {"predicate": [], "literal": []}
         batched = self.config.qsm_batched_probes
-        for index, position, element, found in self.candidate_positions(query):
-            kind = "predicate" if isinstance(element, IRI) else "literal"
-            bucket = predicate_candidates if kind == "predicate" else literal_candidates
+        for probed in positions:
+            index, position, element, found = probed
+            bucket = candidates["predicate" if isinstance(element, IRI) else "literal"]
             results: Optional[Dict[Term, SelectResult]] = None
             if batched:
                 results = self._batcher.run(
                     query, index, position, [entry.term for entry, _ in found]
                 )
             for entry, score in found:
-                candidate = self._make_candidate(
-                    query, kind, index, position, element, entry, score
-                )
-                if results is not None:
-                    prefetched = results.get(entry.term)
-                    if prefetched is not None and prefetched.rows:
-                        candidate.n_answers = len(prefetched.rows)
-                        candidate.prefetched = prefetched
-                    else:
-                        candidate.n_answers = 0
-                bucket.append(candidate)
-
-        predicate_candidates.sort(key=lambda s: -s.similarity)
-        literal_candidates.sort(key=lambda s: -s.similarity)
+                bucket.append((
+                    probed, (entry, score), results is not None,
+                    results.get(entry.term) if results is not None else None,
+                ))
 
         suggestions: List[TermSuggestion] = []
-        suggestions.extend(self._top_with_answers(predicate_candidates, k // 2))
-        suggestions.extend(self._top_with_answers(literal_candidates, k // 2))
+        for kind, bucket in candidates.items():
+            bucket.sort(key=lambda candidate: -candidate[1][1])
+            suggestions.extend(self._top_with_answers(query, kind, bucket, k // 2))
         return suggestions
 
     def probe_queries(self, query: Query) -> List[Tuple[str, Query]]:
@@ -247,72 +293,53 @@ class AlternativeTermsFinder:
             ],
         )
 
-    def _make_candidate(
+    def _top_with_answers(
         self,
         query: Query,
         kind: str,
-        triple_index: int,
-        position: str,
-        original: Term,
-        entry: CachedTerm,
-        score: float,
-    ) -> TermSuggestion:
-        new_query = _replace_term(query, triple_index, position, entry.term)
-        return TermSuggestion(
-            kind=kind,
-            triple_index=triple_index,
-            position=position,
-            original=original,
-            replacement=entry.term,
-            similarity=score,
-            query=new_query,
-            query_text=serialize_query(new_query),
-            n_answers=-1,  # filled on execution
-        )
-
-    def _top_with_answers(
-        self, candidates: List[TermSuggestion], quota: int
+        candidates: List[_Candidate],
+        quota: int,
     ) -> List[TermSuggestion]:
         """Walk candidates in similarity order; keep those with answers.
 
         Batch-probed candidates already know their answers; unresolved
-        ones (``n_answers == -1``: batching off, aggregate query, or a
-        failed batch) execute individually here, preserving the
-        classic Algorithm 2 behaviour as the fallback.
+        ones (batching off, aggregate query, or a failed batch) execute
+        individually here, preserving the classic Algorithm 2 behaviour
+        as the fallback.  Only a candidate that is kept or has to run
+        gets its query built — one in ten survives its probe.
         """
         kept: List[TermSuggestion] = []
-        for candidate in candidates:
+        for (index, position, original, _), (entry, score), probed, result in candidates:
             if len(kept) >= quota:
                 break
-            if candidate.n_answers == -1:
+            if probed and result is None:
+                continue
+            new_query = _replace_term(query, index, position, entry.term)
+            if not probed:
                 try:
-                    result = self.runner(candidate.query)
+                    result = self.runner(new_query)
                 except Exception:
                     continue
-                if not result.rows:
-                    candidate.n_answers = 0
-                    continue
-                candidate.n_answers = len(result.rows)
-                candidate.prefetched = result  # prefetching (Section 4)
-            elif candidate.n_answers == 0:
+            if result is None or not result.rows:
                 continue
-            kept.append(candidate)
+            kept.append(TermSuggestion(
+                kind=kind,
+                triple_index=index,
+                position=position,
+                original=original,
+                replacement=entry.term,
+                similarity=score,
+                query=new_query,
+                query_text=serialize_query(new_query),
+                n_answers=len(result.rows),
+                prefetched=result,  # prefetching (Section 4)
+            ))
         return kept
 
 
 def _replace_term(query: Query, triple_index: int, position: str, new_term: Term) -> Query:
-    """A deep-copied query with one term of one pattern swapped."""
-    from ..rdf.triples import TriplePattern
-
-    new_query = copy.deepcopy(query)
-    pattern = new_query.where.patterns[triple_index]
-    parts = {
-        "subject": pattern.subject,
-        "predicate": pattern.predicate,
-        "object": pattern.object,
-    }
-    parts[position] = new_term
-    new_query.where.patterns[triple_index] = TriplePattern(
-        parts["subject"], parts["predicate"], parts["object"]
-    )
-    return new_query
+    """A copy of ``query`` with one term of one pattern swapped.  Only
+    the pattern list is new; everything else is shared with ``query``."""
+    patterns = list(query.where.patterns)
+    patterns[triple_index] = replace(patterns[triple_index], **{position: new_term})
+    return replace(query, where=replace(query.where, patterns=patterns))

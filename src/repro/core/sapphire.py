@@ -49,9 +49,21 @@ from .initialization import EndpointInitializer, InitializationReport
 from .persistence import load_cache, load_store, save_cache, save_store
 from .qcm import CompletionResult, QueryCompletionModule
 from .qsm_relax import RelaxationSuggestion, StructureRelaxer
-from .qsm_terms import AlternativeTermsFinder, TermSuggestion
+from .qsm_terms import AlternativeTermsFinder, Position, TermSuggestion
 
 __all__ = ["QueryBuilder", "QueryOutcome", "SapphireServer"]
+
+
+def _literal_seeds(positions: List[Position]) -> Dict[Literal, List[Literal]]:
+    """Seed-group inputs for the relaxer: each query literal's top JW
+    alternatives, read off one round's ``candidate_positions``."""
+    return {
+        element: [
+            entry.term for entry, _ in found if isinstance(entry.term, Literal)
+        ]
+        for _, _, element, found in positions
+        if isinstance(element, Literal)
+    }
 
 
 def _is_safe_state_name(name: str) -> bool:
@@ -433,26 +445,27 @@ class SapphireServer:
         if not suggest:
             return outcome
         t0 = _time.perf_counter()
+        finder = self.terms_finder
         if tracer is None:
-            outcome.term_suggestions = self.terms_finder.suggest(query)
+            positions = finder.candidate_positions(query)
+            outcome.term_suggestions = finder.suggest(query, positions=positions)
             outcome.relaxations = list(self.relaxer.ground_literals(query))
-            literal_alternatives = self._literal_alternatives_map(query)
             outcome.relaxations.extend(
-                self.relaxer.relax(query, literal_alternatives)
+                self.relaxer.relax(query, _literal_seeds(positions))
             )
         else:
-            batcher = self.terms_finder._batcher
+            batcher = finder._batcher
             batcher.tracer = tracer
             try:
                 with tracer.span("qsm-terms") as span:
-                    outcome.term_suggestions = self.terms_finder.suggest(query)
+                    positions = finder.candidate_positions(query, tracer)
+                    outcome.term_suggestions = finder.suggest(query, positions=positions)
                     if span is not None:
                         span.attrs["suggestions"] = len(outcome.term_suggestions)
                 with tracer.span("qsm-relax") as span:
                     outcome.relaxations = list(self.relaxer.ground_literals(query))
-                    literal_alternatives = self._literal_alternatives_map(query)
                     outcome.relaxations.extend(
-                        self.relaxer.relax(query, literal_alternatives)
+                        self.relaxer.relax(query, _literal_seeds(positions))
                     )
                     if span is not None:
                         span.attrs["suggestions"] = len(outcome.relaxations)
@@ -538,19 +551,6 @@ class SapphireServer:
             )
         sections.append(f"-- ranking\n{self.cache.ranking_report()}")
         return "\n\n".join(sections)
-
-    def _literal_alternatives_map(self, query: Query) -> Dict[Literal, List[Literal]]:
-        """Seed-group inputs: each query literal's top JW alternatives."""
-        alternatives: Dict[Literal, List[Literal]] = {}
-        for pattern in query.where.patterns:
-            for term in pattern.as_tuple():
-                if isinstance(term, Literal) and term not in alternatives:
-                    found = self.terms_finder.literal_alternatives(term)
-                    alternatives[term] = [
-                        entry.term for entry, _ in found  # type: ignore[misc]
-                        if isinstance(entry.term, Literal)
-                    ]
-        return alternatives
 
     # ------------------------------------------------------------------
     # Introspection

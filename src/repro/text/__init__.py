@@ -5,8 +5,10 @@ from .lexicon import Lexicon, default_lexicon, split_camel_case
 from .similarity import (
     SIMILARITY_MEASURES,
     containment_similarity,
+    ThresholdScorer,
     jaro,
     jaro_winkler,
+    jaro_winkler_at_least,
     levenshtein,
     levenshtein_similarity,
 )
@@ -15,6 +17,8 @@ from .suffix_tree import MAX_STRINGS, GeneralizedSuffixTree, sentinel_for
 __all__ = [
     "jaro",
     "jaro_winkler",
+    "jaro_winkler_at_least",
+    "ThresholdScorer",
     "levenshtein",
     "levenshtein_similarity",
     "containment_similarity",

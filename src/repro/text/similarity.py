@@ -9,10 +9,16 @@ that compare measures.
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import lru_cache
+from typing import Dict, Tuple
 
 __all__ = [
     "jaro",
     "jaro_winkler",
+    "jaro_winkler_at_least",
+    "ThresholdScorer",
     "levenshtein",
     "levenshtein_similarity",
     "containment_similarity",
@@ -84,6 +90,146 @@ def jaro_winkler(s1: str, s2: str, prefix_scale: float = 0.1, max_prefix: int = 
             break
         prefix += 1
     return base + prefix * prefix_scale * (1.0 - base)
+
+
+@lru_cache(maxsize=1 << 15)
+def _signature(s: str) -> int:
+    """Character-multiset signature of ``s`` as one int.
+
+    Bit ``(k << 7) | (ord(ch) & 127)`` is set for the k-th character of
+    ``s`` (counting from 0) that falls in bucket ``ord(ch) & 127``.  A
+    bucket holding ``n`` characters therefore sets its bits 0..n-1, and
+    ``(a & b).bit_count()`` is the sum over buckets of the smaller
+    population — at least the multiset intersection of the two strings.
+    Characters colliding in a bucket (non-ASCII) only raise that sum,
+    i.e. loosen the bound.  The memo is LRU-bounded; a miss recomputes.
+    """
+    sig = 0
+    seen: Dict[int, int] = {}
+    for ch in s:
+        bucket = ord(ch) & 127
+        k = seen.get(bucket, 0)
+        seen[bucket] = k + 1
+        sig |= 1 << ((k << 7) | bucket)
+    return sig
+
+
+def _matches_needed(len1: int, len2: int, threshold: float) -> Tuple[int, ...]:
+    """Fewest Jaro matches with which strings of these lengths can score
+    ``threshold``, per common-prefix length 0..4.
+
+    ``jw = j + 0.1·p·(1 − j)`` rises with ``j``, so ``jw ≥ θ`` needs
+    ``j ≥ (θ − 0.1p) / (1 − 0.1p)``; the transposition term of ``j`` is
+    at most 1, so ``j ≤ (m/l1 + m/l2 + 1) / 3`` and the match count must
+    reach ``(3·jmin − 1)·l1·l2 / (l1 + l2)``.  The 1e-9 keeps the integer
+    sound against rounding in this arithmetic and in the score itself.
+    """
+    scale = len1 * len2 / (len1 + len2)
+    return tuple(
+        max(0, math.ceil(
+            (3.0 * (threshold - 0.1 * prefix) / (1.0 - 0.1 * prefix) - 1.0) * scale - 1e-9
+        ))
+        for prefix in range(5)
+    )
+
+
+def _jaro_given(s1: str, s2: str, needed: int) -> float:
+    """:func:`jaro` of two non-empty strings, or ``-1.0`` as soon as
+    fewer than ``needed`` matches remain possible.
+
+    Same greedy matching as :func:`jaro` (leftmost unmatched equal
+    character inside the window, found with ``str.find``), so a score
+    that is returned is bit-identical to it.
+    """
+    len1, len2 = len(s1), len(s2)
+    window = max(max(len1, len2) // 2 - 1, 0)
+    spare = len1 - needed  # characters of s1 that may stay unmatched
+    taken = bytearray(len2)
+    matched1 = []
+    for i, ch in enumerate(s1):
+        hi = i + window + 1
+        j = s2.find(ch, i - window if i > window else 0, hi)
+        while j >= 0 and taken[j]:
+            j = s2.find(ch, j + 1, hi)
+        if j >= 0:
+            taken[j] = 1
+            matched1.append(ch)
+        else:
+            spare -= 1
+            if spare < 0:
+                return -1.0
+    if not matched1:
+        return 0.0
+    matched2 = [ch for ch, flag in zip(s2, taken) if flag]
+    transpositions = sum(map(str.__ne__, matched1, matched2)) // 2
+    m = float(len(matched1))
+    return (m / len1 + m / len2 + (m - transpositions) / m) / 3.0
+
+
+class ThresholdScorer:
+    """Jaro–Winkler of one fixed string against many candidates, for a
+    caller that only keeps scores of at least ``threshold``.
+
+    ``scorer(candidate)`` is exactly ``jaro_winkler(needle, candidate)``
+    whenever that reaches the threshold, and otherwise either that same
+    score or ``0.0``.  Two tests let it stop early, both on the match
+    count a pair of these lengths and this common prefix needs
+    (:func:`_matches_needed`): the signature intersection bounds the
+    matches from above *before* the O(l·w) match loop runs, and inside
+    the loop the characters left cap what can still be matched.
+
+    Trigram overlap would not do as the first test: ``"abcdef"`` and
+    ``"badcfe"`` share no trigram and score 0.83.
+
+    The scorer counts the candidates that survived the signature bound
+    (``next()`` on an ``itertools.count`` is one C call, so the worker
+    threads of a parallel bin scan can share one scorer); read the count
+    once, after the scan, with :meth:`scored_count`.
+    """
+
+    __slots__ = ("needle", "threshold", "_signature", "_needed", "_scored")
+
+    def __init__(self, needle: str, threshold: float) -> None:
+        self.needle = needle
+        self.threshold = threshold
+        self._signature = _signature(needle)
+        self._needed: Dict[int, Tuple[int, ...]] = {}  # by candidate length
+        self._scored = itertools.count()
+
+    def scored_count(self) -> int:
+        """Candidates that reached the match loop.  Consumes the tally."""
+        return next(self._scored)
+
+    def __call__(self, candidate: str) -> float:
+        needle = self.needle
+        if not needle or not candidate:
+            return 1.0 if needle == candidate else 0.0
+        prefix = 0
+        if candidate[0] == needle[0]:
+            for c1, c2 in zip(needle, candidate):
+                if c1 != c2 or prefix >= 4:
+                    break
+                prefix += 1
+        needed = self._needed.get(len(candidate))
+        if needed is None:
+            needed = self._needed[len(candidate)] = _matches_needed(
+                len(needle), len(candidate), self.threshold
+            )
+        need = needed[prefix]
+        if (self._signature & _signature(candidate)).bit_count() < need:
+            return 0.0
+        next(self._scored)
+        base = _jaro_given(needle, candidate, need)
+        if base < 0.0:
+            return 0.0
+        return base + prefix * 0.1 * (1.0 - base)
+
+
+def jaro_winkler_at_least(s1: str, s2: str, threshold: float) -> float:
+    """``jaro_winkler(s1, s2)`` if it is at least ``threshold``; below
+    the threshold, that score or ``0.0`` (see :class:`ThresholdScorer`,
+    the form to use when one string meets many)."""
+    return ThresholdScorer(s1, threshold)(s2)
 
 
 def levenshtein(s1: str, s2: str) -> int:

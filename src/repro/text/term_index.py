@@ -13,10 +13,8 @@ suffix tree —
 * **fuzzy** candidates (``window_rows``): the α/β length window of the
   QSM's alternative-literal search as a streamed range scan — the
   Jaro–Winkler scoring stays in Python so tiered and in-memory paths
-  share one scorer;
-* a **predicate/class shortlist** (``pc_shortlist``) for the QSM's
-  alternative-predicate search, built from character-count postings
-  over the camel-split surface forms.
+  share one scorer, and with it one prune
+  (:class:`repro.text.similarity.ThresholdScorer`).
 
 Residual membership is *derived*, not stored: the loader hands the
 index the ranking boundary — the ``(significance, length, surface)``
@@ -25,26 +23,16 @@ capacity — and residual rows are exactly the literal rows ranking
 strictly after it.  This keeps tree capacity a load-time choice while
 letting SQL filter the tail.
 
-Soundness of the shortlists
----------------------------
 Trigram prefilters are sound for *substring* search (every trigram of a
-substring appears in the containing string) but **not** for
-Jaro–Winkler: "abcdef" vs "badcfe" shares zero trigrams yet scores
-~0.83.  The predicate shortlist therefore uses character counts: with
-``jw = j + l*0.1*(1-j)`` and prefix ``l <= 4``, ``jw >= θ`` forces
-``j >= (θ - 0.4) / 0.6``, and ``j <= (m/l1 + m/l2 + 1) / 3`` bounds the
-match count ``m >= (3*jmin - 1) * l1*l2 / (l1 + l2)``; the multiset
-character intersection is an upper bound on ``m``, so any candidate
-whose shared-character count stays below the bound can never reach θ.
-At θ <= 0.6 the bound degenerates and the shortlist declines to prune.
+substring appears in the containing string) and are used for nothing
+else here: they are **not** sound for Jaro–Winkler.
 """
 
 from __future__ import annotations
 
 import sqlite3
 import threading
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..store.term_tables import KIND_MASK, trigrams
 
@@ -75,7 +63,6 @@ class SqliteTermIndex:
         self._residual: tuple = _ALL
         self._histogram: Dict[int, int] = {}
         self._residual_count = 0
-        self._pc_postings: List[Tuple[int, Counter, int]] = []
 
     # ------------------------------------------------------------------
     # Load-time configuration
@@ -142,13 +129,6 @@ class SqliteTermIndex:
         ).fetchall()
         self._histogram = {length: count for length, count in rows}
         self._residual_count = sum(self._histogram.values())
-
-    def set_pc_norms(self, items: Iterable[Tuple[int, str]]) -> None:
-        """Record the camel-split predicate/class forms, one per entry,
-        as character-count postings for :meth:`pc_shortlist`."""
-        self._pc_postings = [
-            (sid, Counter(norm), len(norm)) for sid, norm in items
-        ]
 
     # ------------------------------------------------------------------
     # Residual statistics (QCM's bins_searched_fraction parity)
@@ -240,39 +220,6 @@ class SqliteTermIndex:
                 f"WHERE length BETWEEN ? AND ? AND {clause}",
                 (min_len, max_len) + params,
             ).fetchall()
-
-    # ------------------------------------------------------------------
-    # Predicate/class shortlist (QSM alternative predicates)
-    # ------------------------------------------------------------------
-
-    def pc_shortlist(self, forms: Iterable[str], theta: float):
-        """Surface IDs whose camel-split form *could* reach ``theta``
-        against any of ``forms`` — a sound superset, or ``None`` when
-        the bound cannot prune (θ <= 0.6)."""
-        jmin = (theta - 0.4) / 0.6
-        coefficient = 3.0 * jmin - 1.0
-        if coefficient <= 0.0:
-            return None
-        prepared = [(form, Counter(form), len(form)) for form in forms]
-        passing = set()
-        for sid, counts, norm_len in self._pc_postings:
-            if sid in passing:
-                continue
-            for form, form_counts, form_len in prepared:
-                if form_len == 0 or norm_len == 0:
-                    passing.add(sid)  # degenerate: let the scorer decide
-                    break
-                needed = (
-                    coefficient * form_len * norm_len / (form_len + norm_len)
-                )
-                shared = sum(
-                    min(count, counts[ch])
-                    for ch, count in form_counts.items()
-                )
-                if shared >= needed:
-                    passing.add(sid)
-                    break
-        return passing
 
     # ------------------------------------------------------------------
     # Dictionary / entry fetches (lazy cache tier)

@@ -1,11 +1,15 @@
 """Unit tests for the string similarity measures."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.text import (
+    ThresholdScorer,
     containment_similarity,
     jaro,
     jaro_winkler,
+    jaro_winkler_at_least,
     levenshtein,
     levenshtein_similarity,
 )
@@ -63,6 +67,64 @@ class TestJaroWinkler:
     def test_range(self):
         for a, b in [("a", "b"), ("abc", "abd"), ("x", "xyz")]:
             assert 0.0 <= jaro_winkler(a, b) <= 1.0
+
+
+# Few letters, so characters repeat; "\u00e1" and "\u0161" both land in
+# signature bucket 0x61 with "a", and "\u0101" with "\u0081" in bucket 1.
+_STRINGS = st.text(alphabet="abcde a\u00e1\u0161\u0101\u0081", max_size=14)
+#: A second string a few edits away from the first — the pairs that sit
+#: around the thresholds — or an unrelated one.
+_PAIRS = st.one_of(
+    st.tuples(_STRINGS, _STRINGS),
+    st.tuples(_STRINGS, st.lists(st.tuples(st.integers(0, 13), _STRINGS), max_size=3),
+              st.booleans()).map(lambda drawn: (drawn[0], _edited(*drawn))),
+)
+
+
+def _edited(text, splices, reverse):
+    for at, piece in splices:
+        text = text[:at] + piece[:2] + text[at + 1:]
+    return text[::-1] if reverse else text
+
+
+class TestJaroWinklerAtLeast:
+    """The threshold-aware scorer: exact at or above the threshold,
+    exact or ``0.0`` below it — so a caller that keeps ``score >= θ``
+    sees exactly what plain ``jaro_winkler`` would have shown it."""
+
+    @given(_PAIRS)
+    @example(("abcdef", "badcfe"))      # no common trigram, scores 0.83
+    @example(("", ""))
+    @example(("", "abc"))
+    @example(("aaaa", "aaaaaaaa"))
+    @example(("a\u00e1\u0161", "\u0161\u00e1a"))
+    @settings(max_examples=600, deadline=None)
+    def test_exact_at_or_above_threshold(self, pair):
+        a, b = pair
+        exact = jaro_winkler(a, b)
+        for theta in (0.5, 0.6, 0.7, 0.9):
+            got = jaro_winkler_at_least(a, b, theta)
+            if exact >= theta:
+                assert got == exact, (a, b, theta)
+            else:
+                assert got in (0.0, exact), (a, b, theta)
+
+    def test_zero_trigram_pair_survives(self):
+        assert jaro_winkler_at_least("abcdef", "badcfe", 0.7) == jaro_winkler("abcdef", "badcfe")
+
+    def test_sure_losers_skip_the_match_loop(self):
+        scorer = ThresholdScorer("kennedy", 0.7)
+        assert scorer("zzzzzzz") == 0.0           # no shared character
+        assert scorer("kxxxxxx") == 0.0           # one, of the four needed
+        assert scorer("kennedys") == jaro_winkler("kennedy", "kennedys")
+        assert scorer.scored_count() == 1
+
+    def test_colliding_characters_only_loosen_the_bound(self):
+        """"\u00e1" and "a" share a signature bucket: the pair passes
+        the bound, is scored, and scores what the exact scorer says."""
+        scorer = ThresholdScorer("aaaa", 0.7)
+        assert scorer("\u00e1\u00e1\u00e1\u00e1") == 0.0 == jaro_winkler("aaaa", "\u00e1\u00e1\u00e1\u00e1")
+        assert scorer.scored_count() == 1
 
 
 class TestLevenshtein:

@@ -1,15 +1,11 @@
 """Unit tests for the on-disk term index (PR 10).
 
-The index's two prefilters carry soundness obligations:
-
-* the substring prefilter (FTS5 trigram or trigram postings) must be a
-  *superset* of the ``instr`` truth for every needle — including
-  needles shorter than a trigram (no prefilter possible) and needles
-  with SQL-meaningful characters (``%``, ``_``, quotes), since the
-  verification uses ``instr``, never ``LIKE``;
-* the predicate/class shortlist must keep every candidate that can
-  reach the Jaro–Winkler threshold, and must decline to prune when the
-  bound degenerates (θ <= 0.6).
+The index's substring prefilter (FTS5 trigram or trigram postings)
+carries a soundness obligation: it must be a *superset* of the ``instr``
+truth for every needle — including needles shorter than a trigram (no
+prefilter possible) and needles with SQL-meaningful characters (``%``,
+``_``, quotes), since the verification uses ``instr``, never ``LIKE``.
+(The Jaro–Winkler prune lives in the scorer: ``test_similarity.py``.)
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ from repro.store.term_tables import (
     has_index_tables,
     trigrams,
 )
-from repro.text.lexicon import split_camel_case
-from repro.text.similarity import jaro_winkler
 from repro.text.term_index import SqliteTermIndex
 
 LITERALS = [
@@ -71,15 +65,7 @@ def indexed(request, tmp_path_factory):
     info = save_cache(cache, path)
     conn = sqlite3.connect(str(path), check_same_thread=False)
     index = SqliteTermIndex(conn, fts=bool(info["fts"]))
-    pc_rows, _ = index.tree_plan(cache.config.suffix_tree_capacity)
-    # What TieredSapphireCache._boot does: one camel-split form per
-    # predicate/class entry feeds the shortlist postings.
-    index.set_pc_norms([
-        (sid, split_camel_case(display))
-        for sid, _, _, _ in pc_rows
-        for kind, _, _, _, display in index.entry_rows(sid)
-        if kind in ("predicate", "class")
-    ])
+    index.tree_plan(cache.config.suffix_tree_capacity)
     yield index, cache
     conn.close()
 
@@ -184,38 +170,6 @@ class TestWindowRows:
         }
         got = {surface for _, surface in index.window_rows(3, 12)}
         assert got == truth
-
-
-class TestShortlistSoundness:
-    def test_superset_of_threshold_passers(self, indexed):
-        index, cache = indexed
-        forms = [split_camel_case("birthPlaces"), "wife", "almamater"]
-        shortlist = index.pc_shortlist(forms, theta=0.7)
-        assert shortlist is not None
-        for kind in ("predicate", "class"):
-            for sid in cache._kind_sids[kind]:
-                norm = split_camel_case(cache.surface_of(sid))
-                if any(jaro_winkler(form, norm) >= 0.7 for form in forms):
-                    assert sid in shortlist, norm
-
-    def test_degenerate_theta_declines_to_prune(self, indexed):
-        index, _ = indexed
-        assert index.pc_shortlist(["spouse"], theta=0.6) is None
-        assert index.pc_shortlist(["spouse"], theta=0.5) is None
-
-    def test_zero_trigram_overlap_pair_survives(self, indexed):
-        """'abcdef' vs 'badcfe' share no trigrams but JW ≈ 0.83 — the
-        char-count shortlist must keep such pairs (this is why the
-        shortlist is not trigram-based)."""
-        index, _ = indexed
-        assert jaro_winkler("abcdef", "badcfe") >= 0.7
-        saved = index._pc_postings
-        index.set_pc_norms([(999, "badcfe")])
-        try:
-            shortlist = index.pc_shortlist(["abcdef"], theta=0.7)
-            assert shortlist is not None and 999 in shortlist
-        finally:
-            index._pc_postings = saved
 
 
 class TestTreePlan:

@@ -475,6 +475,17 @@ class TestSapphireSpans:
         for probe in probes:
             assert probe.attrs["candidates"] >= 1
 
+    def test_alternatives_span_accounts_for_the_scan(self, server):
+        query = 'SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }'
+        _, trace = server.analyze(query, suggest=True)
+        terms = next(s for s in trace.walk() if s.name == "qsm-terms")
+        span = next(s for s in terms.children if s.name == "qsm-alternatives")
+        attrs = span.attrs
+        assert attrs["scanned"] == attrs["bounded_out"] + attrs["scored"]
+        assert attrs["scanned"] > attrs["scored"] >= attrs["kept"] >= 1
+        # One discovery per round: the relaxer is seeded from it.
+        assert [s.name for s in trace.walk()].count("qsm-alternatives") == 1
+
     def test_batcher_tracer_cleared_after_analyze(self, server):
         server.analyze("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1", suggest=True)
         assert server.terms_finder._batcher.tracer is None
