@@ -7,7 +7,7 @@ and runs the same star join through two federations of
 :class:`HttpSparqlEndpoint` clients:
 
 * **batched** — the default :class:`FederatedQueryProcessor`, whose
-  :class:`~repro.sparql.plan.RemoteBindJoinNode` ships every batch of
+  :class:`~repro.federation.remote.RemoteBindJoinNode` ships every batch of
   accumulated bindings as a single ``VALUES``-constrained request;
 * **per-binding** — ``bind_join_batch_size=1``, the classic nested-loop
   federation that issues one HTTP request per binding (the seed

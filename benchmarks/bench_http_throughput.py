@@ -235,7 +235,7 @@ def test_worker_scaling(tmp_path):
     from repro.net import PreforkServer, build_backend_from_spec, prepare_snapshots
 
     spec = {"scale": "tiny", "seed": 42, "timeout_s": 30.0,
-            "execution": "auto", "sapphire": False, "n_shards": 2}
+            "sapphire": False, "n_shards": 2}
     snapshot_spec = prepare_snapshots(spec, str(tmp_path / "data.sqlite"))
 
     # Expected rows come from an in-process endpoint over the same

@@ -1,31 +1,16 @@
 #!/usr/bin/env python3
-"""Join-planner and batch-executor benchmark with regression gates.
+"""Tracing-overhead gate for the batch executor.
 
-Two gated comparisons, both parity-checked before anything is timed
-(identical row multisets on both storage backends; a speedup can never
-come from silently matching less):
+Times star, chain and bound-object large-scan plans on the medium
+in-memory dataset with no tracer (the default — one ``is None`` test per
+operator) against a fresh :class:`~repro.sparql.trace.Tracer` per
+query.  Gate: traced/untraced <= MAX_TRACE_OVERHEAD.
 
-1. **Planner vs backtracking** — star, chain, cyclic, and large-scan
-   BGPs through ``QueryEvaluator(store)`` (cost-based left-deep
-   hash/bind joins, filter pushdown, late materialization) against
-   ``QueryEvaluator(store, execution="backtrack")`` (the seed's
-   greedy-ordered backtracking join).  Gate: planner >= MIN_SPEEDUP on
-   star and chain over the in-memory backend (cyclic and large-scan are
-   parity-checked and reported but not gated: single scans and tiny
-   cyclic results are dominated by fixed costs).
+Absolute evaluation latency is recorded by the benchmark spine
+(``benchmarks/spine``, workload ``sparql_analytic``); this script holds
+no comparison against another engine.
 
-2. **Batch vs tuple pipeline** — the same physical plans drained
-   through the columnar ``batches()`` pipeline (default) against the
-   row-at-a-time ``rows_tuple()`` baseline
-   (``QueryEvaluator(store, batch_size=0)``).  Runs on the medium
-   dataset regardless of ``--scale`` — at small scale fixed per-query
-   costs (parse, plan, result assembly) drown the pipeline differential
-   the gate is supposed to watch.  Gate: batch >= MIN_BATCH_SPEEDUP on
-   star, chain, and bound-object large-scan shapes on BOTH backends.
-
-``--json PATH`` writes the machine-readable results consumed by CI
-(uploaded as a ``BENCH_*.json`` artifact so a perf trajectory
-accumulates across commits).
+``--json PATH`` writes the machine-readable results consumed by CI.
 
 Run:  PYTHONPATH=src python benchmarks/bench_join_planner.py [--quick] [--json out.json]
 """
@@ -42,15 +27,6 @@ from repro.data import DatasetConfig, build_dataset
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.trace import Tracer
-from repro.store import MemoryBackend, SQLiteBackend, TripleStore
-
-#: Gate: minimum planner speedup over the backtracking baseline on the
-#: in-memory backend, per gated shape.
-MIN_SPEEDUP = 2.0
-
-#: Gate: minimum columnar-pipeline speedup over the tuple-at-a-time
-#: baseline, per gated shape, on both backends.
-MIN_BATCH_SPEEDUP = 2.0
 
 #: Gate: maximum traced/untraced wall-time ratio on the batch path.
 #: Tracing off costs one ``is None`` test per operator; tracing on adds
@@ -58,7 +34,7 @@ MIN_BATCH_SPEEDUP = 2.0
 MAX_TRACE_OVERHEAD = 1.05
 
 #: Shape -> queries.  Stars fan out from one subject variable, chains
-#: hop subject->object->subject, cyclic closes a variable loop.
+#: hop subject->object->subject.
 SHAPES: Dict[str, List[str]] = {
     "star": [
         "SELECT ?s ?n ?g WHERE { ?s foaf:surname ?n . ?s foaf:givenName ?g . ?s dbo:birthDate ?d }",
@@ -71,31 +47,12 @@ SHAPES: Dict[str, List[str]] = {
         "SELECT ?b ?k WHERE { ?b dbo:author ?a . ?a dbo:birthPlace ?c . ?c dbo:country ?k }",
         "SELECT ?f ?n WHERE { ?f dbo:starring ?p . ?p foaf:name ?n }",
     ],
-    "cyclic": [
-        "SELECT ?a ?b ?u WHERE { ?a dbo:spouse ?b . ?a dbo:almaMater ?u . ?b dbo:almaMater ?u }",
-        "SELECT ?a ?b WHERE { ?a dbo:spouse ?b . ?b dbo:spouse ?a }",
-    ],
     "large_scan": [
         "SELECT ?s WHERE { ?s a dbo:Person }",
         "SELECT ?s ?p WHERE { ?s ?p dbo:Person }",
         "SELECT ?s ?n WHERE { ?s foaf:name ?n }",
     ],
 }
-
-#: Shapes whose planner-vs-backtrack speedup is enforced (cyclic and
-#: large-scan are parity-only there: fixed costs dominate).
-GATED_SHAPES = ("star", "chain")
-
-#: Shapes whose batch-vs-tuple speedup is enforced, on both backends.
-BATCH_GATED_SHAPES = ("star", "chain", "large_scan")
-
-
-def _row_key(rows) -> List[Tuple]:
-    """Order-insensitive, hashable view of a result's row multiset."""
-    return sorted(
-        tuple(sorted((name, str(term)) for name, term in row.items()))
-        for row in rows
-    )
 
 
 def _time_best(fn, repeat: int) -> float:
@@ -107,104 +64,16 @@ def _time_best(fn, repeat: int) -> float:
     return best
 
 
-def run(scale: str, repeat: int, json_path: Optional[str] = None) -> int:
-    config = DatasetConfig.tiny() if scale == "tiny" else DatasetConfig.small()
-    dataset = build_dataset(config)
-    triples = list(dataset.store.triples())
-    backends = {
-        "memory": TripleStore(triples, backend=MemoryBackend()),
-        "sqlite": TripleStore(triples, backend=SQLiteBackend(":memory:")),
-    }
-    parsed = {
-        shape: [parse_query(q) for q in queries]
-        for shape, queries in SHAPES.items()
-    }
-
-    # -- parity gate: identical row multisets everywhere, before timing.
-    failures = []
-    row_counts: Dict[str, int] = {}
-    for backend_name, store in backends.items():
-        planner = QueryEvaluator(store)
-        backtrack = QueryEvaluator(store, execution="backtrack")
-        for shape, queries in parsed.items():
-            for text, query in zip(SHAPES[shape], queries):
-                a = _row_key(planner.evaluate(query).rows)
-                b = _row_key(backtrack.evaluate(query).rows)
-                if a != b:
-                    failures.append((backend_name, text, len(a), len(b)))
-                row_counts[f"{shape}:{text[:40]}"] = len(a)
-    if failures:
-        print("PARITY FAILURE: planner and backtracking paths disagree")
-        for backend_name, text, n_planner, n_backtrack in failures:
-            print(f"  [{backend_name}] planner={n_planner} backtrack={n_backtrack}  {text}")
-        return 1
-
-    n_queries = sum(len(qs) for qs in SHAPES.values())
-    print(f"dataset: {scale} ({len(triples):,} triples), {n_queries} queries "
-          f"across {len(SHAPES)} BGP shapes, best of {repeat}")
-    print(f"parity: identical row multisets, planner vs backtracking, "
-          f"both backends ({sum(row_counts.values()):,} total rows)\n")
-
-    # -- timing per backend x shape.
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    header = f"{'backend':<8} {'shape':<8} {'backtrack_s':>12} {'planner_s':>10} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for backend_name, store in backends.items():
-        planner = QueryEvaluator(store)
-        backtrack = QueryEvaluator(store, execution="backtrack")
-        results[backend_name] = {}
-        for shape, queries in parsed.items():
-
-            def run_all(evaluator, queries=queries):
-                for query in queries:
-                    evaluator.evaluate(query)
-
-            backtrack_s = _time_best(lambda: run_all(backtrack), repeat)
-            planner_s = _time_best(lambda: run_all(planner), repeat)
-            speedup = backtrack_s / planner_s if planner_s else float("inf")
-            results[backend_name][shape] = {
-                "backtrack_s": backtrack_s,
-                "planner_s": planner_s,
-                "speedup": speedup,
-            }
-            print(f"{backend_name:<8} {shape:<8} {backtrack_s:>12.4f} "
-                  f"{planner_s:>10.4f} {speedup:>7.2f}x")
-
-    backends["sqlite"].close()
-
-    # -- speedup gate on the in-memory backend.
-    gate_ok = True
-    print(f"\ngate (memory backend, >= {MIN_SPEEDUP:.1f}x on {', '.join(GATED_SHAPES)}):")
-    for shape in GATED_SHAPES:
-        speedup = results["memory"][shape]["speedup"]
-        status = "ok" if speedup >= MIN_SPEEDUP else "FAIL"
-        gate_ok = gate_ok and speedup >= MIN_SPEEDUP
-        print(f"  {shape:<8} {speedup:5.2f}x  {status}")
-
-    (batch_results, batch_ok, batch_triples,
-     tracing, tracing_ok) = run_batch_section(repeat)
-
+def run(repeat: int, json_path: Optional[str] = None) -> int:
+    # Medium: the per-batch span bookkeeping only becomes measurable
+    # once result sets reach a few thousand rows.
+    store = build_dataset(DatasetConfig.medium()).store
+    queries = [parse_query(text) for texts in SHAPES.values() for text in texts]
+    tracing, tracing_ok = run_tracing_section(store, queries, repeat)
     if json_path:
         payload = {
             "benchmark": "join_planner",
-            "dataset": {"scale": scale, "triples": len(triples)},
-            "repeat": repeat,
-            "parity": "ok",
-            "results": results,
-            "gate": {
-                "min_speedup": MIN_SPEEDUP,
-                "shapes": list(GATED_SHAPES),
-                "pass": gate_ok,
-            },
-            "batch_dataset": {"scale": "medium", "triples": batch_triples},
-            "batch_results": batch_results,
-            "batch_gate": {
-                "min_speedup": MIN_BATCH_SPEEDUP,
-                "shapes": list(BATCH_GATED_SHAPES),
-                "backends": ["memory", "sqlite"],
-                "pass": batch_ok,
-            },
+            "dataset": {"scale": "medium", "triples": len(store)},
             "tracing": tracing,
             "tracing_gate": {
                 "max_overhead": MAX_TRACE_OVERHEAD,
@@ -214,111 +83,15 @@ def run(scale: str, repeat: int, json_path: Optional[str] = None) -> int:
         with open(json_path, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"\nresults written to {json_path}")
-
-    if not gate_ok:
-        print("REGRESSION: planner slower than the gate allows")
-        return 1
-    if not batch_ok:
-        print("REGRESSION: batch pipeline slower than the gate allows")
-        return 1
     if not tracing_ok:
         print("REGRESSION: tracing overhead above the gate")
         return 1
     return 0
 
 
-def run_batch_section(repeat: int) -> Tuple[Dict, bool, int, Dict, bool]:
-    """Batch-vs-tuple pipeline comparison over the same physical plans.
-
-    Always builds the medium dataset: the pipeline differential (C-pass
-    scans, joins and gathers vs per-row generator hops) only becomes
-    measurable once result sets reach a few thousand rows.  Parity first,
-    then best-of-N timing per shape, gated on both backends.
-    """
-    config = DatasetConfig.medium()
-    dataset = build_dataset(config)
-    triples = list(dataset.store.triples())
-    backends = {
-        "memory": TripleStore(triples, backend=MemoryBackend()),
-        "sqlite": TripleStore(triples, backend=SQLiteBackend(":memory:")),
-    }
-    parsed = {
-        shape: [parse_query(q) for q in SHAPES[shape]]
-        for shape in BATCH_GATED_SHAPES
-    }
-
-    failures = []
-    for backend_name, store in backends.items():
-        batch = QueryEvaluator(store)
-        tuple_ev = QueryEvaluator(store, batch_size=0)
-        for shape, queries in parsed.items():
-            for text, query in zip(SHAPES[shape], queries):
-                a = _row_key(batch.evaluate(query).rows)
-                b = _row_key(tuple_ev.evaluate(query).rows)
-                if a != b:
-                    failures.append((backend_name, text, len(a), len(b)))
-    if failures:
-        print("\nPARITY FAILURE: batch and tuple pipelines disagree")
-        for backend_name, text, n_batch, n_tuple in failures:
-            print(f"  [{backend_name}] batch={n_batch} tuple={n_tuple}  {text}")
-        for store in backends.values():
-            store.close()
-        return {}, False, len(triples), {}, False
-
-    print(f"\nbatch pipeline vs tuple baseline "
-          f"(medium dataset, {len(triples):,} triples, best of {repeat})")
-    header = (f"{'backend':<8} {'shape':<11} {'tuple_s':>10} "
-              f"{'batch_s':>10} {'speedup':>8}")
-    print(header)
-    print("-" * len(header))
-    batch_results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    batch_ok = True
-    for backend_name, store in backends.items():
-        batch = QueryEvaluator(store)
-        tuple_ev = QueryEvaluator(store, batch_size=0)
-        batch_results[backend_name] = {}
-        for shape, queries in parsed.items():
-
-            def run_all(evaluator, queries=queries):
-                for query in queries:
-                    evaluator.evaluate(query)
-
-            tuple_s = _time_best(lambda: run_all(tuple_ev), repeat)
-            batch_s = _time_best(lambda: run_all(batch), repeat)
-            speedup = tuple_s / batch_s if batch_s else float("inf")
-            batch_results[backend_name][shape] = {
-                "tuple_s": tuple_s,
-                "batch_s": batch_s,
-                "speedup": speedup,
-            }
-            gated = shape in BATCH_GATED_SHAPES
-            ok = speedup >= MIN_BATCH_SPEEDUP
-            batch_ok = batch_ok and (ok or not gated)
-            status = "ok" if ok else "FAIL"
-            print(f"{backend_name:<8} {shape:<11} {tuple_s:>10.4f} "
-                  f"{batch_s:>10.4f} {speedup:>7.2f}x  {status}")
-
-    print(f"batch gate: >= {MIN_BATCH_SPEEDUP:.1f}x on "
-          f"{', '.join(BATCH_GATED_SHAPES)}, both backends: "
-          f"{'ok' if batch_ok else 'FAIL'}")
-
-    tracing, tracing_ok = run_tracing_section(
-        backends["memory"], parsed, repeat)
-
-    backends["sqlite"].close()
-    return batch_results, batch_ok, len(triples), tracing, tracing_ok
-
-
-def run_tracing_section(store, parsed, repeat: int) -> Tuple[Dict, bool]:
-    """EXPLAIN ANALYZE overhead on the hot batch path (memory backend).
-
-    Times the same star/chain/large-scan plans with no tracer (the
-    default — one ``is None`` test per operator) against a fresh
-    :class:`~repro.sparql.trace.Tracer` per query, best of ``repeat``.
-    Gate: traced/untraced <= MAX_TRACE_OVERHEAD.
-    """
+def run_tracing_section(store, queries, repeat: int) -> Tuple[Dict, bool]:
+    """EXPLAIN ANALYZE overhead on the hot batch path, best of ``repeat``."""
     evaluator = QueryEvaluator(store)
-    queries = [query for group in parsed.values() for query in group]
 
     def run_untraced():
         for query in queries:
@@ -330,8 +103,7 @@ def run_tracing_section(store, parsed, repeat: int) -> Tuple[Dict, bool]:
 
     # The whole timed section is ~10ms per pass, so a single scheduler
     # hiccup flips a 5% gate: warm both paths (plan cache, allocator),
-    # then take the best of a larger repeat count than the other
-    # sections use.
+    # then take the best of at least ten.
     run_untraced()
     run_traced()
     repeat = max(repeat, 10)
@@ -351,22 +123,14 @@ def run_tracing_section(store, parsed, repeat: int) -> Tuple[Dict, bool]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="fewer repetitions (CI smoke run); keeps the small "
-                             "dataset so the speedup gate is not dominated by "
-                             "fixed per-query costs")
-    parser.add_argument("--scale", choices=("tiny", "small"), default=None,
-                        help="dataset scale (default: small)")
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="timing repetitions (best-of)")
+                        help="accepted for CI symmetry; the gate needs its "
+                             "full best-of count either way")
+    parser.add_argument("--repeat", type=int, default=10,
+                        help="timing repetitions (best-of, at least 10)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write machine-readable results to PATH")
     args = parser.parse_args(argv)
-    scale = args.scale or "small"
-    # Best-of-5 in both modes: the star gate has the least margin, and
-    # a larger best-of keeps scheduler jitter on shared CI runners from
-    # flipping it (the whole timed section is well under a second).
-    repeat = args.repeat or 5
-    return run(scale, repeat, args.json)
+    return run(args.repeat, args.json)
 
 
 if __name__ == "__main__":

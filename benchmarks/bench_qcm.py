@@ -242,12 +242,12 @@ def test_cold_start_tiered_vs_rebuild(scaled_index, capsys, benchmark):
         for term in LOOKUP_TERMS:
             assert eager_qcm.complete(term).surfaces() == \
                 tiered_qcm.complete(term).surfaces(), term
-        # The boot-time gate tightens with scale: the tiered boot reads
-        # ~capacity rows however big the tail grows.
+        # The tiered boot reads ~capacity rows however big the tail
+        # grows.  Gated only where the gap dwarfs the noise of a single
+        # unwarmed sample taken under tracemalloc; below 100x the
+        # speedup is reported, not asserted.
         if scale >= 100:
             assert speedup >= 5.0, METRICS["cold_start"]
-        elif scale >= 10:
-            assert speedup >= 2.0, METRICS["cold_start"]
         # Boot memory is bounded by the tree, not the lexicon: at scale
         # the eager rebuild materializes every literal, the tiered boot
         # must not.

@@ -9,7 +9,7 @@ alternative-terms suggestion rounds through two configurations:
 * **batched** — the default: every probed query position ships all its
   candidate terms as one ``VALUES``-constrained probe, which the
   federated planner executes as a single
-  :class:`~repro.sparql.plan.RemoteBindJoinNode` request per endpoint;
+  :class:`~repro.federation.remote.RemoteBindJoinNode` request per endpoint;
 * **per-candidate** — ``qsm_batched_probes=False``, the classic
   Algorithm 2 loop issuing one query per candidate (the seed behaviour
   this PR replaces).

@@ -182,18 +182,15 @@ def run(
          lambda: sum(1 for p in patterns for _ in seed_store.match(p)),
          lambda: sum(1 for p in patterns for _ in seed_store.match(p)),
          lambda: sum(1 for q in parsed for _ in seed_store.solve(list(q.where.patterns)))),
-        # execution="backtrack": this benchmark isolates the storage
-        # encoding, so both encoded engines keep the seed's backtracking
-        # join (bench_join_planner.py measures the planner itself).
         ("encoded-memory",
          lambda: _match_ids_workload(encoded, patterns),
          lambda: sum(1 for p in patterns for _ in encoded.match(p)),
-         lambda: sum(len(QueryEvaluator(encoded, execution="backtrack").evaluate(q).rows)
+         lambda: sum(len(QueryEvaluator(encoded).evaluate(q).rows)
                      for q in parsed)),
         ("encoded-sqlite",
          lambda: _match_ids_workload(persistent, patterns),
          lambda: sum(1 for p in patterns for _ in persistent.match(p)),
-         lambda: sum(len(QueryEvaluator(persistent, execution="backtrack").evaluate(q).rows)
+         lambda: sum(len(QueryEvaluator(persistent).evaluate(q).rows)
                      for q in parsed)),
     ]
 

@@ -142,8 +142,6 @@ def quickstart_server(
         dataset.store,
         endpoint_config or EndpointConfig(timeout_s=1.0),
         name="dbpedia-mini",
-        execution=config.execution,
-        batch_size=config.exec_batch_size,
     )
     server = SapphireServer(config)
     server.register_endpoint(endpoint)

@@ -50,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="dataset seed (default: 42)")
     parser.add_argument("--tree-capacity", type=int, default=500,
                         help="suffix-tree capacity (default: 500)")
-    parser.add_argument("--execution", choices=("auto", "planner", "backtrack"),
-                        default="auto",
-                        help="query evaluation strategy for local endpoints: "
-                             "cost-based planner with fallback (auto, the "
-                             "default), planner-first, or the seed "
-                             "backtracking join (default: auto)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("stats", help="print dataset and cache statistics")
@@ -228,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _make_server(args) -> tuple:
     dataset = build_dataset(_SCALES[args.scale](seed=args.seed))
     endpoint = SparqlEndpoint(dataset.store, EndpointConfig(timeout_s=1.0),
-                              name="dbpedia-mini", execution=args.execution)
-    server = SapphireServer(SapphireConfig(
-        suffix_tree_capacity=args.tree_capacity, execution=args.execution))
+                              name="dbpedia-mini")
+    server = SapphireServer(SapphireConfig(suffix_tree_capacity=args.tree_capacity))
     server.register_endpoint(endpoint)
     return server, dataset
 
@@ -447,7 +440,6 @@ def _serve_prefork(args) -> int:
         "scale": args.scale,
         "seed": args.seed,
         "timeout_s": args.timeout_s,
-        "execution": args.execution,
         "tree_capacity": args.tree_capacity,
         "sapphire": bool(args.sapphire),
         "n_shards": args.shards,
@@ -520,10 +512,8 @@ def _cmd_serve(args) -> int:
         store,
         EndpointConfig(timeout_s=args.timeout_s),
         name=f"dbpedia-{args.scale}",
-        execution=args.execution,
     )
-    config = SapphireConfig(suffix_tree_capacity=args.tree_capacity,
-                            execution=args.execution)
+    config = SapphireConfig(suffix_tree_capacity=args.tree_capacity)
     if args.sapphire:
         backend = SapphireServer(config)
         report = backend.register_endpoint(endpoint)
@@ -599,7 +589,6 @@ def _cmd_replay(args) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-replay-"))
             spec = prepare_snapshots({
                 "scale": args.scale, "seed": args.seed, "timeout_s": 2.0,
-                "execution": args.execution,
                 "tree_capacity": args.tree_capacity,
                 "sapphire": True, "n_shards": args.shards,
             }, os.path.join(tmp, "data.sqlite"))
@@ -630,11 +619,9 @@ def _cmd_replay(args) -> int:
             endpoint = SparqlEndpoint(
                 store, EndpointConfig(timeout_s=2.0),
                 name=f"dbpedia-{args.scale}",
-                execution=args.execution,
             )
             backend = SapphireServer(
-                SapphireConfig(suffix_tree_capacity=args.tree_capacity,
-                           execution=args.execution)
+                SapphireConfig(suffix_tree_capacity=args.tree_capacity)
             )
             backend.register_endpoint(endpoint)
             # Sample a slice of replayed requests into the slow-query

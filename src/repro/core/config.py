@@ -113,16 +113,6 @@ class SapphireConfig:
     #: >1 = a :class:`~repro.net.prefork.PreforkServer` pool.
     n_workers: int = 1
 
-    # --- Query execution (docs/query-planning.md) ----------------------
-    #: Evaluation strategy for every endpoint the server builds:
-    #: ``"auto"`` (planner with term-space fallback), ``"planner"``, or
-    #: ``"backtrack"`` (pin the seed backtracking join).
-    execution: str = "auto"
-    #: Rows per batch on the columnar execution path; ``0`` pins the
-    #: legacy tuple-at-a-time pipeline, ``None`` uses the engine default
-    #: (:data:`repro.sparql.plan.DEFAULT_BATCH_SIZE`).
-    exec_batch_size: Optional[int] = None
-
     # --- Tracing / observability (docs/tracing.md) ---------------------
     #: Fraction of server requests that get a sampled execution trace
     #: even without ``analyze=true``.  ``0.0`` disables sampling;
@@ -134,14 +124,6 @@ class SapphireConfig:
     slow_query_threshold_s: float = 0.5
     #: Capacity of the slow-query log (top-N ring by wall time).
     slow_log_size: int = 32
-
-    def with_execution(
-        self, execution: str, batch_size: Optional[int] = None
-    ) -> "SapphireConfig":
-        """Copy with a different evaluation strategy selection."""
-        if execution not in ("planner", "backtrack", "auto"):
-            raise ValueError(f"unknown execution mode {execution!r}")
-        return replace(self, execution=execution, exec_batch_size=batch_size)
 
     def with_processes(self, processes: int) -> "SapphireConfig":
         """Copy with a different parallelism degree (benchmark sweeps)."""

@@ -19,7 +19,7 @@ a fresh variable constrained by a ``VALUES`` block::
 
 The probe compiles through the same parse → algebra → plan pipeline as
 every other query; at the federation the VALUES table drives the
-:class:`~repro.sparql.plan.RemoteBindJoinNode` machinery, so one
+:class:`~repro.federation.remote.RemoteBindJoinNode` machinery, so one
 suggestion round costs **one VALUES-constrained request per endpoint
 per batch** instead of one request per candidate.  The returned rows
 are split by the probe variable's binding and each group is finished
@@ -37,6 +37,7 @@ execution.
 from __future__ import annotations
 
 import copy
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
@@ -108,11 +109,6 @@ class ProbeBatcher:
         self.runner = runner
         # Modifier tail only; never touches this empty store.
         self._pipeline = QueryEvaluator(TripleStore())
-        #: Optional :class:`~repro.sparql.trace.Tracer`: when set (the
-        #: serving layer installs it around one traced suggestion
-        #: request), each batched probe records a ``qsm-probe-batch``
-        #: span with position/candidate-count/row-count attributes.
-        self.tracer = None
 
     def run(
         self,
@@ -120,6 +116,7 @@ class ProbeBatcher:
         triple_index: int,
         position: str,
         candidates: Sequence[Term],
+        tracer=None,
     ) -> Optional[Dict[Term, SelectResult]]:
         """Per-candidate results for one batched probe.
 
@@ -127,33 +124,33 @@ class ProbeBatcher:
         (aggregates/GROUP BY) or the probe execution failed — callers
         fall back to per-candidate execution.  Candidates absent from
         the mapping returned no rows.
+
+        ``tracer`` is the calling request's
+        :class:`~repro.sparql.trace.Tracer`, if it has one: the probe
+        then records a ``qsm-probe-batch`` span with
+        position/candidate-count/row-count attributes.  It is an
+        argument because handler threads share one batcher.
         """
         if not candidates:
             return {}
         if query.has_aggregates() or query.group_by:
             return None
         probe = build_probe_query(query, triple_index, position, candidates)
-        tracer = self.tracer
-        if tracer is not None:
-            with tracer.span(
-                "qsm-probe-batch",
-                position=position,
-                triple=triple_index,
-                candidates=len(candidates),
-            ) as span:
-                try:
-                    result = self.runner(probe)
-                except Exception:  # noqa: BLE001 — a failing probe loses the batch only
-                    if span is not None:
-                        span.attrs["failed"] = True
-                    return None
-                if span is not None:
-                    span.attrs["rows"] = len(result.rows)
-        else:
+        traced = nullcontext() if tracer is None else tracer.span(
+            "qsm-probe-batch",
+            position=position,
+            triple=triple_index,
+            candidates=len(candidates),
+        )
+        with traced as span:
             try:
                 result = self.runner(probe)
             except Exception:  # noqa: BLE001 — a failing probe loses the batch only
+                if span is not None:
+                    span.attrs["failed"] = True
                 return None
+            if span is not None:
+                span.attrs["rows"] = len(result.rows)
         grouped: Dict[Term, List[dict]] = {}
         for row in result.rows:
             candidate = row.get(PROBE_VAR)

@@ -251,11 +251,13 @@ class AlternativeTermsFinder:
         query: Query,
         k: Optional[int] = None,
         positions: Optional[List[Position]] = None,
+        tracer: Optional[Tracer] = None,
     ) -> List[TermSuggestion]:
         """Top-k one-term-change queries that return answers.
 
         ``positions`` is a :meth:`candidate_positions` result for this
-        query, when the caller already has one.
+        query, when the caller already has one.  Under a ``tracer``
+        every batched probe records a ``qsm-probe-batch`` span.
         """
         k = k if k is not None else self.config.k_suggestions
         if positions is None:
@@ -268,7 +270,8 @@ class AlternativeTermsFinder:
             results: Optional[Dict[Term, SelectResult]] = None
             if batched:
                 results = self._batcher.run(
-                    query, index, position, [entry.term for entry, _ in found]
+                    query, index, position, [entry.term for entry, _ in found],
+                    tracer=tracer,
                 )
             for entry, score in found:
                 bucket.append((

@@ -346,8 +346,6 @@ class SapphireServer:
                 load_store(source / f"{name}.sqlite"),
                 endpoint_config,
                 name=name,
-                execution=server.config.execution,
-                batch_size=server.config.exec_batch_size,
             )
             server.attach_endpoint(endpoint)
         return server
@@ -454,23 +452,20 @@ class SapphireServer:
                 self.relaxer.relax(query, _literal_seeds(positions))
             )
         else:
-            batcher = finder._batcher
-            batcher.tracer = tracer
-            try:
-                with tracer.span("qsm-terms") as span:
-                    positions = finder.candidate_positions(query, tracer)
-                    outcome.term_suggestions = finder.suggest(query, positions=positions)
-                    if span is not None:
-                        span.attrs["suggestions"] = len(outcome.term_suggestions)
-                with tracer.span("qsm-relax") as span:
-                    outcome.relaxations = list(self.relaxer.ground_literals(query))
-                    outcome.relaxations.extend(
-                        self.relaxer.relax(query, _literal_seeds(positions))
-                    )
-                    if span is not None:
-                        span.attrs["suggestions"] = len(outcome.relaxations)
-            finally:
-                batcher.tracer = None
+            with tracer.span("qsm-terms") as span:
+                positions = finder.candidate_positions(query, tracer)
+                outcome.term_suggestions = finder.suggest(
+                    query, positions=positions, tracer=tracer
+                )
+                if span is not None:
+                    span.attrs["suggestions"] = len(outcome.term_suggestions)
+            with tracer.span("qsm-relax") as span:
+                outcome.relaxations = list(self.relaxer.ground_literals(query))
+                outcome.relaxations.extend(
+                    self.relaxer.relax(query, _literal_seeds(positions))
+                )
+                if span is not None:
+                    span.attrs["suggestions"] = len(outcome.relaxations)
         outcome.qsm_seconds = _time.perf_counter() - t0
         return outcome
 

@@ -125,16 +125,12 @@ class SparqlEndpoint:
         store: TripleStore,
         config: Optional[EndpointConfig] = None,
         name: str = "endpoint",
-        execution: str = "auto",
-        batch_size: Optional[int] = None,
     ) -> None:
         self.store = store
         self.config = config or EndpointConfig()
         self.name = name
         self.log: List[QueryLogEntry] = []
-        self._evaluator = QueryEvaluator(
-            store, execution=execution, batch_size=batch_size
-        )
+        self._evaluator = QueryEvaluator(store)
         self._lock = threading.Lock()
         self._simulated_time = 0.0
 

@@ -8,7 +8,7 @@ translates and normalizes queries through the *same*
 :mod:`~repro.sparql.algebra` stage as local execution (so duplicate
 patterns are deduplicated once, filters are pushed once), runs the same
 greedy cost-ranked join ordering, and compiles to the remote physical
-operators in :mod:`~repro.sparql.plan`:
+operators in :mod:`~repro.federation.remote`:
 
 1. **Cost-based source selection** — each triple pattern is probed with
    an ASK query at every member endpoint (cached by pattern signature);
@@ -18,9 +18,9 @@ operators in :mod:`~repro.sparql.plan`:
    members a pessimistic default.
 2. **Exclusive groups** — patterns whose only relevant source is the
    same single endpoint ship to it as one sub-query
-   (:class:`~repro.sparql.plan.RemoteScanNode` over the whole group).
+   (:class:`~repro.federation.remote.RemoteScanNode` over the whole group).
 3. **Batched bind joins** — remaining patterns join through
-   :class:`~repro.sparql.plan.RemoteBindJoinNode`, which sends one
+   :class:`~repro.federation.remote.RemoteBindJoinNode`, which sends one
    ``VALUES``-constrained request per endpoint per batch of
    ``bind_join_batch_size`` bindings instead of one request per
    binding.
@@ -65,9 +65,6 @@ from ..sparql.plan import (
     LeftJoinNode,
     MinusNode,
     PlanNode,
-    REMOTE_BATCH_SIZE,
-    RemoteBindJoinNode,
-    RemoteScanNode,
     UnionNode,
     ValuesScanNode,
     explain_plan,
@@ -76,6 +73,7 @@ from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import ask_query
 from ..sparql.trace import QueryTrace, Tracer
 from ..store.triplestore import TripleStore
+from .remote import REMOTE_BATCH_SIZE, RemoteBindJoinNode, RemoteScanNode
 
 __all__ = ["FederatedQueryProcessor"]
 
@@ -119,7 +117,7 @@ class FederatedQueryProcessor:
     ``bind_join_batch_size`` controls how many accumulated bindings a
     federated join ships per request (1 degenerates to the classic
     per-binding nested loop; the default batches
-    :data:`~repro.sparql.plan.REMOTE_BATCH_SIZE` bindings into a single
+    :data:`~repro.federation.remote.REMOTE_BATCH_SIZE` bindings into a single
     VALUES clause).
 
     Thread-safe source selection: the HTTP server evaluates federated

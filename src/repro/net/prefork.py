@@ -108,12 +108,10 @@ def build_backend_from_spec(spec: Dict[str, object]):
         store,
         EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
         name=f"dbpedia-{scale}",
-        execution=str(spec.get("execution", "auto")),
     )
     if spec.get("sapphire"):
         config = SapphireConfig(
             suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
-            execution=str(spec.get("execution", "auto")),
         )
         server = SapphireServer(config)
         cache_snapshot = spec.get("cache_snapshot")
@@ -163,14 +161,12 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
 
         config = SapphireConfig(
             suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
-            execution=str(spec.get("execution", "auto")),
         )
         parent = SapphireServer(config)
         parent.register_endpoint(SparqlEndpoint(
             dataset.store,
             EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
             name="snapshot-init",
-            execution=config.execution,
         ))
         cache_path = base_path + ".cache.sqlite"
         save_cache(parent.cache, cache_path)

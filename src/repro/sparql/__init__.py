@@ -38,8 +38,6 @@ from .plan import (
     MinusNode,
     PlanNode,
     QueryPlanner,
-    RemoteBindJoinNode,
-    RemoteScanNode,
     ScanNode,
     UnionNode,
     ValuesScanNode,
@@ -83,8 +81,6 @@ __all__ = [
     "ValuesScanNode",
     "CompatJoinNode",
     "LeftJoinNode",
-    "RemoteScanNode",
-    "RemoteBindJoinNode",
     "explain_plan",
     "evaluate_expression",
     "effective_boolean_value",

@@ -30,7 +30,6 @@ OPTIONALs extend last.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import IRI, Literal, Term, Variable, XSD_INTEGER
@@ -53,16 +52,10 @@ from .plan import DEFAULT_BATCH_SIZE, QueryPlanner, explain_plan, refresh_plan_e
 from .results import AskResult, SelectResult
 from .trace import Tracer
 
-__all__ = ["QueryEvaluator", "EXECUTION_MODES", "evaluate", "finalize_solutions"]
+__all__ = ["QueryEvaluator", "evaluate", "finalize_solutions"]
 
 #: Sentinel distinguishing "no plan computed yet" from "planner said None".
 _PLAN_UNSET = object()
-
-#: Sentinel distinguishing "use_planner not passed" from an explicit bool.
-_USE_PLANNER_UNSET = object()
-
-#: Valid values for :class:`QueryEvaluator`'s ``execution`` keyword.
-EXECUTION_MODES = ("planner", "backtrack", "auto")
 
 
 def _paginate(rows, key_fn, distinct: bool, offset: int, limit: Optional[int]) -> List:
@@ -95,62 +88,21 @@ def _paginate(rows, key_fn, distinct: bool, offset: int, limit: Optional[int]) -
 class QueryEvaluator:
     """Evaluates parsed queries against one triple store.
 
-    ``execution`` selects the strategy:
+    Top-level groups run through the cost-based hash/bind-join planner
+    in :mod:`~repro.sparql.plan`; groups the planner declines — and
+    OPTIONAL sub-groups, which carry initial bindings — fall back to the
+    term-space backtracking join below.
 
-    * ``"auto"`` (the default) routes top-level groups through the
-      cost-based hash/bind-join planner in :mod:`~repro.sparql.plan`;
-      groups the planner cannot cover — and OPTIONAL sub-groups, which
-      carry initial bindings — fall back to the term-space backtracking
-      join below.
-    * ``"planner"`` states planner-first intent explicitly.  Today it
-      behaves like ``"auto"`` (the fallback still catches the shapes the
-      ID-space operators cannot express — there is no complete
-      planner-only evaluator); the distinct name reserves room for
-      ``"auto"`` to become adaptive without breaking callers that pinned
-      the planner.
-    * ``"backtrack"`` pins the seed backtracking path, which the planner
-      benchmarks use as their parity baseline.
-
-    ``batch_size`` is the row count per :class:`~repro.sparql.plan.Batch`
-    on the columnar execution path; ``0`` disables batching and runs the
-    legacy tuple-at-a-time pipeline (the batch benchmarks' baseline).
-
-    The old ``use_planner`` boolean is deprecated: ``True`` maps to
-    ``execution="auto"``, ``False`` to ``execution="backtrack"``.
+    ``batch_size`` (>= 1) is the row count per
+    :class:`~repro.sparql.plan.Batch`; tests lower it to force
+    DISTINCT/LIMIT cuts in the middle of a batch.
     """
 
-    def __init__(
-        self,
-        store: TripleStore,
-        use_planner=_USE_PLANNER_UNSET,
-        *,
-        execution: Optional[str] = None,
-        batch_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, store: TripleStore, *, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.store = store
-        if use_planner is not _USE_PLANNER_UNSET:
-            if execution is not None:
-                raise TypeError(
-                    "pass execution=...; use_planner is deprecated and "
-                    "cannot be combined with it"
-                )
-            warnings.warn(
-                "QueryEvaluator(use_planner=...) is deprecated; pass "
-                "execution='auto' (was use_planner=True) or "
-                "execution='backtrack' (was use_planner=False)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            execution = "auto" if use_planner else "backtrack"
-        elif execution is None:
-            execution = "auto"
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {execution!r}; "
-                f"expected one of {EXECUTION_MODES}"
-            )
-        self.execution = execution
-        self.batch_size = DEFAULT_BATCH_SIZE if batch_size is None else batch_size
+        self.batch_size = batch_size
         self._planner = QueryPlanner(store)
         # Physical plans keyed by (group identity, budget).  The value
         # pins a strong reference to the group so its ``id`` can never
@@ -180,13 +132,6 @@ class QueryEvaluator:
             self._plan_cache.clear()
         self._plan_cache[key] = (group, generation, plan)
         return plan
-
-    @property
-    def use_planner(self) -> bool:
-        """Deprecated read-only view of the mode (True unless pinned to
-        the backtracker).  Kept so existing introspection keeps working;
-        set the mode via ``execution=`` at construction."""
-        return self.execution != "backtrack"
 
     # ------------------------------------------------------------------
     # Public API
@@ -231,7 +176,7 @@ class QueryEvaluator:
         meter = meter or CostMeter()
         if tracer is None:
             tracer = Tracer(query=query if isinstance(query, str) else "")
-        if self.use_planner and not parsed.where.optionals:
+        if not parsed.where.optionals:
             plan = self._plan_group(parsed.where, meter.budget, tracer)
             if plan is not None:
                 refresh_plan_estimates(plan, self.store)
@@ -288,11 +233,7 @@ class QueryEvaluator:
         budget: Optional[int] = None,
     ) -> str:
         pad = "  " * indent
-        plan = (
-            self._plan_group(group, budget)
-            if (planned and self.use_planner)
-            else None
-        )
+        plan = self._plan_group(group, budget) if planned else None
         if plan is not None:
             text = explain_plan(plan, indent)
         elif not group.is_basic():
@@ -333,33 +274,7 @@ class QueryEvaluator:
         if not (query.has_aggregates() or query.group_by or query.order_by):
             return self._evaluate_select_streaming(query, meter, tracer)
         solutions = list(self._solve_group(query.where, {}, meter, tracer=tracer))
-
-        if query.has_aggregates() or query.group_by:
-            rows = self._aggregate(query, solutions)
-        else:
-            rows = solutions
-
-        # ORDER BY runs on the full solutions, *before* projection: SPARQL
-        # allows ordering by variables that are not projected (e.g.
-        # ``SELECT ?city ... ORDER BY DESC(?pop) LIMIT 1``).
-        if query.order_by:
-            rows = self._order(rows, query.order_by)
-
-        names = query.projected_names()
-
-        if not query.has_aggregates():
-            rows = [self._project(row, query, names) for row in rows]
-
-        if query.distinct:
-            rows = _distinct(rows, names)
-
-        offset = query.offset or 0
-        if offset:
-            rows = rows[offset:]
-        if query.limit is not None:
-            rows = rows[:query.limit]
-
-        return SelectResult(variables=names, rows=rows, cost=meter.cost)
+        return finalize_solutions(self, query, solutions, cost=meter.cost)
 
     def _evaluate_select_streaming(
         self, query: Query, meter: CostMeter, tracer: Optional[Tracer] = None
@@ -374,7 +289,7 @@ class QueryEvaluator:
         """
         names = query.projected_names()
         plan = _PLAN_UNSET
-        if self.use_planner and not query.where.optionals:
+        if not query.where.optionals:
             plan = self._plan_group(query.where, meter.budget, tracer)
             if plan is not None:
                 items = self._plain_variable_items(query)
@@ -436,26 +351,22 @@ class QueryEvaluator:
         offset = query.offset or 0
         limit = query.limit
         batch_size = self.batch_size
-        if batch_size <= 0:
-            source: Iterator = plan.rows_tuple(store, meter)
-        else:
-            if limit is not None:
-                # Clamp the batch size to the page so the scan never
-                # charges the meter for (or materializes) more candidate
-                # rows per batch than early termination will consume —
-                # page-sized LIMIT queries keep the tuple pipeline's
-                # exact cost profile.
-                batch_size = max(1, min(batch_size, limit + offset))
-            elif not distinct and not offset:
-                # Fast path: every row survives — decode whole columns.
-                return self._select_all_batches(
-                    plan, pairs, names, meter, batch_size, tracer
-                )
-            source = (
-                row
-                for batch in plan.batches(store, meter, batch_size, tracer)
-                for row in batch.iter_rows()
+        if limit is not None:
+            # Clamp the batch size to the page so the scan never charges
+            # the meter for (or materializes) more candidate rows per
+            # batch than early termination will consume — a page-sized
+            # LIMIT costs what its page costs.
+            batch_size = max(1, min(batch_size, limit + offset))
+        elif not distinct and not offset:
+            # Fast path: every row survives — decode whole columns.
+            return self._select_all_batches(
+                plan, pairs, names, meter, batch_size, tracer
             )
+        source = (
+            row
+            for batch in plan.batches(store, meter, batch_size, tracer)
+            for row in batch.iter_rows()
+        )
         picked = _paginate(
             source,
             key_fn=lambda row: tuple(row[slot] for slot in live),
@@ -587,7 +498,7 @@ class QueryEvaluator:
         prepared_plan=_PLAN_UNSET,
         tracer: Optional[Tracer] = None,
     ) -> Iterator[Binding]:
-        if self.use_planner and not initial:
+        if not initial:
             plan = (
                 self._plan_group(group, meter.budget, tracer)
                 if prepared_plan is _PLAN_UNSET
@@ -596,18 +507,8 @@ class QueryEvaluator:
             if plan is not None:
                 store = self.store
                 names = plan.variables
-                batch_size = self.batch_size
-                if batch_size <= 0:
-                    decode = store.decode_id
-                    for row in plan.rows_tuple(store, meter):
-                        yield {
-                            name: decode(term_id)
-                            for name, term_id in zip(names, row)
-                            if term_id is not None
-                        }
-                    return
                 terms = store.dictionary.terms
-                for batch in plan.batches(store, meter, batch_size, tracer):
+                for batch in plan.batches(store, meter, self.batch_size, tracer):
                     if batch.has_unbound:
                         for row in batch.iter_raw():
                             yield {
@@ -1034,15 +935,16 @@ def _int_or_double(value: float) -> Literal:
 
 
 def finalize_solutions(
-    evaluator: "QueryEvaluator", query: Query, solutions: List[Binding]
+    evaluator: "QueryEvaluator", query: Query, solutions: List[Binding], cost: int = 0
 ) -> SelectResult:
     """Apply a query's solution modifiers to pre-computed solutions.
 
-    The mediator-side tail of the SELECT pipeline — aggregate, ORDER BY
+    The tail of the SELECT pipeline — aggregate, ORDER BY
     (pre-projection, so unprojected variables can order), projection,
-    DISTINCT, OFFSET/LIMIT — shared by the federated processor and the
-    QSM's batched probe executor, so remote rows and probe-group rows
-    finish through exactly the code path local evaluation uses.
+    DISTINCT, OFFSET/LIMIT — shared by local evaluation of aggregated
+    or ordered queries, the federated processor and the QSM's batched
+    probe executor, so remote rows and probe-group rows finish through
+    exactly the code path local evaluation uses.
     """
     if query.has_aggregates() or query.group_by:
         rows = evaluator._aggregate(query, solutions)
@@ -1060,7 +962,7 @@ def finalize_solutions(
         rows = rows[offset:]
     if query.limit is not None:
         rows = rows[: query.limit]
-    return SelectResult(variables=names, rows=rows)
+    return SelectResult(variables=names, rows=rows, cost=cost)
 
 
 def evaluate(store: TripleStore, query_text: str, meter: Optional[CostMeter] = None):

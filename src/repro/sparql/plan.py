@@ -8,10 +8,11 @@ logical tree into a tree of streaming physical operators.  Execution is
 tuples of ``array('q')`` ID columns plus a length — via the
 :meth:`PlanNode.batches` contract, and terms are decoded only for
 FILTER evaluation and final materialization.  :meth:`PlanNode.rows`
-remains as a thin row-at-a-time adapter over :meth:`~PlanNode.batches`
-for consumers that want tuples (pagination, federation glue), and
-:meth:`PlanNode.rows_tuple` preserves the original tuple-at-a-time
-pipeline as the benchmark baseline (``batch_size=0``).
+is a thin row-at-a-time adapter over :meth:`~PlanNode.batches` for
+consumers that want tuples (pagination, federation glue).  Every
+operator has exactly one producer: ``_produce_batches`` when it is
+natively columnar, ``_produce`` when it is row-wise (the base class
+chunks its rows into batches).
 
 Plan nodes
 ----------
@@ -33,12 +34,10 @@ Plan nodes
   one shared bound variable and disagrees on none).
 * :class:`ValuesScanNode` — an inline VALUES table, interned into the
   store dictionary at plan time so downstream joins stay in ID space.
-* :class:`RemoteScanNode` / :class:`RemoteBindJoinNode` — the federated
-  operators: fetch a pattern (or exclusive group) from remote
-  endpoints, or probe them once per *batch* of left rows by shipping
-  the accumulated bindings as a single ``VALUES`` clause instead of one
-  HTTP round-trip per binding.  Remote terms are interned into the
-  mediator's dictionary, so every other operator composes unchanged.
+* :class:`CompatJoinNode` / :class:`LeftJoinNode` — row-wise joins with
+  full compatibility semantics, used by the federation (whose remote
+  operators live in :mod:`repro.federation.remote` and compose with
+  the ones here through the same two contracts).
 
 Cost model
 ----------
@@ -62,7 +61,7 @@ server, the federation, and the CLI (see ``docs/query-planning.md``).
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Variable
@@ -82,7 +81,7 @@ from .algebra import (
     normalize,
     translate_group,
 )
-from .ast_nodes import Expression, GraphPattern, ValuesClause
+from .ast_nodes import Expression, GraphPattern
 from .errors import ExpressionError
 from .functions import effective_boolean_value, evaluate_expression
 
@@ -98,8 +97,6 @@ __all__ = [
     "ValuesScanNode",
     "CompatJoinNode",
     "LeftJoinNode",
-    "RemoteScanNode",
-    "RemoteBindJoinNode",
     "QueryPlanner",
     "explain_plan",
     "refresh_plan_estimates",
@@ -176,9 +173,11 @@ class Batch:
             return
         yield from zip(*self.columns)
 
-#: Default number of left rows a RemoteBindJoinNode accumulates before
-#: shipping them to the endpoints as one VALUES-constrained request.
-REMOTE_BATCH_SIZE = 30
+
+def _gather(columns: Sequence[array], selection: Sequence[int]) -> Tuple[array, ...]:
+    """Rows ``selection`` of every column — one C-level pass per column."""
+    return tuple(array("q", map(column.__getitem__, selection)) for column in columns)
+
 
 #: Compiled filter: the expression plus the (name, slot) pairs to decode.
 _CompiledFilter = Tuple[Expression, Tuple[Tuple[str, int], ...]]
@@ -221,7 +220,7 @@ class PlanNode:
 
         Operators with a native ``_produce_batches`` stay columnar end
         to end; the base class adapts row-wise ``_produce`` operators by
-        chunking, so every node speaks batches regardless of vintage.
+        chunking, so every node speaks batches.
 
         ``tracer`` (a :class:`~repro.sparql.trace.Tracer`) threads the
         EXPLAIN ANALYZE instrumentation through the tree.  It follows
@@ -247,19 +246,15 @@ class PlanNode:
         for batch in self.batches(store, meter, tracer=tracer):
             yield from batch.iter_rows()
 
-    def rows_tuple(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        """The legacy tuple-at-a-time pipeline, preserved verbatim.
-
-        Children are pulled through ``rows_tuple`` as well, so the whole
-        subtree stays row-wise — this is the baseline the batch-vs-tuple
-        benchmark gate measures against (``QueryEvaluator(batch_size=0)``).
-        """
-        produced = self._produce(store, meter)
-        if not self.filters:
-            return produced
-        return self._filtered(produced, store)
-
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
+    def _produce(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        tracer,
+    ) -> Iterator[IdRow]:
+        """The producer of a row-wise operator (compatibility joins, the
+        federation's remote fetches): one generator of :data:`IdRow`
+        tuples, pulling children through ``child.rows(...)``."""
         raise NotImplementedError
 
     def _produce_batches(
@@ -269,15 +264,14 @@ class PlanNode:
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
-        """Default adapter: chunk the row-wise ``_produce`` into batches.
-
-        Row-wise operators (federated fetches, compatibility joins) ride
-        the columnar pipeline through this without any native code.
-        """
+        """The producer of a columnar operator; the default chunks a
+        row-wise operator's ``_produce`` into batches, so a node
+        overrides exactly one of the two."""
+        rows = self._produce(store, meter, tracer)
         width = len(self.variables)
         if width == 0:
             count = 0
-            for _ in self._batch_rows(store, meter, tracer):
+            for _ in rows:
                 count += 1
                 if count >= batch_size:
                     yield Batch((), count)
@@ -288,7 +282,7 @@ class PlanNode:
         buffers: List[List[int]] = [[] for _ in range(width)]
         has_unbound = False
         length = 0
-        for row in self._batch_rows(store, meter, tracer):
+        for row in rows:
             for slot, cell in enumerate(row):
                 if cell is None:
                     cell = UNBOUND
@@ -306,21 +300,6 @@ class PlanNode:
             yield Batch(
                 tuple(array("q", buf) for buf in buffers), length, has_unbound
             )
-
-    def _batch_rows(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
-        """Row source for the chunking adapter.
-
-        The remote operators override this to thread the tracer into
-        their per-source fetch spans; every other row-wise operator
-        ignores it (the node-level span from :meth:`batches` is enough).
-        """
-        del tracer
-        return self._produce(store, meter)
 
     def _filtered_batches(
         self, batches: Iterator[Batch], store: TripleStore
@@ -375,42 +354,7 @@ class PlanNode:
             if len(keep) == batch.length:
                 yield batch
             else:
-                yield Batch(
-                    tuple(
-                        array("q", (column[i] for i in keep))
-                        for column in batch.columns
-                    ),
-                    len(keep),
-                    batch.has_unbound,
-                )
-
-    def _filtered(self, rows: Iterator[IdRow], store: TripleStore) -> Iterator[IdRow]:
-        decode = store.decode_id
-        compiled: List[_CompiledFilter] = [
-            (
-                expr,
-                tuple(
-                    (name, self.slot_of[name])
-                    for name in expr.variables()
-                    if name in self.slot_of
-                ),
-            )
-            for expr in self.filters
-        ]
-        for row in rows:
-            for expr, slots in compiled:
-                binding = {
-                    name: decode(row[slot])
-                    for name, slot in slots
-                    if row[slot] is not None
-                }
-                try:
-                    if not effective_boolean_value(evaluate_expression(expr, binding)):
-                        break
-                except ExpressionError:
-                    break  # erroring filters drop the row, per the spec
-            else:
-                yield row
+                yield Batch(_gather(batch.columns, keep), len(keep), batch.has_unbound)
 
     # -- display -------------------------------------------------------
 
@@ -449,41 +393,6 @@ class ScanNode(PlanNode):
         self.checks = tuple(checks)
         super().__init__(tuple(name for _, name in out), est_rows)
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        s, p, o = self.probe
-        positions = self.out_positions
-        checks = self.checks
-        rows = store.match_ids(s, p, o, meter)
-        # Specialized projections: this is the innermost loop of every
-        # plan, and a generator-expression tuple per row doubles its
-        # cost.  The repeated-variable checks are folded into the same
-        # loops — an interposed filtering generator would re-route the
-        # 1/2-column shapes through an extra frame per row.
-        if len(positions) == 1:
-            a = positions[0]
-            if checks:
-                for row in rows:
-                    if all(row[x] == row[y] for x, y in checks):
-                        yield (row[a],)
-            else:
-                for row in rows:
-                    yield (row[a],)
-        elif len(positions) == 2:
-            a, b = positions
-            if checks:
-                for row in rows:
-                    if all(row[x] == row[y] for x, y in checks):
-                        yield (row[a], row[b])
-            else:
-                for row in rows:
-                    yield (row[a], row[b])
-        elif checks:
-            for row in rows:
-                if all(row[x] == row[y] for x, y in checks):
-                    yield row
-        else:
-            yield from rows
-
     def _produce_batches(
         self,
         store: TripleStore,
@@ -492,15 +401,8 @@ class ScanNode(PlanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         s, p, o = self.probe
-        if not self.out_positions:
-            # Fully concrete pattern (existence check): the planner never
-            # builds this shape, but stay correct if constructed directly.
-            yield from PlanNode._produce_batches(
-                self, store, meter, batch_size, tracer
-            )
-            return
         fetch, pairs = self._fetch_positions()
-        yield from self._project_batches(
+        return self._project_batches(
             store.match_columns(s, p, o, fetch, meter, batch_size), pairs
         )
 
@@ -546,13 +448,7 @@ class ScanNode(PlanNode):
             if len(keep) == len(columns[0]):
                 yield Batch(columns[:width], len(keep))
             else:
-                yield Batch(
-                    tuple(
-                        array("q", (column[i] for i in keep))
-                        for column in columns[:width]
-                    ),
-                    len(keep),
-                )
+                yield Batch(_gather(columns[:width], keep), len(keep))
 
     def label(self) -> str:
         return f"Scan({_pattern_text(self.pattern)})"
@@ -569,10 +465,7 @@ class ShardScanNode(ScanNode):
     EXPLAIN ANALYZE shows how scatter-gather spread the work.
 
     A concrete subject routes to exactly one shard (``fan_out == 1``);
-    any wildcard-subject shape touches all of them.  The row-wise
-    pipeline (``rows_tuple``) goes through the inherited ``_produce``,
-    whose ``store.match_ids`` call hits the same shards in the same
-    order — batch/tuple parity is preserved.
+    any wildcard-subject shape touches all of them.
     """
 
     def __init__(
@@ -590,11 +483,6 @@ class ShardScanNode(ScanNode):
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
-        if not self.out_positions:
-            yield from PlanNode._produce_batches(
-                self, store, meter, batch_size, tracer
-            )
-            return
         s, p, o = self.probe
         if NO_ID in (s, p, o):
             return
@@ -661,57 +549,6 @@ class HashJoinNode(PlanNode):
         super().__init__(left.variables + tuple(residual), est_rows)
         self.maybe_unbound = left.maybe_unbound | right.maybe_unbound
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        # Single shared variable is the overwhelmingly common join shape
-        # (subject stars, object-subject chains); key on the bare int
-        # instead of a 1-tuple to keep build and probe at one dict op.
-        single = len(self.left_key_slots) == 1
-        rkeys = self.right_key_slots
-        rres = self.right_residual_slots
-        lkey = self.left_key_slots[0] if single else None
-        lkeys = self.left_key_slots
-        charge = meter.charge if meter is not None else None
-        if not rres:
-            # Semi-join: the build side adds no variables, so a bucket is
-            # just a multiplicity and no output tuple is re-allocated.
-            counts: Dict[object, int] = {}
-            for row in self.right.rows_tuple(store, meter):
-                key = row[rkeys[0]] if single else tuple(row[i] for i in rkeys)
-                counts[key] = counts.get(key, 0) + 1
-            cget = counts.get
-            for lrow in self.left.rows_tuple(store, meter):
-                n = cget(lrow[lkey] if single else tuple(lrow[i] for i in lkeys))
-                if n is None:
-                    continue
-                if charge is not None:
-                    charge(n)
-                if n == 1:
-                    yield lrow
-                else:
-                    for _ in range(n):
-                        yield lrow
-            return
-        table: Dict[object, List[IdRow]] = {}
-        rres0 = rres[0] if len(rres) == 1 else None
-        for row in self.right.rows_tuple(store, meter):
-            key = row[rkeys[0]] if single else tuple(row[i] for i in rkeys)
-            bucket = table.get(key)
-            if bucket is None:
-                table[key] = bucket = []
-            bucket.append(
-                (row[rres0],) if rres0 is not None else tuple(row[i] for i in rres)
-            )
-        get = table.get
-        for lrow in self.left.rows_tuple(store, meter):
-            key = lrow[lkey] if single else tuple(lrow[i] for i in lkeys)
-            bucket = get(key)
-            if bucket is None:
-                continue
-            if charge is not None:
-                charge(len(bucket))
-            for residual in bucket:
-                yield lrow + residual
-
     def _produce_batches(
         self,
         store: TripleStore,
@@ -719,309 +556,158 @@ class HashJoinNode(PlanNode):
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
+        # Single shared variable is the overwhelmingly common join shape
+        # (subject stars, object-subject chains); key on the bare int
+        # instead of a 1-tuple to keep build and probe at one dict op.
+        single = len(self.left_key_slots) == 1
+        rres = self.right_residual_slots
+        if not rres:
+            return self._semi_join(store, meter, batch_size, tracer)
+        if single and len(rres) == 1:
+            return self._join_one_residual(store, meter, batch_size, tracer)
+        return self._join_general(store, meter, batch_size, tracer)
+
+    def _semi_join(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
+        """The build side adds no variables: build a key -> multiplicity
+        table column-wise, then emit probe batches through a selection
+        vector.  With unique single keys the table degenerates to a set
+        and the all-match probe runs entirely in C."""
         single = len(self.left_key_slots) == 1
         rkeys = self.right_key_slots
-        rres = self.right_residual_slots
         lkeys = self.left_key_slots
-        lkey = lkeys[0] if single else None
         charge = meter.charge if meter is not None else None
-        if not rres:
-            # Semi-join: build a key -> multiplicity table column-wise,
-            # then emit probe batches through a selection vector.  With
-            # unique single keys the table degenerates to a set and the
-            # all-match probe runs entirely in C.
-            if single:
-                rcols = []
-                total = 0
-                for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                    rcols.append(rbatch.columns[rkeys[0]])
-                    total += rbatch.length
-                unique = set(chain.from_iterable(rcols))
-                if len(unique) == total:
-                    contains = unique.__contains__
-                    for lbatch in self.left.batches(store, meter, batch_size, tracer):
-                        flags = list(map(contains, lbatch.columns[lkey]))
-                        if all(flags):
-                            if charge is not None:
-                                charge(lbatch.length)
-                            yield lbatch
-                            continue
-                        selection = [i for i, hit in enumerate(flags) if hit]
-                        if not selection:
-                            continue
+        counts: Dict[object, int] = {}
+        if single:
+            rcols = []
+            total = 0
+            for rbatch in self.right.batches(store, meter, batch_size, tracer):
+                rcols.append(rbatch.columns[rkeys[0]])
+                total += rbatch.length
+            unique = set(chain.from_iterable(rcols))
+            if len(unique) == total:
+                contains = unique.__contains__
+                for lbatch in self.left.batches(store, meter, batch_size, tracer):
+                    flags = list(map(contains, lbatch.columns[lkeys[0]]))
+                    if all(flags):
                         if charge is not None:
-                            charge(len(selection))
-                        yield Batch(
-                            tuple(
-                                array("q", map(column.__getitem__, selection))
-                                for column in lbatch.columns
-                            ),
-                            len(selection),
-                            lbatch.has_unbound,
-                        )
-                    return
-                counts: Dict[object, int] = {}
-                for col in rcols:
-                    for key in col:
-                        counts[key] = counts.get(key, 0) + 1
-            else:
-                counts = {}
-                for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                    for row in rbatch.iter_raw():
-                        key = tuple(row[i] for i in rkeys)
-                        counts[key] = counts.get(key, 0) + 1
-            cget = counts.get
-            for lbatch in self.left.batches(store, meter, batch_size, tracer):
-                if single:
-                    # dict.get mapped over the key column: the whole
-                    # lookup pass runs in C.
-                    matches = map(cget, lbatch.columns[lkey])
-                else:
-                    matches = (
-                        cget(tuple(row[i] for i in lkeys))
-                        for row in lbatch.iter_raw()
-                    )
-                selection: List[int] = []
-                append = selection.append
-                extend = selection.extend
-                identity = True
-                for index, count in enumerate(matches):
-                    if count is None:
-                        identity = False
-                    elif count == 1:
-                        append(index)
-                    else:
-                        identity = False
-                        extend([index] * count)
-                if not selection:
-                    continue
-                if charge is not None:
-                    charge(len(selection))
-                if identity:
-                    yield lbatch
-                else:
+                            charge(lbatch.length)
+                        yield lbatch
+                        continue
+                    selection = [i for i, hit in enumerate(flags) if hit]
+                    if not selection:
+                        continue
+                    if charge is not None:
+                        charge(len(selection))
                     yield Batch(
-                        tuple(
-                            array("q", map(column.__getitem__, selection))
-                            for column in lbatch.columns
-                        ),
+                        _gather(lbatch.columns, selection),
                         len(selection),
                         lbatch.has_unbound,
                     )
-            return
-        rres0 = rres[0] if len(rres) == 1 else None
-        right_unbound = False
-        if (
-            single
-            and rres0 is not None
-            and self.left.est_rows * 4 <= self.right.est_rows
-        ):
-            # The accumulated left side is much smaller than the probe
-            # side (4x keeps star hops — near-equal sides with reference
-            # pass-through on the left — out of this tier): build from
-            # it and stream the probe side.  Chain hops compile this way
-            # (small unique dimension joined against a large fact scan),
-            # and when the left key is functional a full-match probe
-            # batch passes through by reference — the key and residual
-            # probe columns are reused as-is and the left residual is a
-            # single C-built lookup column, so no gathers happen at all.
-            width = len(self.left.variables)
-            left_cols = [array("q") for _ in range(width)]
-            left_unbound = False
-            for lbatch in self.left.batches(store, meter, batch_size, tracer):
-                left_unbound = left_unbound or lbatch.has_unbound
-                for slot, column in enumerate(lbatch.columns):
-                    left_cols[slot].extend(column)
-            left_key_col = left_cols[lkey]
-            nleft = len(left_key_col)
-            index_of: Dict[int, int] = dict(zip(left_key_col, range(nleft)))
-            if len(index_of) == nleft:
-                lres_slots = [slot for slot in range(width) if slot != lkey]
-                # With one left residual the index degenerates to a
-                # key -> value dict and the probe pass fills the output
-                # column directly; wider left sides gather by row index.
-                scalar_res = (
-                    dict(zip(left_key_col, left_cols[lres_slots[0]]))
-                    if len(lres_slots) == 1
-                    else None
-                )
-                iget = index_of.get
-                rkey_slot = rkeys[0]
-                for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                    out_unbound = left_unbound or rbatch.has_unbound
-                    rkey_col = rbatch.columns[rkey_slot]
-                    if scalar_res is not None:
-                        vals = list(map(scalar_res.get, rkey_col))
-                        if None not in vals:
-                            out_len = rbatch.length
-                            rcols = rbatch.columns
-                            res_out = [array("q", vals)]
-                        else:
-                            keep = [
-                                index
-                                for index, value in enumerate(vals)
-                                if value is not None
-                            ]
-                            if not keep:
-                                continue
-                            out_len = len(keep)
-                            rcols = tuple(
-                                array("q", map(column.__getitem__, keep))
-                                for column in rbatch.columns
-                            )
-                            res_out = [
-                                array(
-                                    "q",
-                                    [v for v in vals if v is not None],
-                                )
-                            ]
-                    else:
-                        sel = list(map(iget, rkey_col))
-                        if None in sel:
-                            keep = [
-                                index
-                                for index, row_idx in enumerate(sel)
-                                if row_idx is not None
-                            ]
-                            if not keep:
-                                continue
-                            sel = [
-                                row_idx
-                                for row_idx in sel
-                                if row_idx is not None
-                            ]
-                            rcols = tuple(
-                                array("q", map(column.__getitem__, keep))
-                                for column in rbatch.columns
-                            )
-                        else:
-                            rcols = rbatch.columns
-                        out_len = len(sel)
-                        res_out = [
-                            array(
-                                "q",
-                                map(left_cols[slot].__getitem__, sel),
-                            )
-                            for slot in lres_slots
-                        ]
-                    # Output slot order: left variables (key comes from
-                    # the probe column — equal by the join condition),
-                    # then the right residual.
-                    res_iter = iter(res_out)
-                    out = [
-                        rcols[rkey_slot] if slot == lkey else next(res_iter)
-                        for slot in range(width)
-                    ]
-                    out.append(rcols[rres0])
-                    if charge is not None:
-                        charge(out_len)
-                    yield Batch(tuple(out), out_len, out_unbound)
                 return
-            # Left keys repeat: collect the probe side; a functional
-            # probe side joins through a scalar dict in one pass over
-            # the materialized left, anything else expands through
-            # int-list buckets.
-            rkey_cols = []
-            rres_cols = []
-            total = 0
+            for col in rcols:
+                for key in col:
+                    counts[key] = counts.get(key, 0) + 1
+        else:
             for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                right_unbound = right_unbound or rbatch.has_unbound
-                rkey_cols.append(rbatch.columns[rkeys[0]])
-                rres_cols.append(rbatch.columns[rres0])
-                total += rbatch.length
-            scalar = dict(
-                zip(chain.from_iterable(rkey_cols), chain.from_iterable(rres_cols))
-            )
-            if len(scalar) == total:
-                matches = list(map(scalar.get, left_key_col))
-                selection = [
-                    index
-                    for index, value in enumerate(matches)
-                    if value is not None
-                ]
-                if not selection:
-                    return
-                res_vals = [value for value in matches if value is not None]
-                if charge is not None:
-                    charge(len(selection))
-                yield Batch(
-                    tuple(
-                        array("q", map(column.__getitem__, selection))
-                        for column in left_cols
-                    )
-                    + (array("q", res_vals),),
-                    len(selection),
-                    left_unbound or right_unbound,
+                for row in rbatch.iter_raw():
+                    key = tuple(row[i] for i in rkeys)
+                    counts[key] = counts.get(key, 0) + 1
+        cget = counts.get
+        for lbatch in self.left.batches(store, meter, batch_size, tracer):
+            if single:
+                # dict.get mapped over the key column: the whole
+                # lookup pass runs in C.
+                matches = map(cget, lbatch.columns[lkeys[0]])
+            else:
+                matches = (
+                    cget(tuple(row[i] for i in lkeys))
+                    for row in lbatch.iter_raw()
                 )
-                return
-            flat: Dict[int, List[int]] = {}
-            setdefault = flat.setdefault
-            for key_col, res_col in zip(rkey_cols, rres_cols):
-                for key, value in zip(key_col, res_col):
-                    setdefault(key, []).append(value)
-            fget = flat.get
-            selection = []
+            selection: List[int] = []
             append = selection.append
             extend = selection.extend
-            res_buf: List[int] = []
-            res_append = res_buf.append
-            res_extend = res_buf.extend
-            for index, bucket in enumerate(map(fget, left_key_col)):
-                if bucket is None:
-                    continue
-                if len(bucket) == 1:
+            identity = True
+            for index, count in enumerate(matches):
+                if count is None:
+                    identity = False
+                elif count == 1:
                     append(index)
-                    res_append(bucket[0])
                 else:
-                    extend([index] * len(bucket))
-                    res_extend(bucket)
+                    identity = False
+                    extend([index] * count)
             if not selection:
-                return
+                continue
             if charge is not None:
                 charge(len(selection))
-            yield Batch(
-                tuple(
-                    array("q", map(column.__getitem__, selection))
-                    for column in left_cols
+            if identity:
+                yield lbatch
+            else:
+                yield Batch(
+                    _gather(lbatch.columns, selection),
+                    len(selection),
+                    lbatch.has_unbound,
                 )
-                + (array("q", res_buf),),
-                len(selection),
-                left_unbound or right_unbound,
+
+    def _join_one_residual(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
+        """One key column, one residual column: the dominant star/chain
+        shape, joined through C-level passes over whole columns.
+
+        Whichever side has unique keys becomes a scalar dict or a row
+        index and the other side drives the probe; duplicate keys on
+        both sides expand through int-list buckets.
+        """
+        lkey = self.left_key_slots[0]
+        rkey = self.right_key_slots[0]
+        rres0 = self.right_residual_slots[0]
+        charge = meter.charge if meter is not None else None
+        # The accumulated left side is much smaller than the probe side
+        # (4x keeps star hops — near-equal sides with reference
+        # pass-through on the left — out of this tier): build from it
+        # and stream the probe side.  Chain hops compile this way (small
+        # unique dimension joined against a large fact scan).
+        left_first = self.left.est_rows * 4 <= self.right.est_rows
+        if left_first:
+            left_cols, left_unbound, index_of = self._collect_left(
+                store, meter, batch_size, tracer
             )
-            return
-        if single and rres0 is not None:
-            # One key column, one residual column: the dominant
-            # star/chain shape.  Collect the build side's columns, then
-            # try the unique-key plan: ``dict(zip(keys, values))`` is a
-            # single C pass, and when it loses no pairs the key is
-            # functional, so every probe maps to at most one residual.
-            rkey_cols: List[array] = []
-            rres_cols: List[array] = []
-            total = 0
-            for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                right_unbound = right_unbound or rbatch.has_unbound
-                rkey_cols.append(rbatch.columns[rkeys[0]])
-                rres_cols.append(rbatch.columns[rres0])
-                total += rbatch.length
-            scalar: Optional[Dict[int, int]] = dict(
-                zip(chain.from_iterable(rkey_cols), chain.from_iterable(rres_cols))
+            if index_of is not None:
+                yield from self._probe_unique_left(
+                    left_cols,
+                    index_of,
+                    left_unbound,
+                    (
+                        (rbatch.columns[rkey], rbatch.columns[rres0], rbatch.has_unbound)
+                        for rbatch in self.right.batches(store, meter, batch_size, tracer)
+                    ),
+                    charge,
+                )
+                return
+        rkey_cols: List[array] = []
+        rres_cols: List[array] = []
+        total = 0
+        right_unbound = False
+        for rbatch in self.right.batches(store, meter, batch_size, tracer):
+            right_unbound = right_unbound or rbatch.has_unbound
+            rkey_cols.append(rbatch.columns[rkey])
+            rres_cols.append(rbatch.columns[rres0])
+            total += rbatch.length
+        # ``dict(zip(keys, values))`` is a single C pass, and when it
+        # loses no pairs the right key is functional, so every probe
+        # maps to at most one residual.
+        scalar = dict(
+            zip(chain.from_iterable(rkey_cols), chain.from_iterable(rres_cols))
+        )
+        if len(scalar) == total:
+            fget = scalar.get
+            left_batches = (
+                [Batch(tuple(left_cols), len(left_cols[lkey]), left_unbound)]
+                if left_first
+                else self.left.batches(store, meter, batch_size, tracer)
             )
-            if len(scalar) == total:
-                fget = scalar.get
-                for lbatch in self.left.batches(store, meter, batch_size, tracer):
-                    matches = list(map(fget, lbatch.columns[lkey]))
-                    if None not in matches:
-                        # Every left row joins exactly once: the output
-                        # is the left batch plus one C-built residual
-                        # column — no per-row Python at all.
-                        if charge is not None:
-                            charge(lbatch.length)
-                        yield Batch(
-                            lbatch.columns + (array("q", matches),),
-                            lbatch.length,
-                            lbatch.has_unbound or right_unbound,
-                        )
-                        continue
+            for lbatch in left_batches:
+                matches = list(map(fget, lbatch.columns[lkey]))
+                columns = lbatch.columns
+                if None in matches:
                     selection = [
                         index
                         for index, value in enumerate(matches)
@@ -1029,104 +715,136 @@ class HashJoinNode(PlanNode):
                     ]
                     if not selection:
                         continue
-                    res_buf = [value for value in matches if value is not None]
-                    if charge is not None:
-                        charge(len(selection))
-                    yield Batch(
-                        tuple(
-                            array("q", map(column.__getitem__, selection))
-                            for column in lbatch.columns
-                        )
-                        + (array("q", res_buf),),
-                        len(selection),
-                        lbatch.has_unbound or right_unbound,
-                    )
-                return
-            # Duplicate right keys.  Materialize the left side and try
-            # the inverted join: index the left rows by key (unique in
-            # every 1:N chain hop) and drive the probe from the right
-            # columns, so lookups and gathers stay C-level passes.
-            width = len(self.left.variables)
-            left_cols = [array("q") for _ in range(width)]
-            left_unbound = False
-            for lbatch in self.left.batches(store, meter, batch_size, tracer):
-                left_unbound = left_unbound or lbatch.has_unbound
-                for slot, column in enumerate(lbatch.columns):
-                    left_cols[slot].extend(column)
-            left_key_col = left_cols[lkey]
-            index_of: Dict[int, int] = dict(
-                zip(left_key_col, range(len(left_key_col)))
-            )
-            if len(index_of) == len(left_key_col):
-                iget = index_of.get
-                out_unbound = left_unbound or right_unbound
-                for rkey_col, rres_col in zip(rkey_cols, rres_cols):
-                    sel = list(map(iget, rkey_col))
-                    if None in sel:
-                        keep_res = array(
-                            "q",
-                            [
-                                value
-                                for row_idx, value in zip(sel, rres_col)
-                                if row_idx is not None
-                            ],
-                        )
-                        sel = [row_idx for row_idx in sel if row_idx is not None]
-                        if not sel:
-                            continue
-                        res_col = keep_res
-                    else:
-                        res_col = rres_col
-                    if charge is not None:
-                        charge(len(sel))
-                    yield Batch(
-                        tuple(
-                            array("q", map(column.__getitem__, sel))
-                            for column in left_cols
-                        )
-                        + (res_col,),
-                        len(sel),
-                        out_unbound,
-                    )
-                return
-            # Duplicate keys on both sides: int-list buckets, probed
-            # over the already-materialized left columns in one pass.
-            flat: Dict[int, List[int]] = {}
-            setdefault = flat.setdefault
-            for key_col, res_col in zip(rkey_cols, rres_cols):
-                for key, value in zip(key_col, res_col):
-                    setdefault(key, []).append(value)
-            fget = flat.get
-            selection = []
-            append = selection.append
-            extend = selection.extend
-            res_buf = []
-            res_append = res_buf.append
-            res_extend = res_buf.extend
-            for index, bucket in enumerate(map(fget, left_key_col)):
-                if bucket is None:
-                    continue
-                if len(bucket) == 1:
-                    append(index)
-                    res_append(bucket[0])
-                else:
-                    extend([index] * len(bucket))
-                    res_extend(bucket)
-            if not selection:
-                return
-            if charge is not None:
-                charge(len(selection))
-            yield Batch(
-                tuple(
-                    array("q", map(column.__getitem__, selection))
-                    for column in left_cols
+                    matches = [value for value in matches if value is not None]
+                    columns = _gather(columns, selection)
+                # Where every left row joins exactly once the output is
+                # the left batch plus one C-built residual column — no
+                # per-row Python at all.
+                if charge is not None:
+                    charge(len(matches))
+                yield Batch(
+                    columns + (array("q", matches),),
+                    len(matches),
+                    lbatch.has_unbound or right_unbound,
                 )
-                + (array("q", res_buf),),
-                len(selection),
-                left_unbound or right_unbound,
-            )
             return
-        # General shape: buckets of residual tuples.
+        if not left_first:
+            left_cols, left_unbound, index_of = self._collect_left(
+                store, meter, batch_size, tracer
+            )
+            if index_of is not None:
+                # Unique in every 1:N chain hop.
+                yield from self._probe_unique_left(
+                    left_cols,
+                    index_of,
+                    left_unbound,
+                    zip(rkey_cols, rres_cols, repeat(right_unbound)),
+                    charge,
+                )
+                return
+        # Duplicate keys on both sides: int-list buckets, probed over
+        # the already-materialized left columns in one pass.
+        flat: Dict[int, List[int]] = {}
+        setdefault = flat.setdefault
+        for key_col, res_col in zip(rkey_cols, rres_cols):
+            for key, value in zip(key_col, res_col):
+                setdefault(key, []).append(value)
+        selection = []
+        append = selection.append
+        extend = selection.extend
+        res_buf: List[int] = []
+        res_append = res_buf.append
+        res_extend = res_buf.extend
+        for index, bucket in enumerate(map(flat.get, left_cols[lkey])):
+            if bucket is None:
+                continue
+            if len(bucket) == 1:
+                append(index)
+                res_append(bucket[0])
+            else:
+                extend([index] * len(bucket))
+                res_extend(bucket)
+        if not selection:
+            return
+        if charge is not None:
+            charge(len(selection))
+        yield Batch(
+            _gather(left_cols, selection) + (array("q", res_buf),),
+            len(selection),
+            left_unbound or right_unbound,
+        )
+
+    def _collect_left(
+        self, store, meter, batch_size, tracer
+    ) -> Tuple[List[array], bool, Optional[Dict[int, int]]]:
+        """Materialize the left input: its columns, its unbound flag,
+        and a key -> row position index — ``None`` unless every left
+        key is distinct."""
+        columns = [array("q") for _ in self.left.variables]
+        has_unbound = False
+        for lbatch in self.left.batches(store, meter, batch_size, tracer):
+            has_unbound = has_unbound or lbatch.has_unbound
+            for slot, column in enumerate(lbatch.columns):
+                columns[slot].extend(column)
+        key_col = columns[self.left_key_slots[0]]
+        index_of = dict(zip(key_col, range(len(key_col))))
+        if len(index_of) != len(key_col):
+            index_of = None
+        return columns, has_unbound, index_of
+
+    def _probe_unique_left(
+        self, left_cols, index_of, left_unbound, right_parts, charge
+    ) -> Iterator[Batch]:
+        """Join materialized left rows with unique keys against a
+        stream of right ``(key column, residual column, has_unbound)``
+        parts, one output batch per part.
+
+        When every probe key hits, the key and residual probe columns
+        are reused by reference; with one left residual the row index
+        degenerates to a key -> value dict and the left residual is a
+        single C-built lookup column, so no gathers happen at all.
+        Wider left sides gather by row index.
+        """
+        lkey = self.left_key_slots[0]
+        lres_slots = [slot for slot in range(len(left_cols)) if slot != lkey]
+        scalar_res = (
+            dict(zip(left_cols[lkey], left_cols[lres_slots[0]]))
+            if len(lres_slots) == 1
+            else None
+        )
+        lookup = index_of.get if scalar_res is None else scalar_res.get
+        for rkey_col, rres_col, right_unbound in right_parts:
+            found = list(map(lookup, rkey_col))
+            if None in found:
+                keep = [
+                    index for index, hit in enumerate(found) if hit is not None
+                ]
+                if not keep:
+                    continue
+                found = [hit for hit in found if hit is not None]
+                rkey_col, rres_col = _gather((rkey_col, rres_col), keep)
+            if scalar_res is not None:
+                res_out = [array("q", found)]
+            else:
+                res_out = list(_gather([left_cols[slot] for slot in lres_slots], found))
+            # Output slot order: left variables (key comes from the
+            # probe column — equal by the join condition), then the
+            # right residual.
+            res_out.insert(lkey, rkey_col)
+            res_out.append(rres_col)
+            if charge is not None:
+                charge(len(found))
+            yield Batch(tuple(res_out), len(found), left_unbound or right_unbound)
+
+    def _join_general(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
+        """Any key/residual width: buckets of residual tuples."""
+        single = len(self.left_key_slots) == 1
+        rkeys = self.right_key_slots
+        rres = self.right_residual_slots
+        rres0 = rres[0] if len(rres) == 1 else None
+        lkeys = self.left_key_slots
+        charge = meter.charge if meter is not None else None
+        right_unbound = False
         table: Dict[object, List[Tuple[int, ...]]] = {}
         for rbatch in self.right.batches(store, meter, batch_size, tracer):
             right_unbound = right_unbound or rbatch.has_unbound
@@ -1143,7 +861,7 @@ class HashJoinNode(PlanNode):
         get = table.get
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             if single:
-                buckets = map(get, lbatch.columns[lkey])
+                buckets = map(get, lbatch.columns[lkeys[0]])
             else:
                 buckets = (
                     get(tuple(row[i] for i in lkeys))
@@ -1168,10 +886,7 @@ class HashJoinNode(PlanNode):
             if charge is not None:
                 charge(len(selection))
             yield Batch(
-                tuple(
-                    array("q", map(column.__getitem__, selection))
-                    for column in lbatch.columns
-                )
+                _gather(lbatch.columns, selection)
                 + tuple(array("q", buf) for buf in residual_columns),
                 len(selection),
                 lbatch.has_unbound or right_unbound,
@@ -1223,20 +938,6 @@ class BindJoinNode(PlanNode):
             left.variables + tuple(name for _, name in out), est_rows
         )
         self.maybe_unbound = left.maybe_unbound
-
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        (s_kind, s_val), (p_kind, p_val), (o_kind, o_val) = self.spec
-        positions = self.out_positions
-        checks = self.checks
-        match_ids = store.match_ids
-        for lrow in self.left.rows_tuple(store, meter):
-            s = s_val if s_kind == "const" else lrow[s_val] if s_kind == "left" else None
-            p = p_val if p_kind == "const" else lrow[p_val] if p_kind == "left" else None
-            o = o_val if o_kind == "const" else lrow[o_val] if o_kind == "left" else None
-            for row in match_ids(s, p, o, meter):
-                if checks and not all(row[a] == row[b] for a, b in checks):
-                    continue
-                yield lrow + tuple(row[i] for i in positions)
 
     def _produce_batches(
         self,
@@ -1332,13 +1033,6 @@ class ValuesScanNode(PlanNode):
             if any(row[position] is None for row in self.id_rows)
         )
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        charge = meter.charge if meter is not None else None
-        for row in self.id_rows:
-            if charge is not None:
-                charge(1)
-            yield row
-
     def _produce_batches(
         self,
         store: TripleStore,
@@ -1400,11 +1094,6 @@ class UnionNode(PlanNode):
             unbound |= set(branch.maybe_unbound)
             unbound |= {name for name in names if name not in branch.slot_of}
         self.maybe_unbound = frozenset(unbound)
-
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        for branch, mapping in zip(self.branches, self._maps):
-            for row in branch.rows_tuple(store, meter):
-                yield tuple(None if slot is None else row[slot] for slot in mapping)
 
     def _produce_batches(
         self,
@@ -1470,35 +1159,6 @@ class MinusNode(PlanNode):
             common = True
         return common
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        if not self.shared:
-            # Disjoint domains: the subtraction removes nothing (the
-            # normalizer usually rewrites this away already).
-            yield from self.left.rows_tuple(store, meter)
-            return
-        exact: set = set()
-        loose: List[IdRow] = []
-        for row in self.right.rows_tuple(store, meter):
-            key = tuple(row[slot] for slot in self.right_slots)
-            if None in key:
-                loose.append(key)
-            else:
-                exact.add(key)
-        left_slots = self.left_slots
-        for lrow in self.left.rows_tuple(store, meter):
-            lkey = tuple(lrow[slot] for slot in left_slots)
-            if None not in lkey:
-                if lkey in exact:
-                    continue
-                if loose and any(self._compatible(lkey, rkey) for rkey in loose):
-                    continue
-            else:
-                if any(self._compatible(lkey, rkey) for rkey in exact) or any(
-                    self._compatible(lkey, rkey) for rkey in loose
-                ):
-                    continue
-            yield lrow
-
     def _produce_batches(
         self,
         store: TripleStore,
@@ -1507,6 +1167,8 @@ class MinusNode(PlanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         if not self.shared:
+            # Disjoint domains: the subtraction removes nothing (the
+            # normalizer usually rewrites this away already).
             yield from self.left.batches(store, meter, batch_size, tracer)
             return
         exact: set = set()
@@ -1545,14 +1207,7 @@ class MinusNode(PlanNode):
             if len(keep) == lbatch.length:
                 yield lbatch
             else:
-                yield Batch(
-                    tuple(
-                        array("q", (column[i] for i in keep))
-                        for column in lbatch.columns
-                    ),
-                    len(keep),
-                    lbatch.has_unbound,
-                )
+                yield Batch(_gather(lbatch.columns, keep), len(keep), lbatch.has_unbound)
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.shared) or "-"
@@ -1585,19 +1240,28 @@ class CompatJoinNode(PlanNode):
         super().__init__(left.variables + tuple(residual), est_rows)
         self.maybe_unbound = left.maybe_unbound | right.maybe_unbound
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        right_rows = list(self.right.rows_tuple(store, meter))
+    #: Left rows with no compatible right row pass through padded
+    #: (:class:`LeftJoinNode`) instead of being dropped.
+    outer = False
+
+    def _produce(self, store: TripleStore, meter: Optional[CostMeter], tracer) -> Iterator[IdRow]:
+        right_rows = list(self.right.rows(store, meter, tracer=tracer))
         charge = meter.charge if meter is not None else None
-        for lrow in self.left.rows_tuple(store, meter):
+        pad = (None,) * len(self.right_residual_slots)
+        for lrow in self.left.rows(store, meter, tracer=tracer):
+            matched = False
             for rrow in right_rows:
                 merged = _merge_shared(
                     lrow, rrow, self.left_shared_slots, self.right_shared_slots
                 )
                 if merged is None:
                     continue
+                matched = True
                 if charge is not None:
                     charge(1)
                 yield merged + tuple(rrow[slot] for slot in self.right_residual_slots)
+            if self.outer and not matched:
+                yield lrow + pad
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.shared) or "-"
@@ -1617,298 +1281,16 @@ class LeftJoinNode(CompatJoinNode):
     independently, per the SPARQL LeftJoin algebra.
     """
 
+    outer = True
+
     def __init__(self, left: PlanNode, right: PlanNode, est_rows: int) -> None:
         super().__init__(left, right, est_rows)
         residual = self.variables[len(left.variables):]
         self.maybe_unbound = self.maybe_unbound | set(residual)
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        right_rows = list(self.right.rows_tuple(store, meter))
-        charge = meter.charge if meter is not None else None
-        pad = (None,) * len(self.right_residual_slots)
-        for lrow in self.left.rows_tuple(store, meter):
-            matched = False
-            for rrow in right_rows:
-                merged = _merge_shared(
-                    lrow, rrow, self.left_shared_slots, self.right_shared_slots
-                )
-                if merged is None:
-                    continue
-                matched = True
-                if charge is not None:
-                    charge(1)
-                yield merged + tuple(rrow[slot] for slot in self.right_residual_slots)
-            if not matched:
-                yield lrow + pad
-
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.shared) or "-"
         return f"LeftJoin(on {keys})"
-
-
-class RemoteScanNode(PlanNode):
-    """Fetch one pattern (or an exclusive group of patterns that share
-    a single relevant source) from remote endpoints.
-
-    ``sources`` need only the endpoint query surface (``select``/``ask``
-    raising ``EndpointError`` subclasses) — in-process and HTTP-backed
-    endpoints mix freely.  Result terms are interned into the executing
-    store's dictionary, so the mediator joins them in ID space like any
-    local rows.  Rows are deduplicated across sources (two endpoints
-    may hold overlapping data).
-    """
-
-    def __init__(self, patterns: Sequence[TriplePattern], sources: Sequence,
-                 est_rows: int) -> None:
-        self.patterns = list(patterns)
-        self.sources = list(sources)
-        names: List[str] = []
-        for pattern in self.patterns:
-            for name in pattern.variables():
-                if name not in names:
-                    names.append(name)
-        super().__init__(tuple(names), est_rows)
-
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        return self._fetch(store, meter, None)
-
-    def _batch_rows(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
-        return self._fetch(store, meter, tracer)
-
-    def _fetch(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
-        from ..endpoint.endpoint import EndpointError
-        from .serializer import ask_query, select_query
-
-        charge = meter.charge if meter is not None else None
-        if not self.variables:
-            # Fully ground patterns: a federated existence check.
-            probe = ask_query(self.patterns)
-            for source in self.sources:
-                try:
-                    if tracer is None:
-                        held = source.ask(probe)
-                    else:
-                        with tracer.remote_call(source, kind="ask") as span:
-                            held = source.ask(probe)
-                            if span is not None:
-                                span.attrs["held"] = bool(held)
-                    if held:
-                        if charge is not None:
-                            charge(1)
-                        yield ()
-                        return
-                except EndpointError:
-                    continue
-            return
-        query = select_query(self.patterns, distinct=False)
-        encode = store.dictionary.encode
-        seen: set = set()
-        for source in self.sources:
-            try:
-                if tracer is None:
-                    result = source.select(query)
-                else:
-                    with tracer.remote_call(source, kind="select") as span:
-                        result = source.select(query)
-                        if span is not None:
-                            span.attrs["rows"] = len(result.rows)
-            except EndpointError:
-                # A failing source cannot veto the others' answers.
-                continue
-            for row in result.rows:
-                ids = tuple(
-                    encode(row[name]) if name in row else None
-                    for name in self.variables
-                )
-                if ids in seen:
-                    continue
-                seen.add(ids)
-                if charge is not None:
-                    charge(1)
-                yield ids
-
-    def label(self) -> str:
-        where = " . ".join(_pattern_text(p) for p in self.patterns)
-        at = ",".join(getattr(s, "name", "?") for s in self.sources)
-        return f"RemoteScan({where} @ {at})"
-
-
-class RemoteBindJoinNode(PlanNode):
-    """Batched bind join against remote endpoints.
-
-    Accumulates up to ``batch_size`` left rows, decodes the variables
-    shared with ``pattern``, and ships them to every source as one
-    sub-query of the form ``SELECT * WHERE { pattern VALUES (vars)
-    { rows } }`` — a single HTTP round-trip per source per batch
-    instead of one per binding, which is where federated joins spend
-    their time (the FedX "bound join" idea, upgraded from FILTER
-    disjunctions to VALUES).  Left rows with an unbound shared slot
-    ship ``UNDEF``, preserving compatibility semantics.
-    """
-
-    def __init__(self, left: PlanNode, pattern: TriplePattern, sources: Sequence,
-                 est_rows: int, batch_size: int = REMOTE_BATCH_SIZE) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.left = left
-        self.pattern = pattern
-        self.sources = list(sources)
-        self.batch_size = batch_size
-        self.shared = tuple(
-            name for name in pattern.variables() if name in left.slot_of
-        )
-        self.left_key_slots = tuple(left.slot_of[name] for name in self.shared)
-        fresh: List[str] = []
-        for name in pattern.variables():
-            if name not in left.slot_of and name not in fresh:
-                fresh.append(name)
-        self.fresh = tuple(fresh)
-        super().__init__(left.variables + tuple(fresh), est_rows)
-        # Shared slots are always bound after the join (the pattern
-        # binds them); the rest of the left row keeps its status.
-        self.maybe_unbound = left.maybe_unbound - set(self.shared)
-
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter]) -> Iterator[IdRow]:
-        return self._stream(store, meter, None)
-
-    def _batch_rows(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
-        return self._stream(store, meter, tracer)
-
-    def _stream(self, store: TripleStore, meter: Optional[CostMeter],
-                tracer) -> Iterator[IdRow]:
-        # Traced executions pull the left side through the batch adapter
-        # so the whole subtree appears in the trace; the untraced path
-        # keeps the row-wise pull, byte-identical to the seed behaviour.
-        left_rows = (
-            self.left.rows_tuple(store, meter)
-            if tracer is None
-            else self.left.rows(store, meter, tracer=tracer)
-        )
-        batch: List[IdRow] = []
-        for lrow in left_rows:
-            batch.append(lrow)
-            if len(batch) >= self.batch_size:
-                yield from self._flush(batch, store, meter, tracer)
-                batch = []
-        if batch:
-            yield from self._flush(batch, store, meter, tracer)
-
-    def _flush(self, batch: List[IdRow], store: TripleStore,
-               meter: Optional[CostMeter], tracer=None) -> Iterator[IdRow]:
-        from ..endpoint.endpoint import EndpointError
-        from .ast_nodes import GraphPattern as AstGroup, Query as AstQuery
-
-        decode = store.decode_id
-        encode = store.dictionary.encode
-        charge = meter.charge if meter is not None else None
-
-        # Distinct decoded key tuples for the VALUES clause (UNDEF for
-        # slots a union branch left unbound).
-        term_keys: Dict[Tuple, None] = {}
-        for lrow in batch:
-            key = tuple(
-                None if lrow[slot] is None else decode(lrow[slot])
-                for slot in self.left_key_slots
-            )
-            term_keys.setdefault(key)
-        sub_query = AstQuery(
-            form="SELECT",
-            select_star=True,
-            where=AstGroup(
-                patterns=[self.pattern],
-                values=(
-                    [ValuesClause(self.shared, tuple(term_keys))]
-                    if self.shared else []
-                ),
-            ),
-        )
-
-        # Fetch once per source, group extensions by their key values.
-        exact: Dict[Tuple, List[Tuple]] = {}
-        scan_rows: List[Tuple[Tuple, Tuple]] = []  # (key, extension)
-        seen: set = set()
-        for source in self.sources:
-            try:
-                if tracer is None:
-                    result = source.select(sub_query)
-                else:
-                    with tracer.remote_call(
-                        source, kind="bind-join", bindings=len(term_keys)
-                    ) as span:
-                        result = source.select(sub_query)
-                        if span is not None:
-                            span.attrs["rows"] = len(result.rows)
-            except EndpointError:
-                continue
-            for row in result.rows:
-                key = tuple(row.get(name) for name in self.shared)
-                extension = tuple(row.get(name) for name in self.fresh)
-                if (key, extension) in seen:
-                    continue
-                seen.add((key, extension))
-                if None in key:
-                    scan_rows.append((key, extension))
-                else:
-                    exact.setdefault(key, []).append(extension)
-
-        for lrow in batch:
-            lkey = tuple(
-                None if lrow[slot] is None else decode(lrow[slot])
-                for slot in self.left_key_slots
-            )
-            if None not in lkey:
-                matches = [(lkey, ext) for ext in exact.get(lkey, ())]
-                matches.extend(
-                    pair for pair in scan_rows if _terms_compatible(lkey, pair[0])
-                )
-            else:
-                matches = [
-                    (key, ext) for key, exts in exact.items()
-                    if _terms_compatible(lkey, key) for ext in exts
-                ]
-                matches.extend(
-                    pair for pair in scan_rows if _terms_compatible(lkey, pair[0])
-                )
-            for key, extension in matches:
-                if charge is not None:
-                    charge(1)
-                merged = lrow
-                if None in lkey:
-                    # The pattern bound a variable this left row left
-                    # unbound: the joined solution takes the new value.
-                    cells = list(lrow)
-                    for position, slot in enumerate(self.left_key_slots):
-                        if cells[slot] is None and key[position] is not None:
-                            cells[slot] = encode(key[position])
-                    merged = tuple(cells)
-                yield merged + tuple(
-                    None if term is None else encode(term) for term in extension
-                )
-
-    def label(self) -> str:
-        at = ",".join(getattr(s, "name", "?") for s in self.sources)
-        return (
-            f"RemoteBindJoin({_pattern_text(self.pattern)} @ {at}, "
-            f"batch={self.batch_size})"
-        )
-
-    def children(self) -> Sequence[PlanNode]:
-        return (self.left,)
 
 
 def _merge_shared(
@@ -1936,16 +1318,6 @@ def _merge_shared(
         elif rval is not None and lval != rval:
             return None
     return tuple(cells) if cells is not None else lrow
-
-
-def _terms_compatible(left_key: Tuple, right_key: Tuple) -> bool:
-    """Join compatibility over decoded terms (None = unbound)."""
-    for a, b in zip(left_key, right_key):
-        if a is None or b is None:
-            continue
-        if a != b:
-            return False
-    return True
 
 
 class QueryPlanner:

@@ -1,12 +1,11 @@
 """Columnar batch execution: parity, paging cuts, metering, API.
 
-The batch pipeline must be invisible semantically: ``batches()`` and the
-legacy tuple pipeline (``rows_tuple()`` / ``batch_size=0``) must produce
-identical row multisets for every operator shape on both storage
-backends, DISTINCT/LIMIT/OFFSET must cut mid-batch exactly, and the cost
-meter must charge the same totals either way.  The ``execution`` keyword
-redesign (with its ``use_planner`` deprecation shim) is covered at the
-bottom.
+The batch pipeline must be invisible semantically: at every batch size
+``batches()`` and its ``rows()`` adapter must produce the row multiset
+the term-space reference (the ``reference_evaluate`` fixture) produces, for
+every operator shape on both storage backends; DISTINCT/LIMIT/OFFSET
+must cut mid-batch exactly; and the cost meter must charge the same
+total whatever the batch size.
 """
 
 from collections import Counter
@@ -16,7 +15,7 @@ import pytest
 from repro.rdf import IRI, Triple
 from repro.sparql import QueryPlanner, explain_plan, parse_query
 from repro.sparql.evaluator import QueryEvaluator
-from repro.sparql.plan import Batch, DEFAULT_BATCH_SIZE, UNBOUND
+from repro.sparql.plan import Batch, DEFAULT_BATCH_SIZE, PlanNode, UNBOUND
 from repro.store import CostMeter, MemoryBackend, SQLiteBackend, TripleStore
 
 BATCH_SIZES = [1, 2, 3, 7, DEFAULT_BATCH_SIZE]
@@ -61,11 +60,26 @@ def _plan(store, query_text):
     return plan
 
 
+def _reference_rows(reference_evaluate, store, plan, query_text):
+    """The reference's solutions of the query's WHERE group, as ID
+    tuples in ``plan.variables`` order (what the plan itself yields)."""
+    where = query_text[query_text.index("{") : query_text.rindex("}") + 1]
+    solutions = reference_evaluate(store, f"SELECT * WHERE {where}").rows
+    return Counter(
+        tuple(
+            store.term_id(row[name]) if name in row else None
+            for name in plan.variables
+        )
+        for row in solutions
+    )
+
+
 class TestBatchRowParity:
     @pytest.mark.parametrize("query", PARITY_QUERIES)
-    def test_batches_match_tuple_pipeline(self, parity_store, query):
+    def test_batches_match_reference(self, parity_store, query, reference_evaluate):
         plan = _plan(parity_store, query)
-        baseline = Counter(plan.rows_tuple(parity_store, None))
+        baseline = _reference_rows(reference_evaluate, parity_store, plan, query)
+        assert baseline
         for batch_size in BATCH_SIZES:
             batched = Counter(
                 row
@@ -75,13 +89,13 @@ class TestBatchRowParity:
             assert batched == baseline, (query, batch_size)
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
-    def test_rows_adapter_matches_tuple_pipeline(self, parity_store, query):
+    def test_rows_adapter_matches_reference(self, parity_store, query, reference_evaluate):
         plan = _plan(parity_store, query)
-        assert Counter(plan.rows(parity_store, None)) == Counter(
-            plan.rows_tuple(parity_store, None)
+        assert Counter(plan.rows(parity_store, None)) == _reference_rows(
+            reference_evaluate, parity_store, plan, query
         )
 
-    def test_duplicate_variable_scan_keeps_parity(self):
+    def test_duplicate_variable_scan_keeps_parity(self, reference_evaluate):
         store = TripleStore()
         loop = IRI("http://ex/loop")
         other = IRI("http://ex/other")
@@ -89,9 +103,10 @@ class TestBatchRowParity:
         store.add(Triple(loop, link, loop))
         store.add(Triple(loop, link, other))
         store.add(Triple(other, link, other))
-        plan = _plan(store, "SELECT ?s WHERE { ?s <http://ex/link> ?s }")
-        baseline = Counter(plan.rows_tuple(store, None))
-        assert baseline  # self-loops exist, the checks path is exercised
+        query = "SELECT ?s WHERE { ?s <http://ex/link> ?s }"
+        plan = _plan(store, query)
+        baseline = _reference_rows(reference_evaluate, store, plan, query)
+        assert len(baseline) == 2  # the self-loops: the checks path is exercised
         for batch_size in BATCH_SIZES:
             batched = Counter(
                 row
@@ -101,12 +116,14 @@ class TestBatchRowParity:
             assert batched == baseline
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
-    def test_meter_charges_identical_totals(self, parity_store, query):
+    def test_meter_total_is_batch_size_independent(self, parity_store, query):
         plan = _plan(parity_store, query)
-        tuple_meter, batch_meter = CostMeter(), CostMeter()
-        list(plan.rows_tuple(parity_store, tuple_meter))
-        list(plan.batches(parity_store, batch_meter, DEFAULT_BATCH_SIZE))
-        assert tuple_meter.cost == batch_meter.cost
+        totals = set()
+        for batch_size in BATCH_SIZES:
+            meter = CostMeter()
+            list(plan.batches(parity_store, meter, batch_size))
+            totals.add(meter.cost)
+        assert len(totals) == 1 and totals.pop() > 0
 
 
 class TestStorageColumnSeam:
@@ -169,30 +186,23 @@ class TestPagingCuts:
 
     @pytest.mark.parametrize("query", CUT_QUERIES)
     @pytest.mark.parametrize("batch_size", [1, 3, 1024])
-    def test_cuts_match_tuple_pipeline(self, parity_store, query, batch_size):
+    def test_cuts_match_reference(self, parity_store, query, batch_size, reference_evaluate):
         parsed = parse_query(query)
         batched = QueryEvaluator(parity_store, batch_size=batch_size).evaluate(parsed)
-        legacy = QueryEvaluator(parity_store, batch_size=0).evaluate(parsed)
-        assert len(batched.rows) == len(legacy.rows)
+        reference = reference_evaluate(parity_store, parsed)
+        assert len(batched.rows) == len(reference.rows)
         assert sorted(
             tuple(sorted((k, v.n3()) for k, v in row.items())) for row in batched.rows
         ) == sorted(
-            tuple(sorted((k, v.n3()) for k, v in row.items())) for row in legacy.rows
+            tuple(sorted((k, v.n3()) for k, v in row.items())) for row in reference.rows
         )
 
     def test_limit_cost_stays_page_sized(self, parity_store):
         parsed = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 10")
         batched = QueryEvaluator(parity_store).evaluate(parsed)
-        legacy = QueryEvaluator(parity_store, batch_size=0).evaluate(parsed)
-        # The root batch size is clamped to LIMIT+OFFSET, so the batched
-        # scan charges exactly the tuple pipeline's early-terminated cost.
-        assert batched.cost == legacy.cost
-
-    def test_backtracker_agrees_with_batched(self, parity_store):
-        parsed = parse_query("SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 5")
-        batched = QueryEvaluator(parity_store, batch_size=2).evaluate(parsed)
-        seed = QueryEvaluator(parity_store, execution="backtrack").evaluate(parsed)
-        assert len(batched.rows) == len(seed.rows) == 5
+        # The root batch size is clamped to LIMIT+OFFSET, so the scan
+        # charges for the page it returns and not for a whole batch.
+        assert batched.cost == 10
 
 
 class TestBatchType:
@@ -222,71 +232,35 @@ class TestBatchType:
         assert "[est=" in text and ", batch]" in text
 
 
-class TestExecutionKeyword:
-    def test_use_planner_true_maps_to_auto(self, store):
-        with pytest.deprecated_call():
-            evaluator = QueryEvaluator(store, use_planner=True)
-        assert evaluator.execution == "auto"
-        assert evaluator.use_planner is True
+def _plan_node_classes():
+    import repro.federation.remote  # noqa: F401 — registers the remote operators
 
-    def test_use_planner_false_maps_to_backtrack(self, store):
-        with pytest.deprecated_call():
-            evaluator = QueryEvaluator(store, use_planner=False)
-        assert evaluator.execution == "backtrack"
-        assert evaluator.use_planner is False
+    found, frontier = [], [PlanNode]
+    while frontier:
+        for cls in frontier.pop().__subclasses__():
+            found.append(cls)
+            frontier.append(cls)
+    return found
 
-    def test_use_planner_conflicts_with_execution(self, store):
+
+class TestOneProducerPerOperator:
+    def test_every_operator_is_covered(self):
+        names = {cls.__name__ for cls in _plan_node_classes()}
+        assert {"ScanNode", "HashJoinNode", "LeftJoinNode", "RemoteBindJoinNode"} <= names
+
+    @pytest.mark.parametrize("cls", _plan_node_classes(), ids=lambda cls: cls.__name__)
+    def test_exactly_one_of_the_two_producers_is_overridden(self, cls):
+        row_wise = cls._produce is not PlanNode._produce
+        columnar = cls._produce_batches is not PlanNode._produce_batches
+        assert row_wise != columnar
+
+
+class TestEvaluatorConstruction:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_rejected(self, store, batch_size):
+        with pytest.raises(ValueError):
+            QueryEvaluator(store, batch_size=batch_size)
+
+    def test_batch_size_is_the_only_parameter(self, store):
         with pytest.raises(TypeError):
-            QueryEvaluator(store, use_planner=True, execution="auto")
-
-    def test_unknown_execution_mode_rejected(self, store):
-        with pytest.raises(ValueError):
-            QueryEvaluator(store, execution="warp")
-
-    def test_use_planner_is_read_only(self, store):
-        evaluator = QueryEvaluator(store, execution="planner")
-        with pytest.raises(AttributeError):
-            evaluator.use_planner = False
-
-    @pytest.mark.parametrize("mode", ["auto", "planner", "backtrack"])
-    def test_modes_agree_on_results(self, parity_store, mode):
-        parsed = parse_query(
-            "SELECT ?s ?n WHERE { ?s a dbo:Person . ?s foaf:surname ?n }"
-        )
-        result = QueryEvaluator(parity_store, execution=mode).evaluate(parsed)
-        baseline = QueryEvaluator(parity_store, execution="backtrack").evaluate(parsed)
-        assert sorted(
-            tuple(sorted((k, v.n3()) for k, v in row.items())) for row in result.rows
-        ) == sorted(
-            tuple(sorted((k, v.n3()) for k, v in row.items())) for row in baseline.rows
-        )
-
-    def test_config_carries_execution(self):
-        from repro import SapphireConfig
-
-        config = SapphireConfig().with_execution("backtrack", batch_size=64)
-        assert config.execution == "backtrack"
-        assert config.exec_batch_size == 64
-        with pytest.raises(ValueError):
-            SapphireConfig().with_execution("warp")
-
-    def test_endpoint_threads_execution(self, tiny_dataset):
-        from repro import EndpointConfig, SparqlEndpoint
-
-        endpoint = SparqlEndpoint(
-            tiny_dataset.store,
-            EndpointConfig(timeout_s=1.0),
-            name="threaded",
-            execution="backtrack",
-            batch_size=16,
-        )
-        assert endpoint._evaluator.execution == "backtrack"
-        assert endpoint._evaluator.batch_size == 16
-        result = endpoint.select("SELECT ?s WHERE { ?s a dbo:Person } LIMIT 3")
-        assert len(result.rows) == 3
-
-    def test_cli_exposes_execution_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["--execution", "backtrack", "stats"])
-        assert args.execution == "backtrack"
+            QueryEvaluator(store, True)

@@ -1,11 +1,14 @@
-"""Evaluator edge cases, exercised over both storage backends and both
-join paths (planner and seed backtracking).
+"""Evaluator edge cases, exercised over both storage backends, on the
+engine and on the term-space reference it is checked against.
 
 Covers the interactions that are easy to get wrong in a streaming
 pipeline: DISTINCT composed with LIMIT/OFFSET, ORDER BY over mixed term
 types (numbers, strings, IRIs, unbound cells), and OPTIONAL groups whose
 FILTERs reference variables bound only inside the OPTIONAL.
 """
+
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,9 +61,11 @@ def edge_store(request):
     store.close()
 
 
-@pytest.fixture(params=[True, False], ids=["planner", "backtrack"])
-def evaluator(request, edge_store):
-    return QueryEvaluator(edge_store, use_planner=request.param)
+@pytest.fixture(params=["engine", "reference"])
+def evaluator(request, edge_store, reference_evaluate):
+    if request.param == "engine":
+        return QueryEvaluator(edge_store)
+    return SimpleNamespace(evaluate=partial(reference_evaluate, edge_store))
 
 
 class TestDistinctLimit:
@@ -155,13 +160,13 @@ class TestOptionalFilters:
         ))
         assert result.rows == []
 
-    def test_optional_filters_match_between_paths(self, edge_store):
+    def test_optional_filters_match_between_paths(self, edge_store, reference_evaluate):
         query = parse_query(
             f"SELECT ?s ?v WHERE {{ ?s a <{EX}Thing> "
             f"OPTIONAL {{ ?s <{EX}score> ?v . FILTER (?v > 0) }} }}"
         )
         planned = QueryEvaluator(edge_store).evaluate(query)
-        seed = QueryEvaluator(edge_store, use_planner=False).evaluate(query)
+        seed = reference_evaluate(edge_store, query)
 
         def key(result):
             return sorted(

@@ -1,11 +1,14 @@
 """Unit tests for the FedX-style federated query processor."""
 
+from collections import Counter
+
 import pytest
 
 from repro.endpoint import EndpointConfig, SparqlEndpoint
 from repro.federation import FederatedQueryProcessor
+from repro.federation.remote import RemoteBindJoinNode, RemoteScanNode
 from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple, TriplePattern, Variable
-from repro.sparql import evaluate
+from repro.sparql import HashJoinNode, MinusNode, UnionNode, evaluate
 from repro.store import TripleStore
 
 
@@ -80,7 +83,7 @@ class TestCrossEndpointJoins:
         )
         assert {str(v) for v in result.value_set("name")} == {"Ann", "Bob"}
 
-    def test_matches_single_store_semantics(self, two_endpoints):
+    def test_matches_single_store_semantics(self, two_endpoints, maybe_tracer):
         """The federation must return exactly what one merged store would."""
         people, cities = two_endpoints
         merged = TripleStore()
@@ -91,9 +94,51 @@ class TestCrossEndpointJoins:
             "SELECT ?name ?city { ?p dbo:birthPlace ?c . ?c rdfs:label ?city . "
             "?p foaf:name ?name }"
         )
-        fed_rows = {(str(r["name"]), str(r["city"])) for r in federation.select(query).rows}
-        local_rows = {(str(r["name"]), str(r["city"])) for r in evaluate(merged, query).rows}
+        fed = federation.run(query, tracer=maybe_tracer)
+        fed_rows = Counter((str(r["name"]), str(r["city"])) for r in fed.rows)
+        local_rows = Counter((str(r["name"]), str(r["city"])) for r in evaluate(merged, query).rows)
         assert fed_rows == local_rows
+
+    def test_bind_join_over_a_batch_subtree(self, two_endpoints, maybe_tracer):
+        """A RemoteBindJoinNode whose left input is a tree of columnar
+        operators (hash join over a union and a minus) yields the rows
+        the merged store yields for the same query."""
+        people, cities = two_endpoints
+        p, c, n = Variable("p"), Variable("c"), Variable("n")
+
+        def scan(endpoint, *pattern):
+            return RemoteScanNode([TriplePattern(*pattern)], [endpoint], 3)
+
+        union = UnionNode([
+            scan(people, p, DBO.birthPlace, DBR.term("NY")),
+            scan(people, p, DBO.birthPlace, DBR.term("Paris")),
+        ])
+        minus = MinusNode(
+            scan(people, p, DBO.birthPlace, c),
+            scan(cities, c, RDFS_LABEL, lit("Paris")),
+        )
+        plan = RemoteBindJoinNode(
+            HashJoinNode(union, minus, ("p",), 3),
+            TriplePattern(p, FOAF.name, n), [people], 3, batch_size=2,
+        )
+        mediator = TripleStore()
+        rows = Counter(
+            tuple(str(mediator.decode_id(cell)) for cell in row)
+            for row in plan.rows(mediator, None, tracer=maybe_tracer)
+        )
+        assert plan.variables == ("p", "c", "n")
+        merged = TripleStore()
+        merged.add_all(people.store.triples())
+        merged.add_all(cities.store.triples())
+        local = evaluate(
+            merged,
+            "SELECT ?p ?c ?n { { ?p dbo:birthPlace dbr:NY } UNION { ?p dbo:birthPlace dbr:Paris } "
+            '?p dbo:birthPlace ?c . ?p foaf:name ?n MINUS { ?c rdfs:label "Paris"@en } }',
+        )
+        assert rows == Counter(
+            (str(r["p"]), str(r["c"]), str(r["n"])) for r in local.rows
+        )
+        assert sum(rows.values()) == 2  # Ann and Bob; Cme's city is subtracted
 
     def test_ask_across_federation(self, federation):
         assert federation.ask('ASK { ?c rdfs:label "Paris"@en }')

@@ -45,7 +45,7 @@ def snapshot_spec(tmp_path_factory):
     base = tmp_path_factory.mktemp("prefork") / "data.sqlite"
     return prepare_snapshots(
         {"scale": "tiny", "seed": 42, "timeout_s": 10.0,
-         "execution": "auto", "sapphire": False, "n_shards": 2},
+         "sapphire": False, "n_shards": 2},
         str(base),
     )
 
@@ -170,7 +170,7 @@ class TestSapphirePool:
         base = tmp_path_factory.mktemp("prefork-pum") / "data.sqlite"
         return prepare_snapshots(
             {"scale": "tiny", "seed": 42, "timeout_s": 10.0,
-             "execution": "auto", "sapphire": True, "n_shards": 2},
+             "sapphire": True, "n_shards": 2},
             str(base),
         )
 

@@ -1,10 +1,11 @@
 """Join-planner tests: plan shapes, parity, pushdown, EXPLAIN, costs.
 
 The planner must be invisible semantically — every query returns the
-same row multiset as the seed backtracking path on both storage
-backends — while choosing the operators the cost model promises
-(hash joins for broad star/chain patterns, bind joins for selective
-probes, fallback for the shapes it cannot cover).
+same row multiset as the term-space reference
+(the ``reference_evaluate`` fixture) on both storage backends — while
+choosing the operators the cost model promises (hash joins for broad
+star/chain patterns, bind joins for selective probes, fallback for the
+shapes it cannot cover).
 """
 
 import pytest
@@ -65,10 +66,10 @@ def planned_store(request, tiny_dataset):
 
 class TestParity:
     @pytest.mark.parametrize("query", PARITY_QUERIES)
-    def test_planner_matches_backtracking(self, planned_store, query):
+    def test_planner_matches_reference(self, planned_store, query, reference_evaluate):
         parsed = parse_query(query)
         planned = QueryEvaluator(planned_store).evaluate(parsed)
-        seed = QueryEvaluator(planned_store, use_planner=False).evaluate(parsed)
+        seed = reference_evaluate(planned_store, parsed)
         if "ORDER BY" in query:
             # Ordered results must agree row-for-row, not just as a set.
             assert _key(planned) == _key(seed)
@@ -154,16 +155,17 @@ class TestPlanShapes:
         assert surname_scan.filters  # pushed below the join
         assert not plan.filters or plan is surname_scan
 
-    def test_repeated_variable_within_pattern(self):
+    def test_repeated_variable_within_pattern(self, reference_evaluate):
         p = IRI("http://x/knows")
         a, b = IRI("http://x/a"), IRI("http://x/b")
         store = TripleStore([Triple(a, p, a), Triple(a, p, b), Triple(b, p, b)])
         result = QueryEvaluator(store).evaluate(parse_query(
             "SELECT ?x ?y WHERE { ?x <http://x/knows> ?x . ?x <http://x/knows> ?y }"
         ))
-        seed = QueryEvaluator(store, use_planner=False).evaluate(parse_query(
-            "SELECT ?x ?y WHERE { ?x <http://x/knows> ?x . ?x <http://x/knows> ?y }"
-        ))
+        seed = reference_evaluate(
+            store,
+            "SELECT ?x ?y WHERE { ?x <http://x/knows> ?x . ?x <http://x/knows> ?y }",
+        )
         assert _key(result) == _key(seed)
         assert {(r["x"].value, r["y"].value) for r in result.rows} == {
             ("http://x/a", "http://x/a"),
@@ -305,19 +307,19 @@ class TestExplainSurfaces:
 
 
 class TestOptionalsWithPlanner:
-    def test_optional_rides_on_planned_base(self, planned_store):
+    def test_optional_rides_on_planned_base(self, planned_store, reference_evaluate):
         query = parse_query(
             "SELECT * WHERE { ?s a dbo:Person . ?s foaf:surname ?n "
             "OPTIONAL { ?s dbo:spouse ?w } }"
         )
         planned = QueryEvaluator(planned_store).evaluate(query)
-        seed = QueryEvaluator(planned_store, use_planner=False).evaluate(query)
+        seed = reference_evaluate(planned_store, query)
         assert _key(planned) == _key(seed)
         assert any("w" in row for row in planned.rows)
         assert any("w" not in row for row in planned.rows)
 
 
-def test_numeric_filter_pushdown_semantics():
+def test_numeric_filter_pushdown_semantics(reference_evaluate):
     value = IRI("http://x/value")
     kind = IRI("http://x/T")
     rdf_type = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -332,6 +334,6 @@ def test_numeric_filter_pushdown_semantics():
         "<http://x/T> . ?s <http://x/value> ?v . FILTER (?v >= 7) }"
     )
     planned = QueryEvaluator(store).evaluate(query)
-    seed = QueryEvaluator(store, use_planner=False).evaluate(query)
+    seed = reference_evaluate(store, query)
     assert _key(planned) == _key(seed)
     assert sorted(int(r["v"].lexical) for r in planned.rows) == [7, 8, 9]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -486,6 +487,46 @@ class TestSapphireSpans:
         # One discovery per round: the relaxer is seeded from it.
         assert [s.name for s in trace.walk()].count("qsm-alternatives") == 1
 
-    def test_batcher_tracer_cleared_after_analyze(self, server):
-        server.analyze("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1", suggest=True)
-        assert server.terms_finder._batcher.tracer is None
+    def test_concurrent_untraced_round_stays_out_of_the_trace(self, server, monkeypatch):
+        """Handler threads share one finder and one batcher: a traced
+        round records its own ``qsm-probe-batch`` spans, and an untraced
+        round running inside it records none — in anyone's trace."""
+        query = 'SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }'
+        batcher = server.terms_finder._batcher
+        barrier = threading.Barrier(2, timeout=30)
+        probes = {"traced": 0, "untraced": 0}
+        run_probe = batcher.runner
+
+        def synchronized_probe(probe):
+            name = threading.current_thread().name
+            probes[name] += 1
+            if name == "traced" and probes[name] == 1:
+                barrier.wait()  # let the untraced round start ...
+                barrier.wait()  # ... and hold this probe open until it is done
+            return run_probe(probe)
+
+        monkeypatch.setattr(batcher, "runner", synchronized_probe)
+        tracer = Tracer(query=query)
+
+        def untraced_round():
+            barrier.wait()
+            try:
+                server.run_query(query)
+            finally:
+                barrier.wait()
+
+        threads = [
+            threading.Thread(
+                name="traced", target=server.run_query, args=(query,),
+                kwargs={"tracer": tracer},
+            ),
+            threading.Thread(name="untraced", target=untraced_round),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        spans = [s for s in tracer.finish().walk() if s.name == "qsm-probe-batch"]
+        assert probes["untraced"] >= 1
+        assert len(spans) == probes["traced"] >= 1

@@ -3,8 +3,8 @@
 The acceptance bar for the unified query algebra: one shared query
 suite must return identical rows through every execution surface —
 
-* local, both planner and backtracking paths, over both storage
-  backends;
+* local, the engine against the term-space reference, over both
+  storage backends;
 * in-process federation (three endpoints splitting the data);
 * HTTP federation (the same three endpoints behind loopback servers);
 
@@ -223,25 +223,25 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Local parity: planner vs backtracker, both backends
+# Local parity: engine vs term-space reference, both backends
 # ----------------------------------------------------------------------
 
 
 class TestLocalParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("text", SUITE)
-    def test_planner_matches_backtracker(self, backend, text):
+    def test_planner_matches_reference(self, backend, text, reference_evaluate):
         store = merged_store(backend)
-        planned = QueryEvaluator(store, use_planner=True).evaluate(parse_query(text))
-        walked = QueryEvaluator(store, use_planner=False).evaluate(parse_query(text))
+        planned = QueryEvaluator(store).evaluate(parse_query(text))
+        walked = reference_evaluate(store, text)
         assert row_key(planned) == row_key(walked)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("text", ASK_SUITE)
-    def test_ask_parity(self, backend, text):
+    def test_ask_parity(self, backend, text, reference_evaluate):
         store = merged_store(backend)
-        planned = QueryEvaluator(store, use_planner=True).evaluate(parse_query(text))
-        walked = QueryEvaluator(store, use_planner=False).evaluate(parse_query(text))
+        planned = QueryEvaluator(store).evaluate(parse_query(text))
+        walked = reference_evaluate(store, text)
         assert bool(planned) == bool(walked)
 
     def test_explain_covers_new_operators(self):
@@ -306,15 +306,15 @@ def http_federation(slices):
 
 class TestFederatedParity:
     @pytest.mark.parametrize("text", SUITE)
-    def test_local_vs_inprocess_federation(self, local_federation, text):
+    def test_local_vs_inprocess_federation(self, local_federation, text, maybe_tracer):
         local = QueryEvaluator(merged_store()).evaluate(parse_query(text))
-        federated = local_federation.select(text)
+        federated = local_federation.run(text, tracer=maybe_tracer)
         assert row_key(local) == row_key(federated)
 
     @pytest.mark.parametrize("text", SUITE)
-    def test_local_vs_http_federation(self, http_federation, text):
+    def test_local_vs_http_federation(self, http_federation, text, maybe_tracer):
         local = QueryEvaluator(merged_store()).evaluate(parse_query(text))
-        federated = http_federation.select(text)
+        federated = http_federation.run(text, tracer=maybe_tracer)
         assert row_key(local) == row_key(federated)
 
     @pytest.mark.parametrize("text", ASK_SUITE)
