@@ -19,7 +19,12 @@ Gate (runs in ``--quick`` CI mode too):
   identical rows (zero-mismatch parity);
 * the batched federation must issue **>= 5x fewer HTTP requests** than
   the per-binding one, measured both client-side (query logs) and
-  server-side (``/stats`` request counters reconcile).
+  server-side (``/stats`` request counters reconcile);
+* a federation whose data sits at **one** member — alone, or beside an
+  empty member once source selection has run — must ship every query
+  of the set whole: exactly one HTTP request per query, none to the
+  empty member, rows equal to the merged store's (a count, so it
+  repeats exactly).
 
 ``--json PATH`` (via ``conftest.bench_main``) writes the machine-readable
 results CI uploads as a ``BENCH_*.json`` artifact.
@@ -130,6 +135,38 @@ def run_counted(federation, servers, query):
     return result, client_requests, server_requests
 
 
+def single_source_request_counts(merged):
+    """Requests per query when one member holds everything.
+
+    Serves ``merged`` and an empty store over loopback HTTP and runs the
+    whole query set through a one-member and a one-empty-member
+    federation; returns ``{federation: [requests per query]}`` after
+    asserting the answers and the empty member's silence.
+    """
+    queries = [STAR_QUERY] + EXTRA_QUERIES
+    full = SparqlHttpServer(
+        SparqlEndpoint(merged, EndpointConfig.warehouse(), name="full")).start()
+    empty = SparqlHttpServer(
+        SparqlEndpoint(TripleStore(), EndpointConfig.warehouse(), name="empty")).start()
+    try:
+        counts = {}
+        for label, servers in (("one_member", [full]), ("one_empty_member", [full, empty])):
+            federation = make_federation(servers, batch_size=30)
+            counts[label] = []
+            for query in queries:
+                federation.select(query)  # source selection, where there is any
+                result, client_requests, server_requests = run_counted(
+                    federation, servers, query)
+                assert row_key(result) == row_key(evaluate(merged, query)), query
+                assert client_requests == server_requests
+                assert federation.endpoints[0].query_count == client_requests  # all to ``full``
+                counts[label].append(client_requests)
+        return counts
+    finally:
+        full.stop()
+        empty.stop()
+
+
 def test_batched_bind_join_round_trips(stack, benchmark):
     servers, merged = stack
     batched = make_federation(servers, batch_size=30)
@@ -164,6 +201,10 @@ def test_batched_bind_join_round_trips(stack, benchmark):
         f"gate is {MIN_REQUEST_REDUCTION}x"
     )
 
+    # -- single-source gate: one request per query, counted -------------
+    pushed = single_source_request_counts(merged)
+    assert all(count == 1 for counts in pushed.values() for count in counts), pushed
+
     # -- ride-along parity for UNION/VALUES/MINUS over the same wire ---
     mismatches = [
         query for query in EXTRA_QUERIES
@@ -189,7 +230,9 @@ def test_batched_bind_join_round_trips(stack, benchmark):
         f"reduction:            {reduction:.1f}x  (gate >= "
         f"{MIN_REQUEST_REDUCTION:.0f}x)\n"
         f"parity:               batched == per-binding == merged store\n"
-        f"stats reconciled:     client and /stats counters agree",
+        f"stats reconciled:     client and /stats counters agree\n"
+        f"one member:           {pushed['one_member']} requests per query\n"
+        f"one + empty member:   {pushed['one_empty_member']} requests per query",
     )
 
     json_path = os.environ.get("BENCH_JSON")
@@ -201,9 +244,11 @@ def test_batched_bind_join_round_trips(stack, benchmark):
             "requests_batched": batched_client,
             "requests_per_binding": single_client,
             "reduction": reduction,
+            "single_source_requests_per_query": pushed,
             "bench_seconds": elapsed,
             "gate": {
                 "min_reduction": MIN_REQUEST_REDUCTION,
+                "single_source_requests_per_query": 1,
                 "parity_mismatches": 0,
                 "reconciled": True,
                 "pass": True,

@@ -18,10 +18,13 @@ a fresh variable constrained by a ``VALUES`` block::
                                  { (dbo:spouse) (dbo:partner) } }
 
 The probe compiles through the same parse → algebra → plan pipeline as
-every other query; at the federation the VALUES table drives the
-:class:`~repro.federation.remote.RemoteBindJoinNode` machinery, so one
-suggestion round costs **one VALUES-constrained request per endpoint
-per batch** instead of one request per candidate.  The returned rows
+every other query.  A federation of one member ships it to that member
+whole (the single-source rule of :mod:`repro.federation.fedx`: one
+request, the ``VALUES`` table applied where the data is); across a split
+federation the VALUES table drives the
+:class:`~repro.federation.remote.RemoteBindJoinNode` machinery.  Either
+way one suggestion round costs **one VALUES-constrained request per
+endpoint per batch** instead of one request per candidate.  The returned rows
 are split by the probe variable's binding and each group is finished
 through :func:`~repro.sparql.evaluator.finalize_solutions` — the same
 modifier tail local and federated execution use — yielding one

@@ -523,10 +523,12 @@ class SapphireServer:
         """EXPLAIN for the batched QSM probe round, no execution.
 
         Shows every VALUES-batched probe query one suggestion round
-        would ship (one per probed position) and the federated plan it
-        compiles to — the ``RemoteBindJoinNode``/``ValuesScan`` shape
-        that turns per-candidate endpoint calls into one request per
-        endpoint per round (``docs/predictive-model.md``).
+        would ship (one per probed position) and the federated plan for
+        it.  Over one member that is ``SingleSource(@member)`` and the
+        member's own plan: the probe is one request, answered where the
+        data is.  Only over a split federation does it compile to the
+        ``RemoteBindJoinNode``/``ValuesScan`` shape — one request per
+        endpoint per batch (``docs/predictive-model.md``).
         """
         if isinstance(query, QueryBuilder):
             query = query.build()

@@ -1,14 +1,24 @@
 """FedX-style federated query processing as a thin planner client.
 
 Sapphire fronts one or more SPARQL endpoints with a federated query
-processor (the paper uses FedX [22]).  Since the query engine grew an
-explicit pipeline — parse → logical algebra → optimize → physical
-execution — federation is no longer a separate evaluator: this module
-translates and normalizes queries through the *same*
-:mod:`~repro.sparql.algebra` stage as local execution (so duplicate
-patterns are deduplicated once, filters are pushed once), runs the same
-greedy cost-ranked join ordering, and compiles to the remote physical
-operators in :mod:`~repro.federation.remote`:
+processor (the paper uses FedX [22]).
+:meth:`FederatedQueryProcessor.run` is its one execution entry, and it
+answers a query one of two ways, decided by where the data is:
+
+**Single source.**  If the federation has one member, or source
+selection over every pattern of the query tree names the same single
+endpoint, the query ships to that member *as written* and the member's
+result is returned as is — FILTER, GROUP BY, ORDER BY and LIMIT run
+where the data is, the member's budget, row cap and query log apply to
+the one query, and nothing is decoded and re-interned at a mediator.
+Row order is the member's.  If the member refuses the query
+(``EndpointError``), execution falls through to:
+
+**Decomposed.**  The query is translated and normalized through the
+*same* :mod:`~repro.sparql.algebra` stage as local execution (so
+duplicate patterns are deduplicated once, filters are pushed once), the
+same greedy cost-ranked join ordering runs, and the plan compiles to the
+remote physical operators in :mod:`~repro.federation.remote`:
 
 1. **Cost-based source selection** — each triple pattern is probed with
    an ASK query at every member endpoint (cached by pattern signature);
@@ -27,11 +37,16 @@ operators in :mod:`~repro.federation.remote`:
 4. UNION / MINUS / VALUES compile to the same ID-space operators local
    execution uses; remote terms are interned into a per-query mediator
    store so everything joins on integers.
+5. Solution modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) run at
+   the mediator by reusing the local evaluator's pipeline.
 
-Solution modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) run at
-the mediator by reusing the local evaluator's pipeline, and
+A member's ``EndpointError`` never vetoes the others' answers, and is
+never silent either: every member request is counted
+(:class:`~repro.federation.remote.FederationCounters`, the ``federation``
+block of ``/stats``) and a failed one stamps ``error`` on its trace span.
 :meth:`FederatedQueryProcessor.explain` renders the same operator-tree
-EXPLAIN the rest of the system uses.
+EXPLAIN the rest of the system uses (``SingleSource(@member)`` over the
+member's own plan for a pushed query).
 """
 
 from __future__ import annotations
@@ -39,7 +54,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..endpoint.endpoint import EndpointError, SparqlEndpoint
+from ..endpoint.endpoint import SparqlEndpoint
 from ..rdf.terms import IRI, Term, Variable
 from ..rdf.triples import Binding, TriplePattern
 from ..sparql.algebra import (
@@ -57,7 +72,11 @@ from ..sparql.algebra import (
 )
 from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
 from ..sparql.errors import SparqlError
-from ..sparql.evaluator import QueryEvaluator, _merge_compatible
+from ..sparql.evaluator import (
+    QueryEvaluator,
+    _merge_compatible,
+    finalize_solutions,
+)
 from ..sparql.parser import parse_query
 from ..sparql.plan import (
     CompatJoinNode,
@@ -73,7 +92,13 @@ from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import ask_query
 from ..sparql.trace import QueryTrace, Tracer
 from ..store.triplestore import TripleStore
-from .remote import REMOTE_BATCH_SIZE, RemoteBindJoinNode, RemoteScanNode
+from .remote import (
+    REMOTE_BATCH_SIZE,
+    FederationCounters,
+    RemoteBindJoinNode,
+    RemoteScanNode,
+    member_call,
+)
 
 __all__ = ["FederatedQueryProcessor"]
 
@@ -123,9 +148,10 @@ class FederatedQueryProcessor:
     Thread-safe source selection: the HTTP server evaluates federated
     queries from many handler threads at once, so the pattern-source
     cache is guarded by a lock (probes run outside it — a duplicated
-    probe is cheaper than serializing all endpoints' probes).  Each
-    query execution interns remote terms into its own mediator store,
-    so concurrent queries never share mutable ID state.
+    probe is cheaper than serializing all endpoints' probes), and
+    ``counters`` by one of its own.  Each decomposed execution interns
+    remote terms into its own mediator store, so concurrent queries
+    never share mutable ID state.
     """
 
     def __init__(
@@ -142,6 +168,9 @@ class FederatedQueryProcessor:
         self._source_cache: Dict[Tuple, List[SparqlEndpoint]] = {}
         self._cache_lock = threading.Lock()
         self._stats_cache: Dict[int, Optional[Dict]] = {}
+        #: Requests, pushes, fallbacks and swallowed member errors
+        #: (``/stats`` serves the snapshot as its ``federation`` block).
+        self.counters = FederationCounters()
         # The mediator pipeline (aggregation, ordering, projection) comes
         # from the local evaluator; it never touches this empty store.
         self._pipeline = QueryEvaluator(TripleStore())
@@ -150,23 +179,30 @@ class FederatedQueryProcessor:
     # Public API
     # ------------------------------------------------------------------
 
-    def select(self, query_text: str) -> SelectResult:
+    def select(self, query, tracer: Optional[Tracer] = None) -> SelectResult:
         """Run a SELECT query across the federation."""
-        query = parse_query(query_text)
-        if query.form != "SELECT":
+        parsed = parse_query(query) if isinstance(query, str) else query
+        if parsed.form != "SELECT":
             raise SparqlError("use ask() for ASK queries")
-        return self._evaluate(query)
+        return self.run(parsed, tracer=tracer)
 
-    def ask(self, query_text: str) -> AskResult:
-        query = parse_query(query_text)
-        if query.form != "ASK":
+    def ask(self, query, tracer: Optional[Tracer] = None) -> AskResult:
+        parsed = parse_query(query) if isinstance(query, str) else query
+        if parsed.form != "ASK":
             raise SparqlError("use select() for SELECT queries")
-        for _ in self._solve(query.where):
-            return AskResult(True)
-        return AskResult(False)
+        return self.run(parsed, tracer=tracer)
 
     def run(self, query, tracer: Optional[Tracer] = None):
-        """Run a parsed or textual query of either form.
+        """Run a parsed or textual query of either form — the one
+        execution entry (:meth:`select` and :meth:`ask` only check the
+        form).
+
+        A query whose patterns all live at one member ships to it as
+        written and the member's result is returned as is
+        (:meth:`single_source`); if the member refuses it
+        (``EndpointError``: too expensive in one piece, or down) the
+        decomposed plan answers instead, as it does for every
+        multi-source query.
 
         ``tracer`` (optional) records per-operator spans, with one
         remote span per endpoint round — the federated half of the
@@ -174,11 +210,26 @@ class FederatedQueryProcessor:
         ``X-Repro-Trace-Id`` header.
         """
         parsed = parse_query(query) if isinstance(query, str) else query
+        self.counters.add("queries")
+        endpoint = self.single_source(parsed)
+        if endpoint is not None:
+            result = member_call(
+                endpoint, parsed, tracer, self.counters,
+                nest=True, kind="single-source",
+            )
+            if result is not None:
+                self.counters.add("single_source")
+                return result
+            self.counters.add("fallbacks")
         if parsed.form == "ASK":
             for _ in self._solve(parsed.where, tracer):
                 return AskResult(True)
             return AskResult(False)
-        return self._evaluate(parsed, tracer)
+        # Solution modifiers at the mediator, via the shared pipeline
+        # tail (ORDER BY sees pre-projection solutions, as locally).
+        return finalize_solutions(
+            self._pipeline, parsed, list(self._solve(parsed.where, tracer))
+        )
 
     def analyze(
         self, query, tracer: Optional[Tracer] = None
@@ -204,20 +255,27 @@ class FederatedQueryProcessor:
             _, trace = self.analyze(query)
             return f"{plan_text}\n\n{format_trace(trace)}"
         parsed = parse_query(query) if isinstance(query, str) else query
-        store = TripleStore()
-        plan = self._compile_group(parsed.where, store)
         lines = [f"Federated {self._pipeline._explain_header(parsed)}"]
-        lines.append("sources:")
-        for pattern in self._collect_patterns(parsed.where):
-            sources = self.relevant_sources(pattern)
-            names = ", ".join(endpoint.name for endpoint in sources) or "(none)"
-            estimate = self._pattern_estimate(pattern, sources)
-            lines.append(
-                "  " + " ".join(term.n3() for term in pattern.as_tuple())
-                + f"  ->  {names}  [est={estimate}]"
-            )
+        if len(self.endpoints) > 1:
+            lines.append("sources:")
+            for pattern in self._collect_patterns(parsed.where):
+                sources = self.relevant_sources(pattern)
+                names = ", ".join(endpoint.name for endpoint in sources) or "(none)"
+                estimate = self._pattern_estimate(pattern, sources)
+                lines.append(
+                    "  " + " ".join(term.n3() for term in pattern.as_tuple())
+                    + f"  ->  {names}  [est={estimate}]"
+                )
         lines.append("plan:")
-        lines.append(explain_plan(plan, indent=1))
+        endpoint = self.single_source(parsed)
+        if endpoint is not None:
+            lines.append(f"  SingleSource(@{endpoint.name})")
+            lines.extend(
+                "    " + line for line in endpoint.explain(parsed).splitlines()
+            )
+            return "\n".join(lines)
+        store = TripleStore()
+        lines.append(explain_plan(self._compile_group(parsed.where, store), indent=1))
         for optional in parsed.where.optionals:
             lines.append("optional (per base solution):")
             lines.append(explain_plan(self._compile_group(optional, store), indent=1))
@@ -242,17 +300,35 @@ class FederatedQueryProcessor:
         probe = ask_query([_generalize(pattern)])
         relevant: List[SparqlEndpoint] = []
         for endpoint in self.endpoints:
-            try:
-                if endpoint.ask(probe):
-                    relevant.append(endpoint)
-            except EndpointError:
-                # An endpoint that cannot answer the probe stays a
-                # candidate: dropping it could lose answers.
+            held = member_call(endpoint, probe, counters=self.counters)
+            # An endpoint that cannot answer the probe (None) stays a
+            # candidate: dropping it could lose answers.
+            if held is None or held:
                 relevant.append(endpoint)
         with self._cache_lock:
             # Two threads may have probed the same signature; the first
             # write wins so every caller sees one stable source list.
             return self._source_cache.setdefault(signature, relevant)
+
+    def single_source(self, query: Query) -> Optional[SparqlEndpoint]:
+        """The member that can answer ``query`` alone, if there is one.
+
+        A federation of one member needs no probing.  Otherwise every
+        pattern of the query tree — OPTIONAL, UNION and MINUS sub-groups
+        included — is source-selected, and the rule holds when all the
+        sources named are one and the same endpoint (a pattern no member
+        matches names none: it finds nothing wherever it runs).
+        """
+        if len(self.endpoints) == 1:
+            return self.endpoints[0]
+        named: Optional[SparqlEndpoint] = None
+        for pattern in self._collect_patterns(query.where):
+            for endpoint in self.relevant_sources(pattern):
+                if named is None:
+                    named = endpoint
+                elif endpoint is not named:
+                    return None
+        return named
 
     def _endpoint_stats(self, endpoint) -> Optional[Dict]:
         """Cached ``predicate_stats()`` for members with a local store
@@ -314,19 +390,6 @@ class FederatedQueryProcessor:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-
-    def _evaluate(
-        self, query: Query, tracer: Optional[Tracer] = None
-    ) -> SelectResult:
-        solutions = list(self._solve(query.where, tracer))
-        return self._finalize(query, solutions)
-
-    def _finalize(self, query: Query, solutions: List[Binding]) -> SelectResult:
-        """Solution modifiers at the mediator, via the shared pipeline
-        tail (ORDER BY sees pre-projection solutions, as locally)."""
-        from ..sparql.evaluator import finalize_solutions
-
-        return finalize_solutions(self._pipeline, query, solutions)
 
     def _solve(
         self, group: GraphPattern, tracer: Optional[Tracer] = None
@@ -504,7 +567,9 @@ class FederatedQueryProcessor:
             estimate = min(
                 self._pattern_estimate(pattern, sources) for pattern in grouped
             )
-            candidates.append(RemoteScanNode(grouped, sources, estimate))
+            candidates.append(
+                RemoteScanNode(grouped, sources, estimate, self.counters)
+            )
 
         pattern_nodes: Dict[int, TriplePattern] = {}
         for pattern in remaining:
@@ -512,6 +577,7 @@ class FederatedQueryProcessor:
                 [pattern],
                 sources_of[pattern],
                 self._pattern_estimate(pattern, sources_of[pattern]),
+                self.counters,
             )
             pattern_nodes[id(scan)] = pattern
             candidates.append(scan)
@@ -553,6 +619,7 @@ class FederatedQueryProcessor:
                     sources_of[pattern],
                     estimate,
                     batch_size=self.bind_join_batch_size,
+                    counters=self.counters,
                 )
             else:
                 keys = tuple(
@@ -607,8 +674,9 @@ class FederatedQueryProcessor:
     # ------------------------------------------------------------------
 
     def _collect_patterns(self, group: GraphPattern) -> List[TriplePattern]:
-        """Every triple pattern a group mentions, deduplicated (the
-        EXPLAIN source-selection table)."""
+        """Every triple pattern a group mentions, sub-groups included,
+        deduplicated (what the single-source rule source-selects, and
+        the EXPLAIN source-selection table)."""
         found: List[TriplePattern] = list(group.patterns)
         for branches in group.unions:
             for branch in branches:

@@ -7,24 +7,112 @@
 ``VALUES`` clause instead of one HTTP round-trip per binding.  Remote
 terms are interned into the mediator's dictionary, so every operator
 in :mod:`repro.sparql.plan` composes with them unchanged.
+
+Every request the federation sends to a member goes through
+:func:`member_call`: counted in :class:`FederationCounters`, one
+``remote:<name>`` span under a tracer, and a member's
+:class:`~repro.endpoint.endpoint.EndpointError` turned into ``None`` —
+counted and stamped on the span, never silent.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..endpoint.endpoint import EndpointError
+from ..endpoint.endpoint import EndpointError, SparqlEndpoint
 from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
 from ..sparql.plan import IdRow, PlanNode, _pattern_text
 from ..sparql.serializer import ask_query, select_query
 from ..store.triplestore import CostMeter, TripleStore
 
-__all__ = ["REMOTE_BATCH_SIZE", "RemoteScanNode", "RemoteBindJoinNode"]
+__all__ = [
+    "REMOTE_BATCH_SIZE",
+    "FederationCounters",
+    "member_call",
+    "RemoteScanNode",
+    "RemoteBindJoinNode",
+]
 
 #: Default number of left rows a RemoteBindJoinNode accumulates before
 #: shipping them to the endpoints as one VALUES-constrained request.
 REMOTE_BATCH_SIZE = 30
+
+
+class FederationCounters:
+    """What one processor asked of its members, under one lock.
+
+    ``queries`` entered :meth:`FederatedQueryProcessor.run`;
+    ``single_source`` of them were answered by one member as written;
+    ``fallbacks`` were pushed, refused by the member, and answered by
+    the decomposed plan instead.  ``subqueries`` counts every request
+    sent to a member (pushed queries, scans, bind-join batches and
+    source-selection probes alike) and ``member_errors`` the ones that
+    raised an ``EndpointError`` — each of those is a piece of some
+    answer that may be missing.
+    """
+
+    NAMES = ("queries", "single_source", "fallbacks", "subqueries", "member_errors")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(self.NAMES, 0)
+
+    def add(self, *names: str) -> None:
+        with self._lock:
+            for name in names:
+                self._counts[name] += 1
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+
+def member_call(source, query: Query, tracer=None,
+                counters: Optional[FederationCounters] = None,
+                nest: bool = False, **attrs):
+    """Send ``query`` (SELECT or ASK, by its form) to one member.
+
+    Returns the member's result, or ``None`` when it raised an
+    :class:`EndpointError` — callers carry on without that member's
+    share, as a failing source must not veto the others' answers, but
+    the loss is counted (``member_errors``) and, under a tracer, stamped
+    as ``error=<class name>`` on the call's ``remote:<name>`` span.
+    ``attrs`` (``kind=...``) label that span; ``rows`` or ``held`` is
+    added from the result.
+
+    ``nest`` hands the tracer to an in-process member, so its operator
+    tree records under the remote span (network members continue the
+    trace through the context :meth:`Tracer.remote_call` sets).
+    """
+    send = source.ask if query.form == "ASK" else source.select
+    try:
+        if tracer is None:
+            result = send(query)
+        else:
+            with tracer.remote_call(source, **attrs) as span:
+                try:
+                    if nest and isinstance(source, SparqlEndpoint):
+                        result = send(query, tracer)
+                    else:
+                        result = send(query)
+                except EndpointError as exc:
+                    if span is not None:
+                        span.attrs["error"] = type(exc).__name__
+                    raise
+                if span is not None:
+                    if query.form == "ASK":
+                        span.attrs["held"] = bool(result)
+                    else:
+                        span.attrs["rows"] = len(result.rows)
+    except EndpointError:
+        if counters is not None:
+            counters.add("subqueries", "member_errors")
+        return None
+    if counters is not None:
+        counters.add("subqueries")
+    return result
 
 
 class RemoteScanNode(PlanNode):
@@ -40,9 +128,11 @@ class RemoteScanNode(PlanNode):
     """
 
     def __init__(self, patterns: Sequence[TriplePattern], sources: Sequence,
-                 est_rows: int) -> None:
+                 est_rows: int,
+                 counters: Optional[FederationCounters] = None) -> None:
         self.patterns = list(patterns)
         self.sources = list(sources)
+        self.counters = counters
         names: List[str] = []
         for pattern in self.patterns:
             for name in pattern.variables():
@@ -61,36 +151,18 @@ class RemoteScanNode(PlanNode):
             # Fully ground patterns: a federated existence check.
             probe = ask_query(self.patterns)
             for source in self.sources:
-                try:
-                    if tracer is None:
-                        held = source.ask(probe)
-                    else:
-                        with tracer.remote_call(source, kind="ask") as span:
-                            held = source.ask(probe)
-                            if span is not None:
-                                span.attrs["held"] = bool(held)
-                    if held:
-                        if charge is not None:
-                            charge(1)
-                        yield ()
-                        return
-                except EndpointError:
-                    continue
+                if member_call(source, probe, tracer, self.counters, kind="ask"):
+                    if charge is not None:
+                        charge(1)
+                    yield ()
+                    return
             return
         query = select_query(self.patterns, distinct=False)
         encode = store.dictionary.encode
         seen: set = set()
         for source in self.sources:
-            try:
-                if tracer is None:
-                    result = source.select(query)
-                else:
-                    with tracer.remote_call(source, kind="select") as span:
-                        result = source.select(query)
-                        if span is not None:
-                            span.attrs["rows"] = len(result.rows)
-            except EndpointError:
-                # A failing source cannot veto the others' answers.
+            result = member_call(source, query, tracer, self.counters, kind="select")
+            if result is None:
                 continue
             for row in result.rows:
                 ids = tuple(
@@ -124,13 +196,15 @@ class RemoteBindJoinNode(PlanNode):
     """
 
     def __init__(self, left: PlanNode, pattern: TriplePattern, sources: Sequence,
-                 est_rows: int, batch_size: int = REMOTE_BATCH_SIZE) -> None:
+                 est_rows: int, batch_size: int = REMOTE_BATCH_SIZE,
+                 counters: Optional[FederationCounters] = None) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.left = left
         self.pattern = pattern
         self.sources = list(sources)
         self.batch_size = batch_size
+        self.counters = counters
         self.shared = tuple(
             name for name in pattern.variables() if name in left.slot_of
         )
@@ -192,17 +266,11 @@ class RemoteBindJoinNode(PlanNode):
         scan_rows: List[Tuple[Tuple, Tuple]] = []  # (key, extension)
         seen: set = set()
         for source in self.sources:
-            try:
-                if tracer is None:
-                    result = source.select(sub_query)
-                else:
-                    with tracer.remote_call(
-                        source, kind="bind-join", bindings=len(term_keys)
-                    ) as span:
-                        result = source.select(sub_query)
-                        if span is not None:
-                            span.attrs["rows"] = len(result.rows)
-            except EndpointError:
+            result = member_call(
+                source, sub_query, tracer, self.counters,
+                kind="bind-join", bindings=len(term_keys),
+            )
+            if result is None:
                 continue
             for row in result.rows:
                 key = tuple(row.get(name) for name in self.shared)

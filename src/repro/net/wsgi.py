@@ -322,6 +322,11 @@ class SparqlWsgiApp:
         lookup_stats = getattr(cache, "lookup_stats", None)
         if lookup_stats is not None:
             body["cache"] = lookup_stats()
+        counters = getattr(self.backend, "counters", None)
+        if counters is not None:
+            # A federation backend: queries, single-source pushes,
+            # fallbacks, member requests and swallowed member errors.
+            body["federation"] = counters.snapshot()
         # Summary only — full traces live under GET /stats/slow.
         slow = self.slow_log.snapshot()
         body["slow_queries"] = {
@@ -700,8 +705,8 @@ class SparqlWsgiApp:
 
     def _execute(self, parsed: Query, tracer: Optional[Tracer] = None):
         backend = self.backend
-        # FederatedQueryProcessor.select()/ask() only take query text,
-        # but its run() accepts a parsed AST; endpoints take both.
+        # A federation's run() is its one execution entry (select()/ask()
+        # are form checks over it); bare endpoints dispatch by form.
         # ``tracer`` is only ever non-None when the capability check at
         # construction saw a ``tracer`` parameter on this surface.
         run = getattr(backend, "run", None)

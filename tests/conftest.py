@@ -11,6 +11,7 @@ import pytest
 
 from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.data import DatasetConfig, build_dataset
+from repro.data.questions import QUESTIONS
 from repro.sparql.evaluator import QueryEvaluator, finalize_solutions
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult
@@ -79,3 +80,53 @@ def server(endpoint):
 @pytest.fixture(scope="session")
 def cache(server):
     return server.cache
+
+
+@pytest.fixture(scope="session")
+def gold_queries():
+    """The 52 gold questions' SPARQL, whitespace-normalized."""
+    return [" ".join(question.gold_query.split()) for question in QUESTIONS]
+
+
+@pytest.fixture(scope="session")
+def analytic_queries():
+    """The eight ``sparql_analytic`` shapes of the benchmark spine, with
+    parameters that have answers on the tiny dataset."""
+    union = " UNION ".join(
+        '{ ?w dbo:%s ?p . ?p foaf:surname "Eastwood"@en }' % predicate
+        for predicate in ("author", "director", "starring")
+    )
+    return [
+        "SELECT ?s ?n ?d WHERE { ?s dbo:birthPlace dbr:New_York_City . "
+        "?s foaf:name ?n . ?s dbo:birthDate ?d }",
+        "SELECT ?f ?a ?c WHERE { ?f dbo:starring ?a . ?a dbo:birthPlace ?c . "
+        "?c dbo:country dbr:United_States }",
+        "SELECT ?a ?b ?c WHERE { ?a dbo:spouse ?b . ?a dbo:birthPlace ?c . "
+        "?b dbo:birthPlace ?c . ?a rdf:type dbo:Person }",
+        'SELECT ?s ?g ?u WHERE { ?s foaf:surname "Kennedy"@en . '
+        "?s foaf:givenName ?g OPTIONAL { ?s dbo:almaMater ?u } }",
+        "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s rdf:type dbo:Person . "
+        "?s dbo:birthPlace ?c } GROUP BY ?c ORDER BY DESC(?n) LIMIT 5",
+        'SELECT ?s ?n WHERE { ?s foaf:surname ?n FILTER (regex(?n, "^K")) }',
+        "SELECT ?w ?l WHERE { %s ?w rdfs:label ?l }" % union,
+        "SELECT ?s ?n ?d WHERE { ?s rdf:type dbo:Person . ?s foaf:name ?n . "
+        "?s dbo:birthDate ?d } LIMIT 20",
+    ]
+
+
+@pytest.fixture(scope="session")
+def probe_queries(server, gold_queries):
+    """Every VALUES-batched probe (a :class:`Query`) the QSM would ship
+    for the gold questions with a predicate typo (``dbo:spouse`` ->
+    ``dbo:spuse``, the spine's ``qsm_repair`` variant)."""
+    import re
+
+    probes = []
+    for gold in gold_queries:
+        match = re.search(r"dbo:([A-Za-z]{5,})", gold)
+        if match is None:
+            continue
+        cut = match.start(1) + 2
+        broken = parse_query(gold[:cut] + gold[cut + 1:])
+        probes += [probe for _, probe in server.terms_finder.probe_queries(broken)]
+    return probes

@@ -1,5 +1,6 @@
 """Unit tests for the FedX-style federated query processor."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -8,7 +9,8 @@ from repro.endpoint import EndpointConfig, SparqlEndpoint
 from repro.federation import FederatedQueryProcessor
 from repro.federation.remote import RemoteBindJoinNode, RemoteScanNode
 from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple, TriplePattern, Variable
-from repro.sparql import HashJoinNode, MinusNode, UnionNode, evaluate
+from repro.sparql import HashJoinNode, MinusNode, SparqlError, UnionNode, evaluate, parse_query
+from repro.sparql.trace import Tracer
 from repro.store import TripleStore
 
 
@@ -169,8 +171,6 @@ class TestCrossEndpointJoins:
             FederatedQueryProcessor([])
 
     def test_run_accepts_parsed_query(self, federation):
-        from repro.sparql import parse_query
-
         query = parse_query("SELECT ?p { ?p a dbo:Person }")
         result = federation.run(query)
         assert len(result) == 3
@@ -180,3 +180,250 @@ class TestCrossEndpointJoins:
             "SELECT ?name ?c { ?p foaf:name ?name OPTIONAL { ?p dbo:missing ?c } }"
         )
         assert len(result) == 3
+
+
+# ----------------------------------------------------------------------
+# The single-source rule
+# ----------------------------------------------------------------------
+
+def bag_of(result):
+    """The rows as a multiset."""
+    return Counter(
+        tuple(sorted((name, term.n3()) for name, term in row.items()))
+        for row in result.rows
+    )
+
+
+def agrees_with_reference(result, reference_evaluate, store, query):
+    """Multiset equality with the reference semantics over ``store``; a
+    LIMIT without a total order may keep any rows, so there only the
+    count and membership are fixed."""
+    parsed = parse_query(query) if isinstance(query, str) else query
+    if parsed.limit is None:
+        return bag_of(result) == bag_of(reference_evaluate(store, parsed))
+    unlimited = bag_of(reference_evaluate(store, dataclasses.replace(parsed, limit=None)))
+    mine = bag_of(result)
+    return (sum(mine.values()) == min(parsed.limit, sum(unlimited.values()))
+            and all(unlimited[row] >= count for row, count in mine.items()))
+
+
+@pytest.fixture
+def every_query(gold_queries, analytic_queries, probe_queries):
+    """Gold questions, the analytic shapes (texts) and the QSM's batched
+    probes (ASTs)."""
+    assert len(gold_queries) == 52 and len(analytic_queries) == 8 and probe_queries
+    return gold_queries + analytic_queries + probe_queries
+
+
+def single_source_spans(tracer):
+    return [span for span in tracer.finish().walk()
+            if span.attrs.get("kind") == "single-source"]
+
+
+class TestSingleSourceRule:
+    def test_one_member_ships_every_query_whole(self, store, every_query, maybe_tracer):
+        """(a) A federation of one member answers with the member's own
+        rows in the member's order, by one request and no ASK probe."""
+        member = SparqlEndpoint(store, EndpointConfig(timeout_s=1.0), name="solo")
+        federation = FederatedQueryProcessor([member])
+        for query in every_query:
+            expected = member.select(query).rows
+            member.reset_log()
+            assert federation.run(query, tracer=maybe_tracer).rows == expected
+            assert [entry.outcome for entry in member.log] == ["ok"]
+        counts = federation.counters.snapshot()
+        assert counts["queries"] == counts["single_source"] == counts["subqueries"] \
+            == len(every_query)
+        assert counts["fallbacks"] == counts["member_errors"] == 0
+        if maybe_tracer is not None:
+            spans = single_source_spans(maybe_tracer)
+            assert len(spans) == min(len(every_query), maybe_tracer.max_children)
+            assert all(span.name == "remote:solo" and "rows" in span.attrs
+                       for span in spans)
+
+    def test_pushed_trace_holds_the_members_operators(self, store):
+        member = SparqlEndpoint(store, EndpointConfig.warehouse(), name="solo")
+        result, trace = FederatedQueryProcessor([member]).analyze(
+            'SELECT ?w { ?t foaf:name "Tom Hanks"@en . ?t dbo:spouse ?w }'
+        )
+        (root,) = trace.spans
+        assert root.name == "remote:solo"
+        assert root.attrs["kind"] == "single-source"
+        assert root.attrs["rows"] == len(result.rows) == 1
+        names = [span.name for span in root.walk()]
+        assert any(name.startswith(("Scan(", "BindJoin(", "HashJoin(")) for name in names)
+        assert not any(name.startswith("Remote") for name in names)
+
+    def test_one_empty_member_changes_nothing(
+        self, store, every_query, gold_queries, analytic_queries,
+        reference_evaluate, maybe_tracer,
+    ):
+        """(b) Source selection names the full member for every pattern
+        that matches anything, so the query still ships whole — and is
+        the reference answer over the merged data."""
+        full = SparqlEndpoint(store, EndpointConfig(timeout_s=1.0), name="full")
+        empty = SparqlEndpoint(TripleStore(), EndpointConfig(timeout_s=1.0), name="empty")
+        federation = FederatedQueryProcessor([full, empty])
+        pushed = 0
+        for position, query in enumerate(every_query):
+            federation.run(query)  # source selection runs (and is cached)
+            expected = full.select(query).rows
+            full.reset_log()
+            empty.reset_log()
+            result = federation.run(query, tracer=maybe_tracer)
+            assert empty.query_count == 0
+            assert full.query_count <= 1
+            if full.query_count:
+                pushed += 1
+                assert result.rows == expected
+            else:
+                # No pattern matches anywhere: nothing to ask anybody.
+                assert position >= len(gold_queries) + len(analytic_queries)
+                assert not result.rows and not expected
+            assert agrees_with_reference(result, reference_evaluate, store, query)
+        # Each query ran twice; all but the unmatched probes shipped whole.
+        assert federation.counters.snapshot()["single_source"] == 2 * pushed
+        assert pushed >= len(gold_queries) + len(analytic_queries)
+
+    def test_split_federation_never_pushes(self, federation, two_endpoints):
+        """(c) Patterns at both members: the decomposed plan, as ever."""
+        crossing = [
+            ("SELECT ?name ?city { ?p dbo:birthPlace ?c . ?c rdfs:label ?city . "
+             "?p foaf:name ?name }", "RemoteScan(", 3),
+            # rdf:type lives at both members: a bind join over both.
+            ("SELECT ?name ?t { ?p foaf:name ?name . ?p dbo:birthPlace ?c . ?c a ?t }",
+             "RemoteBindJoin(", 3),
+        ]
+        for query, operator, n_rows in crossing:
+            assert federation.single_source(parse_query(query)) is None
+            plan = federation.explain(query)
+            assert operator in plan and "SingleSource" not in plan
+            assert len(federation.run(query)) == n_rows
+        counts = federation.counters.snapshot()
+        assert counts["queries"] == len(crossing)
+        assert counts["single_source"] == counts["fallbacks"] == 0
+        assert counts["subqueries"] > counts["queries"]
+
+    def test_split_federation_pushes_a_one_sided_query(self, federation, two_endpoints):
+        people, cities = two_endpoints
+        query = "SELECT ?name { ?p foaf:name ?name . ?p a dbo:Person MINUS { ?p dbo:missing ?x } }"
+        federation.run(query)
+        people.reset_log()
+        cities.reset_log()
+        assert {str(v) for v in federation.run(query).value_set("name")} == {"Ann", "Bob", "Cme"}
+        assert (people.query_count, cities.query_count) == (1, 0)
+        assert f"SingleSource(@{people.name})" in federation.explain(query)
+
+    def test_refused_whole_query_falls_back(self, store, analytic_queries, reference_evaluate):
+        """(d) The member's budget admits each UNION branch but not the
+        query in one piece: the decomposed plan answers."""
+        query = analytic_queries[6]
+        free = SparqlEndpoint(store, EndpointConfig.warehouse(), name="free")
+        assert FederatedQueryProcessor([free]).run(query).rows
+        whole_cost = free.log[-1].cost
+        tight = SparqlEndpoint(
+            store,
+            EndpointConfig(timeout_s=whole_cost - 1.0, cost_units_per_second=1.0,
+                           scan_speedup=1.0, latency_s=0.0),
+            name="tight",
+        )
+        federation = FederatedQueryProcessor([tight])
+        tracer = Tracer()
+        result = federation.run(query, tracer=tracer)
+        assert bag_of(result) == bag_of(reference_evaluate(store, query))
+        assert tight.log[0].outcome == "timeout"
+        counts = federation.counters.snapshot()
+        assert (counts["queries"], counts["single_source"], counts["fallbacks"]) == (1, 0, 1)
+        # The refusal is on record, not silent.
+        assert counts["member_errors"] == tight.timeout_count >= 1
+        assert counts["subqueries"] == tight.query_count
+        (pushed,) = single_source_spans(tracer)
+        assert pushed.attrs["error"] == "EndpointTimeout"
+
+    def test_ask_and_unmatched_patterns(self, store, reference_evaluate):
+        """(e) ASK ships whole too; a pattern nobody matches names no
+        source and does not stop the rest of the query from shipping."""
+        full = SparqlEndpoint(store, EndpointConfig.warehouse(), name="full")
+        empty = SparqlEndpoint(TripleStore(), EndpointConfig.warehouse(), name="empty")
+        federation = FederatedQueryProcessor([full, empty])
+        cases = [
+            ('ASK { ?t foaf:name "Tom Hanks"@en . ?t dbo:spouse ?w }', 1),
+            ('ASK { ?t foaf:name "Tom Hanks"@en . ?t dbo:spuse ?w }', 1),
+            ('SELECT ?w { ?t foaf:name "Tom Hanks"@en . ?t dbo:spuse ?w }', 1),
+            ('SELECT ?t ?w { ?t foaf:name "Tom Hanks"@en OPTIONAL { ?t dbo:spuse ?w } }', 1),
+            ("SELECT ?t ?w { ?t dbo:spuse ?w }", 0),
+            ("ASK { ?t dbo:spuse ?w }", 0),
+        ]
+        for query, requests in cases:
+            federation.run(query)
+            full.reset_log()
+            empty.reset_log()
+            result = federation.run(query)
+            expected = reference_evaluate(store, query)
+            if query.startswith("ASK"):
+                assert bool(result) == bool(expected)
+            else:
+                assert bag_of(result) == bag_of(expected)
+            assert (full.query_count, empty.query_count) == (requests, 0), query
+        assert bool(federation.ask(cases[0][0])) and not bool(federation.ask(cases[1][0]))
+
+    def test_select_and_ask_are_form_checks_over_run(self, federation):
+        with pytest.raises(SparqlError):
+            federation.select("ASK { ?p a dbo:Person }")
+        with pytest.raises(SparqlError):
+            federation.ask("SELECT ?p { ?p a dbo:Person }")
+        parsed = parse_query("SELECT ?p { ?p foaf:name ?n }")
+        tracer = Tracer()
+        assert len(federation.select(parsed, tracer)) == 3
+        assert single_source_spans(tracer)
+        assert federation.counters.snapshot()["queries"] == 1
+
+
+class TestMemberErrorsAreCounted:
+    """A member's ``EndpointError`` costs a piece of the answer; every
+    site that swallows one counts it and stamps its remote span."""
+
+    @pytest.fixture
+    def flaky_cities(self, two_endpoints):
+        """``cities`` fails every call; ``people`` is healthy."""
+        from repro.endpoint import EndpointTimeout
+
+        people, cities = two_endpoints
+
+        class Down(SparqlEndpoint):
+            def _run(self, query, tracer=None):
+                self._record("<down>", "timeout", 0, 0.0)
+                raise EndpointTimeout(f"{self.name}: down")
+
+        return people, Down(cities.store, EndpointConfig.warehouse(), name="cities")
+
+    def test_probe_scan_and_bind_join_errors(self, flaky_cities):
+        people, cities = flaky_cities
+        federation = FederatedQueryProcessor([people, cities])
+        tracer = Tracer()
+        result = federation.run(
+            "SELECT ?name ?city { ?p dbo:birthPlace ?c . ?c rdfs:label ?city . "
+            "?p foaf:name ?name }",
+            tracer=tracer,
+        )
+        assert len(result) == 0  # the labels live at the member that is down
+        counts = federation.counters.snapshot()
+        assert counts["member_errors"] == cities.query_count > 0
+        assert counts["subqueries"] == people.query_count + cities.query_count
+        failed = [span for span in tracer.finish().walk() if "error" in span.attrs]
+        assert failed and all(
+            span.name == "remote:cities" and span.attrs["error"] == "EndpointTimeout"
+            for span in failed
+        )
+        assert {span.attrs["kind"] for span in failed} <= {"select", "bind-join", "ask"}
+
+    def test_ground_pattern_ask_error(self, flaky_cities):
+        people, cities = flaky_cities
+        plan = RemoteScanNode(
+            [TriplePattern(DBR.term("NY"), RDF_TYPE, DBO.City)], [cities, people], 1
+        )
+        tracer = Tracer()
+        assert list(plan.rows(TripleStore(), None, tracer=tracer)) == []
+        asks = [span for span in tracer.finish().walk() if span.attrs.get("kind") == "ask"]
+        assert [span.attrs.get("error") for span in asks] == ["EndpointTimeout", None]
+        assert asks[1].attrs["held"] is False

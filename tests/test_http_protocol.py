@@ -128,6 +128,29 @@ class TestFederationParity:
         for query in queries:
             assert bool(remote.ask(query)) == bool(local.ask(query))
 
+    def test_single_http_member_gets_one_request_per_query(
+        self, local_endpoints, servers, analytic_queries
+    ):
+        """A federation of one network member ships each query whole —
+        modifiers included — as exactly one HTTP request, and the answer
+        is the in-process member's, row for row."""
+        local = local_endpoints[0]
+        client = HttpSparqlEndpoint(servers[0].url, name="solo", timeout_s=10.0)
+        federation = FederatedQueryProcessor([client])
+        queries = analytic_queries + PARITY_QUERIES[2:4] + ["ASK { ?a dbo:birthPlace ?c }"]
+        for query in queries:
+            served_before = servers[0].app.stats.snapshot()["requests"]
+            result = federation.run(query)
+            assert servers[0].app.stats.snapshot()["requests"] == served_before + 1
+            expected = local.ask(query) if query.startswith("ASK") else local.select(query)
+            if query.startswith("ASK"):
+                assert bool(result) == bool(expected)
+            else:
+                assert result.variables == expected.variables
+                assert result.rows == expected.rows  # the member's rows, in its order
+        assert client.query_count == len(queries)
+        assert federation.counters.snapshot()["single_source"] == len(queries)
+
     def test_source_selection_over_the_wire(self, http_endpoints):
         from repro.rdf import TriplePattern, Variable
 

@@ -303,6 +303,19 @@ class TestMergeStatsBodies:
         assert cache["index_bytes"] == 8192
         assert cache["index_fts"] == 1
 
+    def test_federation_blocks_sum(self):
+        body_a = self._body(5, 5, 0, 0, [0.001] * 5)
+        body_b = self._body(5, 5, 0, 0, [0.001] * 5)
+        body_a["federation"] = {"queries": 5, "single_source": 4, "fallbacks": 1,
+                                "subqueries": 9, "member_errors": 1}
+        body_b["federation"] = {"queries": 5, "single_source": 5, "fallbacks": 0,
+                                "subqueries": 5, "member_errors": 0}
+        merged = merge_stats_bodies([body_a, body_b, self._body(1, 1, 0, 0, [0.001])])
+        assert merged["federation"] == {"queries": 10, "single_source": 9, "fallbacks": 1,
+                                        "subqueries": 14, "member_errors": 1}
+        plain = merge_stats_bodies([self._body(5, 5, 0, 0, [0.001] * 5)])
+        assert "federation" not in plain
+
     def test_workers_without_cache_block_merge_cleanly(self):
         body_a = self._body(5, 5, 0, 0, [0.001] * 5)
         body_b = self._body(5, 5, 0, 0, [0.001] * 5)

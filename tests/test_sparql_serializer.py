@@ -60,6 +60,21 @@ def test_roundtrip_structure(text):
     assert len(reparsed.order_by) == len(original.order_by)
 
 
+def test_wire_roundtrip_is_structural(gold_queries, analytic_queries, probe_queries):
+    """Network members of a federation receive whole queries — modifiers,
+    FILTER, UNION, OPTIONAL, VALUES tables and all — as serialized text,
+    so text must carry the AST exactly: ``parse(serialize(q)) == q``."""
+    queries = [parse_query(text) for text in gold_queries + analytic_queries]
+    queries += probe_queries
+    queries += [parse_query(text) for text in QUERIES]
+    assert any(query.where.values for query in queries)
+    assert any(query.where.unions for query in queries)
+    assert any(query.where.optionals for query in queries)
+    assert any(query.group_by and query.order_by and query.limit for query in queries)
+    for query in queries:
+        assert parse_query(serialize_query(query)) == query
+
+
 class TestConstructors:
     def test_select_query_builder(self):
         pattern = TriplePattern(Variable("s"), DBO.spouse, Variable("o"))

@@ -170,7 +170,10 @@ class TestBatchedProbes:
         text = server.explain_suggestions(SUGGEST_QUERIES[0])
         assert "sapphire_probe" in text
         assert "ValuesScan" in text
-        assert "RemoteBindJoin" in text or "RemoteScan" in text
+        # One member: each probe ships whole, and the plan shown under
+        # SingleSource is the member's own — no remote operators.
+        assert "SingleSource(@" in text
+        assert "RemoteBindJoin" not in text and "RemoteScan" not in text
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +403,26 @@ class TestRoutesAcrossBackends:
         deltas = route_deltas(before, after)
         assert deltas["complete"]["ok"] == driver["complete"]
         assert deltas["suggest"]["ok"] == driver["suggest"]
+
+    def test_stats_federation_block_counts_member_requests(self, backend_http_stack):
+        """``/stats`` serves the processor's counters: one member and no
+        failure, so every query (a Run click, a probe, a relaxation)
+        shipped whole — as many pushes and member requests as queries."""
+        _, sapphire, http = backend_http_stack
+        before = fetch_stats(http.url)["federation"]
+        HttpSapphireClient(http.url, timeout_s=30.0).suggest(SUGGEST_QUERIES[1])
+        urllib.request.urlopen(
+            http.url + "?query=ASK%20%7B%20%3Fs%20%3Fp%20%3Fo%20%7D", timeout=30.0
+        ).read()
+        after = fetch_stats(http.url)["federation"]
+        assert after == sapphire.federation.counters.snapshot()
+        assert set(after) == {"queries", "single_source", "fallbacks",
+                              "subqueries", "member_errors"}
+        sent = after["queries"] - before["queries"]
+        assert sent > 2  # the query, its probes and relaxations, the ASK
+        assert after["single_source"] - before["single_source"] == sent
+        assert after["subqueries"] - before["subqueries"] == sent
+        assert after["fallbacks"] == after["member_errors"] == 0
 
 
 # ----------------------------------------------------------------------
