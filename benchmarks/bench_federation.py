@@ -37,14 +37,13 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.request
 from typing import List
 
 import pytest
 from conftest import emit
 
 from repro import EndpointConfig, FederatedQueryProcessor, SparqlEndpoint
-from repro.net import HttpSparqlEndpoint, SparqlHttpServer
+from repro.net import HttpSparqlEndpoint, SparqlHttpServer, fetch_stats
 from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple
 from repro.sparql import evaluate
 from repro.store import TripleStore
@@ -93,9 +92,7 @@ def row_key(result) -> List:
 
 
 def fetch_requests(server) -> int:
-    url = f"http://{server.host}:{server.port}/stats"
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        return json.load(response)["requests"]
+    return fetch_stats(server.url)["requests"]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,10 @@ Gate (runs in ``--quick`` CI mode too):
   returns for the same query — zero dropped or incorrect responses;
 * the server's ``/stats`` counters must reconcile exactly with the
   client-side totals (requests, successes, rows served; no rejects or
-  timeouts at this concurrency).
+  timeouts at this concurrency);
+* connections are reused: the ``connections`` block of ``/stats`` shows
+  at most one connection per client and per
+  ``RESPONSES_PER_CONNECTION`` requests of it, plus one.
 
 ``--json PATH`` (via ``conftest.bench_main``) writes the machine-readable
 results CI uploads as a ``BENCH_*.json`` artifact.
@@ -23,6 +26,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_http_throughput.py [--quick] [--jso
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import urllib.request
@@ -33,7 +37,8 @@ import pytest
 from conftest import emit
 
 from repro import EndpointConfig, SparqlEndpoint
-from repro.net import HttpSparqlEndpoint, SparqlHttpServer
+from repro.net import HttpSparqlEndpoint, SparqlHttpServer, fetch_stats
+from repro.net.server import RESPONSES_PER_CONNECTION
 from repro.net.wsgi import _percentile
 
 #: Concurrency gate: the server must sustain at least this many clients.
@@ -77,12 +82,6 @@ def stack(tiny_dataset):
     ]
     yield server, clients, expected
     server.stop()
-
-
-def fetch_stats(server) -> Dict:
-    url = f"http://{server.host}:{server.port}/stats"
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        return json.load(response)
 
 
 def run_round(clients, expected) -> Tuple[List[float], List[str], int]:
@@ -150,11 +149,11 @@ def test_http_throughput(stack, benchmark):
     requests_per_round = len(clients) * len(QUERIES)
 
     # -- correctness + reconciliation round (always runs, untimed) -----
-    before = fetch_stats(server)
+    before = fetch_stats(server.url)
     started = time.perf_counter()
     latencies, mismatches, rows_seen = run_round(clients, expected)
     elapsed = time.perf_counter() - started
-    after = fetch_stats(server)
+    after = fetch_stats(server.url)
 
     assert mismatches == [], "\n".join(mismatches)
     assert rows_seen == expected_rows_per_round
@@ -176,6 +175,16 @@ def test_http_throughput(stack, benchmark):
 
     benchmark(timed_round)
 
+    # -- connection reuse (docs/server.md, *Connections*) --------------
+    connections = fetch_stats(server.url)["connections"]
+    per_client = math.ceil(connections["requests"] / len(clients))
+    allowed = len(clients) * (
+        math.ceil(per_client / RESPONSES_PER_CONNECTION) + 1)
+    assert connections["accepted"] <= allowed, (
+        f"{connections['accepted']} connections for "
+        f"{connections['requests']} requests of {len(clients)} clients "
+        f"(at most {allowed} if they were reused)")
+
     emit(
         f"HTTP throughput — {len(clients)} concurrent clients over loopback",
         f"requests/round: {requests_per_round} "
@@ -186,11 +195,14 @@ def test_http_throughput(stack, benchmark):
         f"rows/round:     {expected_rows_per_round:,}\n"
         f"server stats:   {after['requests']} requests, "
         f"{after['rejected']} rejected, {after['timeouts']} timeouts\n"
-        f"gate:           zero mismatches, stats reconciled",
+        f"connections:    {connections['accepted']} accepted for "
+        f"{connections['requests']} requests (gate <= {allowed})\n"
+        f"gate:           zero mismatches, stats reconciled, connections reused",
     )
 
     update_bench_json({
         "clients": len(clients),
+        "connections": connections,
         "queries_per_client": len(QUERIES),
         "qps": qps,
         "latency_ms": {"p50": p50_ms, "p99": p99_ms},
@@ -339,7 +351,7 @@ def test_overload_sheds_load_cleanly(stack):
 
         with ThreadPoolExecutor(max_workers=len(hammer)) as pool:
             outcomes = list(pool.map(drive, hammer))
-        stats = fetch_stats(tight)
+        stats = fetch_stats(tight.url)
         # Every request is accounted for: served or cleanly rejected.
         assert outcomes.count("ok") + outcomes.count("rejected") == len(hammer)
         assert outcomes.count("ok") >= 1

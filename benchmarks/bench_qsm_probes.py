@@ -36,14 +36,13 @@ from __future__ import annotations
 import json
 import os
 import time
-import urllib.request
 
 import pytest
 from conftest import emit
 
 from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.data import DatasetConfig, build_dataset
-from repro.net import HttpSparqlEndpoint, SparqlHttpServer
+from repro.net import HttpSparqlEndpoint, SparqlHttpServer, fetch_stats
 from repro.sparql.parser import parse_query
 
 #: The gate: batching must cut suggestion-round HTTP traffic this much.
@@ -59,9 +58,7 @@ ROUND_QUERIES = [
 
 
 def fetch_requests(server) -> int:
-    url = f"http://{server.host}:{server.port}/stats"
-    with urllib.request.urlopen(url, timeout=10.0) as response:
-        return json.load(response)["requests"]
+    return fetch_stats(server.url)["requests"]
 
 
 @pytest.fixture(scope="module")

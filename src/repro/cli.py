@@ -432,9 +432,13 @@ def _serve_prefork(args) -> int:
     import os
     import tempfile
     import time
-    import urllib.request
 
-    from .net import PreforkServer, build_backend_from_spec, prepare_snapshots
+    from .net import (
+        HttpSparqlEndpoint,
+        PreforkServer,
+        build_backend_from_spec,
+        prepare_snapshots,
+    )
 
     spec = {
         "scale": args.scale,
@@ -473,12 +477,22 @@ def _serve_prefork(args) -> int:
                 print(f"complete: {root}/complete")
                 print(f"suggest:  {root}/suggest")
             if args.smoke:
-                probe = pool.url.rsplit("/", 1)[0] + "/health"
-                with urllib.request.urlopen(probe, timeout=10) as response:
-                    response.read()
+                # The probe's pooled keep-alive connection stays open on
+                # its worker: the drain must close it, not wait it out.
+                HttpSparqlEndpoint(pool.url, timeout_s=10.0).ask(
+                    "ASK { ?s ?p ?o }")
                 merged = pool.stats()
-                print(f"smoke: health ok, merged /stats reached "
-                      f"{merged['n_workers']} worker(s); draining")
+                started = time.perf_counter()
+                pool.stop()
+                drain_s = time.perf_counter() - started
+                print(f"smoke: probe ok, merged /stats reached "
+                      f"{merged['n_workers']} worker(s), "
+                      f"{merged['connections']['open']} connection(s) open; "
+                      f"drained in {drain_s:.1f}s")
+                if drain_s >= 5.0:
+                    print("smoke: FAILED — the drain waited on an idle "
+                          "connection", file=sys.stderr)
+                    return 1
                 return 0
             print("serving — Ctrl+C to stop")
             try:

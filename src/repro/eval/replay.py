@@ -574,9 +574,10 @@ def reconcile(before: Dict[str, object], after: Dict[str, object],
                 f"{ledger.session_ok_calls}")
     # Load spreading: against a pre-fork pool (the coordinator's /stats
     # carries n_workers) a replay with a meaningful number of attributed
-    # responses must have reached more than one worker — every request
-    # opens a fresh connection, so all-on-one-worker means the pool is
-    # not actually balancing.
+    # responses must have reached more than one worker — the kernel
+    # balances per connection and the server recycles every keep-alive
+    # connection after RESPONSES_PER_CONNECTION responses, so
+    # all-on-one-worker means the pool is not actually balancing.
     n_workers = int(after.get("n_workers", 1))  # type: ignore[arg-type]
     attributed = sum(ledger.workers.values())
     if n_workers > 1 and attributed >= 8 * n_workers:

@@ -31,18 +31,28 @@ Failure mapping keeps the endpoint error hierarchy intact:
 Results travel as SPARQL Results JSON and are parsed back into the
 library's result containers, so rows coming off the wire are
 indistinguishable from rows produced in-process.
+
+Transport (docs/server.md, *Connections*): every call of both clients
+and of the ``fetch_*`` helpers is one :func:`_exchange` on a keep-alive
+connection checked out of a **process-wide** pool and returned once the
+body is read — a connection per client object would park one server
+thread per session.  A pooled connection that turns out dead before the
+first response byte is dropped and the request re-sent once on a fresh
+one; that is not a retry (``max_retries`` does not count it) and a
+refused fresh connection still raises :class:`ConnectionFailed`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
-from typing import List, Optional, Union
+from email.message import Message
+from typing import List, Optional, Tuple, Union
 
 from ..endpoint.endpoint import (
     EndpointError,
@@ -63,6 +73,7 @@ from .suggest import (
     parse_completion,
     parse_outcome,
 )
+from .server import IDLE_TIMEOUT_S
 from .wsgi import MIME_FORM, WORKER_HEADER
 
 __all__ = [
@@ -85,15 +96,166 @@ class ConnectionFailed(EndpointError):
     """
 
 
-class HttpSparqlEndpoint:
+_USER_AGENT = "sapphire-repro-client/1.0"
+
+#: Idle connections this process keeps, over all servers; past it the
+#: one returned longest ago is closed.  A closed-loop caller holds at
+#: most one connection per thread, so eight covers a replay driver's
+#: lanes and a federation's members with room to spare, and bounds what
+#: servers that went away can leave behind.
+MAX_IDLE_CONNECTIONS = 8
+
+#: A connection returned longer ago than this is closed, not tried: the
+#: server (``IDLE_TIMEOUT_S``) has dropped it or is about to.
+_REUSE_WITHIN_S = 0.8 * IDLE_TIMEOUT_S
+
+
+class _ConnectionPool:
+    """The idle keep-alive connections of this process, oldest first.
+
+    A connection is in the pool only between two exchanges: checked out
+    it belongs to one thread, so concurrent callers never share one.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[Tuple[tuple, http.client.HTTPConnection, float]] = []
+
+    def checkout(self, key: tuple) -> Optional[http.client.HTTPConnection]:
+        """The most recently returned connection to ``key`` still worth
+        trying, or None; expired ones (to any server) are closed."""
+        oldest = time.monotonic() - _REUSE_WITHIN_S
+        found = None
+        with self._lock:
+            expired = [entry for entry in self._idle if entry[2] < oldest]
+            del self._idle[:len(expired)]
+            for index in range(len(self._idle) - 1, -1, -1):
+                if self._idle[index][0] == key:
+                    found = self._idle.pop(index)[1]
+                    break
+        for _, connection, _ in expired:
+            connection.close()
+        return found
+
+    def checkin(self, key: tuple, connection: http.client.HTTPConnection) -> None:
+        with self._lock:
+            self._idle.append((key, connection, time.monotonic()))
+            overflow = self._idle[:-MAX_IDLE_CONNECTIONS]
+            del self._idle[:-MAX_IDLE_CONNECTIONS]
+        for _, dropped, _ in overflow:
+            dropped.close()
+
+
+_POOL = _ConnectionPool()
+# A forked child must not answer on its parent's connections.
+os.register_at_fork(after_in_child=_POOL.__init__)
+
+
+def _exchange(
+    name: str, url: str, timeout_s: float,
+    body: Optional[bytes] = None, headers: Optional[dict] = None,
+) -> Tuple[http.client.HTTPResponse, bytes]:
+    """One HTTP exchange (POST when there is a ``body``) on a pooled
+    connection: the response, whatever its status, and its body.
+
+    Raises :class:`EndpointTimeout` when ``timeout_s`` ran out connecting
+    or waiting, :class:`ConnectionFailed` when the server could not be
+    reached or went away.  A *pooled* connection found dead before the
+    first response byte (the server closed it while it idled) is dropped
+    and the request sent once more, on a fresh connection.
+    """
+    split = urllib.parse.urlsplit(url)
+    key = (split.scheme, split.hostname, split.port)
+    target = (split.path or "/") + ("?" + split.query if split.query else "")
+    headers = {"User-Agent": _USER_AGENT, **(headers or {})}
+    for connection in (_POOL.checkout(key), None):
+        reused = connection is not None
+        if not reused:
+            factory = (http.client.HTTPSConnection if split.scheme == "https"
+                       else http.client.HTTPConnection)
+            connection = factory(split.hostname, split.port)  # TCP_NODELAY is its default
+        response, keep = None, False
+        try:
+            connection.timeout = timeout_s  # a fresh one connects under it
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout_s)
+            connection.request("GET" if body is None else "POST", target,
+                               body, headers)
+            response = connection.getresponse()
+            payload = response.read()
+            keep = not response.will_close
+        except TimeoutError as exc:
+            # The query outlived our read timeout; retrying would re-run
+            # it and burn the same budget again — same policy as a 504.
+            raise EndpointTimeout(
+                f"{name}: no response within {timeout_s}s: {exc}") from None
+        except OSError as exc:
+            if reused and response is None and isinstance(exc, ConnectionError):
+                continue
+            raise ConnectionFailed(f"{name}: connection failed: {exc}") from None
+        finally:
+            if keep:
+                _POOL.checkin(key, connection)
+            else:
+                connection.close()
+        return response, payload
+    raise AssertionError("unreachable: a fresh connection returns or raises")
+
+
+class _WireClient:
+    """What the two wire clients share: the failure mapping of one call,
+    ``last_worker``, and the retry policy.
+
+    ``max_retries`` bounds *re*-tries after the first attempt; backoff
+    doubles from ``backoff_s`` up to ``backoff_cap_s`` with full jitter.
+    """
+
+    def __init__(self, name: str, rng: random.Random, timeout_s: float,
+                 max_retries: int, backoff_s: float, backoff_cap_s: float) -> None:
+        self.name = name
+        self.timeout_s = timeout_s
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self.backoff_cap_s = backoff_cap_s
+        self._rng = rng
+        #: Pre-fork worker id (``X-Repro-Worker``) of the most recent
+        #: response, or None against single-process servers.  Best-effort
+        #: last-write-wins under concurrency — the replay harness reads
+        #: it per-request from its single-threaded session clients.
+        self.last_worker: Optional[str] = None
+
+    def _once(self, url: str, body: bytes, headers: dict) -> Tuple[Message, bytes]:
+        """POST ``body``: the headers and body of a 200, else the mapped
+        error."""
+        response, payload = _exchange(self.name, url, self.timeout_s, body, headers)
+        self.last_worker = response.headers.get(WORKER_HEADER)
+        if response.status != 200:
+            raise _http_error(self.name, response, payload)
+        return response.headers, payload
+
+    def _call(self, url: str, body: bytes, headers: dict) -> Tuple[Message, bytes]:
+        """:meth:`_once`, re-tried up to ``max_retries`` times after a
+        503 or a connection failure."""
+        attempt = 0
+        while True:
+            try:
+                return self._once(url, body, headers)
+            except (ConnectionFailed, QueryRejected):
+                if attempt >= self.max_retries:
+                    raise
+                # Full-jitter exponential backoff, capped.
+                ceiling = min(self.backoff_cap_s, self.backoff_s * (2 ** attempt))
+                time.sleep(self._rng.uniform(0, ceiling))
+                attempt += 1
+
+
+class HttpSparqlEndpoint(_WireClient):
     """A remote SPARQL endpoint reached over the SPARQL 1.1 Protocol.
 
     Drop-in replacement for :class:`SparqlEndpoint` wherever only the
     query surface is used (the federation, initialization probes).
-
-    ``max_retries`` bounds *re*-tries after the first attempt; backoff
-    doubles from ``backoff_s`` up to ``backoff_cap_s`` with full jitter.
-    Pass a seeded ``random.Random`` as ``rng`` for deterministic tests.
+    Retry knobs as in :class:`_WireClient`; pass a seeded
+    ``random.Random`` as ``rng`` for deterministic tests.
     """
 
     def __init__(
@@ -108,23 +270,14 @@ class HttpSparqlEndpoint:
         rng: Optional[random.Random] = None,
     ) -> None:
         self.url = url
-        self.name = name or urllib.parse.urlsplit(url).netloc or url
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
+        name = name or urllib.parse.urlsplit(url).netloc or url
         # Seeded by default (stable per endpoint name): backoff jitter
         # is the only stochastic client path, and a replay must be
         # reproducible end to end.  Pass your own rng to decorrelate
         # concurrent clients sharing a name.
-        self._rng = rng if rng is not None else random.Random(
-            f"endpoint:{self.name}")
+        super().__init__(name, rng or random.Random(f"endpoint:{name}"),
+                         timeout_s, max_retries, backoff_s, backoff_cap_s)
         self.log: List[QueryLogEntry] = []
-        #: Pre-fork worker id (``X-Repro-Worker``) of the most recent
-        #: response, or None against single-process servers.  Best-effort
-        #: last-write-wins under concurrency — the replay harness reads
-        #: it per-request from its single-threaded session clients.
-        self.last_worker: Optional[str] = None
         self._lock = threading.Lock()
         # Distributed-trace context (docs/tracing.md): when set by
         # Tracer.remote_call, outgoing queries carry the trace id and
@@ -183,37 +336,7 @@ class HttpSparqlEndpoint:
         it passes through remote admission control and deadlines; like
         ``explain`` it is not recorded in the client query log.
         """
-        text = query if isinstance(query, str) else serialize_query(query)
-        body = urllib.parse.urlencode(
-            {"query": text, "analyze": "true"}).encode("utf-8")
-        headers = {
-            "Content-Type": MIME_FORM,
-            "Accept": "text/plain",
-            "User-Agent": "sapphire-repro-client/1.0",
-        }
-        headers.update(self._trace_headers())
-        request = urllib.request.Request(
-            self.url, data=body, headers=headers, method="POST")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            mapped = self._map_http_error(exc)
-            if isinstance(mapped, _Retryable):
-                mapped = mapped.error
-            raise mapped from None
-        except TimeoutError as exc:
-            raise EndpointTimeout(
-                f"{self.name}: no response within {self.timeout_s}s: {exc}"
-            ) from None
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise EndpointTimeout(
-                    f"{self.name}: no response within {self.timeout_s}s: "
-                    f"{exc.reason}") from None
-            raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
-        except ConnectionError as exc:
-            raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
+        return self._plan_text(query, "analyze")
 
     def explain(self, query: Union[str, Query]) -> str:
         """Remote EXPLAIN: the server's plan dump for ``query``.
@@ -223,30 +346,17 @@ class HttpSparqlEndpoint:
         both sides (planning is estimation-only), so an EXPLAIN never
         skews the query log a benchmark is counting.
         """
-        text = query if isinstance(query, str) else serialize_query(query)
-        body = urllib.parse.urlencode({"query": text, "explain": "true"}).encode("utf-8")
-        request = urllib.request.Request(
-            self.url,
-            data=body,
-            headers={
-                "Content-Type": MIME_FORM,
-                "Accept": "text/plain",
-                "User-Agent": "sapphire-repro-client/1.0",
-            },
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            mapped = self._map_http_error(exc)
-            if isinstance(mapped, _Retryable):
-                mapped = mapped.error  # explain is cheap; don't retry it
-            raise mapped from None
-        except urllib.error.URLError as exc:
-            raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
-        except ConnectionError as exc:
-            raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
+        return self._plan_text(query, "explain")
+
+    def _plan_text(self, query: Union[str, Query], flag: str) -> str:
+        # One attempt: a plan is cheap to ask for again, and an ANALYZE
+        # that was rejected should say so.
+        _, payload = self._once(self.url, _form(query, **{flag: "true"}), {
+            "Content-Type": MIME_FORM,
+            "Accept": "text/plain",
+            **self._trace_headers(),
+        })
+        return payload.decode("utf-8")
 
     @property
     def query_count(self) -> int:
@@ -267,83 +377,35 @@ class HttpSparqlEndpoint:
     def _run(self, query: Union[str, Query]) -> Union[SelectResult, AskResult]:
         text = query if isinstance(query, str) else serialize_query(query)
         started = time.perf_counter()
-        attempt = 0
-        while True:
-            try:
-                result = self._post(text)
-            except _Retryable as failure:
-                if attempt >= self.max_retries:
-                    self._record(text, failure.outcome, started)
-                    raise failure.error from None
-                self._sleep(attempt)
-                attempt += 1
-                continue
-            except EndpointTimeout:
-                self._record(text, "timeout", started)
-                raise
-            except (EndpointError, SparqlError):
-                self._record(text, "error", started)
-                raise
-            rows = len(result.rows) if isinstance(result, SelectResult) else 0
-            truncated = getattr(result, "truncated", False)
-            self._record(text, "ok", started, rows=rows, truncated=truncated)
-            return result
+        try:
+            result = self._post(text)
+        except EndpointTimeout:
+            self._record(text, "timeout", started)
+            raise
+        except QueryRejected:
+            self._record(text, "rejected", started)
+            raise
+        except (EndpointError, SparqlError):
+            self._record(text, "error", started)
+            raise
+        rows = len(result.rows) if isinstance(result, SelectResult) else 0
+        truncated = getattr(result, "truncated", False)
+        self._record(text, "ok", started, rows=rows, truncated=truncated)
+        return result
 
     def _post(self, text: str) -> Union[SelectResult, AskResult]:
-        body = urllib.parse.urlencode({"query": text}).encode("utf-8")
-        headers = {
+        headers, payload = self._call(self.url, _form(text), {
             "Content-Type": MIME_FORM,
             "Accept": MIME_JSON,
-            "User-Agent": "sapphire-repro-client/1.0",
-        }
-        headers.update(self._trace_headers())
-        request = urllib.request.Request(
-            self.url,
-            data=body,
-            headers=headers,
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                payload = response.read()
-                truncated = response.headers.get("X-Result-Truncated") == "true"
-                self.last_worker = response.headers.get(WORKER_HEADER)
-        except urllib.error.HTTPError as exc:
-            self.last_worker = exc.headers.get(WORKER_HEADER)
-            raise self._map_http_error(exc) from None
-        except TimeoutError as exc:
-            # The query outlived our read timeout; retrying would re-run
-            # it and burn the same budget again — same policy as a 504.
-            raise EndpointTimeout(
-                f"{self.name}: no response within {self.timeout_s}s: {exc}"
-            ) from None
-        except urllib.error.URLError as exc:
-            if isinstance(exc.reason, TimeoutError):
-                raise EndpointTimeout(
-                    f"{self.name}: no response within {self.timeout_s}s: {exc.reason}"
-                ) from None
-            raise _Retryable(
-                ConnectionFailed(f"{self.name}: connection failed: {exc}"),
-                outcome="error",
-            ) from None
-        except ConnectionError as exc:
-            raise _Retryable(
-                ConnectionFailed(f"{self.name}: connection failed: {exc}"),
-                outcome="error",
-            ) from None
+            **self._trace_headers(),
+        })
         try:
             result = parse_json(payload)
         except FormatError as exc:
             raise EndpointError(f"{self.name}: unparseable response: {exc}") from None
-        if truncated and isinstance(result, SelectResult):
+        if headers.get("X-Result-Truncated") == "true" and isinstance(result, SelectResult):
             result.truncated = True
         return result
-
-    def _map_http_error(self, exc: urllib.error.HTTPError) -> Exception:
-        return _map_http_error(self.name, exc)
-
-    def _sleep(self, attempt: int) -> None:
-        _jitter_sleep(self._rng, attempt, self.backoff_s, self.backoff_cap_s)
 
     def _record(
         self,
@@ -367,7 +429,7 @@ class HttpSparqlEndpoint:
             )
 
 
-class HttpSapphireClient:
+class HttpSapphireClient(_WireClient):
     """Drive a *remote* Sapphire's Predictive User Model over HTTP.
 
     Talks to the ``/complete`` and ``/suggest`` routes a
@@ -395,25 +457,14 @@ class HttpSapphireClient:
         backoff_cap_s: float = 1.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        split = urllib.parse.urlsplit(base_url)
-        path = split.path
-        if path.endswith("/sparql"):
-            path = path[: -len("/sparql")]
-        self.root = urllib.parse.urlunsplit(
-            (split.scheme, split.netloc, path.rstrip("/"), "", "")
-        )
-        self.name = split.netloc or base_url
+        self.root = server_root(base_url)
         self.session = session
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
+        name = urllib.parse.urlsplit(base_url).netloc or base_url
         # Same contract as HttpSparqlEndpoint: jitter is seeded, never
         # drawn from OS entropy, so replays reproduce byte-for-byte.
-        self._rng = rng if rng is not None else random.Random(
-            f"sapphire:{self.name}:{session or ''}")
-        #: Worker id of the most recent response (see HttpSparqlEndpoint).
-        self.last_worker: Optional[str] = None
+        super().__init__(
+            name, rng or random.Random(f"sapphire:{name}:{session or ''}"),
+            timeout_s, max_retries, backoff_s, backoff_cap_s)
 
     # ------------------------------------------------------------------
     # PUM surface (mirrors SapphireServer)
@@ -443,74 +494,20 @@ class HttpSapphireClient:
     def _post(self, route: str, body: dict) -> bytes:
         if self.session is not None:
             body = dict(body, session=self.session)
-        payload = json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            self.root + route,
-            data=payload,
-            headers={
-                "Content-Type": MIME_JSON_BODY,
-                "Accept": MIME_JSON_BODY,
-                "User-Agent": "sapphire-repro-client/1.0",
-            },
-            method="POST",
-        )
-        attempt = 0
-        while True:
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                    self.last_worker = response.headers.get(WORKER_HEADER)
-                    return response.read()
-            except urllib.error.HTTPError as exc:
-                self.last_worker = exc.headers.get(WORKER_HEADER)
-                mapped = _map_http_error(self.name, exc)
-                if isinstance(mapped, _Retryable) and attempt < self.max_retries:
-                    self._sleep(attempt)
-                    attempt += 1
-                    continue
-                if isinstance(mapped, _Retryable):
-                    mapped = mapped.error
-                raise mapped from None
-            except TimeoutError as exc:
-                raise EndpointTimeout(
-                    f"{self.name}: no response within {self.timeout_s}s: {exc}"
-                ) from None
-            except urllib.error.URLError as exc:
-                if isinstance(exc.reason, TimeoutError):
-                    raise EndpointTimeout(
-                        f"{self.name}: no response within {self.timeout_s}s: "
-                        f"{exc.reason}"
-                    ) from None
-                if attempt < self.max_retries:
-                    self._sleep(attempt)
-                    attempt += 1
-                    continue
-                raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
-            except ConnectionError as exc:
-                if attempt < self.max_retries:
-                    self._sleep(attempt)
-                    attempt += 1
-                    continue
-                raise ConnectionFailed(f"{self.name}: connection failed: {exc}") from None
-
-    def _sleep(self, attempt: int) -> None:
-        _jitter_sleep(self._rng, attempt, self.backoff_s, self.backoff_cap_s)
+        _, payload = self._call(self.root + route, json.dumps(body).encode("utf-8"), {
+            "Content-Type": MIME_JSON_BODY,
+            "Accept": MIME_JSON_BODY,
+        })
+        return payload
 
 
 def _fetch_json(url: str, timeout_s: float) -> dict:
-    request = urllib.request.Request(
-        url,
-        headers={
-            "Accept": "application/json",
-            "User-Agent": "sapphire-repro-client/1.0",
-        },
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        raise EndpointError(f"{url}: HTTP {exc.code}: {_error_detail(exc)}") from None
-    except (urllib.error.URLError, ConnectionError) as exc:
-        raise ConnectionFailed(f"{url}: connection failed: {exc}") from None
+    response, payload = _exchange(url, url, timeout_s,
+                                  headers={"Accept": "application/json"})
+    if response.status != 200:
+        raise EndpointError(f"{url}: HTTP {response.status}: "
+                            f"{_error_detail(response, payload)}")
+    return json.loads(payload.decode("utf-8"))
 
 
 def server_root(url: str) -> str:
@@ -542,42 +539,29 @@ def fetch_stats_series(url: str, timeout_s: float = 10.0) -> dict:
     return _fetch_json(server_root(url) + "/stats/series", timeout_s)
 
 
-def _jitter_sleep(rng: random.Random, attempt: int,
-                  base_s: float, cap_s: float) -> None:
-    """Full-jitter exponential backoff, capped — the one retry pacing
-    policy both wire clients share."""
-    ceiling = min(cap_s, base_s * (2 ** attempt))
-    time.sleep(rng.uniform(0, ceiling))
+def _form(query: Union[str, Query], **fields: str) -> bytes:
+    """The url-encoded protocol body for ``query`` plus flag fields."""
+    text = query if isinstance(query, str) else serialize_query(query)
+    return urllib.parse.urlencode({"query": text, **fields}).encode("utf-8")
 
 
-def _map_http_error(name: str, exc: urllib.error.HTTPError) -> Exception:
+def _http_error(name: str, response: http.client.HTTPResponse,
+                payload: bytes) -> Exception:
     """Shared status → endpoint-error mapping for the wire clients."""
-    detail = _error_detail(exc)
-    if exc.code == 503:
-        return _Retryable(
-            QueryRejected(f"{name}: rejected (503): {detail}"),
-            outcome="rejected",
-        )
-    if exc.code == 504:
+    detail = _error_detail(response, payload)
+    if response.status == 503:
+        return QueryRejected(f"{name}: rejected (503): {detail}")
+    if response.status == 504:
         return EndpointTimeout(f"{name}: remote timeout (504): {detail}")
-    if exc.code == 400:
+    if response.status == 400:
         return SparqlError(f"{name}: bad query (400): {detail}")
-    return EndpointError(f"{name}: HTTP {exc.code}: {detail}")
+    return EndpointError(f"{name}: HTTP {response.status}: {detail}")
 
 
-class _Retryable(Exception):
-    """Internal: a failure worth retrying, wrapping the terminal error."""
-
-    def __init__(self, error: Exception, outcome: str) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.outcome = outcome
-
-
-def _error_detail(exc: urllib.error.HTTPError) -> str:
+def _error_detail(response: http.client.HTTPResponse, payload: bytes) -> str:
     """Best-effort extraction of the server's JSON error message."""
     try:
-        document = json.loads(exc.read().decode("utf-8", "replace"))
+        document = json.loads(payload.decode("utf-8", "replace"))
         return str(document["error"]["message"])
     except Exception:  # noqa: BLE001 - any malformed body falls through
-        return exc.reason if isinstance(exc.reason, str) else str(exc.reason)
+        return response.reason

@@ -519,8 +519,9 @@ def _merge_cache_blocks(blocks: List[Dict[str, object]]) -> Dict[str, object]:
 def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """One coordinator-view ``/stats`` body from per-worker bodies.
 
-    Counters and gauges sum (the ``federation`` block's too), high-water
-    marks take the max, and per-route latency histograms merge **bucket-wise** through
+    Counters and gauges sum (the ``federation`` and ``connections``
+    blocks' too), high-water marks take the max, and per-route latency
+    histograms merge **bucket-wise** through
     :meth:`LatencyHistogram.from_dict` / :meth:`~LatencyHistogram.merge`
     — so the merged view's percentiles are computed over the union of
     all workers' samples, not averaged per worker.  The output has the
@@ -534,13 +535,15 @@ def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]
     route_counts: Dict[str, Dict[str, int]] = {}
     route_latency: Dict[str, LatencyHistogram] = {}
     cache_blocks: List[Dict[str, object]] = []
-    federation: Dict[str, int] = {}
+    summed_blocks: Dict[str, Dict[str, int]] = {}
     for body in bodies:
         cache = body.get("cache")
         if isinstance(cache, dict):
             cache_blocks.append(cache)
-        for name, count in (body.get("federation") or {}).items():  # type: ignore[union-attr]
-            federation[name] = federation.get(name, 0) + int(count)
+        for block in ("federation", "connections"):
+            for name, count in (body.get(block) or {}).items():  # type: ignore[union-attr]
+                summed = summed_blocks.setdefault(block, {})
+                summed[name] = summed.get(name, 0) + int(count)
         for field in _MERGE_SUM_FIELDS:
             merged[field] += int(body.get(field, 0))  # type: ignore[arg-type,operator]
         for field in _MERGE_MAX_FIELDS:
@@ -565,6 +568,5 @@ def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]
     }
     if cache_blocks:
         merged["cache"] = _merge_cache_blocks(cache_blocks)
-    if federation:
-        merged["federation"] = federation
+    merged.update(summed_blocks)
     return merged

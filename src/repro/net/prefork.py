@@ -53,10 +53,8 @@ import time
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
-from http.server import ThreadingHTTPServer
-
 from .metrics import StatsTimeSeries, merge_stats_bodies
-from .server import _WsgiRequestHandler
+from .server import WsgiServer
 from .wsgi import SparqlWsgiApp
 
 __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
@@ -179,27 +177,26 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
 # ----------------------------------------------------------------------
 
 
-class _WorkerHttpServer(ThreadingHTTPServer):
-    """The per-worker HTTP server over a shared or re-bound socket.
+class _WorkerHttpServer(WsgiServer):
+    """One worker's :class:`~repro.net.server.WsgiServer`, over a shared
+    or re-bound socket.
 
     Non-daemon request threads + ``block_on_close`` give graceful
-    drain: ``shutdown()`` stops accepting, ``server_close()`` then waits
-    for every in-flight request to finish before the worker exits.
+    drain: ``shutdown()`` stops accepting, ``server_close()`` then
+    closes the idle connections and waits for every in-flight request
+    to finish before the worker exits.
     """
 
     daemon_threads = False
     block_on_close = True
-    allow_reuse_address = True
 
-    def __init__(self, address, handler, *, reuse_port: bool = False,
+    def __init__(self, address, app, *, reuse_port: bool = False,
                  fileno: Optional[int] = None) -> None:
         self._reuse_port = reuse_port
-        if fileno is None:
-            super().__init__(address, handler)
-        else:
-            # Adopt the parent's already-listening socket: no bind, no
-            # listen — accept() on the shared file description.
-            super().__init__(address, handler, bind_and_activate=False)
+        # With ``fileno``, adopt the parent's already-listening socket:
+        # no bind, no listen — accept() on the shared file description.
+        super().__init__(address, app, bind_and_activate=fileno is None)
+        if fileno is not None:
             self.socket.close()
             self.socket = socket.socket(fileno=fileno)
             self.server_address = self.socket.getsockname()
@@ -232,14 +229,12 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
         app = SparqlWsgiApp(backend, worker_id=str(index),
                             **app_kwargs)  # type: ignore[arg-type]
         if use_reuse_port:
-            httpd = _WorkerHttpServer((host, port), _WsgiRequestHandler,
-                                      reuse_port=True)
+            httpd = _WorkerHttpServer((host, port), app, reuse_port=True)
         else:
             from multiprocessing.reduction import recv_handle
 
-            httpd = _WorkerHttpServer((host, port), _WsgiRequestHandler,
+            httpd = _WorkerHttpServer((host, port), app,
                                       fileno=recv_handle(conn))
-        httpd.wsgi_app = app  # type: ignore[attr-defined]
     except Exception as exc:  # noqa: BLE001 — report, don't vanish silently
         try:
             conn.send(("failed", index, f"{type(exc).__name__}: {exc}"))
@@ -288,20 +283,6 @@ class _Worker:
         self.pid: Optional[int] = None
 
 
-class _CoordinatorServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class _CoordinatorHandler(_WsgiRequestHandler):
-    """The coordinator's observability port: merged cluster ``/stats``.
-
-    Reuses the WSGI request adapter with a tiny app closure installed by
-    :class:`PreforkServer` — same wire behaviour as a worker's stats
-    routes, but the bodies are cluster-wide merges.
-    """
-
-
 class PreforkServer:
     """K pre-forked workers serving one SPARQL endpoint address.
 
@@ -347,7 +328,7 @@ class PreforkServer:
         self._context = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
         self._listen_socket: Optional[socket.socket] = None
-        self._coordinator: Optional[_CoordinatorServer] = None
+        self._coordinator: Optional[WsgiServer] = None
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         self._started = False
@@ -632,8 +613,9 @@ class PreforkServer:
 
         # The stats app never reads bodies, so any max works here.
         coordinator_app.max_query_bytes = 1 << 20  # type: ignore[attr-defined]
-        self._coordinator = _CoordinatorServer((self.host, 0),
-                                               _CoordinatorHandler)
-        self._coordinator.wsgi_app = coordinator_app  # type: ignore[attr-defined]
+        # The same server class as the workers', with a tiny app: same
+        # wire behaviour as a worker's stats routes, but the bodies are
+        # cluster-wide merges.
+        self._coordinator = WsgiServer((self.host, 0), coordinator_app)
         threading.Thread(target=self._coordinator.serve_forever,
                          name="prefork-coordinator", daemon=True).start()

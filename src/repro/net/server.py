@@ -19,43 +19,200 @@ Typical use::
 ``port=0`` asks the kernel for an ephemeral port (read it back from
 ``server.port``) so tests and benchmarks never collide.  For the
 blocking form used by ``repro serve``, call :meth:`serve_forever`.
+
+Connections (docs/server.md, *Connections*) are persistent: a
+connection carries request after request, each response leaves in one
+write on a ``TCP_NODELAY`` socket, and the server closes a connection
+that sent nothing for :data:`IDLE_TIMEOUT_S` or has been answered
+:data:`RESPONSES_PER_CONNECTION` times (the last response says
+``Connection: close``).  :class:`WsgiServer` — the one server class, also
+behind the pre-fork workers and their coordinator — keeps a
+:class:`ConnectionRegistry` of what it holds open, so closing the server
+closes idle connections at once and in-flight ones after their response.
 """
 
 from __future__ import annotations
 
 import io
+import socket
 import sys
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Dict, Optional
 
 from .wsgi import SparqlWsgiApp
 
-__all__ = ["SparqlHttpServer"]
+__all__ = ["IDLE_TIMEOUT_S", "RESPONSES_PER_CONNECTION", "SparqlHttpServer"]
 
 #: Most bytes we will read-and-discard to deliver a 413 to a client that
 #: overshot ``max_query_bytes``; claims beyond this get the socket closed.
 _DRAIN_CAP = 64 * 1024 * 1024
 
+#: Seconds a connection may sit without a request before the server
+#: closes it (also the socket timeout of a body read or response write).
+#: An idle connection parks one thread; the longest pause between two
+#: requests of a scripted session (``repro.eval.replay``, 2,000 sessions
+#: over ten seeds) is 2.9 s, so 5 s keeps a composing user on one
+#: connection and frees an abandoned one soon.
+IDLE_TIMEOUT_S = 5.0
+
+#: Responses after which the server closes a connection.  Balancing in a
+#: pre-fork pool is per *connection* (``SO_REUSEPORT`` hashes the
+#: 4-tuple), so load spreads only as fast as connections are replaced:
+#: never recycled, the two ``replica_mix`` lanes sat on one of two
+#: workers from start to end in 2 runs of 6; at 32 all ten seeds spread,
+#: and the extra connects are below the run-to-run noise on
+#: ``session_mix`` (docs/server.md has the numbers).
+RESPONSES_PER_CONNECTION = 32
+
+
+class ConnectionRegistry:
+    """The connections a server holds open, and what became of the rest.
+
+    A connection is *idle* while its thread waits for a request line and
+    *busy* from the first byte of a request to the end of its response.
+    :meth:`drain` is what lets a server stop without waiting out idle
+    keep-alive connections: those are shut down at once (their threads
+    wake on EOF), busy ones close after the response they owe.  The
+    counters are the ``connections`` block of ``/stats``.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._busy: Dict[object, bool] = {}     # open handler -> in a request
+        self._draining = False
+        self._counts = dict.fromkeys(
+            ("accepted", "requests", "recycled", "idle_closed"), 0)
+
+    def opened(self, handler) -> bool:
+        """Register an accepted connection; False once draining."""
+        with self._lock:
+            self._counts["accepted"] += 1
+            if self._draining:
+                return False
+            self._busy[handler] = False
+            return True
+
+    def begin(self, handler) -> bool:
+        """A request line arrived.  False when :meth:`drain` already took
+        the connection: the request is dropped unanswered and uncounted,
+        and the client re-sends it elsewhere."""
+        with self._lock:
+            if self._draining:
+                return False
+            self._busy[handler] = True
+            self._counts["requests"] += 1
+            return True
+
+    def end(self, handler) -> bool:
+        """The response is out; True when the connection must now close."""
+        with self._lock:
+            self._busy[handler] = False
+            return self._draining
+
+    def closed(self, handler) -> None:
+        with self._lock:
+            self._busy.pop(handler, None)
+
+    def count(self, name: str) -> None:
+        with self._lock:
+            self._counts[name] += 1
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    def drain(self) -> None:
+        """Close idle connections now, busy ones after their response."""
+        with self._lock:
+            self._draining = True
+            idle = [handler for handler, busy in self._busy.items() if not busy]
+        for handler in idle:
+            try:
+                handler.connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer closed it first
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return {**self._counts, "open": len(self._busy)}
+
 
 class _WsgiRequestHandler(BaseHTTPRequestHandler):
-    """Adapts one HTTP request into a WSGI call on the server's app."""
+    """Serves one connection: each HTTP request becomes a WSGI call on
+    the server's app, until either side closes."""
 
     protocol_version = "HTTP/1.1"
     server_version = "SapphireSparql/1.0"
+    timeout = IDLE_TIMEOUT_S
+    # What removes the keep-alive stall is the one write per response
+    # (_dispatch); this keeps it away from the replies the stdlib still
+    # sends in two (send_error, 100 Continue).
+    disable_nagle_algorithm = True
 
-    # The app is attached to the server object by SparqlHttpServer.
+    def setup(self) -> None:
+        super().setup()
+        self._responses = 0
+        self._registered = self.server.connections.opened(self)
+
+    def finish(self) -> None:
+        self.server.connections.closed(self)
+        super().finish()
+
+    def handle(self) -> None:
+        self.close_connection = not self._registered
+        while not self.close_connection:
+            self.handle_one_request()
+
+    def handle_one_request(self) -> None:
+        connections = self.server.connections
+        try:
+            self.raw_requestline = self.rfile.readline(65537)
+        except TimeoutError:
+            connections.count("idle_closed")
+            self.raw_requestline = b""
+        except OSError:  # reset by the peer while idle
+            self.raw_requestline = b""
+        if not self.raw_requestline or not connections.begin(self):
+            self.close_connection = True
+            return
+        try:
+            if len(self.raw_requestline) > 65536:
+                self.requestline = self.request_version = self.command = ""
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            elif not self.parse_request():
+                pass  # parse_request answered 400 itself
+            elif self.command in ("GET", "POST"):
+                self._dispatch()
+            else:
+                self.send_error(HTTPStatus.NOT_IMPLEMENTED,
+                                f"Unsupported method ({self.command!r})")
+        except OSError:  # the peer went away (or stalled) mid-request
+            self.close_connection = True
+        finally:
+            if connections.end(self):
+                self.close_connection = True
+
+    # The app is attached to the server object by WsgiServer.
     def _dispatch(self) -> None:
         app: SparqlWsgiApp = self.server.wsgi_app  # type: ignore[attr-defined]
         path, _, query_string = self.path.partition("?")
+        claimed = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(claimed)
         except ValueError:
-            length = 0
+            length = -1
         # Never buffer an oversized body: pass the claimed length through
         # unread and let the app's max_query_bytes check answer 413 —
         # memory stays bounded no matter what Content-Length claims.
-        if length <= app.max_query_bytes:
+        if length < 0:
+            # Not a length: where this request ends is unknown, so the
+            # app answers 400 (it sees the same header) and the
+            # connection cannot carry another request.
+            body = b""
+            self.close_connection = True
+        elif length <= app.max_query_bytes:
             body = self.rfile.read(length) if length else b""
         else:
             # Drain-and-discard in bounded chunks: if the client is still
@@ -78,7 +235,7 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             "PATH_INFO": path,
             "QUERY_STRING": query_string,
             "CONTENT_TYPE": self.headers.get("Content-Type", ""),
-            "CONTENT_LENGTH": str(length),
+            "CONTENT_LENGTH": claimed,
             "HTTP_ACCEPT": self.headers.get("Accept", ""),
             "wsgi.input": io.BytesIO(body),
         }
@@ -92,45 +249,61 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
         if parent_span:
             environ["HTTP_X_REPRO_PARENT_SPAN"] = parent_span
 
-        responded = False
+        head = []
 
         def start_response(status_line: str, headers) -> None:
-            nonlocal responded
-            responded = True
-            code, _, _ = status_line.partition(" ")
-            self.send_response_only(int(code))
-            for name, value in headers:
-                self.send_header(name, value)
+            head.append(f"HTTP/1.1 {status_line}\r\n")
+            head.extend(f"{name}: {value}\r\n" for name, value in headers)
 
-        chunks = app(environ, start_response)
-        payload = b"".join(chunks)
-        if not responded:  # pragma: no cover - app always responds
-            self.send_response_only(500)
+        payload = b"".join(app(environ, start_response))
+        if not head:  # pragma: no cover - app always responds
+            head.append("HTTP/1.1 500 Internal Server Error\r\n"
+                        "Content-Length: 0\r\n")
             payload = b""
             self.close_connection = True
-        # Every response carries Content-Length, so HTTP/1.1 keep-alive
-        # works on the normal path (the federation issues many small
-        # requests; per-query TCP setup would dominate).
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch()
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch()
+        connections = self.server.connections
+        self._responses += 1
+        if self._responses >= RESPONSES_PER_CONNECTION and not self.close_connection:
+            connections.count("recycled")
+            self.close_connection = True
+        if self.close_connection or connections.draining:
+            head.append("Connection: close\r\n")
+            self.close_connection = True
+        head.append("\r\n")
+        # Every response carries Content-Length and leaves in ONE write:
+        # headers and body in two cost a keep-alive client a Nagle ×
+        # delayed-ACK stall per request (44 ms per /complete, measured).
+        self.wfile.write("".join(head).encode("latin-1") + payload)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover
             sys.stderr.write("%s - %s\n" % (self.address_string(), format % args))
 
 
-class _Server(ThreadingHTTPServer):
+class WsgiServer(ThreadingHTTPServer):
+    """One listening socket serving one WSGI app over persistent
+    connections it keeps track of — behind :class:`SparqlHttpServer`,
+    the pre-fork workers and their coordinator alike."""
+
     daemon_threads = True
     # Loopback benchmarks churn through many short-lived client sockets;
     # without this, TIME_WAIT from a previous run can block the bind.
     allow_reuse_address = True
+
+    def __init__(self, address, app, *, verbose: bool = False,
+                 bind_and_activate: bool = True) -> None:
+        self.wsgi_app = app
+        self.verbose = verbose
+        self.connections = ConnectionRegistry()
+        app.connections = self.connections   # the /stats ``connections`` block
+        super().__init__(address, _WsgiRequestHandler, bind_and_activate)
+
+    def server_close(self) -> None:
+        """Release the socket and the connections: idle ones now, each
+        in-flight one after its response (a server with non-daemon
+        threads waits for those here)."""
+        self.connections.drain()
+        super().server_close()
 
 
 class SparqlHttpServer:
@@ -166,9 +339,7 @@ class SparqlHttpServer:
             slow_query_threshold_s=slow_query_threshold_s,
             slow_log_size=slow_log_size,
         )
-        self._httpd = _Server((host, port), _WsgiRequestHandler)
-        self._httpd.wsgi_app = self.app  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
+        self._httpd = WsgiServer((host, port), self.app, verbose=verbose)
         self._thread: Optional[threading.Thread] = None
         self._serving = False
         self._closed = False

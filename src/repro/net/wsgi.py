@@ -198,6 +198,10 @@ class SparqlWsgiApp:
         ) and _accepts_tracer(getattr(self.suggester, "complete", None))
         self.stats = ServerStats()
         self.series = StatsTimeSeries()
+        #: The serving :class:`~repro.net.server.ConnectionRegistry`
+        #: (``/stats`` → ``connections``); set by the HTTP server that
+        #: binds this app, None under a foreign WSGI container.
+        self.connections = None
         self._workers = threading.BoundedSemaphore(max_workers)
         self._queue_lock = threading.Lock()
         self._queued = 0
@@ -322,6 +326,8 @@ class SparqlWsgiApp:
         lookup_stats = getattr(cache, "lookup_stats", None)
         if lookup_stats is not None:
             body["cache"] = lookup_stats()
+        if self.connections is not None:
+            body["connections"] = self.connections.snapshot()
         counters = getattr(self.backend, "counters", None)
         if counters is not None:
             # A federation backend: queries, single-source pushes,
@@ -585,13 +591,7 @@ class SparqlWsgiApp:
             raise _HttpFail(
                 415, f"unsupported Content-Type {content_type!r}: "
                      f"use {MIME_JSON_BODY}")
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_query_bytes:
-            raise _HttpFail(413, f"request body exceeds {self.max_query_bytes} bytes")
-        body = environ["wsgi.input"].read(length) if length else b""
+        body = self._read_body(environ)
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -599,6 +599,19 @@ class SparqlWsgiApp:
         if not isinstance(document, dict):
             raise _HttpFail(400, "request body must be a JSON object")
         return document
+
+    def _read_body(self, environ) -> bytes:
+        """The request body, as long as ``Content-Length`` claims."""
+        claimed = environ.get("CONTENT_LENGTH") or "0"
+        try:
+            length = int(claimed)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HttpFail(400, f"malformed Content-Length {claimed!r}")
+        if length > self.max_query_bytes:
+            raise _HttpFail(413, f"request body exceeds {self.max_query_bytes} bytes")
+        return environ["wsgi.input"].read(length) if length else b""
 
     def _touch_session(self, token: str, route: str) -> None:
         """Record one call against a session token (bounded table)."""
@@ -659,13 +672,7 @@ class SparqlWsgiApp:
             )
 
         content_type = (environ.get("CONTENT_TYPE") or "").split(";")[0].strip().lower()
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_query_bytes:
-            raise _HttpFail(413, f"request body exceeds {self.max_query_bytes} bytes")
-        body = environ["wsgi.input"].read(length) if length else b""
+        body = self._read_body(environ)
         try:
             decoded = body.decode("utf-8")
         except UnicodeDecodeError as exc:

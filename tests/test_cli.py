@@ -173,4 +173,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "workers:  2" in out
         assert "merged across workers" in out
-        assert "smoke: health ok" in out
+        # The probe leaves a pooled keep-alive connection on a worker;
+        # exit code 0 says the drain did not wait it out (< 5 s).
+        assert "smoke: probe ok" in out
+        assert "1 connection(s) open; drained in" in out
