@@ -125,10 +125,10 @@ class SapphireCache:
         # Derived with the indexes, for the QSM's per-round scans: the
         # tree-resident literal surfaces (IDs in tree order, and binned
         # by length like the residual ones), and every predicate/class
-        # entry with its camel-split surface.
+        # entry beside the bins of their camel-split surfaces.
         self._tree_literal_sids: List[int] = []
         self.tree_literal_bins = LiteralBins()
-        self._pc_forms: List[Tuple[CachedTerm, str]] = []
+        self._pc_scan: Tuple[List[CachedTerm], LiteralBins] = ([], LiteralBins())
         self._indexed = False
         # Lookup accounting (fed by the QCM, surfaced in /stats): which
         # tier answered each completion — suffix tree, literal bins, the
@@ -349,22 +349,18 @@ class SapphireCache:
 
     def residual_scored(
         self,
-        needle: str,
         min_len: int,
         max_len: int,
         scorer,
         threshold: float,
-        processes: int,
         bins: LiteralBins,
-    ) -> List[tuple]:
-        """``(surface_id, surface, score)`` triples with ``scorer(surface)
-        >= threshold`` in the window, sorted ``(-score, length, surface)``
-        — the ``scan_scored_keyed`` contract.  ``needle`` is unused here
-        but lets the tiered override drive its window query."""
-        del needle
-        return bins.scan_scored_keyed(
-            min_len, max_len, scorer, threshold, processes
-        )
+    ) -> Tuple[List[tuple], int]:
+        """``(surface_id, surface, score)`` triples the scorer puts at or
+        above ``threshold`` in the window, sorted ``(-score, length,
+        surface)``, and the number of residual literals scanned — the
+        ``scan_scored`` contract.  The tiered override scores the rows
+        of its on-disk window instead of ``bins``."""
+        return bins.scan_scored(scorer, threshold, min_len, max_len)
 
     def _kind_entries(self, kind: str) -> List[CachedTerm]:
         return [
@@ -389,21 +385,22 @@ class SapphireCache:
         self.tree_literal_bins = LiteralBins()
         for sid in tree_literals:
             self.tree_literal_bins.add(self._surfaces[sid], key=sid)
-        self._pc_forms = self._derive_pc_forms()
+        self._pc_scan = self._derive_pc_scan()
 
-    def _derive_pc_forms(self) -> List[Tuple[CachedTerm, str]]:
-        return [
-            (entry, split_camel_case(entry.surface))
-            for entry in self.predicates() + self.classes()
-        ]
+    def _derive_pc_scan(self) -> Tuple[List[CachedTerm], LiteralBins]:
+        entries = self.predicates() + self.classes()
+        return entries, LiteralBins(
+            split_camel_case(entry.surface) for entry in entries
+        )
 
-    def predicate_class_forms(self) -> List[Tuple[CachedTerm, str]]:
-        """Every predicate entry, then every class entry, each with its
-        camel-split surface (what the QSM scores a typed predicate
-        against).  Derived by ``build_indexes``; entries added since
-        then show up at once, at the price of re-deriving per call."""
+    def predicate_class_scan(self) -> Tuple[List[CachedTerm], LiteralBins]:
+        """Every predicate entry, then every class entry, and the bins
+        of their camel-split surfaces (what the QSM scores a typed
+        predicate against), keyed by position in that list.  Derived by
+        ``build_indexes``; entries added since then show up at once, at
+        the price of re-deriving per call."""
         with self.lock:
-            return self._pc_forms if self._indexed else self._derive_pc_forms()
+            return self._pc_scan if self._indexed else self._derive_pc_scan()
 
     def tree_literal_surface_ids(self) -> List[int]:
         """Surface IDs of the literal surfaces indexed in the suffix tree."""

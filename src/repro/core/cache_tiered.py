@@ -315,17 +315,17 @@ class TieredSapphireCache(SapphireCache):
         del bins
         return 1.0 - self.term_index.selectivity(min_len, max_len)
 
-    def residual_scored(self, needle, min_len, max_len, scorer, threshold,
-                        processes, bins):
-        del processes, bins
+    def residual_scored(self, min_len, max_len, scorer, threshold, bins):
+        del bins  # rows arrive from SQLite without a signature column
+        rows = self.term_index.window_rows(min_len, max_len)
         hits = [
             (sid, surface, score)
-            for sid, surface in self.term_index.window_rows(min_len, max_len)
+            for sid, surface in rows
             for score in (scorer(surface),)
             if score >= threshold
         ]
         hits.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
-        return hits
+        return hits, len(rows)
 
     def note_lookup(self, tree_hit: bool, residual_hit: bool) -> None:
         with self.lock:

@@ -8,7 +8,9 @@ values as defaults:
 * QSM: Jaro–Winkler threshold θ = 0.7, literal window α = 2 / β = 3,
   relaxation query budget = 100, w_q < w_default (Section 6.2),
 * the number of parallel scan processes P (the paper uses the 8 cores of
-  its evaluation machine).
+  its evaluation machine): it drives Algorithm 1 in the QCM's substring
+  scan of the residual bins; the QSM's scored scans run in the calling
+  thread (``repro.text.bins``).
 
 The sizes that scale with the dataset (suffix-tree capacity, pagination
 page size, initialization query limit) default to values proportionate to

@@ -39,12 +39,11 @@ execution.
 
 from __future__ import annotations
 
-import copy
 from contextlib import nullcontext
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
-from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import Query, ValuesClause
 from ..sparql.evaluator import QueryEvaluator, finalize_solutions
 from ..sparql.results import SelectResult
@@ -73,30 +72,29 @@ def build_probe_query(
     an inline VALUES table.  Solution modifiers are stripped — the raw
     solution stream ships once and each candidate group is finished at
     the caller (DISTINCT/ORDER/LIMIT act per candidate, not across the
-    batch).
+    batch).  The probe shares everything it does not change with
+    ``query`` (only the pattern and VALUES lists are new), as
+    ``qsm_terms._replace_term`` does; ``query`` is left untouched.
     """
-    probe = copy.deepcopy(query)
-    pattern = probe.where.patterns[triple_index]
-    parts = {
-        "subject": pattern.subject,
-        "predicate": pattern.predicate,
-        "object": pattern.object,
-    }
-    parts[position] = Variable(PROBE_VAR)
-    probe.where.patterns[triple_index] = TriplePattern(
-        parts["subject"], parts["predicate"], parts["object"]
+    where = query.where
+    patterns = list(where.patterns)
+    patterns[triple_index] = replace(
+        patterns[triple_index], **{position: Variable(PROBE_VAR)}
     )
-    probe.where.values.append(
+    values = where.values + [
         ValuesClause((PROBE_VAR,), tuple((term,) for term in candidates))
+    ]
+    return replace(
+        query,
+        where=replace(where, patterns=patterns, values=values),
+        select_items=[],
+        select_star=True,
+        distinct=False,
+        order_by=[],
+        limit=None,
+        offset=None,
+        group_by=[],
     )
-    probe.select_items = []
-    probe.select_star = True
-    probe.distinct = False
-    probe.order_by = []
-    probe.limit = None
-    probe.offset = None
-    probe.group_by = []
-    return probe
 
 
 class ProbeBatcher:

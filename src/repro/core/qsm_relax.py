@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import IRI, Literal, Term, Variable
@@ -347,16 +347,11 @@ class StructureRelaxer:
         from cached knowledge instead of graph expansion, and it preserves
         the query's modifiers because no variable is renamed.
         """
-        import copy
-
-        from ..rdf.namespaces import FOAF, RDFS_LABEL
-
-        new_query = copy.deepcopy(query)
         patterns: List[TriplePattern] = []
         changed = False
         fresh = itertools.count()
         grounded: List[Term] = []
-        for pattern in new_query.where.patterns:
+        for pattern in query.where.patterns:
             obj = pattern.object
             predicate = pattern.predicate
             if isinstance(obj, Literal) and isinstance(predicate, IRI):
@@ -376,7 +371,8 @@ class StructureRelaxer:
             patterns.append(pattern)
         if not changed:
             return []
-        new_query.where.patterns = patterns
+        # Only the pattern list is new; the rest is shared with ``query``.
+        new_query = replace(query, where=replace(query.where, patterns=patterns))
         try:
             result = self.runner(new_query)
         except Exception:

@@ -7,16 +7,20 @@ query, the QSM hunts for semantically close replacements:
   lexicon (``wife``/``husband`` -> ``spouse``), then matched against the
   cached predicate/class surfaces by Jaro–Winkler similarity ≥ θ = 0.7.
 * **Literals** — matched against cached literal surfaces of length within
-  ``[|l| − α, |l| + β]`` (α = 2, β = 3) by the same JW threshold, scanned
-  in parallel over the residual bins (plus the small tree-resident
-  literal set, see the cache module's docstring).  The scan runs in
-  surface-ID space: bin hits and tree hits are surface IDs resolved to
-  cached terms by list index.
+  ``[|l| − α, |l| + β]`` (α = 2, β = 3) by the same JW threshold, over
+  the residual bins (plus the small tree-resident literal set, see the
+  cache module's docstring).  The scan runs in surface-ID space: bin
+  hits and tree hits are surface IDs resolved to cached terms by list
+  index.
 
-Every scan scores through :class:`~repro.text.similarity.ThresholdScorer`,
-which answers ``0.0`` without running the match loop for a pair that
-provably cannot reach θ and the exact score otherwise; candidates are
-discovered once per round (:meth:`AlternativeTermsFinder.candidate_positions`).
+Every scan is a bin scan (:meth:`~repro.text.bins.LiteralBins.scan_scored`)
+in the calling thread, and scores through
+:class:`~repro.text.similarity.ThresholdScorer`, which takes a bin and
+its signature column whole and runs the match loop only for a pair that
+could reach θ; on a tiered cache the residual window arrives from disk
+and is scored pair by pair.  Candidates are discovered once per round
+(:meth:`AlternativeTermsFinder.candidate_positions`) and never memoised
+across rounds.
 
 One alternative query is constructed per replacement (one change at a
 time — the UI's "did you mean X instead of Y?" phrasing).  Candidate
@@ -30,7 +34,6 @@ are suggested, in similarity order, with their answers prefetched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -127,19 +130,19 @@ class AlternativeTermsFinder:
             for form in self.lexicon.get_lexica(predicate)
         ]
         predicate_id = self.cache.dictionary.lookup(predicate)
-        scored: List[Scored] = []
-        compared = 0
-        for entry, entry_surface in self.cache.predicate_class_forms():
-            if entry.term_id == predicate_id:
-                continue
-            compared += 1
-            # A scorer answers 0.0 or the exact score, and the exact
-            # score whenever that reaches θ: the max is exact above θ.
-            best = max(scorer(entry_surface) for scorer in scorers)
-            if best >= theta:
-                scored.append((entry, best))
+        entries, bins = self.cache.predicate_class_scan()
+        best: Dict[int, float] = {}  # entry position -> max over the forms
+        for scorer in scorers:
+            for at, _, score in bins.scan_scored(scorer, theta)[0]:
+                if score > best.get(at, 0.0):
+                    best[at] = score
+        scored = [
+            (entries[at], score)
+            for at, score in sorted(best.items())
+            if entries[at].term_id != predicate_id
+        ]
         if tally is not None:
-            tally.scanned += compared * len(scorers)
+            tally.scanned += len(bins) * len(scorers)
             tally.scored += sum(scorer.scored_count() for scorer in scorers)
             tally.kept += len(scored)
         scored.sort(key=lambda pair: (-pair[1], pair[0].surface))
@@ -150,7 +153,7 @@ class AlternativeTermsFinder:
     ) -> List[Scored]:
         """Cached literals JW-similar to ``literal`` within the α/β window.
 
-        ID-native: both the parallel bin scan and the tree-resident set
+        ID-native: both the residual scan and the tree-resident set
         yield surface IDs; entries resolve by ID, no string re-hashing.
         """
         surface = literal.lexical
@@ -159,27 +162,21 @@ class AlternativeTermsFinder:
         max_len = len(surface) + self.config.beta
         theta = self.config.theta
         scorer = ThresholdScorer(needle, theta)
-        # The residual scan may run on worker threads; next() on an
-        # itertools.count is one C call, so they can share the tally.
-        calls = itertools.count()
-
-        def counted(candidate: str) -> float:
-            next(calls)
-            return scorer(candidate)
-
         # Snapshot under the lock, scan outside it: a JW sweep over the
         # bins must not stall concurrent per-keystroke completions.
         with self.cache.lock:
             _, _, bins = self.cache.snapshot_indexes()
             tree_literals = self.cache.tree_literal_bins
-        scan = scorer if tally is None else counted
-        matches = self.cache.residual_scored(
-            needle, min_len, max_len, scan, theta, self.config.processes, bins
+        matches, scanned = self.cache.residual_scored(
+            min_len, max_len, scorer, theta, bins
         )
         # Also consider the tree-resident (significant) literal surfaces.
-        matches += tree_literals.scan_scored_keyed(min_len, max_len, scan, theta)
+        tree_matches, tree_scanned = tree_literals.scan_scored(
+            scorer, theta, min_len, max_len
+        )
+        matches += tree_matches
         if tally is not None:
-            tally.scanned += next(calls)
+            tally.scanned += scanned + tree_scanned
             tally.scored += scorer.scored_count()
             tally.kept += len(matches)
 

@@ -11,13 +11,24 @@ the contiguous-range scheme of **Algorithm 1**.
 Algorithm 1 is implemented verbatim in :func:`assign_tasks` (and unit
 tested against its stated invariants: every literal assigned exactly
 once, per-worker load within one bin-remainder of the ideal d = n/P).
+It drives the substring scans (``scan`` / ``scan_keyed``, the QCM's).
+
+The QSM's *scored* scan (:meth:`LiteralBins.scan_scored`) runs in the
+calling thread instead: under one GIL P threads buy a Python scorer
+nothing, so what is left is the cost of one candidate.  Each bin keeps,
+beside its strings, a parallel column of character-multiset signatures
+and a first-character → offsets table, and a scorer takes a bin whole
+(:meth:`repro.text.similarity.ThresholdScorer.score_bin`).
 """
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .similarity import signature
 
 __all__ = ["LiteralBins", "BinTask", "assign_tasks", "scan_bins"]
 
@@ -85,24 +96,32 @@ class LiteralBins:
     *key* per literal — the Sapphire cache passes its surface IDs, so a
     scan hit maps back to cached terms without a string lookup; callers
     that never pass keys get a dense insertion index instead.  ``scan``
-    applies an arbitrary predicate or scorer over the literals in a
-    length range, parallelized over ``processes`` workers per
-    Algorithm 1; the ``*_keyed`` variants return ``(key, literal)``
-    pairs for ID-space consumers.
+    applies an arbitrary predicate over the literals in a length range,
+    parallelized over ``processes`` workers per Algorithm 1
+    (``scan_keyed`` returns ``(key, literal)`` pairs for ID-space
+    consumers); ``scan_scored`` hands each bin of the range, with its
+    signature columns, to a bulk scorer.
     """
 
     def __init__(self, literals: Optional[Iterable[str]] = None) -> None:
         self._bins: Dict[int, List[str]] = {}
         self._keys: Dict[int, List[int]] = {}
+        # Per bin, parallel to its strings: their signatures, and the
+        # offsets of the strings starting with each character.
+        self._signatures: Dict[int, List[int]] = {}
+        self._by_first: Dict[int, Dict[str, List[int]]] = {}
         self._count = 0
         if literals is not None:
             self.add_all(literals)
 
     def add(self, literal: str, key: Optional[int] = None) -> None:
-        self._bins.setdefault(len(literal), []).append(literal)
-        self._keys.setdefault(len(literal), []).append(
-            self._count if key is None else key
-        )
+        length = len(literal)
+        bucket = self._bins.setdefault(length, [])
+        bucket.append(literal)
+        self._keys.setdefault(length, []).append(self._count if key is None else key)
+        self._signatures.setdefault(length, []).append(signature(literal))
+        # Last: a scan indexes the other columns by these offsets.
+        self._by_first.setdefault(length, {}).setdefault(literal[:1], []).append(len(bucket) - 1)
         self._count += 1
 
     def add_all(self, literals: Iterable[str]) -> None:
@@ -200,58 +219,32 @@ class LiteralBins:
 
     def scan_scored(
         self,
-        min_len: int,
-        max_len: int,
-        scorer: Callable[[str], float],
+        scorer,
         threshold: float,
-        processes: int = 1,
-    ) -> List[Tuple[str, float]]:
-        """Literals with ``scorer(lit) >= threshold`` in a length window.
+        min_len: int = 0,
+        max_len: int = sys.maxsize,
+    ) -> Tuple[List[Tuple[int, str, float]], int]:
+        """``(key, literal, score)`` of the literals in a length window
+        that ``scorer`` puts at or above ``threshold``, sorted by
+        ``(-score, length, literal)``; and how many it was handed.
 
-        Used by the QSM's alternative-literal search (Jaro–Winkler with
-        θ = 0.7); results are (literal, score), descending by score.
+        Used by the QSM's alternative-term search (Jaro–Winkler with
+        θ = 0.7).  ``scorer.score_bin(literals, signatures, by_first)``
+        answers a whole bin with ``(offset, score)`` pairs: every
+        literal that reaches the threshold, with its exact score.
         """
-        return [
-            (literal, score)
-            for _, literal, score in self.scan_scored_keyed(
-                min_len, max_len, scorer, threshold, processes
-            )
-        ]
-
-    def scan_scored_keyed(
-        self,
-        min_len: int,
-        max_len: int,
-        scorer: Callable[[str], float],
-        threshold: float,
-        processes: int = 1,
-    ) -> List[Tuple[int, str, float]]:
-        """Like :meth:`scan_scored` but yields ``(key, literal, score)``."""
-        selected = self.select_bins(min_len, max_len)
-        if not selected:
-            return []
-        buckets = [bucket for _, bucket in selected]
-        key_lists = [self._keys[length] for length, _ in selected]
         results: List[Tuple[int, str, float]] = []
-
-        def work(assignments: List[BinTask]) -> List[Tuple[int, str, float]]:
-            hits: List[Tuple[int, str, float]] = []
-            for task in assignments:
-                bucket = buckets[task.bin_index]
-                keys = key_lists[task.bin_index]
-                for offset in range(task.start, task.end):
-                    literal = bucket[offset]
-                    score = scorer(literal)
-                    if score >= threshold:
-                        hits.append((keys[offset], literal, score))
-            return hits
-
-        for chunk in _run_assignments(
-            [len(b) for b in buckets], processes, work
-        ):
-            results.extend(chunk)
+        scanned = 0
+        for length, bucket in self.select_bins(min_len, max_len):
+            keys = self._keys[length]
+            scanned += len(bucket)
+            for offset, score in scorer.score_bin(
+                bucket, self._signatures[length], self._by_first[length]
+            ):
+                if score >= threshold:
+                    results.append((keys[offset], bucket[offset], score))
         results.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
-        return results
+        return results, scanned
 
 
 def _run_assignments(bin_sizes: Sequence[int], processes: int, work):

@@ -9,16 +9,16 @@ that compare measures.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "jaro",
     "jaro_winkler",
     "jaro_winkler_at_least",
     "ThresholdScorer",
+    "signature",
     "levenshtein",
     "levenshtein_similarity",
     "containment_similarity",
@@ -92,8 +92,7 @@ def jaro_winkler(s1: str, s2: str, prefix_scale: float = 0.1, max_prefix: int = 
     return base + prefix * prefix_scale * (1.0 - base)
 
 
-@lru_cache(maxsize=1 << 15)
-def _signature(s: str) -> int:
+def signature(s: str) -> int:
     """Character-multiset signature of ``s`` as one int.
 
     Bit ``(k << 7) | (ord(ch) & 127)`` is set for the k-th character of
@@ -102,7 +101,7 @@ def _signature(s: str) -> int:
     ``(a & b).bit_count()`` is the sum over buckets of the smaller
     population — at least the multiset intersection of the two strings.
     Characters colliding in a bucket (non-ASCII) only raise that sum,
-    i.e. loosen the bound.  The memo is LRU-bounded; a miss recomputes.
+    i.e. loosen the bound.
     """
     sig = 0
     seen: Dict[int, int] = {}
@@ -114,6 +113,12 @@ def _signature(s: str) -> int:
     return sig
 
 
+#: LRU-bounded memo for the pairwise form (a miss recomputes); a bin
+#: column holds its candidates' signatures itself.
+_signature = lru_cache(maxsize=1 << 15)(signature)
+
+
+@lru_cache(maxsize=1 << 12)
 def _matches_needed(len1: int, len2: int, threshold: float) -> Tuple[int, ...]:
     """Fewest Jaro matches with which strings of these lengths can score
     ``threshold``, per common-prefix length 0..4.
@@ -123,6 +128,7 @@ def _matches_needed(len1: int, len2: int, threshold: float) -> Tuple[int, ...]:
     at most 1, so ``j ≤ (m/l1 + m/l2 + 1) / 3`` and the match count must
     reach ``(3·jmin − 1)·l1·l2 / (l1 + l2)``.  The 1e-9 keeps the integer
     sound against rounding in this arithmetic and in the score itself.
+    A pure function of two lengths and θ, memoised process-wide.
     """
     scale = len1 * len2 / (len1 + len2)
     return tuple(
@@ -181,24 +187,24 @@ class ThresholdScorer:
     Trigram overlap would not do as the first test: ``"abcdef"`` and
     ``"badcfe"`` share no trigram and score 0.83.
 
-    The scorer counts the candidates that survived the signature bound
-    (``next()`` on an ``itertools.count`` is one C call, so the worker
-    threads of a parallel bin scan can share one scorer); read the count
-    once, after the scan, with :meth:`scored_count`.
+    :meth:`score_bin` is the bulk form over one length bin and its
+    signature column; it keeps and drops exactly what the pairwise form
+    does.  Either way the scorer counts the candidates that survived the
+    signature bound (:meth:`scored_count`); a scorer belongs to one scan
+    in one thread.
     """
 
-    __slots__ = ("needle", "threshold", "_signature", "_needed", "_scored")
+    __slots__ = ("needle", "threshold", "_signature", "_scored")
 
     def __init__(self, needle: str, threshold: float) -> None:
         self.needle = needle
         self.threshold = threshold
         self._signature = _signature(needle)
-        self._needed: Dict[int, Tuple[int, ...]] = {}  # by candidate length
-        self._scored = itertools.count()
+        self._scored = 0
 
     def scored_count(self) -> int:
-        """Candidates that reached the match loop.  Consumes the tally."""
-        return next(self._scored)
+        """Candidates that reached the match loop so far."""
+        return self._scored
 
     def __call__(self, candidate: str) -> float:
         needle = self.needle
@@ -210,19 +216,58 @@ class ThresholdScorer:
                 if c1 != c2 or prefix >= 4:
                     break
                 prefix += 1
-        needed = self._needed.get(len(candidate))
-        if needed is None:
-            needed = self._needed[len(candidate)] = _matches_needed(
-                len(needle), len(candidate), self.threshold
-            )
-        need = needed[prefix]
+        need = _matches_needed(len(needle), len(candidate), self.threshold)[prefix]
         if (self._signature & _signature(candidate)).bit_count() < need:
             return 0.0
-        next(self._scored)
+        self._scored += 1
         base = _jaro_given(needle, candidate, need)
         if base < 0.0:
             return 0.0
         return base + prefix * 0.1 * (1.0 - base)
+
+    def score_bin(
+        self,
+        candidates: Sequence[str],
+        signatures: Sequence[int],
+        by_first: Dict[str, List[int]],
+    ) -> List[Tuple[int, float]]:
+        """``(offset, score)`` of every candidate of one length bin that
+        reaches the threshold (> 0), ascending by offset.
+
+        ``signatures`` is the bin's :func:`signature` column and
+        ``by_first`` its first character → offsets table.  A candidate
+        whose first character differs from the needle's has common
+        prefix 0, so the pairwise test on it is the prefix-0 bound: one
+        comprehension over the column, survivors through the match loop,
+        whose value is their score.  The few that share the first
+        character (any prefix 1..4, each with its own bound) and the
+        empty-string cases take the pairwise form unchanged.
+        """
+        needle, theta = self.needle, self.threshold
+        hits: List[Tuple[int, float]] = []
+        if not needle or not candidates or not candidates[0]:
+            same: Sequence[int] = range(len(candidates))
+        else:
+            first = needle[0]
+            need = _matches_needed(len(needle), len(candidates[0]), theta)[0]
+            mine = self._signature
+            for offset in [
+                i for i, sig in enumerate(signatures) if (sig & mine).bit_count() >= need
+            ]:
+                candidate = candidates[offset]
+                if candidate[0] != first:
+                    self._scored += 1
+                    score = _jaro_given(needle, candidate, need)
+                    if score >= theta:
+                        hits.append((offset, score))
+            same = by_first.get(first, ())
+        for offset in same:
+            score = self(candidates[offset])
+            if score >= theta:
+                hits.append((offset, score))
+        if same:
+            hits.sort()
+        return hits
 
 
 def jaro_winkler_at_least(s1: str, s2: str, threshold: float) -> float:

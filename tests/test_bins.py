@@ -116,22 +116,55 @@ class TestLiteralBins:
         assert LiteralBins().selectivity(0, 10) == 0.0
 
     def test_scan_scored_threshold_and_order(self, bins):
-        from repro.text import jaro_winkler
+        from repro.text import ThresholdScorer
 
-        results = bins.scan_scored(
-            5, 10, lambda s: jaro_winkler("kennedys", s), threshold=0.7
-        )
-        assert [r[0] for r in results][0] == "kennedys"
-        assert all(score >= 0.7 for _, score in results)
-        scores = [score for _, score in results]
+        results, scanned = bins.scan_scored(ThresholdScorer("kennedys", 0.7), 0.7, 5, 10)
+        assert scanned == 2  # the window's literals, whatever the bound drops
+        assert [r[1] for r in results][0] == "kennedys"
+        assert all(score >= 0.7 for _, _, score in results)
+        scores = [score for _, _, score in results]
         assert scores == sorted(scores, reverse=True)
 
-    def test_scan_scored_parallel_matches_serial(self, bins):
+    def test_scan_scored_matches_plain_jaro_winkler(self, bins):
+        """Whole range, keys and all: ``(key, literal, score)`` by
+        ``(-score, length, literal)``, keys the insertion index."""
+        from repro.text import ThresholdScorer, jaro_winkler
+
+        results, scanned = bins.scan_scored(ThresholdScorer("kennedy", 0.5), 0.5)
+        literals = ["a", "bb", "cc", "ddd", "eee", "ffff", "kennedy", "kennedys"]
+        expected = [
+            (key, literal, jaro_winkler("kennedy", literal))
+            for key, literal in enumerate(literals)
+            if jaro_winkler("kennedy", literal) >= 0.5
+        ]
+        expected.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
+        assert results == expected and [hit[0] for hit in results] == [6, 7, 4]
+        assert scanned == len(bins)
+
+    def test_scan_scored_returns_the_callers_keys(self):
+        from repro.text import ThresholdScorer
+
+        bins = LiteralBins()
+        for key, literal in ((40, "kennedy"), (7, "kennedys"), (19, "kennel"), (3, "zzzzzzz")):
+            bins.add(literal, key=key)
+        results, _ = bins.scan_scored(ThresholdScorer("kennedy", 0.7), 0.7, 6, 8)
+        assert [(key, literal) for key, literal, _ in results] == [
+            (40, "kennedy"), (7, "kennedys"), (19, "kennel"),
+        ]
+
+    def test_scan_scored_filters_on_the_callers_threshold(self, bins):
+        """A scorer may hand back more than the caller keeps (the plain
+        reference of ``tests/test_qsm_parity.py`` hands back everything)."""
         from repro.text import jaro_winkler
 
-        serial = bins.scan_scored(1, 10, lambda s: jaro_winkler("kennedy", s), 0.5, processes=1)
-        parallel = bins.scan_scored(1, 10, lambda s: jaro_winkler("kennedy", s), 0.5, processes=4)
-        assert serial == parallel
+        class Everything:
+            def score_bin(self, candidates, signatures, by_first):
+                assert len(candidates) == len(signatures) == sum(map(len, by_first.values()))
+                return [(at, jaro_winkler("kennedy", c)) for at, c in enumerate(candidates)]
+
+        results, scanned = bins.scan_scored(Everything(), 0.9)
+        assert [literal for _, literal, _ in results] == ["kennedy", "kennedys"]
+        assert scanned == 8
 
 
 class TestScanBins:

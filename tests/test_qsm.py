@@ -9,7 +9,10 @@ from repro.core import (
 )
 from repro.core.qsm_relax import GraphExpander
 from repro.rdf import DBO, FOAF, IRI, Literal, Variable
+from repro.sparql.parser import parse_query
 from repro.sparql.serializer import select_query
+from repro.sparql.trace import Tracer
+from repro.text import ThresholdScorer
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,59 @@ class TestLiteralAlternatives:
     def test_scores_above_theta(self, finder):
         for _, score in finder.literal_alternatives(Literal("Sydney", lang="en")):
             assert score >= finder.config.theta
+
+
+class TestColumnScan:
+    """Every scan goes through the bulk kernel over the bins' columns.
+    Counts, not timings: a change that routes the scan back through one
+    scorer call per candidate fails here."""
+
+    @pytest.fixture(scope="class")
+    def tail_finder(self, server, runner):
+        """A suffix tree too small for the literals: most of them sit in
+        the residual bins, some in the tree-resident bins."""
+        cache = server.cache.copy_with_capacity(150)
+        assert cache.n_residual_literals > 200 and len(cache.tree_literal_bins) > 0
+        return AlternativeTermsFinder(cache, runner, cache.config)
+
+    @staticmethod
+    def window(finder, surface):
+        """The literals the α/β window of ``surface`` holds, from the bins."""
+        config = finder.config
+        low, high = max(1, len(surface) - config.alpha), len(surface) + config.beta
+        return [
+            literal
+            for bins in (finder.cache.bins, finder.cache.tree_literal_bins)
+            for _, bucket in bins.select_bins(low, high)
+            for literal in bucket
+        ]
+
+    @pytest.mark.parametrize("surface", ["Kennedys", "Sydny", "Tom Hnks"])
+    def test_pairwise_scorer_sees_only_same_first_character(self, tail_finder, surface, monkeypatch):
+        calls = []
+        pairwise = ThresholdScorer.__call__
+        monkeypatch.setattr(
+            ThresholdScorer, "__call__",
+            lambda self, candidate: calls.append(candidate) or pairwise(self, candidate),
+        )
+        found = tail_finder.literal_alternatives(Literal(surface, lang="en"))
+        assert found
+        window = self.window(tail_finder, surface)
+        same_first = [literal for literal in window if literal[0] == surface[0].lower()]
+        assert sorted(calls) == sorted(same_first)  # once each, and no one else
+        assert len(calls) < len(window) / 4
+
+    def test_span_counts_come_from_the_bins(self, tail_finder):
+        query = parse_query('SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }')
+        tracer = Tracer()
+        tail_finder.candidate_positions(query, tracer=tracer)
+        span = next(s for s in tracer.finish().walk() if s.name == "qsm-alternatives")
+        _, pc_bins = tail_finder.cache.predicate_class_scan()
+        forms = tail_finder.lexicon.get_lexica(FOAF.term("surname"))
+        scanned = len(self.window(tail_finder, "Kennedys")) + len(pc_bins) * len(forms)
+        assert span.attrs["scanned"] == scanned
+        assert span.attrs["bounded_out"] + span.attrs["scored"] == scanned
+        assert span.attrs["bounded_out"] > span.attrs["scored"] >= span.attrs["kept"] >= 1
 
 
 class TestSuggest:

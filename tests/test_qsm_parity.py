@@ -39,6 +39,9 @@ class PlainScorer:
         self.calls += 1
         return jaro_winkler(self.needle, candidate)
 
+    def score_bin(self, candidates, signatures, by_first):
+        return [(offset, self(candidate)) for offset, candidate in enumerate(candidates)]
+
     def scored_count(self):
         return self.calls
 

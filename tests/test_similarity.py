@@ -13,6 +13,7 @@ from repro.text import (
     levenshtein,
     levenshtein_similarity,
 )
+from repro.text.similarity import signature
 
 
 class TestJaro:
@@ -125,6 +126,69 @@ class TestJaroWinklerAtLeast:
         scorer = ThresholdScorer("aaaa", 0.7)
         assert scorer("\u00e1\u00e1\u00e1\u00e1") == 0.0 == jaro_winkler("aaaa", "\u00e1\u00e1\u00e1\u00e1")
         assert scorer.scored_count() == 1
+
+
+#: A needle and raw material for one scan's candidates: each shares at
+#: least ``keep`` leading characters with the needle, then diverges.
+_SCANS = st.tuples(
+    _STRINGS,
+    st.lists(st.tuples(st.integers(0, 6), _STRINGS), max_size=16),
+)
+
+
+class TestScoreBin:
+    """The bulk form over a length bin and its columns keeps exactly what
+    plain ``jaro_winkler`` keeps, with the same floats, and runs the
+    match loop for exactly the pairs the pairwise form runs it for."""
+
+    @given(_SCANS)
+    @example(("abcdef", [(0, "badcfe"), (1, "bdcfe"), (0, "abcdef")]))
+    @example(("", [(0, ""), (0, "abc")]))
+    @example(("abc", [(0, ""), (3, ""), (4, "d")]))
+    @example(("aaaa", [(0, "\u00e1\u00e1\u00e1\u00e1"), (2, "aa"), (0, "aaaaaaaa")]))
+    # Buckets collide, first characters differ:
+    @example(("\u00e1bc", [(0, "abc"), (1, "bc"), (0, "\u0161bc")]))
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_what_plain_jaro_winkler_keeps(self, scan):
+        needle, raw = scan
+        bins = {}
+        for keep, tail in raw:
+            candidate = needle[:keep] + tail
+            bins.setdefault(len(candidate), []).append(candidate)
+        for theta in (0.5, 0.6, 0.7, 0.9):
+            for candidates in bins.values():
+                by_first = {}
+                for offset, candidate in enumerate(candidates):
+                    by_first.setdefault(candidate[:1], []).append(offset)
+                bulk = ThresholdScorer(needle, theta)
+                got = bulk.score_bin(candidates, [signature(c) for c in candidates], by_first)
+                assert got == [
+                    (offset, jaro_winkler(needle, candidate))
+                    for offset, candidate in enumerate(candidates)
+                    if jaro_winkler(needle, candidate) >= theta
+                ], (needle, candidates, theta)
+                pairwise = ThresholdScorer(needle, theta)
+                for candidate in candidates:
+                    pairwise(candidate)
+                assert bulk.scored_count() == pairwise.scored_count(), (needle, candidates, theta)
+
+    def test_sure_losers_never_reach_a_scorer_call(self, monkeypatch):
+        """A candidate with another first character is decided by the
+        column pass: the pairwise form is not called for it."""
+        candidates = ["zzzzzzz", "kxxxxxx", "pennedy", "kennedi"]
+        called = []
+        pairwise = ThresholdScorer.__call__
+        monkeypatch.setattr(
+            ThresholdScorer, "__call__",
+            lambda self, candidate: called.append(candidate) or pairwise(self, candidate),
+        )
+        scorer = ThresholdScorer("kennedy", 0.7)
+        got = scorer.score_bin(
+            candidates, [signature(c) for c in candidates], {"z": [0], "k": [1, 3], "p": [2]}
+        )
+        assert got == [(2, jaro_winkler("kennedy", "pennedy")), (3, jaro_winkler("kennedy", "kennedi"))]
+        assert called == ["kxxxxxx", "kennedi"]
+        assert scorer.scored_count() == 2  # "pennedy" in bulk, "kennedi" pairwise
 
 
 class TestLevenshtein:

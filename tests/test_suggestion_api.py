@@ -25,6 +25,7 @@ import pytest
 
 from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.core import ProbeBatcher, initialize_endpoint
+from repro.core.probes import PROBE_VAR, build_probe_query
 from repro.core.qcm import QueryCompletionModule
 from repro.endpoint.endpoint import QueryRejected
 from repro.net import (
@@ -35,7 +36,11 @@ from repro.net import (
     fetch_stats,
     route_deltas,
 )
+from repro.rdf.terms import Variable
+from repro.rdf.triples import TriplePattern
+from repro.sparql.ast_nodes import ValuesClause
 from repro.sparql.parser import parse_query
+from repro.sparql.serializer import serialize_query
 from repro.store import TripleStore
 from repro.store.sqlite_backend import SQLiteBackend
 
@@ -155,6 +160,69 @@ class TestBatchedProbes:
                         sorted(map(repr, single.rows))
                 else:
                     assert batch_result is None
+
+    @staticmethod
+    def deepcopied_probe(query, triple_index, position, candidates):
+        """The reference: the probe as it was built before it shared
+        structure with its query — a deep copy, edited in place."""
+        import copy
+
+        probe = copy.deepcopy(query)
+        pattern = probe.where.patterns[triple_index]
+        parts = {"subject": pattern.subject, "predicate": pattern.predicate,
+                 "object": pattern.object}
+        parts[position] = Variable(PROBE_VAR)
+        probe.where.patterns[triple_index] = TriplePattern(**parts)
+        probe.where.values.append(
+            ValuesClause((PROBE_VAR,), tuple((term,) for term in candidates)))
+        probe.select_items, probe.select_star, probe.distinct = [], True, False
+        probe.order_by, probe.limit, probe.offset, probe.group_by = [], None, None, []
+        return probe
+
+    def test_shared_structure_probes_match_deepcopied_ones(self, server, gold_queries, probe_queries):
+        """Byte-identical probes, and the query they are built from is
+        left as it was: patterns, VALUES and modifiers."""
+        import copy
+        import re
+
+        typos = []
+        for gold in gold_queries:
+            match = re.search(r"dbo:([A-Za-z]{5,})", gold)
+            if match is not None:  # the ``probe_queries`` fixture's typo
+                cut = match.start(1) + 2
+                typos.append(gold[:cut] + gold[cut + 1:])
+        # And one with VALUES, OPTIONAL and every modifier to leave alone.
+        typos.append('SELECT DISTINCT ?p WHERE { ?p foaf:surname "Kennedys"@en . VALUES (?p) { (dbr:a) } '
+                     "OPTIONAL { ?p dbo:spuse ?w } } ORDER BY ?p LIMIT 3 OFFSET 1")
+        texts, of_last = [], 0
+        for typo in typos:
+            broken = parse_query(typo)
+            before = copy.deepcopy(broken)
+            positions = server.terms_finder.candidate_positions(broken)
+            of_last = len(positions)
+            for index, position, _, found in positions:
+                candidates = [entry.term for entry, _ in found]
+                probe = build_probe_query(broken, index, position, candidates)
+                reference = self.deepcopied_probe(before, index, position, candidates)
+                assert broken == before
+                assert probe == reference and serialize_query(probe) == serialize_query(reference)
+                texts.append(serialize_query(probe))
+        assert of_last and len(probe_queries) == 180
+        assert texts[:-of_last] == [serialize_query(probe) for probe in probe_queries]
+
+    def test_suggestion_round_never_deep_copies(self, server, monkeypatch):
+        import copy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("copy.deepcopy on the /suggest path")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        outcome = server.run_query(SUGGEST_QUERIES[0], suggest=True)
+        assert any(s.replacement.lexical == "Kennedy" for s in outcome.term_suggestions)
+        # The single-literal grounding of the relaxer builds a query too.
+        grounded = server.run_query(
+            'SELECT ?sci WHERE { ?sci dbo:almaMater "Princeton University"@en }', suggest=True)
+        assert any(not r.tree_edges for r in grounded.relaxations)
 
     def test_aggregate_queries_fall_back_to_per_candidate(self, tiny_dataset):
         server, _ = build_sapphire(tiny_dataset.store)
