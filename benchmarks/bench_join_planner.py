@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Tracing-overhead gate for the batch executor.
 
-Times star, chain and bound-object large-scan plans on the medium
-in-memory dataset with no tracer (the default — one ``is None`` test per
+Times star, chain, bound-object large-scan, OPTIONAL, GROUP BY / ORDER
+BY, cyclic and regex-FILTER queries (the operators of the spine's
+``sparql_analytic`` shapes) on the medium in-memory dataset with no
+tracer (the default — one ``is None`` test per
 operator) against a fresh :class:`~repro.sparql.trace.Tracer` per
 query.  Gate: traced/untraced <= MAX_TRACE_OVERHEAD.
 
@@ -51,6 +53,27 @@ SHAPES: Dict[str, List[str]] = {
         "SELECT ?s WHERE { ?s a dbo:Person }",
         "SELECT ?s ?p WHERE { ?s ?p dbo:Person }",
         "SELECT ?s ?n WHERE { ?s foaf:name ?n }",
+    ],
+    # Outer bind and outer hash join (the second has no selective base).
+    "optional": [
+        'SELECT ?s ?g ?u WHERE { ?s foaf:surname "Kennedy"@en . ?s foaf:givenName ?g '
+        "OPTIONAL { ?s dbo:almaMater ?u } }",
+        "SELECT ?s ?n ?w WHERE { ?s a dbo:Person . ?s foaf:name ?n OPTIONAL { ?s dbo:spouse ?w } }",
+    ],
+    # The columnar tail: its span wraps grouping, counting and the sort.
+    "group_order": [
+        "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s rdf:type dbo:Person . ?s dbo:birthPlace ?c } "
+        "GROUP BY ?c ORDER BY DESC(?n) LIMIT 20",
+        "SELECT ?n ?d WHERE { ?s foaf:name ?n . ?s dbo:birthDate ?d } ORDER BY DESC(?d) ?n LIMIT 50",
+    ],
+    # The multi-key semi-join closing the cycle on (?b, ?c).
+    "cyclic": [
+        "SELECT ?a ?b ?c WHERE { ?a dbo:spouse ?b . ?a dbo:birthPlace ?c . ?b dbo:birthPlace ?c . "
+        "?a rdf:type dbo:Person }",
+    ],
+    # The one-slot column filter.
+    "regex_filter": [
+        'SELECT ?s ?n WHERE { ?s foaf:surname ?n FILTER (regex(?n, "^K")) }',
     ],
 }
 

@@ -45,9 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
 from ..sparql.ast_nodes import Query, ValuesClause
-from ..sparql.evaluator import QueryEvaluator, finalize_solutions
+from ..sparql.evaluator import finalize_solutions
 from ..sparql.results import SelectResult
-from ..store.triplestore import TripleStore
 
 __all__ = ["PROBE_VAR", "ProbeBatcher", "build_probe_query"]
 
@@ -108,8 +107,6 @@ class ProbeBatcher:
 
     def __init__(self, runner: QueryRunner) -> None:
         self.runner = runner
-        # Modifier tail only; never touches this empty store.
-        self._pipeline = QueryEvaluator(TripleStore())
 
     def run(
         self,
@@ -166,9 +163,7 @@ class ProbeBatcher:
             solutions = grouped.get(candidate)
             if not solutions:
                 continue
-            finished[candidate] = finalize_solutions(
-                self._pipeline, query, solutions
-            )
+            finished[candidate] = finalize_solutions(query, solutions)
         return finished
 
     def probe_queries(

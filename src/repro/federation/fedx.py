@@ -87,6 +87,7 @@ from ..sparql.plan import (
     UnionNode,
     ValuesScanNode,
     explain_plan,
+    joins_on_maybe_unbound,
 )
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import ask_query
@@ -171,8 +172,8 @@ class FederatedQueryProcessor:
         #: Requests, pushes, fallbacks and swallowed member errors
         #: (``/stats`` serves the snapshot as its ``federation`` block).
         self.counters = FederationCounters()
-        # The mediator pipeline (aggregation, ordering, projection) comes
-        # from the local evaluator; it never touches this empty store.
+        # EXPLAIN's header line comes from the local evaluator; it never
+        # touches this empty store.
         self._pipeline = QueryEvaluator(TripleStore())
 
     # ------------------------------------------------------------------
@@ -228,7 +229,7 @@ class FederatedQueryProcessor:
         # Solution modifiers at the mediator, via the shared pipeline
         # tail (ORDER BY sees pre-projection solutions, as locally).
         return finalize_solutions(
-            self._pipeline, parsed, list(self._solve(parsed.where, tracer))
+            parsed, list(self._solve(parsed.where, tracer)), tracer=tracer
         )
 
     def analyze(
@@ -508,9 +509,15 @@ class FederatedQueryProcessor:
         if isinstance(core, LogicalLeftJoin):
             # An OPTIONAL nested inside a UNION/MINUS branch: no base
             # solution exists to correlate on, so it runs as the
-            # uncorrelated SPARQL LeftJoin algebra.
+            # uncorrelated SPARQL LeftJoin algebra — the local planner's
+            # outer hash join, or the compatibility nested loop where a
+            # shared variable may be unbound on either side.
             left = self._compile(core.left, store)
-            return LeftJoinNode(left, self._compile(core.right, store), left.est_rows)
+            right = self._compile(core.right, store)
+            if joins_on_maybe_unbound(left, right):
+                return LeftJoinNode(left, right, left.est_rows)
+            keys = tuple(name for name in right.variables if name in left.slot_of)
+            return HashJoinNode(left, right, keys, left.est_rows, outer=True)
         if isinstance(core, LogicalJoin):
             return self._compile_conjunction(conjuncts(core), store)
         raise SparqlError(f"federation cannot compile {core.label()}")
@@ -625,12 +632,8 @@ class FederatedQueryProcessor:
                 keys = tuple(
                     name for name in best.variables if name in node.slot_of
                 )
-                unsafe = any(
-                    name in node.maybe_unbound or name in best.maybe_unbound
-                    for name in keys
-                )
                 self._attach_filters(best, pending)
-                if unsafe:
+                if joins_on_maybe_unbound(node, best):
                     node = CompatJoinNode(node, best, estimate)
                 else:
                     node = HashJoinNode(node, best, keys, estimate)

@@ -5,8 +5,11 @@ optimize → physical execution).  :class:`QueryEvaluator` parses, hands
 the WHERE group to the shared optimizer
 (:class:`~repro.sparql.plan.QueryPlanner`, which translates and
 normalizes through :mod:`~repro.sparql.algebra`), and streams the
-resulting physical plan.  Shapes the ID-space operators cannot express
-run through the term-space fallback below, which implements:
+resulting physical plan; GROUP BY, aggregates and ORDER BY finish
+through the one columnar tail (:mod:`~repro.sparql.tail`).  Shapes the
+ID-space operators cannot express run through the term-space fallback
+below — also the executable reference the tests hold the batch engine
+to — which implements:
 
 * BGP matching as a backtracking index-nested-loop join.  Patterns are
   reordered greedily by estimated cardinality given the variables already
@@ -17,8 +20,8 @@ run through the term-space fallback below, which implements:
   variables are bound (errors drop the row, per the SPARQL spec).
 * UNION, inline VALUES data (with UNDEF) and MINUS, with full SPARQL
   compatibility semantics for partially bound solutions.
-* One level of OPTIONAL (left outer join).
-* DISTINCT, GROUP BY + COUNT/SUM/MIN/MAX/AVG, ORDER BY, LIMIT/OFFSET.
+* OPTIONAL, correlated: the group is solved once per base solution,
+  with that solution's bindings.
 * Cost metering: every index probe charges the meter, so a budgeted
   endpoint aborts long evaluations exactly like a remote timeout.
 
@@ -30,26 +33,21 @@ OPTIONALs extend last.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..rdf.terms import IRI, Literal, Term, Variable, XSD_INTEGER
+from ..rdf.terms import IRI, Variable
 from ..rdf.triples import Binding, TriplePattern
 from ..store.triplestore import CostMeter, TripleStore
 from .algebra import algebra_text, normalize, translate_group
-from .ast_nodes import (
-    Aggregate,
-    Expression,
-    GraphPattern,
-    OrderCondition,
-    Query,
-    TermExpr,
-    ValuesClause,
-)
-from .errors import EvaluationError, ExpressionError
+from .ast_nodes import Expression, GraphPattern, Query, TermExpr, ValuesClause
+from .errors import ExpressionError
 from .functions import effective_boolean_value, evaluate_expression
 from .parser import parse_query
 from .plan import DEFAULT_BATCH_SIZE, QueryPlanner, explain_plan, refresh_plan_estimates
 from .results import AskResult, SelectResult
+from .tail import finish_columns, tail_label
 from .trace import Tracer
 
 __all__ = ["QueryEvaluator", "evaluate", "finalize_solutions"]
@@ -88,10 +86,10 @@ def _paginate(rows, key_fn, distinct: bool, offset: int, limit: Optional[int]) -
 class QueryEvaluator:
     """Evaluates parsed queries against one triple store.
 
-    Top-level groups run through the cost-based hash/bind-join planner
-    in :mod:`~repro.sparql.plan`; groups the planner declines — and
-    OPTIONAL sub-groups, which carry initial bindings — fall back to the
-    term-space backtracking join below.
+    Top-level groups, their OPTIONALs included, run through the
+    cost-based hash/bind-join planner in :mod:`~repro.sparql.plan`;
+    groups the planner declines fall back to the term-space backtracking
+    join below (OPTIONALs then extend each base solution in turn).
 
     ``batch_size`` (>= 1) is the row count per
     :class:`~repro.sparql.plan.Batch`; tests lower it to force
@@ -104,7 +102,8 @@ class QueryEvaluator:
         self.store = store
         self.batch_size = batch_size
         self._planner = QueryPlanner(store)
-        # Physical plans keyed by (group identity, budget).  The value
+        # Physical plans keyed by (group identity, budget, with or
+        # without the OPTIONALs).  The value
         # pins a strong reference to the group so its ``id`` can never
         # be recycled, and records the store generation the plan was
         # built against: re-planning after a write keeps cardinality
@@ -112,13 +111,17 @@ class QueryEvaluator:
         # honest.  Repeated evaluation of the same parsed query —
         # endpoints serving a hot query, benchmarks, the suggestion
         # cache — skips the planner entirely.
-        self._plan_cache: Dict[Tuple[int, Optional[int]], Tuple[object, object, object]] = {}
+        self._plan_cache: Dict[Tuple[int, Optional[int], bool], Tuple[object, object, object]] = {}
 
-    def _plan_group(self, group: GraphPattern, budget: Optional[int], tracer=None):
+    def _plan_group(
+        self, group: GraphPattern, budget: Optional[int], tracer=None, optionals: bool = True
+    ):
         """Plan ``group`` under ``budget``, memoized per (group, budget,
         store generation).  ``None`` verdicts (shapes the planner cannot
-        express) are cached too — they are just as expensive to recompute."""
-        key = (id(group), budget)
+        express) are cached too — they are just as expensive to recompute.
+        ``optionals=False`` plans the base the per-solution OPTIONAL
+        fallback extends."""
+        key = (id(group), budget, optionals)
         generation = getattr(self.store, "generation", None)
         entry = self._plan_cache.get(key)
         if entry is not None and entry[0] is group and entry[1] == generation:
@@ -127,7 +130,7 @@ class QueryEvaluator:
             return entry[2]
         if tracer is not None:
             tracer.event("plan-cache", hit=False)
-        plan = self._planner.plan(group, budget=budget)
+        plan = self._planner.plan(group, budget=budget, optionals=optionals)
         if len(self._plan_cache) >= 64:
             self._plan_cache.clear()
         self._plan_cache[key] = (group, generation, plan)
@@ -176,10 +179,9 @@ class QueryEvaluator:
         meter = meter or CostMeter()
         if tracer is None:
             tracer = Tracer(query=query if isinstance(query, str) else "")
-        if not parsed.where.optionals:
-            plan = self._plan_group(parsed.where, meter.budget, tracer)
-            if plan is not None:
-                refresh_plan_estimates(plan, self.store)
+        plan = self._plan_group(parsed.where, meter.budget, tracer)
+        if plan is not None:
+            refresh_plan_estimates(plan, self.store)
         result = self.evaluate(parsed, meter, tracer=tracer)
         trace = tracer.finish()
         trace.attrs["cost"] = meter.cost
@@ -189,10 +191,12 @@ class QueryEvaluator:
         """Human-readable plan dump for ``query`` (no execution).
 
         The first line summarizes the solution modifiers; the tree below
-        it is the planner's operator pipeline, or the backtracker's
-        greedy pattern order when the group falls back.  OPTIONAL
-        sub-groups are listed after the base plan (they always run
-        through the backtracker, once per base solution).
+        it is the planner's operator pipeline — OPTIONALs as left outer
+        joins, and a ``Tail`` line when GROUP BY / aggregates / ORDER BY
+        finish the query — or the backtracker's greedy pattern order
+        when the group falls back.  Only an OPTIONAL the planner
+        declined is listed as ``Optional:`` after the base plan: that
+        one runs through the backtracker, once per base solution.
 
         Pass the same ``budget`` the evaluation will run under (endpoints
         do) — strategy choice is budget-aware, so an unbudgeted EXPLAIN
@@ -200,10 +204,11 @@ class QueryEvaluator:
         joins.
         """
         parsed = parse_query(query) if isinstance(query, str) else query
-        return (
-            f"{self._explain_header(parsed)}\n"
-            f"{self._explain_group(parsed.where, budget=budget)}"
-        )
+        lines = [self._explain_header(parsed)]
+        if parsed.has_aggregates() or parsed.group_by or parsed.order_by:
+            lines.append(f"{tail_label(parsed)}  [columns]")
+        lines.append(self._explain_group(parsed.where, budget=budget))
+        return "\n".join(lines)
 
     def _explain_header(self, query: Query) -> str:
         header = query.form
@@ -235,6 +240,10 @@ class QueryEvaluator:
         pad = "  " * indent
         plan = self._plan_group(group, budget) if planned else None
         if plan is not None:
+            return explain_plan(plan, indent)
+        if planned and group.optionals:
+            plan = self._plan_group(group, budget, optionals=False)
+        if plan is not None:
             text = explain_plan(plan, indent)
         elif not group.is_basic():
             # Compound group the ID-space operators could not cover:
@@ -255,9 +264,9 @@ class QueryEvaluator:
         else:
             text = f"{pad}Empty()"
         for optional in group.optionals:
-            # OPTIONAL sub-groups always execute through the backtracker
-            # (once per base solution, with its bindings) — showing a
-            # planner tree here would describe a plan that never runs.
+            # Reached only when the planner declined the group: these
+            # run through the backtracker, once per base solution, with
+            # its bindings.
             text += (
                 f"\n{pad}Optional:\n"
                 f"{self._explain_group(optional, indent + 1, planned=False)}"
@@ -273,8 +282,30 @@ class QueryEvaluator:
     ) -> SelectResult:
         if not (query.has_aggregates() or query.group_by or query.order_by):
             return self._evaluate_select_streaming(query, meter, tracer)
-        solutions = list(self._solve_group(query.where, {}, meter, tracer=tracer))
-        return finalize_solutions(self, query, solutions, cost=meter.cost)
+        plan = self._plan_group(query.where, meter.budget, tracer)
+        if plan is None:
+            solutions = list(
+                self._solve_group(query.where, {}, meter, prepared_plan=None, tracer=tracer)
+            )
+            return finalize_solutions(query, solutions, cost=meter.cost, tracer=tracer)
+        # The whole solution set as ID columns, straight into the tail.
+        batches = list(plan.batches(self.store, meter, self.batch_size, tracer))
+        if len(batches) == 1:
+            columns: Sequence[array] = batches[0].columns
+        else:
+            columns = [array("q") for _ in plan.variables]
+            for batch in batches:
+                for column, part in zip(columns, batch.columns):
+                    column.extend(part)
+        return finish_columns(
+            query,
+            dict(zip(plan.variables, columns)),
+            sum(batch.length for batch in batches),
+            self.store.dictionary.terms.__getitem__,
+            any(batch.has_unbound for batch in batches),
+            cost=meter.cost,
+            tracer=tracer,
+        )
 
     def _evaluate_select_streaming(
         self, query: Query, meter: CostMeter, tracer: Optional[Tracer] = None
@@ -288,15 +319,13 @@ class QueryEvaluator:
         retrieval (Q6/Q7-style ``LIMIT .. OFFSET ..``) cheap.
         """
         names = query.projected_names()
-        plan = _PLAN_UNSET
-        if not query.where.optionals:
-            plan = self._plan_group(query.where, meter.budget, tracer)
-            if plan is not None:
-                items = self._plain_variable_items(query)
-                if items is not None:
-                    return self._select_from_plan(
-                        query, plan, names, items, meter, tracer
-                    )
+        plan = self._plan_group(query.where, meter.budget, tracer)
+        if plan is not None:
+            items = self._plain_variable_items(query)
+            if items is not None:
+                return self._select_from_plan(
+                    query, plan, names, items, meter, tracer
+                )
         projected = (
             self._project(solution, query, names)
             for solution in self._solve_group(
@@ -472,58 +501,62 @@ class QueryEvaluator:
         prepared_plan=_PLAN_UNSET,
         tracer: Optional[Tracer] = None,
     ) -> Iterator[Binding]:
-        """Solve one group graph pattern: planned operators or the
-        term-space fallback, with OPTIONAL application shared by both.
+        """Solve one group graph pattern: the planned operators, or the
+        term-space fallback with OPTIONALs applied per base solution.
 
         The planner covers top-level groups (no initial bindings),
-        including UNION/VALUES/MINUS; it returns ``None`` for the
-        shapes it cannot express and those — plus OPTIONAL sub-groups,
-        which arrive with bindings — run through the compound
-        term-space path below.  ``prepared_plan`` carries a plan (or
-        the ``None`` verdict) a caller already computed, so a query is
-        never planned twice.
+        OPTIONAL/UNION/VALUES/MINUS included; it returns ``None`` for
+        the shapes it cannot express and those — plus the sub-groups
+        the fallback itself solves, which arrive with bindings — run
+        through the term-space path below.  ``prepared_plan`` carries
+        a plan (or the ``None`` verdict) a caller already computed, so
+        a query is never planned twice.
         """
-        base = self._solve_compound(group, initial, meter, prepared_plan, tracer)
-        if not group.optionals:
-            yield from base
-            return
-        for solution in base:
-            yield from self._apply_optionals(group.optionals, solution, meter)
-
-    def _solve_compound(
-        self,
-        group: GraphPattern,
-        initial: Binding,
-        meter: CostMeter,
-        prepared_plan=_PLAN_UNSET,
-        tracer: Optional[Tracer] = None,
-    ) -> Iterator[Binding]:
+        plan = base = None
         if not initial:
             plan = (
                 self._plan_group(group, meter.budget, tracer)
                 if prepared_plan is _PLAN_UNSET
                 else prepared_plan
             )
-            if plan is not None:
-                store = self.store
-                names = plan.variables
-                terms = store.dictionary.terms
-                for batch in plan.batches(store, meter, self.batch_size, tracer):
-                    if batch.has_unbound:
-                        for row in batch.iter_raw():
-                            yield {
-                                name: terms[term_id]
-                                for name, term_id in zip(names, row)
-                                if term_id >= 0
-                            }
-                    else:
-                        for row in batch.iter_raw():
-                            yield {
-                                name: terms[term_id]
-                                for name, term_id in zip(names, row)
-                            }
-                return
-        yield from self._solve_term_space(group, initial, meter)
+            if plan is None and group.optionals:
+                base = self._plan_group(group, meter.budget, tracer, optionals=False)
+        if plan is not None or not group.optionals:
+            yield from self._solve_base(group, initial, meter, plan, tracer)
+            return
+        for solution in self._solve_base(group, initial, meter, base, tracer):
+            yield from self._apply_optionals(group.optionals, solution, meter)
+
+    def _solve_base(
+        self,
+        group: GraphPattern,
+        initial: Binding,
+        meter: CostMeter,
+        plan,
+        tracer: Optional[Tracer] = None,
+    ) -> Iterator[Binding]:
+        """Decoded solutions of ``plan``, or of the term-space solver
+        over ``group`` (its OPTIONALs left to the caller) without one."""
+        if plan is None:
+            yield from self._solve_term_space(group, initial, meter)
+            return
+        store = self.store
+        names = plan.variables
+        terms = store.dictionary.terms
+        for batch in plan.batches(store, meter, self.batch_size, tracer):
+            if batch.has_unbound:
+                for row in batch.iter_raw():
+                    yield {
+                        name: terms[term_id]
+                        for name, term_id in zip(names, row)
+                        if term_id >= 0
+                    }
+            else:
+                for row in batch.iter_raw():
+                    yield {
+                        name: terms[term_id]
+                        for name, term_id in zip(names, row)
+                    }
 
     def _solve_term_space(
         self,
@@ -690,114 +723,6 @@ class QueryEvaluator:
         yield from current
 
 
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-
-    def _aggregate(self, query: Query, solutions: List[Binding]) -> List[Binding]:
-        groups: Dict[Tuple, List[Binding]] = {}
-        if query.group_by:
-            for solution in solutions:
-                key = tuple(solution.get(name) for name in query.group_by)
-                groups.setdefault(key, []).append(solution)
-        else:
-            # Implicit single group (COUNT over the whole solution set);
-            # SPARQL still yields one row when there are no solutions.
-            groups[()] = solutions
-
-        rows: List[Binding] = []
-        for key, members in groups.items():
-            row: Binding = {}
-            for name, value in zip(query.group_by, key):
-                if value is not None:
-                    row[name] = value
-            for item in query.select_items:
-                if item.is_aggregate():
-                    try:
-                        row[item.output_name] = _compute_aggregate(item.expression, members)  # type: ignore[arg-type]
-                    except EvaluationError:
-                        # SPARQL: an erroring aggregate (e.g. AVG over an
-                        # empty group) leaves the variable unbound.
-                        continue
-                else:
-                    # A grouped plain variable: constant within the group.
-                    try:
-                        row[item.output_name] = evaluate_expression(
-                            item.expression, members[0] if members else {}
-                        )
-                    except ExpressionError:
-                        continue
-            rows.append(row)
-        return rows
-
-    # ------------------------------------------------------------------
-    # Ordering
-    # ------------------------------------------------------------------
-
-    def _order(self, rows: List[Binding], conditions: Sequence[OrderCondition]) -> List[Binding]:
-        decorated = [(self._sort_key(row, conditions), i, row) for i, row in enumerate(rows)]
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return [row for _, _, row in decorated]
-
-    def _sort_key(self, row: Binding, conditions: Sequence[OrderCondition]) -> Tuple:
-        key: List = []
-        for condition in conditions:
-            try:
-                term = evaluate_expression(condition.expression, row)
-                rank, value = _orderable(term)
-            except ExpressionError:
-                rank, value = (0, "")  # unbound sorts first, as in SPARQL
-            if not condition.ascending:
-                rank = -rank
-                value = _Reversed(value)
-            key.append((rank, value))
-        return tuple(key)
-
-
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        try:
-            return other.value < self.value
-        except TypeError:
-            return str(other.value) < str(self.value)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Reversed) and self.value == other.value
-
-
-def _orderable(term: Term) -> Tuple[int, object]:
-    """Map a term to a (type-rank, comparable) pair for stable sorting."""
-    if isinstance(term, Literal):
-        try:
-            if term.is_numeric() or term.lexical.strip().lstrip("+-").replace(".", "", 1).isdigit():
-                return (1, float(term.lexical))
-        except ValueError:
-            pass
-        return (2, term.lexical)
-    if isinstance(term, IRI):
-        return (3, term.value)
-    return (4, str(term))
-
-
-def _distinct(rows: List[Binding], names: Sequence[str]) -> List[Binding]:
-    seen = set()
-    unique: List[Binding] = []
-    for row in rows:
-        key = tuple(row.get(name) for name in names)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(row)
-    return unique
-
-
 def _filter_passes(expr: Expression, binding: Binding) -> bool:
     try:
         return effective_boolean_value(evaluate_expression(expr, binding))
@@ -882,87 +807,22 @@ def _assign_filters(
     return positions
 
 
-def _compute_aggregate(aggregate: Aggregate, members: List[Binding]) -> Term:
-    if aggregate.name == "COUNT":
-        if aggregate.argument is None:
-            values: List[Term] = [Literal("1")] * len(members)
-        else:
-            values = _agg_values(aggregate, members)
-        if aggregate.distinct:
-            values = list(dict.fromkeys(values))
-        return Literal(str(len(values)), datatype=XSD_INTEGER)
-
-    values = _agg_values(aggregate, members)
-    if aggregate.distinct:
-        values = list(dict.fromkeys(values))
-    numbers: List[float] = []
-    for value in values:
-        if isinstance(value, Literal):
-            try:
-                numbers.append(float(value.lexical))
-            except ValueError:
-                continue
-    if aggregate.name == "SUM":
-        return _int_or_double(sum(numbers))
-    if not numbers:
-        raise EvaluationError(f"{aggregate.name} over empty/non-numeric group")
-    if aggregate.name == "MIN":
-        return _int_or_double(min(numbers))
-    if aggregate.name == "MAX":
-        return _int_or_double(max(numbers))
-    if aggregate.name == "AVG":
-        return _int_or_double(sum(numbers) / len(numbers))
-    raise EvaluationError(f"unsupported aggregate {aggregate.name}")
-
-
-def _agg_values(aggregate: Aggregate, members: List[Binding]) -> List[Term]:
-    values: List[Term] = []
-    assert aggregate.argument is not None
-    for member in members:
-        try:
-            values.append(evaluate_expression(aggregate.argument, member))
-        except ExpressionError:
-            continue
-    return values
-
-
-def _int_or_double(value: float) -> Literal:
-    if float(value).is_integer():
-        return Literal(str(int(value)), datatype=XSD_INTEGER)
-    from ..rdf.terms import XSD_DOUBLE
-
-    return Literal(repr(value), datatype=XSD_DOUBLE)
-
-
 def finalize_solutions(
-    evaluator: "QueryEvaluator", query: Query, solutions: List[Binding], cost: int = 0
+    query: Query, solutions: List[Binding], cost: int = 0, tracer: Optional[Tracer] = None
 ) -> SelectResult:
-    """Apply a query's solution modifiers to pre-computed solutions.
+    """Apply a query's solution modifiers to solutions held as mappings.
 
-    The tail of the SELECT pipeline — aggregate, ORDER BY
-    (pre-projection, so unprojected variables can order), projection,
-    DISTINCT, OFFSET/LIMIT — shared by local evaluation of aggregated
-    or ordered queries, the federated processor and the QSM's batched
-    probe executor, so remote rows and probe-group rows finish through
-    exactly the code path local evaluation uses.
+    A thin caller of the one tail (:func:`~repro.sparql.tail.finish_columns`,
+    here over columns of terms): the federated processor's remote rows,
+    the QSM's probe-group rows and the term-space fallback's solutions
+    finish through exactly the code local plans finish through.
     """
-    if query.has_aggregates() or query.group_by:
-        rows = evaluator._aggregate(query, solutions)
-    else:
-        rows = solutions
-    if query.order_by:
-        rows = evaluator._order(rows, query.order_by)
-    names = query.projected_names()
-    if not query.has_aggregates():
-        rows = [evaluator._project(row, query, names) for row in rows]
-    if query.distinct:
-        rows = _distinct(rows, names)
-    offset = query.offset or 0
-    if offset:
-        rows = rows[offset:]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return SelectResult(variables=names, rows=rows, cost=cost)
+    names = list(dict.fromkeys(chain.from_iterable(solutions)))
+    columns = {name: [solution.get(name) for solution in solutions] for name in names}
+    has_unbound = any(len(solution) != len(names) for solution in solutions)
+    return finish_columns(
+        query, columns, len(solutions), None, has_unbound, cost=cost, tracer=tracer
+    )
 
 
 def evaluate(store: TripleStore, query_text: str, meter: Optional[CostMeter] = None):

@@ -37,7 +37,14 @@ Plan nodes
 * :class:`CompatJoinNode` / :class:`LeftJoinNode` — row-wise joins with
   full compatibility semantics, used by the federation (whose remote
   operators live in :mod:`repro.federation.remote` and compose with
-  the ones here through the same two contracts).
+  the ones here through the same two contracts) and, the outer one, by
+  an OPTIONAL joining on a maybe-unbound variable.
+
+OPTIONAL compiles to a hash or bind join with ``outer=True`` — the
+inner joins' selection, the group's own filters as the join condition
+(``docs/query-planning.md`` has which shapes are declined and why).
+FILTERs and join conditions run through :class:`_ColumnFilter`, once
+per distinct key of their variables' columns.
 
 Cost model
 ----------
@@ -48,8 +55,9 @@ cardinalities divide by the distinct-subject/object counts collected in
 greedy left-deep: start from the most selective input, repeatedly
 join the connected input with the smallest estimated output.  Shapes
 the ID-space operators cannot express — fully concrete patterns
-(existence checks), a disconnected pattern join graph, or a join keyed
-on a variable some UNION branch or UNDEF cell may leave unbound —
+(existence checks), a disconnected pattern join graph, an inner join
+keyed on a variable some UNION branch or UNDEF cell may leave unbound,
+an OPTIONAL that must see its base solution's bindings from inside —
 return ``None`` and the evaluator falls back to the term-space
 backtracking path, which implements full compatibility semantics.
 
@@ -61,7 +69,7 @@ server, the federation, and the CLI (see ``docs/query-planning.md``).
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Variable
@@ -74,6 +82,7 @@ from .algebra import (
     Empty,
     Filter as LogicalFilter,
     Join as LogicalJoin,
+    LeftJoin as LogicalLeftJoin,
     Minus as LogicalMinus,
     Union as LogicalUnion,
     ValuesTable,
@@ -99,6 +108,7 @@ __all__ = [
     "LeftJoinNode",
     "QueryPlanner",
     "explain_plan",
+    "joins_on_maybe_unbound",
     "refresh_plan_estimates",
 ]
 
@@ -179,8 +189,109 @@ def _gather(columns: Sequence[array], selection: Sequence[int]) -> Tuple[array, 
     return tuple(array("q", map(column.__getitem__, selection)) for column in columns)
 
 
-#: Compiled filter: the expression plus the (name, slot) pairs to decode.
-_CompiledFilter = Tuple[Expression, Tuple[Tuple[str, int], ...]]
+def _key_column(columns: Sequence[array], slots: Tuple[int, ...], length: int):
+    """The join-key cells of ``columns``, one per row: bare IDs for one
+    slot, tuples (a C-level ``zip`` of the key columns) for several,
+    ``()`` for the keyless cross product."""
+    if len(slots) == 1:
+        return columns[slots[0]]
+    if not slots:
+        return repeat((), length)
+    return zip(*[columns[slot] for slot in slots])
+
+
+def _joined(
+    left: Batch,
+    selection: List[int],
+    fresh: List[List[int]],
+    condition: Sequence["_ColumnFilter"] = (),
+    outer_span: Optional[range] = None,
+    right_unbound: bool = False,
+) -> Optional[Batch]:
+    """Assemble one join output batch: left rows ``selection`` beside
+    the ``fresh`` right-side columns.
+
+    ``condition`` (an OPTIONAL group's own filters) drops candidates on
+    the merged row.  ``outer_span`` — the left row indexes this batch
+    answers for, ``None`` on an inner join — gets every left row no
+    candidate survived for back once, right side :data:`UNBOUND`, at
+    its place in left order.
+    """
+    for kernel in condition:
+        if not selection:
+            break
+        merged = _gather(left.columns, selection) + tuple(fresh)
+        flags = kernel.flags(merged, len(selection))
+        if not all(flags):
+            selection = list(compress(selection, flags))
+            fresh = [list(compress(column, flags)) for column in fresh]
+    has_unbound = left.has_unbound or right_unbound
+    if outer_span is not None:
+        missing = sorted(set(outer_span).difference(selection))
+        if missing:
+            has_unbound = has_unbound or bool(fresh)
+            selection = selection + missing
+            order = sorted(range(len(selection)), key=selection.__getitem__)
+            selection = [selection[i] for i in order]
+            pad = [UNBOUND] * len(missing)
+            fresh = [
+                list(map((column + pad).__getitem__, order)) for column in fresh
+            ]
+    if not selection:
+        return None
+    return Batch(
+        _gather(left.columns, selection)
+        + tuple(array("q", column) for column in fresh),
+        len(selection),
+        has_unbound,
+    )
+
+
+class _ColumnFilter:
+    """One FILTER compiled against a slot layout, applied to columns.
+
+    A filter is a deterministic function of its variables' cells, so it
+    is evaluated once per *distinct* key of their columns — a bare ID
+    when the variables occupy one slot, a tuple otherwise — and the
+    memoized verdicts are mapped over the column in C.  Erroring
+    expressions drop the row (SPARQL FILTER semantics); a variable
+    without a slot is simply unbound.
+    """
+
+    __slots__ = ("expr", "names", "slots", "decode", "verdicts")
+
+    def __init__(self, expr: Expression, slot_of: Dict[str, int], decode) -> None:
+        self.expr = expr
+        self.names = tuple(name for name in expr.variables() if name in slot_of)
+        self.slots = tuple(slot_of[name] for name in self.names)
+        self.decode = decode
+        self.verdicts: Dict[object, bool] = {}
+
+    def flags(self, columns: Sequence[Sequence[int]], length: int) -> List[bool]:
+        """One verdict per row of ``columns``."""
+        slots = self.slots
+        if len(slots) == 1:
+            keys = columns[slots[0]]
+        elif slots:
+            keys = list(zip(*[columns[slot] for slot in slots]))
+        else:
+            keys = [()] * length
+        verdicts = self.verdicts
+        for key in set(keys).difference(verdicts):
+            verdicts[key] = self._evaluate((key,) if len(slots) == 1 else key)
+        return list(map(verdicts.__getitem__, keys))
+
+    def _evaluate(self, cells: Tuple[int, ...]) -> bool:
+        decode = self.decode
+        binding = {
+            name: decode(cell)
+            for name, cell in zip(self.names, cells)
+            if cell != UNBOUND
+        }
+        try:
+            return effective_boolean_value(evaluate_expression(self.expr, binding))
+        except ExpressionError:
+            return False
 
 
 class PlanNode:
@@ -203,6 +314,10 @@ class PlanNode:
     def __init__(self, variables: Tuple[str, ...], est_rows: int) -> None:
         self.variables = variables
         self.est_rows = est_rows
+        #: Estimated metered cost of producing this node's rows (what a
+        #: budgeted caller is charged); leaves cost their scan, the
+        #: planner sets it on the joins it builds.
+        self.est_cost = est_rows
         self.filters = []
         self.maybe_unbound = frozenset()
         self.slot_of: Dict[str, int] = {name: i for i, name in enumerate(variables)}
@@ -304,57 +419,25 @@ class PlanNode:
     def _filtered_batches(
         self, batches: Iterator[Batch], store: TripleStore
     ) -> Iterator[Batch]:
-        """Apply FILTERs batch-wise with per-filter verdict caching.
-
-        Filter expressions are deterministic functions of their decoded
-        variables, so the effective boolean value is cached keyed by the
-        tuple of relevant slot IDs — repeated values (a join fan-out, a
-        low-cardinality column) skip decode and evaluation entirely.
-        """
-        decode = store.decode_id
-        compiled: List[_CompiledFilter] = [
-            (
-                expr,
-                tuple(
-                    (name, self.slot_of[name])
-                    for name in expr.variables()
-                    if name in self.slot_of
-                ),
-            )
+        """Apply FILTERs column-wise (:class:`_ColumnFilter`), gathering
+        only the batches some row of which fails."""
+        kernels = [
+            _ColumnFilter(expr, self.slot_of, store.decode_id)
             for expr in self.filters
         ]
-        caches: List[Dict[Tuple, bool]] = [{} for _ in compiled]
         for batch in batches:
-            keep: List[int] = []
-            for index, row in enumerate(batch.iter_rows()):
-                passed = True
-                for (expr, slots), cache in zip(compiled, caches):
-                    key = tuple(row[slot] for _, slot in slots)
-                    verdict = cache.get(key)
-                    if verdict is None:
-                        binding = {
-                            name: decode(row[slot])
-                            for name, slot in slots
-                            if row[slot] is not None
-                        }
-                        try:
-                            verdict = effective_boolean_value(
-                                evaluate_expression(expr, binding)
-                            )
-                        except ExpressionError:
-                            verdict = False  # erroring filters drop the row
-                        cache[key] = verdict
-                    if not verdict:
-                        passed = False
+            columns, length = batch.columns, batch.length
+            for kernel in kernels:
+                flags = kernel.flags(columns, length)
+                if not all(flags):
+                    selection = list(compress(range(length), flags))
+                    columns, length = _gather(columns, selection), len(selection)
+                    if not length:
                         break
-                if passed:
-                    keep.append(index)
-            if not keep:
-                continue
-            if len(keep) == batch.length:
+            if length == batch.length:
                 yield batch
-            else:
-                yield Batch(_gather(batch.columns, keep), len(keep), batch.has_unbound)
+            elif length:
+                yield Batch(columns, length, batch.has_unbound)
 
     # -- display -------------------------------------------------------
 
@@ -536,18 +619,37 @@ class HashJoinNode(PlanNode):
     Both inputs are scanned exactly once; each emitted row charges the
     cost meter one unit so budgeted endpoints retain their abort
     behaviour on explosive joins.
+
+    ``outer=True`` is OPTIONAL as a left outer join: a left row without
+    a match that passes ``condition`` (the OPTIONAL group's own filters,
+    evaluated on the merged row) comes back once, the right side's
+    variables :data:`UNBOUND`.  Sound only where every key is certainly
+    bound on both sides — the planner sends the rest to
+    :class:`LeftJoinNode`.
     """
 
-    def __init__(self, left: PlanNode, right: PlanNode, keys: Tuple[str, ...], est_rows: int) -> None:
+    def __init__(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        keys: Tuple[str, ...],
+        est_rows: int,
+        outer: bool = False,
+        condition: Sequence[Expression] = (),
+    ) -> None:
         self.left = left
         self.right = right
         self.keys = keys
+        self.outer = outer
+        self.condition = list(condition)
         self.left_key_slots = tuple(left.slot_of[name] for name in keys)
         self.right_key_slots = tuple(right.slot_of[name] for name in keys)
         residual = [name for name in right.variables if name not in keys]
         self.right_residual_slots = tuple(right.slot_of[name] for name in residual)
         super().__init__(left.variables + tuple(residual), est_rows)
         self.maybe_unbound = left.maybe_unbound | right.maybe_unbound
+        if outer:
+            self.maybe_unbound |= frozenset(residual)
 
     def _produce_batches(
         self,
@@ -561,6 +663,8 @@ class HashJoinNode(PlanNode):
         # instead of a 1-tuple to keep build and probe at one dict op.
         single = len(self.left_key_slots) == 1
         rres = self.right_residual_slots
+        if self.outer:
+            return self._join_general(store, meter, batch_size, tracer)
         if not rres:
             return self._semi_join(store, meter, batch_size, tracer)
         if single and len(rres) == 1:
@@ -609,20 +713,14 @@ class HashJoinNode(PlanNode):
                     counts[key] = counts.get(key, 0) + 1
         else:
             for rbatch in self.right.batches(store, meter, batch_size, tracer):
-                for row in rbatch.iter_raw():
-                    key = tuple(row[i] for i in rkeys)
+                for key in _key_column(rbatch.columns, rkeys, rbatch.length):
                     counts[key] = counts.get(key, 0) + 1
         cget = counts.get
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
-            if single:
-                # dict.get mapped over the key column: the whole
-                # lookup pass runs in C.
-                matches = map(cget, lbatch.columns[lkeys[0]])
-            else:
-                matches = (
-                    cget(tuple(row[i] for i in lkeys))
-                    for row in lbatch.iter_raw()
-                )
+            # dict.get mapped over the key column (a C zip of the key
+            # columns when there are several): the whole lookup pass
+            # runs in C.
+            matches = map(cget, _key_column(lbatch.columns, lkeys, lbatch.length))
             selection: List[int] = []
             append = selection.append
             extend = selection.extend
@@ -837,71 +935,69 @@ class HashJoinNode(PlanNode):
             yield Batch(tuple(res_out), len(found), left_unbound or right_unbound)
 
     def _join_general(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
-        """Any key/residual width: buckets of residual tuples."""
-        single = len(self.left_key_slots) == 1
+        """Any key/residual width, inner or outer: buckets of residual
+        tuples, built and probed through :func:`_key_column`."""
         rkeys = self.right_key_slots
         rres = self.right_residual_slots
-        rres0 = rres[0] if len(rres) == 1 else None
         lkeys = self.left_key_slots
         charge = meter.charge if meter is not None else None
         right_unbound = False
         table: Dict[object, List[Tuple[int, ...]]] = {}
         for rbatch in self.right.batches(store, meter, batch_size, tracer):
             right_unbound = right_unbound or rbatch.has_unbound
-            for row in rbatch.iter_raw():
-                key = row[rkeys[0]] if single else tuple(row[i] for i in rkeys)
+            columns = rbatch.columns
+            residuals = (
+                zip(*[columns[slot] for slot in rres])
+                if rres
+                else repeat((), rbatch.length)
+            )
+            for key, residual in zip(_key_column(columns, rkeys, rbatch.length), residuals):
                 bucket = table.get(key)
                 if bucket is None:
-                    table[key] = bucket = []
-                bucket.append(
-                    (row[rres0],)
-                    if rres0 is not None
-                    else tuple(row[i] for i in rres)
-                )
-        get = table.get
+                    table[key] = [residual]
+                else:
+                    bucket.append(residual)
+        condition = [
+            _ColumnFilter(expr, self.slot_of, store.decode_id)
+            for expr in self.condition
+        ]
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
-            if single:
-                buckets = map(get, lbatch.columns[lkeys[0]])
-            else:
-                buckets = (
-                    get(tuple(row[i] for i in lkeys))
-                    for row in lbatch.iter_raw()
-                )
-            selection = []
-            residual_columns: List[List[int]] = [[] for _ in rres]
-            for index, bucket in enumerate(buckets):
+            selection: List[int] = []
+            residual_rows: List[Tuple[int, ...]] = []
+            keys = _key_column(lbatch.columns, lkeys, lbatch.length)
+            for index, bucket in enumerate(map(table.get, keys)):
                 if bucket is None:
                     continue
                 if len(bucket) == 1:
                     selection.append(index)
-                    for slot, cell in enumerate(bucket[0]):
-                        residual_columns[slot].append(cell)
+                    residual_rows.append(bucket[0])
                 else:
                     selection.extend([index] * len(bucket))
-                    for residual in bucket:
-                        for slot, cell in enumerate(residual):
-                            residual_columns[slot].append(cell)
-            if not selection:
-                continue
-            if charge is not None:
-                charge(len(selection))
-            yield Batch(
-                _gather(lbatch.columns, selection)
-                + tuple(array("q", buf) for buf in residual_columns),
-                len(selection),
-                lbatch.has_unbound or right_unbound,
+                    residual_rows.extend(bucket)
+            batch = _joined(
+                lbatch,
+                selection,
+                list(map(list, zip(*residual_rows))) or [[] for _ in rres],
+                condition,
+                range(lbatch.length) if self.outer else None,
+                right_unbound,
             )
+            if batch is not None:
+                if charge is not None:
+                    charge(batch.length)
+                yield batch
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.keys)
-        return f"HashJoin(on {keys})"
+        return f"LeftJoin(on {keys or '-'})" if self.outer else f"HashJoin(on {keys})"
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
 
 
 class BindJoinNode(PlanNode):
-    """Probe the store once per left row with shared variables bound."""
+    """Probe the store once per left row with shared variables bound;
+    ``outer`` / ``condition`` as on :class:`HashJoinNode`."""
 
     def __init__(
         self,
@@ -909,9 +1005,13 @@ class BindJoinNode(PlanNode):
         left: PlanNode,
         pattern: TriplePattern,
         est_rows: int,
+        outer: bool = False,
+        condition: Sequence[Expression] = (),
     ) -> None:
         self.left = left
         self.pattern = pattern
+        self.outer = outer
+        self.condition = list(condition)
         encoded = store.encode_pattern(pattern)
         # Probe spec per position: a constant ID, a left slot, or free.
         spec: List[Tuple[str, Optional[int]]] = []
@@ -938,6 +1038,8 @@ class BindJoinNode(PlanNode):
             left.variables + tuple(name for _, name in out), est_rows
         )
         self.maybe_unbound = left.maybe_unbound
+        if outer:
+            self.maybe_unbound |= frozenset(name for _, name in out)
 
     def _produce_batches(
         self,
@@ -946,46 +1048,44 @@ class BindJoinNode(PlanNode):
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
-        # Probing stays per left row (that is the operator's nature) but
-        # output rows accumulate column-wise and flush as full batches.
+        # Probing stays per left row (that is the operator's nature);
+        # output accumulates as a selection over the left batch plus the
+        # fresh columns, and flushes once a batch is full.
         (s_kind, s_val), (p_kind, p_val), (o_kind, o_val) = self.spec
         positions = self.out_positions
         checks = self.checks
         match_ids = store.match_ids
-        n_left = len(self.left.variables)
-        width = n_left + len(positions)
-        buffers: List[List[int]] = [[] for _ in range(width)]
-        length = 0
-        any_unbound = False
+        outer = self.outer
+        condition = [
+            _ColumnFilter(expr, self.slot_of, store.decode_id)
+            for expr in self.condition
+        ]
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
-            any_unbound = any_unbound or lbatch.has_unbound
-            for lrow in lbatch.iter_raw():
+            selection: List[int] = []
+            fresh: List[List[int]] = [[] for _ in positions]
+            first = 0
+            for index, lrow in enumerate(lbatch.iter_raw()):
                 s = s_val if s_kind == "const" else lrow[s_val] if s_kind == "left" else None
                 p = p_val if p_kind == "const" else lrow[p_val] if p_kind == "left" else None
                 o = o_val if o_kind == "const" else lrow[o_val] if o_kind == "left" else None
                 for row in match_ids(s, p, o, meter):
                     if checks and not all(row[a] == row[b] for a, b in checks):
                         continue
-                    for slot in range(n_left):
-                        buffers[slot].append(lrow[slot])
-                    for offset, position in enumerate(positions):
-                        buffers[n_left + offset].append(row[position])
-                    length += 1
-                if length >= batch_size:
-                    yield Batch(
-                        tuple(array("q", buf) for buf in buffers),
-                        length,
-                        any_unbound,
+                    selection.append(index)
+                    for column, position in zip(fresh, positions):
+                        column.append(row[position])
+                if len(selection) >= batch_size or index + 1 == lbatch.length:
+                    batch = _joined(
+                        lbatch, selection, fresh, condition,
+                        range(first, index + 1) if outer else None,
                     )
-                    buffers = [[] for _ in range(width)]
-                    length = 0
-        if length:
-            yield Batch(
-                tuple(array("q", buf) for buf in buffers), length, any_unbound
-            )
+                    if batch is not None:
+                        yield batch
+                    selection, fresh, first = [], [[] for _ in positions], index + 1
 
     def label(self) -> str:
-        return f"BindJoin({_pattern_text(self.pattern)})"
+        kind = "LeftBindJoin" if self.outer else "BindJoin"
+        return f"{kind}({_pattern_text(self.pattern)})"
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left,)
@@ -1333,14 +1433,23 @@ class QueryPlanner:
     def __init__(self, store: TripleStore) -> None:
         self.store = store
 
-    def plan(self, group: GraphPattern, budget: Optional[int] = None) -> Optional[PlanNode]:
-        """Plan one group graph pattern (OPTIONALs excluded — the
-        evaluator applies those per base solution).
+    def plan(
+        self,
+        group: GraphPattern,
+        budget: Optional[int] = None,
+        optionals: bool = True,
+    ) -> Optional[PlanNode]:
+        """Plan one group graph pattern, its OPTIONALs included
+        (``optionals=False`` plans the base alone — what the evaluator's
+        per-solution fallback extends when the full plan declines).
 
         Returns ``None`` when the group needs the backtracking
         fallback: an empty basic group, fully concrete patterns
-        (existence checks), a disconnected pattern join graph, or a
-        join keyed on a variable UNION/UNDEF may leave unbound.
+        (existence checks), a disconnected pattern join graph, a join
+        keyed on a variable UNION/UNDEF may leave unbound, or an
+        OPTIONAL whose correlated evaluation an algebraic left join
+        cannot reproduce (:func:`_uncorrelated`) or cannot afford
+        under ``budget``.
 
         ``budget`` is the caller's cost-meter budget, if any.  Hash
         joins pay a full scan of the build pattern up front; on a
@@ -1351,7 +1460,7 @@ class QueryPlanner:
         planner stays on bind joins, whose cost profile matches the
         seed backtracker's.
         """
-        root = normalize(translate_group(group, include_optionals=False))
+        root = normalize(translate_group(group, include_optionals=optionals))
         if isinstance(root, BGP) and not root.patterns:
             # The unit group: the backtracker's "yield the initial
             # binding" path is already exact (and EXPLAIN says Empty()).
@@ -1398,7 +1507,46 @@ class QueryPlanner:
             return self._finish(MinusNode(left, right), pending)
         if isinstance(core, (BGP, LogicalJoin)):
             return self._compile_conjunction(conjuncts(core), pending, budget)
-        return None  # LeftJoin and modifiers are handled by the evaluator
+        if isinstance(core, LogicalLeftJoin):
+            node = self._compile_left_join(core, budget)
+            return None if node is None else self._finish(node, pending)
+        return None  # solution modifiers are the evaluator's tail
+
+    def _compile_left_join(
+        self, core: LogicalLeftJoin, budget: Optional[int]
+    ) -> Optional[PlanNode]:
+        """OPTIONAL as a left outer join: the group's own filters become
+        the join condition on the merged row, the join itself goes
+        through the inner joins' selection (:meth:`_join`), or through
+        the compatibility :class:`LeftJoinNode` where a shared variable
+        may be unbound on either side."""
+        condition, right_core = _strip_filters(core.right)
+        if not _uncorrelated(right_core, frozenset(core.left.variables())):
+            return None
+        left = self.compile(core.left, budget)
+        right = None if left is None else self._compile_core(right_core, [], budget)
+        if right is None:
+            return None
+        if joins_on_maybe_unbound(left, right):
+            if condition:
+                return None  # the compatibility join takes no condition
+            joined: PlanNode = LeftJoinNode(left, right, left.est_rows)
+            joined.est_cost = left.est_cost + right.est_cost + left.est_rows
+        else:
+            joined = self._join(
+                left, right, [], budget, self.store.predicate_stats_ids(),
+                outer=True, condition=condition,
+            )
+        if (
+            budget is not None
+            and not isinstance(joined, BindJoinNode)
+            and joined.est_cost * 2 > budget
+        ):
+            # Evaluating the whole group once would not fit where probing
+            # it per base solution may: leave it to the fallback, the
+            # budget rule's bind join for a group of several patterns.
+            return None
+        return joined
 
     def _finish(self, node: PlanNode, pending: List[Expression]) -> PlanNode:
         """Attach any stripped filters to a finished operator."""
@@ -1447,7 +1595,6 @@ class QueryPlanner:
         node: PlanNode = min(candidates, key=lambda c: c.est_rows)
         candidates.remove(node)
         self._attach_filters(node, pending)
-        est_cost = node.est_rows  # scan candidates charged so far
 
         while candidates:
             connected = [
@@ -1461,9 +1608,11 @@ class QueryPlanner:
                 # product (keyless hash join) is small and well-defined.
                 best = min(candidates, key=lambda c: c.est_rows)
                 candidates.remove(best)
+                est_cost = node.est_cost
                 node = HashJoinNode(
                     node, best, (), max(1, node.est_rows) * max(1, best.est_rows)
                 )
+                node.est_cost = est_cost
                 self._attach_filters(node, pending)
                 continue
             best = min(
@@ -1471,31 +1620,11 @@ class QueryPlanner:
                 key=lambda candidate: self._join_estimate(node, candidate, stats),
             )
             candidates.remove(best)
-            keys = tuple(name for name in best.variables if name in node.slot_of)
-            if any(
-                name in node.maybe_unbound or name in best.maybe_unbound
-                for name in keys
-            ):
-                # Joining on a maybe-unbound variable needs SPARQL
-                # compatibility semantics; the term-space fallback has
-                # them, the ID-space hash join does not.
+            if joins_on_maybe_unbound(node, best):
+                # The term-space fallback has compatibility semantics,
+                # the ID-space hash join does not.
                 return None
-            est = self._join_estimate(node, best, stats)
-            hash_cost = est_cost + best.est_rows + est
-            prefer_bind = (
-                isinstance(best, ScanNode)
-                and node.est_rows * BIND_JOIN_FACTOR < best.est_rows
-            )
-            over_budget = budget is not None and hash_cost * 2 > budget
-            if isinstance(best, ScanNode) and (prefer_bind or over_budget):
-                node = BindJoinNode(store, node, best.pattern, est)
-                est_cost += est  # probes charge per produced candidate
-            else:
-                # Push single-input filters below the build side so the
-                # hash table only holds rows that can survive.
-                self._attach_filters(best, pending)
-                node = HashJoinNode(node, best, keys, est)
-                est_cost = hash_cost
+            node = self._join(node, best, pending, budget, stats)
             self._attach_filters(node, pending)
 
         # Filters whose variables never appear in any input evaluate
@@ -1503,6 +1632,44 @@ class QueryPlanner:
         # exactly like the seed's last-depth assignment.
         node.filters.extend(pending)
         return node
+
+    def _join(
+        self,
+        node: PlanNode,
+        best: PlanNode,
+        pending: List[Expression],
+        budget: Optional[int],
+        stats: Dict[int, Tuple[int, int, int]],
+        outer: bool = False,
+        condition: Sequence[Expression] = (),
+    ) -> PlanNode:
+        """The one join selection, inner and outer: bind join while the
+        accumulated side is :data:`BIND_JOIN_FACTOR` times smaller than
+        a scan of ``best`` or a hash join would not fit ``budget``,
+        hash join otherwise."""
+        keys = tuple(name for name in best.variables if name in node.slot_of)
+        est = self._join_estimate(node, best, stats)
+        if outer:
+            est = max(est, node.est_rows)  # every left row comes back
+        hash_cost = node.est_cost + best.est_rows + est
+        prefer_bind = (
+            isinstance(best, ScanNode)
+            and node.est_rows * BIND_JOIN_FACTOR < best.est_rows
+        )
+        over_budget = budget is not None and hash_cost * 2 > budget
+        if isinstance(best, ScanNode) and (prefer_bind or over_budget):
+            joined: PlanNode = BindJoinNode(
+                self.store, node, best.pattern, est, outer, condition
+            )
+            # Probes charge per produced candidate.
+            joined.est_cost = node.est_cost + est
+        else:
+            # Push single-input filters below the build side so the
+            # hash table only holds rows that can survive.
+            self._attach_filters(best, pending)
+            joined = HashJoinNode(node, best, keys, est, outer, condition)
+            joined.est_cost = hash_cost
+        return joined
 
     # -- cost model ----------------------------------------------------
 
@@ -1564,6 +1731,41 @@ def _strip_filters(node: AlgebraNode) -> Tuple[List[Expression], AlgebraNode]:
     return filters, node
 
 
+def _uncorrelated(node: AlgebraNode, outer: frozenset) -> bool:
+    """True when an OPTIONAL group evaluated once, on its own, extends
+    every base solution exactly as evaluating it per solution with that
+    solution's bindings (``outer``) does — the term-space
+    ``_apply_optionals``.
+
+    They can differ only where a binding would have reached *inside*
+    the group: a filter below its top level (pushed into, or written
+    in, a UNION branch or a join side), or the right side of a nested
+    OPTIONAL or MINUS, reading an ``outer`` variable its own operand
+    does not certainly bind to the same value.  The group's top-level
+    filters are not in ``node`` — they are the left join's condition
+    and see the merged row either way.
+    """
+    reads: Sequence[str] = ()
+    if isinstance(node, LogicalFilter):
+        reads, binds = node.expression.variables(), node.child
+    elif isinstance(node, (LogicalLeftJoin, LogicalMinus)):
+        reads, binds = node.right.variables(), node.left
+    if reads and not set(reads) & outer <= set(binds.certain_variables()):
+        return False
+    return all(_uncorrelated(child, outer) for child in node.children())
+
+
+def joins_on_maybe_unbound(left: PlanNode, right: PlanNode) -> bool:
+    """True when a variable the two inputs share may be unbound on
+    either side: joining on it needs SPARQL compatibility semantics,
+    which equality on IDs (hash and bind joins) does not have."""
+    return any(
+        name in left.maybe_unbound or name in right.maybe_unbound
+        for name in right.variables
+        if name in left.slot_of
+    )
+
+
 def attach_ready_filters(node: PlanNode, pending: List[Expression]) -> None:
     """Attach every pending filter whose variables are *certainly*
     bound by ``node`` (shared by the local and federated planners).
@@ -1622,11 +1824,15 @@ def explain_plan(node: PlanNode, indent: int = 0) -> str:
     native = type(node)._produce_batches is not PlanNode._produce_batches
     mode = "batch" if native else "rows"
     line = f"{pad}{node.label()}  [est={node.est_rows}, {mode}]"
-    if node.filters:
-        from .serializer import serialize_expression
+    for tag, expressions in (
+        ("condition", getattr(node, "condition", ())),  # an outer join's
+        ("filter", node.filters),
+    ):
+        if expressions:
+            from .serializer import serialize_expression
 
-        rendered = ", ".join(serialize_expression(expr) for expr in node.filters)
-        line += f" filter({rendered})"
+            rendered = ", ".join(serialize_expression(expr) for expr in expressions)
+            line += f" {tag}({rendered})"
     lines = [line]
     for child in node.children():
         lines.append(explain_plan(child, indent + 1))

@@ -120,6 +120,13 @@ class MemoryBackend:
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
         self._size = 0
+        # Triples per subject / predicate / object, kept by ``add`` and
+        # ``remove``: the planner asks for the one-position estimates
+        # several times a plan, and summing a predicate's fan-outs walks
+        # its whole POS slice.
+        self._s_total: Dict[int, int] = {}
+        self._p_total: Dict[int, int] = {}
+        self._o_total: Dict[int, int] = {}
         self._meta: Dict[str, str] = {}
         # Per-predicate (count, distinct subjects, distinct objects),
         # rebuilt lazily after mutations; feeds the join planner.
@@ -147,6 +154,9 @@ class MemoryBackend:
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
         self._size += 1
+        self._s_total[s] = self._s_total.get(s, 0) + 1
+        self._p_total[p] = self._p_total.get(p, 0) + 1
+        self._o_total[o] = self._o_total.get(o, 0) + 1
         self._pstats = None
         self._pcols.pop(p, None)
         if self._col_cache:
@@ -165,6 +175,12 @@ class MemoryBackend:
         _discard_and_prune(self._pos, p, o, s)
         _discard_and_prune(self._osp, o, s, p)
         self._size -= 1
+        for totals, key in ((self._s_total, s), (self._p_total, p), (self._o_total, o)):
+            # Deleted at zero, like the pruned index levels above.
+            if totals[key] == 1:
+                del totals[key]
+            else:
+                totals[key] -= 1
         self._pstats = None
         self._pcols.pop(p, None)
         if self._col_cache:
@@ -352,11 +368,11 @@ class MemoryBackend:
         if s is not None and o is not None:
             return len(self._osp.get(o, {}).get(s, ()))
         if s is not None:
-            return sum(len(objs) for objs in self._spo.get(s, {}).values())
+            return self._s_total.get(s, 0)
         if p is not None:
-            return sum(len(subs) for subs in self._pos.get(p, {}).values())
+            return self._p_total.get(p, 0)
         if o is not None:
-            return sum(len(preds) for preds in self._osp.get(o, {}).values())
+            return self._o_total.get(o, 0)
         return self._size
 
     # -- aggregates ----------------------------------------------------
@@ -374,10 +390,7 @@ class MemoryBackend:
         return iter(self._osp.keys())
 
     def predicate_fanouts(self) -> Dict[int, int]:
-        return {
-            p: sum(len(subs) for subs in by_o.values())
-            for p, by_o in self._pos.items()
-        }
+        return dict(self._p_total)
 
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]:
         """Per-predicate ``(count, distinct subjects, distinct objects)``.
@@ -398,16 +411,13 @@ class MemoryBackend:
         return self._pstats
 
     def object_fanouts(self) -> Dict[int, int]:
-        return {
-            o: sum(len(preds) for preds in by_s.values())
-            for o, by_s in self._osp.items()
-        }
+        return dict(self._o_total)
 
     def in_degree(self, o: int) -> int:
-        return sum(len(preds) for preds in self._osp.get(o, {}).values())
+        return self._o_total.get(o, 0)
 
     def out_degree(self, s: int) -> int:
-        return sum(len(objs) for objs in self._spo.get(s, {}).values())
+        return self._s_total.get(s, 0)
 
     def out_edges(self, s: int) -> Iterator[Tuple[int, int]]:
         for pred, objects in self._spo.get(s, {}).items():

@@ -12,27 +12,44 @@ import pytest
 from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.data import DatasetConfig, build_dataset
 from repro.data.questions import QUESTIONS
-from repro.sparql.evaluator import QueryEvaluator, finalize_solutions
+from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult
 from repro.sparql.trace import Tracer
 from repro.store import CostMeter
+
+from reference_tail import reference_finalize
 
 
 class _TermSpaceOnly(QueryEvaluator):
     """A planner that declines every group, so nested groups (UNION
     branches, MINUS) reach the term-space solver too."""
 
-    def _plan_group(self, group, budget, tracer=None):
+    def _plan_group(self, group, budget, tracer=None, optionals=True):
         return None
+
+
+@pytest.fixture(scope="session")
+def reference_solutions():
+    """``reference_solutions(store, query)``: the term-space solver's
+    solutions of the query's WHERE group, before any modifier — the
+    common input the columnar tail and ``reference_finalize`` are
+    compared on."""
+
+    def solutions(store, query):
+        parsed = parse_query(query) if isinstance(query, str) else query
+        return list(_TermSpaceOnly(store)._solve_group(parsed.where, {}, CostMeter()))
+
+    return solutions
 
 
 @pytest.fixture(scope="session")
 def reference_evaluate():
     """``reference_evaluate(store, query, meter=None)``: the executable
     reference semantics the batch engine is checked against — the
-    term-space solver for the WHERE group, then ``finalize_solutions``
-    over the materialized solutions; no plan operator, no batch, no
+    term-space solver for the WHERE group (OPTIONALs per base
+    solution), then the row-at-a-time ``reference_finalize`` over the
+    materialized solutions; no plan operator, no batch, no column, no
     streaming pagination.  (A fixture, not an import: a bare root
     ``pytest`` also loads ``benchmarks/conftest.py`` as ``conftest``.)"""
 
@@ -43,7 +60,7 @@ def reference_evaluate():
         solutions = list(reference._solve_group(parsed.where, {}, meter))
         if parsed.form == "ASK":
             return AskResult(bool(solutions), cost=meter.cost)
-        return finalize_solutions(reference, parsed, solutions, cost=meter.cost)
+        return reference_finalize(parsed, solutions, cost=meter.cost)
 
     return evaluate
 

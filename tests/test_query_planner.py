@@ -262,10 +262,20 @@ class TestExplainSurfaces:
         assert "Backtrack(" in text
 
     def test_explain_lists_optionals(self, store):
-        text = QueryEvaluator(store).explain(
+        """A planned OPTIONAL is a left join in the tree; ``Optional:``
+        is printed only for one the planner declined (here a nested
+        OPTIONAL reading ``?n`` past the group that would bind it),
+        which the backtracker then runs per base solution."""
+        evaluator = QueryEvaluator(store)
+        text = evaluator.explain(
             "SELECT * WHERE { ?s a dbo:Person OPTIONAL { ?s dbo:spouse ?w } }"
         )
-        assert "Optional:" in text
+        assert "LeftJoin(on ?s)" in text and "Optional:" not in text
+        text = evaluator.explain(
+            "SELECT * WHERE { ?s a dbo:Person . ?s foaf:name ?n "
+            "OPTIONAL { ?s dbo:spouse ?w OPTIONAL { ?w foaf:name ?n } } }"
+        )
+        assert "Optional:" in text and "Backtrack(" in text and "LeftJoin" not in text
 
     def test_endpoint_explain_uses_its_budget(self, store):
         """An endpoint's EXPLAIN must show the strategy its own budget

@@ -230,6 +230,32 @@ class TestEstimates:
         store.remove(Triple(A, P, B))
         assert store.cardinality_estimate(pattern) == 1
 
+    def test_one_position_estimates_are_exact_through_mutations(self, make_store):
+        """With only the subject, the predicate or the object bound the
+        estimate is that position's triple count — the memory backend
+        keeps running totals for it — through ``add``, ``add_all``, a
+        duplicate, and removal down to nothing."""
+        store = make_store()
+        shapes = [
+            TriplePattern(A, V("p"), V("o")),
+            TriplePattern(V("s"), P, V("o")),
+            TriplePattern(V("s"), V("p"), C),
+        ]
+
+        def check():
+            for pattern in shapes:
+                assert store.cardinality_estimate(pattern) == store.count(pattern)
+
+        store.add_all([Triple(A, P, B), Triple(A, P, C), Triple(B, P, C), Triple(A, Q, C)])
+        check()
+        assert not store.add(Triple(A, P, C))  # a duplicate counts once
+        check()
+        for triple in (Triple(A, P, C), Triple(B, P, C), Triple(A, Q, C), Triple(A, P, B)):
+            store.remove(triple)
+            check()
+        assert not store.remove(Triple(A, P, B))
+        assert [store.cardinality_estimate(pattern) for pattern in shapes] == [0, 0, 0]
+
     def test_estimate_upper_bounds_truth(self, small_store):
         for pattern in (
             TriplePattern(A, V("p"), V("o")),
