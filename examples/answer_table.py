@@ -44,7 +44,7 @@ def main() -> None:
 
     print("\n== Persist the cache; a restarted server skips initialization ==")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "sapphire-cache.json"
+        path = Path(tmp) / "sapphire-cache.sqlite"
         save_cache(server.cache, path)
         print(f"saved {path.stat().st_size:,} bytes")
         restored = load_cache(path, server.config)
@@ -52,6 +52,7 @@ def main() -> None:
         print(f"restored cache stats: {restored.stats()}")
         print(f"completion from the restored cache: 'Kenn' -> "
               f"{qcm.complete('Kenn').surfaces()[:3]}")
+        restored.close()
 
 
 if __name__ == "__main__":

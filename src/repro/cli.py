@@ -9,7 +9,7 @@ Exposes the library's main entry points without writing Python::
     python -m repro.cli query 'SELECT ?w WHERE { ... }'
     python -m repro.cli table1                # the Table 1 comparison
     python -m repro.cli study --participants 8
-    python -m repro.cli init --save cache.json
+    python -m repro.cli init --save cache.sqlite
     python -m repro.cli serve --port 8890    # SPARQL 1.1 Protocol endpoint
     python -m repro.cli serve --sapphire     # + /complete and /suggest
     python -m repro.cli replay --sessions 50 --processes 4   # load harness
@@ -110,15 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     init = commands.add_parser("init", help="initialize and optionally save the cache")
     init.add_argument("--save", metavar="PATH", default=None,
-                      help="persist the cache to PATH (SQLite v3 with the "
-                           "on-disk term index; loads boot tiered replicas "
-                           "without rebuilding)")
-    init.add_argument("--term-index", choices=("auto", "fts", "trigram", "off"),
-                      default="auto",
-                      help="substring index built into the saved cache file: "
-                           "FTS5 trigram when available (auto, the default), "
-                           "forced fts/trigram, or off for a v2 file "
-                           "(default: auto)")
+                      help="persist the cache to PATH (one SQLite file "
+                           "with the on-disk term index; replicas boot "
+                           "from it without rebuilding)")
 
     cache_info = commands.add_parser(
         "cache-info", help="inspect a persisted cache file"
@@ -391,12 +385,10 @@ def _cmd_init(args) -> int:
     if args.save:
         from .core.persistence import save_cache
 
-        server.cache.config = server.cache.config.with_term_index(
-            args.term_index)
         info = save_cache(server.cache, args.save)
         print(f"cache written to {args.save} "
-              f"(v{info['version']}, index "
-              f"{'fts5' if info['fts'] else 'trigram' if info['version'] == 3 else 'none'}, "
+              f"(v{info['version']}, substring index "
+              f"{'fts5' if info['fts'] else 'window scan'}, "
               f"built in {info['built_s']:.3f}s)")
     return 0
 
@@ -407,7 +399,11 @@ def _cmd_cache_info(args) -> int:
 
     from .core.persistence import load_cache
 
-    cache = load_cache(args.path)
+    try:
+        cache = load_cache(args.path)
+    except (ValueError, FileNotFoundError) as refused:
+        print(refused, file=sys.stderr)
+        return 1
     try:
         report = cache.load_report
         print(f"file:    {args.path} "
@@ -416,12 +412,9 @@ def _cmd_cache_info(args) -> int:
               f"in {report.get('seconds', 0.0):.3f}s")
         print(f"stats:   {cache.stats()}")
         gauges = cache.index_gauges()
-        if gauges.get("index_surfaces"):
-            backend = "fts5" if gauges.get("index_fts") else "trigram"
-            print(f"index:   {gauges['index_surfaces']:,} surfaces, "
-                  f"{gauges['index_bytes']:,} bytes on disk ({backend})")
-        else:
-            print("index:   none (v2/JSON file — loads rebuild in memory)")
+        backend = "fts5" if gauges["index_fts"] else "window scan"
+        print(f"index:   {gauges['index_surfaces']:,} surfaces, "
+              f"{gauges['index_bytes']:,} bytes on disk ({backend})")
     finally:
         cache.close()
     return 0

@@ -1,21 +1,11 @@
 """Sapphire core: initialization, cache, QCM, QSM, server façade."""
 
 from .answer_table import AnswerTable
-from .cache import CachedTerm, SapphireCache
+from .cache import CachedTerm, CacheReader, SapphireCache
 from .cache_tiered import LazyTermDictionary, TieredSapphireCache
 from .config import SapphireConfig
 from .initialization import EndpointInitializer, InitializationReport, initialize_endpoint
-from .persistence import (
-    cache_from_store,
-    cache_to_store,
-    dumps_cache,
-    load_cache,
-    load_store,
-    loads_cache,
-    open_store,
-    save_cache,
-    save_store,
-)
+from .persistence import load_cache, load_store, open_store, save_cache, save_store
 from .probes import PROBE_VAR, ProbeBatcher, build_probe_query
 from .qcm import Completion, CompletionResult, QueryCompletionModule
 from .qsm_relax import Edge, GraphExpander, RelaxationSuggestion, StructureRelaxer
@@ -27,17 +17,14 @@ __all__ = [
     "AnswerTable",
     "save_cache",
     "load_cache",
-    "dumps_cache",
-    "loads_cache",
     "open_store",
     "save_store",
     "load_store",
-    "cache_to_store",
-    "cache_from_store",
     "PROBE_VAR",
     "ProbeBatcher",
     "build_probe_query",
     "SapphireConfig",
+    "CacheReader",
     "SapphireCache",
     "TieredSapphireCache",
     "LazyTermDictionary",

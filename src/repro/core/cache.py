@@ -30,6 +30,17 @@ the join planner use (``docs/storage.md``, ``docs/query-planning.md``),
 applied to the hottest interactive path in the system — QCM completion
 runs on every keystroke.
 
+Reader and builder
+------------------
+:class:`CacheReader` is everything the QCM and QSM need — the hot tier,
+the lookups, the ``residual_*`` seam, statistics, the frequency signal —
+and has no mutator.  :class:`SapphireCache` is the builder on top of it
+(``add_*``, ``set_significance``, ``merge``, ``build_indexes``); a cache
+opened from a file (:class:`~repro.core.cache_tiered.TieredSapphireCache`)
+derives from the reader only, so a replica cannot be mutated by type.
+``SapphireCache(config).merge(reader)`` is how any reader becomes a
+mutable in-memory cache.
+
 Concurrency: mutation (``add_*``, ``merge``, ``build_indexes``) and
 index-consistent reads are guarded by ``self.lock`` — the HTTP server
 drives ``/complete`` from many handler threads while an endpoint
@@ -44,8 +55,8 @@ for "Kennedys"; the paper's presentation only mentions the bins.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from ..rdf.terms import IRI, Literal, Term
 from ..store.dictionary import TermDictionary
@@ -54,10 +65,19 @@ from ..text.lexicon import split_camel_case
 from ..text.suffix_tree import GeneralizedSuffixTree
 from .config import SapphireConfig
 
-__all__ = ["CachedTerm", "SapphireCache"]
+__all__ = ["CachedTerm", "CacheReader", "SapphireCache", "TermDecoder"]
 
 #: Stable display order of entry kinds within one surface bucket.
 _KIND_RANK = {"predicate": 0, "class": 1, "literal": 2}
+
+
+class TermDecoder(Protocol):
+    """What a cached entry needs of its dictionary: IDs back to terms,
+    and terms to IDs without interning."""
+
+    def decode(self, term_id: int) -> Term: ...
+
+    def lookup(self, term: Term) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -65,7 +85,7 @@ class CachedTerm:
     """One cached surface form and the RDF term behind it, by ID.
 
     The term itself (and the source predicate) live in the owning
-    cache's :class:`TermDictionary`; this entry carries their integer
+    cache's dictionary; this entry carries their integer
     IDs and decodes on property access.  Equality and hashing use the
     IDs, never the dictionary reference.
     """
@@ -73,7 +93,7 @@ class CachedTerm:
     surface: str
     term_id: int
     kind: str  # "predicate" | "class" | "literal"
-    dictionary: TermDictionary = field(compare=False, repr=False)
+    dictionary: TermDecoder = field(compare=False, repr=False)
     significance: int = 0
     source_predicate_id: Optional[int] = None
 
@@ -94,22 +114,20 @@ class CachedTerm:
         return self.surface
 
 
-class SapphireCache:
-    """Cached predicates, classes and literals with the two-level index."""
+class CacheReader:
+    """Cached predicates, classes and literals behind the two-level
+    index — the read side: lookups, scans, statistics, no mutator."""
 
-    def __init__(
-        self,
-        config: Optional[SapphireConfig] = None,
-        dictionary: Optional[TermDictionary] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SapphireConfig], dictionary: TermDecoder) -> None:
         self.config = config or SapphireConfig()
         #: Term-ID space shared by every entry in this cache.
-        self.dictionary = dictionary if dictionary is not None else TermDictionary()
+        self.dictionary = dictionary
         #: Guards mutation and index-consistent lookups (HTTP-driven
         #: completion runs concurrently with endpoint registration).
         self.lock = threading.RLock()
-        # Surface table: dense surface IDs over lower-cased surfaces.
-        self._surfaces: List[str] = []
+        # Surface table: surface ID -> lower-cased surface (dense in a
+        # builder, a bounded memo of the file's rows in a tiered reader).
+        self._surfaces: Dict[int, str] = {}
         self._surface_ids: Dict[str, int] = {}
         # Entries per surface ID, ordered predicate < class < literal.
         self._entries: Dict[int, List[CachedTerm]] = {}
@@ -150,17 +168,8 @@ class SapphireCache:
         self.load_report: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    # Surface interning
+    # Surface table
     # ------------------------------------------------------------------
-
-    def _surface_id(self, surface: str) -> int:
-        key = surface.lower()
-        sid = self._surface_ids.get(key)
-        if sid is None:
-            sid = len(self._surfaces)
-            self._surface_ids[key] = sid
-            self._surfaces.append(key)
-        return sid
 
     def surface_id(self, surface: str) -> Optional[int]:
         """The surface ID for ``surface`` (case-insensitive), if interned."""
@@ -169,114 +178,6 @@ class SapphireCache:
     def surface_of(self, sid: int) -> str:
         """The lower-cased surface string behind a surface ID."""
         return self._surfaces[sid]
-
-    # ------------------------------------------------------------------
-    # Population (called by initialization)
-    # ------------------------------------------------------------------
-
-    def _add_entry(self, surface: str, term: Term, kind: str,
-                   significance: int = 0,
-                   source_predicate: Optional[IRI] = None) -> None:
-        with self.lock:
-            term_id = self.dictionary.encode(term)
-            sid = self._surface_id(surface)
-            bucket = self._entries.setdefault(sid, [])
-            if significance:
-                # A re-add may carry a fresh significance observation
-                # (Q8 revisits literals Q6 already cached): keep the max
-                # even when the entry itself is deduplicated below.
-                current = self._significance.get(sid, 0)
-                if significance > current:
-                    self._significance[sid] = significance
-            if any(e.term_id == term_id and e.kind == kind for e in bucket):
-                return
-            entry = CachedTerm(
-                surface, term_id, kind, self.dictionary,
-                significance=significance,
-                source_predicate_id=(
-                    self.dictionary.encode(source_predicate)
-                    if source_predicate is not None else None
-                ),
-            )
-            # Keep the bucket ordered by kind rank, insertion-stable.
-            rank = _KIND_RANK[kind]
-            at = len(bucket)
-            for position, existing in enumerate(bucket):
-                if _KIND_RANK[existing.kind] > rank:
-                    at = position
-                    break
-            bucket.insert(at, entry)
-            self._kind_sids[kind].setdefault(sid)
-            self._indexed = False
-
-    def add_predicate(self, predicate: IRI) -> None:
-        self._add_entry(predicate.local_name(), predicate, "predicate")
-
-    def add_class(self, cls: IRI) -> None:
-        self._add_entry(cls.local_name(), cls, "class")
-
-    def add_literal(
-        self,
-        literal: Literal,
-        source_predicate: Optional[IRI] = None,
-        significance: int = 0,
-    ) -> None:
-        self._add_entry(literal.lexical, literal, "literal",
-                        significance=significance,
-                        source_predicate=source_predicate)
-
-    def set_significance(self, surface: str, significance: int) -> None:
-        with self.lock:
-            sid = self._surface_id(surface)
-            current = self._significance.get(sid, 0)
-            if significance > current:
-                self._significance[sid] = significance
-
-    # ------------------------------------------------------------------
-    # Index construction (Section 5.2)
-    # ------------------------------------------------------------------
-
-    def build_indexes(self) -> None:
-        """Build the suffix tree and residual bins, both keyed by surface ID.
-
-        All predicates and classes go into the tree.  Literal surfaces are
-        ranked by significance; the top ``suffix_tree_capacity`` (minus the
-        predicate/class count) join them.  Everything else goes to the
-        residual bins.  Surfaces are indexed lower-cased so completion is
-        case-insensitive; display forms are preserved in the entries.
-        """
-        with self.lock:
-            tree_sids: List[int] = []
-            seen: Set[int] = set()
-            for sid in list(self._kind_sids["predicate"]) + list(self._kind_sids["class"]):
-                if sid not in seen:
-                    seen.add(sid)
-                    tree_sids.append(sid)
-
-            literal_budget = max(0, self.config.suffix_tree_capacity - len(tree_sids))
-            ranked = sorted(
-                self._kind_sids["literal"],
-                key=lambda sid: (
-                    -self._significance.get(sid, 0),
-                    len(self._surfaces[sid]),
-                    self._surfaces[sid],
-                ),
-            )
-            tree_literals = [sid for sid in ranked[:literal_budget] if sid not in seen]
-            residual_literals = ranked[literal_budget:]
-
-            tree_sids.extend(tree_literals)
-            self._tree_sids = tree_sids
-            self._tree_sid_set = set(tree_sids)
-            self._derive_scan_inputs(tree_literals)
-            self.tree = GeneralizedSuffixTree(
-                [self._surfaces[sid] for sid in tree_sids]
-            )
-
-            self.bins = LiteralBins()
-            for sid in residual_literals:
-                self.bins.add(self._surfaces[sid], key=sid)
-            self._indexed = True
 
     @property
     def is_indexed(self) -> bool:
@@ -565,49 +466,169 @@ class SapphireCache:
     def close(self) -> None:
         """Release backing resources (no-op for the in-memory cache)."""
 
+
+class SapphireCache(CacheReader):
+    """The builder: an in-memory cache that initialization populates,
+    merges and indexes."""
+
+    dictionary: TermDictionary
+
+    def __init__(
+        self,
+        config: Optional[SapphireConfig] = None,
+        dictionary: Optional[TermDictionary] = None,
+    ) -> None:
+        super().__init__(
+            config, dictionary if dictionary is not None else TermDictionary())
+
+    def _surface_id(self, surface: str) -> int:
+        key = surface.lower()
+        sid = self._surface_ids.get(key)
+        if sid is None:
+            sid = len(self._surfaces)
+            self._surface_ids[key] = sid
+            self._surfaces[sid] = key
+        return sid
+
+    # ------------------------------------------------------------------
+    # Population (called by initialization)
+    # ------------------------------------------------------------------
+
+    def _add_entry(self, surface: str, term: Term, kind: str,
+                   significance: int = 0,
+                   source_predicate: Optional[IRI] = None) -> None:
+        with self.lock:
+            term_id = self.dictionary.encode(term)
+            sid = self._surface_id(surface)
+            bucket = self._entries.setdefault(sid, [])
+            if significance:
+                # A re-add may carry a fresh significance observation
+                # (Q8 revisits literals Q6 already cached): keep the max
+                # even when the entry itself is deduplicated below.
+                current = self._significance.get(sid, 0)
+                if significance > current:
+                    self._significance[sid] = significance
+            if any(e.term_id == term_id and e.kind == kind for e in bucket):
+                return
+            entry = CachedTerm(
+                surface, term_id, kind, self.dictionary,
+                significance=significance,
+                source_predicate_id=(
+                    self.dictionary.encode(source_predicate)
+                    if source_predicate is not None else None
+                ),
+            )
+            # Keep the bucket ordered by kind rank, insertion-stable.
+            rank = _KIND_RANK[kind]
+            at = len(bucket)
+            for position, existing in enumerate(bucket):
+                if _KIND_RANK[existing.kind] > rank:
+                    at = position
+                    break
+            bucket.insert(at, entry)
+            self._kind_sids[kind].setdefault(sid)
+            self._indexed = False
+
+    def add_predicate(self, predicate: IRI) -> None:
+        self._add_entry(predicate.local_name(), predicate, "predicate")
+
+    def add_class(self, cls: IRI) -> None:
+        self._add_entry(cls.local_name(), cls, "class")
+
+    def add_literal(
+        self,
+        literal: Literal,
+        source_predicate: Optional[IRI] = None,
+        significance: int = 0,
+    ) -> None:
+        self._add_entry(literal.lexical, literal, "literal",
+                        significance=significance,
+                        source_predicate=source_predicate)
+
+    def set_significance(self, surface: str, significance: int) -> None:
+        with self.lock:
+            sid = self._surface_id(surface)
+            current = self._significance.get(sid, 0)
+            if significance > current:
+                self._significance[sid] = significance
+
+    # ------------------------------------------------------------------
+    # Index construction (Section 5.2)
+    # ------------------------------------------------------------------
+
+    def build_indexes(self) -> None:
+        """Build the suffix tree and residual bins, both keyed by surface ID.
+
+        All predicates and classes go into the tree.  Literal surfaces are
+        ranked by significance; the top ``suffix_tree_capacity`` (minus the
+        predicate/class count) join them.  Everything else goes to the
+        residual bins.  Surfaces are indexed lower-cased so completion is
+        case-insensitive; display forms are preserved in the entries.
+        """
+        with self.lock:
+            tree_sids: List[int] = []
+            seen: Set[int] = set()
+            for sid in list(self._kind_sids["predicate"]) + list(self._kind_sids["class"]):
+                if sid not in seen:
+                    seen.add(sid)
+                    tree_sids.append(sid)
+
+            literal_budget = max(0, self.config.suffix_tree_capacity - len(tree_sids))
+            ranked = sorted(
+                self._kind_sids["literal"],
+                key=lambda sid: (
+                    -self._significance.get(sid, 0),
+                    len(self._surfaces[sid]),
+                    self._surfaces[sid],
+                ),
+            )
+            tree_literals = [sid for sid in ranked[:literal_budget] if sid not in seen]
+            residual_literals = ranked[literal_budget:]
+
+            tree_sids.extend(tree_literals)
+            self._tree_sids = tree_sids
+            self._tree_sid_set = set(tree_sids)
+            self._derive_scan_inputs(tree_literals)
+            self.tree = GeneralizedSuffixTree(
+                [self._surfaces[sid] for sid in tree_sids]
+            )
+
+            self.bins = LiteralBins()
+            for sid in residual_literals:
+                self.bins.add(self._surfaces[sid], key=sid)
+            self._indexed = True
+
     def copy_with_capacity(self, capacity: int) -> "SapphireCache":
         """A new cache with the same contents but a different suffix-tree
         budget, freshly indexed.  Shares the (append-only) term
         dictionary; used by the index-split ablations (the tree's linked
         nodes make deepcopy unsuitable)."""
-        import dataclasses
+        clone = SapphireCache(
+            replace(self.config, suffix_tree_capacity=capacity),
+            dictionary=self.dictionary,
+        )
+        clone.merge(self)
+        clone.build_indexes()
+        return clone
 
+    def merge(self, other: CacheReader) -> None:
+        """Fold another cache into this one (multi-endpoint federations
+        share one PUM cache; a cache opened from a file becomes mutable
+        this way).  ``other`` is read through the reader surface only;
+        terms re-intern into this cache's dictionary, so merged IDs are
+        local."""
         with self.lock:
-            clone = SapphireCache(
-                dataclasses.replace(self.config, suffix_tree_capacity=capacity),
-                dictionary=self.dictionary,
-            )
-            clone._surfaces = list(self._surfaces)
-            clone._surface_ids = dict(self._surface_ids)
-            clone._entries = {sid: list(bucket) for sid, bucket in self._entries.items()}
-            clone._kind_sids = {
-                kind: dict(sids) for kind, sids in self._kind_sids.items()
-            }
-            clone._significance = dict(self._significance)
-            clone.build_indexes()
-            return clone
-
-    def merge(self, other: "SapphireCache") -> None:
-        """Fold another endpoint's cache into this one (multi-endpoint
-        federations share one PUM cache).  Terms re-intern into this
-        cache's dictionary, so merged IDs are local."""
-        with self.lock:
-            for sid in other._kind_sids["predicate"]:
-                for entry in other._entries.get(sid, ()):
-                    if entry.kind == "predicate":
-                        self.add_predicate(entry.term)  # type: ignore[arg-type]
-            for sid in other._kind_sids["class"]:
-                for entry in other._entries.get(sid, ()):
-                    if entry.kind == "class":
-                        self.add_class(entry.term)  # type: ignore[arg-type]
-            for sid in other._kind_sids["literal"]:
-                for entry in other._entries.get(sid, ()):
+            for entry in other.predicates():
+                self.add_predicate(entry.term)  # type: ignore[arg-type]
+            for entry in other.classes():
+                self.add_class(entry.term)  # type: ignore[arg-type]
+            for surface in other.literal_surfaces():
+                for entry in other.entries_for_surface(surface):
                     if entry.kind == "literal":
                         self.add_literal(
                             entry.term,  # type: ignore[arg-type]
                             entry.source_predicate,
                             entry.significance,
                         )
-            for sid, significance in other._significance.items():
-                self.set_significance(other._surfaces[sid], significance)
+                self.set_significance(surface, other.significance_of(surface))
             self._indexed = False

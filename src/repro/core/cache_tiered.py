@@ -1,8 +1,8 @@
 """Tiered Sapphire cache: hot suffix tree in memory, tail on disk.
 
-:class:`TieredSapphireCache` opens a v3 cache file (see
+:class:`TieredSapphireCache` opens a cache file (see
 ``core/persistence.py`` and ``store/term_tables.py``) and serves the
-same lookup surface as :class:`~repro.core.cache.SapphireCache` with a
+lookup surface of :class:`~repro.core.cache.CacheReader` with a
 two-tier layout:
 
 * the **hot tier** is the paper's suffix tree over all predicate/class
@@ -19,10 +19,10 @@ of recently decoded surface buckets), not the lexicon size, and boot
 cost is proportional to the tree — a read-only replica serves its
 first completion seconds after opening the file, no rebuild.
 
-The cache is **read-only**: the file is the source of truth, so
-``add_*``/``merge``/``set_significance`` raise.  Export paths
-(``dumps_cache``, ``cache_to_store``) still work — they enumerate
-through SQL — and ``save_cache`` snapshots the backing file directly.
+The cache is a **reader by type**: the file is the source of truth and
+the class has no mutator.  ``SapphireCache(config).merge(tiered)``
+enumerates it through SQL into a mutable in-memory cache, and
+``save_cache`` snapshots the backing file directly.
 
 Tree membership is derived per open: literals rank by
 ``(significance DESC, length, surface)``, exactly the tuple order
@@ -41,37 +41,36 @@ from typing import Dict, List, Optional
 from urllib.parse import quote
 
 from ..rdf.terms import Term, flatten_term, unflatten_term
-from ..store.dictionary import NO_ID, TermDictionary
+from ..store.dictionary import NO_ID
 from ..store.term_tables import (
+    CACHE_VERSION,
     KIND_MASK,
+    META_CACHE_VERSION,
     META_INDEX_FTS,
     has_index_tables,
 )
 from ..text.suffix_tree import GeneralizedSuffixTree
 from ..text.term_index import SqliteTermIndex
-from .cache import CachedTerm, SapphireCache
+from .cache import CachedTerm, CacheReader
 from .config import SapphireConfig
 
 __all__ = ["LazyTermDictionary", "TieredSapphireCache"]
 
-_META_VERSION_KEY = "sapphire_cache_version"
 
-
-class LazyTermDictionary(TermDictionary):
-    """A term dictionary that decodes against the cache file's ``terms``
-    table on demand, memoizing what it sees.
+class LazyTermDictionary:
+    """Decodes term IDs against the cache file's ``terms`` table on
+    demand, memoizing what it sees.
 
     IDs are the *file's* term IDs, so a :class:`CachedTerm` built from a
-    persisted entry row decodes through the same rows the reified
-    triples use.  Interning is not supported — the tiered cache is
-    read-only."""
+    persisted entry row decodes through the dictionary rows the storage
+    engine wrote.  There is no interning: the file is read-only."""
 
-    __slots__ = ("_index", "_by_id")
+    __slots__ = ("_index", "_by_id", "_ids")
 
     def __init__(self, index: SqliteTermIndex) -> None:
-        super().__init__()
         self._index = index
         self._by_id: Dict[int, Term] = {}
+        self._ids: Dict[Term, int] = {}
 
     def decode(self, term_id: int) -> Term:
         term = self._by_id.get(term_id)
@@ -95,20 +94,9 @@ class LazyTermDictionary(TermDictionary):
         self._by_id[found] = term
         return found
 
-    def __contains__(self, term: Term) -> bool:
-        return self.lookup(term) != NO_ID
 
-    def encode(self, term: Term) -> int:
-        raise RuntimeError(
-            "tiered cache dictionaries are read-only; reinitialize or "
-            "merge into an in-memory cache to add terms"
-        )
-
-    restore = encode
-
-
-class TieredSapphireCache(SapphireCache):
-    """A :class:`SapphireCache` served from a v3 cache file."""
+class TieredSapphireCache(CacheReader):
+    """A :class:`CacheReader` served from a cache file."""
 
     def __init__(
         self,
@@ -116,32 +104,31 @@ class TieredSapphireCache(SapphireCache):
         config: Optional[SapphireConfig] = None,
         read_only: bool = False,
     ) -> None:
-        self._path = str(path)
+        self.path = Path(path)
         self._read_only = bool(read_only)
         self._sql_lock = threading.RLock()
+        if not self.path.is_file():
+            raise FileNotFoundError(f"no cache file at {self.path}")
         if read_only:
-            uri = "file:" + quote(str(Path(path).resolve())) + "?mode=ro"
+            uri = "file:" + quote(str(self.path.resolve())) + "?mode=ro"
             conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
         else:
-            conn = sqlite3.connect(str(path), check_same_thread=False)
-        conn.execute("PRAGMA busy_timeout = 30000")
+            conn = sqlite3.connect(str(self.path), check_same_thread=False)
         try:
-            version = self._read_meta(conn, _META_VERSION_KEY)
-            if version != "3" or not has_index_tables(conn):
+            conn.execute("PRAGMA busy_timeout = 30000")
+            found = self._found_instead(conn)
+            if found is not None:
                 raise ValueError(
-                    f"no tiered index in cache file {path!r} "
-                    f"(version {version!r}) — load it with "
-                    "load_cache(..., tiered=False) to rebuild in memory"
+                    f"{self.path} is not a suggestion-cache file: found "
+                    f"{found} — rebuild it with `repro init --save <path>`"
                 )
             fts = self._read_meta(conn, META_INDEX_FTS) == "1"
             index = SqliteTermIndex(conn, self._sql_lock, fts=fts)
-            super().__init__(config, dictionary=LazyTermDictionary(index))
+            super().__init__(config, LazyTermDictionary(index))
             self.term_index = index
             self._conn = conn
-            # Surface table and entry buckets become bounded memos keyed
-            # by sid (plain dicts: every base-class read site indexes by
-            # sid, which works for dicts as well as the dense list).
-            self._surfaces = {}  # type: ignore[assignment]
+            # The surface table and entry buckets are bounded memos of
+            # the file's rows here, shed outside the hot tier.
             self._memo_limit = max(
                 4096, 4 * self.config.suffix_tree_capacity
             )
@@ -159,6 +146,24 @@ class TieredSapphireCache(SapphireCache):
         except sqlite3.OperationalError:
             return None
         return row[0] if row else None
+
+    @classmethod
+    def _found_instead(cls, conn: sqlite3.Connection) -> Optional[str]:
+        """What the file is when it is not a cache file this build
+        serves (``None`` when it is).  Nothing else is attempted: one
+        format, refused rather than sniffed and converted."""
+        try:
+            tables = has_index_tables(conn)
+        except sqlite3.DatabaseError:
+            return "a file that is not a SQLite database (a JSON cache document?)"
+        if not tables:
+            return ("a SQLite file without the cache tables (a dataset "
+                    "store, or a cache saved without its index)")
+        version = cls._read_meta(conn, META_CACHE_VERSION)
+        if version != CACHE_VERSION:
+            return (f"cache format version {version!r} "
+                    f"(this build reads {CACHE_VERSION!r})")
+        return None
 
     # ------------------------------------------------------------------
     # Boot: build the hot tier from at most ``capacity`` rows
@@ -220,31 +225,6 @@ class TieredSapphireCache(SapphireCache):
         for sid in [s for s in self._surfaces if s not in protected]:
             surface = self._surfaces.pop(sid)
             self._surface_ids.pop(surface, None)
-
-    # ------------------------------------------------------------------
-    # Read-only guards
-    # ------------------------------------------------------------------
-
-    def _add_entry(self, surface, term, kind, significance=0,
-                   source_predicate=None) -> None:
-        raise RuntimeError(
-            "tiered caches are read-only — mutate an in-memory cache and "
-            "save_cache() it, then reopen"
-        )
-
-    def set_significance(self, surface: str, significance: int) -> None:
-        raise RuntimeError("tiered caches are read-only")
-
-    def merge(self, other) -> None:
-        raise RuntimeError(
-            "cannot merge into a tiered cache — merge in memory and "
-            "save_cache() the result"
-        )
-
-    def build_indexes(self) -> None:
-        """The hot tier was built at open; nothing to rebuild."""
-        with self.lock:
-            self._indexed = True
 
     # ------------------------------------------------------------------
     # Lazy lookups
@@ -366,10 +346,20 @@ class TieredSapphireCache(SapphireCache):
     def copy_with_capacity(self, capacity: int) -> "TieredSapphireCache":
         """Reopen the same file at a different tree budget (ablations)."""
         return TieredSapphireCache(
-            self._path,
+            self.path,
             replace(self.config, suffix_tree_capacity=capacity),
             read_only=self._read_only,
         )
+
+    def backup_to(self, path) -> None:
+        """Copy the backing file into a fresh database at ``path``
+        (SQLite online backup; the caller publishes it)."""
+        dest = sqlite3.connect(str(path))
+        try:
+            with self._sql_lock:
+                self._conn.backup(dest)
+        finally:
+            dest.close()
 
     def close(self) -> None:
         self._conn.close()

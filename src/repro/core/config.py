@@ -79,16 +79,7 @@ class SapphireConfig:
     #: candidate.  Off = the classic per-candidate Algorithm 2 loop.
     qsm_batched_probes: bool = True
 
-    # --- Tiered suggestion index (docs/predictive-model.md) ------------
-    #: Substring backend ``save_cache`` builds into the cache file:
-    #: ``"auto"`` (FTS5 trigram when the linked SQLite has it, else the
-    #: hand-rolled trigram postings), ``"fts"``, ``"trigram"``, or
-    #: ``"off"`` (v2 file, no index — loads always rebuild).
-    term_index: str = "auto"
-    #: Open v3 cache files as a *tiered* cache (hot suffix tree over the
-    #: top surfaces, on-disk index for the tail) instead of eagerly
-    #: rebuilding the in-memory bins.  Off forces the legacy rebuild.
-    cache_tiered: bool = True
+    # --- Completion ranking (docs/predictive-model.md) -----------------
     #: Frequency/session-aware completion ranking: stably re-sort the
     #: served completions by how often each surface was completed before
     #: (plus explicit session boosts).  A cold cache scores all-zero, so
@@ -134,18 +125,6 @@ class SapphireConfig:
     def with_tree_capacity(self, capacity: int) -> "SapphireConfig":
         """Copy with a different suffix-tree budget (ablation sweeps)."""
         return replace(self, suffix_tree_capacity=capacity)
-
-    def with_term_index(
-        self, mode: str, tiered: Optional[bool] = None
-    ) -> "SapphireConfig":
-        """Copy with a different on-disk term-index selection."""
-        if mode not in ("auto", "fts", "trigram", "off"):
-            raise ValueError(f"unknown term index mode {mode!r}")
-        return replace(
-            self,
-            term_index=mode,
-            cache_tiered=self.cache_tiered if tiered is None else tiered,
-        )
 
     def with_storage(
         self, backend: str, path: Optional[str] = None

@@ -2,19 +2,20 @@
 
 Initialization "happens only once for each endpoint" (Section 5.1) and
 took 17 hours for DBpedia — so the cached predicates, classes, literals
-and significance scores must survive server restarts.  The cache no
-longer has a bespoke on-disk format: :func:`save_cache` *reifies* the
-cache as triples over a reserved ``urn:sapphire:cache:`` vocabulary and
-snapshots them through the same :class:`StorageBackend` path every
-dataset uses (``save_store`` → WAL-mode SQLite, atomic replace, term
-dictionary mirrored to disk).  :func:`load_cache` reopens the file with
-:func:`load_store` and decodes; indexes (suffix tree, bins) are rebuilt
-on load, since they derive from the cached data and the configured tree
-capacity.  Legacy JSON caches (format version 1) are still readable —
-``load_cache`` sniffs the file — and :func:`dumps_cache` /
-:func:`loads_cache` keep the JSON form available as a portable export.
+and significance scores must survive server restarts, and the cache
+file *is* the restart and replica story.  There is one format:
+:func:`save_cache` writes the storage engine's ``terms``/``meta`` tables
+(through :class:`SQLiteBackend`: one dictionary schema) and the cache
+tables of ``store/term_tables.py`` into a scratch file and publishes it
+atomically; :func:`load_cache` opens exactly that as a
+:class:`TieredSapphireCache` — hot suffix tree built from at most
+``suffix_tree_capacity`` rows, tail served from the file — and refuses
+anything else with a ``ValueError`` naming what it found and the remedy
+(``repro init --save``).  Nothing is sniffed, converted or migrated.
+``SapphireCache(config).merge(load_cache(path))`` is the way back to a
+mutable in-memory cache.
 
-Dataset persistence is unchanged: :func:`open_store` builds a
+Dataset persistence: :func:`open_store` builds a
 :class:`~repro.store.TripleStore` on the backend selected by
 :class:`SapphireConfig` (``storage_backend`` / ``storage_path``),
 :func:`save_store` snapshots any store into a SQLite file, and
@@ -25,360 +26,171 @@ is the full restart story: ``SapphireServer.save_state`` /
 
 from __future__ import annotations
 
-import json
+import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from ..rdf.terms import IRI, Literal, flatten_term
-from ..rdf.triples import Triple
 from ..store import term_tables
 from ..store.backends import MemoryBackend
 from ..store.sqlite_backend import SQLiteBackend
 from ..store.triplestore import TripleStore
-from .cache import SapphireCache
+from .cache import CacheReader
 from .cache_tiered import TieredSapphireCache
 from .config import SapphireConfig
 
 __all__ = [
     "save_cache",
     "load_cache",
-    "dumps_cache",
-    "loads_cache",
-    "cache_to_store",
-    "cache_from_store",
     "open_store",
     "save_store",
     "load_store",
 ]
 
-_FORMAT_VERSION = 1
 
-#: Reserved vocabulary for the reified cache (never collides with data:
-#: no endpoint serves ``urn:sapphire:cache:`` subjects).
-_NS = "urn:sapphire:cache:"
-_P_TERM = IRI(_NS + "term")
-_P_KIND = IRI(_NS + "kind")
-_P_SOURCE = IRI(_NS + "source")
-_P_SIGNIFICANCE = IRI(_NS + "significance")
-_META_KEY = "sapphire_cache_version"
-_STORE_VERSION = "2"
-#: A v3 file is a v2 reification *plus* the term-index tables
-#: (``store/term_tables.py``); the version flips to "3" only after the
-#: index build commits, so a crash mid-build leaves a readable v2 file.
-_INDEXED_VERSION = "3"
-_LOADABLE_VERSIONS = (_STORE_VERSION, _INDEXED_VERSION)
+_VERSION = int(term_tables.CACHE_VERSION)
 
 
-def dumps_cache(cache: SapphireCache) -> str:
-    """Serialize ``cache`` to a JSON string."""
-    literals = []
-    for surface in cache.literal_surfaces():
-        for entry in cache.entries_for_surface(surface):
-            if entry.kind != "literal":
-                continue
-            literal = entry.term
-            assert isinstance(literal, Literal)
-            literals.append({
-                "lexical": literal.lexical,
-                "lang": literal.lang,
-                "datatype": literal.datatype.value if literal.datatype else None,
-                "source_predicate": (
-                    entry.source_predicate.value if entry.source_predicate else None
-                ),
-                "significance": cache.significance_of(literal.lexical),
-            })
-    document = {
-        "version": _FORMAT_VERSION,
-        "predicates": sorted(e.term.value for e in cache.predicates()),  # type: ignore[union-attr]
-        "classes": sorted(e.term.value for e in cache.classes()),  # type: ignore[union-attr]
-        "literals": literals,
-    }
-    return json.dumps(document, ensure_ascii=False, indent=1)
-
-
-def loads_cache(text: str, config: Optional[SapphireConfig] = None) -> SapphireCache:
-    """Restore a cache from :func:`dumps_cache` output and rebuild indexes."""
-    document = json.loads(text)
-    version = document.get("version")
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported cache format version: {version!r}")
-    cache = SapphireCache(config)
-    for value in document.get("predicates", ()):  # noqa: B007
-        cache.add_predicate(IRI(value))
-    for value in document.get("classes", ()):
-        cache.add_class(IRI(value))
-    for item in document.get("literals", ()):
-        datatype = item.get("datatype")
-        literal = Literal(
-            item["lexical"],
-            lang=item.get("lang"),
-            datatype=IRI(datatype) if datatype else None,
-        )
-        source = item.get("source_predicate")
-        cache.add_literal(
-            literal,
-            source_predicate=IRI(source) if source else None,
-            significance=int(item.get("significance", 0)),
-        )
-    cache.build_indexes()
-    return cache
-
-
-def cache_to_store(cache: SapphireCache) -> TripleStore:
-    """Reify ``cache`` as triples on a fresh (memory-backed) store.
-
-    Every cached entry becomes one ``urn:sapphire:cache:entry/N``
-    subject carrying its term, kind, source predicate and significance.
-    The store travels through the normal :func:`save_store` path, so
-    cache persistence and dataset persistence share one engine, one
-    atomic-replace discipline, and one on-disk dictionary format.
-    """
-    store = TripleStore()
-    entries = []
-    for entry in cache.predicates() + cache.classes():
-        entries.append((entry, 0))
-    for surface in cache.literal_surfaces():
-        for entry in cache.entries_for_surface(surface):
-            if entry.kind == "literal":
-                entries.append((entry, cache.significance_of(entry.surface)))
-    for n, (entry, significance) in enumerate(entries):
-        subject = IRI(f"{_NS}entry/{n}")
-        store.add(Triple(subject, _P_TERM, entry.term))
-        store.add(Triple(subject, _P_KIND, Literal(entry.kind)))
-        source = entry.source_predicate
-        if source is not None:
-            store.add(Triple(subject, _P_SOURCE, source))
-        if significance:
-            store.add(Triple(subject, _P_SIGNIFICANCE, Literal(str(significance))))
-    store.backend.set_meta(_META_KEY, _STORE_VERSION)
-    return store
-
-
-def cache_from_store(
-    store: TripleStore, config: Optional[SapphireConfig] = None
-) -> SapphireCache:
-    """Rebuild a cache from its :func:`cache_to_store` reification.
-
-    This is the eager path — every reified entry is replayed and the
-    suffix tree + bins rebuilt in memory.  v3 files decode here too
-    (their reified payload is exactly a v2 file's); the *tiered* fast
-    path that skips the rebuild lives in :func:`load_cache`, which
-    records whether the rebuild ran (and for how long) in the returned
-    cache's ``load_report``.
-    """
-    t0 = time.perf_counter()
-    version = store.backend.get_meta(_META_KEY)
-    if version not in _LOADABLE_VERSIONS:
-        raise ValueError(f"unsupported cache store version: {version!r}")
-    by_subject: dict = {}
-    for triple in store.triples():
-        by_subject.setdefault(triple.subject, {})[triple.predicate] = triple.object
-    cache = SapphireCache(config)
-
-    def entry_index(subject: IRI) -> int:
-        return int(subject.value.rsplit("/", 1)[1])
-
-    for subject in sorted(by_subject, key=entry_index):
-        fields = by_subject[subject]
-        term = fields.get(_P_TERM)
-        kind_term = fields.get(_P_KIND)
-        if term is None or not isinstance(kind_term, Literal):
-            continue
-        kind = kind_term.lexical
-        if kind == "predicate":
-            cache.add_predicate(term)
-        elif kind == "class":
-            cache.add_class(term)
-        elif kind == "literal":
-            source = fields.get(_P_SOURCE)
-            significance_term = fields.get(_P_SIGNIFICANCE)
-            try:
-                significance = (
-                    int(significance_term.lexical)
-                    if isinstance(significance_term, Literal) else 0
-                )
-            except ValueError:
-                significance = 0
-            cache.add_literal(
-                term,
-                source_predicate=source if isinstance(source, IRI) else None,
-                significance=significance,
-            )
-    cache.build_indexes()
-    cache.load_report = {
-        "mode": "rebuilt",
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
-    return cache
-
-
-def _build_cache_index(
-    cache: SapphireCache, path: Union[str, Path], mode: str
-) -> Dict[str, object]:
-    """Build the v3 term-index tables inside an already-saved cache file.
-
-    The surface table, entry buckets and substring index (FTS5 trigram
-    or trigram postings) are derived from the live cache and keyed into
-    the file's own ``terms`` rows.  The format version flips to "3"
-    *last*, in the same commit — a crash mid-build leaves a valid v2
-    file that :func:`load_cache` simply rebuilds from.
-    """
-    t0 = time.perf_counter()
-    conn = sqlite3.connect(str(path))
-    try:
-        if mode == "auto":
-            use_fts = term_tables.fts5_trigram_available(conn)
-        elif mode == "fts":
-            if not term_tables.fts5_trigram_available(conn):
-                raise ValueError(
-                    "term_index='fts' but this SQLite lacks the FTS5 "
-                    "trigram tokenizer — use 'auto' or 'trigram'"
-                )
-            use_fts = True
-        else:
-            use_fts = False
-        term_ids = {
-            (kind, lexical, lang, datatype): term_id
-            for term_id, kind, lexical, lang, datatype in conn.execute(
-                "SELECT id, kind, lexical, lang, datatype FROM terms"
-            )
-        }
-        with cache.lock:
-            pc_ord: Dict[int, int] = {}
-            for sid in (
-                list(cache._kind_sids["predicate"])
-                + list(cache._kind_sids["class"])
-            ):
-                if sid not in pc_ord:
-                    pc_ord[sid] = len(pc_ord)
-            surface_rows = []
-            for sid, surface in enumerate(cache._surfaces):
-                kinds = 0
-                for kind, bit in term_tables.KIND_MASK.items():
-                    if sid in cache._kind_sids[kind]:
-                        kinds |= bit
-                if not kinds:
-                    continue  # significance-only intern, nothing to serve
-                surface_rows.append((
-                    sid, surface, cache._significance.get(sid, 0), kinds,
-                    pc_ord.get(sid),
-                ))
-            entry_rows = []
-            for sid, bucket in cache._entries.items():
-                for seq, entry in enumerate(bucket):
-                    source = entry.source_predicate
-                    entry_rows.append((
-                        sid, seq, entry.kind,
-                        term_ids[flatten_term(entry.term)],
-                        (term_ids[flatten_term(source)]
-                         if source is not None else None),
-                        entry.significance, entry.surface,
-                    ))
-        term_tables.create_index_tables(conn, use_fts)
-        term_tables.populate_index_tables(
-            conn, surface_rows, entry_rows, use_fts
-        )
-        built_s = round(time.perf_counter() - t0, 6)
-        meta_sql = "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)"
-        conn.execute(meta_sql, (
-            term_tables.META_INDEX_FTS, "1" if use_fts else "0"))
-        conn.execute(meta_sql, (term_tables.META_INDEX_BUILT, str(built_s)))
-        conn.execute(meta_sql, (_META_KEY, _INDEXED_VERSION))
-        conn.commit()
-    finally:
-        conn.close()
-    return {"version": 3, "built_s": built_s, "fts": use_fts}
-
-
-def _snapshot_tiered(
-    cache: TieredSapphireCache, path: Union[str, Path]
-) -> Dict[str, object]:
-    """Persist a tiered cache by snapshotting its backing file — the
-    file already *is* the v3 format; re-reifying through Python would
-    walk the whole tail for nothing."""
-    import os
-
+def _scratch(path: Union[str, Path]) -> Path:
+    """The (emptied) scratch file a writer builds before publishing."""
     scratch = Path(str(path) + ".tmp")
-    scratch.unlink(missing_ok=True)
-    dest = sqlite3.connect(str(scratch))
-    try:
-        with cache._sql_lock:
-            cache._conn.backup(dest)
-    finally:
-        dest.close()
+    for stale in (scratch, Path(f"{scratch}-wal"), Path(f"{scratch}-shm")):
+        stale.unlink(missing_ok=True)
+    return scratch
+
+
+def _publish(scratch: Path, path: Union[str, Path]) -> None:
+    """Atomically replace ``path`` with the finished, closed ``scratch``.
+
+    Everything was built in the scratch file first (closing its last
+    connection checkpointed its WAL, so it is self-contained): a crash
+    before the rename leaves the previous good file intact, and a fresh
+    open after it sees exactly the new one.  A connection still holding
+    the *old* file open keeps reading its old inode consistently; per
+    the single-writer assumption it must reopen to see the new file.
+    """
+    if Path(path).exists():
+        # Absorb any stale WAL into the old file *before* the replace —
+        # otherwise a crash between replace and cleanup could pair the
+        # new database with the old WAL, which SQLite would replay into
+        # it (documented corruption hazard).  Checkpointing first keeps
+        # every intermediate state valid: old db + its own (empty) WAL.
+        try:
+            recover = sqlite3.connect(str(path))
+            try:
+                recover.execute("PRAGMA journal_mode=DELETE")  # checkpoint + drop -wal
+            finally:
+                recover.close()
+        except sqlite3.Error:
+            # Not a database, or locked by a live holder (unsupported
+            # concurrent-writer territory): drop the sidecars directly.
+            for sidecar in (Path(str(path) + "-wal"), Path(str(path) + "-shm")):
+                sidecar.unlink(missing_ok=True)
     os.replace(scratch, path)
-    return {"version": 3, "built_s": 0.0, "fts": cache.term_index.fts}
+
+
+def _cache_rows(cache: CacheReader, encode) -> tuple:
+    """``(surface_rows, entry_rows)`` for ``populate_index_tables``,
+    read through the reader surface; ``encode`` maps a term to its ID
+    in the file's ``terms`` table."""
+    with cache.lock:
+        predicate_classes = cache.predicates() + cache.classes()
+        sids: Dict[int, Optional[int]] = {}  # sid -> pc_ord, file order
+        for entry in predicate_classes:
+            sids.setdefault(cache.surface_id(entry.surface), len(sids))  # type: ignore[arg-type]
+        for surface in cache.literal_surfaces():
+            sids.setdefault(cache.surface_id(surface), None)  # type: ignore[arg-type]
+        surface_rows: List[tuple] = []
+        entry_rows: List[tuple] = []
+        for sid, pc_ord in sids.items():
+            surface = cache.surface_of(sid)
+            kinds = 0
+            for seq, entry in enumerate(cache.entries_for_surface_id(sid)):
+                kinds |= term_tables.KIND_MASK[entry.kind]
+                source = entry.source_predicate
+                entry_rows.append((
+                    sid, seq, entry.kind, encode(entry.term),
+                    encode(source) if source is not None else None,
+                    entry.significance, entry.surface,
+                ))
+            surface_rows.append(
+                (sid, surface, cache.significance_of(surface), kinds, pc_ord))
+    return surface_rows, entry_rows
 
 
 def save_cache(
-    cache: SapphireCache, path: Union[str, Path]
+    cache: CacheReader, path: Union[str, Path]
 ) -> Dict[str, object]:
-    """Persist ``cache`` at ``path`` through the storage engine.
+    """Persist ``cache`` at ``path`` as the one cache-file format.
 
-    The reified cache snapshots via :func:`save_store` — WAL-mode
-    SQLite with scratch-file + atomic replace, so a crash mid-write
-    must not truncate a previous good cache (rebuilding it means
-    re-running initialization).  Unless ``config.term_index`` is
-    ``"off"``, the term-index tables are then built into the same file
-    (manifest v3) so the next load — or a read-only replica — can serve
-    without rebuilding.  Returns an index-info dict for the state
-    manifest (``{"version", "built_s", "fts"}``).
+    The file is built whole in a scratch file — dictionary rows through
+    the storage engine, then the cache tables and their meta rows — and
+    published with :func:`_publish`, so a crash at any point leaves the
+    previous good cache (rebuilding it means re-running initialization).
+    The FTS5 substring table is written when the linked SQLite has the
+    trigram tokenizer; the file records which.  A tiered cache is
+    already a file: it is copied with SQLite's online backup instead of
+    being walked through Python (and saving it over itself is a no-op).
+    Returns ``{"version", "built_s", "fts"}`` for the state manifest.
     """
     if isinstance(cache, TieredSapphireCache):
-        return _snapshot_tiered(cache, path)
-    save_store(cache_to_store(cache), path)
-    mode = cache.config.term_index
-    if mode == "off":
-        return {"version": 2, "built_s": 0.0, "fts": False}
-    return _build_cache_index(cache, path, mode)
+        info = {"version": _VERSION, "built_s": 0.0, "fts": cache.term_index.fts}
+        if Path(path).exists() and os.path.samefile(cache.path, path):
+            return info
+        scratch = _scratch(path)
+        cache.backup_to(scratch)
+        _publish(scratch, path)
+        return info
+    t0 = time.perf_counter()
+    scratch = _scratch(path)
+    backend = SQLiteBackend(scratch)
+    try:
+        surface_rows, entry_rows = _cache_rows(cache, backend.dictionary.encode)
+    finally:
+        backend.close()
+    conn = sqlite3.connect(str(scratch))
+    try:
+        use_fts = term_tables.fts5_trigram_available(conn)
+        term_tables.create_index_tables(conn, use_fts)
+        term_tables.populate_index_tables(
+            conn, surface_rows, entry_rows, use_fts)
+        built_s = round(time.perf_counter() - t0, 6)
+        conn.executemany(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", (
+                (term_tables.META_INDEX_FTS, "1" if use_fts else "0"),
+                (term_tables.META_INDEX_BUILT, str(built_s)),
+                (term_tables.META_CACHE_VERSION, term_tables.CACHE_VERSION),
+            ))
+        conn.commit()
+    finally:
+        conn.close()
+    _publish(scratch, path)
+    return {"version": _VERSION, "built_s": built_s, "fts": use_fts}
 
 
 def load_cache(
     path: Union[str, Path],
     config: Optional[SapphireConfig] = None,
     read_only: bool = False,
-    tiered: Optional[bool] = None,
-) -> SapphireCache:
-    """Read a cache previously written by :func:`save_cache`.
+) -> TieredSapphireCache:
+    """Open a cache file written by :func:`save_cache`.
 
-    Sniffs the format: v3 storage-engine caches with a persisted term
-    index open as a :class:`TieredSapphireCache` — no eager rebuild,
-    boot cost proportional to the suffix-tree capacity — unless
-    ``tiered=False`` (or ``config.cache_tiered`` is off) forces the
-    legacy in-memory rebuild.  ``read_only=True`` opens the file with
-    ``mode=ro`` (replica boot over a shared snapshot).  v2 files and
-    pre-PR-5 JSON caches decode through the eager paths as before.
-    The returned cache's ``load_report`` says which path ran and how
-    long it took.
+    No rebuild: boot cost is proportional to ``suffix_tree_capacity``
+    (a load-time choice), the tail stays on disk.  ``read_only=True``
+    opens the file with ``mode=ro`` (replica boot over a shared
+    snapshot).  Anything that is not a cache file — a JSON document, a
+    SQLite file without the cache tables, another format version —
+    raises ``ValueError`` saying what was found; nothing partial is
+    served.  ``load_report`` on the result records the boot time.
     """
-    target = Path(path)
-    with open(target, "rb") as handle:
-        magic = handle.read(16)
-    if magic.startswith(b"SQLite format 3"):
-        config = config or SapphireConfig()
-        want_tiered = config.cache_tiered if tiered is None else tiered
-        if want_tiered:
-            t0 = time.perf_counter()
-            try:
-                cache: SapphireCache = TieredSapphireCache(
-                    target, config, read_only=read_only
-                )
-            except ValueError:
-                pass  # no index tables (v2 file): fall back to rebuild
-            else:
-                cache.load_report = {
-                    "mode": "tiered",
-                    "seconds": round(time.perf_counter() - t0, 6),
-                }
-                return cache
-        store = load_store(target)
-        try:
-            return cache_from_store(store, config)
-        finally:
-            store.close()
-    return loads_cache(target.read_text(encoding="utf-8"), config)
+    t0 = time.perf_counter()
+    cache = TieredSapphireCache(path, config, read_only=read_only)
+    cache.load_report = {
+        "mode": "tiered",
+        "seconds": round(time.perf_counter() - t0, 6),
+    }
+    return cache
 
 
 # ----------------------------------------------------------------------
@@ -436,17 +248,7 @@ def save_store(store: TripleStore, path: Union[str, Path]) -> int:
         and Path(backend.path).resolve() == Path(path).resolve()
     ):
         return len(store)
-    # Write the snapshot to a scratch file and atomically replace the
-    # target: a crash mid-copy leaves the previous good snapshot intact,
-    # and a fresh open after the replace sees exactly the new one.
-    # (Closing the scratch connection checkpoints its WAL, so the file
-    # is self-contained before the rename.)  A connection still holding
-    # the *old* file open keeps reading its old inode consistently; per
-    # the single-writer assumption it must reopen to see the snapshot.
-    import os
-
-    scratch = Path(str(path) + ".tmp")
-    scratch.unlink(missing_ok=True)
+    scratch = _scratch(path)
     snapshot = SQLiteBackend(scratch)
     target = TripleStore(backend=snapshot)
     target.add_all(store.triples())
@@ -454,24 +256,7 @@ def save_store(store: TripleStore, path: Union[str, Path]) -> int:
         snapshot.set_meta(key, value)  # provenance travels with the data
     count = len(target)
     target.close()
-    if Path(path).exists():
-        # Absorb any stale WAL into the old file *before* the replace —
-        # otherwise a crash between replace and cleanup could pair the
-        # new database with the old WAL, which SQLite would replay into
-        # it (documented corruption hazard).  Checkpointing first keeps
-        # every intermediate state valid: old db + its own (empty) WAL.
-        import sqlite3
-
-        try:
-            recover = sqlite3.connect(str(path))
-            recover.execute("PRAGMA journal_mode=DELETE")  # checkpoint + drop -wal
-            recover.close()
-        except sqlite3.Error:
-            # Locked by a live holder (unsupported concurrent-writer
-            # territory): fall back to dropping the sidecars directly.
-            for sidecar in (Path(str(path) + "-wal"), Path(str(path) + "-shm")):
-                sidecar.unlink(missing_ok=True)
-    os.replace(scratch, path)
+    _publish(scratch, path)
     return count
 
 

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .cache import SapphireCache
+from .cache import CacheReader, SapphireCache
 from .config import SapphireConfig
 
 __all__ = ["Completion", "CompletionResult", "QueryCompletionModule"]
@@ -79,8 +79,8 @@ class CompletionResult:
 class QueryCompletionModule:
     """Interactive completion over one (indexed) Sapphire cache."""
 
-    def __init__(self, cache: SapphireCache, config: Optional[SapphireConfig] = None) -> None:
-        if not cache.is_indexed:
+    def __init__(self, cache: CacheReader, config: Optional[SapphireConfig] = None) -> None:
+        if isinstance(cache, SapphireCache) and not cache.is_indexed:
             cache.build_indexes()
         self.cache = cache
         self.config = config or cache.config

@@ -37,7 +37,7 @@ from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
 from ..sparql.results import SelectResult
 from ..sparql.serializer import select_query, serialize_query
-from .cache import SapphireCache
+from .cache import CacheReader
 from .config import SapphireConfig
 
 __all__ = [
@@ -262,7 +262,7 @@ class StructureRelaxer:
 
     def __init__(
         self,
-        cache: SapphireCache,
+        cache: CacheReader,
         runner: QueryRunner,
         config: Optional[SapphireConfig] = None,
     ) -> None:

@@ -44,7 +44,7 @@ from ..sparql.serializer import serialize_query
 from ..sparql.trace import Tracer
 from ..text.lexicon import Lexicon, default_lexicon
 from ..text.similarity import ThresholdScorer
-from .cache import CachedTerm, SapphireCache
+from .cache import CachedTerm, CacheReader, SapphireCache
 from .config import SapphireConfig
 from .probes import ProbeBatcher
 
@@ -103,12 +103,12 @@ class AlternativeTermsFinder:
 
     def __init__(
         self,
-        cache: SapphireCache,
+        cache: CacheReader,
         runner: QueryRunner,
         config: Optional[SapphireConfig] = None,
         lexicon: Optional[Lexicon] = None,
     ) -> None:
-        if not cache.is_indexed:
+        if isinstance(cache, SapphireCache) and not cache.is_indexed:
             cache.build_indexes()
         self.cache = cache
         self.runner = runner

@@ -43,7 +43,7 @@ from ..sparql.results import SelectResult
 from ..sparql.serializer import serialize_query
 from ..sparql.trace import QueryTrace, Tracer
 from ..text.lexicon import Lexicon
-from .cache import SapphireCache
+from .cache import CacheReader, SapphireCache
 from .config import SapphireConfig
 from .initialization import EndpointInitializer, InitializationReport
 from .persistence import load_cache, load_store, save_cache, save_store
@@ -186,7 +186,9 @@ class SapphireServer:
         self.config = config or SapphireConfig()
         self.lexicon = lexicon
         self.endpoints: List[SparqlEndpoint] = []
-        self.cache = SapphireCache(self.config)
+        #: A builder until a state is restored, then the file's reader
+        #: (``register_endpoint`` promotes it back when it must mutate).
+        self.cache: CacheReader = SapphireCache(self.config)
         self.reports: Dict[str, InitializationReport] = {}
         self._federation: Optional[FederatedQueryProcessor] = None
         self._qcm: Optional[QueryCompletionModule] = None
@@ -202,12 +204,22 @@ class SapphireServer:
         endpoint: SparqlEndpoint,
         warehouse: bool = False,
     ) -> InitializationReport:
-        """Register ``endpoint`` and run Section 5 initialization on it."""
-        self.endpoints.append(endpoint)
+        """Register ``endpoint`` and run Section 5 initialization on it.
+
+        The endpoint joins the federation only once initialization and
+        the merge succeeded; a failure leaves the server as it was.
+        """
         initializer = EndpointInitializer(endpoint, self.config, warehouse=warehouse)
         cache = initializer.run()
+        if not isinstance(self.cache, SapphireCache):
+            # Restored from a file: a reader has no mutators, so fold it
+            # into a builder first.
+            reader, self.cache = self.cache, SapphireCache(self.config)
+            self.cache.merge(reader)
+            reader.close()
         self.cache.merge(cache)
         self.cache.build_indexes()
+        self.endpoints.append(endpoint)
         self.reports[endpoint.name] = initializer.report
         self._refresh_modules()
         return initializer.report
@@ -318,8 +330,8 @@ class SapphireServer:
     ) -> "SapphireServer":
         """Rebuild a server from :meth:`save_state` output.
 
-        The cache is reloaded (indexes rebuilt at the configured tree
-        capacity) and each dataset named by the state manifest is
+        The cache file is opened as a reader (hot tier built at the
+        configured tree capacity, see ``load_cache``) and each dataset named by the state manifest is
         reopened on its SQLite backend and attached without
         re-initialization.  Endpoint resource policies are runtime
         choices, so pass ``endpoint_config`` to override the default.
@@ -327,13 +339,11 @@ class SapphireServer:
         source = Path(directory)
         manifest = json.loads((source / "state.json").read_text())
         server = cls(config, lexicon)
-        # Version-1 manifests carry no cache key: those states persisted
-        # the cache as JSON, which load_cache still sniffs and reads.
-        cache_name = manifest.get("cache", "cache.json")
+        cache_name = manifest.get("cache")
         if not _is_safe_state_name(cache_name):
             raise ValueError(
                 f"state manifest names an unsafe cache file {cache_name!r} "
-                "(path separator or empty) — refusing to open it"
+                "(missing, empty or a path separator) — refusing to open it"
             )
         server.cache = load_cache(source / cache_name, server.config)
         for name in manifest.get("endpoints", []):

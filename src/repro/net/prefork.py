@@ -115,8 +115,9 @@ def build_backend_from_spec(spec: Dict[str, object]):
         cache_snapshot = spec.get("cache_snapshot")
         if cache_snapshot is not None:
             # Instant replica boot: open the parent's persisted cache
-            # (v3 file with the on-disk term index) read-only instead of
-            # re-running Section 5 initialization in every worker.
+            # file (dictionary, cache tables, on-disk term index)
+            # read-only instead of re-running Section 5 initialization
+            # in every worker.
             from ..core.persistence import load_cache
 
             server.cache = load_cache(
@@ -150,8 +151,8 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
     out = {**spec, "snapshot_base": base_path}
     if spec.get("sapphire"):
         # Run Section 5 initialization ONCE here and persist the cache
-        # (v3: reified triples + on-disk term index); each worker then
-        # boots a read-only tiered replica in seconds, no rebuild.
+        # (one file: dictionary, cache tables, on-disk term index); each
+        # worker then boots a read-only tiered replica, no rebuild.
         from ..core.config import SapphireConfig
         from ..core.persistence import save_cache
         from ..core.sapphire import SapphireServer

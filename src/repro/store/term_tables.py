@@ -1,9 +1,9 @@
-"""On-disk term-index tables for the suggestion cache (manifest v3).
+"""On-disk term-index tables of a suggestion-cache file.
 
-A v3 cache file is a v2 reified cache (``core/persistence.py``) plus a
-set of *index tables* living in the same SQLite database, so one file
-ships both the durable cache contents and a search structure a replica
-can serve from without rebuilding anything:
+A cache file (``core/persistence.py``) is the storage engine's
+``terms``/``meta`` tables plus the *cache tables* below in the same
+SQLite database, so one file holds both the durable cache contents and
+a search structure a replica can serve from without rebuilding anything:
 
 * ``cache_surfaces`` — the dense surface-ID table: one row per interned
   (lower-cased) surface with its length, significance score, a kind
@@ -15,18 +15,15 @@ can serve from without rebuilding anything:
   top ``capacity`` rows itself.
 * ``cache_entries`` — the per-surface entry buckets (kind, term,
   source predicate, display form), keyed into the file's own ``terms``
-  table so entries decode through the same dictionary rows the reified
-  triples use.
+  table, the one dictionary schema every SQLite store uses.
 * ``cache_fts`` — an FTS5 table with the ``trigram`` tokenizer over the
-  literal surfaces, when the linked SQLite has FTS5.  A trigram MATCH
-  for a needle of length >= 3 is a sound *superset* of the substring
-  matches (consecutive-trigram phrase), verified with ``instr``.
-* ``cache_trigrams`` — the stdlib-only fallback: a hand-rolled trigram
-  inverted index (``gram -> sid``).  Every trigram of a substring is a
-  trigram of the containing string, so intersecting the needle's grams
-  is likewise a sound superset for needles >= 3 characters; shorter
-  needles scan the length window directly (the window index makes that
-  a streamed range scan).
+  literal surfaces, when the linked SQLite has it (recorded in the
+  file's ``sapphire_index_fts`` meta row).  A trigram MATCH for a needle
+  of length >= 3 is a sound *superset* of the substring matches
+  (consecutive-trigram phrase), verified with ``instr``.  Without the
+  tokenizer no prefilter table is written and every needle runs the
+  ``instr``-verified scan of the ``(length, surface)`` window index that
+  needles shorter than a trigram always run — same answers.
 
 ``instr`` is used for verification rather than ``LIKE``: ``LIKE`` needs
 ``%``/``_`` escaping and is ASCII-only case-insensitive, while both
@@ -36,28 +33,30 @@ sides here are already lower-cased in Python.
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 __all__ = [
     "KIND_MASK",
+    "CACHE_VERSION",
+    "META_CACHE_VERSION",
     "META_INDEX_FTS",
     "META_INDEX_BUILT",
     "fts5_trigram_available",
     "has_index_tables",
     "create_index_tables",
-    "drop_index_tables",
     "populate_index_tables",
-    "trigrams",
 ]
 
 #: Kind bitmask values for ``cache_surfaces.kinds``.
 KIND_MASK = {"predicate": 1, "class": 2, "literal": 4}
 
-#: Meta keys recorded next to ``sapphire_cache_version`` in the file.
+#: The one cache-file format, recorded in the file's ``meta`` table
+#: ("3" since PR 10: files written with default settings since then
+#: carry these same tables and keep opening).
+META_CACHE_VERSION = "sapphire_cache_version"
+CACHE_VERSION = "3"
 META_INDEX_FTS = "sapphire_index_fts"
 META_INDEX_BUILT = "sapphire_index_built_s"
-
-_TABLES = ("cache_surfaces", "cache_entries", "cache_trigrams", "cache_fts")
 
 _DDL = """
 CREATE TABLE cache_surfaces (
@@ -83,14 +82,6 @@ CREATE TABLE cache_entries (
 ) WITHOUT ROWID;
 """
 
-_DDL_TRIGRAMS = """
-CREATE TABLE cache_trigrams (
-    gram TEXT NOT NULL,
-    sid  INTEGER NOT NULL,
-    PRIMARY KEY (gram, sid)
-) WITHOUT ROWID;
-"""
-
 _DDL_FTS = (
     "CREATE VIRTUAL TABLE cache_fts "
     "USING fts5(surface, content='', tokenize='trigram')"
@@ -111,7 +102,7 @@ def fts5_trigram_available(conn: sqlite3.Connection) -> bool:
 
 
 def has_index_tables(conn: sqlite3.Connection) -> bool:
-    """True when the v3 index tables exist in this database."""
+    """True when the cache tables exist in this database."""
     row = conn.execute(
         "SELECT COUNT(*) FROM sqlite_master "
         "WHERE type IN ('table', 'view') "
@@ -120,26 +111,12 @@ def has_index_tables(conn: sqlite3.Connection) -> bool:
     return bool(row and row[0] == 2)
 
 
-def drop_index_tables(conn: sqlite3.Connection) -> None:
-    for name in _TABLES:
-        conn.execute(f"DROP TABLE IF EXISTS {name}")
-
-
 def create_index_tables(conn: sqlite3.Connection, use_fts: bool) -> None:
-    """(Re)create the index tables, choosing FTS5 or the trigram fallback."""
-    drop_index_tables(conn)
+    """Create the cache tables in a fresh database, with the FTS5
+    substring table when the tokenizer is there."""
     conn.executescript(_DDL)
     if use_fts:
         conn.execute(_DDL_FTS)
-    else:
-        conn.executescript(_DDL_TRIGRAMS)
-
-
-def trigrams(surface: str) -> Sequence[str]:
-    """The distinct character trigrams of ``surface`` (order-free)."""
-    if len(surface) < 3:
-        return ()
-    return tuple({surface[i:i + 3] for i in range(len(surface) - 2)})
 
 
 def populate_index_tables(
@@ -153,7 +130,7 @@ def populate_index_tables(
     ``surface_rows`` are ``(sid, surface, significance, kinds, pc_ord)``;
     ``entry_rows`` are ``(sid, seq, kind, term_id, source_id,
     significance, display)``.  Literal surfaces (``kinds & 4``) feed the
-    substring index — FTS5 rows keyed by sid, or the trigram postings.
+    FTS5 substring table, keyed by sid.
     """
     literal_bit = KIND_MASK["literal"]
     literal_sids = []
@@ -176,13 +153,4 @@ def populate_index_tables(
         conn.executemany(
             "INSERT INTO cache_fts (rowid, surface) VALUES (?, ?)",
             literal_sids,
-        )
-    else:
-        conn.executemany(
-            "INSERT INTO cache_trigrams (gram, sid) VALUES (?, ?)",
-            (
-                (gram, sid)
-                for sid, surface in literal_sids
-                for gram in trigrams(surface)
-            ),
         )

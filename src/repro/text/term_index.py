@@ -1,13 +1,13 @@
 """Tiered term index: on-disk candidate lookups for the cache tail.
 
 :class:`SqliteTermIndex` is the query-side companion of
-:mod:`repro.store.term_tables`: it wraps one SQLite connection to a v3
+:mod:`repro.store.term_tables`: it wraps one SQLite connection to a
 cache file and serves the lookups the tiered cache routes past its hot
 suffix tree —
 
 * **substring** candidates over the *residual* literal surfaces
-  (``substring_sids``), FTS5-trigram or trigram-posting prefiltered and
-  always ``instr``-verified, streamed shortest-first so the results
+  (``substring_sids``), FTS5-trigram prefiltered where the file has the
+  table and always ``instr``-verified, streamed shortest-first so the results
   splice into the QCM's shortest-first fill exactly where a
   ``bins.scan_keyed`` result would;
 * **fuzzy** candidates (``window_rows``): the α/β length window of the
@@ -23,9 +23,9 @@ capacity — and residual rows are exactly the literal rows ranking
 strictly after it.  This keeps tree capacity a load-time choice while
 letting SQL filter the tail.
 
-Trigram prefilters are sound for *substring* search (every trigram of a
-substring appears in the containing string) and are used for nothing
-else here: they are **not** sound for Jaro–Winkler.
+The trigram prefilter is sound for *substring* search (every trigram of a
+substring appears in the containing string) and is used for nothing
+else here: it is **not** sound for Jaro–Winkler.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import sqlite3
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..store.term_tables import KIND_MASK, trigrams
+from ..store.term_tables import KIND_MASK
 
 __all__ = ["SqliteTermIndex"]
 
@@ -47,7 +47,7 @@ _NONE = ("none",)
 
 
 class SqliteTermIndex:
-    """Candidate lookups over one v3 cache file's index tables."""
+    """Candidate lookups over one cache file's index tables."""
 
     def __init__(
         self,
@@ -177,22 +177,12 @@ class SqliteTermIndex:
             "AND instr(surface, ?) > 0"
         )
         query_params: tuple = (min_len, max_len) + params + (needle,)
-        if len(needle) >= 3:
-            if self.fts:
-                sql += (
-                    " AND sid IN (SELECT rowid FROM cache_fts "
-                    "WHERE cache_fts MATCH ?)"
-                )
-                query_params += ('"' + needle.replace('"', '""') + '"',)
-            else:
-                grams = trigrams(needle)
-                marks = ", ".join("?" for _ in grams)
-                sql += (
-                    f" AND sid IN (SELECT sid FROM cache_trigrams "
-                    f"WHERE gram IN ({marks}) "
-                    "GROUP BY sid HAVING COUNT(*) = ?)"
-                )
-                query_params += tuple(grams) + (len(grams),)
+        if self.fts and len(needle) >= 3:
+            sql += (
+                " AND sid IN (SELECT rowid FROM cache_fts "
+                "WHERE cache_fts MATCH ?)"
+            )
+            query_params += ('"' + needle.replace('"', '""') + '"',)
         sql += " ORDER BY length, surface"
         if limit is not None:
             sql += " LIMIT ?"
@@ -276,13 +266,6 @@ class SqliteTermIndex:
                 "SELECT sid, surface FROM cache_surfaces "
                 "WHERE (kinds & ?) != 0 ORDER BY sid",
                 (_LITERAL,),
-            ).fetchall()
-
-    def significance_rows(self) -> List[Tuple[int, int]]:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT sid, significance FROM cache_surfaces "
-                "WHERE significance > 0"
             ).fetchall()
 
     # ------------------------------------------------------------------

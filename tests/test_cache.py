@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SapphireCache, SapphireConfig
+from repro.core import CacheReader, SapphireCache, SapphireConfig
 from repro.rdf import DBO, FOAF, Literal, RDFS_LABEL
 
 
@@ -134,3 +134,38 @@ class TestMerge:
         b.add_predicate(DBO.author)
         a.merge(b)
         assert not a.is_indexed
+
+    def test_merge_reads_the_reader_surface_only(self):
+        """Any reader can be folded in: merge asks for predicates(),
+        classes(), literal_surfaces(), entries_for_surface() and
+        significance_of() and nothing private."""
+        source = SapphireCache()
+        source.add_predicate(DBO.author)
+        source.add_class(DBO.Book)
+        source.add_literal(Literal("y", lang="en"), RDFS_LABEL, 2)
+        source.set_significance("y", 5)
+
+        class Facade(CacheReader):
+            def __init__(self):
+                pass
+
+            predicates = staticmethod(source.predicates)
+            classes = staticmethod(source.classes)
+            literal_surfaces = staticmethod(source.literal_surfaces)
+            entries_for_surface = staticmethod(source.entries_for_surface)
+            significance_of = staticmethod(source.significance_of)
+
+        merged = SapphireCache()
+        merged.merge(Facade())
+        assert merged.stats() == dict(source.stats(), residual_literals=0,
+                                      residual_bins=0, tree_strings=0)
+        assert merged.significance_of("y") == 5
+        entry, = merged.entries_for_surface("y")
+        assert entry.source_predicate == RDFS_LABEL and entry.significance == 2
+
+    def test_reader_has_no_mutators(self):
+        for name in ("add_predicate", "add_class", "add_literal",
+                     "set_significance", "merge", "build_indexes",
+                     "copy_with_capacity"):
+            assert hasattr(SapphireCache, name)
+            assert not hasattr(CacheReader, name), name

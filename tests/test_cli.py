@@ -54,22 +54,24 @@ class TestCommands:
         assert "Kennedy" in out
 
     def test_init_saves_cache(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         assert main(["init", "--save", str(path)]) == 0
         assert path.exists()
         from repro.core import load_cache
 
-        assert load_cache(path).n_predicates > 0
+        restored = load_cache(path)
+        try:
+            assert restored.n_predicates > 0
+        finally:
+            restored.close()
 
-    def test_init_term_index_off_then_cache_info(self, tmp_path, capsys):
-        path = tmp_path / "cache.sqlite"
-        assert main(["init", "--save", str(path), "--term-index", "off"]) == 0
-        out = capsys.readouterr().out
-        assert "v2" in out
-        assert main(["cache-info", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "rebuilt" in out
-        assert "index:   none" in out
+    def test_cache_info_refuses_other_files(self, tmp_path, capsys):
+        path = tmp_path / "cache.json"
+        path.write_text('{"version": 1}')
+        assert main(["cache-info", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "not a SQLite database" in err
+        assert "repro init --save" in err
 
     def test_cache_info_on_indexed_cache(self, tmp_path, capsys):
         path = tmp_path / "cache.sqlite"
@@ -79,12 +81,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tiered" in out
         assert "predicates" in out
-
-    def test_init_term_index_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["init", "--save", "x", "--term-index", "bogus"]
-            )
 
     def test_study_small(self, capsys):
         assert main(["study", "--participants", "2"]) == 0

@@ -1,38 +1,60 @@
 """Unit tests for cache persistence (save once, reload across restarts)."""
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core import (
     QueryCompletionModule,
+    SapphireCache,
     SapphireConfig,
-    dumps_cache,
+    TieredSapphireCache,
     load_cache,
-    loads_cache,
     save_cache,
+    save_store,
 )
+from repro.rdf import DBO, Literal, RDFS_LABEL, Triple
+from repro.store import TripleStore, term_tables
+
+
+@pytest.fixture(scope="module")
+def saved(cache, tmp_path_factory):
+    path = tmp_path_factory.mktemp("persistence") / "cache.sqlite"
+    save_cache(cache, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def restored(cache, saved):
+    reader = load_cache(saved, cache.config)
+    yield reader
+    reader.close()
+
+
+def completions(cache, terms=("Kenn", "spou", "Vik", "alma")):
+    qcm = QueryCompletionModule(cache, cache.config.with_processes(1))
+    return [qcm.complete(term).surfaces() for term in terms]
 
 
 class TestRoundtrip:
-    def test_counts_preserved(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
+    def test_counts_preserved(self, cache, restored):
         assert restored.n_predicates == cache.n_predicates
         assert restored.n_classes == cache.n_classes
         assert restored.n_literals == cache.n_literals
 
-    def test_significance_preserved(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
+    def test_significance_preserved(self, cache, restored):
+        assert cache.significance_of("New York") > 0
         assert restored.significance_of("New York") == cache.significance_of("New York")
 
-    def test_terms_preserved_exactly(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
+    def test_terms_preserved_exactly(self, cache, restored):
         original_terms = {e.term for s in cache.literal_surfaces()
                           for e in cache.entries_for_surface(s) if e.kind == "literal"}
         restored_terms = {e.term for s in restored.literal_surfaces()
                           for e in restored.entries_for_surface(s) if e.kind == "literal"}
         assert restored_terms == original_terms
 
-    def test_source_predicates_preserved(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
+    def test_source_predicates_preserved(self, cache, restored):
         surface = next(iter(cache.literal_surfaces()))
         original = {e.source_predicate for e in cache.entries_for_surface(surface)
                     if e.kind == "literal"}
@@ -40,153 +62,164 @@ class TestRoundtrip:
                      if e.kind == "literal"}
         assert recovered == original
 
-    def test_restored_cache_is_indexed(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
+    def test_restored_cache_is_indexed(self, restored):
         assert restored.is_indexed
         assert restored.tree is not None
 
-    def test_qcm_answers_identically_after_reload(self, cache):
-        restored = loads_cache(dumps_cache(cache), cache.config)
-        original_qcm = QueryCompletionModule(cache, cache.config.with_processes(1))
-        restored_qcm = QueryCompletionModule(restored, cache.config.with_processes(1))
-        for term in ("Kenn", "spou", "Vik", "alma"):
-            assert set(original_qcm.complete(term).surfaces()) == \
-                set(restored_qcm.complete(term).surfaces())
+    def test_qcm_answers_identically_after_reload(self, cache, restored):
+        assert completions(restored) == completions(cache)
 
 
 class TestFiles:
-    def test_save_and_load_file(self, cache, tmp_path):
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        restored = load_cache(path, cache.config)
-        assert restored.n_literals == cache.n_literals
-
-    def test_load_with_different_config(self, cache, tmp_path):
+    def test_load_with_different_config(self, cache, saved):
         """The tree capacity is a load-time choice, not a stored one."""
-        path = tmp_path / "cache.json"
-        save_cache(cache, path)
-        restored = load_cache(path, SapphireConfig(suffix_tree_capacity=10))
-        assert restored.n_tree_strings <= cache.n_tree_strings
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            loads_cache('{"version": 99}')
+        small = load_cache(saved, SapphireConfig(suffix_tree_capacity=10))
+        try:
+            assert small.n_tree_strings < cache.n_tree_strings
+            assert small.n_literals == cache.n_literals
+        finally:
+            small.close()
 
     def test_unicode_literals_survive(self, tmp_path):
-        from repro.core import SapphireCache
-        from repro.rdf import Literal, RDFS_LABEL
-
         cache = SapphireCache(SapphireConfig(suffix_tree_capacity=10))
         cache.add_literal(Literal("Škoda Auto café", lang="en"), RDFS_LABEL, 3)
         cache.build_indexes()
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         save_cache(cache, path)
         restored = load_cache(path)
-        assert restored.entries_for_surface("Škoda Auto café")
-
-    def test_legacy_json_file_is_sniffed(self, cache, tmp_path):
-        """A pre-PR-5 cache file is raw JSON, not SQLite: load_cache
-        must keep decoding it by content, whatever the config says."""
-        path = tmp_path / "legacy.json"
-        path.write_text(dumps_cache(cache), encoding="utf-8")
-        restored = load_cache(path, cache.config)
-        assert type(restored).__name__ == "SapphireCache"
-        assert restored.n_literals == cache.n_literals
-
-
-class TestIndexedFormat:
-    """The v3 format: v2 reified triples + persisted term index."""
-
-    def test_save_reports_v3_and_loads_tiered(self, cache, tmp_path):
-        from repro.core import TieredSapphireCache
-
-        path = tmp_path / "cache.sqlite"
-        info = save_cache(cache, path)
-        assert info["version"] == 3
-        assert info["built_s"] >= 0.0
-        restored = load_cache(path, cache.config)
         try:
-            assert isinstance(restored, TieredSapphireCache)
-            assert restored.load_report["mode"] == "tiered"
-            assert restored.load_report["seconds"] >= 0.0
+            assert restored.entries_for_surface("Škoda Auto café")
         finally:
             restored.close()
 
-    def test_term_index_off_writes_v2_and_rebuilds(self, cache, tmp_path):
-        from repro.core import TieredSapphireCache
-
-        path = tmp_path / "cache-v2.sqlite"
-        original = cache.config
-        cache.config = original.with_term_index("off")
+    def test_one_format_no_triples(self, cache, saved):
+        """The file holds the dictionary and the cache tables, once."""
+        info = save_cache(cache, saved)
+        assert info["version"] == 3 and info["built_s"] >= 0.0
+        conn = sqlite3.connect(str(saved))
         try:
-            info = save_cache(cache, path)
+            assert conn.execute("SELECT COUNT(*) FROM triples").fetchone()[0] == 0
+            assert conn.execute("SELECT COUNT(*) FROM terms").fetchone()[0] > 0
+            tables = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name LIKE 'cache_%' AND name NOT LIKE 'cache_fts_%'")}
         finally:
-            cache.config = original
-        assert info["version"] == 2
-        restored = load_cache(path, cache.config)
-        assert not isinstance(restored, TieredSapphireCache)
-        assert restored.load_report["mode"] == "rebuilt"
-        assert restored.n_literals == cache.n_literals
+            conn.close()
+        assert tables - {"cache_fts"} == {"cache_surfaces", "cache_entries"}
 
-    def test_tiered_false_forces_legacy_rebuild_from_v3(self, cache, tmp_path):
-        from repro.core import TieredSapphireCache
-
-        path = tmp_path / "cache.sqlite"
-        save_cache(cache, path)
-        restored = load_cache(path, cache.config, tiered=False)
-        assert not isinstance(restored, TieredSapphireCache)
-        assert restored.load_report["mode"] == "rebuilt"
-        assert restored.stats() == cache.stats()
-
-    def test_v3_file_still_loads_eagerly_identical(self, cache, tmp_path):
-        """The index tables ride along in the same file: the eager
-        loader reads the v2 triples and must see the exact same cache."""
-        path = tmp_path / "cache.sqlite"
-        save_cache(cache, path)
-        eager = load_cache(path, cache.config, tiered=False)
-        tiered = load_cache(path, cache.config)
+    def test_file_with_unrelated_triples_serves_identically(
+            self, cache, saved, restored, tmp_path):
+        """What a PR 10–17 file looks like: the same tables beside
+        reified triples nobody reads any more."""
+        old = tmp_path / "old.sqlite"
+        old.write_bytes(saved.read_bytes())
+        conn = sqlite3.connect(str(old))
+        conn.execute("INSERT INTO triples (s, p, o) VALUES (0, 1, 2), (3, 1, 4)")
+        conn.commit()
+        conn.close()
+        reopened = load_cache(old, cache.config)
         try:
-            assert tiered.stats() == eager.stats()
-            original_qcm = QueryCompletionModule(cache, cache.config.with_processes(1))
-            eager_qcm = QueryCompletionModule(eager, cache.config.with_processes(1))
-            tiered_qcm = QueryCompletionModule(tiered, cache.config.with_processes(1))
-            for term in ("Kenn", "spou", "Vik", "alma"):
-                expected = original_qcm.complete(term).surfaces()
-                assert eager_qcm.complete(term).surfaces() == expected
-                assert tiered_qcm.complete(term).surfaces() == expected
+            assert reopened.stats() == restored.stats()
+            assert completions(reopened) == completions(cache)
         finally:
-            tiered.close()
+            reopened.close()
 
-    def test_tiered_snapshot_roundtrips(self, cache, tmp_path):
-        """save_cache on a tiered cache snapshots the backing file —
-        the copy must serve identically to the original."""
-        from repro.core import TieredSapphireCache
+    def test_load_report_records_boot(self, restored):
+        assert isinstance(restored, TieredSapphireCache)
+        assert restored.load_report["mode"] == "tiered"
+        assert restored.load_report["seconds"] >= 0.0
 
-        first = tmp_path / "first.sqlite"
+    def test_tiered_snapshot_roundtrips(self, cache, saved, restored, tmp_path):
+        """save_cache on a tiered cache copies the backing file — the
+        copy must serve identically; over itself it is a no-op."""
         second = tmp_path / "second.sqlite"
-        save_cache(cache, first)
-        tiered = load_cache(first, cache.config)
+        assert save_cache(restored, second)["version"] == 3
+        assert save_cache(restored, saved)["fts"] == restored.term_index.fts
+        copy = load_cache(second, cache.config)
         try:
-            info = save_cache(tiered, second)
-            assert info["version"] == 3
-            copy = load_cache(second, cache.config)
-            try:
-                assert isinstance(copy, TieredSapphireCache)
-                assert copy.stats() == tiered.stats()
-            finally:
-                copy.close()
+            assert copy.stats() == restored.stats()
+            assert completions(copy) == completions(cache)
         finally:
-            tiered.close()
+            copy.close()
 
-    def test_skip_rebuild_records_load_timing(self, cache, tmp_path):
-        """Satellite: the load path skips the eager rebuild when the
-        persisted index is present, and records what it did."""
+
+class TestRefusal:
+    """Anything but the one format is refused with the remedy."""
+
+    def refused(self, path, found):
+        with pytest.raises(ValueError, match="repro init --save") as refusal:
+            load_cache(path)
+        assert found in str(refusal.value)
+        assert str(path) in str(refusal.value)
+
+    def test_json_document(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 1, "predicates": []}))
+        self.refused(path, "not a SQLite database")
+        assert json.loads(path.read_text())["version"] == 1  # untouched
+
+    def test_sqlite_file_without_cache_tables(self, tmp_path):
+        path = tmp_path / "dataset.sqlite"
+        store = TripleStore()
+        store.add(Triple(DBO.term("a"), DBO.spouse, DBO.term("b")))
+        save_store(store, path)
+        self.refused(path, "without the cache tables")
+
+    def test_wrong_version(self, saved, tmp_path):
+        path = tmp_path / "future.sqlite"
+        path.write_bytes(saved.read_bytes())
+        conn = sqlite3.connect(str(path))
+        conn.execute("UPDATE meta SET value = '99' WHERE key = ?",
+                     (term_tables.META_CACHE_VERSION,))
+        conn.commit()
+        conn.close()
+        self.refused(path, "version '99'")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_cache(tmp_path / "absent.sqlite")
+        assert not (tmp_path / "absent.sqlite").exists()
+
+
+class TestPublish:
+    """One publish step for every writer: built in a scratch file,
+    stale WAL absorbed, then an atomic replace."""
+
+    def test_failed_save_keeps_the_previous_file(
+            self, cache, restored, tmp_path, monkeypatch):
         path = tmp_path / "cache.sqlite"
         save_cache(cache, path)
-        tiered = load_cache(path, cache.config)
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise sqlite3.OperationalError("disk full")
+
+        monkeypatch.setattr(term_tables, "populate_index_tables", boom)
+        with pytest.raises(sqlite3.OperationalError):
+            save_cache(cache, path)
+        assert path.read_bytes() == before
+        survivor = load_cache(path, cache.config)
         try:
-            report = tiered.load_report
-            assert report["mode"] == "tiered"
-            assert "seconds" in report
+            assert survivor.stats() == restored.stats()
+            assert completions(survivor) == completions(cache)
         finally:
-            tiered.close()
+            survivor.close()
+
+    def test_tiered_save_leaves_no_stale_wal(self, cache, restored, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        conn = sqlite3.connect(str(path))  # an old file with a live WAL
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("CREATE TABLE old (x)")
+        conn.execute("INSERT INTO old VALUES (1)")
+        conn.commit()
+        wal = tmp_path / "cache.sqlite-wal"
+        stale = wal.read_bytes()
+        conn.close()
+        wal.write_bytes(stale)  # as a crash would leave it
+        save_cache(restored, path)
+        assert not wal.exists()
+        copy = load_cache(path, cache.config)
+        try:
+            assert copy.stats() == restored.stats()
+        finally:
+            copy.close()

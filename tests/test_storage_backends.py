@@ -21,7 +21,7 @@ from repro import (
     save_store,
 )
 from repro.data import DatasetConfig, build_dataset
-from repro.rdf import IRI, BlankNode, Literal, Triple, Variable
+from repro.rdf import IRI, RDF_TYPE, RDFS_LABEL, BlankNode, Literal, Triple, Variable
 from repro.rdf.terms import flatten_term, unflatten_term
 from repro.sparql import evaluate
 from repro.store import (
@@ -303,6 +303,74 @@ class TestServerStatePersistence:
             assert set(restored.complete(typed).surfaces()) == \
                 set(server.complete(typed).surfaces())
 
+    def _restored_with_islands(self, tmp_path):
+        """A server restored from a saved state, plus a second endpoint
+        (one class, one predicate, two literals) not yet registered."""
+        dataset = build_dataset(DatasetConfig.tiny())
+        config = SapphireConfig(suffix_tree_capacity=500, processes=1)
+        server = SapphireServer(config)
+        server.register_endpoint(SparqlEndpoint(
+            dataset.store, EndpointConfig(timeout_s=1.0), name="dbpedia-mini"))
+        server.save_state(tmp_path / "state")
+        restored = SapphireServer.load_state(
+            tmp_path / "state", config, EndpointConfig(timeout_s=1.0))
+        example = "http://example.org/"
+        zanzibar = IRI(example + "zanzibar")
+        islands = TripleStore()
+        islands.add(Triple(zanzibar, RDF_TYPE, IRI(example + "Archipelago")))
+        islands.add(Triple(zanzibar, RDFS_LABEL, Literal("Zanzibar", lang="en")))
+        islands.add(Triple(zanzibar, IRI(example + "harbourDepth"),
+                           Literal("Twelve fathoms", lang="en")))
+        return restored, SparqlEndpoint(
+            islands, EndpointConfig(timeout_s=1.0), name="islands")
+
+    def test_register_endpoint_after_load_state(self, tmp_path):
+        """A restored server holds the file's reader; registering another
+        endpoint promotes it to a builder and merges — terms of both
+        endpoints complete and repair afterwards."""
+        from repro.core import SapphireCache
+
+        restored, islands = self._restored_with_islands(tmp_path)
+        assert not isinstance(restored.cache, SapphireCache)
+        assert restored.complete("Zanz").surfaces() == []
+        report = restored.register_endpoint(islands)
+        assert report.total_queries > 0
+        assert isinstance(restored.cache, SapphireCache)
+        assert [e.name for e in restored.endpoints] == ["dbpedia-mini", "islands"]
+        assert list(restored.reports) == ["islands"]
+        assert restored.complete("Zanz").surfaces() == ["Zanzibar"]
+        assert "harbourDepth" in restored.complete("harbourD").surfaces()
+        assert restored.complete("Kenn").surfaces()
+        for query, repair in (
+            ('SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }', "Kennedy"),
+            ('SELECT ?i WHERE { ?i rdfs:label "Zanzibarr"@en }', "Zanzibar"),
+        ):
+            outcome = restored.run_query(query)
+            assert not outcome.has_answers
+            best = outcome.all_suggestions[0]
+            assert best.replacement.lexical == repair and best.n_answers > 0
+
+    def test_failed_initialization_leaves_server_as_it_was(
+            self, tmp_path, monkeypatch):
+        from repro.core import sapphire as sapphire_module
+
+        restored, islands = self._restored_with_islands(tmp_path)
+        cache, federation = restored.cache, restored.federation
+        before = restored.complete("Kenn").surfaces()
+
+        def crawl_fails(self):
+            raise ConnectionError("endpoint went away mid-crawl")
+
+        monkeypatch.setattr(
+            sapphire_module.EndpointInitializer, "run", crawl_fails)
+        with pytest.raises(ConnectionError):
+            restored.register_endpoint(islands)
+        assert [e.name for e in restored.endpoints] == ["dbpedia-mini"]
+        assert restored.reports == {}
+        assert restored.federation is federation
+        assert restored.cache is cache
+        assert restored.complete("Kenn").surfaces() == before
+
     def test_save_state_rejects_pathy_endpoint_names(self, tmp_path):
         store = TripleStore([Triple(IRI("http://x/a"), IRI("http://x/p"), IRI("http://x/b"))])
         server = SapphireServer(SapphireConfig(suffix_tree_capacity=10))
@@ -394,6 +462,35 @@ class TestServerStatePersistence:
         server.save_state(state)  # must recover, not raise
         restored = SapphireServer.load_state(state, SapphireConfig(suffix_tree_capacity=10))
         assert [e.name for e in restored.endpoints] == ["mine"]
+
+    def test_manifest_without_cache_file_is_refused(self, tmp_path):
+        """A version-1 manifest named no cache file (it meant a JSON
+        document beside it): refused, not guessed at."""
+        import json
+
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "cache.json").write_text('{"version": 1}')
+        (state / "state.json").write_text(json.dumps(
+            {"version": 1, "endpoints": []}))
+        with pytest.raises(ValueError, match="cache file"):
+            SapphireServer.load_state(state)
+
+    def test_restored_server_saves_again(self, tmp_path):
+        """Saving a restored server writes its (immutable) cache file
+        over itself — a no-op — and the state still loads."""
+        t = Triple(IRI("http://x/a"), IRI("http://x/p"), IRI("http://x/b"))
+        state = tmp_path / "state"
+        config = SapphireConfig(suffix_tree_capacity=10)
+        server = SapphireServer(config)
+        server.register_endpoint(SparqlEndpoint(TripleStore([t]), name="mine"))
+        server.save_state(state)
+        restored = SapphireServer.load_state(state, config)
+        before = (state / "cache.sqlite").read_bytes()
+        restored.save_state(state)
+        assert (state / "cache.sqlite").read_bytes() == before
+        again = SapphireServer.load_state(state, config)
+        assert again.cache_stats() == server.cache_stats()
 
     def test_save_state_rejects_duplicate_endpoint_names(self, tmp_path):
         """Two endpoints with the same (default) name would overwrite

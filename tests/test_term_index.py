@@ -1,10 +1,12 @@
 """Unit tests for the on-disk term index (PR 10).
 
-The index's substring prefilter (FTS5 trigram or trigram postings)
-carries a soundness obligation: it must be a *superset* of the ``instr``
-truth for every needle — including needles shorter than a trigram (no
-prefilter possible) and needles with SQL-meaningful characters (``%``,
-``_``, quotes), since the verification uses ``instr``, never ``LIKE``.
+The index's substring prefilter (FTS5 trigram) carries a soundness
+obligation: it must be a *superset* of the ``instr`` truth for every
+needle — including needles shorter than a trigram (no prefilter
+possible) and needles with SQL-meaningful characters (``%``, ``_``,
+quotes), since the verification uses ``instr``, never ``LIKE``.  Every
+case also runs against a file saved with the tokenizer probe patched to
+fail: no prefilter table, the window scan alone, same answers.
 (The Jaro–Winkler prune lives in the scorer: ``test_similarity.py``.)
 """
 
@@ -16,13 +18,12 @@ import pytest
 
 from repro.core import SapphireCache, SapphireConfig, save_cache
 from repro.rdf import DBO, FOAF, Literal, RDFS_LABEL
+from repro.store import term_tables
 from repro.store.term_tables import (
     KIND_MASK,
     create_index_tables,
-    drop_index_tables,
     fts5_trigram_available,
     has_index_tables,
-    trigrams,
 )
 from repro.text.term_index import SqliteTermIndex
 
@@ -54,16 +55,26 @@ def build_cache() -> SapphireCache:
     return cache
 
 
-@pytest.fixture(scope="module", params=["fts", "trigram"])
+@pytest.fixture(scope="module", params=["tokenizer", "no-tokenizer"])
 def indexed(request, tmp_path_factory):
-    """``(index, residual_surfaces)`` over a freshly built v3 file."""
-    if request.param == "fts" and not _fts_available():
+    """``(index, cache)`` over a freshly saved cache file."""
+    present = request.param == "tokenizer"
+    if present and not _fts_available():
         pytest.skip("linked SQLite has no FTS5 trigram tokenizer")
     cache = build_cache()
-    cache.config = cache.config.with_term_index(request.param)
-    path = tmp_path_factory.mktemp("index") / f"{request.param}.sqlite"
-    info = save_cache(cache, path)
+    path = tmp_path_factory.mktemp("index") / "cache.sqlite"
+    with pytest.MonkeyPatch.context() as patch:
+        if not present:
+            patch.setattr(
+                term_tables, "fts5_trigram_available", lambda conn: False)
+        info = save_cache(cache, path)
+    assert info["fts"] is present
     conn = sqlite3.connect(str(path), check_same_thread=False)
+    tables = {row[0] for row in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' "
+        "AND name LIKE 'cache_%' AND name NOT LIKE 'cache_fts_%'")}
+    assert tables == {"cache_surfaces", "cache_entries"} | (
+        {"cache_fts"} if present else set())
     index = SqliteTermIndex(conn, fts=bool(info["fts"]))
     index.tree_plan(cache.config.suffix_tree_capacity)
     yield index, cache
@@ -80,23 +91,6 @@ def residual_surfaces(cache):
     }
 
 
-class TestTrigrams:
-    def test_short_strings_have_no_trigrams(self):
-        assert trigrams("") == ()
-        assert trigrams("ab") == ()
-
-    def test_exact_length(self):
-        assert trigrams("abc") == ("abc",)
-
-    def test_distinct(self):
-        grams = trigrams("aaaa")
-        assert grams == ("aaa",)
-
-    def test_every_substring_trigram_is_in_superstring(self):
-        hay, needle = "kennedy road", "nedy"
-        assert set(trigrams(needle)) <= set(trigrams(hay))
-
-
 class TestSchema:
     def test_kind_mask_bits_are_disjoint(self):
         bits = list(KIND_MASK.values())
@@ -106,13 +100,11 @@ class TestSchema:
                 if a != b:
                     assert a & b == 0
 
-    def test_create_and_drop(self):
+    def test_create(self):
         conn = sqlite3.connect(":memory:")
         assert not has_index_tables(conn)
         create_index_tables(conn, use_fts=False)
         assert has_index_tables(conn)
-        drop_index_tables(conn)
-        assert not has_index_tables(conn)
         conn.close()
 
     def test_fts_probe_does_not_leave_tables(self):

@@ -1,6 +1,8 @@
 """The tiered suggestion index (PR 10).
 
-Gates, per substring backend (FTS5 trigram and hand-rolled postings):
+Gates, with and without the FTS5 trigram tokenizer (absent = the probe
+patched to fail at save, so the file carries no prefilter table and
+every needle runs the ``instr``-verified window scan):
 
 * **Wire parity** — ``/complete`` documents are *byte-identical* whether
   the cache is the in-memory seed, a tiered cache over the saved v3
@@ -12,8 +14,8 @@ Gates, per substring backend (FTS5 trigram and hand-rolled postings):
 * **Capacity independence** — reopening the same file at a different
   suffix-tree budget matches ``copy_with_capacity`` on the in-memory
   cache, completions included.
-* **Read-only discipline** — tiered caches refuse mutation; replicas
-  never write the shared file.
+* **Read-only discipline** — a tiered cache is a reader by type (no
+  mutator to call); replicas never write the shared file.
 * **Ranking** — usage events and session boosts re-rank stably; a cold
   cache preserves the paper's order exactly (all-zero scores).
 """
@@ -26,13 +28,16 @@ import pytest
 
 from repro.core import (
     AlternativeTermsFinder,
+    CacheReader,
     QueryCompletionModule,
+    SapphireCache,
     TieredSapphireCache,
     load_cache,
     save_cache,
 )
 from repro.net.suggest import completion_document, dump_document
 from repro.rdf import DBO, Literal
+from repro.store import term_tables
 from repro.store.term_tables import fts5_trigram_available
 
 #: Mix of tree hits, residual-only hits, misses, variables, and inputs
@@ -51,11 +56,13 @@ def _fts_available() -> bool:
         conn.close()
 
 
-@pytest.fixture(scope="module", params=["fts", "trigram"])
-def mode(request):
-    if request.param == "fts" and not _fts_available():
+@pytest.fixture(scope="module", params=["tokenizer", "no-tokenizer"])
+def fts(request):
+    """Whether the saving SQLite has the FTS5 trigram tokenizer."""
+    present = request.param == "tokenizer"
+    if present and not _fts_available():
         pytest.skip("linked SQLite has no FTS5 trigram tokenizer")
-    return request.param
+    return present
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +73,15 @@ def mem(cache):
 
 
 @pytest.fixture(scope="module")
-def saved_path(mem, mode, tmp_path_factory):
-    path = tmp_path_factory.mktemp("tiered") / f"cache-{mode}.sqlite"
-    original = mem.config
-    mem.config = original.with_term_index(mode)
-    try:
+def saved_path(mem, fts, tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiered") / "cache.sqlite"
+    with pytest.MonkeyPatch.context() as patch:
+        if not fts:
+            patch.setattr(
+                term_tables, "fts5_trigram_available", lambda conn: False)
         info = save_cache(mem, path)
-    finally:
-        mem.config = original
     assert info["version"] == 3
-    assert info["fts"] is (mode == "fts")
+    assert info["fts"] is fts
     assert info["built_s"] >= 0.0
     return path
 
@@ -169,12 +175,12 @@ class TestStatsParity:
         assert tiered.stats() == mem.stats()
         assert replica.stats() == mem.stats()
 
-    def test_index_gauges_populated(self, tiered, mode):
+    def test_index_gauges_populated(self, tiered, fts):
         gauges = tiered.index_gauges()
         assert gauges["index_surfaces"] == tiered.term_index.n_surfaces()
         assert gauges["index_surfaces"] > 0
         assert gauges["index_bytes"] > 0
-        assert gauges["index_fts"] == (1 if mode == "fts" else 0)
+        assert gauges["index_fts"] == (1 if fts else 0)
 
     def test_residual_lookup_counts_index_tier(self, tiered):
         before = dict(tiered.lookup_stats())
@@ -225,26 +231,64 @@ class TestCapacityIndependence:
 
 
 class TestReadOnlyDiscipline:
-    def test_mutations_raise(self, tiered):
-        with pytest.raises(RuntimeError):
-            tiered.add_predicate(DBO.term("nope"))
-        with pytest.raises(RuntimeError):
-            tiered.set_significance("Kennedy", 99)
-        with pytest.raises(RuntimeError):
-            tiered.merge(tiered)
+    MUTATORS = ("add_predicate", "add_class", "add_literal",
+                "set_significance", "merge", "build_indexes")
 
-    def test_dictionary_refuses_interning(self, tiered):
-        with pytest.raises(RuntimeError):
-            tiered.dictionary.encode(Literal("new literal", lang="en"))
+    def test_reader_by_type(self, tiered, mem):
+        assert isinstance(tiered, CacheReader)
+        assert not isinstance(tiered, SapphireCache)
+        for name in self.MUTATORS:
+            assert hasattr(mem, name)
+            assert not hasattr(tiered, name), name
+        assert not hasattr(tiered.dictionary, "encode")
 
     def test_replica_connection_cannot_write(self, replica):
         with pytest.raises(sqlite3.OperationalError):
             replica._conn.execute("DELETE FROM cache_surfaces")
 
-    def test_build_indexes_is_a_noop(self, tiered, mem):
-        before = QueryCompletionModule(tiered).complete("Kenn").surfaces()
-        tiered.build_indexes()
-        assert QueryCompletionModule(tiered).complete("Kenn").surfaces() == before
+
+class TestMergeFromReader:
+    """``SapphireCache(config).merge(reader)`` is the one way from a
+    file to a mutable in-memory cache: reading the tiered cache through
+    the reader surface must give what the in-memory original gives."""
+
+    @pytest.fixture(scope="class")
+    def promoted(self, mem, tiered):
+        from_memory = SapphireCache(mem.config)
+        from_memory.merge(mem)
+        from_memory.build_indexes()
+        from_file = SapphireCache(mem.config)
+        from_file.merge(tiered)
+        from_file.build_indexes()
+        return from_memory, from_file
+
+    def test_stats_and_completions_equal(self, mem, promoted):
+        from_memory, from_file = promoted
+        assert from_file.stats() == from_memory.stats() == mem.stats()
+        memory_qcm = QueryCompletionModule(from_memory)
+        file_qcm = QueryCompletionModule(from_file)
+        for term in NEEDLES:
+            assert wire_bytes(file_qcm, term) == wire_bytes(memory_qcm, term)
+
+    def test_qsm_alternatives_equal(self, server, promoted):
+        finders = [
+            AlternativeTermsFinder(cache, server._run_ast, server.config)
+            for cache in promoted
+        ]
+        for text in ("Kennedys", "Sydney", "New Yrok"):
+            found = [
+                [(e.surface, e.term, e.source_predicate, score) for e, score
+                 in finder.literal_alternatives(Literal(text, lang="en"))]
+                for finder in finders
+            ]
+            assert found[0] == found[1], text
+        for name in ("wife", "spouses", "almaMatter"):
+            found = [
+                [(e.surface, e.term, score) for e, score
+                 in finder.predicate_alternatives(DBO.term(name))]
+                for finder in finders
+            ]
+            assert found[0] == found[1], name
 
 
 class TestRanking:
