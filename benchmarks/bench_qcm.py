@@ -22,7 +22,11 @@ lexicon (``--scale N`` grows the literal set to N× the base dataset):
    suffix-tree capacity, not the lexicon (against an in-memory cache
    rebuilt from the same reader),
 7. **latency** — tiered completion latency stays within 1.1× of the
-   in-memory path at 1× (and must not regress at higher scales).
+   in-memory path at 1× (and must not regress at higher scales),
+8. **QSM window** — repair candidates for misspelt literals equal the
+   in-memory cache's, and the window bins a pass leaves resident are
+   bounded by the memo budget plus one bin, not by the tail (counts,
+   not timings).
 """
 
 from __future__ import annotations
@@ -34,7 +38,13 @@ import tracemalloc
 
 import pytest
 
-from repro.core import QueryCompletionModule, SapphireCache, load_cache, save_cache
+from repro.core import (
+    AlternativeTermsFinder,
+    QueryCompletionModule,
+    SapphireCache,
+    load_cache,
+    save_cache,
+)
 from repro.eval import format_table
 from repro.rdf import RDFS_LABEL, Literal
 
@@ -309,6 +319,67 @@ def test_tiered_completion_latency(scaled_index, capsys, benchmark):
             # indexed lookup should not regress past it.
             assert ratio <= 1.1 or per_ms["tiered"] <= per_ms["memory"] + 2.0, \
                 METRICS["tiered_latency"]
+    finally:
+        tiered.close()
+
+
+#: Misspelt literals for the QSM row: typos over the base lexicon, and
+#: over the synthetic tail, whose α/β window is most of that tail.
+REPAIR_LITERALS = [
+    "Kennedys", "Sydny", "New Yrok", "harbr no 0000123",
+    "museum no 000210", "universty no 0000777", "cathedrall no 0001500",
+]
+
+
+def test_tiered_repair_window(small_server, scaled_index, capsys, benchmark):
+    """E6.7 — the QSM's literal window over the tiered tail, both
+    caches at a tree of 500 so that at 10x the tail outgrows the memo
+    budget and the pass has to shed."""
+    full, path = scaled_index
+    scale = _scale()
+    cache = full.copy_with_capacity(500)
+    tiered = load_cache(path, cache.config)
+    try:
+        runner = small_server._run_ast
+        memory_finder = AlternativeTermsFinder(cache, runner, cache.config)
+        tiered_finder = AlternativeTermsFinder(tiered, runner, cache.config)
+
+        def repairs(finder):
+            return [
+                [(entry.surface, entry.term, score) for entry, score
+                 in finder.literal_alternatives(Literal(text, lang="en"))]
+                for text in REPAIR_LITERALS
+            ]
+
+        expected = repairs(memory_finder)
+        found = benchmark.pedantic(
+            lambda: repairs(tiered_finder), rounds=1, iterations=1)
+        assert found == expected
+        assert any(found)
+        gauges = tiered.index_gauges()
+        budget = tiered._memo_limit
+        largest_bin = max(cache.bins.bin_sizes().values(), default=0)
+        METRICS["qsm_window"] = {
+            "scale": scale,
+            "residual_literals": tiered.n_residual_literals,
+            "budget_rows": budget,
+            "largest_bin": largest_bin,
+            "window_rows_resident": gauges["window_rows_resident"],
+            "window_bin_loads": gauges["window_bin_loads"],
+        }
+        with capsys.disabled():
+            emit("E6.7 — QSM literal window over the tiered tail",
+                 f"scale {scale}x: {tiered.n_residual_literals} residual "
+                 f"literals, budget {budget} rows; after "
+                 f"{len(REPAIR_LITERALS)} repairs "
+                 f"{gauges['window_rows_resident']} rows resident "
+                 f"({gauges['window_bin_loads']} bin loads), candidates "
+                 f"equal the in-memory cache's")
+        assert gauges["window_bin_loads"] > 0
+        assert gauges["window_rows_resident"] <= budget + largest_bin, \
+            METRICS["qsm_window"]
+        if scale >= 10:
+            assert tiered.n_residual_literals > budget, METRICS["qsm_window"]
     finally:
         tiered.close()
 

@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Protocol, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple
 
 from ..rdf.terms import IRI, Literal, Term
 from ..store.dictionary import TermDictionary
-from ..text.bins import LiteralBins
+from ..text.bins import ColumnBin, LiteralBins, score_bins
 from ..text.lexicon import split_camel_case
 from ..text.suffix_tree import GeneralizedSuffixTree
 from .config import SapphireConfig
@@ -248,6 +248,14 @@ class CacheReader:
         """Fraction of residual literals the window scan had to touch."""
         return 1.0 - bins.selectivity(min_len, max_len)
 
+    def residual_window(
+        self, min_len: int, max_len: int, bins: LiteralBins
+    ) -> Iterable[ColumnBin]:
+        """The residual column bins of a length window, ascending.  The
+        base cache has them in the snapshotted ``bins``; a tiered cache
+        produces the ones it keeps loaded from its file."""
+        return bins.window(min_len, max_len)
+
     def residual_scored(
         self,
         min_len: int,
@@ -259,9 +267,11 @@ class CacheReader:
         """``(surface_id, surface, score)`` triples the scorer puts at or
         above ``threshold`` in the window, sorted ``(-score, length,
         surface)``, and the number of residual literals scanned — the
-        ``scan_scored`` contract.  The tiered override scores the rows
-        of its on-disk window instead of ``bins``."""
-        return bins.scan_scored(scorer, threshold, min_len, max_len)
+        ``scan_scored`` contract, over :meth:`residual_window` and
+        outside the cache lock."""
+        return score_bins(
+            self.residual_window(min_len, max_len, bins), scorer, threshold
+        )
 
     def _kind_entries(self, kind: str) -> List[CachedTerm]:
         return [
@@ -373,8 +383,13 @@ class CacheReader:
                 self.misses += 1
 
     def index_gauges(self) -> Dict[str, int]:
-        """On-disk index size gauges; zero without an index tier."""
-        return {"index_surfaces": 0, "index_bytes": 0, "index_fts": 0}
+        """On-disk index gauges — its size, and the residual window rows
+        loaded from it (resident now, bins loaded so far); zero without
+        an index tier."""
+        return {
+            "index_surfaces": 0, "index_bytes": 0, "index_fts": 0,
+            "window_rows_resident": 0, "window_bin_loads": 0,
+        }
 
     def lookup_stats(self) -> Dict[str, object]:
         """Per-tier hit/miss counters, rates and index gauges for the

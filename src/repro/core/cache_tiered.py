@@ -10,14 +10,24 @@ two-tier layout:
   open from at most ``capacity`` rows, never from the full lexicon;
 * the **tail tier** is the on-disk term index
   (:class:`~repro.text.term_index.SqliteTermIndex`): the residual
-  literals stay on disk and substring/fuzzy candidate lookups run as
-  SQL, spliced into the QCM/QSM paths through the ``residual_*``
-  dispatch points of the base class.
+  literals stay on disk and substring candidate lookups run as SQL,
+  spliced into the QCM path through the ``residual_*`` dispatch points
+  of the base class;
+* between the two, the QSM's **literal window**: the residual literals
+  of one length are read from the file the first time a repair's α/β
+  window covers that length and kept as a
+  :class:`~repro.text.bins.ColumnBin` — the shape the in-memory bins
+  have — so ``residual_scored`` is the base class's, one bulk kernel for
+  both caches.  Resident rows are bounded by the memo budget; past it
+  the least recently scanned lengths are unlinked (a scan that already
+  picked one up finishes on it), and a bin larger than the budget is
+  scored and dropped at the next load.
 
-Memory is therefore bounded by the tree capacity (plus a bounded memo
-of recently decoded surface buckets), not the lexicon size, and boot
-cost is proportional to the tree — a read-only replica serves its
-first completion seconds after opening the file, no rebuild.
+Memory is therefore bounded by the tree capacity (plus the bounded
+memos: recently decoded surface buckets, recently scanned window
+bins), not the lexicon size, and boot cost is proportional to the
+tree — nothing of the window is read at open, and a read-only replica
+serves its first completion seconds after opening the file, no rebuild.
 
 The cache is a **reader by type**: the file is the source of truth and
 the class has no mutator.  ``SapphireCache(config).merge(tiered)``
@@ -35,9 +45,10 @@ from __future__ import annotations
 
 import sqlite3
 import threading
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 from urllib.parse import quote
 
 from ..rdf.terms import Term, flatten_term, unflatten_term
@@ -49,6 +60,7 @@ from ..store.term_tables import (
     META_INDEX_FTS,
     has_index_tables,
 )
+from ..text.bins import ColumnBin
 from ..text.suffix_tree import GeneralizedSuffixTree
 from ..text.term_index import SqliteTermIndex
 from .cache import CachedTerm, CacheReader
@@ -128,10 +140,15 @@ class TieredSapphireCache(CacheReader):
             self.term_index = index
             self._conn = conn
             # The surface table and entry buckets are bounded memos of
-            # the file's rows here, shed outside the hot tier.
+            # the file's rows here, shed outside the hot tier; so are
+            # the residual window's column bins (length -> bin, least
+            # recently scanned first), counted in rows.
             self._memo_limit = max(
                 4096, 4 * self.config.suffix_tree_capacity
             )
+            self._window: "OrderedDict[int, ColumnBin]" = OrderedDict()
+            self._window_rows = 0
+            self._window_loads = 0
             self._boot()
         except Exception:
             conn.close()
@@ -295,17 +312,30 @@ class TieredSapphireCache(CacheReader):
         del bins
         return 1.0 - self.term_index.selectivity(min_len, max_len)
 
-    def residual_scored(self, min_len, max_len, scorer, threshold, bins):
-        del bins  # rows arrive from SQLite without a signature column
-        rows = self.term_index.window_rows(min_len, max_len)
-        hits = [
-            (sid, surface, score)
-            for sid, surface in rows
-            for score in (scorer(surface),)
-            if score >= threshold
-        ]
-        hits.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
-        return hits, len(rows)
+    def residual_window(self, min_len, max_len, bins) -> Iterator[ColumnBin]:
+        del bins  # the tail lives in the file, one resident bin per length
+        for length in self.term_index.residual_lengths(min_len, max_len):
+            with self.lock:
+                column_bin = self._window.get(length)
+                if column_bin is None:
+                    column_bin = self._load_window_bin(length)
+                else:
+                    self._window.move_to_end(length)
+            yield column_bin
+
+    def _load_window_bin(self, length: int) -> ColumnBin:
+        """Read one length of the residual tail into a resident bin and
+        shed the least recently scanned ones past the budget.  The bin
+        in hand stays linked, so resident rows never exceed the budget
+        by more than one bin."""
+        column_bin = ColumnBin(self.term_index.window_rows(length, length))
+        self._window[length] = column_bin
+        self._window_rows += len(column_bin)
+        self._window_loads += 1
+        while self._window_rows > self._memo_limit and len(self._window) > 1:
+            _, shed = self._window.popitem(last=False)
+            self._window_rows -= len(shed)
+        return column_bin
 
     def note_lookup(self, tree_hit: bool, residual_hit: bool) -> None:
         with self.lock:
@@ -317,7 +347,11 @@ class TieredSapphireCache(CacheReader):
                 self.misses += 1
 
     def index_gauges(self) -> Dict[str, int]:
-        return self.term_index.gauges()
+        gauges = self.term_index.gauges()
+        with self.lock:
+            gauges["window_rows_resident"] = self._window_rows
+            gauges["window_bin_loads"] = self._window_loads
+        return gauges
 
     # ------------------------------------------------------------------
     # Statistics

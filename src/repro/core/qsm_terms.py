@@ -17,8 +17,11 @@ Every scan is a bin scan (:meth:`~repro.text.bins.LiteralBins.scan_scored`)
 in the calling thread, and scores through
 :class:`~repro.text.similarity.ThresholdScorer`, which takes a bin and
 its signature column whole and runs the match loop only for a pair that
-could reach θ; on a tiered cache the residual window arrives from disk
-and is scored pair by pair.  Candidates are discovered once per round
+could reach θ.  The residual window is ``cache.residual_scored`` — one
+definition for both caches; a tiered cache produces the window's bins
+from the ones it keeps loaded from its file — so ``scanned`` /
+``scored`` / ``kept`` of the ``qsm-alternatives`` span mean the same
+on either.  Candidates are discovered once per round
 (:meth:`AlternativeTermsFinder.candidate_positions`) and never memoised
 across rounds.
 

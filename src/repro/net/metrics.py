@@ -494,8 +494,10 @@ _MERGE_MAX_FIELDS = ("queued_peak", "in_flight_peak")
 #: rates are *recomputed* from the summed counters (averaging per-worker
 #: rates would weight an idle worker like a busy one), and the index
 #: size gauges take the max (workers serve the same on-disk index).
+#: The residual-window gauges sum: each worker keeps its own bins.
 _CACHE_SUM_FIELDS = ("lookups", "tree_hits", "bin_hits", "index_hits",
-                     "misses", "served")
+                     "misses", "served",
+                     "window_rows_resident", "window_bin_loads")
 _CACHE_MAX_FIELDS = ("index_surfaces", "index_bytes", "index_fts")
 
 

@@ -84,6 +84,7 @@ class ShardedBackend:
         self.shards: List[StorageBackend] = list(shards)
         self.n_shards = len(self.shards)
         self.dictionary: TermDictionary = self.shards[0].dictionary
+        self._pstats: Optional[Dict[int, Tuple[int, int, int]]] = None
 
     def shard_of(self, s: int) -> int:
         """The shard index owning subject ID ``s``."""
@@ -96,6 +97,7 @@ class ShardedBackend:
     # -- mutation ------------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
+        self._pstats = None
         return self.shards[s % self.n_shards].add(s, p, o)
 
     #: Triples buffered per shard before flushing during bulk ingest.
@@ -108,6 +110,7 @@ class ShardedBackend:
         generator never materializes whole; each flush hits one child's
         own ``add_many`` (one transaction per shard per chunk).
         """
+        self._pstats = None
         added = 0
         iterator = iter(triples)
         n = self.n_shards
@@ -123,6 +126,7 @@ class ShardedBackend:
                     added += shard.add_many(iter(run))
 
     def remove(self, s: int, p: int, o: int) -> bool:
+        self._pstats = None
         return self.shards[s % self.n_shards].remove(s, p, o)
 
     # -- lookup --------------------------------------------------------
@@ -222,8 +226,11 @@ class ShardedBackend:
         Counts and distinct subjects add exactly (subjects are
         partitioned); distinct objects add to an upper bound, capped by
         the exact count so the estimate never claims more distinct
-        objects than triples.
+        objects than triples.  Cached until the next mutation, like the
+        children's — the planner asks for these on every query.
         """
+        if self._pstats is not None:
+            return self._pstats
         merged: Dict[int, Tuple[int, int, int]] = {}
         for shard in self.shards:
             for p, (count, n_s, n_o) in shard.predicate_stats().items():
@@ -232,10 +239,11 @@ class ShardedBackend:
                     merged[p] = (count, n_s, n_o)
                 else:
                     merged[p] = (prev[0] + count, prev[1] + n_s, prev[2] + n_o)
-        return {
+        self._pstats = {
             p: (count, n_s, min(n_o, count))
             for p, (count, n_s, n_o) in merged.items()
         }
+        return self._pstats
 
     def object_fanouts(self) -> Dict[int, int]:
         merged: Dict[int, int] = {}

@@ -15,10 +15,13 @@ It drives the substring scans (``scan`` / ``scan_keyed``, the QCM's).
 
 The QSM's *scored* scan (:meth:`LiteralBins.scan_scored`) runs in the
 calling thread instead: under one GIL P threads buy a Python scorer
-nothing, so what is left is the cost of one candidate.  Each bin keeps,
-beside its strings, a parallel column of character-multiset signatures
-and a first-character → offsets table, and a scorer takes a bin whole
+nothing, so what is left is the cost of one candidate.  Each bin is a
+:class:`ColumnBin`: beside its strings and keys, a parallel column of
+character-multiset signatures and a first-character → offsets table,
+and a scorer takes a bin whole
 (:meth:`repro.text.similarity.ThresholdScorer.score_bin`).
+:func:`score_bins` is that scan over any run of column bins — the
+in-memory cache's, or the ones a tiered cache loaded from its file.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .similarity import signature
 
-__all__ = ["LiteralBins", "BinTask", "assign_tasks", "scan_bins"]
+__all__ = [
+    "LiteralBins", "ColumnBin", "BinTask", "assign_tasks", "scan_bins", "score_bins",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +94,33 @@ def assign_tasks(bin_sizes: Sequence[int], processes: int) -> List[BinTask]:
     return tasks
 
 
+class ColumnBin:
+    """One length bin as parallel columns: the strings, one integer key
+    each, their signatures, and the offsets of the strings starting with
+    each character — what ``ThresholdScorer.score_bin`` takes whole.
+    ``rows`` are ``(key, literal)`` pairs."""
+
+    __slots__ = ("literals", "keys", "signatures", "by_first")
+
+    def __init__(self, rows: Iterable[Tuple[int, str]] = ()) -> None:
+        self.literals: List[str] = []
+        self.keys: List[int] = []
+        self.signatures: List[int] = []
+        self.by_first: Dict[str, List[int]] = {}
+        for key, literal in rows:
+            self.append(literal, key)
+
+    def append(self, literal: str, key: int) -> None:
+        self.literals.append(literal)
+        self.keys.append(key)
+        self.signatures.append(signature(literal))
+        # Last: a scan indexes the other columns by these offsets.
+        self.by_first.setdefault(literal[:1], []).append(len(self.literals) - 1)
+
+    def __len__(self) -> int:
+        return len(self.literals)
+
+
 class LiteralBins:
     """Length-keyed bins of literal strings with parallel scanning.
 
@@ -104,24 +136,16 @@ class LiteralBins:
     """
 
     def __init__(self, literals: Optional[Iterable[str]] = None) -> None:
-        self._bins: Dict[int, List[str]] = {}
-        self._keys: Dict[int, List[int]] = {}
-        # Per bin, parallel to its strings: their signatures, and the
-        # offsets of the strings starting with each character.
-        self._signatures: Dict[int, List[int]] = {}
-        self._by_first: Dict[int, Dict[str, List[int]]] = {}
+        self._bins: Dict[int, ColumnBin] = {}
         self._count = 0
         if literals is not None:
             self.add_all(literals)
 
     def add(self, literal: str, key: Optional[int] = None) -> None:
-        length = len(literal)
-        bucket = self._bins.setdefault(length, [])
-        bucket.append(literal)
-        self._keys.setdefault(length, []).append(self._count if key is None else key)
-        self._signatures.setdefault(length, []).append(signature(literal))
-        # Last: a scan indexes the other columns by these offsets.
-        self._by_first.setdefault(length, {}).setdefault(literal[:1], []).append(len(bucket) - 1)
+        bucket = self._bins.get(len(literal))
+        if bucket is None:
+            bucket = self._bins[len(literal)] = ColumnBin()
+        bucket.append(literal, self._count if key is None else key)
         self._count += 1
 
     def add_all(self, literals: Iterable[str]) -> None:
@@ -143,12 +167,21 @@ class LiteralBins:
         return sorted(self._bins.keys())
 
     def literals_of_length(self, length: int) -> List[str]:
-        return list(self._bins.get(length, ()))
+        bucket = self._bins.get(length)
+        return list(bucket.literals) if bucket is not None else []
+
+    def window(self, min_len: int, max_len: int) -> List[ColumnBin]:
+        """The column bins whose length falls in [min_len, max_len], ascending."""
+        return [
+            self._bins[length]
+            for length in sorted(self._bins)
+            if min_len <= length <= max_len
+        ]
 
     def select_bins(self, min_len: int, max_len: int) -> List[Tuple[int, List[str]]]:
-        """Bins whose length falls in [min_len, max_len], ascending."""
+        """``(length, strings)`` of the bins in [min_len, max_len], ascending."""
         return [
-            (length, self._bins[length])
+            (length, self._bins[length].literals)
             for length in sorted(self._bins)
             if min_len <= length <= max_len
         ]
@@ -193,11 +226,11 @@ class LiteralBins:
         processes: int = 1,
     ) -> List[Tuple[int, str]]:
         """Like :meth:`scan` but returns ``(key, literal)`` pairs."""
-        selected = self.select_bins(min_len, max_len)
+        selected = self.window(min_len, max_len)
         if not selected:
             return []
-        buckets = [bucket for _, bucket in selected]
-        key_lists = [self._keys[length] for length, _ in selected]
+        buckets = [column_bin.literals for column_bin in selected]
+        key_lists = [column_bin.keys for column_bin in selected]
         hits: List[Tuple[int, str]] = []
 
         def work(assignments: List[BinTask]) -> List[Tuple[int, str]]:
@@ -229,22 +262,31 @@ class LiteralBins:
         ``(-score, length, literal)``; and how many it was handed.
 
         Used by the QSM's alternative-term search (Jaro–Winkler with
-        θ = 0.7).  ``scorer.score_bin(literals, signatures, by_first)``
-        answers a whole bin with ``(offset, score)`` pairs: every
-        literal that reaches the threshold, with its exact score.
+        θ = 0.7): :func:`score_bins` over the bins of the window.
         """
-        results: List[Tuple[int, str, float]] = []
-        scanned = 0
-        for length, bucket in self.select_bins(min_len, max_len):
-            keys = self._keys[length]
-            scanned += len(bucket)
-            for offset, score in scorer.score_bin(
-                bucket, self._signatures[length], self._by_first[length]
-            ):
-                if score >= threshold:
-                    results.append((keys[offset], bucket[offset], score))
-        results.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
-        return results, scanned
+        return score_bins(self.window(min_len, max_len), scorer, threshold)
+
+
+def score_bins(
+    column_bins: Iterable[ColumnBin], scorer, threshold: float
+) -> Tuple[List[Tuple[int, str, float]], int]:
+    """The scored scan over a run of column bins (the ``scan_scored``
+    contract).  ``scorer.score_bin(literals, signatures, by_first)``
+    answers a whole bin with ``(offset, score)`` pairs: every literal
+    that reaches the threshold, with its exact score.  A bin is read
+    once it is handed over, so ``column_bins`` may produce them lazily."""
+    results: List[Tuple[int, str, float]] = []
+    scanned = 0
+    for column_bin in column_bins:
+        literals, keys = column_bin.literals, column_bin.keys
+        scanned += len(literals)
+        for offset, score in scorer.score_bin(
+            literals, column_bin.signatures, column_bin.by_first
+        ):
+            if score >= threshold:
+                results.append((keys[offset], literals[offset], score))
+    results.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
+    return results, scanned
 
 
 def _run_assignments(bin_sizes: Sequence[int], processes: int, work):

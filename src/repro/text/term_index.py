@@ -10,11 +10,13 @@ suffix tree —
   table and always ``instr``-verified, streamed shortest-first so the results
   splice into the QCM's shortest-first fill exactly where a
   ``bins.scan_keyed`` result would;
-* **fuzzy** candidates (``window_rows``): the α/β length window of the
-  QSM's alternative-literal search as a streamed range scan — the
-  Jaro–Winkler scoring stays in Python so tiered and in-memory paths
-  share one scorer, and with it one prune
-  (:class:`repro.text.similarity.ThresholdScorer`).
+* **fuzzy** candidates (``window_rows``, ``residual_lengths``): the
+  *loader* of the QSM's alternative-literal search.  The tiered cache
+  reads one length of the residual tail at a time, on first touch, into
+  a resident column bin (:class:`repro.text.bins.ColumnBin`) and scores
+  that with the same bulk kernel the in-memory bins use
+  (:meth:`repro.text.similarity.ThresholdScorer.score_bin`); a repair
+  round whose window is resident issues no statement here.
 
 Residual membership is *derived*, not stored: the loader hands the
 index the ranking boundary — the ``(significance, length, surface)``
@@ -124,9 +126,10 @@ class SqliteTermIndex:
         clause, params = self._residual_sql()
         rows = self._conn.execute(
             f"SELECT length, COUNT(*) FROM cache_surfaces WHERE {clause} "
-            "GROUP BY length",
+            "GROUP BY length ORDER BY length",
             params,
         ).fetchall()
+        # Ascending keys: ``residual_lengths`` reads them in this order.
         self._histogram = {length: count for length, count in rows}
         self._residual_count = sum(self._histogram.values())
 
@@ -152,6 +155,13 @@ class SqliteTermIndex:
             if min_len <= length <= max_len
         )
         return 1.0 - searched / self._residual_count
+
+    def residual_lengths(self, min_len: int, max_len: int) -> List[int]:
+        """The lengths in the window that hold residual rows, ascending."""
+        return [
+            length for length in self._histogram
+            if min_len <= length <= max_len
+        ]
 
     # ------------------------------------------------------------------
     # Substring candidates (QCM tail lookup)
@@ -195,11 +205,13 @@ class SqliteTermIndex:
     # ------------------------------------------------------------------
 
     def window_rows(self, min_len: int, max_len: int) -> List[Tuple[int, str]]:
-        """All residual ``(sid, surface)`` rows in a length window.
+        """All residual ``(sid, surface)`` rows in a length window, in
+        ``(length, surface)`` order — the same rows in the same order on
+        every read, so a bin shed and loaded again has the same columns.
 
-        The caller scores them (Jaro–Winkler) in Python: the scorer must
-        be *identical* to the in-memory path's, and the window keeps the
-        row count proportional to the window, not the lexicon.
+        A loader, not a per-round scan: the tiered cache calls it once
+        per length (``min_len == max_len``) and keeps the rows as a
+        column bin.
         """
         clause, params = self._residual_sql()
         if clause == "0":
@@ -207,7 +219,8 @@ class SqliteTermIndex:
         with self._lock:
             return self._conn.execute(
                 "SELECT sid, surface FROM cache_surfaces "
-                f"WHERE length BETWEEN ? AND ? AND {clause}",
+                f"WHERE length BETWEEN ? AND ? AND {clause} "
+                "ORDER BY length, surface",
                 (min_len, max_len) + params,
             ).fetchall()
 

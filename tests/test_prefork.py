@@ -288,6 +288,8 @@ class TestMergeStatsBodies:
         # never averaged per worker.
         body_a["cache"] = self._cache_block(8, 8, 0, 0, 0, 80, 500, 4096)
         body_b["cache"] = self._cache_block(2, 0, 0, 1, 1, 10, 500, 8192)
+        body_a["cache"].update(window_rows_resident=900, window_bin_loads=6)
+        body_b["cache"].update(window_rows_resident=400, window_bin_loads=9)
         merged = merge_stats_bodies([body_a, body_b])
         cache = merged["cache"]
         assert cache["lookups"] == 10
@@ -302,6 +304,9 @@ class TestMergeStatsBodies:
         assert cache["index_surfaces"] == 500
         assert cache["index_bytes"] == 8192
         assert cache["index_fts"] == 1
+        # Each worker keeps its own window bins: sum.
+        assert cache["window_rows_resident"] == 1300
+        assert cache["window_bin_loads"] == 15
 
     def test_federation_blocks_sum(self):
         body_a = self._body(5, 5, 0, 0, [0.001] * 5)

@@ -6,6 +6,8 @@ from repro.core import (
     AlternativeTermsFinder,
     QueryBuilder,
     StructureRelaxer,
+    load_cache,
+    save_cache,
 )
 from repro.core.qsm_relax import GraphExpander
 from repro.rdf import DBO, FOAF, IRI, Literal, Variable
@@ -85,27 +87,48 @@ class TestColumnScan:
     scorer call per candidate fails here."""
 
     @pytest.fixture(scope="class")
-    def tail_finder(self, server, runner):
+    def tail_cache(self, server):
         """A suffix tree too small for the literals: most of them sit in
         the residual bins, some in the tree-resident bins."""
         cache = server.cache.copy_with_capacity(150)
         assert cache.n_residual_literals > 200 and len(cache.tree_literal_bins) > 0
-        return AlternativeTermsFinder(cache, runner, cache.config)
+        return cache
 
-    @staticmethod
-    def window(finder, surface):
-        """The literals the α/β window of ``surface`` holds, from the bins."""
-        config = finder.config
-        low, high = max(1, len(surface) - config.alpha), len(surface) + config.beta
-        return [
-            literal
-            for bins in (finder.cache.bins, finder.cache.tree_literal_bins)
-            for _, bucket in bins.select_bins(low, high)
-            for literal in bucket
-        ]
+    @pytest.fixture(scope="class", params=["memory", "tiered"])
+    def tail_finder(self, request, tail_cache, runner, tmp_path_factory):
+        """A finder over that cache, or over a tiered cache of its file
+        (the residual bins loaded from disk)."""
+        if request.param == "memory":
+            yield AlternativeTermsFinder(tail_cache, runner, tail_cache.config)
+            return
+        path = tmp_path_factory.mktemp("column-scan") / "cache.sqlite"
+        save_cache(tail_cache, path)
+        tiered = load_cache(path, tail_cache.config)
+        assert tiered.n_residual_literals == tail_cache.n_residual_literals
+        yield AlternativeTermsFinder(tiered, runner, tiered.config)
+        tiered.close()
+
+    @pytest.fixture(scope="class")
+    def window(self, tail_cache):
+        """``window(surface)``: the literals the α/β window of
+        ``surface`` holds, from the in-memory bins."""
+        config = tail_cache.config
+
+        def literals(surface):
+            low, high = max(1, len(surface) - config.alpha), len(surface) + config.beta
+            return [
+                literal
+                for bins in (tail_cache.bins, tail_cache.tree_literal_bins)
+                for _, bucket in bins.select_bins(low, high)
+                for literal in bucket
+            ]
+
+        return literals
 
     @pytest.mark.parametrize("surface", ["Kennedys", "Sydny", "Tom Hnks"])
-    def test_pairwise_scorer_sees_only_same_first_character(self, tail_finder, surface, monkeypatch):
+    def test_pairwise_scorer_sees_only_same_first_character(
+        self, tail_finder, window, surface, monkeypatch
+    ):
         calls = []
         pairwise = ThresholdScorer.__call__
         monkeypatch.setattr(
@@ -114,19 +137,19 @@ class TestColumnScan:
         )
         found = tail_finder.literal_alternatives(Literal(surface, lang="en"))
         assert found
-        window = self.window(tail_finder, surface)
-        same_first = [literal for literal in window if literal[0] == surface[0].lower()]
+        literals = window(surface)
+        same_first = [literal for literal in literals if literal[0] == surface[0].lower()]
         assert sorted(calls) == sorted(same_first)  # once each, and no one else
-        assert len(calls) < len(window) / 4
+        assert len(calls) < len(literals) / 4
 
-    def test_span_counts_come_from_the_bins(self, tail_finder):
+    def test_span_counts_come_from_the_bins(self, tail_finder, window):
         query = parse_query('SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }')
         tracer = Tracer()
         tail_finder.candidate_positions(query, tracer=tracer)
         span = next(s for s in tracer.finish().walk() if s.name == "qsm-alternatives")
         _, pc_bins = tail_finder.cache.predicate_class_scan()
         forms = tail_finder.lexicon.get_lexica(FOAF.term("surname"))
-        scanned = len(self.window(tail_finder, "Kennedys")) + len(pc_bins) * len(forms)
+        scanned = len(window("Kennedys")) + len(pc_bins) * len(forms)
         assert span.attrs["scanned"] == scanned
         assert span.attrs["bounded_out"] + span.attrs["scored"] == scanned
         assert span.attrs["bounded_out"] > span.attrs["scored"] >= span.attrs["kept"] >= 1

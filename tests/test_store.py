@@ -12,8 +12,10 @@ from repro.store import (
     CostMeter,
     MemoryBackend,
     QueryAborted,
+    ShardedBackend,
     SQLiteBackend,
     TripleStore,
+    create_sharded_backend,
 )
 
 A, B, C = IRI("http://x/a"), IRI("http://x/b"), IRI("http://x/c")
@@ -24,6 +26,8 @@ BACKENDS = ["memory", "sqlite"]
 
 
 def _make_backend(name):
+    if name == "sharded":
+        return create_sharded_backend(2, "memory")
     return MemoryBackend() if name == "memory" else SQLiteBackend(":memory:")
 
 
@@ -230,11 +234,15 @@ class TestEstimates:
         store.remove(Triple(A, P, B))
         assert store.cardinality_estimate(pattern) == 1
 
+    @pytest.mark.parametrize("make_store", BACKENDS + ["sharded"], indirect=True)
     def test_one_position_estimates_are_exact_through_mutations(self, make_store):
         """With only the subject, the predicate or the object bound the
         estimate is that position's triple count — the memory backend
         keeps running totals for it — through ``add``, ``add_all``, a
-        duplicate, and removal down to nothing."""
+        duplicate, and removal down to nothing.  The predicate
+        statistics behind the estimates are free between mutations (the
+        same object on every read) and fresh after each one — on the
+        sharded backend too, whose merge of its shards' is cached."""
         store = make_store()
         shapes = [
             TriplePattern(A, V("p"), V("o")),
@@ -242,9 +250,26 @@ class TestEstimates:
             TriplePattern(V("s"), V("p"), C),
         ]
 
+        def fresh_stats():
+            backend = store.backend
+            if isinstance(backend, ShardedBackend):  # a new façade merges anew
+                return ShardedBackend(backend.shards).predicate_stats()
+            triples = list(backend.iter_ids())
+            return {
+                p: (
+                    sum(1 for t in triples if t[1] == p),
+                    len({t[0] for t in triples if t[1] == p}),
+                    len({t[2] for t in triples if t[1] == p}),
+                )
+                for p in {t[1] for t in triples}
+            }
+
         def check():
             for pattern in shapes:
                 assert store.cardinality_estimate(pattern) == store.count(pattern)
+            stats = store.predicate_stats_ids()
+            assert stats is store.predicate_stats_ids()
+            assert stats == fresh_stats()
 
         store.add_all([Triple(A, P, B), Triple(A, P, C), Triple(B, P, C), Triple(A, Q, C)])
         check()

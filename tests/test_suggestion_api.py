@@ -336,7 +336,7 @@ class TestSuggestionApi:
         for key in ("lookups", "tree_hits", "bin_hits", "index_hits",
                     "misses", "served", "tree_hit_rate", "bin_hit_rate",
                     "index_hit_rate", "index_surfaces", "index_bytes",
-                    "index_fts"):
+                    "index_fts", "window_rows_resident", "window_bin_loads"):
             assert key in cache_block, key
         assert cache_block["lookups"] >= 1
         assert cache_block["lookups"] == (

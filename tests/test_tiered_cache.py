@@ -8,9 +8,15 @@ every needle runs the ``instr``-verified window scan):
   the cache is the in-memory seed, a tiered cache over the saved v3
   file, or a read-only replica of that file.
 * **QSM parity** — ``predicate_alternatives`` and
-  ``literal_alternatives`` (through the on-disk window scan) return
-  identical suggestion sets; ``test_qsm_parity.py`` holds whole rounds
-  to a plain Jaro–Winkler reference.
+  ``literal_alternatives`` return identical suggestion sets, and
+  ``residual_scored`` over the resident window bins equals the
+  in-memory bins' for every gold literal and its typo;
+  ``test_qsm_parity.py`` holds whole rounds to a plain Jaro–Winkler
+  reference.
+* **Window residency** (counts, not timings) — a window is read from
+  the file once, a budget below one window changes no result and keeps
+  resident rows within budget + one bin, a shed length reloads to the
+  same columns, concurrent scans load each length once.
 * **Capacity independence** — reopening the same file at a different
   suffix-tree budget matches ``copy_with_capacity`` on the in-memory
   cache, completions included.
@@ -22,7 +28,10 @@ every needle runs the ``instr``-verified window scan):
 
 from __future__ import annotations
 
+import random
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -35,10 +44,14 @@ from repro.core import (
     load_cache,
     save_cache,
 )
+from repro.data.questions import QUESTIONS
+from repro.eval.replay import corrupt_literal
 from repro.net.suggest import completion_document, dump_document
 from repro.rdf import DBO, Literal
+from repro.sparql.parser import parse_query
 from repro.store import term_tables
 from repro.store.term_tables import fts5_trigram_available
+from repro.text import ThresholdScorer
 
 #: Mix of tree hits, residual-only hits, misses, variables, and inputs
 #: shorter than a trigram (no prefilter possible).
@@ -168,6 +181,151 @@ class TestQsmParity:
                 for entry, score in tiered_finder.literal_alternatives(literal)
             ]
             assert actual == expected, text
+
+
+def gold_literals():
+    """The lower-cased literals of the 52 gold questions, each followed
+    by its ``corrupt_literal`` typo."""
+    rng = random.Random(12)
+    needles = []
+    for question in QUESTIONS:
+        gold = " ".join(question.gold_query.split())
+        for query in (gold, corrupt_literal(gold, rng)):
+            if query is not None:
+                needles += [
+                    term.lexical.lower()
+                    for pattern in parse_query(query).where.patterns
+                    for term in (pattern.subject, pattern.predicate, pattern.object)
+                    if isinstance(term, Literal)
+                ]
+    assert len(needles) > 52
+    return needles
+
+
+class TestResidualWindow:
+    """The QSM's literal window on a tiered cache: resident column bins
+    under the base class's ``residual_scored``."""
+
+    CAPACITY = 150  # a suffix tree too small for the literals
+
+    @pytest.fixture(scope="class")
+    def tail_mem(self, mem):
+        cache = mem.copy_with_capacity(self.CAPACITY)
+        assert cache.n_residual_literals > 200
+        return cache
+
+    @pytest.fixture(params=["read-write", "mode=ro"])
+    def tail(self, request, saved_path, mem):
+        """A freshly opened tiered cache: nothing of the window loaded."""
+        cache = load_cache(
+            saved_path, mem.config.with_tree_capacity(self.CAPACITY),
+            read_only=request.param == "mode=ro",
+        )
+        assert cache.index_gauges()["window_bin_loads"] == 0
+        yield cache
+        cache.close()
+
+    @staticmethod
+    def scored(cache, needle):
+        config = cache.config
+        return cache.residual_scored(
+            max(1, len(needle) - config.alpha), len(needle) + config.beta,
+            ThresholdScorer(needle, config.theta), config.theta, cache.bins,
+        )
+
+    def test_residual_scored_equals_the_in_memory_bins(self, tail_mem, tail):
+        kept = 0
+        for needle in gold_literals():
+            hits, scanned = self.scored(tail, needle)
+            assert (hits, scanned) == self.scored(tail_mem, needle), needle
+            kept += len(hits)
+        assert kept > 52
+        assert tail.residual_scored.__func__ is CacheReader.residual_scored
+
+    def test_second_scan_of_a_window_issues_no_statement(self, tail):
+        statements = []
+        tail._conn.set_trace_callback(statements.append)
+        try:
+            first = self.scored(tail, "kennedys")
+            assert statements
+            del statements[:]
+            assert self.scored(tail, "kennedys") == first
+            assert self.scored(tail, "kennedis")[1] == first[1]  # the same lengths
+            assert statements == []
+        finally:
+            tail._conn.set_trace_callback(None)
+
+    def test_budget_below_one_window(self, tail_mem, tail):
+        sizes = tail_mem.bins.bin_sizes()
+        largest = max(sizes.values())
+        budget = tail._memo_limit = 30
+        assert sum(sizes[length] for length in range(6, 12)) > 2 * budget
+        seen = {}  # length -> the columns first loaded for it
+        reloaded = 0
+        for _ in range(2):
+            for needle in gold_literals():
+                assert self.scored(tail, needle) == self.scored(tail_mem, needle), needle
+                low = max(1, len(needle) - tail.config.alpha)
+                for column_bin in tail.residual_window(
+                    low, len(needle) + tail.config.beta, tail.bins
+                ):
+                    assert tail.index_gauges()["window_rows_resident"] <= budget + largest
+                    columns = (column_bin.keys, column_bin.literals,
+                               column_bin.signatures, column_bin.by_first)
+                    first = seen.setdefault(len(column_bin.literals[0]), columns)
+                    if first[0] is not columns[0]:
+                        reloaded += 1
+                        assert columns == first
+        assert reloaded > 0
+        gauges = tail.index_gauges()
+        assert gauges["window_bin_loads"] > len(sizes)
+        assert gauges["window_rows_resident"] == sum(len(b) for b in tail._window.values())
+
+    def test_concurrent_scans_load_each_length_once(self, tail_mem, tail):
+        """Two threads scanning while a third completes, switching every
+        10 µs: a length loaded twice would count its rows twice."""
+        needles = gold_literals()
+        expected = [self.scored(tail_mem, needle) for needle in needles]
+        qcm = QueryCompletionModule(tail)
+        errors = []
+
+        def scan(start):
+            try:
+                for step in range(len(needles)):
+                    at = (start + step) % len(needles)
+                    assert self.scored(tail, needles[at]) == expected[at]
+            except Exception as error:  # noqa: BLE001 — reported by the assert below
+                errors.append(error)
+
+        def complete():
+            try:
+                for _ in range(3):
+                    for term in NEEDLES:
+                        qcm.complete(term)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=scan, args=(0,)),
+            threading.Thread(target=scan, args=(len(needles) // 2,)),
+            threading.Thread(target=complete),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        sizes = tail_mem.bins.bin_sizes()
+        touched = set(tail._window)
+        gauges = tail.index_gauges()
+        assert gauges["window_bin_loads"] == len(touched)
+        assert gauges["window_rows_resident"] == sum(sizes[length] for length in touched)
 
 
 class TestStatsParity:
