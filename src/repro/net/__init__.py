@@ -5,7 +5,9 @@ The paper's Sapphire talks to *real* remote endpoints (DBpedia's
 the reproduction do the same, stdlib-only:
 
 * :mod:`repro.net.formats` — SPARQL Results JSON/XML/CSV/TSV writers and
-  a JSON parser, plus Accept-header content negotiation;
+  a JSON parser (each term encoded once and decoded once: a fragment
+  memo under the writer, an interning reader), plus Accept-header
+  content negotiation;
 * :mod:`repro.net.wsgi` — the protocol logic as a WSGI app with
   admission control (bounded workers, bounded queue → 503; deadlines →
   504) and ``/health`` + ``/stats`` + ``/stats/series`` observability;
@@ -42,6 +44,8 @@ from .formats import (
     NotAcceptable,
     negotiate,
     parse_json,
+    result_from_document,
+    result_to_document,
     write_csv,
     write_json,
     write_tsv,
@@ -102,6 +106,8 @@ __all__ = [
     "negotiate",
     "parse_json",
     "write_json",
+    "result_to_document",
+    "result_from_document",
     "write_xml",
     "write_csv",
     "write_tsv",

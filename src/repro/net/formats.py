@@ -13,7 +13,10 @@ All writers take the library's :class:`~repro.sparql.results.SelectResult`
 or :class:`~repro.sparql.results.AskResult` containers and return text;
 :func:`parse_json` is the exact inverse of :func:`write_json` so a result
 round-trips the network losslessly (datatypes, language tags, and blank
-node labels included).
+node labels included).  Both pay for a term once — a fragment memo under
+the writer, an interning reader; ``docs/server.md``, *The result path* —
+and both sit on a document half (:func:`result_to_document` /
+:func:`result_from_document`) that ``/suggest`` embeds directly.
 
 :func:`negotiate` implements the Accept-header content negotiation the
 server uses, with q-values and the usual ``*/*`` wildcards.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 from typing import Callable, Dict, List, Optional, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
 
@@ -41,6 +45,8 @@ __all__ = [
     "NotAcceptable",
     "term_to_json",
     "term_from_json",
+    "result_to_document",
+    "result_from_document",
     "write_json",
     "parse_json",
     "write_xml",
@@ -68,6 +74,50 @@ class NotAcceptable(ValueError):
 # ----------------------------------------------------------------------
 # JSON (writer + parser)
 # ----------------------------------------------------------------------
+#
+# Two halves.  The *document* half maps a result to and from the plain
+# ``dict`` a JSON library would produce (``/suggest`` embeds those in its
+# own documents); the *text* half, ``write_json`` / ``parse_json``, is
+# the wire.  A result set repeats few distinct terms, across queries as
+# much as within one, so both directions pay for a term once: the writer
+# joins memoised per-term JSON fragments, the reader interns decoded
+# terms.  Either table is a pure function of its key (``term_to_json``
+# of an immutable term; the four fields of a binding object), so neither
+# needs invalidation — only a bound.
+
+
+#: Entries a term table holds before it is dropped whole.  Sized by
+#: memory, not by a workload: a fragment entry is ~160 bytes and a reader
+#: entry ~350, so a full table is under 3 MB and under 6 MB.
+_MEMO_BOUND = 1 << 14
+
+
+class _Memo(dict):
+    """``key -> build(key)``, bounded: dropped whole when full.
+
+    A hit is a plain C-level ``dict`` subscript; only a miss reaches
+    Python, and only there is ``builds`` counted (under a lock — a
+    counter is read-modify-write).  Dropping the table under a
+    concurrent reader is safe because a value is a pure function of its
+    key: the reader finds the entry or rebuilds an equal one.
+    """
+
+    def __init__(self, build: Callable, bound: int = _MEMO_BOUND) -> None:
+        super().__init__()
+        self.build = build
+        self.bound = bound
+        self.builds = 0
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        value = self.build(key)
+        with self._lock:
+            if len(self) >= self.bound:
+                self.clear()
+            self[key] = value
+            self.builds += 1
+        return value
+
 
 def term_to_json(term: Term) -> Dict[str, str]:
     """One RDF term as a SPARQL-Results-JSON binding object."""
@@ -85,47 +135,70 @@ def term_to_json(term: Term) -> Dict[str, str]:
     raise FormatError(f"cannot serialize non-ground term {term!r}")
 
 
-def term_from_json(obj: Dict[str, str]) -> Term:
-    """Inverse of :func:`term_to_json` (also accepts the legacy
-    ``typed-literal`` type emitted by older Virtuoso builds)."""
-    try:
-        kind = obj["type"]
-        value = obj["value"]
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"malformed binding object {obj!r}") from exc
+def _decode_term(key: Tuple[object, object, object, object]) -> Term:
+    """A term from a binding object's ``(type, value, xml:lang,
+    datatype)``; absent members are ``None``."""
+    kind, value, lang, datatype = key
+    if not isinstance(value, str):
+        raise FormatError(f"binding object lacks a string value: {key!r}")
+    for tag in (lang, datatype):
+        if tag is not None and not isinstance(tag, str):
+            raise FormatError(f"xml:lang / datatype must be strings: {key!r}")
     if kind == "uri":
         return IRI(value)
     if kind == "bnode":
         return BlankNode(value)
     if kind in ("literal", "typed-literal"):
-        lang = obj.get("xml:lang")
-        datatype = obj.get("datatype")
         if lang:
             return Literal(value, lang=lang)
-        return Literal(value, datatype=IRI(datatype) if datatype else None)
+        if datatype:
+            # One IRI object per datatype, not one per typed literal.
+            return Literal(value, datatype=_TERMS[("uri", datatype, None, None)])
+        return Literal(value)
     raise FormatError(f"unknown term type {kind!r}")
 
 
-def write_json(result: Result) -> str:
-    """Serialize a result as SPARQL Results JSON."""
+#: ``term -> json.dumps(term_to_json(term))``.  An entry is the fragment
+#: (~50 bytes of syntax plus the term's text) and a dict slot; the term
+#: itself is the store dictionary's.
+_FRAGMENTS = _Memo(lambda term: json.dumps(term_to_json(term)))
+#: ``(type, value, xml:lang, datatype) -> term``, spelled as on the wire:
+#: ``typed-literal`` / ``literal`` and ``"xml:lang": ""`` / absent are
+#: distinct keys whose terms compare equal.
+_TERMS = _Memo(_decode_term)
+
+
+def memo_stats() -> Dict[str, int]:
+    """The ``formats`` block of ``/stats``: the fragment memo's size and
+    how many fragments it has built (flat on a repeated query)."""
+    return {"fragment_entries": len(_FRAGMENTS),
+            "fragment_builds": _FRAGMENTS.builds}
+
+
+def term_from_json(obj: Dict[str, str]) -> Term:
+    """Inverse of :func:`term_to_json` (also accepts the legacy
+    ``typed-literal`` type emitted by older Virtuoso builds)."""
+    try:
+        return _TERMS[(obj.get("type"), obj.get("value"),
+                       obj.get("xml:lang"), obj.get("datatype"))]
+    except (TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed binding object {obj!r}") from exc
+
+
+def result_to_document(result: Result) -> Dict[str, object]:
+    """A result as the SPARQL Results JSON document, unencoded."""
     if isinstance(result, AskResult):
-        return json.dumps({"head": {}, "boolean": bool(result.value)})
+        return {"head": {}, "boolean": bool(result.value)}
     bindings = [
         {name: term_to_json(term) for name, term in row.items() if term is not None}
         for row in result.rows
     ]
-    return json.dumps(
-        {"head": {"vars": list(result.variables)},
-         "results": {"bindings": bindings}}
-    )
+    return {"head": {"vars": list(result.variables)},
+            "results": {"bindings": bindings}}
 
 
-def parse_json(text: Union[str, bytes]) -> Result:
-    """Parse a SPARQL Results JSON document into a result container."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"response is not JSON: {exc}") from exc
+def result_from_document(document: object) -> Result:
+    """Inverse of :func:`result_to_document`; terms are interned."""
     if not isinstance(document, dict):
         raise FormatError("results document must be a JSON object")
     if "boolean" in document:
@@ -134,16 +207,60 @@ def parse_json(text: Union[str, bytes]) -> Result:
             raise FormatError(f"ASK boolean must be true/false, got {value!r}")
         return AskResult(value)
     try:
-        variables = list(document["head"]["vars"])
+        variables = document["head"]["vars"]
         raw_bindings = document["results"]["bindings"]
     except (TypeError, KeyError) as exc:
         raise FormatError("document lacks head.vars / results.bindings") from exc
-    rows: List[Binding] = []
-    for raw in raw_bindings:
-        if not isinstance(raw, dict):
-            raise FormatError(f"binding must be an object, got {raw!r}")
-        rows.append({name: term_from_json(obj) for name, obj in raw.items()})
+    if not isinstance(variables, list) or not all(
+            isinstance(name, str) for name in variables):
+        raise FormatError(f"head.vars must be a list of names, got {variables!r}")
+    if not isinstance(raw_bindings, list):
+        raise FormatError(f"results.bindings must be a list, got {raw_bindings!r}")
+    terms = _TERMS
+    try:
+        rows: List[Binding] = [
+            {name: terms[(obj.get("type"), obj.get("value"),
+                          obj.get("xml:lang"), obj.get("datatype"))]
+             for name, obj in raw.items()}
+            for raw in raw_bindings
+        ]
+    except (TypeError, AttributeError) as exc:
+        # A binding or binding object that is not a JSON object, or a
+        # member that cannot be a dict key (a list, an object).
+        raise FormatError(f"malformed binding: {exc}") from exc
     return SelectResult(variables=variables, rows=rows)
+
+
+def _encode_key(name: str) -> str:
+    return json.dumps(name) + ": "
+
+
+def write_json(result: Result) -> str:
+    """Serialize a result as SPARQL Results JSON.
+
+    Byte for byte ``json.dumps(result_to_document(result))``, built by
+    joining memoised per-term fragments instead of walking a document.
+    """
+    if isinstance(result, AskResult):
+        return json.dumps(result_to_document(result))
+    fragments = _FRAGMENTS
+    keys = _Memo(_encode_key)  # this document's variable names
+    rows = [
+        "{" + ", ".join([keys[name] + fragments[term]
+                         for name, term in row.items() if term is not None]) + "}"
+        for row in result.rows
+    ]
+    return '{"head": {"vars": %s}, "results": {"bindings": [%s]}}' % (
+        json.dumps(list(result.variables)), ", ".join(rows))
+
+
+def parse_json(text: Union[str, bytes]) -> Result:
+    """Parse a SPARQL Results JSON document into a result container."""
+    try:
+        document = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"response is not JSON: {exc}") from exc
+    return result_from_document(document)
 
 
 # ----------------------------------------------------------------------

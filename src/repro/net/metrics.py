@@ -521,9 +521,9 @@ def _merge_cache_blocks(blocks: List[Dict[str, object]]) -> Dict[str, object]:
 def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """One coordinator-view ``/stats`` body from per-worker bodies.
 
-    Counters and gauges sum (the ``federation`` and ``connections``
-    blocks' too), high-water marks take the max, and per-route latency
-    histograms merge **bucket-wise** through
+    Counters and gauges sum (the ``federation``, ``connections`` and
+    ``formats`` blocks' too), high-water marks take the max, and
+    per-route latency histograms merge **bucket-wise** through
     :meth:`LatencyHistogram.from_dict` / :meth:`~LatencyHistogram.merge`
     — so the merged view's percentiles are computed over the union of
     all workers' samples, not averaged per worker.  The output has the
@@ -542,7 +542,7 @@ def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]
         cache = body.get("cache")
         if isinstance(cache, dict):
             cache_blocks.append(cache)
-        for block in ("federation", "connections"):
+        for block in ("federation", "connections", "formats"):
             for name, count in (body.get(block) or {}).items():  # type: ignore[union-attr]
                 summed = summed_blocks.setdefault(block, {})
                 summed[name] = summed.get(name, 0) + int(count)

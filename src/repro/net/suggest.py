@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..sparql.results import SelectResult
-from .formats import FormatError, parse_json, write_json
+from .formats import FormatError, result_from_document, result_to_document
 
 __all__ = [
     "MIME_JSON_BODY",
@@ -77,13 +77,14 @@ def outcome_document(outcome) -> Dict:
     """A :class:`~repro.core.sapphire.QueryOutcome` as a wire document.
 
     Answers (and each suggestion's prefetched answers) embed as SPARQL
-    Results JSON sub-documents, so both ends reuse the protocol
-    serializers — the suggestion API can never disagree with ``/sparql``
-    about how a row looks.
+    Results JSON sub-documents — the document half of
+    :mod:`~repro.net.formats`, no text round-trip — so both ends reuse
+    the protocol's one definition of a term and the suggestion API can
+    never disagree with ``/sparql`` about how a row looks.
     """
     return {
         "query": outcome.query_text,
-        "answers": json.loads(write_json(outcome.answers)),
+        "answers": result_to_document(outcome.answers),
         "term_suggestions": [
             {
                 "kind": suggestion.kind,
@@ -96,7 +97,7 @@ def outcome_document(outcome) -> Dict:
                 "n_answers": suggestion.n_answers,
                 "message": suggestion.message(),
                 "answers": (
-                    json.loads(write_json(suggestion.prefetched))
+                    result_to_document(suggestion.prefetched)
                     if suggestion.prefetched is not None else None
                 ),
             }
@@ -110,7 +111,7 @@ def outcome_document(outcome) -> Dict:
                 "queries_used": relaxation.queries_used,
                 "message": relaxation.message(),
                 "answers": (
-                    json.loads(write_json(relaxation.prefetched))
+                    result_to_document(relaxation.prefetched)
                     if relaxation.prefetched is not None else None
                 ),
             }
@@ -185,7 +186,7 @@ class RemoteOutcome:
 def _parse_answers(sub_document) -> Optional[SelectResult]:
     if sub_document is None:
         return None
-    result = parse_json(json.dumps(sub_document))
+    result = result_from_document(sub_document)
     if not isinstance(result, SelectResult):
         raise FormatError("suggestion answers must be a SELECT result")
     return result

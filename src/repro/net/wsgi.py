@@ -83,7 +83,7 @@ from ..sparql.errors import SparqlError
 from ..sparql.parser import parse_query
 from ..sparql.results import SelectResult
 from ..sparql.trace import Tracer
-from .formats import NotAcceptable, negotiate
+from .formats import NotAcceptable, memo_stats, negotiate
 from .metrics import ServerStats, SlowQueryLog, StatsTimeSeries
 from .suggest import (
     MIME_JSON_BODY,
@@ -326,6 +326,7 @@ class SparqlWsgiApp:
         lookup_stats = getattr(cache, "lookup_stats", None)
         if lookup_stats is not None:
             body["cache"] = lookup_stats()
+        body["formats"] = memo_stats()
         if self.connections is not None:
             body["connections"] = self.connections.snapshot()
         counters = getattr(self.backend, "counters", None)

@@ -466,6 +466,40 @@ class TestAdmissionAndErrors:
             assert server.stats.snapshot()["server_errors"] == 1
             assert server.stats.snapshot()["requests"] == 1
 
+    def test_malformed_results_document_maps_to_endpoint_error(self):
+        """A 200 whose document is JSON but not a results document is the
+        endpoint's failure, not a TypeError in the caller."""
+        import http.server
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b'{"head": {"vars": ["s"]}, "results": {"bindings": null}}'
+                self.send_response(200)
+                self.send_header("Content-Type", "application/sparql-results+json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpSparqlEndpoint(
+                f"http://127.0.0.1:{stub.server_address[1]}/sparql",
+                timeout_s=10.0, max_retries=0)
+            with pytest.raises(EndpointError, match="unparseable response"):
+                client.select("SELECT ?s WHERE { ?s ?p ?o }")
+            assert [e.outcome for e in client.log] == ["error"]
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
     def test_client_bad_query_maps_to_sparql_error(self, url):
         client = HttpSparqlEndpoint(url, timeout_s=10.0)
         with pytest.raises(SparqlError):
@@ -583,6 +617,22 @@ class TestSuggestionRouteAdmission:
 
 
 class TestStats:
+    def test_fragment_builds_stop_growing_on_a_repeated_query(self, servers):
+        from repro.net import fetch_stats, formats
+
+        formats._FRAGMENTS.clear()
+        client = HttpSparqlEndpoint(servers[0].url, timeout_s=10.0)
+        query = "SELECT ?s ?n WHERE { ?s foaf:surname ?n } LIMIT 25"
+        cold = fetch_stats(servers[0].url)["formats"]
+        rows = client.select(query).rows
+        first = fetch_stats(servers[0].url)["formats"]
+        assert client.select(query).rows == rows
+        second = fetch_stats(servers[0].url)["formats"]
+        distinct = len({term for row in rows for term in row.values()})
+        assert first["fragment_builds"] - cold["fragment_builds"] == distinct
+        assert first["fragment_entries"] == distinct
+        assert second == first
+
     def test_keep_alive_reuses_one_connection(self, servers):
         import http.client
 

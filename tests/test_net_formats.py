@@ -5,10 +5,14 @@ tags, blank nodes, unbound variables, and ASK results must survive the
 JSON round-trip losslessly and render correctly in XML/CSV/TSV.
 """
 
+import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.net import formats
 from repro.net.formats import (
     MIME_CSV,
     MIME_JSON,
@@ -18,6 +22,8 @@ from repro.net.formats import (
     NotAcceptable,
     negotiate,
     parse_json,
+    result_from_document,
+    result_to_document,
     term_from_json,
     term_to_json,
     write_csv,
@@ -26,6 +32,7 @@ from repro.net.formats import (
     write_xml,
 )
 from repro.rdf.terms import IRI, XSD_BOOLEAN, XSD_INTEGER, BlankNode, Literal
+from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
 
@@ -48,6 +55,11 @@ def spec_result():
             },
         ],
     )
+
+
+def _one_binding(obj: str) -> str:
+    return ('{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": %s}]}}'
+            % obj)
 
 
 class TestJsonRoundTrip:
@@ -86,11 +98,19 @@ class TestJsonRoundTrip:
 
     @pytest.mark.parametrize("junk", [
         "not json at all",
+        b'{"boolean": \xff}',
         "[1, 2, 3]",
         '{"head": {}}',
         '{"head": {"vars": ["x"]}, "results": {}}',
         '{"boolean": "yes"}',
         '{"head": {"vars": ["x"]}, "results": {"bindings": [42]}}',
+        # Members that are not strings: none may reach a term (a list
+        # would be an unhashable memo key) or leak a TypeError.
+        _one_binding('{"type": "uri", "value": ["a"]}'),
+        _one_binding('{"type": "literal", "value": "a", "xml:lang": 3}'),
+        _one_binding('{"type": "literal", "value": "a", "datatype": {"k": 1}}'),
+        '{"head": {"vars": "xy"}, "results": {"bindings": []}}',
+        '{"head": {"vars": ["x"]}, "results": {"bindings": null}}',
     ])
     def test_malformed_documents_raise(self, junk):
         with pytest.raises(FormatError):
@@ -99,12 +119,135 @@ class TestJsonRoundTrip:
     def test_unknown_term_type_raises(self):
         with pytest.raises(FormatError):
             term_from_json({"type": "quad", "value": "x"})
+        with pytest.raises(FormatError):
+            parse_json(_one_binding('{"type": "quad", "value": "x"}'))
+        with pytest.raises(FormatError):
+            parse_json(_one_binding('"not an object"'))
+
+    def test_equal_terms_spelled_differently_decode_equal(self):
+        typed = '{"type": "%s", "value": "7", "datatype": "' + XSD_INTEGER.value + '"}'
+        plain = '{"type": "literal", "value": "x"%s}'
+        for one, other in [
+            (typed % "typed-literal", typed % "literal"),
+            (plain % ', "xml:lang": ""', plain % ""),
+            (plain % ', "datatype": ""', plain % ', "xml:lang": null'),
+        ]:
+            first = parse_json(_one_binding(one)).rows[0]["x"]
+            second = parse_json(_one_binding(other)).rows[0]["x"]
+            assert first == second and hash(first) == hash(second)
+        assert first == Literal("x")
+
+    def test_repeated_terms_are_interned(self, spec_result):
+        first = parse_json(write_json(spec_result))
+        second = parse_json(write_json(spec_result))
+        assert first.rows == second.rows == spec_result.rows
+        assert first.rows[0]["s"] is second.rows[0]["s"]
+        # One IRI object per datatype, whichever literal carries it.
+        assert (first.rows[0]["count"].datatype
+                is parse_json(_one_binding(
+                    '{"type": "literal", "value": "9", "datatype": "%s"}'
+                    % XSD_INTEGER.value)).rows[0]["x"].datatype)
+
+    def test_document_half_is_the_text_half_without_the_text(self, spec_result):
+        document = result_to_document(spec_result)
+        assert write_json(spec_result) == json.dumps(document)
+        assert result_from_document(document).rows == spec_result.rows
+        ask = result_to_document(AskResult(True))
+        assert ask == {"head": {}, "boolean": True}
+        assert result_from_document(ask).value is True
 
     def test_variable_cannot_serialize(self):
         from repro.rdf.terms import Variable
 
         with pytest.raises(FormatError):
             term_to_json(Variable("x"))
+
+
+@pytest.fixture
+def small_memos():
+    """Both term tables emptied and bounded at 8 entries, restored after."""
+    memos = (formats._FRAGMENTS, formats._TERMS)
+    saved = [memo.bound for memo in memos]
+    for memo in memos:
+        memo.clear()
+        memo.bound = 8
+    yield memos
+    for memo, bound in zip(memos, saved):
+        memo.clear()
+        memo.bound = bound
+
+
+class TestTermTables:
+    def test_gold_question_bodies_are_pinned(self, server, gold_queries):
+        """The 52 gold answers serialise to the bytes they had before the
+        writer joined fragments (sha256 taken at commit 3b5a0c8)."""
+        digest = hashlib.sha256()
+        for text in gold_queries:
+            result = server.federation.run(parse_query(text))
+            body = write_json(result)
+            assert body == json.dumps(result_to_document(result))
+            assert parse_json(body).rows == result.rows
+            digest.update(body.encode("utf-8"))
+        assert len(gold_queries) == 52
+        assert digest.hexdigest() == (
+            "c7e75415374d81a1d4bcab721c322e5a4c4aeafac2de2187352d0840500e7a5e")
+
+    def test_a_full_table_is_dropped_whole_mid_result(self, small_memos):
+        result = SelectResult(variables=["x"], rows=[
+            {"x": Literal(str(n % 20), datatype=XSD_INTEGER)} for n in range(60)])
+        expected = json.dumps(result_to_document(result))
+        builds = formats.memo_stats()["fragment_builds"]
+        assert write_json(result) == expected
+        assert parse_json(expected).rows == result.rows
+        assert all(0 < len(memo) <= 8 for memo in small_memos)
+        # 20 distinct terms through 8 slots: every drop costs rebuilds.
+        assert formats.memo_stats()["fragment_builds"] - builds > 20
+        assert formats.memo_stats()["fragment_entries"] == len(small_memos[0])
+
+    def test_concurrent_writers_readers_and_a_thrasher(self, spec_result, small_memos):
+        """Two threads write and parse while a third keeps both tables
+        over their bound: a dropped table costs rebuilds, never bytes."""
+        shared = SelectResult(variables=["a", "b"], rows=[
+            {"b": IRI(f"http://example.org/{n % 7}"), "a": Literal(f"v{n % 5}", lang="en")}
+            for n in range(40)])
+        churn = SelectResult(variables=["x"], rows=[
+            {"x": Literal(f"churn {n}")} for n in range(50)])
+        expected = {id(r): (json.dumps(result_to_document(r)), r.rows)
+                    for r in (shared, spec_result, churn)}
+        stop = threading.Event()
+        wrong = []
+
+        def work(results, rounds):
+            try:
+                for _ in range(rounds):
+                    for result in results:
+                        body, rows = expected[id(result)]
+                        if write_json(result) != body or parse_json(body).rows != rows:
+                            wrong.append(result)
+            except Exception as error:  # noqa: BLE001 — reported below
+                wrong.append(error)
+
+        def thrash():
+            while not stop.is_set():
+                work([churn], 1)
+
+        threads = [threading.Thread(target=work, args=([shared, spec_result], 150))
+                   for _ in range(2)]
+        thrasher = threading.Thread(target=thrash)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thrasher.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            stop.set()
+            thrasher.join(timeout=60.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [thrasher])
+        assert wrong == []
 
 
 class TestXml:

@@ -315,9 +315,13 @@ class TestMergeStatsBodies:
                                 "subqueries": 9, "member_errors": 1}
         body_b["federation"] = {"queries": 5, "single_source": 5, "fallbacks": 0,
                                 "subqueries": 5, "member_errors": 0}
+        # Each worker has its own fragment memo: entries and builds sum.
+        body_a["formats"] = {"fragment_entries": 120, "fragment_builds": 300}
+        body_b["formats"] = {"fragment_entries": 80, "fragment_builds": 80}
         merged = merge_stats_bodies([body_a, body_b, self._body(1, 1, 0, 0, [0.001])])
         assert merged["federation"] == {"queries": 10, "single_source": 9, "fallbacks": 1,
                                         "subqueries": 14, "member_errors": 1}
+        assert merged["formats"] == {"fragment_entries": 200, "fragment_builds": 380}
         plain = merge_stats_bodies([self._body(5, 5, 0, 0, [0.001] * 5)])
         assert "federation" not in plain
 

@@ -8,18 +8,22 @@ Invariants covered:
 * Levenshtein metric axioms (identity, symmetry, triangle inequality),
 * N-Triples round-trip fidelity,
 * triple-store index coherence under random insert/delete sequences,
-* parser/serializer round-trip for generated queries.
+* parser/serializer round-trip for generated queries,
+* SPARQL Results JSON: the fragment-memo writer ≡ ``json.dumps`` of the
+  document, and the interning reader inverts it, at any memo state.
 """
 
 from __future__ import annotations
 
+import json
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable, parse_ntriples, serialize_ntriples
+from repro.net import formats
+from repro.rdf import IRI, BlankNode, Literal, Triple, TriplePattern, Variable, parse_ntriples, serialize_ntriples
 from repro.store import TripleStore
 from repro.text import (
     GeneralizedSuffixTree,
@@ -240,3 +244,76 @@ class TestQueryRoundtripProperties:
         once = parse_query(text)
         twice = parse_query(serialize_query(once))
         assert serialize_query(once) == serialize_query(twice)
+
+
+# Full Unicode (hypothesis leaves out lone surrogates, which UTF-8 cannot
+# carry): quotes, backslashes, control characters and non-ASCII all need
+# JSON escaping, in values and in variable names alike.
+_ANY_TEXT = st.text(max_size=12)
+_RESULT_TERMS = st.one_of(
+    st.builds(IRI, _ANY_TEXT),
+    st.builds(BlankNode, _ANY_TEXT),
+    st.builds(Literal, _ANY_TEXT),
+    st.builds(Literal, _ANY_TEXT, lang=st.sampled_from(["en", "de-CH", "x"])),
+    st.builds(Literal, _ANY_TEXT, datatype=st.builds(IRI, st.text(min_size=1, max_size=12))),
+)
+# A row is a dict in its own key order (the engine's, not ``variables``'),
+# with unbound cells either absent or None.
+_RESULT_ROWS = st.lists(
+    st.dictionaries(_ANY_TEXT, st.one_of(st.none(), _RESULT_TERMS), max_size=4),
+    max_size=6,
+)
+
+
+def _reference_document(result):
+    """The SPARQL Results JSON document spelled out cell by cell — what
+    ``json.dumps`` was handed before the writer joined fragments."""
+    bindings = []
+    for row in result.rows:
+        binding = {}
+        for name, term in row.items():
+            if isinstance(term, IRI):
+                binding[name] = {"type": "uri", "value": term.value}
+            elif isinstance(term, BlankNode):
+                binding[name] = {"type": "bnode", "value": term.label}
+            elif term is not None:
+                binding[name] = {"type": "literal", "value": term.lexical}
+                if term.lang:
+                    binding[name]["xml:lang"] = term.lang
+                elif term.datatype is not None:
+                    binding[name]["datatype"] = term.datatype.value
+        bindings.append(binding)
+    return {"head": {"vars": list(result.variables)},
+            "results": {"bindings": bindings}}
+
+
+class TestResultsJsonProperties:
+    @given(_RESULT_ROWS, st.sampled_from([1, 2, 1 << 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_writer_is_json_dumps_and_reader_inverts_it(self, rows, bound):
+        from repro.sparql.results import SelectResult
+
+        result = SelectResult(
+            variables=sorted({name for row in rows for name in row}), rows=rows)
+        expected = json.dumps(_reference_document(result))
+        bound_rows = [{name: term for name, term in row.items() if term is not None}
+                      for row in rows]
+        memos = (formats._FRAGMENTS, formats._TERMS)
+        saved = [memo.bound for memo in memos]
+        try:
+            for memo in memos:
+                memo.clear()
+                # 1 or 2: every row pushes the tables over their bound.
+                memo.bound = bound
+            for _ in range(2):  # cold, then warm
+                body = formats.write_json(result)
+                assert body == expected
+                assert formats.result_to_document(result) == json.loads(expected)
+                parsed = formats.parse_json(body.encode("utf-8"))
+                assert parsed.variables == result.variables
+                assert parsed.rows == bound_rows
+                assert all(len(memo) <= bound for memo in memos)
+        finally:
+            for memo, bound in zip(memos, saved):
+                memo.clear()
+                memo.bound = bound
