@@ -500,8 +500,8 @@ class SapphireServer:
 
         Debugging surface for the planner (``docs/query-planning.md``):
         each registered endpoint reports how its evaluator would run the
-        query — operator tree, cardinality estimates, pushed filters,
-        or the backtracking fallback.  With more than one endpoint the
+        query — operator tree, cardinality estimates, pushed filters
+        (every group has a plan).  With more than one endpoint the
         federated plan follows: source-selection verdicts plus the
         remote operator tree the mediator will actually execute
         (``server.run_query`` always goes through the federation).

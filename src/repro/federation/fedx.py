@@ -14,11 +14,13 @@ the one query, and nothing is decoded and re-interned at a mediator.
 Row order is the member's.  If the member refuses the query
 (``EndpointError``), execution falls through to:
 
-**Decomposed.**  The query is translated and normalized through the
-*same* :mod:`~repro.sparql.algebra` stage as local execution (so
-duplicate patterns are deduplicated once, filters are pushed once), the
-same greedy cost-ranked join ordering runs, and the plan compiles to the
-remote physical operators in :mod:`~repro.federation.remote`:
+**Decomposed.**  The query compiles through the *same* planner as
+local execution — :class:`~repro.sparql.plan.QueryPlanner`, of which
+:class:`FederatedPlanner` overrides only what is federated — so
+duplicate patterns are deduplicated once, filters are pushed once, the
+same greedy cost-ranked join ordering runs and every group shape has a
+plan; the leaves and the join choice are the remote physical operators
+in :mod:`~repro.federation.remote`:
 
 1. **Cost-based source selection** — each triple pattern is probed with
    an ASK query at every member endpoint (cached by pattern signature);
@@ -34,9 +36,12 @@ remote physical operators in :mod:`~repro.federation.remote`:
    ``VALUES``-constrained request per endpoint per batch of
    ``bind_join_batch_size`` bindings instead of one request per
    binding.
-4. UNION / MINUS / VALUES compile to the same ID-space operators local
-   execution uses; remote terms are interned into a per-query mediator
-   store so everything joins on integers.
+4. UNION / MINUS / VALUES / OPTIONAL compile to the same ID-space
+   operators local execution uses; remote terms are interned into a
+   per-query mediator store so everything joins on integers.  A group's
+   own OPTIONALs run per base solution (the bindings ship, the optional
+   pattern is never fetched whole); those nested in UNION / MINUS
+   branches are the algebraic left join.
 5. Solution modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) run at
    the mediator by reusing the local evaluator's pipeline.
 
@@ -51,44 +56,18 @@ member's own plan for a pushed query).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..endpoint.endpoint import SparqlEndpoint
 from ..rdf.terms import IRI, Term, Variable
 from ..rdf.triples import Binding, TriplePattern
-from ..sparql.algebra import (
-    AlgebraNode,
-    BGP,
-    Empty,
-    Join as LogicalJoin,
-    LeftJoin as LogicalLeftJoin,
-    Minus as LogicalMinus,
-    Union as LogicalUnion,
-    ValuesTable,
-    conjuncts,
-    normalize,
-    translate_group,
-)
-from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
+from ..sparql.ast_nodes import GraphPattern, Query
 from ..sparql.errors import SparqlError
-from ..sparql.evaluator import (
-    QueryEvaluator,
-    _merge_compatible,
-    finalize_solutions,
-)
+from ..sparql.evaluator import explain_header, finalize_solutions
 from ..sparql.parser import parse_query
-from ..sparql.plan import (
-    CompatJoinNode,
-    HashJoinNode,
-    LeftJoinNode,
-    MinusNode,
-    PlanNode,
-    UnionNode,
-    ValuesScanNode,
-    explain_plan,
-    joins_on_maybe_unbound,
-)
+from ..sparql.plan import CorrelatedLeftJoinNode, PlanNode, QueryPlanner, explain_plan
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import ask_query
 from ..sparql.trace import QueryTrace, Tracer
@@ -172,9 +151,6 @@ class FederatedQueryProcessor:
         #: Requests, pushes, fallbacks and swallowed member errors
         #: (``/stats`` serves the snapshot as its ``federation`` block).
         self.counters = FederationCounters()
-        # EXPLAIN's header line comes from the local evaluator; it never
-        # touches this empty store.
-        self._pipeline = QueryEvaluator(TripleStore())
 
     # ------------------------------------------------------------------
     # Public API
@@ -256,7 +232,7 @@ class FederatedQueryProcessor:
             _, trace = self.analyze(query)
             return f"{plan_text}\n\n{format_trace(trace)}"
         parsed = parse_query(query) if isinstance(query, str) else query
-        lines = [f"Federated {self._pipeline._explain_header(parsed)}"]
+        lines = [f"Federated {explain_header(parsed)}"]
         if len(self.endpoints) > 1:
             lines.append("sources:")
             for pattern in self._collect_patterns(parsed.where):
@@ -275,11 +251,8 @@ class FederatedQueryProcessor:
                 "    " + line for line in endpoint.explain(parsed).splitlines()
             )
             return "\n".join(lines)
-        store = TripleStore()
-        lines.append(explain_plan(self._compile_group(parsed.where, store), indent=1))
-        for optional in parsed.where.optionals:
-            lines.append("optional (per base solution):")
-            lines.append(explain_plan(self._compile_group(optional, store), indent=1))
+        plan = FederatedPlanner(self, TripleStore()).plan(parsed.where)
+        lines.append(explain_plan(plan, indent=1))
         return "\n".join(lines)
 
     def invalidate_source_cache(self) -> None:
@@ -395,282 +368,18 @@ class FederatedQueryProcessor:
     def _solve(
         self, group: GraphPattern, tracer: Optional[Tracer] = None
     ) -> Iterator[Binding]:
-        """Execute one group across the federation: compile, stream the
-        plan over a fresh mediator store, apply OPTIONALs per solution.
-        """
+        """Execute one group across the federation: compile it, stream
+        the plan over a fresh mediator store, decode."""
         store = TripleStore()
-        plan = self._compile_group(group, store)
+        plan = FederatedPlanner(self, store).plan(group)
         decode = store.decode_id
         names = plan.variables
-        base = (
-            {
+        for row in plan.rows(store, None, tracer=tracer):
+            yield {
                 name: decode(term_id)
                 for name, term_id in zip(names, row)
                 if term_id is not None
             }
-            for row in plan.rows(store, None, tracer=tracer)
-        )
-        if not group.optionals:
-            yield from base
-            return
-        for solution in base:
-            current = [solution]
-            for optional in group.optionals:
-                extended: List[Binding] = []
-                for row in current:
-                    matches = self._solve_optional(optional, row)
-                    extended.extend(matches if matches else [row])
-                current = extended
-            yield from current
-
-    def _solve_optional(
-        self, optional: GraphPattern, solution: Binding
-    ) -> List[Binding]:
-        """One OPTIONAL extension for one base solution.
-
-        The base solution's bindings flow into the optional group as
-        injected single-row VALUES tables covering the referenced
-        variables — recursively, so filters and patterns nested in the
-        optional's own UNION branches and OPTIONALs see the outer
-        bindings too (matching the local evaluator's correlated
-        semantics).  The same planner then handles the correlation; no
-        separate join code.
-        """
-        bound = self._bind_group(optional, solution)
-        merged: List[Binding] = []
-        for row in self._solve(bound):
-            combined = _merge_compatible(solution, row)
-            if combined is not None:
-                merged.append(combined)
-        return merged
-
-    def _bind_group(self, group: GraphPattern, solution: Binding) -> GraphPattern:
-        """Copy ``group`` with the solution's bindings pinned at every
-        level that references them (a single-row VALUES table per
-        level).  MINUS groups stay untouched: SPARQL MINUS is
-        uncorrelated, and the local evaluator agrees."""
-        bound = GraphPattern(
-            patterns=list(group.patterns),
-            filters=list(group.filters),
-            optionals=[self._bind_group(o, solution) for o in group.optionals],
-            unions=[
-                [self._bind_group(branch, solution) for branch in branches]
-                for branches in group.unions
-            ],
-            minuses=list(group.minuses),
-            values=list(group.values),
-        )
-        referenced = set()
-        for pattern in group.patterns:
-            referenced.update(pattern.variables())
-        for expr in group.filters:
-            referenced.update(expr.variables())
-        shared = tuple(name for name in referenced if name in solution)
-        if shared:
-            bound.values.append(
-                ValuesClause(shared, (tuple(solution[name] for name in shared),))
-            )
-        return bound
-
-    # ------------------------------------------------------------------
-    # Planning (stage three, federated flavour)
-    # ------------------------------------------------------------------
-
-    def _compile_group(self, group: GraphPattern, store: TripleStore) -> PlanNode:
-        """Compile one group (OPTIONALs excluded) to a remote plan."""
-        root = normalize(translate_group(group, include_optionals=False))
-        return self._compile(root, store)
-
-    def _compile(self, node: AlgebraNode, store: TripleStore) -> PlanNode:
-        from ..sparql.plan import _strip_filters
-
-        filters, core = _strip_filters(node)
-        plan = self._compile_core(core, store)
-        plan.filters.extend(filters)
-        return plan
-
-    def _compile_core(self, core: AlgebraNode, store: TripleStore) -> PlanNode:
-        if isinstance(core, Empty):
-            return ValuesScanNode(store, (), ())
-        if isinstance(core, BGP):
-            if not core.patterns:
-                return ValuesScanNode(store, (), ((),))  # the unit table
-            return self._compile_conjunction([core], store)
-        if isinstance(core, ValuesTable):
-            # The mediator store is fresh and private to this query
-            # execution, so interning inline terms there is safe.
-            return ValuesScanNode(store, core.names, core.rows, intern=True)
-        if isinstance(core, LogicalUnion):
-            return UnionNode([self._compile(branch, store) for branch in core.branches])
-        if isinstance(core, LogicalMinus):
-            return MinusNode(
-                self._compile(core.left, store), self._compile(core.right, store)
-            )
-        if isinstance(core, LogicalLeftJoin):
-            # An OPTIONAL nested inside a UNION/MINUS branch: no base
-            # solution exists to correlate on, so it runs as the
-            # uncorrelated SPARQL LeftJoin algebra — the local planner's
-            # outer hash join, or the compatibility nested loop where a
-            # shared variable may be unbound on either side.
-            left = self._compile(core.left, store)
-            right = self._compile(core.right, store)
-            if joins_on_maybe_unbound(left, right):
-                return LeftJoinNode(left, right, left.est_rows)
-            keys = tuple(name for name in right.variables if name in left.slot_of)
-            return HashJoinNode(left, right, keys, left.est_rows, outer=True)
-        if isinstance(core, LogicalJoin):
-            return self._compile_conjunction(conjuncts(core), store)
-        raise SparqlError(f"federation cannot compile {core.label()}")
-
-    def _compile_conjunction(
-        self, parts: List[AlgebraNode], store: TripleStore
-    ) -> PlanNode:
-        """Greedy left-deep federated join.
-
-        The same ordering discipline as local planning — start from the
-        most selective input, repeatedly add the connected input with
-        the smallest estimated join output — with remote operators:
-        exclusive groups and driver patterns become RemoteScanNodes,
-        every subsequent pattern a batched RemoteBindJoinNode, and
-        non-pattern inputs (VALUES/UNION sub-plans) hash- or
-        compat-join at the mediator.
-        """
-        from ..sparql.plan import _strip_filters
-
-        patterns: List[TriplePattern] = []
-        pending = []
-        leaves: List[PlanNode] = []
-        for part in parts:
-            part_filters, part_core = _strip_filters(part)
-            if isinstance(part_core, BGP):
-                patterns.extend(part_core.patterns)
-                pending.extend(part_filters)
-            else:
-                leaf = self._compile_core(part_core, store)
-                leaf.filters.extend(part_filters)
-                leaves.append(leaf)
-        patterns = list(dict.fromkeys(patterns))
-
-        sources_of: Dict[TriplePattern, List[SparqlEndpoint]] = {
-            pattern: self.relevant_sources(pattern) for pattern in patterns
-        }
-
-        # Exclusive groups: patterns whose single relevant source is the
-        # same endpoint ship together as one sub-query.
-        remaining: List[TriplePattern] = []
-        exclusive: Dict[int, List[TriplePattern]] = {}
-        for pattern in patterns:
-            sources = sources_of[pattern]
-            if len(sources) == 1:
-                exclusive.setdefault(id(sources[0]), []).append(pattern)
-            else:
-                remaining.append(pattern)
-        candidates: List[PlanNode] = list(leaves)
-        for grouped in exclusive.values():
-            if len(grouped) == 1:
-                remaining.append(grouped[0])
-                continue
-            sources = sources_of[grouped[0]]
-            estimate = min(
-                self._pattern_estimate(pattern, sources) for pattern in grouped
-            )
-            candidates.append(
-                RemoteScanNode(grouped, sources, estimate, self.counters)
-            )
-
-        pattern_nodes: Dict[int, TriplePattern] = {}
-        for pattern in remaining:
-            scan = RemoteScanNode(
-                [pattern],
-                sources_of[pattern],
-                self._pattern_estimate(pattern, sources_of[pattern]),
-                self.counters,
-            )
-            pattern_nodes[id(scan)] = pattern
-            candidates.append(scan)
-
-        if not candidates:
-            return ValuesScanNode(store, (), ((),))
-
-        node = min(candidates, key=lambda c: c.est_rows)
-        candidates.remove(node)
-        self._attach_filters(node, pending)
-
-        while candidates:
-            connected = [
-                candidate for candidate in candidates
-                if any(name in node.slot_of for name in candidate.variables)
-            ]
-            if not connected:
-                # Disconnected inputs cross-join at the mediator: one
-                # fetch per input (a keyless bind join would re-issue
-                # the same unconstrained sub-query once per batch).
-                best = min(candidates, key=lambda c: c.est_rows)
-                candidates.remove(best)
-                self._attach_filters(best, pending)
-                node = HashJoinNode(
-                    node, best, (), max(1, node.est_rows) * max(1, best.est_rows)
-                )
-                self._attach_filters(node, pending)
-                continue
-            best = min(
-                connected, key=lambda c: self._join_estimate(node, c, pattern_nodes)
-            )
-            candidates.remove(best)
-            estimate = self._join_estimate(node, best, pattern_nodes)
-            pattern = pattern_nodes.get(id(best))
-            if pattern is not None:
-                node = RemoteBindJoinNode(
-                    node,
-                    pattern,
-                    sources_of[pattern],
-                    estimate,
-                    batch_size=self.bind_join_batch_size,
-                    counters=self.counters,
-                )
-            else:
-                keys = tuple(
-                    name for name in best.variables if name in node.slot_of
-                )
-                self._attach_filters(best, pending)
-                if joins_on_maybe_unbound(node, best):
-                    node = CompatJoinNode(node, best, estimate)
-                else:
-                    node = HashJoinNode(node, best, keys, estimate)
-            self._attach_filters(node, pending)
-        node.filters.extend(pending)
-        return node
-
-    def _join_estimate(
-        self,
-        left: PlanNode,
-        candidate: PlanNode,
-        pattern_nodes: Dict[int, TriplePattern],
-    ) -> int:
-        shared = [name for name in candidate.variables if name in left.slot_of]
-        if not shared:
-            return max(1, left.est_rows) * max(1, candidate.est_rows)
-        pattern = pattern_nodes.get(id(candidate))
-        if pattern is None:
-            return max(left.est_rows, candidate.est_rows)
-        distinct = 0
-        for name in shared:
-            distinct = max(
-                distinct,
-                self._distinct_estimate(pattern, name, self.relevant_sources(pattern)),
-            )
-        if distinct <= 0:
-            distinct = max(candidate.est_rows, 1)
-        return max(1, left.est_rows * candidate.est_rows // distinct)
-
-    @staticmethod
-    def _attach_filters(node: PlanNode, pending: List) -> None:
-        """Shared with the local planner: attaches only filters whose
-        variables are certainly bound (a maybe-unbound variable could
-        still be filled by a later compatibility join)."""
-        from ..sparql.plan import attach_ready_filters
-
-        attach_ready_filters(node, pending)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -689,3 +398,107 @@ class FederatedQueryProcessor:
         for optional in group.optionals:
             found.extend(self._collect_patterns(optional))
         return list(dict.fromkeys(found))
+
+
+def _lone_pattern(node: PlanNode) -> bool:
+    """A leaf fetching one pattern: what a batched bind join can ship."""
+    return isinstance(node, RemoteScanNode) and len(node.patterns) == 1
+
+
+class FederatedPlanner(QueryPlanner):
+    """The shared planner with what is federated filled in.
+
+    Everything else — translation, normalization, the greedy left-deep
+    ordering, filter placement, UNION / MINUS / VALUES / OPTIONAL and
+    the compatibility joins — is :class:`~repro.sparql.plan.QueryPlanner`
+    as local execution runs it.  ``store`` is the mediator store of one
+    query execution: fresh and private, so interning inline and remote
+    terms there is safe and gives every term a real ID.
+    """
+
+    def __init__(self, federation: FederatedQueryProcessor, store: TripleStore) -> None:
+        super().__init__(store)
+        self.federation = federation
+
+    def plan(self, group: GraphPattern, budget: Optional[int] = None) -> PlanNode:
+        """The group's own OPTIONALs run per base solution — the bound
+        copy ships the bindings, where the left join's right side would
+        fetch the optional patterns whole."""
+        node = super().plan(dataclasses.replace(group, optionals=[]), budget)
+        for optional in group.optionals:
+            template = super().plan(optional, budget)
+            node = CorrelatedLeftJoinNode(
+                self, node, template, optional, budget, node.est_rows
+            )
+        return node
+
+    def _correlates(self, core, joined: PlanNode, budget: Optional[int]) -> bool:
+        """Inside a UNION / MINUS branch no base solution exists to
+        ship: there an OPTIONAL is the algebraic left join."""
+        return False
+
+    def _term_id(self, term: Term) -> int:
+        return self.store.dictionary.encode(term)
+
+    def _scans(self, patterns: List[TriplePattern]) -> List[PlanNode]:
+        """Source selection and exclusive groups: patterns whose single
+        relevant source is the same endpoint ship together as one
+        sub-query, every other pattern is a leaf of its own."""
+        federation = self.federation
+        sources_of = {
+            pattern: federation.relevant_sources(pattern) for pattern in patterns
+        }
+        exclusive: Dict[int, List[TriplePattern]] = {}
+        for pattern in patterns:
+            if len(sources_of[pattern]) == 1:
+                exclusive.setdefault(id(sources_of[pattern][0]), []).append(pattern)
+        groups = [grouped for grouped in exclusive.values() if len(grouped) > 1]
+        together = {pattern for grouped in groups for pattern in grouped}
+        groups += [[pattern] for pattern in patterns if pattern not in together]
+        return [
+            RemoteScanNode(
+                grouped,
+                sources_of[grouped[0]],
+                min(
+                    federation._pattern_estimate(pattern, sources_of[pattern])
+                    for pattern in grouped
+                ),
+                federation.counters,
+            )
+            for grouped in groups
+        ]
+
+    def _join(self, node, best, pending, budget, outer=False, condition=()) -> PlanNode:
+        """A connected lone pattern joins through a batched bind join
+        (which ships ``UNDEF`` for an unbound key, so it needs no
+        compatibility join); everything else joins at the mediator
+        through the shared selection — disconnected inputs by one fetch
+        each and a cross product."""
+        if (
+            not outer
+            and _lone_pattern(best)
+            and any(name in node.slot_of for name in best.variables)
+        ):
+            return RemoteBindJoinNode(
+                node,
+                best.patterns[0],
+                best.sources,
+                self._join_estimate(node, best),
+                batch_size=self.federation.bind_join_batch_size,
+                counters=self.federation.counters,
+            )
+        return super()._join(node, best, pending, budget, outer, condition)
+
+    def _join_estimate(self, left: PlanNode, candidate: PlanNode) -> int:
+        shared = [name for name in candidate.variables if name in left.slot_of]
+        if not shared or not _lone_pattern(candidate):
+            return super()._join_estimate(left, candidate)
+        distinct = max(
+            self.federation._distinct_estimate(
+                candidate.patterns[0], name, candidate.sources
+            )
+            for name in shared
+        )
+        if distinct <= 0:
+            distinct = max(candidate.est_rows, 1)
+        return max(1, left.est_rows * candidate.est_rows // distinct)

@@ -44,8 +44,8 @@ order.  ``maybe_unbound()`` is the subset not guaranteed to be bound in
 every solution (UNION branches that skip a variable, UNDEF cells,
 OPTIONAL extensions).  Physical planners use the distinction: joining
 on a maybe-unbound variable needs SPARQL compatibility semantics, which
-a hash join over IDs cannot express, so those shapes fall back to the
-backtracking evaluator.
+a hash join over IDs cannot express, so those joins get the row-wise
+compatibility operators.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term
-from ..rdf.triples import TriplePattern
-from .ast_nodes import Expression, GraphPattern, OrderCondition, Query
+from ..rdf.triples import Binding, TriplePattern
+from .ast_nodes import Expression, GraphPattern, OrderCondition, Query, ValuesClause
 
 __all__ = [
     "AlgebraNode",
@@ -73,6 +73,7 @@ __all__ = [
     "Slice",
     "translate_group",
     "translate_query",
+    "bind_group",
     "normalize",
     "conjuncts",
     "algebra_text",
@@ -151,10 +152,14 @@ class Join(AlgebraNode):
 
 @dataclass
 class LeftJoin(AlgebraNode):
-    """Left outer join (OPTIONAL): right-side bindings may be absent."""
+    """Left outer join (OPTIONAL): right-side bindings may be absent.
+
+    ``group`` is the OPTIONAL's own syntax, kept for the planner that
+    must evaluate it per left row (:func:`bind_group`)."""
 
     left: AlgebraNode
     right: AlgebraNode
+    group: Optional[GraphPattern] = None
 
     def variables(self) -> Tuple[str, ...]:
         return _merge_names(self.left.variables(), self.right.variables())
@@ -217,10 +222,12 @@ class Minus(AlgebraNode):
 
 @dataclass
 class ValuesTable(AlgebraNode):
-    """Inline solution rows; ``None`` cells are UNDEF."""
+    """Inline solution rows; ``None`` cells are UNDEF.  ``pinned``
+    marks a table :func:`bind_group` injected (it is never metered)."""
 
     names: Tuple[str, ...]
     rows: Tuple[Tuple[Optional[Term], ...], ...]
+    pinned: bool = False
 
     def variables(self) -> Tuple[str, ...]:
         return self.names
@@ -345,31 +352,63 @@ class Slice(AlgebraNode):
 # ----------------------------------------------------------------------
 
 
-def translate_group(group: GraphPattern, include_optionals: bool = True) -> AlgebraNode:
+def translate_group(group: GraphPattern) -> AlgebraNode:
     """Translate one group graph pattern into a logical algebra tree.
 
     Operator order within a group (this engine's documented subset
-    semantics, matched by both execution paths): the basic graph
-    pattern joins with VALUES tables and UNION blocks, filters apply,
-    MINUS groups subtract, and OPTIONALs extend last.
-
-    ``include_optionals=False`` stops before the LeftJoin wrapping —
-    the shape physical planners compile, with OPTIONAL application left
-    to the evaluator (it runs per base solution).
+    semantics, matched by the engine and the tests' reference solver):
+    the basic graph pattern joins with VALUES tables and UNION blocks,
+    filters apply, MINUS groups subtract, and OPTIONALs extend last.
     """
     node: AlgebraNode = BGP(list(group.patterns))
     for clause in group.values:
-        node = Join(node, ValuesTable(tuple(clause.variables), tuple(clause.rows)))
+        node = Join(
+            node, ValuesTable(tuple(clause.variables), tuple(clause.rows), clause.pinned)
+        )
     for branches in group.unions:
         node = Join(node, Union([translate_group(branch) for branch in branches]))
     for expr in group.filters:
         node = Filter(expr, node)
     for minus in group.minuses:
         node = Minus(node, translate_group(minus))
-    if include_optionals:
-        for optional in group.optionals:
-            node = LeftJoin(node, translate_group(optional))
+    for optional in group.optionals:
+        node = LeftJoin(node, translate_group(optional), optional)
     return node
+
+
+def bind_group(group: GraphPattern, solution: Binding) -> GraphPattern:
+    """Copy ``group`` with ``solution`` pinned, as a one-row VALUES
+    table, at every level that reads one of its variables.
+
+    This is how an OPTIONAL sees its base solution from inside: the
+    per-solution left join plans the bound copy, so filters and patterns
+    nested in the group's own UNION branches and OPTIONALs read the
+    outer bindings.  MINUS groups stay untouched — they are evaluated
+    uncorrelated — but the level they subtract from pins what they bind.
+    """
+    bound = GraphPattern(
+        patterns=list(group.patterns),
+        filters=list(group.filters),
+        optionals=[bind_group(optional, solution) for optional in group.optionals],
+        unions=[
+            [bind_group(branch, solution) for branch in branches]
+            for branches in group.unions
+        ],
+        minuses=list(group.minuses),
+        values=list(group.values),
+    )
+    read: List[str] = []
+    for part in group.patterns + group.filters:
+        read.extend(part.variables())
+    for clause in group.values:
+        read.extend(clause.variables)
+    for minus in group.minuses:
+        read.extend(minus.variables())
+    shared = tuple(name for name in dict.fromkeys(read) if name in solution)
+    if shared:
+        row = tuple(solution[name] for name in shared)
+        bound.values.append(ValuesClause(shared, (row,), pinned=True))
+    return bound
 
 
 def translate_query(query: Query) -> AlgebraNode:
@@ -452,7 +491,7 @@ def normalize(node: AlgebraNode) -> AlgebraNode:
             return Empty()
         if isinstance(right, Empty):
             return left
-        return LeftJoin(left, right)
+        return LeftJoin(left, right, node.group)
     if isinstance(node, Filter):
         child = normalize(node.child)
         if isinstance(child, Empty):

@@ -150,11 +150,13 @@ class ValuesClause:
 
     ``rows`` holds one tuple per data row, aligned with ``variables``;
     ``None`` marks an ``UNDEF`` cell (the variable stays unbound in that
-    solution).
+    solution).  ``pinned`` marks a base solution's bindings injected by
+    :func:`~repro.sparql.algebra.bind_group`, not written in the query.
     """
 
     variables: Tuple[str, ...]
     rows: Tuple[Tuple[Optional[Term], ...], ...]
+    pinned: bool = False
 
     def bindings(self) -> List[dict]:
         """The block as solution mappings (UNDEF cells omitted)."""

@@ -32,19 +32,24 @@ Plan nodes
 * :class:`MinusNode` — anti-join on IDs implementing SPARQL MINUS
   compatibility (drop a left row when a right row agrees on at least
   one shared bound variable and disagrees on none).
-* :class:`ValuesScanNode` — an inline VALUES table, interned into the
-  store dictionary at plan time so downstream joins stay in ID space.
+* :class:`ValuesScanNode` — an inline VALUES table, translated to IDs
+  at plan time so downstream joins stay in ID space (``Unit()`` — one
+  empty row — is the empty group).
 * :class:`CompatJoinNode` / :class:`LeftJoinNode` — row-wise joins with
-  full compatibility semantics, used by the federation (whose remote
-  operators live in :mod:`repro.federation.remote` and compose with
-  the ones here through the same two contracts) and, the outer one, by
-  an OPTIONAL joining on a maybe-unbound variable.
+  full compatibility semantics, for a key a UNION branch, an ``UNDEF``
+  cell or an earlier OPTIONAL may leave unbound.
+* :class:`CorrelatedLeftJoinNode` — OPTIONAL evaluated once per left
+  row with that row's bindings, where the group must see its base
+  solution from inside or a whole-group join would not fit the budget.
 
 OPTIONAL compiles to a hash or bind join with ``outer=True`` — the
-inner joins' selection, the group's own filters as the join condition
-(``docs/query-planning.md`` has which shapes are declined and why).
+inner joins' selection, the group's own filters as the join condition.
 FILTERs and join conditions run through :class:`_ColumnFilter`, once
-per distinct key of their variables' columns.
+per distinct key of their variables' columns.  The planner is total:
+``docs/query-planning.md`` has the table of shape → operator → why it
+is sound, and the federation compiles through a subclass of it
+(:mod:`repro.federation.fedx`; its remote operators compose with the
+ones here through the same two contracts).
 
 Cost model
 ----------
@@ -53,13 +58,8 @@ Scan cardinalities come from the backend's free estimates
 cardinalities divide by the distinct-subject/object counts collected in
 :meth:`~repro.store.TripleStore.predicate_stats_ids`.  Planning is
 greedy left-deep: start from the most selective input, repeatedly
-join the connected input with the smallest estimated output.  Shapes
-the ID-space operators cannot express — fully concrete patterns
-(existence checks), a disconnected pattern join graph, an inner join
-keyed on a variable some UNION branch or UNDEF cell may leave unbound,
-an OPTIONAL that must see its base solution's bindings from inside —
-return ``None`` and the evaluator falls back to the term-space
-backtracking path, which implements full compatibility semantics.
+join the connected input with the smallest estimated output (inputs
+that share no variable cross-join through a keyless hash join).
 
 ``explain_plan`` renders the tree for the EXPLAIN surface wired through
 :class:`~repro.sparql.evaluator.QueryEvaluator`, the endpoint, the
@@ -68,11 +68,12 @@ server, the federation, and the CLI (see ``docs/query-planning.md``).
 
 from __future__ import annotations
 
+import threading
 from array import array
 from itertools import chain, compress, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..rdf.terms import Variable
+from ..rdf.terms import Term, Variable
 from ..rdf.triples import TriplePattern
 from ..store.dictionary import NO_ID
 from ..store.triplestore import CostMeter, TripleStore
@@ -86,12 +87,13 @@ from .algebra import (
     Minus as LogicalMinus,
     Union as LogicalUnion,
     ValuesTable,
+    bind_group,
     conjuncts,
     normalize,
     translate_group,
 )
 from .ast_nodes import Expression, GraphPattern
-from .errors import ExpressionError
+from .errors import ExpressionError, SparqlError
 from .functions import effective_boolean_value, evaluate_expression
 
 __all__ = [
@@ -106,6 +108,7 @@ __all__ = [
     "ValuesScanNode",
     "CompatJoinNode",
     "LeftJoinNode",
+    "CorrelatedLeftJoinNode",
     "QueryPlanner",
     "explain_plan",
     "joins_on_maybe_unbound",
@@ -125,7 +128,9 @@ IdRow = Tuple[Optional[int], ...]
 
 #: The unbound-slot sentinel inside batch columns.  ``array('q')`` can
 #: only hold integers, and no valid dictionary ID is negative, so ``-1``
-#: plays the role ``None`` plays in :data:`IdRow` tuples.
+#: plays the role ``None`` plays in :data:`IdRow` tuples.  IDs below it
+#: are query-local: VALUES terms the store never interned
+#: (:meth:`QueryPlanner._term_id`, decoded by :meth:`PlanNode.decoder`).
 UNBOUND = -1
 
 #: Rows per :class:`Batch` on the columnar path.  Matches the storage
@@ -281,6 +286,12 @@ class _ColumnFilter:
             verdicts[key] = self._evaluate((key,) if len(slots) == 1 else key)
         return list(map(verdicts.__getitem__, keys))
 
+    def passes(self, row: IdRow) -> bool:
+        """The verdict for one row tuple (``None`` marks unbound)."""
+        return self._evaluate(
+            tuple(UNBOUND if row[slot] is None else row[slot] for slot in self.slots)
+        )
+
     def _evaluate(self, cells: Tuple[int, ...]) -> bool:
         decode = self.decode
         binding = {
@@ -307,9 +318,12 @@ class PlanNode:
     est_rows: int
     filters: List[Expression]
     #: Variables that may be ``None`` in produced rows (propagated from
-    #: UNION / UNDEF inputs).  Joins keyed on these need compatibility
-    #: semantics and are left to the backtracking fallback.
+    #: UNION / UNDEF / OPTIONAL inputs).  Joins keyed on these need
+    #: compatibility semantics (:class:`CompatJoinNode`).
     maybe_unbound: frozenset
+    #: The planner's query-local terms, handed to every node of a plan
+    #: that has any; ID ``-2 - i`` is ``local_terms[i]``.
+    local_terms: Sequence[Term] = ()
 
     def __init__(self, variables: Tuple[str, ...], est_rows: int) -> None:
         self.variables = variables
@@ -323,6 +337,17 @@ class PlanNode:
         self.slot_of: Dict[str, int] = {name: i for i, name in enumerate(variables)}
 
     # -- execution -----------------------------------------------------
+
+    def decoder(self, store: TripleStore):
+        """The cell → term function for this plan's rows: the
+        dictionary's own C-level lookup, or — only when the plan carries
+        query-local terms (``terms[-2]`` is a valid index) — one that
+        resolves those first."""
+        terms = store.dictionary.terms.__getitem__
+        local = self.local_terms
+        if not local:
+            return terms
+        return lambda cell: terms(cell) if cell >= 0 else local[-2 - cell]
 
     def batches(
         self,
@@ -421,10 +446,8 @@ class PlanNode:
     ) -> Iterator[Batch]:
         """Apply FILTERs column-wise (:class:`_ColumnFilter`), gathering
         only the batches some row of which fails."""
-        kernels = [
-            _ColumnFilter(expr, self.slot_of, store.decode_id)
-            for expr in self.filters
-        ]
+        decode = self.decoder(store)
+        kernels = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.filters]
         for batch in batches:
             columns, length = batch.columns, batch.length
             for kernel in kernels:
@@ -484,6 +507,9 @@ class ScanNode(PlanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         s, p, o = self.probe
+        if not self.variables:
+            # A fully concrete pattern: one existence probe, one empty row.
+            return (Batch((), 1) for _ in store.match_ids(s, p, o, meter))
         fetch, pairs = self._fetch_positions()
         return self._project_batches(
             store.match_columns(s, p, o, fetch, meter, batch_size), pairs
@@ -567,17 +593,18 @@ class ShardScanNode(ScanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         s, p, o = self.probe
-        if NO_ID in (s, p, o):
-            return
         backend = store.backend
         shards = getattr(backend, "shards", None)
-        if shards is None:
+        if shards is None or not self.variables:
             # Planned against a sharded store, executed against a plain
             # one (plan objects can outlive a store swap): degrade to the
-            # ordinary scan rather than failing.
+            # ordinary scan rather than failing.  So does the existence
+            # probe, which is one metered ``match_ids`` on any store.
             yield from ScanNode._produce_batches(
                 self, store, meter, batch_size, tracer
             )
+            return
+        if NO_ID in (s, p, o):
             return
         if s is not None:
             index = backend.shard_of(s)
@@ -957,10 +984,8 @@ class HashJoinNode(PlanNode):
                     table[key] = [residual]
                 else:
                     bucket.append(residual)
-        condition = [
-            _ColumnFilter(expr, self.slot_of, store.decode_id)
-            for expr in self.condition
-        ]
+        decode = self.decoder(store)
+        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             selection: List[int] = []
             residual_rows: List[Tuple[int, ...]] = []
@@ -989,7 +1014,7 @@ class HashJoinNode(PlanNode):
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.keys)
-        return f"LeftJoin(on {keys or '-'})" if self.outer else f"HashJoin(on {keys})"
+        return f"{'LeftJoin' if self.outer else 'HashJoin'}(on {keys or '-'})"
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
@@ -1056,10 +1081,8 @@ class BindJoinNode(PlanNode):
         checks = self.checks
         match_ids = store.match_ids
         outer = self.outer
-        condition = [
-            _ColumnFilter(expr, self.slot_of, store.decode_id)
-            for expr in self.condition
-        ]
+        decode = self.decoder(store)
+        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             selection: List[int] = []
             fresh: List[List[int]] = [[] for _ in positions]
@@ -1094,39 +1117,18 @@ class BindJoinNode(PlanNode):
 class ValuesScanNode(PlanNode):
     """An inline VALUES table as a leaf operator.
 
-    Terms are translated to dictionary IDs at construction so rows live
-    in the same ID space as every other operator.  By default the
-    translation is a read-only ``lookup`` — the shared local store must
-    never be mutated (or, on SQLite, written) from the query path, and
-    ``TermDictionary.encode`` is not safe under the HTTP server's
-    concurrent planning.  A term the store has never seen sets
-    ``has_unknown_terms`` and the local planner falls back to the
-    term-space evaluator, which handles such rows exactly.
-
-    The federation passes ``intern=True``: its mediator store is fresh
-    and private to one query execution, so interning remote/inline
-    terms there is safe and gives every unknown term a real ID.
-    ``None`` cells (UNDEF) stay ``None``.
+    ``id_rows`` are the table's rows already in the plan's ID space —
+    the planner translates the terms (:meth:`QueryPlanner._term_id`), so
+    the shared local store is never written from the query path.
+    ``None`` cells (UNDEF) stay ``None``.  ``charged=False`` is a base
+    solution's bindings pinned into an OPTIONAL group: free, as the
+    reference solver's initial bindings are.
     """
 
-    def __init__(self, store: TripleStore, names: Tuple[str, ...],
-                 term_rows: Sequence[Tuple[object, ...]],
-                 intern: bool = False) -> None:
-        translate = store.dictionary.encode if intern else store.term_id
-        self.has_unknown_terms = False
-        id_rows: List[IdRow] = []
-        for row in term_rows:
-            cells: List[Optional[int]] = []
-            for term in row:
-                if term is None:
-                    cells.append(None)
-                    continue
-                term_id = translate(term)
-                if term_id == NO_ID:
-                    self.has_unknown_terms = True
-                cells.append(term_id)
-            id_rows.append(tuple(cells))
-        self.id_rows = id_rows
+    def __init__(self, names: Tuple[str, ...], id_rows: Sequence[IdRow],
+                 charged: bool = True) -> None:
+        self.id_rows = list(id_rows)
+        self.charged = charged
         super().__init__(tuple(names), len(self.id_rows))
         self.maybe_unbound = frozenset(
             name for position, name in enumerate(names)
@@ -1140,7 +1142,7 @@ class ValuesScanNode(PlanNode):
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
-        charge = meter.charge if meter is not None else None
+        charge = meter.charge if meter is not None and self.charged else None
         width = len(self.variables)
         id_rows = self.id_rows
         for start in range(0, len(id_rows), batch_size):
@@ -1323,15 +1325,24 @@ class CompatJoinNode(PlanNode):
     Used where a shared variable may be unbound on either side — a hash
     join's equality keying would treat "unbound" as a value, but SPARQL
     says an unbound variable is compatible with anything and the merged
-    solution takes the bound side's value.  The local planner avoids
-    this shape by falling back to the term-space evaluator; the
-    federation, which has no backtracking fallback, uses this operator.
-    Materializes the right input.
+    solution takes the bound side's value.  Materializes the right
+    input.
     """
 
-    def __init__(self, left: PlanNode, right: PlanNode, est_rows: int) -> None:
+    #: Left rows with no compatible right row pass through padded
+    #: (:class:`LeftJoinNode`) instead of being dropped.
+    outer = False
+
+    def __init__(
+        self,
+        left: PlanNode,
+        right: PlanNode,
+        est_rows: int,
+        condition: Sequence[Expression] = (),
+    ) -> None:
         self.left = left
         self.right = right
+        self.condition = list(condition)
         self.shared = tuple(name for name in right.variables if name in left.slot_of)
         self.left_shared_slots = tuple(left.slot_of[name] for name in self.shared)
         self.right_shared_slots = tuple(right.slot_of[name] for name in self.shared)
@@ -1339,15 +1350,15 @@ class CompatJoinNode(PlanNode):
         self.right_residual_slots = tuple(right.slot_of[name] for name in residual)
         super().__init__(left.variables + tuple(residual), est_rows)
         self.maybe_unbound = left.maybe_unbound | right.maybe_unbound
-
-    #: Left rows with no compatible right row pass through padded
-    #: (:class:`LeftJoinNode`) instead of being dropped.
-    outer = False
+        if self.outer:
+            self.maybe_unbound |= frozenset(residual)
 
     def _produce(self, store: TripleStore, meter: Optional[CostMeter], tracer) -> Iterator[IdRow]:
         right_rows = list(self.right.rows(store, meter, tracer=tracer))
         charge = meter.charge if meter is not None else None
         pad = (None,) * len(self.right_residual_slots)
+        decode = self.decoder(store)
+        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
         for lrow in self.left.rows(store, meter, tracer=tracer):
             matched = False
             for rrow in right_rows:
@@ -1356,41 +1367,103 @@ class CompatJoinNode(PlanNode):
                 )
                 if merged is None:
                     continue
+                merged += tuple(rrow[slot] for slot in self.right_residual_slots)
+                if not all(kernel.passes(merged) for kernel in condition):
+                    continue
                 matched = True
                 if charge is not None:
                     charge(1)
-                yield merged + tuple(rrow[slot] for slot in self.right_residual_slots)
+                yield merged
             if self.outer and not matched:
                 yield lrow + pad
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.shared) or "-"
-        return f"CompatJoin(on {keys})"
+        return f"{'LeftJoin' if self.outer else 'CompatJoin'}(on {keys})"
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
 
 
 class LeftJoinNode(CompatJoinNode):
-    """Left outer variant of :class:`CompatJoinNode` (OPTIONAL).
-
-    A left row with no compatible right row passes through with the
-    right-only slots unbound.  Used by the federation for OPTIONALs
-    nested inside UNION/MINUS branches, where no per-solution
-    correlation point exists — the right side is evaluated once,
-    independently, per the SPARQL LeftJoin algebra.
+    """Left outer variant of :class:`CompatJoinNode`: OPTIONAL on a
+    maybe-unbound key.  A left row with no compatible right row that
+    passes ``condition`` (the OPTIONAL group's own filters, evaluated on
+    the merged row) passes through with the right-only slots unbound.
     """
 
     outer = True
 
-    def __init__(self, left: PlanNode, right: PlanNode, est_rows: int) -> None:
-        super().__init__(left, right, est_rows)
-        residual = self.variables[len(left.variables):]
-        self.maybe_unbound = self.maybe_unbound | set(residual)
+
+class CorrelatedLeftJoinNode(PlanNode):
+    """OPTIONAL evaluated once per left row, with that row's bindings.
+
+    The one per-solution operator: for a group that must see its base
+    solution from inside (a nested filter, OPTIONAL or MINUS reading an
+    outer variable), or whose whole-group join would not fit the budget
+    where probing per solution may — and the federation's choice for a
+    group's own OPTIONALs.  Each left row is pinned into the group
+    (:func:`~repro.sparql.algebra.bind_group`), the bound copy is
+    planned by the planner that built this node — directly: a fresh
+    group per row must not churn a plan cache — and its rows are merged
+    back; a left row nothing extends comes back once, padded.  The pinned
+    tables are unmetered, so the operator costs what the reference
+    solver's per-solution extension costs.
+
+    ``template`` is the group planned unbound: what EXPLAIN shows under
+    the operator, the source of its output slots; it never runs.
+    """
+
+    def __init__(
+        self,
+        planner: "QueryPlanner",
+        left: PlanNode,
+        template: PlanNode,
+        group: GraphPattern,
+        budget: Optional[int],
+        est_rows: int,
+    ) -> None:
+        self.planner = planner
+        self.left = left
+        self.template = template
+        self.group = group
+        self.budget = budget
+        self.shared = tuple(name for name in template.variables if name in left.slot_of)
+        fresh = tuple(name for name in template.variables if name not in left.slot_of)
+        super().__init__(left.variables + fresh, est_rows)
+        self.est_cost = left.est_cost + est_rows  # probes charge per candidate
+        self.maybe_unbound = left.maybe_unbound | frozenset(fresh)
+
+    def _produce(self, store: TripleStore, meter: Optional[CostMeter], tracer) -> Iterator[IdRow]:
+        decode = self.decoder(store)
+        names = self.left.variables
+        pad = (None,) * (len(self.variables) - len(names))
+        for lrow in self.left.rows(store, meter, tracer=tracer):
+            solution = {
+                name: decode(cell) for name, cell in zip(names, lrow) if cell is not None
+            }
+            bound = self.planner.plan(bind_group(self.group, solution), self.budget)
+            slots = [self.slot_of[name] for name in bound.variables]
+            matched = False
+            for rrow in bound.rows(store, meter):
+                merged = list(lrow + pad)
+                for slot, cell in zip(slots, rrow):
+                    if merged[slot] is None:
+                        merged[slot] = cell
+                    elif cell is not None and merged[slot] != cell:
+                        break
+                else:
+                    matched = True
+                    yield tuple(merged)
+            if not matched:
+                yield lrow + pad
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.shared) or "-"
-        return f"LeftJoin(on {keys})"
+        return f"CorrelatedLeftJoin(on {keys})"
+
+    def children(self) -> Sequence[PlanNode]:
+        return (self.left, self.template)
 
 
 def _merge_shared(
@@ -1402,10 +1475,7 @@ def _merge_shared(
     """Compatibility-merge one row pair over their shared slots.
 
     Returns the left row with unbound shared cells filled from the
-    right, or ``None`` when two bound cells clash.  The single merge
-    implementation behind :class:`CompatJoinNode` and
-    :class:`LeftJoinNode`, so inner- and outer-join compatibility can
-    never diverge.
+    right, or ``None`` when two bound cells clash.
     """
     cells: Optional[List[Optional[int]]] = None
     for lslot, rslot in zip(left_slots, right_slots):
@@ -1421,35 +1491,30 @@ def _merge_shared(
 
 
 class QueryPlanner:
-    """Compiles normalized logical algebra into physical plans.
+    """Compiles normalized logical algebra into physical plans — one
+    for every group the parser accepts.
 
-    The shared optimizer of the four-stage pipeline: every consumer
-    (local evaluation, federation mediation, HTTP serving) plans
-    through this class.  BGP conjunctions become left-deep
-    hash/bind-join trees; UNION, MINUS and VALUES compile to their
-    dedicated operators.
+    The one compiler of the four-stage pipeline: local evaluation plans
+    through this class as it is, the federation through a subclass that
+    supplies only what is federated (its leaves, its join choice, its
+    estimates, interning into its mediator store).  BGP conjunctions
+    become left-deep join trees; UNION, MINUS, VALUES and OPTIONAL
+    compile to their dedicated operators.
+
+    One instance serves one query: it owns the query-local IDs of the
+    VALUES terms the store never interned (:meth:`_term_id`), shared by
+    the plan and the sub-plans a :class:`CorrelatedLeftJoinNode` builds
+    while it runs.
     """
 
     def __init__(self, store: TripleStore) -> None:
         self.store = store
+        self.local_terms: List[Term] = []
+        self._local_ids: Dict[Term, int] = {}
+        self._local_lock = threading.Lock()
 
-    def plan(
-        self,
-        group: GraphPattern,
-        budget: Optional[int] = None,
-        optionals: bool = True,
-    ) -> Optional[PlanNode]:
-        """Plan one group graph pattern, its OPTIONALs included
-        (``optionals=False`` plans the base alone — what the evaluator's
-        per-solution fallback extends when the full plan declines).
-
-        Returns ``None`` when the group needs the backtracking
-        fallback: an empty basic group, fully concrete patterns
-        (existence checks), a disconnected pattern join graph, a join
-        keyed on a variable UNION/UNDEF may leave unbound, or an
-        OPTIONAL whose correlated evaluation an algebraic left join
-        cannot reproduce (:func:`_uncorrelated`) or cannot afford
-        under ``budget``.
+    def plan(self, group: GraphPattern, budget: Optional[int] = None) -> PlanNode:
+        """Plan one group graph pattern, its OPTIONALs included.
 
         ``budget`` is the caller's cost-meter budget, if any.  Hash
         joins pay a full scan of the build pattern up front; on a
@@ -1457,110 +1522,132 @@ class QueryPlanner:
         budget a selective probe sequence would never have touched, so
         a hash join is only chosen while its estimated metered cost
         still fits the budget with a 2x margin — beyond that the
-        planner stays on bind joins, whose cost profile matches the
-        seed backtracker's.
+        planner stays on bind joins (and, for an OPTIONAL group of
+        several patterns, on the per-solution operator), whose cost
+        profile is the reference solver's.
         """
-        root = normalize(translate_group(group, include_optionals=optionals))
-        if isinstance(root, BGP) and not root.patterns:
-            # The unit group: the backtracker's "yield the initial
-            # binding" path is already exact (and EXPLAIN says Empty()).
-            return None
-        return self.compile(root, budget)
+        return self.compile(normalize(translate_group(group)), budget)
 
-    def compile(self, node: AlgebraNode, budget: Optional[int] = None) -> Optional[PlanNode]:
-        """Compile one normalized logical node; ``None`` = fallback."""
+    def compile(self, node: AlgebraNode, budget: Optional[int] = None) -> PlanNode:
+        """Compile one normalized logical tree, and hand the plan the
+        query-local terms its VALUES tables introduced, if any."""
+        root = self._compile(node, budget)
+        if self.local_terms:
+            _hand_down(root, self.local_terms)
+        return root
+
+    def _compile(self, node: AlgebraNode, budget: Optional[int]) -> PlanNode:
         filters, core = _strip_filters(node)
-        compiled = self._compile_core(core, filters, budget)
-        return compiled
+        return self._compile_core(core, filters, budget)
 
     def _compile_core(
         self,
         core: AlgebraNode,
         pending: List[Expression],
         budget: Optional[int],
-    ) -> Optional[PlanNode]:
-        store = self.store
-        if isinstance(core, Empty):
-            return self._finish(ValuesScanNode(store, (), ()), pending)
-        if isinstance(core, ValuesTable):
-            node = ValuesScanNode(store, core.names, core.rows)
-            if node.has_unknown_terms:
-                # A VALUES term the store never interned has no ID; the
-                # term-space fallback carries the original terms.
-                return None
-            return self._finish(node, pending)
-        if isinstance(core, LogicalUnion):
-            branches = []
-            for branch in core.branches:
-                compiled = self.compile(branch, budget)
-                if compiled is None:
-                    return None
-                branches.append(compiled)
-            return self._finish(UnionNode(branches), pending)
-        if isinstance(core, LogicalMinus):
-            left = self.compile(core.left, budget)
-            if left is None:
-                return None
-            right = self.compile(core.right, budget)
-            if right is None:
-                return None
-            return self._finish(MinusNode(left, right), pending)
+    ) -> PlanNode:
         if isinstance(core, (BGP, LogicalJoin)):
             return self._compile_conjunction(conjuncts(core), pending, budget)
-        if isinstance(core, LogicalLeftJoin):
-            node = self._compile_left_join(core, budget)
-            return None if node is None else self._finish(node, pending)
-        return None  # solution modifiers are the evaluator's tail
-
-    def _compile_left_join(
-        self, core: LogicalLeftJoin, budget: Optional[int]
-    ) -> Optional[PlanNode]:
-        """OPTIONAL as a left outer join: the group's own filters become
-        the join condition on the merged row, the join itself goes
-        through the inner joins' selection (:meth:`_join`), or through
-        the compatibility :class:`LeftJoinNode` where a shared variable
-        may be unbound on either side."""
-        condition, right_core = _strip_filters(core.right)
-        if not _uncorrelated(right_core, frozenset(core.left.variables())):
-            return None
-        left = self.compile(core.left, budget)
-        right = None if left is None else self._compile_core(right_core, [], budget)
-        if right is None:
-            return None
-        if joins_on_maybe_unbound(left, right):
-            if condition:
-                return None  # the compatibility join takes no condition
-            joined: PlanNode = LeftJoinNode(left, right, left.est_rows)
-            joined.est_cost = left.est_cost + right.est_cost + left.est_rows
-        else:
-            joined = self._join(
-                left, right, [], budget, self.store.predicate_stats_ids(),
-                outer=True, condition=condition,
+        if isinstance(core, Empty):
+            node: PlanNode = ValuesScanNode((), ())
+        elif isinstance(core, ValuesTable):
+            term_id = self._term_id
+            node = ValuesScanNode(
+                core.names,
+                [
+                    tuple(None if term is None else term_id(term) for term in row)
+                    for row in core.rows
+                ],
+                charged=not core.pinned,
             )
-        if (
+        elif isinstance(core, LogicalUnion):
+            node = UnionNode([self._compile(branch, budget) for branch in core.branches])
+        elif isinstance(core, LogicalMinus):
+            node = MinusNode(
+                self._compile(core.left, budget), self._compile(core.right, budget)
+            )
+        elif isinstance(core, LogicalLeftJoin):
+            node = self._compile_left_join(core, budget)
+        else:  # solution modifiers are the evaluator's tail
+            raise SparqlError(f"{core.label()} is not a group operator")
+        node.filters.extend(pending)
+        return node
+
+    def _term_id(self, term: Term) -> int:
+        """The ID a VALUES term joins under.  The query path never
+        writes to the store dictionary, so a term the store never
+        interned gets a query-local ID below :data:`UNBOUND`: distinct
+        unknown terms stay distinct, equal ones join, none matches a
+        stored triple, and :meth:`PlanNode.decoder` resolves them."""
+        term_id = self.store.term_id(term)
+        if term_id == NO_ID:
+            # Two threads may run one cached plan, and a per-solution
+            # operator in it plans through this planner: allocate under
+            # a lock so an ID is never handed out twice.
+            with self._local_lock:
+                term_id = self._local_ids.get(term)
+                if term_id is None:
+                    term_id = self._local_ids[term] = -2 - len(self.local_terms)
+                    self.local_terms.append(term)
+        return term_id
+
+    def _compile_left_join(self, core: LogicalLeftJoin, budget: Optional[int]) -> PlanNode:
+        """OPTIONAL as a left outer join: the group's own filters become
+        the join condition on the merged row and the join goes through
+        the inner joins' selection (:meth:`_join`) — unless the group
+        has to run per left row (:meth:`_correlates`)."""
+        condition, right_core = _strip_filters(core.right)
+        left = self._compile(core.left, budget)
+        right = self._compile_core(right_core, [], budget)
+        joined = self._join(left, right, [], budget, outer=True, condition=condition)
+        if core.group is not None and self._correlates(core, joined, budget):
+            right.filters.extend(condition)
+            return CorrelatedLeftJoinNode(
+                self, left, right, core.group, budget, joined.est_rows
+            )
+        return joined
+
+    def _correlates(
+        self, core: LogicalLeftJoin, joined: PlanNode, budget: Optional[int]
+    ) -> bool:
+        """Whether an OPTIONAL runs per left row instead of as
+        ``joined``: it must see its base solution from inside
+        (:func:`_uncorrelated`), or evaluating the whole group once
+        would not fit the budget where probing it per base solution may
+        — the budget rule's bind join for a group of several patterns."""
+        right_core = _strip_filters(core.right)[1]
+        if not _uncorrelated(right_core, frozenset(core.left.variables())):
+            return True
+        return (
             budget is not None
             and not isinstance(joined, BindJoinNode)
             and joined.est_cost * 2 > budget
-        ):
-            # Evaluating the whole group once would not fit where probing
-            # it per base solution may: leave it to the fallback, the
-            # budget rule's bind join for a group of several patterns.
-            return None
-        return joined
+        )
 
-    def _finish(self, node: PlanNode, pending: List[Expression]) -> PlanNode:
-        """Attach any stripped filters to a finished operator."""
-        node.filters.extend(pending)
-        return node
+    def _scans(self, patterns: List[TriplePattern]) -> List[PlanNode]:
+        """One leaf per triple pattern.  Sharded stores get the
+        plan-visible scatter-gather scan; it is execution-identical but
+        renders fan-out and records per-shard row counts under the
+        tracer."""
+        store = self.store
+        scan_cls = (
+            ShardScanNode if getattr(store.backend, "shards", None) is not None
+            else ScanNode
+        )
+        return [
+            scan_cls(store, pattern, store.cardinality_estimate(pattern))
+            for pattern in patterns
+        ]
 
     def _compile_conjunction(
         self,
         parts: List[AlgebraNode],
         pending: List[Expression],
         budget: Optional[int],
-    ) -> Optional[PlanNode]:
-        """Greedy left-deep join over patterns and compiled sub-plans."""
-        store = self.store
+    ) -> PlanNode:
+        """Greedy left-deep join over patterns and compiled sub-plans:
+        start from the most selective input, repeatedly add the
+        connected input with the smallest estimated join output."""
         patterns: List[TriplePattern] = []
         leaves: List[PlanNode] = []
         pending = list(pending)
@@ -1570,66 +1657,33 @@ class QueryPlanner:
                 patterns.extend(part_core.patterns)
                 pending.extend(part_filters)
             else:
-                leaf = self._compile_core(part_core, part_filters, budget)
-                if leaf is None:
-                    return None
-                leaves.append(leaf)
-        patterns = list(dict.fromkeys(patterns))
-        if any(not pattern.variables() for pattern in patterns):
-            return None  # fully concrete patterns are existence checks
-        if not patterns and not leaves:
-            return None
-        stats = store.predicate_stats_ids()
-        # Sharded stores get the plan-visible scatter-gather scan; it is
-        # execution-identical but renders fan-out and records per-shard
-        # row counts under the tracer.
-        scan_cls = (
-            ShardScanNode if getattr(store.backend, "shards", None) is not None
-            else ScanNode
-        )
-        candidates: List[PlanNode] = [
-            scan_cls(store, pattern, store.cardinality_estimate(pattern))
-            for pattern in patterns
-        ] + leaves
+                leaves.append(self._compile_core(part_core, part_filters, budget))
+        candidates = self._scans(list(dict.fromkeys(patterns))) + leaves
+        if not candidates:
+            candidates = [ValuesScanNode((), ((),))]  # the empty group: one empty row
 
         node: PlanNode = min(candidates, key=lambda c: c.est_rows)
         candidates.remove(node)
-        self._attach_filters(node, pending)
+        attach_ready_filters(node, pending)
 
         while candidates:
             connected = [
                 candidate for candidate in candidates
                 if any(name in node.slot_of for name in candidate.variables)
             ]
-            if not connected:
-                if any(isinstance(c, ScanNode) for c in candidates):
-                    return None  # pattern cartesian corner: backtracker's
-                # Disjoint VALUES/UNION tables: an explicit cross
-                # product (keyless hash join) is small and well-defined.
-                best = min(candidates, key=lambda c: c.est_rows)
-                candidates.remove(best)
-                est_cost = node.est_cost
-                node = HashJoinNode(
-                    node, best, (), max(1, node.est_rows) * max(1, best.est_rows)
+            if connected:
+                best = min(
+                    connected, key=lambda candidate: self._join_estimate(node, candidate)
                 )
-                node.est_cost = est_cost
-                self._attach_filters(node, pending)
-                continue
-            best = min(
-                connected,
-                key=lambda candidate: self._join_estimate(node, candidate, stats),
-            )
+            else:
+                # Disconnected inputs cross-join: one scan per input.
+                best = min(candidates, key=lambda c: c.est_rows)
             candidates.remove(best)
-            if joins_on_maybe_unbound(node, best):
-                # The term-space fallback has compatibility semantics,
-                # the ID-space hash join does not.
-                return None
-            node = self._join(node, best, pending, budget, stats)
-            self._attach_filters(node, pending)
+            node = self._join(node, best, pending, budget)
+            attach_ready_filters(node, pending)
 
         # Filters whose variables never appear in any input evaluate
-        # against an unbound binding at the root: error -> row dropped,
-        # exactly like the seed's last-depth assignment.
+        # against an unbound binding at the root: error -> row dropped.
         node.filters.extend(pending)
         return node
 
@@ -1639,53 +1693,53 @@ class QueryPlanner:
         best: PlanNode,
         pending: List[Expression],
         budget: Optional[int],
-        stats: Dict[int, Tuple[int, int, int]],
         outer: bool = False,
         condition: Sequence[Expression] = (),
     ) -> PlanNode:
-        """The one join selection, inner and outer: bind join while the
-        accumulated side is :data:`BIND_JOIN_FACTOR` times smaller than
-        a scan of ``best`` or a hash join would not fit ``budget``,
-        hash join otherwise."""
+        """The one join selection, inner and outer: the compatibility
+        join where a shared variable may be unbound on either side; a
+        bind join while the accumulated side is :data:`BIND_JOIN_FACTOR`
+        times smaller than a scan of ``best`` or a hash join would not
+        fit ``budget``; a hash join otherwise (keyless — the cross
+        product — for inputs that share nothing)."""
         keys = tuple(name for name in best.variables if name in node.slot_of)
-        est = self._join_estimate(node, best, stats)
+        est = self._join_estimate(node, best)
         if outer:
             est = max(est, node.est_rows)  # every left row comes back
-        hash_cost = node.est_cost + best.est_rows + est
-        prefer_bind = (
-            isinstance(best, ScanNode)
-            and node.est_rows * BIND_JOIN_FACTOR < best.est_rows
-        )
-        over_budget = budget is not None and hash_cost * 2 > budget
-        if isinstance(best, ScanNode) and (prefer_bind or over_budget):
-            joined: PlanNode = BindJoinNode(
-                self.store, node, best.pattern, est, outer, condition
+        if joins_on_maybe_unbound(node, best):
+            attach_ready_filters(best, pending)
+            joined: PlanNode = (LeftJoinNode if outer else CompatJoinNode)(
+                node, best, est, condition
             )
+            joined.est_cost = node.est_cost + best.est_cost + est
+            return joined
+        hash_cost = node.est_cost + best.est_rows + est
+        if keys and isinstance(best, ScanNode) and (
+            node.est_rows * BIND_JOIN_FACTOR < best.est_rows
+            or (budget is not None and hash_cost * 2 > budget)
+        ):
+            joined = BindJoinNode(self.store, node, best.pattern, est, outer, condition)
             # Probes charge per produced candidate.
             joined.est_cost = node.est_cost + est
         else:
             # Push single-input filters below the build side so the
             # hash table only holds rows that can survive.
-            self._attach_filters(best, pending)
+            attach_ready_filters(best, pending)
             joined = HashJoinNode(node, best, keys, est, outer, condition)
             joined.est_cost = hash_cost
         return joined
 
     # -- cost model ----------------------------------------------------
 
-    def _join_estimate(
-        self,
-        left: PlanNode,
-        candidate: PlanNode,
-        stats: Dict[int, Tuple[int, int, int]],
-    ) -> int:
+    def _join_estimate(self, left: PlanNode, candidate: PlanNode) -> int:
         shared = [name for name in candidate.variables if name in left.slot_of]
+        if not shared:
+            return max(1, left.est_rows) * max(1, candidate.est_rows)  # the product
         if not isinstance(candidate, ScanNode):
             # VALUES/UNION inputs: assume near-unique keys, so the join
             # output tracks the larger input.
-            if shared:
-                return max(left.est_rows, candidate.est_rows)
-            return max(1, left.est_rows) * max(1, candidate.est_rows)
+            return max(left.est_rows, candidate.est_rows)
+        stats = self.store.predicate_stats_ids()
         distinct = 1
         for name in shared:
             distinct = max(distinct, self._distinct_values(candidate, name, stats))
@@ -1713,13 +1767,12 @@ class QueryPlanner:
             return max(distinct_o, 1)
         return max(scan.est_rows, 1)
 
-    # -- filter placement ----------------------------------------------
 
-    @staticmethod
-    def _attach_filters(node: PlanNode, pending: List[Expression]) -> None:
-        """See :func:`attach_ready_filters` — one implementation serves
-        the local and the federated planner."""
-        attach_ready_filters(node, pending)
+def _hand_down(node: PlanNode, local_terms: Sequence[Term]) -> None:
+    """Give every node of a plan the planner's query-local terms."""
+    node.local_terms = local_terms
+    for child in node.children():
+        _hand_down(child, local_terms)
 
 
 def _strip_filters(node: AlgebraNode) -> Tuple[List[Expression], AlgebraNode]:
@@ -1734,8 +1787,7 @@ def _strip_filters(node: AlgebraNode) -> Tuple[List[Expression], AlgebraNode]:
 def _uncorrelated(node: AlgebraNode, outer: frozenset) -> bool:
     """True when an OPTIONAL group evaluated once, on its own, extends
     every base solution exactly as evaluating it per solution with that
-    solution's bindings (``outer``) does — the term-space
-    ``_apply_optionals``.
+    solution's bindings (``outer``) does — the reference semantics.
 
     They can differ only where a binding would have reached *inside*
     the group: a filter below its top level (pushed into, or written
@@ -1768,7 +1820,7 @@ def joins_on_maybe_unbound(left: PlanNode, right: PlanNode) -> bool:
 
 def attach_ready_filters(node: PlanNode, pending: List[Expression]) -> None:
     """Attach every pending filter whose variables are *certainly*
-    bound by ``node`` (shared by the local and federated planners).
+    bound by ``node``.
 
     A variable that is merely maybe-unbound must wait: evaluating the
     filter against an UNDEF row here would drop it, while a later

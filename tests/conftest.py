@@ -12,39 +12,31 @@ import pytest
 from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.data import DatasetConfig, build_dataset
 from repro.data.questions import QUESTIONS
-from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult
 from repro.sparql.trace import Tracer
 from repro.store import CostMeter
 
+from reference_solver import solve_group
 from reference_tail import reference_finalize
-
-
-class _TermSpaceOnly(QueryEvaluator):
-    """A planner that declines every group, so nested groups (UNION
-    branches, MINUS) reach the term-space solver too."""
-
-    def _plan_group(self, group, budget, tracer=None, optionals=True):
-        return None
 
 
 @pytest.fixture(scope="session")
 def reference_solutions():
-    """``reference_solutions(store, query)``: the term-space solver's
-    solutions of the query's WHERE group, before any modifier — the
-    common input the columnar tail and ``reference_finalize`` are
-    compared on."""
+    """``reference_solutions(store, query, meter=None)``: the term-space
+    solver's solutions of the query's WHERE group
+    (``tests/reference_solver.py``), before any modifier — the common
+    input the columnar tail and ``reference_finalize`` are compared on."""
 
-    def solutions(store, query):
+    def solutions(store, query, meter=None):
         parsed = parse_query(query) if isinstance(query, str) else query
-        return list(_TermSpaceOnly(store)._solve_group(parsed.where, {}, CostMeter()))
+        return list(solve_group(store, parsed.where, {}, meter or CostMeter()))
 
     return solutions
 
 
 @pytest.fixture(scope="session")
-def reference_evaluate():
+def reference_evaluate(reference_solutions):
     """``reference_evaluate(store, query, meter=None)``: the executable
     reference semantics the batch engine is checked against — the
     term-space solver for the WHERE group (OPTIONALs per base
@@ -56,8 +48,7 @@ def reference_evaluate():
     def evaluate(store, query, meter=None):
         parsed = parse_query(query) if isinstance(query, str) else query
         meter = meter or CostMeter()
-        reference = _TermSpaceOnly(store)
-        solutions = list(reference._solve_group(parsed.where, {}, meter))
+        solutions = reference_solutions(store, parsed, meter)
         if parsed.form == "ASK":
             return AskResult(bool(solutions), cost=meter.cost)
         return reference_finalize(parsed, solutions, cost=meter.cost)

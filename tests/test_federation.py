@@ -8,7 +8,9 @@ import pytest
 from repro.endpoint import EndpointConfig, SparqlEndpoint
 from repro.federation import FederatedQueryProcessor
 from repro.federation.remote import RemoteBindJoinNode, RemoteScanNode
-from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple, TriplePattern, Variable
+from repro.rdf import (
+    DBO, DBR, FOAF, IRI, Literal, RDF_TYPE, RDFS_LABEL, Triple, TriplePattern, Variable,
+)
 from repro.sparql import HashJoinNode, MinusNode, SparqlError, UnionNode, evaluate, parse_query
 from repro.sparql.trace import Tracer
 from repro.store import TripleStore
@@ -427,3 +429,75 @@ class TestMemberErrorsAreCounted:
         asks = [span for span in tracer.finish().walk() if span.attrs.get("kind") == "ask"]
         assert [span.attrs.get("error") for span in asks] == ["EndpointTimeout", None]
         assert asks[1].attrs["held"] is False
+
+
+# ----------------------------------------------------------------------
+# One compiler: the split federation plans through the local planner
+# ----------------------------------------------------------------------
+
+EX = "PREFIX : <http://ex/> "
+
+
+class TestSplitFederationCompilesThroughTheSharedPlanner:
+    """Regression: the federation's own copy of the ``LeftJoin`` case
+    attached an OPTIONAL's filters to the right input, where the base
+    variable they read is unbound, so a split federation lost rows."""
+
+    QUERIES = [
+        "SELECT * WHERE { { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } } UNION { ?s :l ?o } }",
+        "SELECT * WHERE { { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z = ?s) } } UNION { ?s :l ?o } }",
+        "SELECT * WHERE { ?z :q ?w MINUS { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } } }",
+    ]
+
+    @pytest.fixture
+    def split(self):
+        def node(name):
+            return IRI("http://ex/" + name)
+
+        one = [Triple(node("a"), node("p"), node("b")), Triple(node("b"), node("p"), node("c"))]
+        two = [
+            Triple(node("a"), node("q"), node("c")), Triple(node("c"), node("q"), node("a")),
+            Triple(node("b"), node("q"), node("b")), Triple(node("a"), node("l"), Literal("x")),
+        ]
+        members = [
+            SparqlEndpoint(TripleStore(part), EndpointConfig.warehouse(), name=name)
+            for part, name in ((one, "one"), (two, "two"))
+        ]
+        return FederatedQueryProcessor(members), TripleStore(one + two)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_local_federation_and_reference_agree(
+        self, split, query, reference_evaluate, maybe_tracer
+    ):
+        federation, merged = split
+        assert federation.single_source(parse_query(EX + query)) is None
+        expected = bag_of(reference_evaluate(merged, EX + query))
+        assert bag_of(evaluate(merged, EX + query)) == expected
+        assert bag_of(federation.run(EX + query, tracer=maybe_tracer)) == expected
+
+    def test_the_condition_sees_the_base_variable(self, split):
+        federation, _ = split
+        result = federation.select(EX + self.QUERIES[0])
+        found = {
+            (row["s"].value[-1], row["o"].value[-1]): row["z"].value[-1]
+            for row in result.rows if "z" in row
+        }
+        assert found == {("a", "b"): "b", ("b", "c"): "a"}
+        assert [row["z"].value[-1] for row in federation.select(EX + self.QUERIES[2]).rows] == ["c"]
+        plan = federation.explain(EX + self.QUERIES[0])
+        assert "LeftJoin(on ?o)" in plan and "condition((?z != ?s))" in plan
+
+    def test_explain_has_one_vocabulary(self, split):
+        """A group's own OPTIONAL is the per-solution operator in the
+        tree — over the base plan and the group's plan — not a second
+        section; the empty group is the unit table."""
+        federation, _ = split
+        plan = federation.explain(
+            EX + "SELECT * WHERE { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } }"
+        )
+        lines = plan.split("plan:\n", 1)[1].splitlines()
+        assert lines[0].startswith("  CorrelatedLeftJoin(on ?o)  [est=2, rows]")
+        assert lines[1].startswith("    RemoteScan(?s <http://ex/p> ?o @ one)")
+        assert lines[2].startswith("    RemoteScan(?o <http://ex/q> ?z @ two)")
+        assert "filter((?z != ?s))" in lines[2] and "per base solution" not in plan
+        assert federation.explain("SELECT * WHERE { }").endswith("plan:\n  Unit()  [est=1, batch]")

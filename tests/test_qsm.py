@@ -236,6 +236,66 @@ class TestGraphExpander:
         assert all(p != RDF_TYPE for _, p, _ in edges)
 
 
+class TestRelaxerQueriesArePlanned:
+    """The two shapes ``StructureRelaxer`` sends that the planner used
+    to decline — counts, not timings."""
+
+    @pytest.mark.parametrize("scale", ["tiny", "small"])
+    def test_seed_batch_costs_its_rows_not_a_store_scan(self, scale, tiny_dataset):
+        """``?s ?p ?v VALUES ?v {…}`` with the user's misspelled literal
+        (unknown to the store) among the seeds is one index probe per
+        seed: its metered cost is bounded by what it returns, not by
+        (|VALUES| + 1) x triples."""
+        from repro import EndpointConfig, SparqlEndpoint
+        from repro.data import DatasetConfig, build_dataset
+
+        dataset = tiny_dataset if scale == "tiny" else build_dataset(DatasetConfig.small())
+        endpoint = SparqlEndpoint(dataset.store, EndpointConfig(timeout_s=1.0), name="budgeted")
+        seeds = [
+            Literal("Viking Press", lang="en"), Literal("Tom Hanks", lang="en"),
+            Literal("Kennedy", lang="en"), Literal("Kennedys", lang="en"),  # never stored
+            dataset.iri("Jack_Kerouac"), dataset.iri("New_York_City"),
+        ]
+        assert dataset.store.term_id(seeds[3]) < 0 <= min(map(dataset.store.term_id, seeds[:3]))
+        expander = GraphExpander(endpoint.select, budget=10)
+        expander.expand_many(seeds)
+        assert expander.queries_used == 2 and len(endpoint.log) == 2
+        for entry, n_values in zip(endpoint.log, (6, 2)):
+            assert entry.outcome == "ok" and entry.rows > 0
+            assert entry.cost < 1_000
+            assert entry.cost <= 4 * (entry.rows + n_values)
+        # The batch is memoized: every seed expands for free, the unseen one to nothing.
+        assert [bool(expander.expand(seed)) for seed in seeds] == [True, True, True, False, True, True]
+        assert expander.queries_used == 2
+
+    def test_stars_meeting_only_in_constants_are_keyless_hash_joins(
+        self, store, reference_evaluate
+    ):
+        from repro.sparql.evaluator import QueryEvaluator
+        from repro.sparql.plan import HashJoinNode, QueryPlanner
+
+        query = parse_query(
+            'SELECT ?a ?g ?b ?t ?w WHERE { ?a foaf:surname "Kennedy"@en . ?a foaf:givenName ?g . '
+            '?b rdfs:label "Viking Press"@en . ?b a ?t . '
+            '?c foaf:name "Tom Hanks"@en . ?c dbo:spouse ?w }'
+        )
+
+        def walk(node):
+            yield node
+            for child in node.children():
+                yield from walk(child)
+
+        plan = QueryPlanner(store).plan(query.where)
+        joins = [node for node in walk(plan) if isinstance(node, HashJoinNode) and not node.keys]
+        assert len(joins) == 2 and all(join.label() == "HashJoin(on -)" for join in joins)
+
+        def bag(result):
+            return sorted(sorted((k, v.n3()) for k, v in row.items()) for row in result.rows)
+
+        result = QueryEvaluator(store).evaluate(query)
+        assert len(result.rows) >= 12 and bag(result) == bag(reference_evaluate(store, query))
+
+
 class TestRelaxation:
     def test_figure6_kerouac_viking(self, server):
         """The paper's flagship example: broken structure repaired by the

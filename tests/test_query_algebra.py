@@ -14,6 +14,7 @@ from repro.sparql.algebra import (
     Union,
     ValuesTable,
     algebra_text,
+    bind_group,
     conjuncts,
     normalize,
     translate_group,
@@ -24,12 +25,12 @@ V = Variable
 P = TriplePattern
 
 
-def translate(text, include_optionals=True):
-    return translate_group(parse_query(text).where, include_optionals)
+def translate(text):
+    return translate_group(parse_query(text).where)
 
 
-def norm(text, include_optionals=True):
-    return normalize(translate(text, include_optionals))
+def norm(text):
+    return normalize(translate(text))
 
 
 class TestTranslation:
@@ -48,13 +49,31 @@ class TestTranslation:
         assert len(node.left.branches) == 2
 
     def test_optional_becomes_left_join(self):
-        node = norm("SELECT * WHERE { ?s a dbo:A OPTIONAL { ?s a dbo:B } }")
+        query = parse_query("SELECT * WHERE { ?s a dbo:A OPTIONAL { ?s a dbo:B } }")
+        node = normalize(translate_group(query.where))
         assert isinstance(node, LeftJoin)
-        node = norm(
-            "SELECT * WHERE { ?s a dbo:A OPTIONAL { ?s a dbo:B } }",
-            include_optionals=False,
-        )
-        assert isinstance(node, BGP)
+        # The OPTIONAL's own syntax rides along (and survives normalize):
+        # the per-solution operator binds it row by row.
+        assert node.group is query.where.optionals[0]
+
+    def test_bind_group_pins_every_level_that_reads_the_solution(self):
+        group = parse_query(
+            "SELECT * WHERE { ?s a dbo:A OPTIONAL { ?s dbo:p ?x "
+            "{ ?x dbo:q ?y FILTER (?l = ?y) } UNION { ?z a dbo:B } "
+            "OPTIONAL { ?y dbo:r ?l } MINUS { ?m a dbo:C } MINUS { ?l a dbo:C } } }"
+        ).where.optionals[0]
+        solution = {"s": DBR.S, "l": DBR.L, "unread": DBR.U}
+        bound = bind_group(group, solution)
+        pins = lambda g: [(c.variables, c.rows) for c in g.values if c.pinned]  # noqa: E731
+        # The level itself reads ?s (a pattern) and ?l (a MINUS binds it).
+        assert pins(bound) == [(("s", "l"), ((DBR.S, DBR.L),))]
+        first, second = bound.unions[0]
+        assert pins(first) == [(("l",), ((DBR.L,),))] and pins(second) == []
+        assert pins(bound.optionals[0]) == [(("l",), ((DBR.L,),))]
+        assert bound.minuses == group.minuses  # uncorrelated: untouched
+        assert not group.values and not group.unions[0][0].values  # a copy
+        table = normalize(translate_group(bound.optionals[0]))
+        assert any(isinstance(part, ValuesTable) and part.pinned for part in conjuncts(table))
 
     def test_translate_query_wraps_modifiers(self):
         node = translate_query(parse_query(

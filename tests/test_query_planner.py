@@ -4,8 +4,9 @@ The planner must be invisible semantically — every query returns the
 same row multiset as the term-space reference
 (the ``reference_evaluate`` fixture) on both storage backends — while
 choosing the operators the cost model promises (hash joins for broad
-star/chain patterns, bind joins for selective probes, fallback for the
-shapes it cannot cover).
+star/chain patterns, bind joins for selective probes, a keyless hash
+join, an existence scan or the unit table for the shapes that used to
+be declined).
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.sparql import (
     HashJoinNode,
     QueryPlanner,
     ScanNode,
+    ValuesScanNode,
     explain_plan,
     parse_query,
 )
@@ -62,6 +64,12 @@ def planned_store(request, tiny_dataset):
     store = TripleStore(tiny_dataset.store.triples(), backend=SQLiteBackend(":memory:"))
     yield store
     store.close()
+
+
+def _walk(plan):
+    yield plan
+    for child in plan.children():
+        yield from _walk(child)
 
 
 class TestParity:
@@ -111,21 +119,45 @@ class TestPlanShapes:
         assert isinstance(plan.left, ScanNode)
         assert plan.left.est_rows <= 1
 
-    def test_cartesian_group_falls_back(self, store):
-        planner = QueryPlanner(store)
-        group = parse_query(
-            "SELECT * WHERE { ?a foaf:name ?n . ?b dbo:country ?k }"
-        ).where
-        assert planner.plan(group) is None
+    def test_cartesian_group_is_a_keyless_hash_join(self, planned_store, reference_evaluate):
+        """Each side is scanned once; the product is the reference's."""
+        query = parse_query(
+            "SELECT * WHERE { ?a dbo:capital ?n . ?b dbo:country ?k . ?b a dbo:City }"
+        )
+        plan = QueryPlanner(planned_store).plan(query.where)
+        keyless = [node for node in _walk(plan) if isinstance(node, HashJoinNode) and not node.keys]
+        assert len(keyless) == 1 and "HashJoin(on -)" in explain_plan(plan)
+        planned = QueryEvaluator(planned_store).evaluate(query)
+        assert planned.rows and _key(planned) == _key(reference_evaluate(planned_store, query))
 
-    def test_empty_group_falls_back(self, store):
-        assert QueryPlanner(store).plan(parse_query("SELECT * WHERE { }").where) is None
+    def test_empty_group_is_the_unit_table(self, store, reference_evaluate):
+        query = parse_query("SELECT * WHERE { }")
+        plan = QueryPlanner(store).plan(query.where)
+        assert isinstance(plan, ValuesScanNode) and plan.label() == "Unit()"
+        assert QueryEvaluator(store).evaluate(query).rows == [{}]
+        assert reference_evaluate(store, query).rows == [{}]
+        assert QueryEvaluator(store).evaluate(parse_query("ASK { }")).value
 
-    def test_fully_concrete_pattern_falls_back(self, store):
-        group = parse_query(
-            'SELECT ?w WHERE { <http://dbpedia.org/resource/x> a dbo:Person . ?t dbo:spouse ?w }'
-        ).where
-        assert QueryPlanner(store).plan(group) is None
+    @pytest.mark.parametrize("subject, held", [("Tom_Hanks", True), ("x", False)])
+    def test_fully_concrete_pattern_is_an_existence_scan(
+        self, planned_store, subject, held, reference_evaluate
+    ):
+        """One metered probe, one empty row or none, cross-joined in."""
+        query = parse_query(
+            f"SELECT ?w WHERE {{ dbr:{subject} a dbo:Person . dbr:Tom_Hanks dbo:spouse ?w }}"
+        )
+        plan = QueryPlanner(planned_store).plan(query.where)
+        probe = next(
+            node for node in _walk(plan) if isinstance(node, ScanNode) and not node.variables
+        )
+        meter = CostMeter()
+        assert [b.length for b in probe.batches(planned_store, meter)] == [1] * held
+        assert meter.cost == 1
+        planned = QueryEvaluator(planned_store).evaluate(query)
+        assert bool(planned.rows) is held
+        assert _key(planned) == _key(reference_evaluate(planned_store, query))
+        ask = parse_query(f"ASK {{ dbr:{subject} a dbo:Person }}")
+        assert QueryEvaluator(planned_store).evaluate(ask).value is held
 
     def test_unknown_term_plans_to_empty_result(self, store):
         result = QueryEvaluator(store).evaluate(parse_query(
@@ -255,27 +287,44 @@ class TestExplainSurfaces:
         assert "HashJoin(on ?s)" in text
         assert "Scan(" in text and "est=" in text
 
-    def test_explain_reports_fallback(self, store):
-        text = QueryEvaluator(store).explain(
-            "SELECT * WHERE { ?a foaf:name ?n . ?b dbo:country ?k }"
+    def test_explain_has_one_vocabulary(self, store):
+        """Every group prints operator lines: the shapes that used to
+        print ``Backtrack(...)``, ``TermSpaceFallback:`` or ``Empty()``
+        are a keyless hash join, an existence scan, a compatibility
+        join and the unit table."""
+        evaluator = QueryEvaluator(store)
+        text = evaluator.explain("SELECT * WHERE { ?a foaf:name ?n . ?b dbo:country ?k }")
+        assert text.splitlines()[1].startswith("HashJoin(on -)  [est=")
+        text = evaluator.explain("SELECT ?n WHERE { dbr:Tom_Hanks a dbo:Person . ?s foaf:name ?n }")
+        assert "\n  Scan(<http://dbpedia.org/resource/Tom_Hanks> " in text
+        text = evaluator.explain(
+            'SELECT * WHERE { ?p foaf:name ?n VALUES (?p ?n) { (dbr:Tom_Hanks UNDEF) } }'
         )
-        assert "Backtrack(" in text
+        assert "CompatJoin(on ?p, ?n)" in text and ", rows]" in text
+        assert evaluator.explain("SELECT * WHERE { }").splitlines()[1:] == ["Unit()  [est=1, batch]"]
+        for line in text.splitlines()[1:]:
+            assert line.lstrip()[0].isupper() and "  [est=" in line
 
-    def test_explain_lists_optionals(self, store):
-        """A planned OPTIONAL is a left join in the tree; ``Optional:``
-        is printed only for one the planner declined (here a nested
-        OPTIONAL reading ``?n`` past the group that would bind it),
-        which the backtracker then runs per base solution."""
+    def test_explain_shows_optionals_as_operators(self, store):
+        """A planned OPTIONAL is a left join in the tree; one that must
+        see its base solution from inside (here a nested OPTIONAL
+        reading ``?n`` past the group that would bind it) is the
+        per-solution operator, over the base plan and the group's plan
+        — no ``Optional:`` section either way."""
         evaluator = QueryEvaluator(store)
         text = evaluator.explain(
             "SELECT * WHERE { ?s a dbo:Person OPTIONAL { ?s dbo:spouse ?w } }"
         )
-        assert "LeftJoin(on ?s)" in text and "Optional:" not in text
+        assert "LeftJoin(on ?s)" in text and "Correlated" not in text
         text = evaluator.explain(
             "SELECT * WHERE { ?s a dbo:Person . ?s foaf:name ?n "
             "OPTIONAL { ?s dbo:spouse ?w OPTIONAL { ?w foaf:name ?n } } }"
         )
-        assert "Optional:" in text and "Backtrack(" in text and "LeftJoin" not in text
+        lines = text.splitlines()
+        assert lines[1].startswith("CorrelatedLeftJoin(on ?s, ?n)  [est=") and ", rows]" in lines[1]
+        assert lines[2].startswith("  HashJoin(on ?s)")
+        assert any(line.startswith("  LeftJoin(on ?w)") for line in lines)
+        assert "Optional:" not in text and "Backtrack(" not in text
 
     def test_endpoint_explain_uses_its_budget(self, store):
         """An endpoint's EXPLAIN must show the strategy its own budget
@@ -303,6 +352,37 @@ class TestExplainSurfaces:
             'FILTER (STRSTARTS(STR(?n), "K")) }'
         ).where)
         assert "filter(" in explain_plan(plan)
+
+    def test_the_relaxer_shapes_print_a_plan_on_every_surface(self, store, endpoint, server, capsys):
+        """The CI smoke, in process: a ``VALUES`` table with a literal
+        the store never saw and two stars that share only a literal
+        print operator lines through the evaluator, the endpoint, the
+        server, the protocol and the CLI alike."""
+        from repro.cli import main
+        from repro.net import HttpSparqlEndpoint, SparqlHttpServer
+
+        shapes = {
+            'SELECT DISTINCT * WHERE { ?s ?p ?v VALUES ?v { "Kennedys"@en "Tom Hanks"@en } }':
+                ("BindJoin(?s ?p ?v)", "  ValuesScan(?v x2)"),
+            'SELECT * WHERE { ?a foaf:surname "Kennedy"@en . ?a foaf:givenName ?g . '
+            '?b foaf:surname "Kennedy"@en . ?b dbo:birthPlace ?c }':
+                ("HashJoin(on ?b)", "  HashJoin(on -)"),
+        }
+        http = SparqlHttpServer(endpoint).start()
+        try:
+            surfaces = [
+                QueryEvaluator(store).explain, endpoint.explain, server.explain,
+                HttpSparqlEndpoint(http.url).explain,
+            ]
+            for text, operators in shapes.items():
+                assert main(["explain", text]) == 0
+                dumps = [capsys.readouterr().out] + [explain(text) for explain in surfaces]
+                for dump in dumps:
+                    for operator in operators:
+                        assert f"\n{operator}" in dump, dump
+                    assert "Backtrack" not in dump and "Fallback" not in dump
+        finally:
+            http.stop()
 
     def test_cli_explain_command(self, capsys):
         from repro.cli import main

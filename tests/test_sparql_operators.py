@@ -3,21 +3,27 @@ as a planned left outer join, the one columnar GROUP BY / ORDER BY
 tail, the multi-key join kernel and the column FILTER kernel.
 
 Everything is held to the executable reference — the term-space solver
-plus the row-at-a-time ``reference_finalize`` (``tests/reference_tail.py``)
-— on memory, SQLite and sharded stores, traced and untraced.  Unordered
-answers compare as multisets; the tail compares rows *and order*, on
-the same input solutions, in both of its cell spaces.
+(``tests/reference_solver.py``) plus the row-at-a-time
+``reference_finalize`` (``tests/reference_tail.py``) — on memory, SQLite
+and sharded stores, traced and untraced.  Unordered answers compare as
+multisets; the tail compares rows *and order*, on the same input
+solutions, in both of its cell spaces.  The planner is total: the
+shapes it used to decline plan, and equal the reference, here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_solver import apply_optionals
 from reference_tail import reference_finalize
+from repro.endpoint import EndpointConfig, SparqlEndpoint
+from repro.federation import FederatedQueryProcessor
 from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable
 from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.evaluator import QueryEvaluator, finalize_solutions
@@ -25,12 +31,17 @@ from repro.sparql.parser import parse_query
 from repro.sparql.plan import (
     Batch,
     BindJoinNode,
+    CompatJoinNode,
+    CorrelatedLeftJoinNode,
     HashJoinNode,
     LeftJoinNode,
+    PlanNode,
     QueryPlanner,
     ScanNode,
     UNBOUND,
     UnionNode,
+    ValuesScanNode,
+    explain_plan,
 )
 from repro.sparql.tail import finish_columns
 from repro.store import CostMeter, SQLiteBackend, TripleStore
@@ -185,20 +196,71 @@ OPTIONAL_QUERIES = {
     ),
 }
 
-#: Correlated and algebraic evaluation can differ: the planner declines
-#: and the per-solution fallback answers, as before.
-DECLINED_QUERIES = {
+#: Every shape the planner used to decline, with the operator that
+#: answers it now (``docs/query-planning.md`` has why each is sound).
+FORMERLY_DECLINED = {
+    "unit group": ("SELECT * WHERE { }", ValuesScanNode),
+    "unit group under a filter": ("SELECT * WHERE { FILTER (1 < 2) }", ValuesScanNode),
+    "concrete pattern that holds": (
+        f"SELECT ?l WHERE {{ <{EX}i0> <{EX}in> <{EX}c0> . ?i <{EX}label> ?l }}", ScanNode
+    ),
+    "concrete pattern that does not hold": (
+        f"SELECT ?l WHERE {{ <{EX}i0> <{EX}in> <{EX}c1> . ?i <{EX}label> ?l }}", ScanNode
+    ),
+    "concrete pattern over a term the store never saw": (
+        f"SELECT ?l WHERE {{ <{EX}i0> <{EX}in> <{EX}never> . ?i <{EX}label> ?l }}", ScanNode
+    ),
+    "cartesian pair": (
+        f"SELECT * WHERE {{ ?i <{EX}in> <{EX}c0> . ?c <{EX}name> ?n }}", HashJoinNode
+    ),
+    "three stars that meet only in constants": (
+        f"SELECT * WHERE {{ ?a <{EX}label> \"apple\" . ?a <{EX}in> ?c . "
+        f"?b <{EX}label> \"banana\" . ?b <{EX}score> ?v . ?k <{EX}name> \"alpha\" }}",
+        HashJoinNode,
+    ),
+    "UNDEF join key": (
+        f"SELECT * WHERE {{ ?i <{EX}label> ?l "
+        f"VALUES (?i ?l) {{ (<{EX}i0> UNDEF) (UNDEF \"banana\") (<{EX}i1> \"apple\") }} }}",
+        CompatJoinNode,
+    ),
+    "UNION-skipped join key": (
+        f"SELECT * WHERE {{ {{ ?i <{EX}in> ?c }} UNION {{ ?i <{EX}label> ?l }} "
+        f"{{ ?c <{EX}name> ?n }} UNION {{ ?i <{EX}score> ?c }} }}",
+        CompatJoinNode,
+    ),
+    "unknown VALUES terms": (
+        f"SELECT * WHERE {{ ?i <{EX}label> ?l VALUES ?l {{ \"nope\" \"apple\" <{EX}never> }} }}",
+        ValuesScanNode,
+    ),
+    "unknown VALUES terms that reach the answer": (
+        f"SELECT ?v ?l WHERE {{ VALUES ?v {{ \"nope\" <{EX}never> <{EX}i2> }} "
+        f"OPTIONAL {{ ?v <{EX}label> ?l }} FILTER (ISIRI(?v) || STRLEN(?v) = 4) }}",
+        ValuesScanNode,
+    ),
+    "repeated unknown VALUES term": (
+        f"SELECT * WHERE {{ VALUES ?v {{ \"nope\" \"nada\" \"nope\" }} "
+        f"VALUES (?v ?w) {{ (\"nope\" 1) (\"nix\" 2) (\"nada\" \"nope\") }} }}",
+        ValuesScanNode,
+    ),
     "nested optional reads past its group": (
         f"SELECT ?i ?l ?c WHERE {{ ?i <{EX}label> ?l "
-        f"OPTIONAL {{ ?i <{EX}in> ?c OPTIONAL {{ ?c <{EX}name> ?l }} }} }}"
+        f"OPTIONAL {{ ?i <{EX}in> ?c OPTIONAL {{ ?c <{EX}name> ?l }} }} }}",
+        CorrelatedLeftJoinNode,
     ),
     "branch filter reads an outer variable": (
         f"SELECT ?i ?l ?x WHERE {{ ?i <{EX}label> ?l OPTIONAL {{ "
-        f"{{ ?i <{EX}score> ?x FILTER (?l = \"apple\") }} UNION {{ ?i <{EX}in> ?x }} }} }}"
+        f"{{ ?i <{EX}score> ?x FILTER (?l = \"apple\") }} UNION {{ ?i <{EX}in> ?x }} }} }}",
+        CorrelatedLeftJoinNode,
+    ),
+    "nested minus subtracts on an outer variable": (
+        f"SELECT ?i ?c ?x WHERE {{ ?i <{EX}in> ?c "
+        f"OPTIONAL {{ ?i <{EX}label> ?x MINUS {{ ?i a <{EX}Thing> . ?c <{EX}name> \"alpha\" }} }} }}",
+        CorrelatedLeftJoinNode,
     ),
     "condition on a maybe-unbound join key": (
         f"SELECT ?i ?c ?n WHERE {{ ?i a <{EX}Thing> OPTIONAL {{ ?i <{EX}in> ?c }} "
-        f"OPTIONAL {{ ?c <{EX}name> ?n FILTER (?n != \"beta\") }} }}"
+        f"OPTIONAL {{ ?c <{EX}name> ?n FILTER (?n != \"beta\") }} }}",
+        LeftJoinNode,
     ),
 }
 
@@ -217,13 +279,6 @@ class TestPlannedOptional:
     def test_batch_cuts_keep_rows(self, ops_store, name, batch_size, reference_evaluate):
         check(ops_store, OPTIONAL_QUERIES[name], reference_evaluate, batch_size=batch_size)
 
-    @pytest.mark.parametrize("name", DECLINED_QUERIES)
-    def test_declined_shapes_fall_back(self, ops_store, name, reference_evaluate, maybe_tracer):
-        text = DECLINED_QUERIES[name]
-        assert QueryPlanner(ops_store).plan(parse_query(text).where) is None
-        assert "Optional:" in QueryEvaluator(ops_store).explain(text)
-        check(ops_store, text, reference_evaluate, maybe_tracer)
-
     def test_both_join_strategies_and_the_compat_join_are_exercised(self, ops_store):
         """Hash and bind outer joins are the inner joins' selection
         (forced here by the budget rule), and a maybe-unbound key gets
@@ -241,15 +296,16 @@ class TestPlannedOptional:
     @pytest.mark.parametrize("budget", [None, 10])
     def test_hash_and_bind_agree(self, ops_store, budget, reference_evaluate):
         """Every planned shape, and under a budget that forces bind
-        joins (a group of several patterns is then declined: evaluating
-        it whole would not fit): plans straight off the planner,
-        decoded here."""
+        joins (a group of several patterns then runs per solution:
+        evaluating it whole would not fit): plans straight off the
+        planner, decoded here."""
         for name, text in OPTIONAL_QUERIES.items():
             query = parse_query(text)
             plan = QueryPlanner(ops_store).plan(query.where, budget=budget)
-            if budget is not None and plan is None:
+            per_solution = any(isinstance(node, CorrelatedLeftJoinNode) for node in walk(plan))
+            if per_solution:
+                assert budget is not None
                 assert name not in ("single pattern", "two independent", "adds no variable")
-                continue
             rows = sorted(
                 tuple(
                     (name, ops_store.decode_id(cell).n3())
@@ -309,14 +365,102 @@ class TestPlannedOptional:
         )
 
 
-class _PerSolutionOptionals(QueryEvaluator):
-    """The parent's evaluation of OPTIONAL: plan the base, extend each
-    base solution through the backtracker."""
+class TestPlannerIsTotal:
+    """What the planner used to decline plans, and equals the reference."""
 
-    def _plan_group(self, group, budget, tracer=None, optionals=True):
-        if optionals and group.optionals:
-            return None
-        return super()._plan_group(group, budget, tracer, optionals)
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    @pytest.mark.parametrize("name", FORMERLY_DECLINED)
+    def test_plans_and_matches_reference(
+        self, ops_store, name, batch_size, reference_evaluate, maybe_tracer
+    ):
+        text, operator = FORMERLY_DECLINED[name]
+        plan = QueryPlanner(ops_store).plan(parse_query(text).where)
+        assert isinstance(plan, PlanNode)
+        assert any(is_a(node, operator) for node in walk(plan)), explain_plan(plan)
+        check(ops_store, text, reference_evaluate, maybe_tracer, batch_size=batch_size)
+
+    def test_each_shape_gets_the_operator_that_is_sound_for_it(self, ops_store):
+        def nodes(name, operator):
+            plan = QueryPlanner(ops_store).plan(parse_query(FORMERLY_DECLINED[name][0]).where)
+            return [node for node in walk(plan) if is_a(node, operator)]
+
+        assert [node.label() for node in nodes("unit group", ValuesScanNode)] == ["Unit()"]
+        assert not nodes("concrete pattern that holds", ScanNode)[0].variables
+        assert [node.keys for node in nodes("cartesian pair", HashJoinNode)] == [()]
+        stars = nodes("three stars that meet only in constants", HashJoinNode)
+        assert sorted(node.keys for node in stars) == [(), (), ("a",), ("b",)]
+        (compat,) = nodes("UNDEF join key", CompatJoinNode)
+        assert compat.shared == ("i", "l")
+        (outer,) = nodes("condition on a maybe-unbound join key", LeftJoinNode)
+        assert outer.shared == ("c",) and len(outer.condition) == 1
+
+    def test_local_ids_never_reach_the_store_dictionary(self, ops_store):
+        """Distinct unknown terms stay distinct, equal ones share an ID
+        below ``UNBOUND``, the store dictionary does not grow, and only
+        a plan that has local terms pays for the general decoder."""
+        text = FORMERLY_DECLINED["repeated unknown VALUES term"][0]
+        before = len(ops_store.dictionary)
+        planner = QueryPlanner(ops_store)
+        plan = planner.plan(parse_query(text).where)
+        assert [term.lexical for term in planner.local_terms] == ["nope", "nada", "1", "nix", "2"]
+        tables = {
+            len(node.variables): node.id_rows
+            for node in walk(plan) if isinstance(node, ValuesScanNode)
+        }
+        assert tables == {1: [(-2,), (-3,), (-2,)], 2: [(-2, -4), (-5, -6), (-3, -2)]}
+        assert all(node.local_terms is planner.local_terms for node in walk(plan))
+        assert plan.decoder(ops_store)(-3) == Literal("nada")
+        result = QueryEvaluator(ops_store).evaluate(parse_query(text))
+        assert multiset(result) == sorted([
+            (("v", '"nada"'), ("w", '"nope"')),
+            (("v", '"nope"'), ("w", integer(1).n3())),
+            (("v", '"nope"'), ("w", integer(1).n3())),
+        ])
+        assert len(ops_store.dictionary) == before
+        known = QueryPlanner(ops_store).plan(parse_query(OPTIONAL_QUERIES["single pattern"]).where)
+        terms = ops_store.dictionary.terms
+        assert known.decoder(ops_store) == terms.__getitem__ and not known.local_terms
+
+    def test_query_evaluator_has_no_term_space_solver(
+        self, data_store, analytic_queries, gold_queries, reference_evaluate
+    ):
+        """The engine has one way to solve a group — the other one is
+        ``tests/reference_solver.py`` — and the eight analytic templates
+        and the 52 gold queries still get the reference's answers."""
+        import repro.sparql.evaluator as evaluator_module
+
+        for owner in (QueryEvaluator, evaluator_module):
+            assert not [
+                name for name in vars(owner)
+                if "term_space" in name or "backtrack" in name or "solve" in name
+                or name in ("_join_values", "_apply_optionals", "_order_patterns", "_PLAN_UNSET")
+            ]
+        evaluator = QueryEvaluator(data_store)
+        for text in analytic_queries + gold_queries:
+            result = evaluator.evaluate(parse_query(text))
+            if "LIMIT" not in text:
+                assert multiset(result) == multiset(reference_evaluate(data_store, text)), text
+
+
+def is_a(node, operator):
+    """``isinstance``, but the outer compatibility join is not the inner."""
+    return isinstance(node, operator) and (operator is not CompatJoinNode or not node.outer)
+
+
+def per_solution_reference(store, query, meter):
+    """The parent's evaluation of OPTIONAL: the planned base, each base
+    solution extended through the reference solver's
+    ``apply_optionals`` (with that solution as initial bindings)."""
+    base = dataclasses.replace(query.where, optionals=[])
+    plan = QueryPlanner(store).plan(base, meter.budget)
+    solutions = []
+    for row in plan.rows(store, meter):
+        solution = {
+            name: store.decode_id(cell) for name, cell in zip(plan.variables, row)
+            if cell is not None
+        }
+        solutions += apply_optionals(store, query.where.optionals, solution, meter)
+    return reference_finalize(query, solutions)
 
 
 @pytest.mark.parametrize("budget", [40, 150, 400, 2000, None])
@@ -324,11 +468,11 @@ def test_a_budget_that_fit_the_fallback_fits_the_plan(
     data_store, budget, analytic_queries, gold_queries
 ):
     """Nothing that fit its budget stops fitting: whatever budget the
-    per-solution fallback completes under, the planned query (the same
-    join selection, so bind joins — the fallback's own probe sequence —
-    where a hash join's scan would not fit) completes under too, with
-    the same answer; unbudgeted, a planned bind join costs what the
-    fallback cost."""
+    per-solution reference completes under, the planned query (the same
+    join selection, so bind joins or the per-solution operator — the
+    reference's own probe sequence — where a hash join's scan would not
+    fit) completes under too, with the same answer; without an outer
+    hash join in it, the plan costs what the reference cost."""
     optional_queries = [
         "SELECT ?s ?w WHERE { ?s a dbo:Person OPTIONAL { ?s dbo:spouse ?w } }",
         "SELECT ?s ?w ?n WHERE { ?s dbo:birthPlace dbr:New_York_City "
@@ -338,9 +482,11 @@ def test_a_budget_that_fit_the_fallback_fits_the_plan(
     fitted = 0
     for text in analytic_queries + gold_queries + optional_queries:
         query = parse_query(text)
+        if not query.where.optionals:
+            continue  # one engine: nothing else ever reached the fallback
         needed = CostMeter(budget)
         try:
-            expected = _PerSolutionOptionals(data_store).evaluate(query, needed)
+            expected = per_solution_reference(data_store, query, needed)
         except QueryAborted:
             continue
         fitted += 1
@@ -351,9 +497,7 @@ def test_a_budget_that_fit_the_fallback_fits_the_plan(
             pytest.fail(f"fits {budget} per solution ({needed.cost}), not planned: {text}")
         assert multiset(result) == multiset(expected)
         plan = QueryPlanner(data_store).plan(query.where, budget)
-        if plan is not None and not any(
-            isinstance(node, HashJoinNode) and node.outer for node in walk(plan)
-        ):
+        if not any(isinstance(node, HashJoinNode) and node.outer for node in walk(plan)):
             assert meter.cost == needed.cost, text
     assert fitted
 
@@ -584,30 +728,6 @@ class TestKernels:
 
 
 # ----------------------------------------------------------------------
-# Nothing on the served path leaves the batch engine
-# ----------------------------------------------------------------------
-
-
-def test_analytic_and_gold_queries_never_reach_term_space(
-    data_store, analytic_queries, gold_queries, reference_evaluate, monkeypatch
-):
-    """A count, not a timing: with the term-space solver and the
-    per-solution OPTIONAL extension made to raise, the eight analytic
-    templates and the 52 gold queries still answer."""
-    expected = [
-        multiset(reference_evaluate(data_store, text))
-        for text in analytic_queries + gold_queries
-    ]
-    monkeypatch.setattr(QueryEvaluator, "_solve_term_space", _raising)
-    monkeypatch.setattr(QueryEvaluator, "_apply_optionals", _raising)
-    evaluator = QueryEvaluator(data_store)
-    for text, rows in zip(analytic_queries + gold_queries, expected):
-        result = evaluator.evaluate(parse_query(text))
-        if "LIMIT" not in text:
-            assert multiset(result) == rows, text
-
-
-# ----------------------------------------------------------------------
 # Property: small graphs, queries from the four families
 # ----------------------------------------------------------------------
 
@@ -653,3 +773,98 @@ def _queries(draw):
 def test_engine_matches_reference_on_drawn_graphs(reference_evaluate, triples, drawn):
     text, ordered = drawn
     check(TripleStore(triples), text, reference_evaluate, ordered=ordered, batch_size=3)
+
+
+# ----------------------------------------------------------------------
+# Property: the seven formerly declined shapes, local and split-federated
+# ----------------------------------------------------------------------
+
+_node = st.sampled_from([node.n3() for node in _NODES])
+_value = st.sampled_from([value.n3() for value in _VALUES])
+_unknown = st.sampled_from(['"zz"', f"<{EX}zz>", '"yy"', "99"])
+
+
+@st.composite
+def _formerly_declined(draw):
+    """``(group text, budget)``: one of the seven shapes the planner
+    used to decline, with drawn predicates and constants."""
+    k1, k2, k3 = draw(_k), draw(_k), draw(_k)
+    node, value, unknown = draw(_node), draw(_value), draw(_unknown)
+    family = draw(st.sampled_from(
+        ["unit", "concrete", "cartesian", "maybe-unbound key", "unknown values",
+         "correlated", "budget"]
+    ))
+    budget = None
+    if family == "unit":
+        group = draw(st.sampled_from([
+            "", "FILTER (1 < 2)", f"OPTIONAL {{ ?a {k1} ?b }}", f"MINUS {{ ?a {k1} ?b }}",
+            f"{{ }} UNION {{ ?a {k1} ?b }}", "VALUES ?a { }",
+        ]))
+    elif family == "concrete":
+        group = draw(st.sampled_from([
+            f"{node} {k1} {value}", f"{node} {k1} {value} . ?a {k2} ?b",
+            f"{node} {k1} {unknown} . ?a {k2} ?b", f"?a {k2} ?b OPTIONAL {{ {node} {k1} {value} }}",
+            f"?a {k2} ?b MINUS {{ {node} {k1} {value} . ?a {k3} ?c }}",
+        ]))
+    elif family == "cartesian":
+        group = f"?a {k1} ?b . ?c {k2} ?d " + draw(st.sampled_from(
+            ["", f". ?c {k3} ?e", "FILTER (?b = ?d)", f". {node} {k3} ?e"]
+        ))
+    elif family == "maybe-unbound key":
+        group = draw(st.sampled_from([
+            f"?a {k1} ?b VALUES (?a ?b) {{ ({node} UNDEF) (UNDEF {value}) }}",
+            f"VALUES (?a ?b) {{ ({node} UNDEF) (UNDEF {value}) }} "
+            f"{{ ?a {k1} ?b }} UNION {{ ?a {k2} ?c }}",
+            f"{{ ?a {k1} ?b }} UNION {{ ?c {k2} ?b }} ?a {k3} ?d",
+            f"{{ ?a {k1} ?b }} UNION {{ ?a {k2} ?c }} {{ ?b {k3} ?d }} UNION {{ ?c {k3} ?d }} "
+            f"FILTER (!BOUND(?b) || ?b != {value})",
+        ]))
+    elif family == "unknown values":
+        group = draw(st.sampled_from([
+            f"?a {k1} ?b VALUES ?b {{ {unknown} {value} \"zz\" }}",
+            f"VALUES ?a {{ {unknown} {node} }} OPTIONAL {{ ?a {k1} ?b }}",
+            f"VALUES ?b {{ \"zz\" {unknown} \"zz\" }} "
+            f"VALUES (?b ?c) {{ (\"zz\" 1) ({unknown} \"zz\") (\"yy\" {value}) }} "
+            f"FILTER (?c != \"zz\")",
+            f"{{ VALUES ?b {{ {unknown} }} }} UNION {{ ?a {k1} ?b }} MINUS {{ VALUES ?b {{ \"zz\" }} }}",
+        ]))
+    elif family == "correlated":
+        group = f"?a {k1} ?b " + draw(st.sampled_from([
+            f"OPTIONAL {{ {{ ?a {k2} ?c FILTER (?b = {value}) }} UNION {{ ?a {k3} ?c }} }}",
+            f"OPTIONAL {{ ?a {k2} ?c OPTIONAL {{ ?c {k3} ?b }} }}",
+            f"OPTIONAL {{ ?a {k2} ?c {{ ?c {k3} ?d FILTER (?d != ?b) }} UNION {{ ?b {k3} ?d }} }}",
+        ]))
+    else:
+        budget = draw(st.sampled_from([10, 40, None]))
+        group = f"?a {k1} ?b " + draw(st.sampled_from([
+            f"OPTIONAL {{ ?a {k2} ?c }}", f"OPTIONAL {{ ?a {k2} ?c . ?c {k3} ?d }}",
+            f"OPTIONAL {{ ?a {k2} ?c . ?c {k3} ?d FILTER (?d != ?b) }}",
+            f"OPTIONAL {{ ?a {k2} ?c }} OPTIONAL {{ ?c {k3} ?d . ?d {k1} ?e }}",
+        ]))
+    return f"SELECT * WHERE {{ {group} }}", budget
+
+
+@given(_graphs, _formerly_declined())
+@settings(max_examples=250, deadline=None)
+def test_formerly_declined_shapes_on_drawn_graphs(reference_evaluate, triples, drawn):
+    """Every drawn group has a plan, and the plan's rows, the engine's
+    answer and a two-member split federation's are the reference's."""
+    text, budget = drawn
+    store = TripleStore(triples)
+    query = parse_query(text)
+    expected = multiset(reference_evaluate(store, query))
+    plan = QueryPlanner(store).plan(query.where, budget)
+    assert isinstance(plan, PlanNode)
+    decode = plan.decoder(store)
+    rows = sorted(
+        tuple(sorted((name, decode(cell).n3()) for name, cell in zip(plan.variables, row)
+                     if cell is not None))
+        for row in plan.rows(store, None)
+    )
+    assert rows == expected, explain_plan(plan)
+    check(store, text, reference_evaluate, batch_size=2)
+    members = [
+        SparqlEndpoint(TripleStore(part), EndpointConfig.warehouse(), name=name)
+        for part, name in ((triples[::2], "even"), (triples[1::2], "odd"))
+    ]
+    assert multiset(FederatedQueryProcessor(members).run(query)) == expected

@@ -92,7 +92,7 @@ SUITE = [
     "SELECT ?b ?who WHERE { ?b dbo:author ?a . ?a foaf:name ?who . "
     "{ ?a dbo:birthPlace dbr:C0 } UNION { ?a dbo:birthPlace dbr:C1 } }",
     # UNDEF on a join variable between two non-pattern inputs: the
-    # federation's CompatJoin, the local engine's term-space fallback.
+    # compatibility join, locally and in the federation.
     'SELECT ?x ?n WHERE { VALUES (?x ?n) { (UNDEF "City 0"@en) (dbr:P1 UNDEF) } '
     "{ ?x a dbo:City . ?x rdfs:label ?n } UNION { ?x foaf:name ?n } }",
     # Ground pattern: a federated existence check (RemoteScan ASK path).
@@ -257,15 +257,21 @@ class TestLocalParity:
         )
         assert "ValuesScan(?p x1)" in plan
 
-    def test_undef_join_falls_back_to_term_space(self):
-        """A join keyed on a maybe-unbound variable cannot run in ID
-        space; EXPLAIN must show the term-space fallback."""
-        store = merged_store()
-        plan = QueryEvaluator(store).explain(
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_undef_join_is_a_compatibility_join(self, backend, reference_evaluate):
+        """A join keyed on a maybe-unbound variable cannot be an
+        equality on IDs; it plans as the compatibility join, and
+        equals the reference."""
+        store = merged_store(backend)
+        text = (
             'SELECT * WHERE { ?p foaf:name ?n . '
-            'VALUES (?p ?n) { (dbr:P0 UNDEF) } }'
+            'VALUES (?p ?n) { (dbr:P0 UNDEF) (UNDEF "Person 3"@en) (dbr:P1 "Person 2"@en) } }'
         )
-        assert "TermSpaceFallback" in plan
+        plan = QueryEvaluator(store).explain(text)
+        assert "CompatJoin(on ?p, ?n)" in plan and "TermSpaceFallback" not in plan
+        planned = QueryEvaluator(store).evaluate(parse_query(text))
+        assert len(planned.rows) == 2
+        assert row_key(planned) == row_key(reference_evaluate(store, text))
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +340,8 @@ class TestFederatedParity:
 
 class TestQueryPathIsReadOnly:
     """Regression: evaluating a query must never mutate the store —
-    VALUES terms the dictionary has not seen are handled by the
-    term-space fallback, not interned from the planner."""
+    VALUES terms the dictionary has not seen get query-local IDs, they
+    are not interned from the planner."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unknown_values_terms_do_not_grow_dictionary(self, backend):
