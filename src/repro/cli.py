@@ -381,6 +381,8 @@ def _cmd_init(args) -> int:
     report = server.reports["dbpedia-mini"]
     print(f"initialized: {report.total_queries} queries, "
           f"{report.n_timeouts} timeouts")
+    print("stages: " + ", ".join(
+        f"{stage} {seconds:.3f}s" for stage, seconds in report.stage_seconds.items()))
     print(f"cache: {server.cache_stats()}")
     if args.save:
         from .core.persistence import save_cache

@@ -37,7 +37,7 @@ from ..rdf.terms import IRI, Literal
 from .cache import SapphireCache
 from .config import SapphireConfig
 
-__all__ = ["InitializationReport", "EndpointInitializer", "initialize_endpoint"]
+__all__ = ["InitializationReport", "EndpointInitializer", "initialize_endpoint", "index_cache"]
 
 
 Q1_PREDICATES = """
@@ -138,7 +138,9 @@ class InitializationReport:
     ``stages_completed`` records partial progress: an initialization
     that aborts mid-way — budget exhausted, endpoint gone — still says
     which stages finished, so an operator can judge what the cache
-    holds instead of guessing.
+    holds instead of guessing.  ``stage_seconds`` has the wall seconds
+    of each completed stage, plus ``index`` from :func:`index_cache`,
+    which also fills ``cache_stats`` from the cache it indexed.
     """
 
     endpoint_name: str = ""
@@ -153,6 +155,7 @@ class InitializationReport:
     query_limit_hit: bool = False
     simulated_seconds: float = 0.0
     stages_completed: List[str] = field(default_factory=list)
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
     cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -177,6 +180,7 @@ class EndpointInitializer:
         self.report = InitializationReport(endpoint_name=endpoint.name)
         self._queries_issued = 0
         self._queries_ok = 0
+        self._stage_started = 0.0
         # Jitter source and sleeper are injectable so tests stay
         # deterministic and sleep-free.  The default rng is *seeded*
         # (from the endpoint name, stable across runs and independent of
@@ -191,7 +195,8 @@ class EndpointInitializer:
     # ------------------------------------------------------------------
 
     def run(self) -> SapphireCache:
-        """Execute initialization; returns the populated, indexed cache.
+        """Execute initialization; returns the populated cache, not yet
+        indexed (:func:`index_cache` — the server merges first).
 
         Works against anything with the endpoint query surface —
         in-process simulators and :class:`~repro.net.client.
@@ -200,16 +205,15 @@ class EndpointInitializer:
         """
         cache = SapphireCache(self.config)
         start_time = getattr(self.endpoint, "simulated_seconds", 0.0)
+        self._stage_started = time.perf_counter()
         if self.warehouse:
             self.report.architecture = "warehouse"
             self._run_warehouse(cache)
         else:
             self._run_federated(cache)
-        cache.build_indexes()
         self.report.simulated_seconds = (
             getattr(self.endpoint, "simulated_seconds", 0.0) - start_time
         )
-        self.report.cache_stats = cache.stats()
         return cache
 
     # ------------------------------------------------------------------
@@ -285,9 +289,13 @@ class EndpointInitializer:
         queries actually succeeded.  A stage whose every query failed
         (endpoint gone, persistent 503s past the retry cap) must not
         read as progress: an operator uses ``stages_completed`` to
-        judge what the cache holds."""
+        judge what the cache holds.  Its wall seconds run from the
+        previous mark."""
+        now = time.perf_counter()
         if self._queries_ok > ok_before:
             self.report.stages_completed.append(name)
+            self.report.stage_seconds[name] = now - self._stage_started
+        self._stage_started = now
 
     def _run_federated(self, cache: SapphireCache) -> None:
         ok = self._queries_ok
@@ -516,7 +524,18 @@ def initialize_endpoint(
     config: Optional[SapphireConfig] = None,
     warehouse: bool = False,
 ) -> Tuple[SapphireCache, InitializationReport]:
-    """Convenience wrapper: initialize ``endpoint`` and return cache+report."""
+    """Convenience wrapper: initialize ``endpoint`` and return the
+    indexed cache and the report."""
     initializer = EndpointInitializer(endpoint, config, warehouse=warehouse)
     cache = initializer.run()
+    index_cache(cache, initializer.report)
     return cache, initializer.report
+
+
+def index_cache(cache: SapphireCache, report: InitializationReport) -> None:
+    """Build ``cache``'s suffix tree and bins (Section 5.2) and record
+    on ``report`` what that cost and what the indexed cache holds."""
+    started = time.perf_counter()
+    cache.build_indexes()
+    report.stage_seconds["index"] = time.perf_counter() - started
+    report.cache_stats = cache.stats()

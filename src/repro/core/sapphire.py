@@ -45,7 +45,7 @@ from ..sparql.trace import QueryTrace, Tracer
 from ..text.lexicon import Lexicon
 from .cache import CacheReader, SapphireCache
 from .config import SapphireConfig
-from .initialization import EndpointInitializer, InitializationReport
+from .initialization import EndpointInitializer, InitializationReport, index_cache
 from .persistence import load_cache, load_store, save_cache, save_store
 from .qcm import CompletionResult, QueryCompletionModule
 from .qsm_relax import RelaxationSuggestion, StructureRelaxer
@@ -206,8 +206,10 @@ class SapphireServer:
     ) -> InitializationReport:
         """Register ``endpoint`` and run Section 5 initialization on it.
 
-        The endpoint joins the federation only once initialization and
-        the merge succeeded; a failure leaves the server as it was.
+        The initializer fills a cache of the endpoint's own; only a
+        finished one is merged into the server's, which is indexed once.
+        The endpoint joins the federation after that, so a failure
+        leaves the server as it was.
         """
         initializer = EndpointInitializer(endpoint, self.config, warehouse=warehouse)
         cache = initializer.run()
@@ -218,7 +220,7 @@ class SapphireServer:
             self.cache.merge(reader)
             reader.close()
         self.cache.merge(cache)
-        self.cache.build_indexes()
+        index_cache(self.cache, initializer.report)
         self.endpoints.append(endpoint)
         self.reports[endpoint.name] = initializer.report
         self._refresh_modules()

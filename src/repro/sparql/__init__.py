@@ -43,7 +43,7 @@ from .plan import (
     ValuesScanNode,
     explain_plan,
 )
-from .functions import effective_boolean_value, evaluate_expression
+from .functions import compile_expression, effective_boolean_value, evaluate_expression
 from .parser import parse_query
 from .results import AskResult, SelectResult
 from .tokens import Token, tokenize
@@ -82,6 +82,7 @@ __all__ = [
     "CompatJoinNode",
     "LeftJoinNode",
     "explain_plan",
+    "compile_expression",
     "evaluate_expression",
     "effective_boolean_value",
     "Span",

@@ -5,7 +5,7 @@ with FILTERs, one level of OPTIONAL, ``UNION`` alternatives, ``MINUS``
 exclusions and inline ``VALUES`` data, plus the solution modifiers the
 paper's queries need (DISTINCT, GROUP BY, ORDER BY, LIMIT, OFFSET) and
 COUNT aggregation.  Expression nodes form their own small hierarchy
-evaluated by ``functions.evaluate_expression``.
+compiled by ``functions.compile_expression``.
 
 The AST stays close to the concrete syntax; the logical algebra the
 engine actually optimizes and executes lives in

@@ -30,7 +30,7 @@ from ..rdf.triples import Binding
 from ..store.triplestore import CostMeter, TripleStore
 from .ast_nodes import GraphPattern, Query, TermExpr
 from .errors import ExpressionError
-from .functions import evaluate_expression
+from .functions import compile_expression
 from .parser import parse_query
 from .plan import (
     DEFAULT_BATCH_SIZE,
@@ -235,10 +235,8 @@ class QueryEvaluator:
         items = self._plain_variable_items(query)
         if items is not None:
             return self._select_from_plan(query, plan, names, items, meter, tracer)
-        projected = (
-            self._project(solution, query, names)
-            for solution in self._solutions(plan, meter, tracer)
-        )
+        project = self._projection(query)
+        projected = (project(solution) for solution in self._solutions(plan, meter, tracer))
         rows = _paginate(
             projected,
             key_fn=lambda row: tuple(row.get(name) for name in names),
@@ -382,17 +380,23 @@ class QueryEvaluator:
                     ]
         return SelectResult(variables=list(names), rows=rows, cost=meter.cost)
 
-    def _project(self, row: Binding, query: Query, names: Sequence[str]) -> Binding:
-        if query.select_star:
-            return {name: row[name] for name in names if name in row}
-        projected: Binding = {}
-        for item in query.select_items:
-            try:
-                projected[item.output_name] = evaluate_expression(item.expression, row)
-            except ExpressionError:
-                # Unbound projection variable: leave the cell empty.
-                continue
-        return projected
+    @staticmethod
+    def _projection(query: Query):
+        """``solution -> projected row`` for select items that are not
+        all bare variables, each expression compiled once."""
+        items = [(item.output_name, compile_expression(item.expression)) for item in query.select_items]
+
+        def project(row: Binding) -> Binding:
+            projected: Binding = {}
+            for name, evaluate in items:
+                try:
+                    projected[name] = evaluate(row)
+                except ExpressionError:
+                    # Unbound projection variable: leave the cell empty.
+                    continue
+            return projected
+
+        return project
 
     def _solutions(
         self, plan: PlanNode, meter: CostMeter, tracer: Optional[Tracer] = None

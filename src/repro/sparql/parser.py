@@ -56,15 +56,10 @@ from .ast_nodes import (
     ValuesClause,
 )
 from .errors import ParseError
+from .functions import FUNCTIONS, arity_error
 from .tokens import STRUCTURAL_KEYWORDS, Token, tokenize
 
 __all__ = ["parse_query", "SparqlParser"]
-
-_KNOWN_FUNCTIONS = {
-    "ISLITERAL", "ISIRI", "ISURI", "ISBLANK", "BOUND", "LANG", "STR",
-    "STRLEN", "REGEX", "CONTAINS", "STRSTARTS", "STRENDS", "LANGMATCHES",
-    "LCASE", "UCASE", "DATATYPE", "ABS",
-}
 
 _AGGREGATES = {"COUNT", "SUM", "MIN", "MAX", "AVG"}
 
@@ -564,7 +559,8 @@ class SparqlParser:
             name = token.value.upper()
             if name in _AGGREGATES:
                 return self._parse_aggregate()
-            if name in _KNOWN_FUNCTIONS:
+            if name in FUNCTIONS:
+                position = token.position
                 self.advance()
                 self.expect("(")
                 args: List[Expression] = []
@@ -574,6 +570,9 @@ class SparqlParser:
                         self.advance()
                         args.append(self._parse_expression())
                 self.expect(")")
+                problem = arity_error(name, len(args))
+                if problem is not None:
+                    raise ParseError(problem, position)
                 return FunctionCall(name, tuple(args))
             if name in ("TRUE", "FALSE"):
                 self.advance()

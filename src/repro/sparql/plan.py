@@ -93,8 +93,8 @@ from .algebra import (
     translate_group,
 )
 from .ast_nodes import Expression, GraphPattern
-from .errors import ExpressionError, SparqlError
-from .functions import effective_boolean_value, evaluate_expression
+from .errors import SparqlError
+from .functions import compile_filter
 
 __all__ = [
     "Batch",
@@ -263,7 +263,7 @@ class _ColumnFilter:
     without a slot is simply unbound.
     """
 
-    __slots__ = ("expr", "names", "slots", "decode", "verdicts")
+    __slots__ = ("expr", "names", "slots", "decode", "verdicts", "kernel")
 
     def __init__(self, expr: Expression, slot_of: Dict[str, int], decode) -> None:
         self.expr = expr
@@ -271,6 +271,7 @@ class _ColumnFilter:
         self.slots = tuple(slot_of[name] for name in self.names)
         self.decode = decode
         self.verdicts: Dict[object, bool] = {}
+        self.kernel = None  #: ``expr`` compiled, at the first verdict asked for
 
     def flags(self, columns: Sequence[Sequence[int]], length: int) -> List[bool]:
         """One verdict per row of ``columns``."""
@@ -293,16 +294,15 @@ class _ColumnFilter:
         )
 
     def _evaluate(self, cells: Tuple[int, ...]) -> bool:
+        kernel = self.kernel
+        if kernel is None:
+            kernel = self.kernel = compile_filter(self.expr)
         decode = self.decode
-        binding = {
+        return kernel({
             name: decode(cell)
             for name, cell in zip(self.names, cells)
             if cell != UNBOUND
-        }
-        try:
-            return effective_boolean_value(evaluate_expression(self.expr, binding))
-        except ExpressionError:
-            return False
+        })
 
 
 class PlanNode:

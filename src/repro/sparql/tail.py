@@ -37,7 +37,7 @@ from ..rdf.terms import IRI, Literal, Term, Variable, XSD_DOUBLE, XSD_INTEGER
 from ..rdf.triples import Binding
 from .ast_nodes import Aggregate, Expression, OrderCondition, Query, TermExpr
 from .errors import ExpressionError
-from .functions import evaluate_expression
+from .functions import compile_expression
 from .plan import UNBOUND
 from .results import SelectResult
 
@@ -155,10 +155,11 @@ def _bindings(columns: Columns, length: int) -> Iterator[Binding]:
 
 def _evaluated(expr: Expression, columns: Columns, length: int) -> List[Optional[Term]]:
     """``expr`` per term-space row; an erroring row yields ``None``."""
+    evaluate = compile_expression(expr)
     values: List[Optional[Term]] = []
     for binding in _bindings(columns, length):
         try:
-            values.append(evaluate_expression(expr, binding))
+            values.append(evaluate(binding))
         except ExpressionError:
             values.append(None)
     return values

@@ -25,6 +25,7 @@ Sapphire puts only the *significant* literals in it.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -33,6 +34,8 @@ __all__ = ["GeneralizedSuffixTree", "sentinel_for", "MAX_STRINGS"]
 #: Unicode private-use ranges supplying the unique terminators.
 _PUA_RANGES = ((0xE000, 0xF8FF), (0xF0000, 0xFFFFD), (0x100000, 0x10FFFD))
 MAX_STRINGS = sum(hi - lo + 1 for lo, hi in _PUA_RANGES)
+#: Any private-use character, as one character class (scanned in C).
+_SENTINEL = re.compile("[%s]" % "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _PUA_RANGES))
 
 
 def sentinel_for(index: int) -> str:
@@ -43,11 +46,6 @@ def sentinel_for(index: int) -> str:
             return chr(lo + index)
         index -= span
     raise ValueError(f"suffix tree supports at most {MAX_STRINGS} strings")
-
-
-def _is_sentinel(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _PUA_RANGES)
 
 
 class _Node:
@@ -94,7 +92,7 @@ class GeneralizedSuffixTree:
         Duplicate inputs are kept (both ids are reported on match).
         """
         for s in strings:
-            if any(_is_sentinel(ch) for ch in s):
+            if _SENTINEL.search(s):
                 raise ValueError(
                     "input strings must not contain Unicode private-use characters"
                 )
@@ -207,7 +205,7 @@ class GeneralizedSuffixTree:
         """Find the node at/below which all occurrences of ``pattern`` live."""
         if self._root is None or not pattern:
             return None
-        if any(_is_sentinel(ch) for ch in pattern):
+        if _SENTINEL.search(pattern):
             return None
         node = self._root
         i = 0
@@ -283,7 +281,7 @@ class GeneralizedSuffixTree:
         Offsets that point *at* a sentinel (the suffix consisting of just
         separators/terminators) belong to no string and return None.
         """
-        if offset >= len(self._text) or _is_sentinel(self._text[offset]):
+        if offset >= len(self._text) or _SENTINEL.match(self._text, offset):
             return None
         index = bisect_right(self._starts, offset) - 1
         return index if index >= 0 else None

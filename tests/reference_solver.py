@@ -20,8 +20,10 @@ from repro.rdf.terms import IRI
 from repro.rdf.triples import Binding, TriplePattern
 from repro.sparql.ast_nodes import Expression, GraphPattern, ValuesClause
 from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import effective_boolean_value, evaluate_expression
+from repro.sparql.functions import effective_boolean_value
 from repro.store.triplestore import CostMeter, TripleStore
+
+from reference_expressions import evaluate_expression
 
 
 def solve_group(

@@ -16,8 +16,9 @@ from repro.rdf.terms import IRI, Literal, Term, XSD_DOUBLE, XSD_INTEGER
 from repro.rdf.triples import Binding
 from repro.sparql.ast_nodes import Aggregate, OrderCondition, Query
 from repro.sparql.errors import EvaluationError, ExpressionError
-from repro.sparql.functions import evaluate_expression
 from repro.sparql.results import SelectResult
+
+from reference_expressions import evaluate_expression
 
 
 def _ref_aggregate(query: Query, solutions: List[Binding]) -> List[Binding]:

@@ -57,6 +57,11 @@ class TestCommands:
         path = tmp_path / "cache.sqlite"
         assert main(["init", "--save", str(path)]) == 0
         assert path.exists()
+        # Where the time went, beside the query and timeout counts.
+        stages = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("stages: "))
+        assert [part.split()[0] for part in stages[len("stages: "):].split(", ")] == [
+            "predicates", "hierarchy", "probes", "literals", "significance", "index"]
         from repro.core import load_cache
 
         restored = load_cache(path)

@@ -270,6 +270,31 @@ class TestProtocol:
             urllib.request.Request(f"{url}?query={query}"))
         assert error.code == 400
 
+    @pytest.mark.parametrize("text, name", [
+        ("SELECT * WHERE { ?s ?p ?o FILTER(isliteral()) } LIMIT 3", "ISLITERAL"),
+        ("SELECT * WHERE { ?s ?p ?o FILTER(contains(?o)) } LIMIT 3", "CONTAINS"),
+        ("SELECT * WHERE { ?s ?p ?o FILTER(strlen() > 2) } LIMIT 3", "STRLEN"),
+        ("SELECT (strlen() AS ?n) WHERE { ?s ?p ?o } LIMIT 3", "STRLEN"),
+    ])
+    def test_wrong_arity_is_400_not_500(self, url, text, name):
+        error = self.expect_http_error(
+            urllib.request.Request(f"{url}?query={urllib.parse.quote(text)}"))
+        assert error.code == 400
+        assert name in json.loads(error.read())["error"]["message"]
+
+    def test_every_function_off_its_arity_is_400(self, url):
+        from repro.sparql.functions import FUNCTIONS
+
+        for name, signature in FUNCTIONS.items():
+            for n_args in (signature.min_args - 1, signature.max_args + 1):
+                text = "SELECT * WHERE { ?s ?p ?o FILTER(%s(%s)) } LIMIT 3" % (
+                    name, ", ".join(["?o"] * n_args))
+                error = self.expect_http_error(
+                    urllib.request.Request(f"{url}?query={urllib.parse.quote(text)}"))
+                assert error.code == 400, text
+                message = json.loads(error.read())["error"]["message"]
+                assert name in message and f"got {n_args}" in message
+
     def test_unknown_path_is_404(self, servers):
         error = self.expect_http_error(urllib.request.Request(
             f"http://{servers[0].host}:{servers[0].port}/nope"))

@@ -138,3 +138,62 @@ class TestIndexesBuilt:
         _, report = initialize_endpoint(endpoint)
         assert report.cache_stats["predicates"] > 0
         assert report.cache_stats["tree_strings"] > 0
+
+
+# What the registration measured at the commit before expressions were
+# compiled and the index was built once (4dbdf3e), recorded as literals:
+# (tree capacity, endpoint timeout, report counters, simulated seconds,
+# cache statistics, the first three cold-cache completions of the
+# Figure 2 keystrokes).  Neither change may move any of it.
+_PARENT_REGISTRATIONS = {
+    "tiny": (500, 1.0, (77, 17, 30, 30, 0), 4.477149999999998,
+             {"predicates": 37, "classes": 33, "literals": 381, "tree_strings": 447,
+              "residual_literals": 0, "residual_bins": 0},
+             {"Ken": ["The Broken Lost", "The Broken Night", "Robert F. Kennedy"],
+              "Kenn": ["Robert F. Kennedy", "Jennifer Kennedy", "Richard Kennedy"]}),
+    "small": (1000, 2.0, (79, 17, 30, 32, 0), 6.669950000000001,
+              {"predicates": 37, "classes": 33, "literals": 948, "tree_strings": 1000,
+               "residual_literals": 14, "residual_bins": 6},
+              {"Ken": ["The Mountain Broken", "The Journey Broken", "The Summer Broken"],
+               "Kenn": ["Robert F. Kennedy", "Patricia Kennedy", "Jennifer Kennedy"]}),
+    "medium": (2000, 2.0, (91, 17, 35, 39, 0), 21.52465,
+               {"predicates": 37, "classes": 33, "literals": 2331, "tree_strings": 2000,
+                "residual_literals": 397, "residual_bins": 11},
+               {"Ken": ["The House Broken", "The First Broken", "The Song Broken"],
+                "Kenn": ["Patricia Kennedy", "Jennifer Kennedy", "William Kennedy"]}),
+}
+
+
+class TestRegistrationFidelity:
+    @pytest.mark.parametrize("scale", sorted(_PARENT_REGISTRATIONS))
+    def test_counters_cost_cache_and_completions_are_the_parents(self, scale):
+        from repro import SapphireServer
+
+        capacity, timeout_s, counters, simulated, stats, completions = (
+            _PARENT_REGISTRATIONS[scale])
+        store = build_dataset(getattr(DatasetConfig, scale)()).store
+        server = SapphireServer(SapphireConfig(suffix_tree_capacity=capacity))
+        report = server.register_endpoint(
+            SparqlEndpoint(store, EndpointConfig(timeout_s=timeout_s), name=scale))
+        assert (report.total_queries, report.n_setup_queries, report.n_literal_queries,
+                report.n_significance_queries, report.n_timeouts) == counters
+        assert report.simulated_seconds == pytest.approx(simulated, abs=1e-9)
+        assert report.stages_completed == [
+            "predicates", "hierarchy", "probes", "literals", "significance"]
+        assert server.cache_stats() == stats == report.cache_stats
+        for prefix, first in completions.items():
+            assert server.complete(prefix).surfaces()[:3] == first
+        for prefix, only in (("Tom H", "Tom Hanks"), ("spou", "spouse"), ("surn", "surname")):
+            assert server.complete(prefix).surfaces() == [only]
+
+    def test_stage_seconds_cover_the_completed_stages_and_the_index(self, dataset):
+        cache, report = initialize_endpoint(make_endpoint(dataset))
+        assert list(report.stage_seconds) == report.stages_completed + ["index"]
+        assert all(seconds >= 0.0 for seconds in report.stage_seconds.values())
+        assert cache.is_indexed and report.cache_stats == cache.stats()
+
+    def test_a_stage_that_never_succeeded_has_no_seconds(self, dataset):
+        _, report = initialize_endpoint(
+            make_endpoint(dataset), SapphireConfig(init_query_limit=1))
+        assert report.stages_completed == ["predicates"]
+        assert list(report.stage_seconds) == ["predicates", "index"]

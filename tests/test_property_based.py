@@ -10,7 +10,9 @@ Invariants covered:
 * triple-store index coherence under random insert/delete sequences,
 * parser/serializer round-trip for generated queries,
 * SPARQL Results JSON: the fragment-memo writer ≡ ``json.dumps`` of the
-  document, and the interning reader inverts it, at any memo state.
+  document, and the interning reader inverts it, at any memo state,
+* compiled expressions ≡ the reference interpreter
+  (``reference_expressions``): the same term or both an error.
 """
 
 from __future__ import annotations
@@ -19,11 +21,30 @@ import json
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_expressions import evaluate_expression as reference_expression
+
 from repro.net import formats
-from repro.rdf import IRI, BlankNode, Literal, Triple, TriplePattern, Variable, parse_ntriples, serialize_ntriples
+from repro.rdf import (
+    IRI,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+    BlankNode,
+    Literal,
+    Triple,
+    TriplePattern,
+    Variable,
+    parse_ntriples,
+    serialize_ntriples,
+)
+from repro.sparql import ExpressionError, compile_expression, effective_boolean_value
+from repro.sparql.ast_nodes import BinaryExpr, FunctionCall, TermExpr, UnaryExpr
+from repro.sparql.functions import FUNCTIONS, compile_filter
 from repro.store import TripleStore
 from repro.text import (
     GeneralizedSuffixTree,
@@ -317,3 +338,104 @@ class TestResultsJsonProperties:
             for memo, bound in zip(memos, saved):
                 memo.clear()
                 memo.bound = bound
+
+
+# ----------------------------------------------------------------------
+# Compiled expressions against the reference interpreter
+# ----------------------------------------------------------------------
+
+_EXPRESSION_TERMS = st.one_of(
+    st.sampled_from([IRI("http://x/a"), IRI("http://x/Abc"), BlankNode("b0")]),
+    st.builds(Literal, st.sampled_from(
+        ["", "abc", "Abc", "a", "i", "^A", "(", "5", " 7 ", "1e3", "-0.0", "nan", "en"])),
+    st.builds(Literal, st.sampled_from(["abc", "", "5"]),
+              lang=st.sampled_from(["en", "en-GB", "de"])),
+    st.builds(Literal, st.sampled_from(["5", "05", "-3", "0", "abc", ""]),
+              datatype=st.just(XSD_INTEGER)),
+    st.builds(Literal, st.sampled_from(["1.5", "5.0", "0.0", "bad"]),
+              datatype=st.just(XSD_DECIMAL)),
+    st.builds(Literal, st.sampled_from(["1e0", "5", "inf", "nan", "x"]),
+              datatype=st.just(XSD_DOUBLE)),
+    st.builds(Literal, st.sampled_from(["true", "false", "1", " TRUE ", "maybe"]),
+              datatype=st.just(XSD_BOOLEAN)),
+    st.builds(Literal, st.sampled_from(["abc", "5"]),
+              datatype=st.sampled_from([XSD_STRING, IRI("http://x/dt")])),
+)
+_EXPRESSION_VARIABLES = ["a", "b", "c"]
+_EXPRESSION_BINDINGS = st.fixed_dictionaries(
+    {}, optional={name: _EXPRESSION_TERMS for name in _EXPRESSION_VARIABLES})
+_EXPRESSION_LEAVES = st.builds(TermExpr, st.one_of(
+    st.builds(Variable, st.sampled_from(_EXPRESSION_VARIABLES)), _EXPRESSION_TERMS))
+_BINARY_OPERATORS = ["&&", "||", "=", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/"]
+
+
+def _calls(arguments):
+    """Calls of all 17 built-ins at every arity their signature allows
+    (``BOUND`` mostly of a variable, as the grammar has it)."""
+    calls = []
+    for name, signature in FUNCTIONS.items():
+        for arity in range(signature.min_args, signature.max_args + 1):
+            calls.append(st.builds(
+                FunctionCall, st.just(name),
+                st.tuples(*[_EXPRESSION_LEAVES if name == "BOUND" else arguments] * arity)))
+    return st.one_of(calls)
+
+
+def _expression_trees(depth):
+    if depth == 0:
+        return _EXPRESSION_LEAVES
+    smaller = _expression_trees(depth - 1)
+    return st.one_of(
+        _EXPRESSION_LEAVES,
+        st.builds(UnaryExpr, st.sampled_from(["!", "-"]), smaller),
+        st.builds(BinaryExpr, st.sampled_from(_BINARY_OPERATORS), smaller, smaller),
+        _calls(smaller),
+    )
+
+
+def _outcome(evaluate, *args):
+    """The term ``evaluate`` returns, or ``ExpressionError`` if it raises one."""
+    try:
+        return evaluate(*args)
+    except ExpressionError:
+        return ExpressionError
+
+
+def _constant(lexical, datatype=None):
+    return TermExpr(Literal(lexical, datatype=datatype))
+
+
+class TestExpressionProperties:
+    # The edges of the typed shortcuts: NaN equals itself as a term but
+    # not as a value; integers compare by value in any lexical form.
+    @example(BinaryExpr("=", _constant("nan", XSD_DOUBLE), _constant("nan", XSD_DOUBLE)), {})
+    @example(BinaryExpr("=", _constant("05", XSD_INTEGER), _constant("5", XSD_INTEGER)), {})
+    @example(BinaryExpr("<", _constant("10", XSD_INTEGER), _constant("9.5", XSD_DECIMAL)), {})
+    @example(BinaryExpr("=", _constant("5"), _constant("5.0")), {})
+    @given(_expression_trees(4), _EXPRESSION_BINDINGS)
+    @settings(max_examples=400, deadline=None)
+    def test_compiled_is_the_reference_interpreter(self, expr, binding):
+        expected = _outcome(reference_expression, expr, binding)
+        assert _outcome(compile_expression(expr), binding) == expected
+        # FILTER position: the effective boolean value, an error drops the row.
+        keep = expected is not ExpressionError and _outcome(effective_boolean_value, expected)
+        assert compile_filter(expr)(binding) is (keep is True)
+
+    @pytest.mark.parametrize("op, table", [
+        ("&&", "TFE FFF EFE"),
+        ("||", "TTT TFE TEE"),
+    ])
+    def test_logical_truth_table(self, op, table):
+        """Rows: left true / false / error; columns: right likewise."""
+        sides = {
+            "T": TermExpr(Literal("true", datatype=XSD_BOOLEAN)),
+            "F": TermExpr(Literal("false", datatype=XSD_BOOLEAN)),
+            "E": TermExpr(Variable("unbound")),
+        }
+        outcomes = {"T": Literal("true", datatype=XSD_BOOLEAN),
+                    "F": Literal("false", datatype=XSD_BOOLEAN), "E": ExpressionError}
+        for left, row in zip("TFE", table.split()):
+            for right, cell in zip("TFE", row):
+                expr = BinaryExpr(op, sides[left], sides[right])
+                assert _outcome(compile_expression(expr), {}) == outcomes[cell], (left, op, right)
+                assert _outcome(reference_expression, expr, {}) == outcomes[cell]

@@ -84,6 +84,93 @@ class TestServerLifecycle:
         assert len(server.reports) == 2
 
 
+class _FailsOnNthQuery(SparqlEndpoint):
+    """An endpoint whose ``n``-th query raises something the
+    initializer does not treat as a timeout or a rejection."""
+
+    def __init__(self, store, n):
+        super().__init__(store, EndpointConfig(timeout_s=1.0), name="flaky")
+        self.remaining = n
+
+    def select(self, query):
+        self.remaining -= 1
+        if self.remaining == 0:
+            raise RuntimeError("endpoint fell over mid-crawl")
+        return super().select(query)
+
+
+class TestRegistrationIndexesOnce:
+    """One ``register_endpoint`` is one index build (Section 5.2): one
+    suffix tree, one set of residual bins."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.core import cache as cache_module
+
+        built = {"trees": 0, "indexes": 0}
+
+        class CountedTree(cache_module.GeneralizedSuffixTree):
+            def __init__(self, *args, **kwargs):
+                built["trees"] += 1
+                super().__init__(*args, **kwargs)
+
+        build_indexes = cache_module.SapphireCache.build_indexes
+
+        def counted_build(self):
+            built["indexes"] += 1
+            build_indexes(self)
+
+        monkeypatch.setattr(cache_module, "GeneralizedSuffixTree", CountedTree)
+        monkeypatch.setattr(cache_module.SapphireCache, "build_indexes", counted_build)
+        return built
+
+    def test_first_and_second_endpoint(self, built):
+        a = build_dataset(DatasetConfig.tiny(seed=1))
+        b = build_dataset(DatasetConfig.tiny(seed=2))
+        server = SapphireServer(SapphireConfig(suffix_tree_capacity=300))
+        report = server.register_endpoint(
+            SparqlEndpoint(a.store, EndpointConfig(timeout_s=1.0), name="a"))
+        assert built == {"trees": 1, "indexes": 1}
+        assert report.cache_stats == server.cache_stats()
+        report = server.register_endpoint(
+            SparqlEndpoint(b.store, EndpointConfig(timeout_s=1.0), name="b"))
+        assert built == {"trees": 2, "indexes": 2}
+        # The report describes the cache that was indexed: the merged one.
+        assert report.cache_stats == server.cache_stats()
+        assert set(report.stage_seconds) == set(report.stages_completed) | {"index"}
+
+    def test_server_restored_from_a_cache_file(self, tmp_path, tiny_dataset, built):
+        config = SapphireConfig(suffix_tree_capacity=300)
+        server = SapphireServer(config)
+        server.register_endpoint(
+            SparqlEndpoint(tiny_dataset.store, EndpointConfig(timeout_s=1.0), name="a"))
+        server.save_state(tmp_path / "state")
+        restored = SapphireServer.load_state(
+            tmp_path / "state", config, EndpointConfig(timeout_s=1.0))
+        other = build_dataset(DatasetConfig.tiny(seed=2))
+        built.update(trees=0, indexes=0)
+        restored.register_endpoint(
+            SparqlEndpoint(other.store, EndpointConfig(timeout_s=1.0), name="b"))
+        assert built == {"trees": 1, "indexes": 1}
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_an_initializer_that_raises_part_way_changes_nothing(self, tiny_dataset, built, n):
+        server = SapphireServer(SapphireConfig(suffix_tree_capacity=300))
+        server.register_endpoint(
+            SparqlEndpoint(tiny_dataset.store, EndpointConfig(timeout_s=1.0), name="a"))
+        other = build_dataset(DatasetConfig.tiny(seed=2))
+        stats, cache, federation = server.cache_stats(), server.cache, server.federation
+        served = {prefix: server.complete(prefix).surfaces() for prefix in ("Kenn", "spou", "a")}
+        built.update(trees=0, indexes=0)
+        with pytest.raises(RuntimeError, match="fell over"):
+            server.register_endpoint(_FailsOnNthQuery(other.store, n))
+        assert built == {"trees": 0, "indexes": 0}
+        assert server.cache_stats() == stats and server.cache is cache
+        assert [endpoint.name for endpoint in server.endpoints] == ["a"]
+        assert list(server.reports) == ["a"] and server.federation is federation
+        assert {prefix: server.complete(prefix).surfaces() for prefix in served} == served
+
+
 class TestRunQuery:
     def test_accepts_text(self, server):
         outcome = server.run_query(

@@ -715,11 +715,13 @@ class TestKernels:
         import repro.sparql.plan as plan_module
 
         calls = []
-        real = plan_module.evaluate_expression
-        monkeypatch.setattr(
-            plan_module, "evaluate_expression",
-            lambda expr, binding: calls.append(binding) or real(expr, binding),
-        )
+        real = plan_module.compile_filter
+
+        def counting(expr):
+            kernel = real(expr)
+            return lambda binding: calls.append(binding) or kernel(binding)
+
+        monkeypatch.setattr(plan_module, "compile_filter", counting)
         monkeypatch.setattr(Batch, "iter_raw", _raising)
         monkeypatch.setattr(Batch, "iter_rows", _raising)
         plan = QueryPlanner(ops_store).plan(parse_query(FILTER_QUERIES[0]).where)

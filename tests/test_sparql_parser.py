@@ -201,6 +201,37 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_query("SELECT ?s { ?s ?p ?o . FILTER (NOPE(?s)) }")
 
+    #: The 17 built-ins and the argument counts each accepts.
+    ARITIES = {
+        "ISLITERAL": (1, 1), "ISIRI": (1, 1), "ISURI": (1, 1), "ISBLANK": (1, 1),
+        "BOUND": (1, 1), "LANG": (1, 1), "STR": (1, 1), "STRLEN": (1, 1),
+        "REGEX": (2, 3), "CONTAINS": (2, 2), "STRSTARTS": (2, 2), "STRENDS": (2, 2),
+        "LANGMATCHES": (2, 2), "LCASE": (1, 1), "UCASE": (1, 1), "DATATYPE": (1, 1),
+        "ABS": (1, 1),
+    }
+
+    def test_the_signature_table_is_the_known_function_set(self):
+        from repro.sparql.functions import FUNCTIONS
+
+        assert {name: (signature.min_args, signature.max_args)
+                for name, signature in FUNCTIONS.items()} == self.ARITIES
+
+    @pytest.mark.parametrize("name", sorted(ARITIES))
+    def test_wrong_arity_names_the_function_and_the_counts(self, name):
+        low, high = self.ARITIES[name]
+        for n_args in range(low, high + 1):
+            parse_query("SELECT ?s { ?s ?p ?o . FILTER (%s(%s)) }"
+                        % (name.lower(), ", ".join(["?o"] * n_args)))
+        for n_args in (low - 1, high + 1):
+            call = "%s(%s)" % (name.lower(), ", ".join(["?o"] * n_args))
+            for text in ("SELECT ?s { ?s ?p ?o . FILTER (%s) }" % call,
+                         "SELECT (%s AS ?n) { ?s ?p ?o }" % call):
+                with pytest.raises(ParseError) as refused:
+                    parse_query(text)
+                message = str(refused.value)
+                assert name in message and f"got {n_args}" in message
+                assert (f"takes {low} " if low == high else f"{low} to {high}") in message
+
 
 class TestPaperQueries:
     """All the queries quoted in the paper must parse."""

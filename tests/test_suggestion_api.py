@@ -398,6 +398,10 @@ class TestSuggestionApi:
         _, http = http_stack
         body = json.dumps({"query": "SELEKT nope {{{"}).encode()
         assert self.post_raw(http, "/suggest", body) == 400
+        # A call off its arity is a parse error too, not a 500.
+        body = json.dumps(
+            {"query": "SELECT * WHERE { ?s ?p ?o FILTER(strlen() > 2) }"}).encode()
+        assert self.post_raw(http, "/suggest", body) == 400
 
     def test_plain_endpoint_has_no_suggestion_routes(self, tiny_dataset):
         endpoint = SparqlEndpoint(
