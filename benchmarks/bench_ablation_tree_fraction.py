@@ -36,7 +36,7 @@ def test_tree_fraction_sweep(small_server, capsys, benchmark):
         rows = []
         for capacity in capacities:
             sized = cache.copy_with_capacity(capacity)
-            qcm = QueryCompletionModule(sized, sized.config.with_processes(2))
+            qcm = QueryCompletionModule(sized)
             t0 = time.perf_counter()
             hits = sum(1 for term in LOOKUP_TERMS if qcm.complete(term).tree_hit)
             elapsed = time.perf_counter() - t0

@@ -37,9 +37,8 @@ import pytest
 from conftest import emit
 
 from repro import EndpointConfig, SparqlEndpoint
-from repro.net import HttpSparqlEndpoint, SparqlHttpServer, fetch_stats
+from repro.net import HttpSparqlEndpoint, LatencyHistogram, SparqlHttpServer, fetch_stats
 from repro.net.server import RESPONSES_PER_CONNECTION
-from repro.net.wsgi import _percentile
 
 #: Concurrency gate: the server must sustain at least this many clients.
 N_CLIENTS = 8
@@ -113,9 +112,12 @@ def run_round(clients, expected) -> Tuple[List[float], List[str], int]:
 
 
 def percentile(sample: List[float], fraction: float) -> float:
-    """Client-side percentiles use the server's nearest-rank helper so
-    the bench and /stats can never disagree on the formula."""
-    return _percentile(sorted(sample), fraction)
+    """Client-side percentiles come out of the histogram behind /stats,
+    so the bench and the server can never disagree on the formula."""
+    histogram = LatencyHistogram()
+    for seconds in sample:
+        histogram.record(seconds)
+    return histogram.percentile(fraction)
 
 
 def update_bench_json(data: Dict, section: str = None) -> None:

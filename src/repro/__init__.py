@@ -35,13 +35,7 @@ from .core.answer_table import AnswerTable
 from .core.cache import SapphireCache
 from .core.config import SapphireConfig
 from .core.initialization import InitializationReport, initialize_endpoint
-from .core.persistence import (
-    load_cache,
-    load_store,
-    open_store,
-    save_cache,
-    save_store,
-)
+from .core.persistence import load_cache, load_store, save_cache, save_store
 from .core.qcm import QueryCompletionModule
 from .core.qsm_relax import StructureRelaxer
 from .core.qsm_terms import AlternativeTermsFinder
@@ -64,7 +58,6 @@ __all__ = [
     "AnswerTable",
     "save_cache",
     "load_cache",
-    "open_store",
     "save_store",
     "load_store",
     "QueryBuilder",
@@ -105,39 +98,9 @@ def quickstart_server(
 ) -> Tuple[SapphireServer, SyntheticDataset]:
     """Build a synthetic dataset, wrap it in an endpoint, register it with
     a fresh Sapphire server, and return both — the three lines every
-    example starts with.
-
-    ``sapphire_config.storage_backend`` selects the storage engine: with
-    ``"sqlite"`` the generated triples are materialized into a SQLite
-    store (at ``storage_path``, or in-memory) so the dataset survives
-    restarts and can be reopened with :func:`load_store`.  If the
-    database file already holds triples from a previous run, that
-    persisted dataset is served as-is (with the same generator config it
-    is identical to a rebuild) — it is never merged with a fresh build.
-    """
+    example starts with."""
     config = sapphire_config or SapphireConfig(suffix_tree_capacity=500)
     dataset = build_dataset(dataset_config or DatasetConfig.tiny())
-    if config.storage_backend != "memory":
-        persistent = open_store(config)
-        fingerprint = repr(dataset.config)  # deterministic dataclass repr
-        stored = persistent.backend.get_meta("dataset_fingerprint")
-        if len(persistent) == 0:
-            persistent.add_all(dataset.store.triples())
-            persistent.backend.set_meta("dataset_fingerprint", fingerprint)
-        elif (stored != fingerprint if stored is not None
-              else len(persistent) != len(dataset.store)):
-            # The file holds a different dataset; serving it while
-            # returning the fresh build's entity registry would hand the
-            # caller IRIs that have no triples in the store.  Files
-            # written by quickstart carry a config fingerprint; foreign
-            # files fall back to the triple-count heuristic.
-            persistent.close()
-            raise ValueError(
-                f"storage_path {config.storage_path!r} already holds a "
-                f"different dataset ({len(persistent)} triples) — use a "
-                "fresh path or the dataset_config it was built with"
-            )
-        dataset.store = persistent
     endpoint = SparqlEndpoint(
         dataset.store,
         endpoint_config or EndpointConfig(timeout_s=1.0),

@@ -29,6 +29,7 @@ from typing import List, Optional
 
 from . import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from .data import DatasetConfig, build_dataset
+from .sparql.errors import SparqlError
 
 __all__ = ["main", "build_parser"]
 
@@ -707,7 +708,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SparqlError as refused:  # the query text, not the program
+        print(f"error: {refused}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

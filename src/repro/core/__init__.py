@@ -5,7 +5,7 @@ from .cache import CachedTerm, CacheReader, SapphireCache
 from .cache_tiered import LazyTermDictionary, TieredSapphireCache
 from .config import SapphireConfig
 from .initialization import EndpointInitializer, InitializationReport, initialize_endpoint
-from .persistence import load_cache, load_store, open_store, save_cache, save_store
+from .persistence import load_cache, load_store, save_cache, save_store
 from .probes import PROBE_VAR, ProbeBatcher, build_probe_query
 from .qcm import Completion, CompletionResult, QueryCompletionModule
 from .qsm_relax import Edge, GraphExpander, RelaxationSuggestion, StructureRelaxer
@@ -17,7 +17,6 @@ __all__ = [
     "AnswerTable",
     "save_cache",
     "load_cache",
-    "open_store",
     "save_store",
     "load_store",
     "PROBE_VAR",

@@ -109,10 +109,6 @@ class CachedTerm:
         assert isinstance(decoded, IRI)
         return decoded
 
-    @property
-    def display(self) -> str:
-        return self.surface
-
 
 class CacheReader:
     """Cached predicates, classes and literals behind the two-level
@@ -198,18 +194,12 @@ class CacheReader:
         """All cached terms behind one surface ID (the ID-native lookup)."""
         return list(self._entries.get(sid, ()))
 
-    def tree_surface_ids(self, needle: str, limit: Optional[int] = None) -> List[int]:
-        """Surface IDs of tree-indexed surfaces containing ``needle``."""
-        if self.tree is None:
-            return []
-        return [self._tree_sids[i] for i in self.tree.find_ids(needle, limit)]
-
     def snapshot_indexes(self):
         """A mutually consistent ``(tree, tree_sids, bins)`` triple.
 
         ``build_indexes`` swaps all three wholesale under the lock; a
         reader that grabs the references together can then run its tree
-        lookup and (parallel) bin scan *outside* the lock — concurrent
+        lookup and bin scan *outside* the lock — concurrent
         ``/complete`` calls must not serialize on one RLock for the
         duration of a scan.  Entry buckets and the surface table are
         append-only, so resolving the returned surface IDs afterwards
@@ -228,19 +218,19 @@ class CacheReader:
         needle: str,
         min_len: int,
         max_len: int,
-        processes: int,
+        processes: object,
         bins: LiteralBins,
         limit: Optional[int] = None,
     ) -> List[tuple]:
         """``(surface_id, surface)`` pairs of residual literals in the
         length window containing ``needle``.  The base cache scans the
-        snapshotted ``bins`` (Algorithm 1 parallel scan); a tiered cache
-        queries its on-disk index instead.  ``limit`` is advisory — the
-        in-memory scan returns everything and lets the QCM truncate."""
-        del limit  # the parallel scan has no cheap early-out
-        return bins.scan_keyed(
-            min_len, max_len, lambda lit: needle in lit, processes
-        )
+        snapshotted ``bins``; a tiered cache queries its on-disk index
+        instead.  ``processes`` is ignored — the scan is serial, and the
+        slot stays only because ``benchmarks/spine/layers.py`` calls this
+        positionally.  ``limit`` is advisory — the in-memory scan returns
+        everything and lets the QCM truncate."""
+        del processes, limit
+        return bins.scan_keyed(min_len, max_len, lambda lit: needle in lit)
 
     def residual_searched_fraction(
         self, min_len: int, max_len: int, bins: LiteralBins
@@ -448,8 +438,6 @@ class CacheReader:
         the QCM's shortest-first order untouched (the re-sort is
         stable), so a cold cache ranks exactly like the paper's
         algorithm."""
-        if not self.config.freq_ranking:
-            return [0.0] * len(sids)
         boosted = set()
         if boost_surfaces:
             for surface in boost_surfaces:
@@ -469,14 +457,10 @@ class CacheReader:
                 self._freq.items(), key=lambda item: (-item[1], item[0])
             )[:limit]
             parts = [
-                f"{self._surface_display(sid)}:{count}" for sid, count in top
+                f"{self.surface_of(sid)}:{count}" for sid, count in top
             ]
-        state = "on" if self.config.freq_ranking else "off"
         listing = ", ".join(parts) if parts else "(none served yet)"
-        return f"freq_ranking={state} top=[{listing}]"
-
-    def _surface_display(self, sid: int) -> str:
-        return self.surface_of(sid)
+        return f"top=[{listing}]"
 
     def close(self) -> None:
         """Release backing resources (no-op for the in-memory cache)."""

@@ -15,9 +15,8 @@ anything else with a ``ValueError`` naming what it found and the remedy
 ``SapphireCache(config).merge(load_cache(path))`` is the way back to a
 mutable in-memory cache.
 
-Dataset persistence: :func:`open_store` builds a
-:class:`~repro.store.TripleStore` on the backend selected by
-:class:`SapphireConfig` (``storage_backend`` / ``storage_path``),
+Dataset persistence: a store is built on its backend directly
+(``TripleStore(backend=SQLiteBackend(path))``, docs/storage.md),
 :func:`save_store` snapshots any store into a SQLite file, and
 :func:`load_store` reopens one.  Together with the cache round-trip this
 is the full restart story: ``SapphireServer.save_state`` /
@@ -33,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..store import term_tables
-from ..store.backends import MemoryBackend
 from ..store.sqlite_backend import SQLiteBackend
 from ..store.triplestore import TripleStore
 from .cache import CacheReader
@@ -43,7 +41,6 @@ from .config import SapphireConfig
 __all__ = [
     "save_cache",
     "load_cache",
-    "open_store",
     "save_store",
     "load_store",
 ]
@@ -196,41 +193,6 @@ def load_cache(
 # ----------------------------------------------------------------------
 # Dataset (triple store) persistence
 # ----------------------------------------------------------------------
-
-
-def open_store(
-    config: Optional[SapphireConfig] = None,
-    path: Optional[Union[str, Path]] = None,
-) -> TripleStore:
-    """Build an empty :class:`TripleStore` on the configured backend.
-
-    An explicit ``path`` always selects the SQLite backend (asking for a
-    file is asking for persistence, whatever the config default says)
-    and overrides ``config.storage_path``; opening an existing SQLite
-    file yields a store already holding its persisted triples.
-    """
-    config = config or SapphireConfig()
-    if config.n_shards > 1:
-        from ..store import create_sharded_backend
-
-        if path is not None or config.storage_backend == "sqlite":
-            target = path or config.storage_path
-            if target is None:
-                raise ValueError(
-                    "a sharded SQLite store needs a file path "
-                    "(shards live at <path>.shardN)")
-            return TripleStore(backend=create_sharded_backend(
-                config.n_shards, "sqlite", str(target)))
-        if config.storage_backend == "memory":
-            return TripleStore(backend=create_sharded_backend(
-                config.n_shards, "memory"))
-        raise ValueError(f"unknown storage backend {config.storage_backend!r}")
-    if path is not None or config.storage_backend == "sqlite":
-        target = path or config.storage_path or ":memory:"
-        return TripleStore(backend=SQLiteBackend(target))
-    if config.storage_backend == "memory":
-        return TripleStore(backend=MemoryBackend())
-    raise ValueError(f"unknown storage backend {config.storage_backend!r}")
 
 
 def save_store(store: TripleStore, path: Union[str, Path]) -> int:

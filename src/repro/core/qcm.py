@@ -8,8 +8,8 @@ cached data that contain ``t``:
    responsive).
 2. If fewer than k matches, search the residual bins — only the bins of
    literals with length in ``[|t|, |t| + γ]`` (suggestions much longer
-   than the typed string are not useful), scanned by P parallel workers
-   with Algorithm 1's task assignment.
+   than the typed string are not useful), scanned in the calling thread
+   (the paper's P workers: ``repro.text.bins``).
 3. The shortest bin results fill the remaining slots.
 
 Variables (strings starting with ``?``) get no suggestions.
@@ -134,7 +134,7 @@ class QueryCompletionModule:
         min_len, max_len = len(needle), len(needle) + self.config.gamma
         t0 = time.perf_counter()
         matches = self.cache.residual_candidates(
-            needle, min_len, max_len, self.config.processes, bins,
+            needle, min_len, max_len, None, bins,
             limit=remaining + len(tree_sids),
         )
         result.bins_seconds = time.perf_counter() - t0
@@ -174,7 +174,3 @@ class QueryCompletionModule:
         self.cache.note_served(sids)
         self.cache.note_lookup(result.tree_hit, residual_hit)
         return result
-
-    def complete_surfaces(self, term: str, k: Optional[int] = None) -> List[str]:
-        """Convenience: just the suggested display strings."""
-        return self.complete(term, k).surfaces()

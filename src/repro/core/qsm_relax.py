@@ -118,7 +118,7 @@ class GraphExpander:
         Already-memoized vertices are skipped.  If the batch does not
         fit the remaining budget, or a batch query fails, the affected
         vertices are left unmemoized and fall back to per-vertex
-        expansion (same degradation as the unbatched path).
+        expansion.
         """
         pending = [v for v in dict.fromkeys(vertices) if v not in self._memo]
         if len(pending) < 2:
@@ -309,12 +309,11 @@ class StructureRelaxer:
             return []
         preferred = self._preferred_predicates(query)
         expander = GraphExpander(self.runner, self.config.relaxation_query_budget)
-        if self.config.qsm_batched_probes:
-            # All seeds get expanded first anyway (they sit at distance
-            # 0 on every frontier); prefetching them as one VALUES batch
-            # per direction spends 2 queries where the per-vertex loop
-            # spends up to 2 per seed, leaving budget for the search.
-            expander.expand_many([seed for group in groups for seed in group])
+        # All seeds get expanded first anyway (they sit at distance 0 on
+        # every frontier); prefetching them as one VALUES batch per
+        # direction spends 2 queries where the per-vertex loop spends up
+        # to 2 per seed, leaving budget for the search.
+        expander.expand_many([seed for group in groups for seed in group])
 
         steiner_edges = self._connect_groups(groups, preferred, expander)
         if steiner_edges is None:

@@ -263,16 +263,13 @@ class AlternativeTermsFinder:
         if positions is None:
             positions = self.candidate_positions(query)
         candidates: Dict[str, List[_Candidate]] = {"predicate": [], "literal": []}
-        batched = self.config.qsm_batched_probes
         for probed in positions:
             index, position, element, found = probed
             bucket = candidates["predicate" if isinstance(element, IRI) else "literal"]
-            results: Optional[Dict[Term, SelectResult]] = None
-            if batched:
-                results = self._batcher.run(
-                    query, index, position, [entry.term for entry, _ in found],
-                    tracer=tracer,
-                )
+            results: Optional[Dict[Term, SelectResult]] = self._batcher.run(
+                query, index, position, [entry.term for entry, _ in found],
+                tracer=tracer,
+            )
             for entry, score in found:
                 bucket.append((
                     probed, (entry, score), results is not None,
@@ -306,9 +303,9 @@ class AlternativeTermsFinder:
         """Walk candidates in similarity order; keep those with answers.
 
         Batch-probed candidates already know their answers; unresolved
-        ones (batching off, aggregate query, or a failed batch) execute
-        individually here, preserving the classic Algorithm 2 behaviour
-        as the fallback.  Only a candidate that is kept or has to run
+        ones (an aggregate query, or a failed batch) execute individually
+        here, preserving the classic Algorithm 2 behaviour as the
+        fallback.  Only a candidate that is kept or has to run
         gets its query built — one in ten survives its probe.
         """
         kept: List[TermSuggestion] = []

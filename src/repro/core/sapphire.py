@@ -567,7 +567,3 @@ class SapphireServer:
 
     def cache_stats(self) -> Dict[str, int]:
         return self.cache.stats()
-
-    def cache_lookup_stats(self) -> Dict[str, int]:
-        """QCM hit/miss counters (the serving layer's ``cache`` block)."""
-        return self.cache.lookup_stats()

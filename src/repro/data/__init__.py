@@ -14,7 +14,6 @@ from .ontology import (
 from .questions import (
     QUESTIONS,
     Question,
-    gold_answers,
     questions_by_difficulty,
     user_study_questions,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "build_dataset",
     "Question",
     "QUESTIONS",
-    "gold_answers",
     "questions_by_difficulty",
     "user_study_questions",
     "CLASS_HIERARCHY",

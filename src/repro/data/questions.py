@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..sparql.evaluator import evaluate
 from ..store.triplestore import TripleStore
 
-__all__ = ["Question", "QUESTIONS", "questions_by_difficulty", "user_study_questions", "gold_answers"]
+__all__ = ["Question", "QUESTIONS", "questions_by_difficulty", "user_study_questions"]
 
 Sketch = Tuple[Tuple[str, str, str], ...]
 
@@ -54,11 +54,6 @@ class Question:
         """Evaluate the gold query and return the answer set."""
         result = evaluate(store, self.gold_query)
         return frozenset(result.value_set(self.answer_var))
-
-
-def gold_answers(question: Question, store: TripleStore) -> frozenset:
-    """Module-level convenience mirror of :meth:`Question.gold_answers`."""
-    return question.gold_answers(store)
 
 
 def _q(

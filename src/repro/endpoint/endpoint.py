@@ -138,14 +138,22 @@ class SparqlEndpoint:
     # Public API
     # ------------------------------------------------------------------
 
+    def run(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> Union[SelectResult, AskResult]:
+        """Run a query of either form — the one execution entry, as
+        ``FederatedQueryProcessor.run`` is (:meth:`select` and
+        :meth:`ask` only check the form); raises on timeout/rejection."""
+        # Untraced calls keep the pre-tracing _run arity: subclasses
+        # (test doubles, failure injectors) override _run(query).
+        return (self._run(query, tracer=tracer) if tracer is not None
+                else self._run(query))
+
     def select(
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
     ) -> SelectResult:
         """Run a SELECT query; raises on timeout/rejection."""
-        # Untraced calls keep the pre-tracing _run arity: subclasses
-        # (test doubles, failure injectors) override _run(query).
-        result = (self._run(query, tracer=tracer) if tracer is not None
-                  else self._run(query))
+        result = self.run(query, tracer)
         if not isinstance(result, SelectResult):
             raise SparqlError("expected a SELECT query")
         return result
@@ -154,8 +162,7 @@ class SparqlEndpoint:
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
     ) -> AskResult:
         """Run an ASK query; raises on timeout/rejection."""
-        result = (self._run(query, tracer=tracer) if tracer is not None
-                  else self._run(query))
+        result = self.run(query, tracer)
         if not isinstance(result, AskResult):
             raise SparqlError("expected an ASK query")
         return result

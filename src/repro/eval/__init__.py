@@ -21,7 +21,6 @@ from .replay import (
     scripts_to_json,
 )
 from .reporting import (
-    format_bars,
     format_grouped_bars,
     format_route_series,
     format_table,
@@ -49,7 +48,6 @@ __all__ = [
     "QaldComparison",
     "run_comparison",
     "format_table",
-    "format_bars",
     "format_grouped_bars",
     "format_route_series",
     "format_trace",

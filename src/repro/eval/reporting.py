@@ -11,7 +11,6 @@ from typing import List, Mapping, Sequence, Tuple
 
 __all__ = [
     "format_table",
-    "format_bars",
     "format_grouped_bars",
     "format_route_series",
     "format_trace",
@@ -41,26 +40,6 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
         lines.append(" | ".join(
             str(row.get(column, "")).ljust(widths[column]) for column in columns
         ))
-    return "\n".join(lines)
-
-
-def format_bars(
-    series: Mapping[str, float],
-    title: str = "",
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """One horizontal ASCII bar per (label, value)."""
-    if not series:
-        return title
-    peak = max(series.values()) or 1.0
-    label_width = max(len(label) for label in series)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in series.items():
-        bar = "#" * max(0, round(width * value / peak))
-        lines.append(f"{label.ljust(label_width)} | {bar} {value:.2f}{unit}")
     return "\n".join(lines)
 
 

@@ -261,9 +261,9 @@ class RemoteBindJoinNode(PlanNode):
             ),
         )
 
-        # Fetch once per source, group extensions by their key values.
+        # Fetch once per source, group extensions by their key values
+        # (the pattern binds every shared variable: keys are whole).
         exact: Dict[Tuple, List[Tuple]] = {}
-        scan_rows: List[Tuple[Tuple, Tuple]] = []  # (key, extension)
         seen: set = set()
         for source in self.sources:
             result = member_call(
@@ -275,12 +275,8 @@ class RemoteBindJoinNode(PlanNode):
             for row in result.rows:
                 key = tuple(row.get(name) for name in self.shared)
                 extension = tuple(row.get(name) for name in self.fresh)
-                if (key, extension) in seen:
-                    continue
-                seen.add((key, extension))
-                if None in key:
-                    scan_rows.append((key, extension))
-                else:
+                if (key, extension) not in seen:
+                    seen.add((key, extension))
                     exact.setdefault(key, []).append(extension)
 
         for lrow in batch:
@@ -290,17 +286,12 @@ class RemoteBindJoinNode(PlanNode):
             )
             if None not in lkey:
                 matches = [(lkey, ext) for ext in exact.get(lkey, ())]
-                matches.extend(
-                    pair for pair in scan_rows if _terms_compatible(lkey, pair[0])
-                )
-            else:
+            else:  # shipped as UNDEF: an unbound slot joins any value
                 matches = [
                     (key, ext) for key, exts in exact.items()
-                    if _terms_compatible(lkey, key) for ext in exts
+                    if all(a is None or a == b for a, b in zip(lkey, key))
+                    for ext in exts
                 ]
-                matches.extend(
-                    pair for pair in scan_rows if _terms_compatible(lkey, pair[0])
-                )
             for key, extension in matches:
                 if charge is not None:
                     charge(1)
@@ -326,13 +317,3 @@ class RemoteBindJoinNode(PlanNode):
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left,)
-
-
-def _terms_compatible(left_key: Tuple, right_key: Tuple) -> bool:
-    """Join compatibility over decoded terms (None = unbound)."""
-    for a, b in zip(left_key, right_key):
-        if a is None or b is None:
-            continue
-        if a != b:
-            return False
-    return True

@@ -278,47 +278,6 @@ class ServerStats:
     def _sum(self, field: str) -> int:
         return sum(getattr(stats, field) for stats in self._routes.values())
 
-    def totals(self) -> Dict[str, int]:
-        """All aggregate counters under ONE lock acquisition.
-
-        The race-free read path: reading the per-field properties one
-        after another can observe *torn* totals (a request recorded
-        between two reads makes ``ok + rejected + ... != requests``),
-        which the replay harness's reconciliation would misreport as a
-        lost request.  ``totals()`` and :meth:`snapshot` are internally
-        consistent; the properties remain for single-field probes.
-        """
-        with self._lock:
-            return {
-                "requests": self._sum("requests"),
-                "ok": self._sum("ok"),
-                "rejected": self._sum("rejected"),
-                "timeouts": self._sum("timeouts"),
-                "client_errors": self._sum("client_errors"),
-                "server_errors": self._sum("server_errors"),
-                "rows_served": self._sum("rows_served"),
-            }
-
-    @property
-    def requests(self) -> int:
-        return self.totals()["requests"]
-
-    @property
-    def ok(self) -> int:
-        return self.totals()["ok"]
-
-    @property
-    def rejected(self) -> int:
-        return self.totals()["rejected"]
-
-    @property
-    def timeouts(self) -> int:
-        return self.totals()["timeouts"]
-
-    @property
-    def rows_served(self) -> int:
-        return self.totals()["rows_served"]
-
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             merged = LatencyHistogram.merged(
@@ -406,15 +365,6 @@ class SlowQueryLog:
                 "slow_count": sum(1 for entry in entries if entry["slow"]),
                 "entries": entries,
             }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._offered = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class StatsTimeSeries:

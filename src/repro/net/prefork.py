@@ -10,17 +10,13 @@ store replica, all accepting from ONE address.
 
 Socket sharing
 --------------
-Two strategies, picked automatically:
-
-* ``SO_REUSEPORT`` (Linux/BSD): every worker binds its *own* listening
-  socket to the shared address; the kernel load-balances incoming
-  connections across them.  The parent binds first (without listening)
-  only to resolve an ephemeral port, then closes its socket once the
-  workers are up.
-* FD passing (fallback, or ``force_fd_passing=True``): the parent binds
-  and listens, then ships the listening socket to each worker over its
-  control pipe with :func:`multiprocessing.reduction.send_handle`; the
-  workers ``accept()`` on the shared file description.
+``SO_REUSEPORT`` (Linux/BSD): every worker binds its *own* listening
+socket to the shared address; the kernel load-balances incoming
+connections across them.  The parent binds first (without listening)
+only to resolve an ephemeral port, then closes its socket once the
+workers are up.  Where the platform lacks the option,
+:meth:`PreforkServer.start` refuses with the remedy: serve from one
+process (``repro serve --workers 1``).
 
 Replica discipline
 ------------------
@@ -58,9 +54,6 @@ from .server import WsgiServer
 from .wsgi import SparqlWsgiApp
 
 __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
-
-#: True where the kernel can fan one port out across worker sockets.
-HAS_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +172,8 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
 
 
 class _WorkerHttpServer(WsgiServer):
-    """One worker's :class:`~repro.net.server.WsgiServer`, over a shared
-    or re-bound socket.
+    """One worker's :class:`~repro.net.server.WsgiServer`, on its own
+    ``SO_REUSEPORT`` socket at the shared address.
 
     Non-daemon request threads + ``block_on_close`` give graceful
     drain: ``shutdown()`` stops accepting, ``server_close()`` then
@@ -191,21 +184,8 @@ class _WorkerHttpServer(WsgiServer):
     daemon_threads = False
     block_on_close = True
 
-    def __init__(self, address, app, *, reuse_port: bool = False,
-                 fileno: Optional[int] = None) -> None:
-        self._reuse_port = reuse_port
-        # With ``fileno``, adopt the parent's already-listening socket:
-        # no bind, no listen — accept() on the shared file description.
-        super().__init__(address, app, bind_and_activate=fileno is None)
-        if fileno is not None:
-            self.socket.close()
-            self.socket = socket.socket(fileno=fileno)
-            self.server_address = self.socket.getsockname()
-            self.server_name, self.server_port = self.server_address[:2]
-
     def server_bind(self) -> None:
-        if self._reuse_port:
-            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
 
 
@@ -215,7 +195,7 @@ def _drain_and_exit(httpd: _WorkerHttpServer) -> None:
 
 
 def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
-                 host: str, port: int, use_reuse_port: bool,
+                 host: str, port: int,
                  app_kwargs: Dict[str, object], conn: Connection) -> None:
     """Worker entry point (module-level so ``spawn`` can import it).
 
@@ -229,13 +209,7 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
         backend = factory(spec)
         app = SparqlWsgiApp(backend, worker_id=str(index),
                             **app_kwargs)  # type: ignore[arg-type]
-        if use_reuse_port:
-            httpd = _WorkerHttpServer((host, port), app, reuse_port=True)
-        else:
-            from multiprocessing.reduction import recv_handle
-
-            httpd = _WorkerHttpServer((host, port), app,
-                                      fileno=recv_handle(conn))
+        httpd = _WorkerHttpServer((host, port), app)
     except Exception as exc:  # noqa: BLE001 — report, don't vanish silently
         try:
             conn.send(("failed", index, f"{type(exc).__name__}: {exc}"))
@@ -307,7 +281,6 @@ class PreforkServer:
         host: str = "127.0.0.1",
         port: int = 0,
         app_kwargs: Optional[Dict[str, object]] = None,
-        force_fd_passing: bool = False,
         health_interval_s: float = 0.5,
         start_timeout_s: float = 120.0,
         drain_timeout_s: float = 10.0,
@@ -321,14 +294,12 @@ class PreforkServer:
         self._requested_port = port
         self.port: Optional[int] = None
         self.app_kwargs = dict(app_kwargs or {})
-        self.use_reuse_port = HAS_REUSEPORT and not force_fd_passing
         self.health_interval_s = health_interval_s
         self.start_timeout_s = start_timeout_s
         self.drain_timeout_s = drain_timeout_s
         self.series = StatsTimeSeries()
         self._context = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
-        self._listen_socket: Optional[socket.socket] = None
         self._coordinator: Optional[WsgiServer] = None
         self._monitor: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -357,8 +328,13 @@ class PreforkServer:
     def start(self) -> "PreforkServer":
         if self._started:
             raise RuntimeError("PreforkServer is already running")
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError(
+                "this platform has no SO_REUSEPORT, so worker processes "
+                "cannot share one port — serve from a single process "
+                "instead (repro serve --workers 1)")
         self._started = True
-        self._bind()
+        reservation = self._reserve_port()
         try:
             for index in range(self.n_workers):
                 worker = _Worker(index)
@@ -370,38 +346,32 @@ class PreforkServer:
         except Exception:
             self.stop()
             raise
-        if self.use_reuse_port and self._listen_socket is not None:
-            # The port-reservation socket has done its job; the workers'
-            # own SO_REUSEPORT sockets now hold the address.
-            self._listen_socket.close()
-            self._listen_socket = None
+        finally:
+            # The workers' own SO_REUSEPORT sockets now hold the address.
+            reservation.close()
         self._start_coordinator()
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="prefork-monitor", daemon=True)
         self._monitor.start()
         return self
 
-    def _bind(self) -> None:
+    def _reserve_port(self) -> socket.socket:
+        """A bound socket that never listens receives no connections: it
+        only keeps an ephemeral port ours until every worker has bound
+        its own socket to it."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.use_reuse_port:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((self.host, self._requested_port))
-        if not self.use_reuse_port:
-            # FD-passing mode: this is THE listening socket all workers
-            # accept on.  In reuse-port mode we never listen — a bound,
-            # non-listening socket only reserves the ephemeral port and
-            # receives no connections.
-            sock.listen(128)
         self.port = sock.getsockname()[1]
-        self._listen_socket = sock
+        return sock
 
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
             args=(worker.index, self.factory, self.spec, self.host, self.port,
-                  self.use_reuse_port, self.app_kwargs, child_conn),
+                  self.app_kwargs, child_conn),
             name=f"prefork-worker-{worker.index}",
             daemon=False,
         )
@@ -410,11 +380,6 @@ class PreforkServer:
         worker.process = process
         worker.conn = parent_conn
         worker.pid = process.pid
-        if not self.use_reuse_port:
-            from multiprocessing.reduction import send_handle
-
-            assert self._listen_socket is not None
-            send_handle(parent_conn, self._listen_socket.fileno(), process.pid)
 
     def _await_ready(self, worker: _Worker, deadline: float) -> None:
         assert worker.conn is not None
@@ -444,9 +409,6 @@ class PreforkServer:
             self._coordinator.shutdown()
             self._coordinator.server_close()
             self._coordinator = None
-        if self._listen_socket is not None:
-            self._listen_socket.close()
-            self._listen_socket = None
 
     def _shutdown_worker(self, worker: _Worker) -> None:
         process, conn = worker.process, worker.conn

@@ -290,13 +290,12 @@ class WsgiServer(ThreadingHTTPServer):
     # without this, TIME_WAIT from a previous run can block the bind.
     allow_reuse_address = True
 
-    def __init__(self, address, app, *, verbose: bool = False,
-                 bind_and_activate: bool = True) -> None:
+    def __init__(self, address, app, *, verbose: bool = False) -> None:
         self.wsgi_app = app
         self.verbose = verbose
         self.connections = ConnectionRegistry()
         app.connections = self.connections   # the /stats ``connections`` block
-        super().__init__(address, _WsgiRequestHandler, bind_and_activate)
+        super().__init__(address, _WsgiRequestHandler)
 
     def server_close(self) -> None:
         """Release the socket and the connections: idle ones now, each
@@ -365,11 +364,6 @@ class SparqlHttpServer:
     def stats(self):
         """Live serving counters (same data ``/stats`` returns)."""
         return self.app.stats
-
-    @property
-    def series(self):
-        """The bounded stats time series behind ``/stats/series``."""
-        return self.app.series
 
     @property
     def slow_log(self):

@@ -68,9 +68,7 @@ rendered trace tree as ``text/plain``.
 
 from __future__ import annotations
 
-import inspect
 import json
-import math
 import random
 import threading
 import time
@@ -119,21 +117,6 @@ _STATUS_LINES = {
 }
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile over an ascending-sorted sample.
-
-    Kept here (not only in :mod:`repro.net.metrics`) because benchmark
-    code computes exact percentiles over raw client-side samples and
-    imports this helper from the wsgi module.
-    """
-    if not sorted_values:
-        return 0.0
-    # Nearest-rank: ceil(f*n)-1, clamped — int(f*n) would float one rank
-    # high (p50 of [1,2,3,4] must be 2, and p99 of 100 is not the max).
-    rank = max(0, math.ceil(fraction * len(sorted_values)) - 1)
-    return sorted_values[min(len(sorted_values) - 1, rank)]
-
-
 class SparqlWsgiApp:
     """WSGI callable speaking the SPARQL 1.1 Protocol for one backend.
 
@@ -141,8 +124,9 @@ class SparqlWsgiApp:
     :class:`~repro.endpoint.endpoint.SparqlEndpoint`, a
     :class:`~repro.federation.fedx.FederatedQueryProcessor`, or a
     :class:`~repro.core.sapphire.SapphireServer` (served through its
-    federation).  Parsed queries are dispatched to ``select``/``ask`` by
-    form, or to ``run`` when the backend offers it.
+    federation).  Parsed queries go to the backend's one execution
+    entry, ``run(query, tracer=None)``; the tracer is an argument on
+    every call, ``None`` when the request is not traced.
     """
 
     def __init__(
@@ -186,16 +170,6 @@ class SparqlWsgiApp:
         self.worker_id = worker_id
         self.slow_log = SlowQueryLog(slow_log_size, slow_query_threshold_s)
         self._trace_rng = random.Random()
-        # Tracing is duck-typed: only backends whose query surface grew
-        # a ``tracer`` parameter get traced requests.  Foreign backends
-        # keep working exactly as before (never handed a tracer).
-        self._traceable = _accepts_tracer(
-            getattr(self.backend, "run", None)
-            or getattr(self.backend, "select", None)
-        )
-        self._suggest_traceable = self.suggester is not None and _accepts_tracer(
-            getattr(self.suggester, "run_query", None)
-        ) and _accepts_tracer(getattr(self.suggester, "complete", None))
         self.stats = ServerStats()
         self.series = StatsTimeSeries()
         #: The serving :class:`~repro.net.server.ConnectionRegistry`
@@ -378,8 +352,6 @@ class SparqlWsgiApp:
 
         if explain and not analyze:
             return self._handle_explain(text)
-        if analyze and not self._traceable:
-            return _failure(400, "this backend does not support analyze")
 
         mime = writer = None
         if not analyze:
@@ -395,8 +367,7 @@ class SparqlWsgiApp:
 
         # ANALYZE *executes*, so unlike EXPLAIN it goes through the same
         # admission control and deadline as any query.
-        tracer = self._maybe_tracer(environ, text, analyze) \
-            if self._traceable else None
+        tracer = self._maybe_tracer(environ, text, analyze)
 
         admitted, queued_s = self._admit()
         if not admitted:
@@ -411,7 +382,7 @@ class SparqlWsgiApp:
                 self._in_flight += 1
                 self.stats.observe_queue(self._queued, self._in_flight)
             try:
-                result = self._execute(parsed, tracer)
+                result = self.backend.run(parsed, tracer=tracer)
             finally:
                 with self._queue_lock:
                     self._in_flight -= 1
@@ -460,9 +431,7 @@ class SparqlWsgiApp:
 
         Traced when: ANALYZE was requested, an upstream trace id arrived
         (a federated caller is tracing — continue its trace id so the
-        spans stitch), or the sample-rate coin flip wins.  Callers gate
-        on the capability flags (``_traceable``/``_suggest_traceable``)
-        so backends predating the ``tracer`` parameter never see one.
+        spans stitch), or the sample-rate coin flip wins.
         """
         inbound = (environ.get("HTTP_X_REPRO_TRACE_ID") or "").strip()
         if not (analyze or inbound or (
@@ -494,11 +463,9 @@ class SparqlWsgiApp:
             return _failure(400, "'session' must be a string token")
 
         snippet = document.get("query") or document.get("text") or ""
-        tracer = None
-        if self._suggest_traceable:
-            tracer = self._maybe_tracer(
-                environ, snippet if isinstance(snippet, str) else "", False
-            )
+        tracer = self._maybe_tracer(
+            environ, snippet if isinstance(snippet, str) else "", False
+        )
 
         admitted, queued_s = self._admit()
         if not admitted:
@@ -563,12 +530,9 @@ class SparqlWsgiApp:
             ):
                 raise _HttpFail(400, "'recent' must be a list of strings")
             recent = recent[-32:]  # bounded, like SapphireSession history
-        kwargs = {} if recent is None else {"boost_surfaces": recent}
-        if tracer is not None:
-            return completion_document(
-                self.suggester.complete(text, k, tracer, **kwargs)
-            )
-        return completion_document(self.suggester.complete(text, k, **kwargs))
+        return completion_document(
+            self.suggester.complete(text, k, tracer, boost_surfaces=recent)
+        )
 
     def _run_suggest(
         self, document: Dict, tracer: Optional[Tracer] = None
@@ -579,11 +543,9 @@ class SparqlWsgiApp:
         suggest = document.get("suggest", True)
         if not isinstance(suggest, bool):
             raise _HttpFail(400, "'suggest' must be a boolean")
-        if tracer is not None:
-            outcome = self.suggester.run_query(query, suggest=suggest, tracer=tracer)
-        else:
-            outcome = self.suggester.run_query(query, suggest=suggest)
-        return outcome_document(outcome)
+        return outcome_document(
+            self.suggester.run_query(query, suggest=suggest, tracer=tracer)
+        )
 
     def _read_json_body(self, environ) -> Dict:
         """The request body as a JSON object (suggestion routes)."""
@@ -655,10 +617,6 @@ class SparqlWsgiApp:
         values = params.get(name)
         return bool(values) and values[0].strip().lower() in ("1", "true", "yes")
 
-    @classmethod
-    def _explain_flag(cls, params: Dict[str, List[str]]) -> bool:
-        return cls._flag(params, "explain")
-
     def _extract_query(
         self, environ, method: str
     ) -> Tuple[Optional[str], bool, bool]:
@@ -711,19 +669,6 @@ class SparqlWsgiApp:
                 self._queued -= 1
         return admitted, time.perf_counter() - started
 
-    def _execute(self, parsed: Query, tracer: Optional[Tracer] = None):
-        backend = self.backend
-        # A federation's run() is its one execution entry (select()/ask()
-        # are form checks over it); bare endpoints dispatch by form.
-        # ``tracer`` is only ever non-None when the capability check at
-        # construction saw a ``tracer`` parameter on this surface.
-        run = getattr(backend, "run", None)
-        if run is not None:
-            return run(parsed, tracer=tracer) if tracer is not None else run(parsed)
-        if parsed.form == "ASK":
-            return backend.ask(parsed, tracer) if tracer is not None else backend.ask(parsed)
-        return backend.select(parsed, tracer) if tracer is not None else backend.select(parsed)
-
     # ------------------------------------------------------------------
     # Response helpers
     # ------------------------------------------------------------------
@@ -740,16 +685,6 @@ class SparqlWsgiApp:
         headers = list(_json_headers(len(payload)).items()) + (extra_headers or [])
         start_response(_STATUS_LINES[status], headers)
         return [payload]
-
-
-def _accepts_tracer(method) -> bool:
-    """True when ``method`` has an inspectable ``tracer`` parameter."""
-    if method is None:
-        return False
-    try:
-        return "tracer" in inspect.signature(method).parameters
-    except (TypeError, ValueError):
-        return False
 
 
 def _default_deadline(backend) -> Optional[float]:

@@ -210,11 +210,6 @@ class GraphPattern:
             extend(opt.variables())
         return tuple(names)
 
-    def is_basic(self) -> bool:
-        """True when the group is patterns+filters only (no compound
-        sub-structure) — the shape the seed engine supported."""
-        return not (self.optionals or self.unions or self.minuses or self.values)
-
 
 @dataclass
 class Query:

@@ -417,7 +417,14 @@ def _compile_binary(expr: BinaryExpr) -> _Compiled:
     if op in _ARITHMETIC:
         apply, lv, rv = _ARITHMETIC[op], left.view("number"), right.view("number")
         kind = _INTEGER if op != "/" and kinds == (_INTEGER, _INTEGER) else _NUMBER
-        return _Compiled(kind, lambda binding: apply(lv(binding), rv(binding)))
+
+        def arithmetic(binding: Binding):
+            try:
+                return apply(lv(binding), rv(binding))
+            except OverflowError:  # an integer too large for the double it meets
+                raise ExpressionError("numeric overflow") from None
+
+        return _Compiled(kind, arithmetic)
     return _failing(f"unknown binary operator {op}")
 
 

@@ -35,20 +35,12 @@ class SelectResult:
     def __bool__(self) -> bool:
         return bool(self.rows)
 
-    def column(self, name: str) -> List[Optional[Term]]:
-        """All values of variable ``name`` across rows (None when unbound)."""
-        return [row.get(name) for row in self.rows]
-
     def first_value(self, name: Optional[str] = None) -> Optional[Term]:
         """The first row's value for ``name`` (or the single variable)."""
         if not self.rows:
             return None
         key = name if name is not None else self.variables[0]
         return self.rows[0].get(key)
-
-    def to_tuples(self) -> List[tuple]:
-        """Rows as tuples ordered by the projected variable list."""
-        return [tuple(row.get(v) for v in self.variables) for row in self.rows]
 
     def value_set(self, name: Optional[str] = None) -> set:
         """Distinct values of one column — handy for answer comparison."""

@@ -269,15 +269,6 @@ class Tracer:
         # collision-proof enough without coordinating.
         self._id_base = f"{random.getrandbits(32):08x}"
 
-    @property
-    def trace_id(self) -> str:
-        return self.trace.trace_id
-
-    def current_span_id(self) -> Optional[str]:
-        """Id of the innermost open span (the parent a remote call
-        should name in :data:`PARENT_SPAN_HEADER`)."""
-        return self._stack[-1].span_id if self._stack else None
-
     # ------------------------------------------------------------------
     # Span creation
     # ------------------------------------------------------------------

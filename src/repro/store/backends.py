@@ -66,7 +66,6 @@ class StorageBackend(Protocol):
 
     def add(self, s: int, p: int, o: int) -> bool: ...
     def add_many(self, triples: Iterator[IdTriple]) -> int: ...
-    def remove(self, s: int, p: int, o: int) -> bool: ...
     def contains(self, s: int, p: int, o: int) -> bool: ...
     def size(self) -> int: ...
     def iter_ids(self) -> Iterator[IdTriple]: ...
@@ -94,10 +93,6 @@ class StorageBackend(Protocol):
     def predicate_fanouts(self) -> Dict[int, int]: ...
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]: ...
     def object_fanouts(self) -> Dict[int, int]: ...
-    def in_degree(self, o: int) -> int: ...
-    def out_degree(self, s: int) -> int: ...
-    def out_edges(self, s: int) -> Iterator[Tuple[int, int]]: ...
-    def in_edges(self, o: int) -> Iterator[Tuple[int, int]]: ...
     def get_meta(self, key: str) -> Optional[str]: ...
     def set_meta(self, key: str, value: str) -> None: ...
     def meta_items(self) -> Dict[str, str]: ...
@@ -120,10 +115,10 @@ class MemoryBackend:
         self._pos: Dict[int, Dict[int, Set[int]]] = {}
         self._osp: Dict[int, Dict[int, Set[int]]] = {}
         self._size = 0
-        # Triples per subject / predicate / object, kept by ``add`` and
-        # ``remove``: the planner asks for the one-position estimates
-        # several times a plan, and summing a predicate's fan-outs walks
-        # its whole POS slice.
+        # Triples per subject / predicate / object, kept by ``add``: the
+        # planner asks for the one-position estimates several times a
+        # plan, and summing a predicate's fan-outs walks its whole POS
+        # slice.
         self._s_total: Dict[int, int] = {}
         self._p_total: Dict[int, int] = {}
         self._o_total: Dict[int, int] = {}
@@ -165,27 +160,6 @@ class MemoryBackend:
 
     def add_many(self, triples: Iterator[IdTriple]) -> int:
         return sum(1 for s, p, o in triples if self.add(s, p, o))
-
-    def remove(self, s: int, p: int, o: int) -> bool:
-        if not self.contains(s, p, o):
-            return False
-        # Prune emptied levels so the aggregate views (subject_ids,
-        # predicate_fanouts, ...) stay identical to the SQLite backend's.
-        _discard_and_prune(self._spo, s, p, o)
-        _discard_and_prune(self._pos, p, o, s)
-        _discard_and_prune(self._osp, o, s, p)
-        self._size -= 1
-        for totals, key in ((self._s_total, s), (self._p_total, p), (self._o_total, o)):
-            # Deleted at zero, like the pruned index levels above.
-            if totals[key] == 1:
-                del totals[key]
-            else:
-                totals[key] -= 1
-        self._pstats = None
-        self._pcols.pop(p, None)
-        if self._col_cache:
-            self._col_cache.clear()
-        return True
 
     # -- lookup --------------------------------------------------------
 
@@ -413,22 +387,6 @@ class MemoryBackend:
     def object_fanouts(self) -> Dict[int, int]:
         return dict(self._o_total)
 
-    def in_degree(self, o: int) -> int:
-        return self._o_total.get(o, 0)
-
-    def out_degree(self, s: int) -> int:
-        return self._s_total.get(s, 0)
-
-    def out_edges(self, s: int) -> Iterator[Tuple[int, int]]:
-        for pred, objects in self._spo.get(s, {}).items():
-            for obj in objects:
-                yield (pred, obj)
-
-    def in_edges(self, o: int) -> Iterator[Tuple[int, int]]:
-        for subj, preds in self._osp.get(o, {}).items():
-            for pred in preds:
-                yield (subj, pred)
-
     def get_meta(self, key: str) -> Optional[str]:
         """Read a metadata value (ephemeral, like the triples)."""
         return self._meta.get(key)
@@ -441,15 +399,3 @@ class MemoryBackend:
 
     def close(self) -> None:
         """Nothing to release for the in-memory backend."""
-
-
-def _discard_and_prune(
-    index: Dict[int, Dict[int, Set[int]]], a: int, b: int, c: int
-) -> None:
-    by_b = index[a]
-    leaf = by_b[b]
-    leaf.discard(c)
-    if not leaf:
-        del by_b[b]
-        if not by_b:
-            del index[a]

@@ -10,15 +10,14 @@ QSM relaxation, initialization crawls) issues millions of such probes, so
 the encoding pays for itself immediately.
 
 IDs are dense (``0 .. len-1``) and stable for the lifetime of the
-dictionary: terms are never evicted, even when the last triple mentioning
-them is removed.  Density lets :meth:`TermDictionary.decode` be a plain
-list index and lets persistent backends store the dictionary as a table
-keyed by the same IDs.
+dictionary: terms are never evicted.  Density lets
+:meth:`TermDictionary.decode` be a plain list index and lets persistent
+backends store the dictionary as a table keyed by the same IDs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..rdf.terms import Term
 
@@ -85,7 +84,3 @@ class TermDictionary:
             )
         self._ids[term] = term_id
         self.terms.append(term)
-
-    def items(self) -> Iterator[Tuple[int, Term]]:
-        """All ``(id, term)`` pairs in ID order."""
-        return enumerate(self.terms)

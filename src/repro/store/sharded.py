@@ -125,10 +125,6 @@ class ShardedBackend:
                 if run:
                     added += shard.add_many(iter(run))
 
-    def remove(self, s: int, p: int, o: int) -> bool:
-        self._pstats = None
-        return self.shards[s % self.n_shards].remove(s, p, o)
-
     # -- lookup --------------------------------------------------------
 
     def contains(self, s: int, p: int, o: int) -> bool:
@@ -251,19 +247,6 @@ class ShardedBackend:
             for o, count in shard.object_fanouts().items():
                 merged[o] = merged.get(o, 0) + count
         return merged
-
-    def in_degree(self, o: int) -> int:
-        return sum(shard.in_degree(o) for shard in self.shards)
-
-    def out_degree(self, s: int) -> int:
-        return self.shards[s % self.n_shards].out_degree(s)
-
-    def out_edges(self, s: int) -> Iterator[Tuple[int, int]]:
-        return self.shards[s % self.n_shards].out_edges(s)
-
-    def in_edges(self, o: int) -> Iterator[Tuple[int, int]]:
-        for shard in self.shards:
-            yield from shard.in_edges(o)
 
     # -- metadata (shard 0 owns it, like the dictionary) ---------------
 

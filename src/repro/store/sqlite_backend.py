@@ -208,20 +208,6 @@ class SQLiteBackend:
             total_added += added
         return total_added
 
-    def remove(self, s: int, p: int, o: int) -> bool:
-        with self._lock:
-            cursor = self._conn.execute(
-                "DELETE FROM triples WHERE s = ? AND p = ? AND o = ?", (s, p, o)
-            )
-            removed = cursor.rowcount > 0
-            if removed:
-                self._size -= 1
-                self._pred_counts = None
-                self._pstats = None
-                self._col_cache.clear()
-            self._conn.commit()
-        return removed
-
     # -- lookup --------------------------------------------------------
 
     def contains(self, s: int, p: int, o: int) -> bool:
@@ -372,20 +358,6 @@ class SQLiteBackend:
 
     def object_fanouts(self) -> Dict[int, int]:
         return dict(self._query_all("SELECT o, COUNT(*) FROM triples GROUP BY o"))
-
-    def in_degree(self, o: int) -> int:
-        row = self._query_one("SELECT COUNT(*) FROM triples WHERE o = ?", (o,))
-        return row[0] if row else 0
-
-    def out_degree(self, s: int) -> int:
-        row = self._query_one("SELECT COUNT(*) FROM triples WHERE s = ?", (s,))
-        return row[0] if row else 0
-
-    def out_edges(self, s: int) -> Iterator[Tuple[int, int]]:
-        yield from self._query_all("SELECT p, o FROM triples WHERE s = ?", (s,))
-
-    def in_edges(self, o: int) -> Iterator[Tuple[int, int]]:
-        yield from self._query_all("SELECT s, p FROM triples WHERE o = ?", (o,))
 
     # -- metadata ------------------------------------------------------
 

@@ -40,11 +40,6 @@ class PredicateStat:
         """Mean triples per distinct subject (≥ 1 when the predicate exists)."""
         return self.count / self.distinct_subjects if self.distinct_subjects else 0.0
 
-    @property
-    def object_fanout(self) -> float:
-        """Mean triples per distinct object."""
-        return self.count / self.distinct_objects if self.distinct_objects else 0.0
-
 
 @dataclass
 class DatasetStats:

@@ -170,18 +170,6 @@ class TripleStore:
             (encode(t.subject), encode(t.predicate), encode(t.object)) for t in triples
         )
 
-    def remove(self, triple: Triple) -> bool:
-        """Delete ``triple``; returns False if it was not present.
-
-        The terms stay interned — dictionary IDs are never recycled.
-        """
-        lookup = self._dict.lookup
-        s, p, o = lookup(triple.subject), lookup(triple.predicate), lookup(triple.object)
-        if NO_ID in (s, p, o):
-            return False
-        self._generation += 1
-        return self._backend.remove(s, p, o)
-
     def triples(self) -> Iterator[Triple]:
         """Iterate over every triple in the store (decoded)."""
         decode = self._dict.decode
@@ -376,17 +364,9 @@ class TripleStore:
             if isinstance(term, IRI)
         }
 
-    def subjects(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(s) for s in self._backend.subject_ids()}
-
     def n_subjects(self) -> int:
         """Distinct-subject count without decoding or materializing."""
         return self._backend.subject_count()
-
-    def objects(self) -> Set[Term]:
-        decode = self._dict.decode
-        return {decode(o) for o in self._backend.object_ids()}
 
     def literals(self) -> Iterator[Literal]:
         """All distinct literal objects."""
@@ -395,16 +375,6 @@ class TripleStore:
             term = decode(o)
             if isinstance(term, Literal):
                 yield term
-
-    def in_degree(self, term: Term) -> int:
-        """Number of triples with ``term`` in object position."""
-        term_id = self._dict.lookup(term)
-        return 0 if term_id == NO_ID else self._backend.in_degree(term_id)
-
-    def out_degree(self, term: Term) -> int:
-        """Number of triples with ``term`` in subject position."""
-        term_id = self._dict.lookup(term)
-        return 0 if term_id == NO_ID else self._backend.out_degree(term_id)
 
     def entity_in_degrees(self) -> Dict[IRI, int]:
         """In-degree of every IRI entity (subjects and objects), one pass.
@@ -424,24 +394,6 @@ class TripleStore:
             if isinstance(term, IRI):
                 degrees.setdefault(term, 0)
         return degrees
-
-    def neighbours(self, term: Term) -> List[Tuple[Term, IRI, Term, bool]]:
-        """Edges incident to ``term``.
-
-        Returns ``(subject, predicate, object, outgoing)`` tuples; used by
-        the Steiner-tree expansion when running in warehouse mode and by
-        tests that cross-check the expansion queries.
-        """
-        term_id = self._dict.lookup(term)
-        if term_id == NO_ID:
-            return []
-        decode = self._dict.decode
-        edges: List[Tuple[Term, IRI, Term, bool]] = []
-        for pred, obj in self._backend.out_edges(term_id):
-            edges.append((term, decode(pred), decode(obj), True))  # type: ignore[arg-type]
-        for subj, pred in self._backend.in_edges(term_id):
-            edges.append((decode(subj), decode(pred), term, False))  # type: ignore[arg-type]
-        return edges
 
 
 def _repeated_positions(encoded: Sequence[IdOrVar]) -> List[Tuple[int, int]]:

@@ -1,6 +1,6 @@
 """Text substrate: similarity, suffix tree, residual bins, lexicon."""
 
-from .bins import BinTask, LiteralBins, assign_tasks, scan_bins
+from .bins import BinTask, LiteralBins, assign_tasks
 from .lexicon import Lexicon, default_lexicon, split_camel_case
 from .similarity import (
     SIMILARITY_MEASURES,
@@ -8,7 +8,6 @@ from .similarity import (
     ThresholdScorer,
     jaro,
     jaro_winkler,
-    jaro_winkler_at_least,
     levenshtein,
     levenshtein_similarity,
 )
@@ -17,7 +16,6 @@ from .suffix_tree import MAX_STRINGS, GeneralizedSuffixTree, sentinel_for
 __all__ = [
     "jaro",
     "jaro_winkler",
-    "jaro_winkler_at_least",
     "ThresholdScorer",
     "levenshtein",
     "levenshtein_similarity",
@@ -29,7 +27,6 @@ __all__ = [
     "LiteralBins",
     "BinTask",
     "assign_tasks",
-    "scan_bins",
     "Lexicon",
     "default_lexicon",
     "split_camel_case",

@@ -1,21 +1,22 @@
-"""Residual literal bins and the parallel bin scan.
+"""Residual literal bins and their scans.
 
 Literals that do not make it into the suffix tree are the *residual
 literals* (Section 5.2).  Lookup over them is a sequential scan, which
 Sapphire makes interactive by (1) organizing literals into bins keyed by
 exact string length — ``bin(literal) = |literal|`` — so a length-bounded
-search touches only a few bins, and (2) scanning the selected bins with P
-parallel workers, assigning each worker an equal number of literals via
-the contiguous-range scheme of **Algorithm 1**.
+search touches only a few bins, and (2) in the paper, scanning the
+selected bins with P parallel workers, each assigned an equal number of
+literals by the contiguous-range scheme of **Algorithm 1**.
 
 Algorithm 1 is implemented verbatim in :func:`assign_tasks` (and unit
 tested against its stated invariants: every literal assigned exactly
-once, per-worker load within one bin-remainder of the ideal d = n/P).
-It drives the substring scans (``scan`` / ``scan_keyed``, the QCM's).
-
-The QSM's *scored* scan (:meth:`LiteralBins.scan_scored`) runs in the
-calling thread instead: under one GIL P threads buy a Python scorer
-nothing, so what is left is the cost of one candidate.  Each bin is a
+once, per-worker load within one bin-remainder of the ideal d = n/P);
+``benchmarks/bench_qcm.py`` prints the load split it produces.  Nothing
+here executes the assignment: both scans run in the calling thread,
+because under one GIL P threads buy a Python predicate or scorer nothing
+— measured at 397 to 231,166 residual literals, the serial substring
+scan was never slower than a pool (docs/predictive-model.md).  What is
+left is the cost of one candidate.  Each bin is a
 :class:`ColumnBin`: beside its strings and keys, a parallel column of
 character-multiset signatures and a first-character → offsets table,
 and a scorer takes a bin whole
@@ -27,15 +28,12 @@ in-memory cache's, or the ones a tiered cache loaded from its file.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .similarity import signature
 
-__all__ = [
-    "LiteralBins", "ColumnBin", "BinTask", "assign_tasks", "scan_bins", "score_bins",
-]
+__all__ = ["LiteralBins", "ColumnBin", "BinTask", "assign_tasks", "score_bins"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +120,16 @@ class ColumnBin:
 
 
 class LiteralBins:
-    """Length-keyed bins of literal strings with parallel scanning.
+    """Length-keyed bins of literal strings.
 
     The bins store plain strings (the lexical forms) plus one integer
     *key* per literal — the Sapphire cache passes its surface IDs, so a
     scan hit maps back to cached terms without a string lookup; callers
-    that never pass keys get a dense insertion index instead.  ``scan``
-    applies an arbitrary predicate over the literals in a length range,
-    parallelized over ``processes`` workers per Algorithm 1
-    (``scan_keyed`` returns ``(key, literal)`` pairs for ID-space
-    consumers); ``scan_scored`` hands each bin of the range, with its
-    signature columns, to a bulk scorer.
+    that never pass keys get a dense insertion index instead.
+    ``scan_keyed`` applies an arbitrary predicate over the literals in a
+    length range and returns ``(key, literal)`` pairs; ``scan_scored``
+    hands each bin of the range, with its signature columns, to a bulk
+    scorer.
     """
 
     def __init__(self, literals: Optional[Iterable[str]] = None) -> None:
@@ -163,25 +160,10 @@ class LiteralBins:
         """Map of literal length -> bin population."""
         return {length: len(bucket) for length, bucket in self._bins.items()}
 
-    def lengths(self) -> List[int]:
-        return sorted(self._bins.keys())
-
-    def literals_of_length(self, length: int) -> List[str]:
-        bucket = self._bins.get(length)
-        return list(bucket.literals) if bucket is not None else []
-
     def window(self, min_len: int, max_len: int) -> List[ColumnBin]:
         """The column bins whose length falls in [min_len, max_len], ascending."""
         return [
             self._bins[length]
-            for length in sorted(self._bins)
-            if min_len <= length <= max_len
-        ]
-
-    def select_bins(self, min_len: int, max_len: int) -> List[Tuple[int, List[str]]]:
-        """``(length, strings)`` of the bins in [min_len, max_len], ascending."""
-        return [
-            (length, self._bins[length].literals)
             for length in sorted(self._bins)
             if min_len <= length <= max_len
         ]
@@ -199,56 +181,17 @@ class LiteralBins:
     # Scanning
     # ------------------------------------------------------------------
 
-    def scan(
-        self,
-        min_len: int,
-        max_len: int,
-        match: Callable[[str], bool],
-        processes: int = 1,
-    ) -> List[str]:
-        """All literals of length in [min_len, max_len] satisfying ``match``.
-
-        With ``processes > 1`` the scan is parallelized over a thread
-        pool; the per-worker task ranges come from Algorithm 1 so each
-        worker inspects an equal number of literals.
-        """
-        selected = self.select_bins(min_len, max_len)
-        if not selected:
-            return []
-        buckets = [bucket for _, bucket in selected]
-        return scan_bins(buckets, match, processes)
-
     def scan_keyed(
-        self,
-        min_len: int,
-        max_len: int,
-        match: Callable[[str], bool],
-        processes: int = 1,
+        self, min_len: int, max_len: int, match: Callable[[str], bool]
     ) -> List[Tuple[int, str]]:
-        """Like :meth:`scan` but returns ``(key, literal)`` pairs."""
-        selected = self.window(min_len, max_len)
-        if not selected:
-            return []
-        buckets = [column_bin.literals for column_bin in selected]
-        key_lists = [column_bin.keys for column_bin in selected]
-        hits: List[Tuple[int, str]] = []
-
-        def work(assignments: List[BinTask]) -> List[Tuple[int, str]]:
-            found: List[Tuple[int, str]] = []
-            for task in assignments:
-                bucket = buckets[task.bin_index]
-                keys = key_lists[task.bin_index]
-                for offset in range(task.start, task.end):
-                    literal = bucket[offset]
-                    if match(literal):
-                        found.append((keys[offset], literal))
-            return found
-
-        for chunk in _run_assignments(
-            [len(b) for b in buckets], processes, work
-        ):
-            hits.extend(chunk)
-        return hits
+        """``(key, literal)`` of the literals of length in [min_len,
+        max_len] satisfying ``match``, in bin then insertion order."""
+        return [
+            (key, literal)
+            for column_bin in self.window(min_len, max_len)
+            for key, literal in zip(column_bin.keys, column_bin.literals)
+            if match(literal)
+        ]
 
     def scan_scored(
         self,
@@ -287,41 +230,3 @@ def score_bins(
                 results.append((keys[offset], literals[offset], score))
     results.sort(key=lambda hit: (-hit[2], len(hit[1]), hit[1]))
     return results, scanned
-
-
-def _run_assignments(bin_sizes: Sequence[int], processes: int, work):
-    """Partition per Algorithm 1 and run ``work`` over each process's
-    assignment list, in a thread pool when more than one worker has a
-    non-empty assignment.  Yields each worker's result chunk."""
-    tasks = assign_tasks(bin_sizes, processes)
-    by_process: Dict[int, List[BinTask]] = {}
-    for task in tasks:
-        by_process.setdefault(task.process_id, []).append(task)
-    if processes <= 1 or len(by_process) <= 1:
-        for assignments in by_process.values():
-            yield work(assignments)
-        return
-    with ThreadPoolExecutor(max_workers=len(by_process)) as pool:
-        yield from pool.map(work, by_process.values())
-
-
-def scan_bins(
-    buckets: Sequence[List[str]],
-    match: Callable[[str], bool],
-    processes: int = 1,
-) -> List[str]:
-    """Scan ``buckets`` for literals satisfying ``match`` with P workers."""
-
-    def work(assignments: List[BinTask]) -> List[str]:
-        hits: List[str] = []
-        for task in assignments:
-            bucket = buckets[task.bin_index]
-            for literal in bucket[task.start:task.end]:
-                if match(literal):
-                    hits.append(literal)
-        return hits
-
-    results: List[str] = []
-    for chunk in _run_assignments([len(b) for b in buckets], processes, work):
-        results.extend(chunk)
-    return results

@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Tuple
 __all__ = [
     "jaro",
     "jaro_winkler",
-    "jaro_winkler_at_least",
     "ThresholdScorer",
     "signature",
     "levenshtein",
@@ -268,13 +267,6 @@ class ThresholdScorer:
         if same:
             hits.sort()
         return hits
-
-
-def jaro_winkler_at_least(s1: str, s2: str, threshold: float) -> float:
-    """``jaro_winkler(s1, s2)`` if it is at least ``threshold``; below
-    the threshold, that score or ``0.0`` (see :class:`ThresholdScorer`,
-    the form to use when one string meets many)."""
-    return ThresholdScorer(s1, threshold)(s2)
 
 
 def levenshtein(s1: str, s2: str) -> int:

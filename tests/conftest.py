@@ -80,7 +80,7 @@ def endpoint(store):
 
 @pytest.fixture(scope="session")
 def server(endpoint):
-    sapphire = SapphireServer(SapphireConfig(suffix_tree_capacity=500, processes=2))
+    sapphire = SapphireServer(SapphireConfig(suffix_tree_capacity=500))
     sapphire.register_endpoint(endpoint)
     return sapphire
 

@@ -92,15 +92,18 @@ def _evaluate_binary(expr: BinaryExpr, binding: Binding) -> Term:
         return _boolean(_compare(op, left, right))
     if op in ("+", "-", "*", "/"):
         lv, rv = _numeric_value(left), _numeric_value(right)
-        if op == "+":
-            return _make_numeric(lv + rv)
-        if op == "-":
-            return _make_numeric(lv - rv)
-        if op == "*":
-            return _make_numeric(lv * rv)
-        if rv == 0:
-            raise ExpressionError("division by zero")
-        return _make_numeric(lv / rv)
+        try:
+            if op == "+":
+                return _make_numeric(lv + rv)
+            if op == "-":
+                return _make_numeric(lv - rv)
+            if op == "*":
+                return _make_numeric(lv * rv)
+            if rv == 0:
+                raise ExpressionError("division by zero")
+            return _make_numeric(lv / rv)
+        except OverflowError:  # an integer too large for the double it meets
+            raise ExpressionError("numeric overflow") from None
     raise ExpressionError(f"unknown binary operator {op}")
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text import LiteralBins, assign_tasks, scan_bins
+from repro.text import LiteralBins, assign_tasks
 
 
 class TestAssignTasks:
@@ -76,8 +76,8 @@ class TestLiteralBins:
         return LiteralBins(["a", "bb", "cc", "ddd", "eee", "ffff", "kennedy", "kennedys"])
 
     def test_bin_keyed_by_length(self, bins):
-        assert bins.literals_of_length(2) == ["bb", "cc"]
-        assert bins.literals_of_length(7) == ["kennedy"]
+        assert [b.literals for b in bins.window(2, 2)] == [["bb", "cc"]]
+        assert [b.literals for b in bins.window(7, 7)] == [["kennedy"]]
 
     def test_len_and_bin_count(self, bins):
         assert len(bins) == 8
@@ -88,25 +88,19 @@ class TestLiteralBins:
         assert sizes[3] == 2
         assert sizes[8] == 1
 
-    def test_select_bins_window(self, bins):
-        selected = bins.select_bins(2, 3)
-        assert [length for length, _ in selected] == [2, 3]
+    def test_window_ascending(self, bins):
+        assert [b.literals for b in bins.window(2, 3)] == [["bb", "cc"], ["ddd", "eee"]]
 
     def test_scan_contains(self, bins):
-        hits = bins.scan(1, 10, lambda s: "enne" in s)
-        assert set(hits) == {"kennedy", "kennedys"}
+        hits = bins.scan_keyed(1, 10, lambda s: "enne" in s)
+        assert hits == [(6, "kennedy"), (7, "kennedys")]
 
     def test_scan_respects_window(self, bins):
-        hits = bins.scan(8, 8, lambda s: "enne" in s)
-        assert hits == ["kennedys"]
-
-    def test_scan_parallel_matches_serial(self, bins):
-        serial = set(bins.scan(1, 10, lambda s: "e" in s, processes=1))
-        parallel = set(bins.scan(1, 10, lambda s: "e" in s, processes=4))
-        assert serial == parallel
+        hits = bins.scan_keyed(8, 8, lambda s: "enne" in s)
+        assert hits == [(7, "kennedys")]
 
     def test_scan_empty_window(self, bins):
-        assert bins.scan(20, 30, lambda s: True) == []
+        assert bins.scan_keyed(20, 30, lambda s: True) == []
 
     def test_selectivity_fraction_eliminated(self, bins):
         # Window [7, 8] keeps 2 of 8 literals: 75% eliminated.
@@ -165,14 +159,3 @@ class TestLiteralBins:
         results, scanned = bins.scan_scored(Everything(), 0.9)
         assert [literal for _, literal, _ in results] == ["kennedy", "kennedys"]
         assert scanned == 8
-
-
-class TestScanBins:
-    def test_scan_bins_direct(self):
-        buckets = [["aa", "ab"], ["ba", "bb"]]
-        assert set(scan_bins(buckets, lambda s: s.startswith("a"))) == {"aa", "ab"}
-
-    def test_scan_bins_parallel(self):
-        buckets = [[f"w{i}" for i in range(50)], [f"x{i}" for i in range(50)]]
-        hits = scan_bins(buckets, lambda s: s.endswith("7"), processes=4)
-        assert len(hits) == 10

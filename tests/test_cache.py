@@ -8,7 +8,7 @@ from repro.rdf import DBO, FOAF, Literal, RDFS_LABEL
 
 @pytest.fixture
 def small_cache():
-    cache = SapphireCache(SapphireConfig(suffix_tree_capacity=6, processes=1))
+    cache = SapphireCache(SapphireConfig(suffix_tree_capacity=6))
     for predicate in (DBO.spouse, DBO.almaMater, FOAF.name):
         cache.add_predicate(predicate)
     cache.add_class(DBO.Scientist)

@@ -53,6 +53,12 @@ class TestCommands:
         assert "QSM suggestions" in out
         assert "Kennedy" in out
 
+    @pytest.mark.parametrize("command", ["query", "explain", "suggest"])
+    def test_a_refused_query_is_an_error_line_not_a_traceback(self, command, capsys):
+        code = main([command, "SELECT * WHERE { ?s ?p ?o FILTER(strlen() > 2) }"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: STRLEN takes 1 argument, got 0")
+
     def test_init_saves_cache(self, tmp_path, capsys):
         path = tmp_path / "cache.sqlite"
         assert main(["init", "--save", str(path)]) == 0

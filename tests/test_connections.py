@@ -60,10 +60,8 @@ class _Stalling:
         self.release.wait(timeout=30.0)
         return AskResult(True)
 
-    def select(self, query, tracer=None):
+    def run(self, query, tracer=None):
         return self._wait()
-
-    ask = select
 
     def explain(self, query):
         self._wait()
@@ -366,15 +364,15 @@ class TestStatsBlock:
 
 def slow_backend_from_spec(spec):
     """Worker factory (module-level: spawn pickles it by name) whose
-    ``select`` takes ``spec["slow_s"]`` seconds."""
+    ``run`` takes ``spec["slow_s"]`` seconds."""
     backend = build_backend_from_spec(spec)
-    select = backend.select
+    run = backend.run
 
-    def slow_select(query):
+    def slow_run(query, tracer=None):
         time.sleep(float(spec["slow_s"]))
-        return select(query)
+        return run(query, tracer=tracer)
 
-    backend.select = slow_select
+    backend.run = slow_run
     return backend
 
 

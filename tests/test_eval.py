@@ -8,7 +8,6 @@ from repro.eval import (
     Participant,
     QuestionOutcome,
     compute_metrics,
-    format_bars,
     format_grouped_bars,
     format_table,
     grade,
@@ -182,11 +181,6 @@ class TestReporting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], "T")
-
-    def test_format_bars(self):
-        text = format_bars({"x": 1.0, "yy": 2.0}, "B", width=10)
-        assert "##########" in text
-        assert "yy" in text
 
     def test_format_grouped_bars(self):
         text = format_grouped_bars(

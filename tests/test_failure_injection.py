@@ -124,7 +124,7 @@ class TestReplayChaos:
         from repro.net import SparqlHttpServer
 
         sapphire = SapphireServer(
-            SapphireConfig(suffix_tree_capacity=300, processes=1)
+            SapphireConfig(suffix_tree_capacity=300)
         )
         endpoint = SparqlEndpoint(
             dataset.store, EndpointConfig.warehouse(), name="chaos"
@@ -165,7 +165,7 @@ class TestReplayChaos:
 
         # Phase 3: restore from the saved state and finish the replay.
         sapphire_b = SapphireServer.load_state(
-            tmp_path, SC(suffix_tree_capacity=300, processes=1)
+            tmp_path, SC(suffix_tree_capacity=300)
         )
         http_b = SparqlHttpServer(sapphire_b).start()
         try:
@@ -224,7 +224,7 @@ class TestReplayChaos:
         from repro.net import SparqlHttpServer, fetch_stats
 
         sapphire = SapphireServer(
-            SapphireConfig(suffix_tree_capacity=300, processes=1)
+            SapphireConfig(suffix_tree_capacity=300)
         )
         endpoint = SparqlEndpoint(
             flaky_dataset.store, EndpointConfig.warehouse(), name="tight"

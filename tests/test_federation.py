@@ -447,6 +447,8 @@ class TestSplitFederationCompilesThroughTheSharedPlanner:
         "SELECT * WHERE { { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } } UNION { ?s :l ?o } }",
         "SELECT * WHERE { { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z = ?s) } } UNION { ?s :l ?o } }",
         "SELECT * WHERE { ?z :q ?w MINUS { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } } }",
+        # A bind join whose key one left row leaves unbound (shipped as UNDEF).
+        "SELECT * WHERE { VALUES (?o ?s) { (:b :a) (UNDEF :b) } ?o :q ?z . ?s :p ?w }",
     ]
 
     @pytest.fixture

@@ -222,6 +222,19 @@ class TestProtocol:
         assert status == 200
         assert headers["Content-Type"].startswith(expected_type)
 
+    @pytest.mark.parametrize("query, bindings", [
+        # FILTER drops the row, a projection leaves the cell unbound.
+        ("SELECT ?s WHERE { ?s foaf:name ?n FILTER(%s * 1.5 > 1) }", []),
+        ("SELECT ((%s / 3.0) AS ?x) WHERE { ?s foaf:name ?n } LIMIT 2", [{}, {}]),
+    ])
+    def test_integer_too_large_for_a_double_is_not_a_500(self, url, query, bindings):
+        """``OverflowError: int too large to convert to float`` used to
+        escape the expression evaluator as a 500."""
+        text = urllib.parse.quote(query % ("9" * 400))
+        status, _, body = http_get(f"{url}?query={text}")
+        assert status == 200
+        assert json.loads(body)["results"]["bindings"] == bindings
+
     def test_root_path_is_endpoint_alias(self, servers):
         base = f"http://{servers[0].host}:{servers[0].port}/"
         query = urllib.parse.quote("ASK { ?s a dbo:Person }")
@@ -401,10 +414,7 @@ class _StubBackend:
     def __init__(self, behaviour):
         self.behaviour = behaviour
 
-    def select(self, query):
-        return self.behaviour(query)
-
-    def ask(self, query):
+    def run(self, query, tracer=None):
         return self.behaviour(query)
 
 
@@ -588,10 +598,10 @@ class _StubSapphire:
     def __init__(self, behaviour):
         self.behaviour = behaviour
 
-    def complete(self, text, k=None):
+    def complete(self, text, k=None, tracer=None, boost_surfaces=None):
         return self.behaviour(text)
 
-    def run_query(self, query, suggest=True):
+    def run_query(self, query, suggest=True, tracer=None):
         return self.behaviour(query)
 
 
@@ -714,16 +724,6 @@ class TestStats:
         assert routes["complete"]["latency"]["count"] == 0
         assert routes["complete"]["latency"]["p50_ms"] == 0.0
         assert routes["complete"]["rejected"] == 1000
-
-    def test_percentile_is_nearest_rank(self):
-        from repro.net.wsgi import _percentile
-
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
-        # p99 of 100 samples is the 99th value, not the maximum.
-        sample = sorted([0.001] * 99 + [5.0])
-        assert _percentile(sample, 0.99) == 0.001
-        assert _percentile(sample, 1.0) == 5.0
-        assert _percentile([], 0.5) == 0.0
 
     def test_deadline_inferred_from_federation_members(self, tiny_dataset):
         from repro.net.wsgi import SparqlWsgiApp

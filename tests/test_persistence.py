@@ -33,7 +33,7 @@ def restored(cache, saved):
 
 
 def completions(cache, terms=("Kenn", "spou", "Vik", "alma")):
-    qcm = QueryCompletionModule(cache, cache.config.with_processes(1))
+    qcm = QueryCompletionModule(cache)
     return [qcm.complete(term).surfaces() for term in terms]
 
 

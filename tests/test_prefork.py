@@ -4,8 +4,7 @@ A :class:`PreforkServer` spawns workers over read-only sharded SQLite
 snapshots behind one port.  These tests drive a real pool over
 loopback: correctness of served rows, worker attribution via the
 ``X-Repro-Worker`` header, coordinator-merged ``/stats``, dead-worker
-respawn, and the FD-passing fallback used where ``SO_REUSEPORT`` is
-unavailable.
+respawn, and the refusal where ``SO_REUSEPORT`` is unavailable.
 """
 
 import json
@@ -142,23 +141,15 @@ class TestServing:
             assert _row_key(client.select(query)) == expected[query]
 
 
-class TestFdPassingFallback:
-    def test_pool_serves_without_reuseport(self, snapshot_spec, expected):
-        server = PreforkServer(
-            build_backend_from_spec, snapshot_spec, n_workers=2,
-            force_fd_passing=True,
-        )
-        server.start()
-        try:
-            client = HttpSparqlEndpoint(server.url, name="t", timeout_s=10.0)
-            query = QUERIES[0]
-            seen = set()
-            for _ in range(12):
-                assert _row_key(client.select(query)) == expected[query]
-                seen.add(client.last_worker)
-            assert seen <= {"0", "1"} and seen
-        finally:
-            server.stop()
+class TestWithoutReusePort:
+    def test_start_refuses_and_names_the_remedy(self, snapshot_spec, monkeypatch):
+        import socket
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        pool = PreforkServer(build_backend_from_spec, snapshot_spec, n_workers=2)
+        with pytest.raises(RuntimeError, match="--workers 1"):
+            pool.start()
+        assert pool.workers_view() == []  # nothing was spawned
 
 
 class TestSapphirePool:

@@ -48,7 +48,6 @@ from repro.sparql.functions import FUNCTIONS, compile_filter
 from repro.store import TripleStore
 from repro.text import (
     GeneralizedSuffixTree,
-    LiteralBins,
     assign_tasks,
     jaro,
     jaro_winkler,
@@ -135,14 +134,6 @@ class TestAlgorithm1Properties:
             if pid != max(loads):
                 assert load <= capacity
 
-    @given(st.lists(_WORDS, max_size=30), st.integers(1, 4), _WORDS)
-    @settings(max_examples=100, deadline=None)
-    def test_parallel_scan_equals_serial(self, words, processes, needle):
-        bins = LiteralBins(words)
-        serial = sorted(bins.scan(0, 100, lambda s: needle in s, processes=1))
-        parallel = sorted(bins.scan(0, 100, lambda s: needle in s, processes=processes))
-        assert serial == parallel
-
 
 class TestSimilarityProperties:
     @given(_WORDS, _WORDS)
@@ -205,25 +196,20 @@ class TestNTriplesProperties:
 class TestStoreProperties:
     @given(
         st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5),
-                      st.booleans()),
+            st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5)),
             max_size=40,
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_index_coherence_under_mutation(self, operations):
-        """After arbitrary add/remove sequences, every index answers every
-        pattern shape consistently with a reference Python set."""
+        """After arbitrary add sequences (duplicates included), every index
+        answers every pattern shape consistently with a reference Python set."""
         store = TripleStore()
         reference = set()
-        for s, p, o, is_add in operations:
+        for s, p, o in operations:
             triple = Triple(IRI(f"http://s/{s}"), IRI(f"http://p/{p}"), IRI(f"http://o/{o}"))
-            if is_add:
-                store.add(triple)
-                reference.add(triple)
-            else:
-                store.remove(triple)
-                reference.discard(triple)
+            assert store.add(triple) is (triple not in reference)
+            reference.add(triple)
         assert len(store) == len(reference)
         assert set(store.triples()) == reference
         # Spot-check the indexed shapes.
@@ -412,6 +398,10 @@ class TestExpressionProperties:
     @example(BinaryExpr("=", _constant("05", XSD_INTEGER), _constant("5", XSD_INTEGER)), {})
     @example(BinaryExpr("<", _constant("10", XSD_INTEGER), _constant("9.5", XSD_DECIMAL)), {})
     @example(BinaryExpr("=", _constant("5"), _constant("5.0")), {})
+    # An integer too large for the double it meets is an expression error
+    # (a 500 on /sparql before), in arithmetic of either division kind.
+    @example(BinaryExpr("*", _constant("9" * 400, XSD_INTEGER), _constant("1.5", XSD_DECIMAL)), {})
+    @example(BinaryExpr("/", _constant("9" * 400, XSD_INTEGER), _constant("3", XSD_INTEGER)), {})
     @given(_expression_trees(4), _EXPRESSION_BINDINGS)
     @settings(max_examples=400, deadline=None)
     def test_compiled_is_the_reference_interpreter(self, expr, binding):

@@ -9,7 +9,7 @@ from repro.rdf import DBO, FOAF, Literal, RDFS_LABEL
 @pytest.fixture(scope="module")
 def qcm():
     cache = SapphireCache(SapphireConfig(suffix_tree_capacity=8, gamma=10,
-                                         k_suggestions=10, processes=2))
+                                         k_suggestions=10))
     for predicate in (DBO.spouse, DBO.almaMater, DBO.birthPlace, FOAF.name):
         cache.add_predicate(predicate)
     significant = [("Kennedy", 50), ("New York", 40), ("Sydney", 30)]
@@ -124,8 +124,3 @@ class TestOnRealCache(object):
         """Figure 3's flow over the full synthetic dataset."""
         result = server.complete("Kenn")
         assert any("Kennedy" in s for s in result.surfaces())
-
-    def test_parallelism_equivalence(self, cache):
-        serial = QueryCompletionModule(cache, cache.config.with_processes(1))
-        parallel = QueryCompletionModule(cache, cache.config.with_processes(4))
-        assert set(serial.complete("on").surfaces()) == set(parallel.complete("on").surfaces())

@@ -119,8 +119,8 @@ class TestColumnScan:
             return [
                 literal
                 for bins in (tail_cache.bins, tail_cache.tree_literal_bins)
-                for _, bucket in bins.select_bins(low, high)
-                for literal in bucket
+                for column_bin in bins.window(low, high)
+                for literal in column_bin.literals
             ]
 
         return literals

@@ -333,8 +333,7 @@ class TestLedger:
 
 @pytest.fixture(scope="module")
 def replay_stack(tiny_dataset):
-    sapphire = SapphireServer(SapphireConfig(suffix_tree_capacity=500,
-                                             processes=1))
+    sapphire = SapphireServer(SapphireConfig(suffix_tree_capacity=500))
     endpoint = SparqlEndpoint(tiny_dataset.store, EndpointConfig.warehouse(),
                               name="replay-test")
     sapphire.register_endpoint(endpoint)

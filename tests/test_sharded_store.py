@@ -278,34 +278,6 @@ class TestSnapshots:
         assert counts[0] > 0
         assert counts[1] == 0
 
-    def test_open_store_honours_n_shards(self, tmp_path):
-        from repro import open_store
-        from repro.core.config import SapphireConfig
-
-        config = SapphireConfig().with_scaleout(n_shards=3)
-        memory = open_store(config)
-        assert isinstance(memory.backend, ShardedBackend)
-        assert memory.backend.n_shards == 3
-
-        sqlite_cfg = config.with_storage("sqlite", str(tmp_path / "s.sqlite"))
-        persistent = open_store(sqlite_cfg)
-        assert isinstance(persistent.backend, ShardedBackend)
-        assert persistent.backend.n_shards == 3
-        persistent.close()
-        # Sharded SQLite without a file path has nowhere to put shards.
-        with pytest.raises(ValueError, match="file path"):
-            open_store(config.with_storage("sqlite"))
-
-    def test_with_scaleout_validates(self):
-        from repro.core.config import SapphireConfig
-
-        config = SapphireConfig().with_scaleout(n_workers=4, n_shards=2)
-        assert (config.n_workers, config.n_shards) == (4, 2)
-        with pytest.raises(ValueError, match="n_workers"):
-            SapphireConfig().with_scaleout(n_workers=0)
-        with pytest.raises(ValueError, match="n_shards"):
-            SapphireConfig().with_scaleout(n_shards=0)
-
     def test_single_shard_sharded_backend_is_flat_compatible(self):
         store = TripleStore(backend=create_sharded_backend(1, "memory"))
         store.add_all(_triples())

@@ -9,7 +9,6 @@ from repro.text import (
     containment_similarity,
     jaro,
     jaro_winkler,
-    jaro_winkler_at_least,
     levenshtein,
     levenshtein_similarity,
 )
@@ -104,14 +103,14 @@ class TestJaroWinklerAtLeast:
         a, b = pair
         exact = jaro_winkler(a, b)
         for theta in (0.5, 0.6, 0.7, 0.9):
-            got = jaro_winkler_at_least(a, b, theta)
+            got = ThresholdScorer(a, theta)(b)
             if exact >= theta:
                 assert got == exact, (a, b, theta)
             else:
                 assert got in (0.0, exact), (a, b, theta)
 
     def test_zero_trigram_pair_survives(self):
-        assert jaro_winkler_at_least("abcdef", "badcfe", 0.7) == jaro_winkler("abcdef", "badcfe")
+        assert ThresholdScorer("abcdef", 0.7)("badcfe") == jaro_winkler("abcdef", "badcfe")
 
     def test_sure_losers_skip_the_match_loop(self):
         scorer = ThresholdScorer("kennedy", 0.7)

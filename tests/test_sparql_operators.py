@@ -24,6 +24,7 @@ from reference_solver import apply_optionals
 from reference_tail import reference_finalize
 from repro.endpoint import EndpointConfig, SparqlEndpoint
 from repro.federation import FederatedQueryProcessor
+from repro.net import HttpSparqlEndpoint, SparqlHttpServer
 from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable
 from repro.rdf.terms import XSD_DOUBLE, XSD_INTEGER
 from repro.sparql.evaluator import QueryEvaluator, finalize_solutions
@@ -363,6 +364,65 @@ class TestPlannedOptional:
             f"GROUP BY ?c ORDER BY DESC(?n) ?c",
             reference_evaluate, maybe_tracer, ordered=True,
         )
+
+
+#: The non-aggregate ``SELECT (expr AS ?x)`` path of the streaming
+#: SELECT (``QueryEvaluator._projection`` over ``._solutions``), which
+#: no test executed before the reachability census said so.
+_THINGS = f"?i a <{EX}Thing>"
+PROJECTION_QUERIES = {
+    "expression": f"SELECT (STRLEN(?l) AS ?n) WHERE {{ ?i <{EX}label> ?l }}",
+    "distinct": f"SELECT DISTINCT (STRLEN(?l) AS ?n) WHERE {{ ?i <{EX}label> ?l }}",
+    "mixed-head": f"SELECT (UCASE(?l) AS ?u) ?i WHERE {{ ?i <{EX}label> ?l }}",
+    "arithmetic": f"SELECT ?i ((?v + 1) AS ?w) ((?v * 2 > 15) AS ?big) WHERE {{ ?i <{EX}score> ?v }}",
+    # i6 and i7 carry no label: the cell stays empty, the row stays.
+    "optional-unbound": f"SELECT ?i (UCASE(?l) AS ?u) (BOUND(?l) AS ?b) WHERE "
+                        f"{{ {_THINGS} OPTIONAL {{ ?i <{EX}label> ?l }} }}",
+}
+
+
+class TestExpressionProjection:
+    @pytest.mark.parametrize("name", PROJECTION_QUERIES)
+    @pytest.mark.parametrize("batch_size", [2, 1024])
+    def test_matches_reference(self, ops_store, name, batch_size, reference_evaluate, maybe_tracer):
+        result = check(ops_store, PROJECTION_QUERIES[name], reference_evaluate, maybe_tracer,
+                       batch_size=batch_size)
+        assert any(result.rows)  # some row has a cell: the projection projects
+
+    def test_an_unbound_argument_leaves_the_cell_empty(self, ops_store):
+        rows = QueryEvaluator(ops_store).evaluate(
+            parse_query(PROJECTION_QUERIES["optional-unbound"])).rows
+        assert len(rows) == 8 and sum("u" not in row for row in rows) == 2
+        assert all(set(row) >= {"i", "b"} for row in rows)
+
+    @pytest.mark.parametrize("modifiers", ["LIMIT 3", "LIMIT 2 OFFSET 3", "OFFSET 5", "LIMIT 50"])
+    @pytest.mark.parametrize("name", ["distinct", "mixed-head", "optional-unbound"])
+    def test_a_page_is_a_page_of_the_full_answer(
+        self, ops_store, name, modifiers, reference_evaluate, maybe_tracer
+    ):
+        text = PROJECTION_QUERIES[name]
+        query = parse_query(f"{text} {modifiers}")
+        page = QueryEvaluator(ops_store, batch_size=2).evaluate(query, tracer=maybe_tracer)
+        full = reference_evaluate(ops_store, text)
+        expected = max(0, len(full.rows) - (query.offset or 0))
+        if query.limit is not None:
+            expected = min(expected, query.limit)
+        assert page.variables == full.variables and len(page.rows) == expected
+        remaining = multiset(full)
+        for row in multiset(page):
+            remaining.remove(row)  # each page row is a row of the answer, once
+
+    def test_over_http(self, reference_evaluate):
+        """The same rows through ``/sparql``: an empty cell is a binding
+        the results document leaves out."""
+        store = TripleStore(crafted_triples())
+        with SparqlHttpServer(SparqlEndpoint(store, EndpointConfig.warehouse())) as server:
+            client = HttpSparqlEndpoint(server.url, timeout_s=10.0)
+            for text in PROJECTION_QUERIES.values():
+                served = client.select(text)
+                expected = reference_evaluate(store, text)
+                assert served.variables == expected.variables
+                assert multiset(served) == multiset(expected), text
 
 
 class TestPlannerIsTotal:

@@ -17,7 +17,6 @@ from repro import (
     SapphireServer,
     SparqlEndpoint,
     load_store,
-    open_store,
     save_store,
 )
 from repro.data import DatasetConfig, build_dataset
@@ -64,7 +63,7 @@ class TestTermDictionary:
         d = TermDictionary()
         ids = [d.encode(IRI(f"http://x/{i}")) for i in range(5)]
         assert ids == [0, 1, 2, 3, 4]
-        assert [t for _, t in d.items()] == [IRI(f"http://x/{i}") for i in range(5)]
+        assert d.terms == [IRI(f"http://x/{i}") for i in range(5)]
 
     def test_restore_requires_density(self):
         d = TermDictionary()
@@ -228,23 +227,6 @@ class TestSQLitePersistence:
         ) in store
         store.close()
 
-    def test_open_store_honours_config(self, tmp_path):
-        memory = open_store(SapphireConfig())
-        assert memory.backend.name == "memory"
-        # An explicit path is a request for persistence, regardless of
-        # the configured default backend.
-        explicit = open_store(SapphireConfig(), path=tmp_path / "x.sqlite")
-        assert explicit.backend.name == "sqlite"
-        explicit.close()
-        sqlite_cfg = SapphireConfig().with_storage("sqlite", str(tmp_path / "c.sqlite"))
-        persistent = open_store(sqlite_cfg)
-        assert persistent.backend.name == "sqlite"
-        persistent.close()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            SapphireConfig().with_storage("postgres")
-
 
 class TestBackendParity:
     """The two backends must be indistinguishable through the evaluator."""
@@ -282,7 +264,7 @@ class TestServerStatePersistence:
         endpoint = SparqlEndpoint(
             dataset.store, EndpointConfig(timeout_s=1.0), name="dbpedia-mini"
         )
-        config = SapphireConfig(suffix_tree_capacity=500, processes=1)
+        config = SapphireConfig(suffix_tree_capacity=500)
         server = SapphireServer(config)
         server.register_endpoint(endpoint)
 
@@ -307,7 +289,7 @@ class TestServerStatePersistence:
         """A server restored from a saved state, plus a second endpoint
         (one class, one predicate, two literals) not yet registered."""
         dataset = build_dataset(DatasetConfig.tiny())
-        config = SapphireConfig(suffix_tree_capacity=500, processes=1)
+        config = SapphireConfig(suffix_tree_capacity=500)
         server = SapphireServer(config)
         server.register_endpoint(SparqlEndpoint(
             dataset.store, EndpointConfig(timeout_s=1.0), name="dbpedia-mini"))
@@ -502,53 +484,3 @@ class TestServerStatePersistence:
         with pytest.raises(ValueError, match="share the name"):
             server.save_state(tmp_path / "state")
         assert not (tmp_path / "state").exists()
-
-
-class TestQuickstartStorage:
-    def test_sqlite_quickstart_reuses_existing_file(self, tmp_path):
-        """A second run over the same database serves the persisted
-        dataset instead of merging a fresh build into it."""
-        from repro import quickstart_server
-
-        cfg = SapphireConfig(
-            suffix_tree_capacity=100, processes=1,
-        ).with_storage("sqlite", str(tmp_path / "qs.sqlite"))
-        _, first = quickstart_server(sapphire_config=cfg)
-        n = len(first.store)
-        first.store.close()
-        _, second = quickstart_server(sapphire_config=cfg)
-        assert len(second.store) == n  # no duplication / union
-        second.store.close()
-
-    def test_sqlite_quickstart_rejects_mismatched_dataset(self, tmp_path):
-        """A database built from a different DatasetConfig must not be
-        served under a fresh build's entity registry."""
-        from repro import quickstart_server
-        from repro.data import DatasetConfig
-
-        cfg = SapphireConfig(
-            suffix_tree_capacity=100, processes=1,
-        ).with_storage("sqlite", str(tmp_path / "qs.sqlite"))
-        _, dataset = quickstart_server(sapphire_config=cfg)
-        dataset.store.close()
-        with pytest.raises(ValueError, match="different dataset"):
-            quickstart_server(
-                dataset_config=DatasetConfig.small(), sapphire_config=cfg
-            )
-
-    def test_fingerprint_beats_count_collision(self, tmp_path):
-        """The stored config fingerprint catches mismatches the
-        triple-count heuristic cannot see."""
-        from repro import load_store, quickstart_server
-
-        cfg = SapphireConfig(
-            suffix_tree_capacity=100, processes=1,
-        ).with_storage("sqlite", str(tmp_path / "qs.sqlite"))
-        _, dataset = quickstart_server(sapphire_config=cfg)
-        dataset.store.close()
-        # Same triple count, different recorded provenance.
-        tampered = load_store(tmp_path / "qs.sqlite")
-        tampered.backend.set_meta("dataset_fingerprint", "built-by-something-else")
-        tampered.close()
-        with pytest.raises(ValueError, match="different dataset"):
-            quickstart_server(sapphire_config=cfg)

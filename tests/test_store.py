@@ -62,23 +62,6 @@ class TestMutation:
         assert Triple(A, P, B) in small_store
         assert Triple(C, P, A) not in small_store
 
-    def test_remove(self, small_store):
-        assert small_store.remove(Triple(A, P, B)) is True
-        assert Triple(A, P, B) not in small_store
-        assert len(small_store) == 4
-
-    def test_remove_absent(self, small_store):
-        assert small_store.remove(Triple(C, P, A)) is False
-
-    def test_remove_never_seen_terms(self, small_store):
-        assert small_store.remove(Triple(IRI("http://x/zz"), P, A)) is False
-
-    def test_remove_updates_all_indexes(self, small_store):
-        small_store.remove(Triple(A, P, B))
-        assert not list(small_store.match(TriplePattern(A, P, B)))
-        assert not list(small_store.match(TriplePattern(V("s"), P, B)))
-        assert B not in {t.object for t in small_store.match(TriplePattern(A, V("p"), V("o")))}
-
     def test_add_all_counts_new_only(self, make_store):
         store = make_store()
         n = store.add_all([Triple(A, P, B), Triple(A, P, B), Triple(A, P, C)])
@@ -224,22 +207,20 @@ class TestEstimates:
         assert small_store.cardinality_estimate(TriplePattern(ghost, P, V("o"))) == 0
 
     def test_estimate_tracks_mutations(self, make_store):
-        """Cached fan-outs (SQLite) must invalidate on add/remove."""
+        """Cached fan-outs (SQLite) must invalidate on add."""
         store = make_store()
         pattern = TriplePattern(V("s"), P, V("o"))
         assert store.cardinality_estimate(pattern) == 0
         store.add(Triple(A, P, B))
         store.add(Triple(A, P, C))
         assert store.cardinality_estimate(pattern) == 2
-        store.remove(Triple(A, P, B))
-        assert store.cardinality_estimate(pattern) == 1
 
     @pytest.mark.parametrize("make_store", BACKENDS + ["sharded"], indirect=True)
     def test_one_position_estimates_are_exact_through_mutations(self, make_store):
         """With only the subject, the predicate or the object bound the
         estimate is that position's triple count — the memory backend
-        keeps running totals for it — through ``add``, ``add_all``, a
-        duplicate, and removal down to nothing.  The predicate
+        keeps running totals for it — through ``add``, ``add_all`` and
+        a duplicate.  The predicate
         statistics behind the estimates are free between mutations (the
         same object on every read) and fresh after each one — on the
         sharded backend too, whose merge of its shards' is cached."""
@@ -275,11 +256,8 @@ class TestEstimates:
         check()
         assert not store.add(Triple(A, P, C))  # a duplicate counts once
         check()
-        for triple in (Triple(A, P, C), Triple(B, P, C), Triple(A, Q, C), Triple(A, P, B)):
-            store.remove(triple)
-            check()
-        assert not store.remove(Triple(A, P, B))
-        assert [store.cardinality_estimate(pattern) for pattern in shapes] == [0, 0, 0]
+        assert store.add(Triple(C, Q, B))
+        check()
 
     def test_estimate_upper_bounds_truth(self, small_store):
         for pattern in (
@@ -302,35 +280,11 @@ class TestAccessors:
     def test_literals(self, small_store):
         assert {lit.lexical for lit in small_store.literals()} == {"label a", "label b"}
 
-    def test_in_out_degree(self, small_store):
-        assert small_store.in_degree(C) == 2
-        assert small_store.out_degree(A) == 3
-        assert small_store.in_degree(A) == 0
-
-    def test_accessors_empty_after_full_removal(self, make_store):
-        """Removal prunes index levels: aggregate views must agree
-        across backends (no stale empty-set keys)."""
-        store = make_store()
-        store.add(Triple(A, P, B))
-        store.remove(Triple(A, P, B))
-        assert store.subjects() == set()
-        assert store.objects() == set()
-        assert store.predicates() == set()
-        assert store.predicate_frequencies() == {}
-        assert store.entity_in_degrees() == {}
-
     def test_entity_in_degrees(self, small_store):
         degrees = small_store.entity_in_degrees()
         assert degrees[C] == 2
         assert degrees[B] == 1
         assert degrees[A] == 0  # subject-only entity present with degree 0
-
-    def test_neighbours_both_directions(self, small_store):
-        edges = small_store.neighbours(B)
-        outgoing = [e for e in edges if e[3]]
-        incoming = [e for e in edges if not e[3]]
-        assert len(outgoing) == 2  # B->C, B->label
-        assert len(incoming) == 1  # A->B
 
 
 class TestEncodingSeam:
@@ -340,10 +294,6 @@ class TestEncodingSeam:
         assert all(i >= 0 for i in ids)
         assert len(ids) == 5
         assert dictionary.decode(dictionary.lookup(A)) == A
-
-    def test_terms_survive_triple_removal(self, small_store):
-        small_store.remove(Triple(A, P, B))
-        assert small_store.term_id(A) >= 0  # IDs are never recycled
 
     def test_match_ids_round_trip(self, small_store):
         s, p, o = small_store.encode_pattern(TriplePattern(A, P, V("o")))

@@ -52,14 +52,27 @@ SUGGEST_QUERIES = [
 ]
 
 
-def build_sapphire(store, batched=True, processes=1):
+def build_sapphire(store):
     endpoint = SparqlEndpoint(store, EndpointConfig(timeout_s=5.0), name="mini")
-    config = SapphireConfig(
-        suffix_tree_capacity=500, processes=processes, qsm_batched_probes=batched
-    )
-    server = SapphireServer(config)
+    server = SapphireServer(SapphireConfig(suffix_tree_capacity=500))
     server.register_endpoint(endpoint)
     return server, endpoint
+
+
+def refuse_batches(server):
+    """Make every ``VALUES`` batch of a round fail before it is sent, so
+    each candidate (and each seed expansion) runs on its own — the
+    per-candidate Algorithm 2 loop, reached the way production reaches
+    it: through a batch that failed."""
+
+    def runner(query, tracer=None):
+        if query.where.values:
+            raise RuntimeError("batch refused")
+        return server._run_ast(query, tracer)
+
+    finder, relaxer = server.terms_finder, server.relaxer
+    finder.runner = finder._batcher.runner = relaxer.runner = runner
+    return server
 
 
 def suggestion_signature(outcome):
@@ -104,8 +117,9 @@ class TestBackendParity:
 
 class TestBatchedProbes:
     def test_batched_round_uses_at_least_2x_fewer_requests(self, tiny_dataset):
-        batched_server, batched_ep = build_sapphire(tiny_dataset.store, batched=True)
-        classic_server, classic_ep = build_sapphire(tiny_dataset.store, batched=False)
+        batched_server, batched_ep = build_sapphire(tiny_dataset.store)
+        classic_server, classic_ep = build_sapphire(tiny_dataset.store)
+        refuse_batches(classic_server)
         for query in SUGGEST_QUERIES:
             parsed = parse_query(query)
             batched_ep.reset_log()
@@ -122,8 +136,9 @@ class TestBatchedProbes:
             )
 
     def test_batched_and_classic_full_outcomes_agree(self, tiny_dataset):
-        batched_server, batched_ep = build_sapphire(tiny_dataset.store, batched=True)
-        classic_server, classic_ep = build_sapphire(tiny_dataset.store, batched=False)
+        batched_server, batched_ep = build_sapphire(tiny_dataset.store)
+        classic_server, classic_ep = build_sapphire(tiny_dataset.store)
+        refuse_batches(classic_server)
         for query in SUGGEST_QUERIES:
             batched_ep.reset_log()
             batched_outcome = batched_server.run_query(query)
@@ -576,7 +591,7 @@ class TestInitializationRetries:
 
 class TestConcurrency:
     def test_concurrent_complete_and_rebuild(self, tiny_dataset):
-        server, _ = build_sapphire(tiny_dataset.store, processes=2)
+        server, _ = build_sapphire(tiny_dataset.store)
         qcm = QueryCompletionModule(server.cache, server.config)
         expected = {term: qcm.complete(term).surfaces() for term in COMPLETE_TERMS}
         errors = []

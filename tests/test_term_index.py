@@ -45,7 +45,7 @@ def _fts_available() -> bool:
 
 
 def build_cache() -> SapphireCache:
-    cache = SapphireCache(SapphireConfig(suffix_tree_capacity=6, processes=1))
+    cache = SapphireCache(SapphireConfig(suffix_tree_capacity=6))
     for predicate in (DBO.spouse, DBO.almaMater, DBO.birthPlace, FOAF.name):
         cache.add_predicate(predicate)
     cache.add_class(DBO.term("Person"))
