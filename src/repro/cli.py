@@ -30,6 +30,7 @@ from typing import List, Optional
 from . import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from .data import DatasetConfig, build_dataset
 from .sparql.errors import SparqlError
+from .sparql.results import AskResult
 
 __all__ = ["main", "build_parser"]
 
@@ -261,6 +262,11 @@ def _cmd_complete(args) -> int:
     return 0
 
 
+def _answer_line(answers) -> str:
+    """``true``/``false`` for an ASK, ``N answers`` for a SELECT."""
+    return str(answers.value).lower() if isinstance(answers, AskResult) else f"{len(answers)} answers"
+
+
 def _cmd_suggest(args) -> int:
     if args.url:
         from .net import HttpSapphireClient
@@ -270,11 +276,11 @@ def _cmd_suggest(args) -> int:
     else:
         server, _ = _make_server(args)
         outcome = server.run_query(args.sparql)
-    print(f"{len(outcome.answers)} answers")
+    print(_answer_line(outcome.answers))
     suggestions = outcome.all_suggestions
     if not suggestions:
         print("no QSM suggestions")
-        return 0 if outcome.answers.rows else 1
+        return 0 if outcome.answers else 1
     print("QSM suggestions:")
     for i, suggestion in enumerate(suggestions):
         print(f"  [{i}] {suggestion.message()}")
@@ -330,11 +336,11 @@ def _cmd_query(args) -> int:
             from .eval.reporting import format_trace
 
             print(format_trace(trace), file=sys.stderr)
-        return 0 if outcome.answers.rows else 1
-    print(f"{len(outcome.answers)} answers")
-    from .core.answer_table import AnswerTable
+        return 0 if outcome.answers else 1
+    print(_answer_line(outcome.answers))
+    if outcome.answers and not isinstance(outcome.answers, AskResult):
+        from .core.answer_table import AnswerTable
 
-    if outcome.answers.rows:
         print(AnswerTable(outcome.answers).to_text(max_rows=args.max_rows))
     if outcome.all_suggestions:
         print("\nQSM suggestions:")
@@ -344,7 +350,7 @@ def _cmd_query(args) -> int:
         from .eval.reporting import format_trace
 
         print(f"\n{format_trace(trace)}")
-    return 0 if outcome.answers.rows else 1
+    return 0 if outcome.answers else 1
 
 
 def _cmd_table1(args) -> int:

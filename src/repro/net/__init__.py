@@ -16,6 +16,7 @@ the reproduction do the same, stdlib-only:
   time series behind ``/stats/series``;
 * :mod:`repro.net.server` — a ``ThreadingHTTPServer`` harness binding
   the app to a socket (``repro serve`` uses it);
+* :mod:`repro.net.http11` — HTTP/1.1 message framing for both ends;
 * :mod:`repro.net.client` — :class:`HttpSparqlEndpoint`, a drop-in
   endpoint whose queries go over the wire, so the federation engine
   federates live HTTP endpoints unchanged; and

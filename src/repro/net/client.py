@@ -33,25 +33,25 @@ library's result containers, so rows coming off the wire are
 indistinguishable from rows produced in-process.
 
 Transport (docs/server.md, *Connections*): every call of both clients
-and of the ``fetch_*`` helpers is one :func:`_exchange` on a keep-alive
-connection checked out of a **process-wide** pool and returned once the
-body is read — a connection per client object would park one server
-thread per session.  A pooled connection that turns out dead before the
-first response byte is dropped and the request re-sent once on a fresh
-one; that is not a retry (``max_retries`` does not count it) and a
-refused fresh connection still raises :class:`ConnectionFailed`.
+and of the ``fetch_*`` helpers is one :func:`_exchange` — one write out,
+the response framed by :mod:`repro.net.http11` — on a keep-alive socket
+of a **process-wide** pool, returned once the body is read.  A pooled
+connection found dead before the response head is dropped and the
+request re-sent once on a fresh one; that is not a retry (``max_retries``
+does not count it) and a refused fresh connection still raises
+:class:`ConnectionFailed`.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
+import socket
+import ssl
 import threading
 import time
 import urllib.parse
-from email.message import Message
 from typing import List, Optional, Tuple, Union
 
 from ..endpoint.endpoint import (
@@ -66,6 +66,7 @@ from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import serialize_query
 from ..sparql.trace import PARENT_SPAN_HEADER, TRACE_ID_HEADER
 from .formats import MIME_JSON, FormatError, parse_json
+from .http11 import FramingError, Headers, Response, read_response
 from .suggest import (
     MIME_JSON_BODY,
     RemoteCompletionResult,
@@ -110,6 +111,17 @@ MAX_IDLE_CONNECTIONS = 8
 _REUSE_WITHIN_S = 0.8 * IDLE_TIMEOUT_S
 
 
+def _connect(split: urllib.parse.SplitResult, timeout_s: float) -> socket.socket:
+    """A ``TCP_NODELAY`` socket connected under ``timeout_s``; ``https`` wraps it."""
+    https = split.scheme == "https"
+    sock = socket.create_connection(
+        (split.hostname, split.port or (443 if https else 80)), timeout_s)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    if https:  # a failed handshake closes the socket it took over
+        sock = ssl.create_default_context().wrap_socket(sock, server_hostname=split.hostname)
+    return sock
+
+
 class _ConnectionPool:
     """The idle keep-alive connections of this process, oldest first.
 
@@ -119,9 +131,9 @@ class _ConnectionPool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._idle: List[Tuple[tuple, http.client.HTTPConnection, float]] = []
+        self._idle: List[Tuple[tuple, socket.socket, float]] = []
 
-    def checkout(self, key: tuple) -> Optional[http.client.HTTPConnection]:
+    def checkout(self, key: tuple) -> Optional[socket.socket]:
         """The most recently returned connection to ``key`` still worth
         trying, or None; expired ones (to any server) are closed."""
         oldest = time.monotonic() - _REUSE_WITHIN_S
@@ -137,7 +149,7 @@ class _ConnectionPool:
             connection.close()
         return found
 
-    def checkin(self, key: tuple, connection: http.client.HTTPConnection) -> None:
+    def checkin(self, key: tuple, connection: socket.socket) -> None:
         with self._lock:
             self._idle.append((key, connection, time.monotonic()))
             overflow = self._idle[:-MAX_IDLE_CONNECTIONS]
@@ -154,41 +166,47 @@ os.register_at_fork(after_in_child=_POOL.__init__)
 def _exchange(
     name: str, url: str, timeout_s: float,
     body: Optional[bytes] = None, headers: Optional[dict] = None,
-) -> Tuple[http.client.HTTPResponse, bytes]:
+) -> Tuple[Response, bytes]:
     """One HTTP exchange (POST when there is a ``body``) on a pooled
     connection: the response, whatever its status, and its body.
 
     Raises :class:`EndpointTimeout` when ``timeout_s`` ran out connecting
     or waiting, :class:`ConnectionFailed` when the server could not be
-    reached or went away.  A *pooled* connection found dead before the
-    first response byte (the server closed it while it idled) is dropped
-    and the request sent once more, on a fresh connection.
+    reached or went away, :class:`EndpointError` when the response cannot
+    be framed.  A *pooled* connection found dead before the response head
+    is dropped and the request sent once more, on a fresh connection.
     """
     split = urllib.parse.urlsplit(url)
     key = (split.scheme, split.hostname, split.port)
     target = (split.path or "/") + ("?" + split.query if split.query else "")
-    headers = {"User-Agent": _USER_AGENT, **(headers or {})}
+    fields = {"Host": split.netloc.rpartition("@")[2], "User-Agent": _USER_AGENT,
+              "Accept-Encoding": "identity", **(headers or {})}
+    if body is not None:
+        fields["Content-Length"] = str(len(body))
+    lines = [f"{'GET' if body is None else 'POST'} {target} HTTP/1.1",
+             *(f"{field}: {value}" for field, value in fields.items())]
+    if any("\r" in line or "\n" in line for line in lines):
+        raise ValueError(f"{name}: a line break inside the request head")
+    request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
     for connection in (_POOL.checkout(key), None):
         reused = connection is not None
-        if not reused:
-            factory = (http.client.HTTPSConnection if split.scheme == "https"
-                       else http.client.HTTPConnection)
-            connection = factory(split.hostname, split.port)  # TCP_NODELAY is its default
         response, keep = None, False
         try:
-            connection.timeout = timeout_s  # a fresh one connects under it
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout_s)
-            connection.request("GET" if body is None else "POST", target,
-                               body, headers)
-            response = connection.getresponse()
-            payload = response.read()
+            if not reused:
+                connection = _connect(split, timeout_s)
+            connection.settimeout(timeout_s)
+            connection.sendall(request)
+            with connection.makefile("rb") as rfile:  # nothing is pipelined
+                response = read_response(rfile)
+                payload = response.read_body(rfile)
             keep = not response.will_close
         except TimeoutError as exc:
             # The query outlived our read timeout; retrying would re-run
             # it and burn the same budget again — same policy as a 504.
             raise EndpointTimeout(
                 f"{name}: no response within {timeout_s}s: {exc}") from None
+        except FramingError as exc:
+            raise EndpointError(f"{name}: malformed response: {exc}") from None
         except OSError as exc:
             if reused and response is None and isinstance(exc, ConnectionError):
                 continue
@@ -196,7 +214,7 @@ def _exchange(
         finally:
             if keep:
                 _POOL.checkin(key, connection)
-            else:
+            elif connection is not None:
                 connection.close()
         return response, payload
     raise AssertionError("unreachable: a fresh connection returns or raises")
@@ -224,7 +242,7 @@ class _WireClient:
         #: it per-request from its single-threaded session clients.
         self.last_worker: Optional[str] = None
 
-    def _once(self, url: str, body: bytes, headers: dict) -> Tuple[Message, bytes]:
+    def _once(self, url: str, body: bytes, headers: dict) -> Tuple[Headers, bytes]:
         """POST ``body``: the headers and body of a 200, else the mapped
         error."""
         response, payload = _exchange(self.name, url, self.timeout_s, body, headers)
@@ -233,7 +251,7 @@ class _WireClient:
             raise _http_error(self.name, response, payload)
         return response.headers, payload
 
-    def _call(self, url: str, body: bytes, headers: dict) -> Tuple[Message, bytes]:
+    def _call(self, url: str, body: bytes, headers: dict) -> Tuple[Headers, bytes]:
         """:meth:`_once`, re-tried up to ``max_retries`` times after a
         503 or a connection failure."""
         attempt = 0
@@ -545,7 +563,7 @@ def _form(query: Union[str, Query], **fields: str) -> bytes:
     return urllib.parse.urlencode({"query": text, **fields}).encode("utf-8")
 
 
-def _http_error(name: str, response: http.client.HTTPResponse,
+def _http_error(name: str, response: Response,
                 payload: bytes) -> Exception:
     """Shared status → endpoint-error mapping for the wire clients."""
     detail = _error_detail(response, payload)
@@ -558,7 +576,7 @@ def _http_error(name: str, response: http.client.HTTPResponse,
     return EndpointError(f"{name}: HTTP {response.status}: {detail}")
 
 
-def _error_detail(response: http.client.HTTPResponse, payload: bytes) -> str:
+def _error_detail(response: Response, payload: bytes) -> str:
     """Best-effort extraction of the server's JSON error message."""
     try:
         document = json.loads(payload.decode("utf-8", "replace"))

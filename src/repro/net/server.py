@@ -21,7 +21,8 @@ Typical use::
 blocking form used by ``repro serve``, call :meth:`serve_forever`.
 
 Connections (docs/server.md, *Connections*) are persistent: a
-connection carries request after request, each response leaves in one
+connection carries request after request, each request's head is read by
+:mod:`repro.net.http11`, each response leaves in one
 write on a ``TCP_NODELAY`` socket, and the server closes a connection
 that sent nothing for :data:`IDLE_TIMEOUT_S` or has been answered
 :data:`RESPONSES_PER_CONNECTION` times (the last response says
@@ -41,6 +42,7 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
+from .http11 import MAX_LINE, FramingError, parse_version, read_headers
 from .wsgi import SparqlWsgiApp
 
 __all__ = ["IDLE_TIMEOUT_S", "RESPONSES_PER_CONNECTION", "SparqlHttpServer"]
@@ -168,7 +170,7 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
     def handle_one_request(self) -> None:
         connections = self.server.connections
         try:
-            self.raw_requestline = self.rfile.readline(65537)
+            self.raw_requestline = self.rfile.readline(MAX_LINE + 1)
         except TimeoutError:
             connections.count("idle_closed")
             self.raw_requestline = b""
@@ -178,11 +180,11 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         try:
-            if len(self.raw_requestline) > 65536:
+            if len(self.raw_requestline) > MAX_LINE:
                 self.requestline = self.request_version = self.command = ""
                 self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
             elif not self.parse_request():
-                pass  # parse_request answered 400 itself
+                pass  # parse_request answered the error itself
             elif self.command in ("GET", "POST"):
                 self._dispatch()
             else:
@@ -194,11 +196,48 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             if connections.end(self):
                 self.close_connection = True
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line outcomes (400, 505, HTTP/1.0 closes, 100 Continue),
+        the head read by :mod:`repro.net.http11` (431; 501 for a chunked body)."""
+        self.command, self.request_version = None, self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        number = parse_version(words[-1]) if len(words) >= 3 else (0, 9)
+        if len(words) >= 3 and number is not None and number < (2, 0):
+            self.request_version, self.close_connection = words[-1], number < (1, 1)
+        if not words:
+            return False
+        if number is not None and number >= (2, 0):
+            self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1]})")
+            return False
+        if number is None or not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request line ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if self.path.startswith("//"):  # not an absolute URI (gh-87389)
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = read_headers(self.rfile)
+        except FramingError as error:  # over MAX_LINE or MAX_HEADERS
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, str(error))
+            return False
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            self.close_connection = connection == "close"
+        if self.headers.get("Expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
     # The app is attached to the server object by WsgiServer.
     def _dispatch(self) -> None:
         app: SparqlWsgiApp = self.server.wsgi_app  # type: ignore[attr-defined]
         path, _, query_string = self.path.partition("?")
-        claimed = self.headers.get("Content-Length") or "0"
+        # Identical duplicates are one length, conflicting ones not a length (RFC 9112 §6.3).
+        claimed = ", ".join(dict.fromkeys(self.headers.get_all("Content-Length"))) or "0"
         try:
             length = int(claimed)
         except ValueError:
@@ -230,24 +269,17 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             # The body may be only partially drained (_DRAIN_CAP); the
             # connection cannot carry another request.
             self.close_connection = True
-        environ = {
+        # Every header as HTTP_<NAME>: Accept, and the trace ids (docs/tracing.md).
+        environ = {f"HTTP_{name.upper().replace('-', '_')}": self.headers.get(name)
+                   for name in self.headers}
+        environ.update({
             "REQUEST_METHOD": self.command,
             "PATH_INFO": path,
             "QUERY_STRING": query_string,
             "CONTENT_TYPE": self.headers.get("Content-Type", ""),
             "CONTENT_LENGTH": claimed,
-            "HTTP_ACCEPT": self.headers.get("Accept", ""),
             "wsgi.input": io.BytesIO(body),
-        }
-        # Distributed-trace propagation (docs/tracing.md): forward the
-        # trace headers so an upstream federated query's trace id
-        # reaches the app and the server's spans stitch into it.
-        trace_id = self.headers.get("X-Repro-Trace-Id")
-        if trace_id:
-            environ["HTTP_X_REPRO_TRACE_ID"] = trace_id
-        parent_span = self.headers.get("X-Repro-Parent-Span")
-        if parent_span:
-            environ["HTTP_X_REPRO_PARENT_SPAN"] = parent_span
+        })
 
         head = []
 

@@ -229,19 +229,12 @@ class SparqlWsgiApp:
                 "points": points,
                 "max_points": self.series.max_points,
             })
-        if path in ("/complete", "/suggest"):
-            if method != "POST":
-                return self._error(start_response, 405,
-                                   "use POST with a JSON body",
-                                   extra_headers=[("Allow", "POST")])
-            started = time.perf_counter()
-            status, headers, payload, rows = self._handle_suggestion(path, environ)
-            elapsed = time.perf_counter() - started
-            self.stats.record(status, elapsed, rows=rows, route=path.lstrip("/"))
-            headers.setdefault("Content-Length", str(len(payload)))
-            start_response(_STATUS_LINES[status], list(headers.items()))
-            return [payload]
-        if path not in ("/", "/sparql"):
+        suggestion = path in ("/complete", "/suggest")
+        if suggestion and method != "POST":
+            return self._error(start_response, 405,
+                               "use POST with a JSON body",
+                               extra_headers=[("Allow", "POST")])
+        if not suggestion and path not in ("/", "/sparql"):
             return self._error(start_response, 404, f"no such resource: {path}")
         if method not in ("GET", "POST"):
             return self._error(start_response, 405,
@@ -249,9 +242,12 @@ class SparqlWsgiApp:
                                extra_headers=[("Allow", "GET, POST")])
 
         started = time.perf_counter()
-        status, headers, payload, rows = self._handle_query(environ, method)
-        elapsed = time.perf_counter() - started
-        self.stats.record(status, elapsed, rows=rows, route="sparql")
+        if suggestion:
+            status, headers, payload, rows = self._handle_suggestion(path, environ)
+        else:
+            status, headers, payload, rows = self._handle_query(environ, method)
+        self.stats.record(status, time.perf_counter() - started, rows=rows,
+                          route=path.lstrip("/") or "sparql")
         headers.setdefault("Content-Length", str(len(payload)))
         start_response(_STATUS_LINES[status], list(headers.items()))
         return [payload]

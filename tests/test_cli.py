@@ -43,6 +43,16 @@ class TestCommands:
         assert code == 0
         assert "Rita Wilson" in capsys.readouterr().out
 
+    def test_query_ask_prints_the_boolean(self, capsys):
+        assert main(["query", "ASK { ?s ?p ?o }"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["query", "--format", "json", "ASK { ?s ?p ?o }"]) == 0
+        assert '"boolean": true' in capsys.readouterr().out
+        # false reads like a SELECT without rows: printed, exit code 1
+        assert main(["query", "--no-suggest",
+                     'ASK { ?s foaf:surname "Kennedys"@en }']) == 1
+        assert capsys.readouterr().out == "false\n"
+
     def test_query_with_suggestions(self, capsys):
         code = main([
             "query",

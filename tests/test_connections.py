@@ -12,12 +12,18 @@ means "never reached the server").
 
 from __future__ import annotations
 
+import http.client
+import http.server
 import json
+import shutil
 import socket
+import ssl
 import statistics
+import subprocess
 import sys
 import threading
 import time
+import urllib.parse
 
 import pytest
 
@@ -109,6 +115,7 @@ def _complete_body(text="Kenn"):
 
 
 JSON_BODY = (("Content-Type", "application/json"),)
+FORM_BODY = (("Content-Type", "application/x-www-form-urlencoded"),)
 
 
 class TestReuse:
@@ -243,21 +250,22 @@ class TestCheckout:
     def test_threads_never_share_a_connection(self, local_endpoint, monkeypatch):
         in_use, clashes = set(), []
         guard = threading.Lock()
-        real_request = client_module.http.client.HTTPConnection.request
 
-        def request(connection, *args, **kwargs):
-            with guard:
-                if connection in in_use:
-                    clashes.append(connection)
-                in_use.add(connection)
-            return real_request(connection, *args, **kwargs)
+        def checkout(key, _real=client_module._POOL.checkout):
+            connection = _real(key)  # None: the caller opens a fresh one
+            if connection is not None:
+                with guard:
+                    if connection in in_use:
+                        clashes.append(connection)
+                    in_use.add(connection)
+            return connection
 
         def checkin(key, connection, _real=client_module._POOL.checkin):
             with guard:
                 in_use.discard(connection)
             _real(key, connection)
 
-        monkeypatch.setattr(client_module.http.client.HTTPConnection, "request", request)
+        monkeypatch.setattr(client_module._POOL, "checkout", checkout)
         monkeypatch.setattr(client_module._POOL, "checkin", checkin)
         lanes, calls = 4, 25  # more lanes than this box has cores
         interval = sys.getswitchinterval()
@@ -344,6 +352,250 @@ class TestMalformedContentLength:
             stats = server.stats.snapshot()
         assert stats["requests"] == 1
         assert stats["client_errors"] == 1
+
+
+    def test_conflicting_lengths_are_one_400_and_a_close(self, local_endpoint):
+        """First-wins would read ``que`` and leave the other bytes on the
+        connection as the start of the "next request"."""
+        body = b"query=" + urllib.parse.quote(ASK).encode("ascii")
+        with SparqlHttpServer(local_endpoint) as server:
+            raw = _RawClient(server.host, server.port)
+            try:
+                raw.send("POST", "/sparql", body, (FORM_BODY[0], ("Content-Length", "3"),
+                                                   ("Content-Length", str(len(body)))))
+                status, headers, payload = raw.read_response()
+                assert status == 400
+                assert headers["connection"] == "close"
+                assert "Content-Length" in json.loads(payload)["error"]["message"]
+                assert raw.read_response() is None
+            finally:
+                raw.close()
+            stats = server.stats.snapshot()
+        assert stats["requests"] == 1
+        assert stats["client_errors"] == 1
+
+    def test_identical_duplicates_are_one_length(self, local_endpoint):
+        body = b"query=" + urllib.parse.quote(ASK).encode("ascii")
+        with SparqlHttpServer(local_endpoint) as server:
+            raw = _RawClient(server.host, server.port)
+            try:
+                for _ in range(2):  # and the connection carries on
+                    raw.send("POST", "/sparql", body, (FORM_BODY[0],
+                                                       ("Content-Length", str(len(body))),
+                                                       ("content-length", str(len(body)))))
+                    status, headers, payload = raw.read_response()
+                    assert status == 200 and "connection" not in headers
+                    assert json.loads(payload)["boolean"] is True
+            finally:
+                raw.close()
+
+
+class TestRequestHead:
+    """Request heads answered other than by the app: the stdlib's outcomes
+    (431, 505, the HTTP/1.0 close, ``100 Continue``) and a chunked body."""
+
+    def _exchange(self, server, head: bytes):
+        raw = _RawClient(server.host, server.port)
+        try:
+            raw.sock.sendall(head)
+            first = raw.read_response()
+            return first, raw.read_response()
+        finally:
+            raw.close()
+
+    def test_chunked_request_is_one_501_and_a_close(self, local_endpoint):
+        body = b"query=" + urllib.parse.quote(ASK).encode("ascii")
+        head = (b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/x-www-form-urlencoded\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n")
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        with SparqlHttpServer(local_endpoint) as server:
+            (status, headers, _), after = self._exchange(server, head + chunked)
+            served = server.stats.snapshot()["requests"]
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert after is None  # the chunk bytes are not a second request
+        assert served == 0
+
+    @pytest.mark.parametrize("fields", [
+        [f"X-Fill-{index}: {index}" for index in range(101)],
+        ["X-Long: " + "a" * 70_000],
+    ], ids=["101-lines", "70000-byte-line"])
+    def test_head_over_the_limits_is_431_and_a_close(self, local_endpoint, fields):
+        head = "\r\n".join(["GET /health HTTP/1.1", "Host: test", *fields]) + "\r\n\r\n"
+        with SparqlHttpServer(local_endpoint) as server:
+            (status, headers, _), after = self._exchange(server, head.encode("latin-1"))
+        assert status == 431
+        assert headers["connection"] == "close"
+        assert after is None
+
+    def test_http_2_is_505(self, local_endpoint):
+        """The stdlib refuses the version before it adopts it, so the 505
+        goes out as the version it can speak to anyone: an HTTP/0.9-style
+        bare body, then the close."""
+        with SparqlHttpServer(local_endpoint) as server:
+            raw = _RawClient(server.host, server.port)
+            try:
+                raw.sock.sendall(b"GET /health HTTP/2.0\r\nHost: test\r\n\r\n")
+                answer = raw.file.read()  # to the close
+            finally:
+                raw.close()
+        assert b"Error code: 505" in answer
+        assert not answer.startswith(b"HTTP/")
+
+    def test_http_1_0_is_answered_and_closed(self, local_endpoint):
+        with SparqlHttpServer(local_endpoint) as server:
+            (status, headers, body), after = self._exchange(
+                server, b"GET /health HTTP/1.0\r\nHost: test\r\n\r\n")
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert headers["connection"] == "close"
+        assert after is None
+
+    def test_expect_100_continue_then_200_on_one_connection(self, server):
+        body = _complete_body()
+        head = ("POST /complete HTTP/1.1\r\nHost: test\r\n"
+                "Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1")
+        with SparqlHttpServer(server) as http_server:
+            raw = _RawClient(http_server.host, http_server.port)
+            try:
+                raw.sock.sendall(head)
+                assert raw.read_response()[0] == 100
+                raw.sock.sendall(body)
+                status, headers, payload = raw.read_response()
+                assert status == 200 and "connection" not in headers
+                assert json.loads(payload)["completions"]
+                raw.send("GET", "/health")
+                assert raw.read_response()[0] == 200
+            finally:
+                raw.close()
+            assert http_server.app.connections.snapshot()["accepted"] == 1
+
+
+_RESULTS = {"head": {"vars": ["s"]}, "results": {"bindings": [
+    {"s": {"type": "uri", "value": f"http://example.org/thing/{index}"}}
+    for index in range(40)]}}
+
+
+class _ThirdPartyHandler(http.server.BaseHTTPRequestHandler):
+    """A SPARQL endpoint that is not ours: the stdlib server, framing its
+    answer as ``server.framing`` says — ``chunked`` (with a trailer) or a
+    ``Content-Length`` response that says ``Connection: close``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps(_RESULTS).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/sparql-results+json")
+        if self.server.framing == "chunked":
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            for start in range(0, len(body), 700):
+                piece = body[start:start + 700]
+                self.wfile.write(b"%x; piece\r\n%s\r\n" % (len(piece), piece))
+            self.wfile.write(b"0\r\nX-Trailer: done\r\n\r\n")
+        else:
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+
+@pytest.fixture()
+def third_party():
+    """``third_party(framing, tls=None)``: a started stdlib endpoint; its
+    ``connections`` counts what it accepted."""
+    started = []
+
+    def start(framing, tls=None):
+        httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ThirdPartyHandler)
+        httpd.daemon_threads = True
+        httpd.framing, httpd.connections = framing, 0
+        if tls is not None:
+            httpd.socket = tls.wrap_socket(httpd.socket, server_side=True)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        started.append(httpd)
+        return httpd
+
+    yield start
+    for httpd in started:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def _pooled_to(port):
+    return [entry for entry in client_module._POOL._idle if entry[0][2] == port]
+
+
+class TestThirdPartyEndpoints:
+    """Federation members that are not this server frame their answers
+    as any HTTP/1.1 server may."""
+
+    def test_chunked_answer_is_read_and_the_connection_reused(self, third_party):
+        httpd = third_party("chunked")
+        member = HttpSparqlEndpoint(f"http://127.0.0.1:{httpd.server_port}/sparql",
+                                    timeout_s=10.0, max_retries=0)
+        for _ in range(3):
+            rows = member.select("SELECT ?s WHERE { ?s ?p ?o }").rows
+            assert [str(row["s"]) for row in rows] == [
+                binding["s"]["value"] for binding in _RESULTS["results"]["bindings"]]
+        assert httpd.connections == 1
+        assert len(_pooled_to(httpd.server_port)) == 1
+
+    def test_connection_close_answer_is_not_pooled(self, third_party):
+        httpd = third_party("close")
+        member = HttpSparqlEndpoint(f"http://127.0.0.1:{httpd.server_port}/sparql",
+                                    timeout_s=10.0, max_retries=0)
+        for _ in range(3):
+            assert len(member.select("SELECT ?s WHERE { ?s ?p ?o }").rows) == 40
+        assert httpd.connections == 3
+        assert _pooled_to(httpd.server_port) == []
+
+    @pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl CLI")
+    def test_https_wraps_the_pooled_socket(self, third_party, tmp_path, monkeypatch):
+        key, cert = tmp_path / "key.pem", tmp_path / "cert.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+             "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+             "-subj", "/CN=localhost", "-addext", "subjectAltName=DNS:localhost",
+             "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True, timeout=60)
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(cert, key)
+        httpd = third_party("chunked", tls)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # the client's trust store
+        member = HttpSparqlEndpoint(f"https://localhost:{httpd.server_port}/sparql",
+                                    timeout_s=10.0, max_retries=0)
+        for _ in range(2):
+            assert len(member.select("SELECT ?s WHERE { ?s ?p ?o }").rows) == 40
+        assert httpd.connections == 1  # a TLS connection, pooled
+
+
+class TestNoEmailParser:
+    def test_all_three_routes_without_the_stdlib_header_parser(self, server, monkeypatch):
+        """Neither end of the wire parses a head with ``email``."""
+        with SparqlHttpServer(server) as http_server:
+            pum = HttpSapphireClient(http_server.url, timeout_s=10.0, max_retries=0)
+            sparql = HttpSparqlEndpoint(http_server.url, timeout_s=10.0, max_retries=0)
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("http.client.parse_headers was called")
+
+            monkeypatch.setattr(http.client, "parse_headers", refuse)
+            assert pum.complete("Kenn", 5).completions
+            outcome = pum.suggest('SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }')
+            assert outcome.all_suggestions
+            assert sparql.ask(ASK).value is True
+            assert [entry.outcome for entry in sparql.log] == ["ok"]
 
 
 class TestStatsBlock:
