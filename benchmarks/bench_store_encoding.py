@@ -6,8 +6,9 @@ Compares three storage engines on the hot paths of the interactive loop:
 * ``seed-terms`` — a faithful inline copy of the pre-encoding store
   (three nested dicts keyed by whole term objects) driven by the seed's
   backtracking join, kept here as the baseline,
-* ``encoded-memory`` — the dictionary-encoded in-memory backend behind
-  today's :class:`~repro.store.TripleStore`,
+* ``encoded-memory`` — the dictionary-encoded in-memory backend (SPO /
+  POS / OSP as clustered ``array('q')`` columns) behind today's
+  :class:`~repro.store.TripleStore`,
 * ``encoded-sqlite`` — the same store on the persistent SQLite backend.
 
 Three workloads, each over the eight triple-pattern shapes probed with

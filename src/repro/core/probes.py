@@ -34,7 +34,9 @@ if the candidate query had run alone.
 Queries with aggregates or GROUP BY cannot be split post-hoc (the
 aggregate would mix candidate groups), so :meth:`ProbeBatcher.run`
 returns ``None`` for them and the caller falls back to per-candidate
-execution.
+execution.  An ASK probes as the SELECT of its WHERE
+(:func:`select_form`): a repair is worth suggesting when it has
+solutions, and the suggestion shows how many.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..sparql.ast_nodes import Query, ValuesClause
 from ..sparql.evaluator import finalize_solutions
 from ..sparql.results import SelectResult
 
-__all__ = ["PROBE_VAR", "ProbeBatcher", "build_probe_query"]
+__all__ = ["PROBE_VAR", "ProbeBatcher", "build_probe_query", "select_form"]
 
 #: The fresh variable a probe query binds to the candidate term.  The
 #: name is namespaced so it can never collide with user variables (the
@@ -57,6 +59,11 @@ PROBE_VAR = "sapphire_probe"
 
 #: Executes a query AST somewhere (local store, endpoint, federation).
 QueryRunner = Callable[[Query], SelectResult]
+
+
+def select_form(query: Query) -> Query:
+    """``query`` if it is a SELECT; an ASK's ``SELECT *`` of its WHERE."""
+    return query if query.form == "SELECT" else replace(query, form="SELECT", select_star=True)
 
 
 def build_probe_query(
@@ -68,7 +75,8 @@ def build_probe_query(
     """One VALUES-batched probe for all ``candidates`` at one position.
 
     The probed position becomes ``?sapphire_probe``; the candidates form
-    an inline VALUES table.  Solution modifiers are stripped — the raw
+    an inline VALUES table.  The probe is a ``SELECT *`` whatever the
+    query's form, and solution modifiers are stripped — the raw
     solution stream ships once and each candidate group is finished at
     the caller (DISTINCT/ORDER/LIMIT act per candidate, not across the
     batch).  The probe shares everything it does not change with
@@ -85,6 +93,7 @@ def build_probe_query(
     ]
     return replace(
         query,
+        form="SELECT",
         where=replace(where, patterns=patterns, values=values),
         select_items=[],
         select_star=True,
@@ -159,11 +168,12 @@ class ProbeBatcher:
             }
             grouped.setdefault(candidate, []).append(solution)
         finished: Dict[Term, SelectResult] = {}
+        selecting = select_form(query)
         for candidate in candidates:
             solutions = grouped.get(candidate)
             if not solutions:
                 continue
-            finished[candidate] = finalize_solutions(query, solutions)
+            finished[candidate] = finalize_solutions(selecting, solutions)
         return finished
 
     def probe_queries(

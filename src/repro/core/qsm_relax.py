@@ -39,6 +39,7 @@ from ..sparql.results import SelectResult
 from ..sparql.serializer import select_query, serialize_query
 from .cache import CacheReader
 from .config import SapphireConfig
+from .probes import select_form
 
 __all__ = [
     "Edge",
@@ -373,7 +374,7 @@ class StructureRelaxer:
         # Only the pattern list is new; the rest is shared with ``query``.
         new_query = replace(query, where=replace(query.where, patterns=patterns))
         try:
-            result = self.runner(new_query)
+            result = self.runner(select_form(new_query))  # an ASK counts its solutions
         except Exception:
             return []
         if not result.rows:

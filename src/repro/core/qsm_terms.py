@@ -49,7 +49,7 @@ from ..text.lexicon import Lexicon, default_lexicon
 from ..text.similarity import ThresholdScorer
 from .cache import CachedTerm, CacheReader, SapphireCache
 from .config import SapphireConfig
-from .probes import ProbeBatcher
+from .probes import ProbeBatcher, select_form
 
 __all__ = ["TermSuggestion", "AlternativeTermsFinder"]
 
@@ -306,7 +306,8 @@ class AlternativeTermsFinder:
         ones (an aggregate query, or a failed batch) execute individually
         here, preserving the classic Algorithm 2 behaviour as the
         fallback.  Only a candidate that is kept or has to run
-        gets its query built — one in ten survives its probe.
+        gets its query built — one in ten survives its probe.  An ASK
+        runs as its SELECT form; the suggestion keeps the ASK.
         """
         kept: List[TermSuggestion] = []
         for (index, position, original, _), (entry, score), probed, result in candidates:
@@ -317,7 +318,7 @@ class AlternativeTermsFinder:
             new_query = _replace_term(query, index, position, entry.term)
             if not probed:
                 try:
-                    result = self.runner(new_query)
+                    result = self.runner(select_form(new_query))
                 except Exception:
                     continue
             if result is None or not result.rows:

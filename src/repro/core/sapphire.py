@@ -39,7 +39,7 @@ from ..sparql.ast_nodes import (
     TermExpr,
 )
 from ..sparql.parser import parse_query
-from ..sparql.results import SelectResult
+from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import serialize_query
 from ..sparql.trace import QueryTrace, Tracer
 from ..text.lexicon import Lexicon
@@ -79,14 +79,14 @@ class QueryOutcome:
 
     query: Query
     query_text: str
-    answers: SelectResult
+    answers: Union[SelectResult, AskResult]
     term_suggestions: List[TermSuggestion] = field(default_factory=list)
     relaxations: List[RelaxationSuggestion] = field(default_factory=list)
     qsm_seconds: float = 0.0
 
     @property
     def has_answers(self) -> bool:
-        return bool(self.answers.rows)
+        return bool(self.answers)
 
     @property
     def all_suggestions(self) -> List[Union[TermSuggestion, RelaxationSuggestion]]:

@@ -209,6 +209,8 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
         if not words:
             return False
         if number is not None and number >= (2, 0):
+            # Framed as the version we do speak, so the client reads a status line.
+            self.request_version = "HTTP/1.1"
             self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1]})")
             return False
         if number is None or not 2 <= len(words) <= 3 or (len(words) == 2 and words[0] != "GET"):

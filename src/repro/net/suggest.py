@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..sparql.results import SelectResult
+from ..sparql.results import AskResult, SelectResult
 from .formats import FormatError, result_from_document, result_to_document
 
 __all__ = [
@@ -170,13 +170,13 @@ class RemoteOutcome:
     """Mirror of :class:`~repro.core.sapphire.QueryOutcome` over the wire."""
 
     query_text: str
-    answers: SelectResult
+    answers: Union[SelectResult, AskResult]
     term_suggestions: List[RemoteSuggestion] = field(default_factory=list)
     relaxations: List[RemoteSuggestion] = field(default_factory=list)
 
     @property
     def has_answers(self) -> bool:
-        return bool(self.answers.rows)
+        return bool(self.answers)
 
     @property
     def all_suggestions(self) -> List[RemoteSuggestion]:
@@ -222,10 +222,8 @@ def parse_outcome(payload) -> RemoteOutcome:
         raise FormatError(f"suggest response is not JSON: {exc}") from exc
     if not isinstance(document, dict) or "answers" not in document:
         raise FormatError("suggest response missing 'answers'")
-    answers = _parse_answers(document["answers"])
-    assert answers is not None
-    outcome = RemoteOutcome(
-        query_text=str(document.get("query", "")), answers=answers
+    outcome = RemoteOutcome(  # an ASK's answer is a boolean document
+        query_text=str(document.get("query", "")), answers=result_from_document(document["answers"])
     )
     for item in document.get("term_suggestions", ()):
         outcome.term_suggestions.append(RemoteSuggestion(

@@ -7,8 +7,9 @@ about RDF terms, SPARQL, or cost metering — those live one layer up in
 ID level means a backend only has to answer eight pattern shapes over
 integer keys, which both implementations do with covering indexes:
 
-* :class:`MemoryBackend` — three nested dict-of-dict-of-set indexes
-  (SPO / POS / OSP) over ints; the default, fastest for ephemeral data.
+* :class:`MemoryBackend` — three clustered permutations (SPO / POS /
+  OSP), each a set of aligned ``array('q')`` columns; the default,
+  fastest for ephemeral data.
 * :class:`~repro.store.sqlite_backend.SQLiteBackend` — the same three
   covering indexes as B-trees in a WAL-mode SQLite file; survives
   restarts (see ``docs/storage.md`` for the schema).
@@ -25,16 +26,19 @@ columns** — tuples of ``array('q')`` arrays, one per requested wildcard
 position, up to ``batch_size`` rows long.  The physical operators in
 :mod:`~repro.sparql.plan` consume these directly, so a scan crosses the
 backend boundary once per batch instead of once per row.  Both backends
-implement it natively: the memory backend materializes index slices
-straight into arrays, SQLite fetches only the needed columns with
+implement it natively: the memory backend hands out slices of the
+columns it stores, SQLite fetches only the needed columns with
 ``fetchmany`` over the same covering indexes.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from bisect import bisect_left
+from itertools import accumulate, chain, count, repeat, starmap
+from operator import itemgetter, sub
+from threading import Lock
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from .dictionary import TermDictionary
 
@@ -99,121 +103,206 @@ class StorageBackend(Protocol):
     def close(self) -> None: ...
 
 
-class MemoryBackend:
-    """SPO / POS / OSP nested-dict indexes over integer IDs.
+class _Permutation:
+    """One clustered order of the triples (SPO, POS or OSP) as columns.
 
-    Structurally identical to the seed store's indexes, but every key is
-    an ``int`` — hashing is a word op and small-int hashes are the values
-    themselves, so probe order is deterministic across runs.
+    ``order`` holds the triple positions of the first key ``a``, the
+    second key ``b`` and the leaf ``c``.  Rows are clustered by ``a``,
+    then by ``b``, both in first-insertion order; a group's leaves come
+    in the order a ``set`` of them iterates (the order of the
+    dict-of-sets indexes this layout replaced, so result rows keep their
+    bytes).  ``col_b`` / ``col_c`` hold the rows; ``a`` is constant over
+    its block and is not stored.  ``keys`` maps ``a`` to its block ``k``:
+    rows ``starts[k]:starts[k + 1]``, directory entries ``blocks[k]:
+    blocks[k + 1]``, one per group and sorted by ``b`` so a lookup
+    bisects; entry ``j`` is the group ``dir_b[j]``, rows
+    ``dir_lo[j]:dir_hi[j]``.  Built whole, never mutated.
+    """
+
+    __slots__ = ("order", "keys", "starts", "blocks", "dir_b", "dir_lo", "dir_hi", "col_b", "col_c")
+
+    def __init__(self, order: Tuple[int, int, int], rows: Iterable[IdTriple] = ()) -> None:
+        """Cluster ``rows``, ``(a, b, c)`` tuples in insertion order."""
+        groups: Dict[int, Dict[int, List[int]]] = {}
+        for a, b, c in rows:
+            leaves = groups.get(a)
+            if leaves is None:
+                groups[a] = {b: [c]}
+            elif b in leaves:
+                leaves[b].append(c)
+            else:
+                leaves[b] = [c]
+        # The rest runs in C, a pass or a sort per array.
+        per_block = list(map(len, groups.values()))
+        leaf_lists = list(chain.from_iterable(map(dict.values, groups.values())))
+        per_group = list(map(len, leaf_lists))
+        group_b = list(chain.from_iterable(groups.values()))
+        row_at = list(accumulate(per_group, initial=0))
+        block_of = chain.from_iterable(map(repeat, count(), per_block))
+        directory = sorted(zip(block_of, group_b, row_at, row_at[1:]))
+        self.order = order
+        self.keys = dict(zip(groups, count()))
+        self.blocks = array("q", accumulate(per_block, initial=0))
+        self.starts = array("q", map(row_at.__getitem__, self.blocks))
+        self.dir_b, self.dir_lo, self.dir_hi = (array("q", map(itemgetter(i), directory)) for i in (1, 2, 3))
+        self.col_b = array("q", chain.from_iterable(map(repeat, group_b, per_group)))
+        self.col_c = array("q", chain.from_iterable(map(set, leaf_lists)))
+
+    def block(self, a: int) -> Tuple[int, int]:
+        """The row range of key ``a``."""
+        k = self.keys.get(a)
+        return (0, 0) if k is None else (self.starts[k], self.starts[k + 1])
+
+    def group(self, a: int, b: int) -> Tuple[int, int]:
+        """The row range of the ``(a, b)`` group."""
+        k = self.keys.get(a)
+        if k is None:
+            return 0, 0
+        last = self.blocks[k + 1]
+        j = bisect_left(self.dir_b, b, self.blocks[k], last)
+        if j == last or self.dir_b[j] != b:
+            return 0, 0
+        return self.dir_lo[j], self.dir_hi[j]
+
+    def has(self, a: int, b: int, c: int) -> bool:
+        lo, hi = self.group(a, b)
+        return c in self.col_c[lo:hi]
+
+    def fanouts(self) -> Dict[int, int]:
+        """Rows per key, in key order."""
+        return dict(zip(self.keys, map(sub, self.starts[1:], self.starts)))
+
+    def key_column(self) -> array:
+        """``a`` for every row: each key repeated over its block."""
+        return array("q", chain.from_iterable(starmap(repeat, self.fanouts().items())))
+
+    def rows(self) -> Iterator[IdTriple]:
+        """Every ``(a, b, c)``, in clustered order."""
+        return zip(self.key_column(), self.col_b, self.col_c)
+
+
+#: Triple positions ``(a, b, c)`` of SPO, POS and OSP.
+_ORDERS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+_Layout = Tuple[_Permutation, _Permutation, _Permutation]
+
+#: The layout of a backend never read since its last write: nothing
+#: mutates a permutation, so every backend can start from these.
+_EMPTY: _Layout = tuple(_Permutation(order) for order in _ORDERS)  # type: ignore[assignment]
+
+
+class MemoryBackend:
+    """SPO / POS / OSP as clustered ``array('q')`` columns, in the style
+    of RDF-3X's clustered indexes (:class:`_Permutation`).
+
+    Every shape with a wildcard is one row range ``[lo, hi)`` of one
+    permutation, so a scan hands out slices of the stored columns.  The
+    enumeration order is part of the contract: keys at both levels come
+    out in first-insertion order, leaves in ``set`` order (so
+    ``contains`` scans its group rather than bisecting).  Writes go to a
+    pending log, which the first read after them folds in; the loaders
+    write everything, then read, so that is one fold.
     """
 
     name = "memory"
 
     def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
-        self._spo: Dict[int, Dict[int, Set[int]]] = {}
-        self._pos: Dict[int, Dict[int, Set[int]]] = {}
-        self._osp: Dict[int, Dict[int, Set[int]]] = {}
+        self._layout: _Layout = _EMPTY
+        # Triples added since the last fold, in insertion order.
+        self._pending: Dict[IdTriple, None] = {}
+        self._fold_lock = Lock()
         self._size = 0
-        # Triples per subject / predicate / object, kept by ``add``: the
-        # planner asks for the one-position estimates several times a
-        # plan, and summing a predicate's fan-outs walks its whole POS
-        # slice.
-        self._s_total: Dict[int, int] = {}
-        self._p_total: Dict[int, int] = {}
-        self._o_total: Dict[int, int] = {}
         self._meta: Dict[str, str] = {}
         # Per-predicate (count, distinct subjects, distinct objects),
-        # rebuilt lazily after mutations; feeds the join planner.
+        # rebuilt lazily after a fold; feeds the join planner.
         self._pstats: Optional[Dict[int, Tuple[int, int, int]]] = None
-        # Columnar projection per predicate: aligned (subject, object)
-        # ID arrays, built lazily from ``_pos`` on first columnar scan
-        # and invalidated per predicate on mutation.  This is the
-        # storage half of the batched executor: predicate-bound scans
-        # (the dominant pattern shape) hand out array slices instead of
-        # re-grouping the nested-dict index on every query.
-        self._pcols: Dict[int, Tuple[array, array]] = {}
-        # Generic columnar-scan cache keyed by the full match shape
-        # ``(s, p, o, positions)``; covers the grouped shapes ``_pcols``
-        # does not (subject-/object-bound scans, full wildcard).  Cleared
-        # wholesale on mutation — same policy as the SQLite backend.
-        self._col_cache: Dict[Tuple, Tuple[array, ...]] = {}
 
     # -- mutation ------------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
-        objects = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objects:
+        triple = (s, p, o)
+        if triple in self._pending or self._layout[0].has(s, p, o):
             return False
-        objects.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._pending[triple] = None
         self._size += 1
-        self._s_total[s] = self._s_total.get(s, 0) + 1
-        self._p_total[p] = self._p_total.get(p, 0) + 1
-        self._o_total[o] = self._o_total.get(o, 0) + 1
-        self._pstats = None
-        self._pcols.pop(p, None)
-        if self._col_cache:
-            self._col_cache.clear()
         return True
 
     def add_many(self, triples: Iterator[IdTriple]) -> int:
         return sum(1 for s, p, o in triples if self.add(s, p, o))
 
+    def _read(self) -> _Layout:
+        """The permutations, with the pending log folded in first.
+
+        Each permutation is rebuilt from its own rows followed by the
+        pending ones: every old row was inserted before every pending
+        one, so first appearance in that sequence is first insertion.
+        The new layout is published before the log is emptied, so a
+        reader that finds the log empty finds its rows in the layout.
+        """
+        if self._pending:
+            with self._fold_lock:
+                if self._pending:  # not folded by another reader meanwhile
+                    self._layout = tuple(  # type: ignore[assignment]
+                        _Permutation(old.order, chain(old.rows(), map(itemgetter(*old.order), self._pending)))
+                        for old in self._layout
+                    )
+                    self._pstats = None
+                    self._pending = {}
+        return self._layout
+
     # -- lookup --------------------------------------------------------
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        by_p = self._spo.get(s)
-        if by_p is None:
-            return False
-        objects = by_p.get(p)
-        return objects is not None and o in objects
+        return self._read()[0].has(s, p, o)
 
     def size(self) -> int:
         return self._size
 
     def iter_ids(self) -> Iterator[IdTriple]:
-        for s, by_p in self._spo.items():
-            for p, objects in by_p.items():
-                for o in objects:
-                    yield (s, p, o)
+        return self.match_ids(None, None, None)
+
+    def _locate(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> Tuple[_Permutation, int, int]:
+        """The permutation and row range ``[lo, hi)`` of a shape with a wildcard."""
+        spo, pos, osp = self._read()
+        if s is not None:
+            if p is not None:
+                return (spo, *spo.group(s, p))
+            return (osp, *osp.group(o, s)) if o is not None else (spo, *spo.block(s))
+        if p is not None:
+            return (pos, *(pos.block(p) if o is None else pos.group(p, o)))
+        return (osp, *osp.block(o)) if o is not None else (spo, 0, self._size)
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> Iterator[IdTriple]:
-        if s is not None and p is not None and o is not None:
-            if self.contains(s, p, o):
-                yield (s, p, o)
-            return
+        spo, pos, osp = self._read()
+        # Two bound positions name one group: the bind join's probe, once
+        # per left row and most often one row long, walks it directly.
         if s is not None and p is not None:
-            for obj in self._spo.get(s, {}).get(p, ()):
-                yield (s, p, obj)
-            return
-        if p is not None and o is not None:
-            for subj in self._pos.get(p, {}).get(o, ()):
+            lo, hi = spo.group(s, p)
+            for obj in spo.col_c[lo:hi]:
+                if o is None or obj == o:
+                    yield (s, p, obj)
+        elif p is not None and o is not None:
+            lo, hi = pos.group(p, o)
+            for subj in pos.col_c[lo:hi]:
                 yield (subj, p, o)
-            return
-        if s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
+        elif s is not None and o is not None:
+            lo, hi = osp.group(o, s)
+            for pred in osp.col_c[lo:hi]:
                 yield (s, pred, o)
-            return
-        if s is not None:
-            for pred, objects in self._spo.get(s, {}).items():
-                for obj in objects:
-                    yield (s, pred, obj)
-            return
-        if p is not None:
-            for obj, subjects in self._pos.get(p, {}).items():
-                for subj in subjects:
-                    yield (subj, p, obj)
-            return
-        if o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
-                for pred in preds:
-                    yield (subj, pred, o)
-            return
-        yield from self.iter_ids()
+        else:
+            perm, lo, hi = self._locate(s, p, o)
+            a_pos, b_pos, c_pos = perm.order
+            key = (s, p, o)[a_pos]
+            columns: List[Iterable[int]] = [(), (), ()]
+            columns[a_pos] = perm.key_column() if key is None else repeat(key)
+            columns[b_pos] = perm.col_b[lo:hi]
+            columns[c_pos] = perm.col_c[lo:hi]
+            yield from zip(*columns)
 
     def match_columns(
         self,
@@ -227,105 +316,28 @@ class MemoryBackend:
 
         ``positions`` selects which of the free (``None``) pattern
         positions to return, in any order; every requested position must
-        be a wildcard.  Whole columns are materialized through
-        ``itertools``-driven bulk copies (``chain.from_iterable`` over
-        index groups, ``repeat`` for the grouped key) so the per-triple
-        work runs in C, then handed out as ``array`` slices — this is
-        where the batched executor's scan speedup comes from.
+        be a wildcard.  The batches are slices of the permutation's own
+        columns, in ``match_ids``'s order.
         """
         if not positions:
             raise ValueError("match_columns needs at least one position")
         if any((s, p, o)[pos] is not None for pos in positions):
             raise ValueError("match_columns positions must be wildcards")
-        key = (s, p, o, tuple(positions))
-        hit = self._col_cache.get(key)
-        if hit is not None:
-            length = len(hit[0])
-            for start in range(0, length, batch_size):
-                stop = start + batch_size
-                yield tuple(col[start:stop] for col in hit)
-            return
-        want = set(positions)
-        cols: Dict[int, array] = {}
-
-        def grouped(index, key_pos: int, value_pos: int) -> None:
-            """Build columns from one grouped index level: the key column
-            repeats each group key ``len(group)`` times, the value column
-            concatenates the groups.  Dict iteration order is stable
-            across the passes, so the columns stay row-aligned."""
-            if key_pos in want:
-                sizes = map(len, index.values())
-                cols[key_pos] = array(
-                    "q", chain.from_iterable(map(repeat, index.keys(), sizes))
-                )
-            if value_pos in want:
-                cols[value_pos] = array(
-                    "q", chain.from_iterable(index.values())
-                )
-
-        if s is not None and p is not None:
-            cols[2] = array("q", self._spo.get(s, {}).get(p, ()))
-        elif p is not None and o is not None:
-            cols[0] = array("q", self._pos.get(p, {}).get(o, ()))
-        elif s is not None and o is not None:
-            cols[1] = array("q", self._osp.get(o, {}).get(s, ()))
-        elif s is not None:
-            grouped(self._spo.get(s, {}), key_pos=1, value_pos=2)
-        elif p is not None:
-            cols[0], cols[2] = self._predicate_columns(p)
-        elif o is not None:
-            grouped(self._osp.get(o, {}), key_pos=0, value_pos=1)
-        else:
-            # Subject-major like ``match_ids`` so both pipelines cut
-            # LIMIT/DISTINCT pages over the same enumeration order.
-            subj_col = array("q") if 0 in want else None
-            pred_col = array("q") if 1 in want else None
-            obj_col = array("q") if 2 in want else None
-            for subj, by_p in self._spo.items():
-                sizes = [len(objects) for objects in by_p.values()]
-                if subj_col is not None:
-                    subj_col.extend(repeat(subj, sum(sizes)))
-                if pred_col is not None:
-                    pred_col.extend(
-                        chain.from_iterable(map(repeat, by_p.keys(), sizes))
-                    )
-                if obj_col is not None:
-                    obj_col.extend(chain.from_iterable(by_p.values()))
-            for pos, col in ((0, subj_col), (1, pred_col), (2, obj_col)):
-                if col is not None:
-                    cols[pos] = col
-
-        if len(self._col_cache) >= 128:
-            self._col_cache.clear()
-        out = self._col_cache[key] = tuple(cols[pos] for pos in positions)
-        length = len(out[0])
-        for start in range(0, length, batch_size):
-            stop = start + batch_size
-            yield tuple(col[start:stop] for col in out)
-
-    def _predicate_columns(self, p: int) -> Tuple[array, array]:
-        """Aligned (subject, object) columns for one predicate, cached.
-
-        Callers must not mutate or hand out the returned arrays —
-        ``match_columns`` only ever yields slices of them (array slicing
-        copies), so the cache stays private.
-        """
-        cached = self._pcols.get(p)
-        if cached is None:
-            index = self._pos.get(p, {})
-            sizes = map(len, index.values())
-            o_col = array(
-                "q", chain.from_iterable(map(repeat, index.keys(), sizes))
-            )
-            s_col = array("q", chain.from_iterable(index.values()))
-            self._pcols[p] = cached = (s_col, o_col)
-        return cached
+        perm, lo, hi = self._locate(s, p, o)
+        a_pos, b_pos, _ = perm.order
+        columns = [
+            perm.key_column() if pos == a_pos else perm.col_b if pos == b_pos else perm.col_c
+            for pos in positions
+        ]
+        for start in range(lo, hi, batch_size):
+            stop = min(start + batch_size, hi)
+            yield tuple(column[start:stop] for column in columns)
 
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> int:
         """Exact match count (used by ``TripleStore.count``; still free —
-        it walks index fan-outs, never the triples)."""
+        a row range's length, never a walk over the triples)."""
         if s is not None and p is not None and o is not None:
             return 1 if self.contains(s, p, o) else 0
         return self.estimate_ids(s, p, o)
@@ -335,57 +347,43 @@ class MemoryBackend:
     ) -> int:
         if s is not None and p is not None and o is not None:
             return 1
-        if s is not None and p is not None:
-            return len(self._spo.get(s, {}).get(p, ()))
-        if p is not None and o is not None:
-            return len(self._pos.get(p, {}).get(o, ()))
-        if s is not None and o is not None:
-            return len(self._osp.get(o, {}).get(s, ()))
-        if s is not None:
-            return self._s_total.get(s, 0)
-        if p is not None:
-            return self._p_total.get(p, 0)
-        if o is not None:
-            return self._o_total.get(o, 0)
-        return self._size
+        _, lo, hi = self._locate(s, p, o)
+        return hi - lo
 
     # -- aggregates ----------------------------------------------------
 
     def subject_ids(self) -> Iterator[int]:
-        return iter(self._spo.keys())
+        return iter(self._read()[0].keys)
 
     def subject_count(self) -> int:
-        return len(self._spo)
+        return len(self._read()[0].keys)
 
     def predicate_ids(self) -> Iterator[int]:
-        return iter(self._pos.keys())
+        return iter(self._read()[1].keys)
 
     def object_ids(self) -> Iterator[int]:
-        return iter(self._osp.keys())
+        return iter(self._read()[2].keys)
 
     def predicate_fanouts(self) -> Dict[int, int]:
-        return dict(self._p_total)
+        return self._read()[1].fanouts()
 
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]:
         """Per-predicate ``(count, distinct subjects, distinct objects)``.
 
-        One pass over the POS index per rebuild, cached until the next
-        mutation — the planner asks for these on every query.
+        One pass over the POS columns per fold, cached until the next —
+        the planner asks for these on every query.  A predicate's
+        directory entries are its distinct objects.
         """
+        pos = self._read()[1]
         if self._pstats is None:
-            stats: Dict[int, Tuple[int, int, int]] = {}
-            for p, by_o in self._pos.items():
-                count = 0
-                subjects: Set[int] = set()
-                for subs in by_o.values():
-                    count += len(subs)
-                    subjects.update(subs)
-                stats[p] = (count, len(subjects), len(by_o))
-            self._pstats = stats
+            self._pstats = {
+                p: (hi - lo, len(set(pos.col_c[lo:hi])), pos.blocks[k + 1] - pos.blocks[k])
+                for p, k, lo, hi in zip(pos.keys, count(), pos.starts, pos.starts[1:])
+            }
         return self._pstats
 
     def object_fanouts(self) -> Dict[int, int]:
-        return dict(self._o_total)
+        return self._read()[2].fanouts()
 
     def get_meta(self, key: str) -> Optional[str]:
         """Read a metadata value (ephemeral, like the triples)."""

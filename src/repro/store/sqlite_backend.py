@@ -15,7 +15,7 @@ Schema (documented in full in ``docs/storage.md``)::
     idx_triples_pos(p, o, s)                 -- covering POS index
     idx_triples_osp(o, s, p)                 -- covering OSP index
 
-The three B-trees mirror the memory backend's three hash indexes: every
+The three B-trees mirror the memory backend's three permutations: every
 one of the eight triple-pattern shapes is answered by a prefix range scan
 of exactly one covering index, so SQLite never touches the base table
 twice.

@@ -3,7 +3,7 @@
 The store interns every RDF term into a :class:`TermDictionary` (dense
 integer IDs) and delegates the actual (s, p, o) ID triples to a pluggable
 :class:`~repro.store.backends.StorageBackend` — in-memory SPO/POS/OSP
-hash indexes by default, or a WAL-mode SQLite file for persistence.  All
+column permutations by default, or a WAL-mode SQLite file for persistence.  All
 pattern matching, joining and counting happens on integers; terms are
 decoded only when results are materialized (``docs/storage.md`` has the
 full design).
@@ -87,7 +87,7 @@ class TripleStore:
     ) -> None:
         self._backend: StorageBackend = backend if backend is not None else MemoryBackend()
         self._dict = self._backend.dictionary
-        # Monotonic mutation counter; plan/column caches key on it so a
+        # Monotonic mutation counter; plan caches key on it so a
         # write through this facade invalidates anything derived from
         # the previous contents.
         self._generation = 0

@@ -53,6 +53,15 @@ class TestCommands:
                      'ASK { ?s foaf:surname "Kennedys"@en }']) == 1
         assert capsys.readouterr().out == "false\n"
 
+    @pytest.mark.parametrize("command,code", [("query", 1), ("suggest", 0)])
+    def test_false_ask_gets_suggestions(self, command, code, capsys):
+        """The QSM probes an ASK as the SELECT of its WHERE: a false one
+        is repaired like a SELECT without rows, not a traceback."""
+        assert main([command, 'ASK { ?s foaf:surname "Kennedys"@en }']) == code
+        out = capsys.readouterr().out
+        assert out.startswith("false\n")
+        assert 'did you mean "Kennedy"@en instead of "Kennedys"@en?' in out
+
     def test_query_with_suggestions(self, capsys):
         code = main([
             "query",

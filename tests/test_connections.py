@@ -430,18 +430,15 @@ class TestRequestHead:
         assert after is None
 
     def test_http_2_is_505(self, local_endpoint):
-        """The stdlib refuses the version before it adopts it, so the 505
-        goes out as the version it can speak to anyone: an HTTP/0.9-style
-        bare body, then the close."""
+        """A version we do not speak is refused in one we do: an
+        HTTP/1.1 status line and headers, then the close."""
         with SparqlHttpServer(local_endpoint) as server:
-            raw = _RawClient(server.host, server.port)
-            try:
-                raw.sock.sendall(b"GET /health HTTP/2.0\r\nHost: test\r\n\r\n")
-                answer = raw.file.read()  # to the close
-            finally:
-                raw.close()
-        assert b"Error code: 505" in answer
-        assert not answer.startswith(b"HTTP/")
+            (status, headers, body), after = self._exchange(
+                server, b"GET /health HTTP/2.0\r\nHost: test\r\n\r\n")
+        assert status == 505
+        assert headers["connection"] == "close"
+        assert b"Error code: 505" in body
+        assert after is None
 
     def test_http_1_0_is_answered_and_closed(self, local_endpoint):
         with SparqlHttpServer(local_endpoint) as server:

@@ -5,9 +5,20 @@ SQLite) — since the two must be behaviourally identical behind the
 ``StorageBackend`` seam.
 """
 
-import pytest
+import gc
+import sys
+import threading
+import tracemalloc
+from collections import Counter
+from itertools import chain, groupby, product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data import DatasetConfig, build_dataset
 from repro.rdf import IRI, Literal, Triple, TriplePattern, Variable
+from repro.sparql import evaluate
 from repro.store import (
     CostMeter,
     MemoryBackend,
@@ -182,8 +193,6 @@ class TestEstimationIsFree:
     def test_evaluation_charges_only_enumeration(self, small_store):
         """Planning (ordering + estimates) must add nothing on top of the
         per-candidate charges of the actual index scans."""
-        from repro.sparql import evaluate
-
         meter = CostMeter()
         evaluate(small_store, "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }", meter)
         assert meter.cost == 3  # exactly the three ?s p ?o candidates
@@ -218,9 +227,9 @@ class TestEstimates:
     @pytest.mark.parametrize("make_store", BACKENDS + ["sharded"], indirect=True)
     def test_one_position_estimates_are_exact_through_mutations(self, make_store):
         """With only the subject, the predicate or the object bound the
-        estimate is that position's triple count — the memory backend
-        keeps running totals for it — through ``add``, ``add_all`` and
-        a duplicate.  The predicate
+        estimate is that position's triple count — on the memory backend
+        the length of one block's row range — through ``add``, ``add_all``
+        and a duplicate.  The predicate
         statistics behind the estimates are free between mutations (the
         same object on every read) and fresh after each one — on the
         sharded backend too, whose merge of its shards' is cached."""
@@ -300,3 +309,144 @@ class TestEncodingSeam:
         rows = list(small_store.match_ids(s, p, None))
         objects = {small_store.decode_id(row[2]) for row in rows}
         assert objects == {B, C}
+
+
+class TestMemoryLayout:
+    """``MemoryBackend``'s clustered permutations and pending log against
+    a brute-force filter of the inserted triples."""
+
+    #: An ID no drawn triple carries.
+    ABSENT = 9
+
+    @staticmethod
+    def _shapes(triple):
+        """The eight pattern shapes over one triple's IDs."""
+        return {
+            tuple(value if bound else None for value, bound in zip(triple, mask))
+            for mask in product((True, False), repeat=3)
+        }
+
+    def _check_shapes(self, backend, inserted, probes):
+        for pattern in set().union(*map(self._shapes, probes)):
+            expected = Counter(
+                t for t in inserted if all(v is None or v == t[i] for i, v in enumerate(pattern))
+            )
+            n = sum(expected.values())
+            assert Counter(backend.match_ids(*pattern)) == expected
+            assert backend.count_ids(*pattern) == n
+            free = [i for i, v in enumerate(pattern) if v is None]
+            if not free:
+                assert backend.contains(*pattern) is (n == 1)
+                assert backend.estimate_ids(*pattern) == 1
+                continue
+            assert backend.estimate_ids(*pattern) == n
+            positions = free[::-1]  # any order of the free positions
+            for batch_size in (1, 3, 1024):
+                batches = list(backend.match_columns(*pattern, positions, batch_size))
+                assert all(0 < len(batch[0]) <= batch_size for batch in batches)
+                rows = Counter(chain.from_iterable(zip(*batch) for batch in batches))
+                assert rows == Counter(tuple(t[i] for i in positions) for t in expected)
+
+    @staticmethod
+    def _check_key_order(backend, inserted):
+        """Keys at both levels come out contiguous and in first-insertion
+        order: ``groupby`` runs equal the first-seen list only then."""
+
+        def first_seen(values):
+            return list(dict.fromkeys(values))
+
+        def runs(values):
+            return [key for key, _ in groupby(values)]
+
+        for position, keys in enumerate((backend.subject_ids, backend.predicate_ids, backend.object_ids)):
+            assert list(keys()) == first_seen(t[position] for t in inserted)
+        assert runs(t[0] for t in backend.iter_ids()) == first_seen(t[0] for t in inserted)
+        for bound in range(3):  # the single-bound scans: SPO, POS, OSP
+            second = (bound + 1) % 3
+            for key in {t[bound] for t in inserted}:
+                pattern = [None, None, None]
+                pattern[bound] = key
+                want = first_seen(t[second] for t in inserted if t[bound] == key)
+                assert runs(t[second] for t in backend.match_ids(*pattern)) == want
+                batches = backend.match_columns(*pattern, [second], 3)
+                assert runs(chain.from_iterable(batch[0] for batch in batches)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.booleans()), max_size=60,
+    ))
+    def test_every_shape_matches_brute_force(self, steps):
+        """Writes and reads interleaved: a read folds the pending log, a
+        later write starts a new one, and every shape still answers the
+        inserted multiset — duplicates counted once."""
+        backend = MemoryBackend()
+        inserted = []
+        for triple, read_after in steps:
+            assert backend.add(*triple) is (triple not in inserted)
+            if triple not in inserted:
+                inserted.append(triple)
+            if read_after:
+                self._check_shapes(backend, inserted, [triple])
+                self._check_key_order(backend, inserted)
+        assert backend.size() == len(inserted)
+        self._check_shapes(backend, inserted, inserted + [(self.ABSENT,) * 3])
+        self._check_key_order(backend, inserted)
+
+    def test_group_by_tie_returns_the_group_inserted_first(self):
+        """Under ``ORDER BY DESC(COUNT)`` a tie goes to the group whose key
+        the scan met first — here the key with the larger ID, so a layout
+        sorted by ID would answer the other one."""
+        store = TripleStore(backend=MemoryBackend())
+        older, newer = IRI("http://x/older"), IRI("http://x/newer")
+        store.add(Triple(older, Q, C))  # interns ``older`` first
+        for index, city in enumerate((newer, older, newer, older)):
+            store.add(Triple(IRI(f"http://x/s{index}"), P, city))
+        assert store.term_id(older) < store.term_id(newer)
+        result = evaluate(
+            store,
+            "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s <http://x/p> ?c } "
+            "GROUP BY ?c ORDER BY DESC(?n) LIMIT 1",
+        )
+        assert [(row["c"], row["n"].lexical) for row in result.rows] == [(newer, "2")]
+
+    def test_racing_first_reads_all_see_the_fold(self):
+        """Readers that race to fold the same pending log each see every
+        triple: the fold publishes the new layout before it empties the
+        log, and one lock makes the others wait for it."""
+        backend = MemoryBackend()
+        backend.add_many((s, p, o) for s in range(60) for p in range(4) for o in range(5))
+        seen = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [
+                threading.Thread(target=lambda: seen.append(sum(1 for _ in backend.match_ids(None, 2, None))))
+                for _ in range(8)
+            ]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(reader.is_alive() for reader in readers)
+        assert seen == [300] * 8
+
+    def test_bytes_per_triple_at_small(self):
+        """What the backend retains per triple at ``small``, the term
+        dictionary excluded: ~670 B as nested dicts of sets, ~140 B as
+        clustered columns."""
+        dataset = build_dataset(DatasetConfig.small())
+        triples = list(dataset.store.backend.iter_ids())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            backend = MemoryBackend(dataset.store.dictionary)
+            backend.add_many(iter(triples))
+            backend.predicate_stats()  # the first read folds; the planner's cache
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert backend.size() == len(triples)
+        assert retained / len(triples) <= 250

@@ -299,6 +299,22 @@ class TestSuggestionApi:
                     assert len(remote_s.prefetched.rows) == \
                         len(local_s.prefetched.rows)
 
+    def test_false_ask_is_repaired_over_http(self, http_stack):
+        """A false ASK is repaired like a SELECT without rows: each
+        suggestion comes back as an ASK, with the solutions of its
+        SELECT form prefetched (the round used to be a 500)."""
+        sapphire, http = http_stack
+        query = 'ASK { ?s foaf:surname "Kennedys"@en }'
+        remote = HttpSapphireClient(http.url, timeout_s=30.0).suggest(query)
+        local = sapphire.run_query(query)
+        assert remote.answers.value is False and not remote.has_answers
+        assert [s.message() for s in remote.all_suggestions] == \
+            [s.message() for s in local.all_suggestions]
+        assert all(s.query.form == "ASK" for s in local.term_suggestions)
+        fix = next(s for s in remote.term_suggestions if '"Kennedy"@en' in s.query_text)
+        assert fix.query_text.startswith("ASK")
+        assert fix.n_answers == len(fix.prefetched.rows) > 0
+
     def test_session_tokens_are_tracked(self, http_stack):
         _, http = http_stack
         client = HttpSapphireClient(http.url, session="alice", timeout_s=30.0)
