@@ -56,6 +56,7 @@ CLI: List[List[str]] = [
     ["query", _QUERY], ["query", _TYPO, "--explain", "--analyze"],
     *(["query", _GROUPED, "--format", fmt] for fmt in ("json", "csv", "tsv", "xml")),
     ["query", "SELECT * WHERE { ?s ?p ?o FILTER(strlen() > 2) }"],
+    ["query", "SELECT ?n (STRLEN(?n) AS ?l) WHERE { ?s foaf:surname ?n } LIMIT 3"],
     ["explain", _GROUPED, "--analyze"], ["explain", _TYPO, "--probes"],
     ["table1"], ["study", "--participants", "2"],
     ["init", "--save", "{tmp}/c.sqlite"], ["cache-info", "{tmp}/c.sqlite"], ["cache-info", "{tmp}/none"],

@@ -429,6 +429,20 @@ def _cmd_cache_info(args) -> int:
     return 0
 
 
+def _app_settings(args) -> dict:
+    """The served app's settings, the same for both topologies: the
+    flags, or the :class:`SapphireConfig` defaults they document."""
+    config = SapphireConfig()
+    return {
+        "max_workers": args.max_workers,
+        "queue_limit": args.queue_limit,
+        "trace_sample_rate": (config.trace_sample_rate if args.trace_sample_rate is None
+                              else args.trace_sample_rate),
+        "slow_query_threshold_s": (config.slow_query_threshold_s if args.slow_threshold_s is None
+                                   else args.slow_threshold_s),
+    }
+
+
 def _serve_prefork(args) -> int:
     """``serve --workers N``: a pre-fork pool over SQLite snapshots."""
     import os
@@ -450,14 +464,6 @@ def _serve_prefork(args) -> int:
         "sapphire": bool(args.sapphire),
         "n_shards": args.shards,
     }
-    app_kwargs = {
-        "max_workers": args.max_workers,
-        "queue_limit": args.queue_limit,
-    }
-    if args.trace_sample_rate is not None:
-        app_kwargs["trace_sample_rate"] = args.trace_sample_rate
-    if args.slow_threshold_s is not None:
-        app_kwargs["slow_query_threshold_s"] = args.slow_threshold_s
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         print(f"preparing {args.shards} SQLite snapshot shard(s) "
               f"({args.scale}, seed {args.seed}) ...")
@@ -465,7 +471,7 @@ def _serve_prefork(args) -> int:
         pool = PreforkServer(
             build_backend_from_spec, spec,
             n_workers=args.workers, host=args.host, port=args.port,
-            app_kwargs=app_kwargs,
+            app_kwargs=_app_settings(args),
         )
         pool.start()
         try:
@@ -537,20 +543,7 @@ def _cmd_serve(args) -> int:
               f"cache {backend.cache_stats()}")
     else:
         backend = endpoint
-    server = SparqlHttpServer(
-        backend,
-        host=args.host,
-        port=args.port,
-        max_workers=args.max_workers,
-        queue_limit=args.queue_limit,
-        trace_sample_rate=(args.trace_sample_rate
-                           if args.trace_sample_rate is not None
-                           else config.trace_sample_rate),
-        slow_query_threshold_s=(args.slow_threshold_s
-                                if args.slow_threshold_s is not None
-                                else config.slow_query_threshold_s),
-        slow_log_size=config.slow_log_size,
-    )
+    server = SparqlHttpServer(backend, host=args.host, port=args.port, **_app_settings(args))
     print(f"dataset: {len(dataset.store):,} triples ({args.scale}, seed {args.seed})")
     if args.shards > 1:
         print(f"shards:  {store.backend.shard_sizes()} (subject-hash)")

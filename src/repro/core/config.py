@@ -79,5 +79,3 @@ class SapphireConfig:
     #: Wall-clock seconds above which a traced request is flagged
     #: ``slow`` in the slow-query log.
     slow_query_threshold_s: float = 0.5
-    #: Capacity of the slow-query log (top-N ring by wall time).
-    slow_log_size: int = 32

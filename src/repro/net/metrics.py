@@ -302,6 +302,10 @@ class ServerStats:
             }
 
 
+#: Entries the serving slow-query log keeps (``/stats`` → ``slow_queries``).
+SLOW_LOG_SIZE = 32
+
+
 class SlowQueryLog:
     """Bounded top-N log of the slowest traced requests.
 
@@ -318,7 +322,7 @@ class SlowQueryLog:
     form) so ``GET /stats/slow`` serves them verbatim.
     """
 
-    def __init__(self, capacity: int = 32, threshold_s: float = 0.5) -> None:
+    def __init__(self, capacity: int = SLOW_LOG_SIZE, threshold_s: float = 0.5) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity

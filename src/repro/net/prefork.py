@@ -55,6 +55,11 @@ from .wsgi import SparqlWsgiApp
 
 __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
 
+#: Seconds every worker gets to build its backend and report ready.
+START_TIMEOUT_S = 120.0
+#: Seconds a worker gets to answer the shutdown request, then to exit.
+DRAIN_TIMEOUT_S = 10.0
+
 
 # ----------------------------------------------------------------------
 # Worker-side backend construction (module-level: spawn must pickle it)
@@ -282,8 +287,6 @@ class PreforkServer:
         port: int = 0,
         app_kwargs: Optional[Dict[str, object]] = None,
         health_interval_s: float = 0.5,
-        start_timeout_s: float = 120.0,
-        drain_timeout_s: float = 10.0,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -295,8 +298,6 @@ class PreforkServer:
         self.port: Optional[int] = None
         self.app_kwargs = dict(app_kwargs or {})
         self.health_interval_s = health_interval_s
-        self.start_timeout_s = start_timeout_s
-        self.drain_timeout_s = drain_timeout_s
         self.series = StatsTimeSeries()
         self._context = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
@@ -340,7 +341,7 @@ class PreforkServer:
                 worker = _Worker(index)
                 self._spawn(worker)
                 self._workers.append(worker)
-            deadline = time.monotonic() + self.start_timeout_s
+            deadline = time.monotonic() + START_TIMEOUT_S
             for worker in self._workers:
                 self._await_ready(worker, deadline)
         except Exception:
@@ -387,7 +388,7 @@ class PreforkServer:
         if not worker.conn.poll(remaining):
             raise RuntimeError(
                 f"worker {worker.index} did not come up within "
-                f"{self.start_timeout_s:.0f}s")
+                f"{START_TIMEOUT_S:.0f}s")
         message = worker.conn.recv()
         if message[0] == "failed":
             raise RuntimeError(f"worker {worker.index} failed to start: "
@@ -417,14 +418,14 @@ class PreforkServer:
                 try:
                     self._drain_pipe(conn)
                     conn.send(("shutdown",))
-                    if conn.poll(self.drain_timeout_s):
+                    if conn.poll(DRAIN_TIMEOUT_S):
                         conn.recv()  # ("bye", index, final_stats)
                 except (BrokenPipeError, EOFError, OSError):
                     pass
                 conn.close()
             worker.conn = None
         if process is not None:
-            process.join(timeout=self.drain_timeout_s)
+            process.join(timeout=DRAIN_TIMEOUT_S)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
@@ -460,7 +461,7 @@ class PreforkServer:
                         self._spawn(worker)
                         self._await_ready(
                             worker,
-                            time.monotonic() + self.start_timeout_s)
+                            time.monotonic() + START_TIMEOUT_S)
                     except Exception:  # noqa: BLE001 — retry next tick
                         worker.process = None
                         worker.conn = None

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import io
 import socket
-import sys
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -310,8 +309,7 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write("".join(head).encode("latin-1") + payload)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            sys.stderr.write("%s - %s\n" % (self.address_string(), format % args))
+        """Silent: ``/stats`` and the slow-query log are the request log."""
 
 
 class WsgiServer(ThreadingHTTPServer):
@@ -324,9 +322,8 @@ class WsgiServer(ThreadingHTTPServer):
     # without this, TIME_WAIT from a previous run can block the bind.
     allow_reuse_address = True
 
-    def __init__(self, address, app, *, verbose: bool = False) -> None:
+    def __init__(self, address, app) -> None:
         self.wsgi_app = app
-        self.verbose = verbose
         self.connections = ConnectionRegistry()
         app.connections = self.connections   # the /stats ``connections`` block
         super().__init__(address, _WsgiRequestHandler)
@@ -358,10 +355,8 @@ class SparqlHttpServer:
         max_workers: int = 8,
         queue_limit: int = 16,
         deadline_s: Optional[float] = None,
-        verbose: bool = False,
         trace_sample_rate: float = 0.0,
         slow_query_threshold_s: float = 0.5,
-        slow_log_size: int = 32,
     ) -> None:
         self.app = SparqlWsgiApp(
             backend,
@@ -370,9 +365,8 @@ class SparqlHttpServer:
             deadline_s=deadline_s,
             trace_sample_rate=trace_sample_rate,
             slow_query_threshold_s=slow_query_threshold_s,
-            slow_log_size=slow_log_size,
         )
-        self._httpd = WsgiServer((host, port), self.app, verbose=verbose)
+        self._httpd = WsgiServer((host, port), self.app)
         self._thread: Optional[threading.Thread] = None
         self._serving = False
         self._closed = False

@@ -139,7 +139,6 @@ class SparqlWsgiApp:
         max_query_bytes: int = 256 * 1024,
         trace_sample_rate: float = 0.0,
         slow_query_threshold_s: float = 0.5,
-        slow_log_size: int = 32,
         worker_id: Optional[str] = None,
     ) -> None:
         # A SapphireServer fronts its endpoints with a federation; serve
@@ -168,7 +167,7 @@ class SparqlWsgiApp:
             raise ValueError("trace_sample_rate must be within [0, 1]")
         self.trace_sample_rate = trace_sample_rate
         self.worker_id = worker_id
-        self.slow_log = SlowQueryLog(slow_log_size, slow_query_threshold_s)
+        self.slow_log = SlowQueryLog(threshold_s=slow_query_threshold_s)
         self._trace_rng = random.Random()
         self.stats = ServerStats()
         self.series = StatsTimeSeries()

@@ -5,11 +5,15 @@ optimize → physical execution).  :class:`QueryEvaluator` parses, hands
 the WHERE group to the shared optimizer
 (:class:`~repro.sparql.plan.QueryPlanner`, which translates and
 normalizes through :mod:`~repro.sparql.algebra` and returns a physical
-plan for every group), and streams that plan; GROUP BY, aggregates and
-ORDER BY finish through the one columnar tail
-(:mod:`~repro.sparql.tail`).  There is no second way to solve a group:
-the term-space solver the engine is checked against lives in
-``tests/reference_solver.py``.
+plan for every group), pulls that plan's batches into one ID column per
+variable and finishes every SELECT through the one columnar tail
+(:func:`~repro.sparql.tail.finish_columns`): projection, DISTINCT,
+OFFSET / LIMIT, GROUP BY, aggregates and ORDER BY exist once.  The one
+choice left here is how many batches to pull — all of them, or, when
+LIMIT is the query's only cut, page-sized batches until the page can be
+filled.  There is no second way to solve a group or to finish one: the
+term-space solver and tail the engine is checked against live in
+``tests/reference_solver.py`` and ``tests/reference_tail.py``.
 
 Cost metering: every index probe and join output charges the meter, so
 a budgeted endpoint aborts long evaluations exactly like a remote
@@ -23,55 +27,26 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..rdf.terms import Variable
 from ..rdf.triples import Binding
 from ..store.triplestore import CostMeter, TripleStore
-from .ast_nodes import GraphPattern, Query, TermExpr
-from .errors import ExpressionError
-from .functions import compile_expression
+from .ast_nodes import GraphPattern, Query
 from .parser import parse_query
 from .plan import (
     DEFAULT_BATCH_SIZE,
-    UNBOUND,
+    Batch,
     PlanNode,
     QueryPlanner,
+    _key_column,
     explain_plan,
     refresh_plan_estimates,
 )
 from .results import AskResult, SelectResult
-from .tail import finish_columns, tail_label
+from .tail import _variable_name, finish_columns, tail_label
 from .trace import Tracer
 
 __all__ = ["QueryEvaluator", "evaluate", "explain_header", "finalize_solutions"]
-
-
-def _paginate(rows, key_fn, distinct: bool, offset: int, limit: Optional[int]) -> List:
-    """Shared DISTINCT → OFFSET → LIMIT paging over a streaming input.
-
-    Used by both select pipelines (decoded bindings and ID tuples) so
-    their paging semantics can never diverge: deduplicate on
-    ``key_fn(row)`` first, then skip ``offset`` surviving rows, then
-    stop as soon as ``limit`` rows are collected.
-    """
-    seen: Optional[set] = set() if distinct else None
-    picked: List = []
-    if limit is None or limit > 0:
-        skipped = 0
-        for row in rows:
-            if seen is not None:
-                key = key_fn(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-            if skipped < offset:
-                skipped += 1
-                continue
-            picked.append(row)
-            if limit is not None and len(picked) >= limit:
-                break
-    return picked
 
 
 class QueryEvaluator:
@@ -197,11 +172,8 @@ class QueryEvaluator:
     def _evaluate_select(
         self, query: Query, meter: CostMeter, tracer: Optional[Tracer] = None
     ) -> SelectResult:
-        if not (query.has_aggregates() or query.group_by or query.order_by):
-            return self._evaluate_select_streaming(query, meter, tracer)
         plan = self._plan_group(query.where, meter.budget, tracer)
-        # The whole solution set as ID columns, straight into the tail.
-        batches = list(plan.batches(self.store, meter, self.batch_size, tracer))
+        batches = self._pull(query, plan, meter, tracer)
         if len(batches) == 1:
             columns: Sequence[array] = batches[0].columns
         else:
@@ -219,202 +191,51 @@ class QueryEvaluator:
             tracer=tracer,
         )
 
-    def _evaluate_select_streaming(
-        self, query: Query, meter: CostMeter, tracer: Optional[Tracer] = None
-    ) -> SelectResult:
-        """Pipeline for queries without aggregation or ordering.
-
-        Solutions stream straight out of the plan, are projected and
-        deduplicated on the fly, and the
-        iteration stops as soon as OFFSET + LIMIT rows have been
-        produced — the early termination that keeps paged Appendix-A
-        retrieval (Q6/Q7-style ``LIMIT .. OFFSET ..``) cheap.
+    def _pull(
+        self, query: Query, plan: PlanNode, meter: CostMeter, tracer: Optional[Tracer]
+    ) -> List[Batch]:
+        """The batches the answer needs: all of them, unless LIMIT is the
+        query's only cut.  Then batches of at most OFFSET + LIMIT rows
+        until the rows gathered — under DISTINCT, the distinct projected
+        ID keys — can fill the page, and none at all for ``LIMIT 0``: a
+        paged query is metered for its page, not for the whole answer.
         """
-        names = query.projected_names()
-        plan = self._plan_group(query.where, meter.budget, tracer)
-        items = self._plain_variable_items(query)
-        if items is not None:
-            return self._select_from_plan(query, plan, names, items, meter, tracer)
-        project = self._projection(query)
-        projected = (project(solution) for solution in self._solutions(plan, meter, tracer))
-        rows = _paginate(
-            projected,
-            key_fn=lambda row: tuple(row.get(name) for name in names),
-            distinct=query.distinct,
-            offset=query.offset or 0,
-            limit=query.limit,
-        )
-        return SelectResult(variables=names, rows=rows, cost=meter.cost)
-
-    @staticmethod
-    def _plain_variable_items(query: Query) -> Optional[List[Tuple[str, str]]]:
-        """``(output name, variable name)`` pairs when every projection
-        is a bare variable (or ``SELECT *``); None otherwise."""
-        if query.select_star:
-            return [(name, name) for name in query.projected_names()]
-        items: List[Tuple[str, str]] = []
-        for item in query.select_items:
-            expr = item.expression
-            if isinstance(expr, TermExpr) and isinstance(expr.term, Variable):
-                items.append((item.output_name, expr.term.name))
+        store, batch_size, limit = self.store, self.batch_size, query.limit
+        if limit is None or query.has_aggregates() or query.group_by or query.order_by:
+            return list(plan.batches(store, meter, batch_size, tracer))
+        if limit == 0:
+            return []
+        slots = _distinct_slots(query, plan) if query.distinct else None
+        if query.distinct and slots is None:
+            # An expression's DISTINCT key is its value: drain the plan.
+            return list(plan.batches(store, meter, batch_size, tracer))
+        page = limit + (query.offset or 0)
+        pulled: List[Batch] = []
+        keys: set = set()
+        gathered = 0
+        for batch in plan.batches(store, meter, min(batch_size, page), tracer):
+            pulled.append(batch)
+            if slots is None:
+                gathered += batch.length
             else:
-                return None
-        return items
+                keys.update(_key_column(batch.columns, slots, batch.length))
+                gathered = len(keys)
+            if gathered >= page:
+                break
+        return pulled
 
-    def _select_from_plan(
-        self,
-        query: Query,
-        plan,
-        names: Sequence[str],
-        items: List[Tuple[str, str]],
-        meter: CostMeter,
-        tracer: Optional[Tracer] = None,
-    ) -> SelectResult:
-        """Late materialization: project, deduplicate and page entirely
-        on dictionary-ID tuples; decode only the rows that survive.
 
-        Sound because the dictionary is a bijection — distinct IDs are
-        distinct terms — so DISTINCT over ID tuples equals DISTINCT over
-        the decoded rows.
-        """
-        store = self.store
-        slot_of = plan.slot_of
-        pairs = [(out, slot_of.get(var)) for out, var in items]
-        live = tuple(slot for _, slot in pairs if slot is not None)
-        distinct = query.distinct
-        offset = query.offset or 0
-        limit = query.limit
-        batch_size = self.batch_size
-        if limit is not None:
-            # Clamp the batch size to the page so the scan never charges
-            # the meter for (or materializes) more candidate rows per
-            # batch than early termination will consume — a page-sized
-            # LIMIT costs what its page costs.
-            batch_size = max(1, min(batch_size, limit + offset))
-        elif not distinct and not offset:
-            # Fast path: every row survives — decode whole columns.
-            return self._select_all_batches(
-                plan, pairs, names, meter, batch_size, tracer
-            )
-        source = (
-            row
-            for batch in plan.batches(store, meter, batch_size, tracer)
-            for row in batch.iter_rows()
-        )
-        picked = _paginate(
-            source,
-            key_fn=lambda row: tuple(row[slot] for slot in live),
-            distinct=distinct,
-            offset=offset,
-            limit=limit,
-        )
-        decode = plan.decoder(store)
-        rows: List[Binding] = [
-            {
-                out: decode(row[slot])
-                for out, slot in pairs
-                if slot is not None and row[slot] is not None
-            }
-            for row in picked
-        ]
-        return SelectResult(variables=list(names), rows=rows, cost=meter.cost)
-
-    def _select_all_batches(
-        self,
-        plan,
-        pairs: List[Tuple[str, Optional[int]]],
-        names: Sequence[str],
-        meter: CostMeter,
-        batch_size: int,
-        tracer: Optional[Tracer] = None,
-    ) -> SelectResult:
-        """Unmodified SELECT tail: decode surviving columns wholesale.
-
-        With no DISTINCT/OFFSET/LIMIT every produced row is returned, so
-        projection happens column-at-a-time through the plan's decoder
-        (the dictionary's C-level ``terms.__getitem__`` unless the plan
-        has query-local terms) instead of per-cell ``decode_id`` calls.
-        """
-        store = self.store
-        decode = plan.decoder(store)
-        live_pairs = [(out, slot) for out, slot in pairs if slot is not None]
-        outs = [out for out, _ in live_pairs]
-        rows: List[Binding] = []
-        for batch in plan.batches(store, meter, batch_size, tracer):
-            if not live_pairs:
-                rows.extend({} for _ in range(batch.length))
-                continue
-            columns = batch.columns
-            if batch.has_unbound:
-                decoded = [
-                    [None if cell == UNBOUND else decode(cell) for cell in columns[slot]]
-                    for _, slot in live_pairs
-                ]
-                rows.extend(
-                    {
-                        out: cell
-                        for out, cell in zip(outs, cells)
-                        if cell is not None
-                    }
-                    for cells in zip(*decoded)
-                )
-            else:
-                decoded = [map(decode, columns[slot]) for _, slot in live_pairs]
-                # Width-specialized dict displays: BUILD_MAP over a C
-                # zip is several times faster than dict(zip(...)) per
-                # row, and this loop dominates large-result queries.
-                if len(outs) == 1:
-                    (o0,) = outs
-                    rows += [{o0: a} for a in decoded[0]]
-                elif len(outs) == 2:
-                    o0, o1 = outs
-                    rows += [{o0: a, o1: b} for a, b in zip(*decoded)]
-                elif len(outs) == 3:
-                    o0, o1, o2 = outs
-                    rows += [
-                        {o0: a, o1: b, o2: c} for a, b, c in zip(*decoded)
-                    ]
-                else:
-                    rows += [
-                        dict(zip(outs, cells)) for cells in zip(*decoded)
-                    ]
-        return SelectResult(variables=list(names), rows=rows, cost=meter.cost)
-
-    @staticmethod
-    def _projection(query: Query):
-        """``solution -> projected row`` for select items that are not
-        all bare variables, each expression compiled once."""
-        items = [(item.output_name, compile_expression(item.expression)) for item in query.select_items]
-
-        def project(row: Binding) -> Binding:
-            projected: Binding = {}
-            for name, evaluate in items:
-                try:
-                    projected[name] = evaluate(row)
-                except ExpressionError:
-                    # Unbound projection variable: leave the cell empty.
-                    continue
-            return projected
-
-        return project
-
-    def _solutions(
-        self, plan: PlanNode, meter: CostMeter, tracer: Optional[Tracer] = None
-    ) -> Iterator[Binding]:
-        """Decoded solutions of ``plan``, one mapping per row."""
-        names = plan.variables
-        decode = plan.decoder(self.store)
-        for batch in plan.batches(self.store, meter, self.batch_size, tracer):
-            if batch.has_unbound:
-                for row in batch.iter_raw():
-                    yield {
-                        name: decode(cell)
-                        for name, cell in zip(names, row)
-                        if cell != UNBOUND
-                    }
-            else:
-                for row in batch.iter_raw():
-                    yield dict(zip(names, map(decode, row)))
+def _distinct_slots(query: Query, plan: PlanNode) -> Optional[Tuple[int, ...]]:
+    """The plan slots of the tail's DISTINCT key (a variable the plan
+    never binds is a constant, so it has none); None when some projected
+    cell is an expression's value."""
+    names = query.projected_names()
+    if not query.select_star:
+        source = {item.output_name: _variable_name(item.expression) for item in query.select_items}
+        names = [source[name] for name in names]
+    if None in names:
+        return None
+    return tuple(plan.slot_of[name] for name in names if name in plan.slot_of)
 
 
 def explain_header(query: Query) -> str:

@@ -1,10 +1,10 @@
 """The SELECT tail over columns: GROUP BY, aggregates, ORDER BY,
 projection, DISTINCT, OFFSET / LIMIT.
 
-One implementation finishes every SELECT whose modifiers need the whole
-solution set.  The local evaluator hands it the plan's dictionary-ID
-columns (``decode`` maps an ID to its term, :data:`UNBOUND` marks an
-empty cell); the federation and the QSM's probe batcher hand it columns
+One implementation finishes every SELECT.  The local evaluator hands it
+the plan's dictionary-ID columns (``decode`` maps an ID to its term,
+:data:`UNBOUND` marks an empty cell) — the whole solution set, or under
+a bare LIMIT the first batches that can fill the page; the federation and the QSM's probe batcher hand it columns
 of :class:`~repro.rdf.terms.Term` (``decode=None``, ``None`` marks an
 empty cell) through :func:`~repro.sparql.evaluator.finalize_solutions`.
 Cells only have to be hashable: grouping, counting, DISTINCT and the
@@ -95,7 +95,7 @@ def finish_columns(
     names = query.projected_names()
     if not aggregated:
         columns = _project(query, names, columns, length)
-    if query.distinct:
+    if query.distinct and length > 1:
         blank = [unbound] * length
         keys = list(zip(*[columns.get(name, blank) for name in names])) or [()] * length
         first: Dict[Tuple, int] = {}
@@ -379,14 +379,25 @@ def _materialize(
     if not columns:
         return [{} for _ in order]
     names = list(columns)
-    picked = [
-        cells if len(order) == length and isinstance(order, range)
-        else map(cells.__getitem__, order)
-        for cells in columns.values()
-    ]
+    if len(order) == length and isinstance(order, range):
+        picked = list(columns.values())
+    else:
+        picked = [map(cells.__getitem__, order) for cells in columns.values()]
     if not has_unbound:
         if decode is not None:
             picked = [map(decode, cells) for cells in picked]
+        # Width-specialized dict displays: BUILD_MAP over a C zip is
+        # several times faster per row than dict(zip(...)), and this
+        # loop dominates large-result queries.
+        if len(names) == 1:
+            (n0,) = names
+            return [{n0: a} for a in picked[0]]
+        if len(names) == 2:
+            n0, n1 = names
+            return [{n0: a, n1: b} for a, b in zip(*picked)]
+        if len(names) == 3:
+            n0, n1, n2 = names
+            return [{n0: a, n1: b, n2: c} for a, b, c in zip(*picked)]
         return [dict(zip(names, cells)) for cells in zip(*picked)]
     if decode is not None:
         picked = [

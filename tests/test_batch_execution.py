@@ -16,7 +16,7 @@ from repro.rdf import IRI, Triple
 from repro.sparql import QueryPlanner, explain_plan, parse_query
 from repro.sparql.evaluator import QueryEvaluator
 from repro.sparql.plan import Batch, DEFAULT_BATCH_SIZE, PlanNode, UNBOUND
-from repro.store import CostMeter, MemoryBackend, SQLiteBackend, TripleStore
+from repro.store import CostMeter, SQLiteBackend, TripleStore, create_sharded_backend
 
 BATCH_SIZES = [1, 2, 3, 7, DEFAULT_BATCH_SIZE]
 
@@ -52,6 +52,29 @@ def parity_store(request, tiny_dataset):
     store = TripleStore(tiny_dataset.store.triples(), backend=SQLiteBackend(":memory:"))
     yield store
     store.close()
+
+
+@pytest.fixture(scope="module", params=["memory", "sqlite", "sharded"])
+def metered_store(request, tiny_dataset):
+    """``(kind, store)`` over the tiny dataset, three shards for ``sharded``."""
+    if request.param == "memory":
+        yield request.param, tiny_dataset.store
+        return
+    backend = (
+        SQLiteBackend(":memory:") if request.param == "sqlite" else create_sharded_backend(3, "memory")
+    )
+    store = TripleStore(tiny_dataset.store.triples(), backend=backend)
+    yield request.param, store
+    store.close()
+
+
+def _assert_same_rows(batched, reference):
+    assert len(batched.rows) == len(reference.rows)
+    assert sorted(
+        tuple(sorted((k, v.n3()) for k, v in row.items())) for row in batched.rows
+    ) == sorted(
+        tuple(sorted((k, v.n3()) for k, v in row.items())) for row in reference.rows
+    )
 
 
 def _plan(store, query_text):
@@ -184,6 +207,21 @@ class TestPagingCuts:
         "SELECT ?s WHERE { ?s a dbo:Person } OFFSET 7",
     ]
 
+    #: ``SelectResult.cost`` on (memory, SQLite, 3-shard) stores at batch
+    #: sizes (1, 3, 1024): what a budgeted endpoint times out on and what
+    #: Section 5's simulated seconds add up.  ``LIMIT 0`` pulls no batch;
+    #: ``?zz`` is bound by no pattern, so its one distinct key never
+    #: fills the page and the plan drains.
+    PINNED_COSTS = {
+        CUT_QUERIES[0]: [(13, 15, 13)] * 3,
+        CUT_QUERIES[1]: [(18, 18, 18)] * 3,
+        CUT_QUERIES[2]: [(80, 81, 80), (711, 711, 715), (34, 36, 35)],
+        CUT_QUERIES[3]: [(119, 120, 119), (719, 720, 721), (51, 51, 56)],
+        CUT_QUERIES[4]: [(117, 117, 117)] * 3,
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 0 OFFSET 3": [(0, 0, 0)] * 3,
+        "SELECT DISTINCT ?zz WHERE { ?s a dbo:Person } LIMIT 2": [(117, 117, 117)] * 3,
+    }
+
     @pytest.mark.parametrize("query", CUT_QUERIES)
     @pytest.mark.parametrize("batch_size", [1, 3, 1024])
     def test_cuts_match_reference(self, parity_store, query, batch_size, reference_evaluate):
@@ -196,6 +234,57 @@ class TestPagingCuts:
         ) == sorted(
             tuple(sorted((k, v.n3()) for k, v in row.items())) for row in reference.rows
         )
+
+    @pytest.mark.parametrize("query", PINNED_COSTS)
+    def test_meter_charges_are_pinned(self, metered_store, query):
+        kind, store = metered_store
+        expected = self.PINNED_COSTS[query][["memory", "sqlite", "sharded"].index(kind)]
+        charged = tuple(
+            QueryEvaluator(store, batch_size=batch_size).evaluate(parse_query(query)).cost
+            for batch_size in (1, 3, 1024)
+        )
+        assert charged == expected
+
+    def test_expression_projection_is_clamped_to_the_page(
+        self, metered_store, reference_evaluate
+    ):
+        """An expression projection under LIMIT pulls page-sized batches
+        like a bare one: 3 units on ``tiny``, where whole batches cost up
+        to 117."""
+        query = parse_query("SELECT ?n (STRLEN(?n) AS ?n) WHERE { ?s foaf:surname ?n } LIMIT 3")
+        _, store = metered_store
+        for batch_size in (1, 3, 1024):
+            result = QueryEvaluator(store, batch_size=batch_size).evaluate(query)
+            assert result.cost == 3
+            _assert_same_rows(result, reference_evaluate(store, query))
+
+    def test_distinct_expression_drains_the_plan(self, metered_store, reference_evaluate):
+        """DISTINCT over an expression is keyed by the evaluated value, so
+        a LIMIT cannot stop the pull early: the page costs the whole
+        answer, and its rows are the reference's."""
+        query = parse_query(
+            "SELECT DISTINCT (STRLEN(?n) AS ?l) WHERE { ?s foaf:surname ?n } LIMIT 3"
+        )
+        _, store = metered_store
+        drained = QueryEvaluator(store).evaluate(
+            parse_query("SELECT ?n WHERE { ?s foaf:surname ?n }")
+        )
+        for batch_size in (1, 3, 1024):
+            result = QueryEvaluator(store, batch_size=batch_size).evaluate(query)
+            assert result.cost == drained.cost == 117
+            assert len(result.rows) == 3
+            _assert_same_rows(result, reference_evaluate(store, query))
+
+    def test_distinct_keys_on_the_cells_it_shows(self, metered_store, reference_evaluate):
+        """``?s`` is projected twice and the later item wins, so DISTINCT
+        and the pull's page count key on the surname alone, not on the
+        (subject, surname) pair."""
+        query = parse_query("SELECT DISTINCT ?s (?n AS ?s) WHERE { ?s foaf:surname ?n } LIMIT 4")
+        _, store = metered_store
+        for batch_size in (1, 3, 1024):
+            result = QueryEvaluator(store, batch_size=batch_size).evaluate(query)
+            assert len({row["s"] for row in result.rows}) == 4
+            _assert_same_rows(result, reference_evaluate(store, query))
 
     def test_limit_cost_stays_page_sized(self, parity_store):
         parsed = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 10")

@@ -203,3 +203,40 @@ class TestCommands:
         # exit code 0 says the drain did not wait it out (< 5 s).
         assert "smoke: probe ok" in out
         assert "1 connection(s) open; drained in" in out
+
+    def test_serve_samples_at_the_documented_default_in_both_topologies(
+        self, monkeypatch, capsys
+    ):
+        """``--trace-sample-rate`` defaults to SapphireConfig's rate: a
+        worker's ``/stats`` reads it under ``--workers 1`` and ``2``."""
+        import json
+        import urllib.request
+
+        from repro.core.config import SapphireConfig
+        from repro.net import PreforkServer, SparqlHttpServer
+
+        rates = {}
+
+        def stats(server):
+            if isinstance(server, SparqlHttpServer):  # a smoke never starts serving
+                return server.app.stats_body()  # the body GET /stats answers with
+            # One worker's own body, through the port the pool shares.
+            with urllib.request.urlopen(server.url.rsplit("/", 1)[0] + "/stats", timeout=10) as reply:
+                return json.load(reply)
+
+        def read_rate_before_stop(cls):
+            stop = cls.stop
+
+            def stop_after_reading(self):
+                if cls.__name__ not in rates:  # the pool's second stop finds no worker
+                    rates[cls.__name__] = stats(self)["slow_queries"]["sample_rate"]
+                stop(self)
+
+            monkeypatch.setattr(cls, "stop", stop_after_reading)
+
+        read_rate_before_stop(SparqlHttpServer)
+        read_rate_before_stop(PreforkServer)
+        assert main(["serve", "--port", "0", "--smoke"]) == 0
+        assert main(["serve", "--port", "0", "--workers", "2", "--smoke"]) == 0
+        default = SapphireConfig().trace_sample_rate
+        assert rates == {"SparqlHttpServer": default, "PreforkServer": default}

@@ -366,9 +366,10 @@ class TestPlannedOptional:
         )
 
 
-#: The non-aggregate ``SELECT (expr AS ?x)`` path of the streaming
-#: SELECT (``QueryEvaluator._projection`` over ``._solutions``), which
-#: no test executed before the reachability census said so.
+#: ``SELECT (expr AS ?x)`` without aggregation: the one tail decodes the
+#: plan's ID columns and evaluates each projection per row
+#: (``tail._project`` over ``tail._evaluated``), also under DISTINCT and
+#: a LIMIT that stops the pull early.
 _THINGS = f"?i a <{EX}Thing>"
 PROJECTION_QUERIES = {
     "expression": f"SELECT (STRLEN(?l) AS ?n) WHERE {{ ?i <{EX}label> ?l }}",
