@@ -23,7 +23,13 @@ from the ones it keeps loaded from its file — so ``scanned`` /
 ``scored`` / ``kept`` of the ``qsm-alternatives`` span mean the same
 on either.  Candidates are discovered once per round
 (:meth:`AlternativeTermsFinder.candidate_positions`) and never memoised
-across rounds.
+across rounds — with one exception that reads no round at all: a
+predicate or class the cache holds is answered from a table the finder
+scores at construction, with this same scan, for every entry of
+``cache.predicate_class_scan()``.  Its answer is a pure function of that
+snapshot, so the table serves only while the cache still returns the
+snapshot it was built from (``docs/predictive-model.md``, *The
+vocabulary is scored once*).
 
 One alternative query is constructed per replacement (one change at a
 time — the UI's "did you mean X instead of Y?" phrasing).  Candidate
@@ -45,6 +51,7 @@ from ..sparql.ast_nodes import Query
 from ..sparql.results import SelectResult
 from ..sparql.serializer import serialize_query
 from ..sparql.trace import Tracer
+from ..text.bins import LiteralBins
 from ..text.lexicon import Lexicon, default_lexicon
 from ..text.similarity import ThresholdScorer
 from .cache import CachedTerm, CacheReader, SapphireCache
@@ -74,7 +81,8 @@ class _ScanTally:
 
     scanned: int = 0  # (needle, candidate) pairs handed to a scorer
     scored: int = 0   # ... that the signature bound let into the match loop
-    kept: int = 0     # ... that reached θ
+    kept: int = 0     # candidates that reached θ, the table's included
+    vocabulary_hits: int = 0  # IRIs answered from the vocabulary table
 
 
 @dataclass
@@ -118,6 +126,17 @@ class AlternativeTermsFinder:
         self.config = config or cache.config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
         self._batcher = ProbeBatcher(runner)
+        # The vocabulary table: every cached predicate and class scored
+        # once against the snapshot it came from.  Read-only from here
+        # on, so handler threads share it without a lock.
+        self._vocabulary_scan = cache.predicate_class_scan()
+        self._vocabulary: Dict[Term, Tuple[Tuple[Scored, ...], int]] = {}
+        for entry in self._vocabulary_scan[0]:
+            term = entry.term
+            if term not in self._vocabulary:
+                found, kept = self._scan_predicate(
+                    term, entry.term_id, self._vocabulary_scan, None)
+                self._vocabulary[term] = (tuple(found), kept)
 
     # ------------------------------------------------------------------
     # Candidate discovery
@@ -126,14 +145,42 @@ class AlternativeTermsFinder:
     def predicate_alternatives(
         self, predicate: IRI, tally: Optional[_ScanTally] = None
     ) -> List[Scored]:
-        """Cached predicates/classes similar to ``predicate`` or its lexica."""
+        """Cached predicates/classes similar to ``predicate`` or its lexica.
+
+        A predicate or class of the cache reads its answer off the
+        vocabulary table while the cache's scan is the snapshot the
+        table was built from; anything else (a typo, an entity, a cache
+        changed since) is scanned now."""
+        scan = self.cache.predicate_class_scan()
+        known = self._vocabulary.get(predicate) if scan is self._vocabulary_scan else None
+        if known is None:
+            found, kept = self._scan_predicate(
+                predicate, self.cache.dictionary.lookup(predicate), scan, tally)
+        else:
+            found, kept = list(known[0]), known[1]
+            if tally is not None:
+                tally.vocabulary_hits += 1
+        if tally is not None:
+            tally.kept += kept
+        return found
+
+    def _scan_predicate(
+        self,
+        predicate: IRI,
+        predicate_id: int,
+        scan: Tuple[List[CachedTerm], LiteralBins],
+        tally: Optional[_ScanTally],
+    ) -> Tuple[List[Scored], int]:
+        """Algorithm 2's predicate scan: every lexicon form of
+        ``predicate`` against the camel-split surfaces of ``scan``.  The
+        top ``max_alternatives_per_term``, and how many reached θ before
+        that cut (the entry ``predicate_id`` names left out)."""
         theta = self.config.theta
         scorers = [
             ThresholdScorer(form, theta)
             for form in self.lexicon.get_lexica(predicate)
         ]
-        predicate_id = self.cache.dictionary.lookup(predicate)
-        entries, bins = self.cache.predicate_class_scan()
+        entries, bins = scan
         best: Dict[int, float] = {}  # entry position -> max over the forms
         for scorer in scorers:
             for at, _, score in bins.scan_scored(scorer, theta)[0]:
@@ -147,9 +194,8 @@ class AlternativeTermsFinder:
         if tally is not None:
             tally.scanned += len(bins) * len(scorers)
             tally.scored += sum(scorer.scored_count() for scorer in scorers)
-            tally.kept += len(scored)
         scored.sort(key=lambda pair: (-pair[1], pair[0].surface))
-        return scored[: self.config.max_alternatives_per_term]
+        return scored[: self.config.max_alternatives_per_term], len(scored)
 
     def literal_alternatives(
         self, literal: Literal, tally: Optional[_ScanTally] = None
@@ -219,6 +265,7 @@ class AlternativeTermsFinder:
                     bounded_out=tally.scanned - tally.scored,
                     scored=tally.scored,
                     kept=tally.kept,
+                    vocabulary_hits=tally.vocabulary_hits,
                 )
         return positions
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -223,7 +224,11 @@ class SapphireServer:
         index_cache(self.cache, initializer.report)
         self.endpoints.append(endpoint)
         self.reports[endpoint.name] = initializer.report
+        started = time.perf_counter()
         self._refresh_modules()
+        initializer.report.stage_seconds["qsm-vocabulary"] = (
+            time.perf_counter() - started
+        )
         return initializer.report
 
     def attach_endpoint(self, endpoint: SparqlEndpoint) -> None:
@@ -237,11 +242,19 @@ class SapphireServer:
         self._refresh_modules()
 
     def _refresh_modules(self) -> None:
-        """Rebuild the federation and drop PUM modules derived from it."""
+        """Rebuild the federation and drop PUM modules derived from it.
+
+        The terms finder is built here, over an indexed cache, so its
+        vocabulary table is scored at set-up rather than by the first
+        ``/suggest``; a cache not indexed yet leaves it to first use."""
         self._federation = FederatedQueryProcessor(self.endpoints)
         self._qcm = None
         self._terms_finder = None
         self._relaxer = None
+        if self.cache.is_indexed:
+            self._terms_finder = AlternativeTermsFinder(
+                self.cache, self._run_ast, self.config, self.lexicon
+            )
 
     # ------------------------------------------------------------------
     # Restart persistence (cache + datasets)
@@ -442,8 +455,6 @@ class SapphireServer:
         relaxation) record phase spans, with one ``qsm-probe-batch``
         span per batched VALUES probe the round ships.
         """
-        import time as _time
-
         if isinstance(query, QueryBuilder):
             query = query.build()
         if isinstance(query, str):
@@ -454,7 +465,7 @@ class SapphireServer:
         )
         if not suggest:
             return outcome
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         finder = self.terms_finder
         if tracer is None:
             positions = finder.candidate_positions(query)
@@ -478,7 +489,7 @@ class SapphireServer:
                 )
                 if span is not None:
                     span.attrs["suggestions"] = len(outcome.relaxations)
-        outcome.qsm_seconds = _time.perf_counter() - t0
+        outcome.qsm_seconds = time.perf_counter() - t0
         return outcome
 
     def analyze(

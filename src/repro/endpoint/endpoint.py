@@ -30,8 +30,9 @@ deterministically:
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Deque, Optional, Union
 
 from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
@@ -47,8 +48,14 @@ __all__ = [
     "EndpointTimeout",
     "QueryRejected",
     "QueryLogEntry",
+    "QUERY_LOG_SIZE",
     "SparqlEndpoint",
 ]
+
+#: Recent queries an endpoint keeps in ``log``; ``query_count`` and
+#: ``timeout_count`` count every query, so a long-running server keeps
+#: exact totals in bounded memory.
+QUERY_LOG_SIZE = 1024
 
 
 class EndpointError(RuntimeError):
@@ -129,7 +136,10 @@ class SparqlEndpoint:
         self.store = store
         self.config = config or EndpointConfig()
         self.name = name
-        self.log: List[QueryLogEntry] = []
+        #: The most recent ``QUERY_LOG_SIZE`` queries, oldest first.
+        self.log: Deque[QueryLogEntry] = deque(maxlen=QUERY_LOG_SIZE)
+        self.query_count = 0
+        self.timeout_count = 0
         self._evaluator = QueryEvaluator(store)
         self._lock = threading.Lock()
         self._simulated_time = 0.0
@@ -204,14 +214,6 @@ class SparqlEndpoint:
         return f"{text}\n\n{format_trace(trace)}"
 
     @property
-    def query_count(self) -> int:
-        return len(self.log)
-
-    @property
-    def timeout_count(self) -> int:
-        return sum(1 for entry in self.log if entry.outcome == "timeout")
-
-    @property
     def simulated_seconds(self) -> float:
         """Total simulated endpoint time spent so far (latency + execution)."""
         return self._simulated_time
@@ -219,6 +221,7 @@ class SparqlEndpoint:
     def reset_log(self) -> None:
         with self._lock:
             self.log.clear()
+            self.query_count = self.timeout_count = 0
             self._simulated_time = 0.0
 
     # ------------------------------------------------------------------
@@ -309,4 +312,7 @@ class SparqlEndpoint:
                     truncated=truncated,
                 )
             )
+            self.query_count += 1
+            if outcome == "timeout":
+                self.timeout_count += 1
             self._simulated_time += seconds

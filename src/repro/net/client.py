@@ -52,9 +52,11 @@ import ssl
 import threading
 import time
 import urllib.parse
-from typing import List, Optional, Tuple, Union
+from collections import deque
+from typing import Deque, List, Optional, Tuple, Union
 
 from ..endpoint.endpoint import (
+    QUERY_LOG_SIZE,
     EndpointError,
     EndpointTimeout,
     QueryLogEntry,
@@ -295,7 +297,10 @@ class HttpSparqlEndpoint(_WireClient):
         # concurrent clients sharing a name.
         super().__init__(name, rng or random.Random(f"endpoint:{name}"),
                          timeout_s, max_retries, backoff_s, backoff_cap_s)
-        self.log: List[QueryLogEntry] = []
+        #: The most recent ``QUERY_LOG_SIZE`` queries, oldest first.
+        self.log: Deque[QueryLogEntry] = deque(maxlen=QUERY_LOG_SIZE)
+        self.query_count = 0
+        self.timeout_count = 0
         self._lock = threading.Lock()
         # Distributed-trace context (docs/tracing.md): when set by
         # Tracer.remote_call, outgoing queries carry the trace id and
@@ -376,17 +381,10 @@ class HttpSparqlEndpoint(_WireClient):
         })
         return payload.decode("utf-8")
 
-    @property
-    def query_count(self) -> int:
-        return len(self.log)
-
-    @property
-    def timeout_count(self) -> int:
-        return sum(1 for entry in self.log if entry.outcome == "timeout")
-
     def reset_log(self) -> None:
         with self._lock:
             self.log.clear()
+            self.query_count = self.timeout_count = 0
 
     # ------------------------------------------------------------------
     # Wire protocol
@@ -445,6 +443,9 @@ class HttpSparqlEndpoint(_WireClient):
                     truncated=truncated,
                 )
             )
+            self.query_count += 1
+            if outcome == "timeout":
+                self.timeout_count += 1
 
 
 class HttpSapphireClient(_WireClient):

@@ -86,7 +86,8 @@ class TestCommands:
         stages = next(line for line in capsys.readouterr().out.splitlines()
                       if line.startswith("stages: "))
         assert [part.split()[0] for part in stages[len("stages: "):].split(", ")] == [
-            "predicates", "hierarchy", "probes", "literals", "significance", "index"]
+            "predicates", "hierarchy", "probes", "literals", "significance", "index",
+            "qsm-vocabulary"]
         from repro.core import load_cache
 
         restored = load_cache(path)

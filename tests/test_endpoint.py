@@ -8,6 +8,7 @@ from repro.endpoint import (
     QueryRejected,
     SparqlEndpoint,
 )
+from repro.endpoint.endpoint import QUERY_LOG_SIZE
 from repro.rdf import DBO, DBR, Literal, RDF_TYPE, Triple
 from repro.store import TripleStore
 
@@ -117,6 +118,41 @@ class TestRowCapAndLog:
         endpoint.reset_log()
         assert endpoint.query_count == 0
         assert endpoint.simulated_seconds == 0.0
+
+    def test_log_keeps_recent_queries_and_exact_counts(self, big_store):
+        """A serving endpoint answers forever: the log holds the last
+        ``QUERY_LOG_SIZE`` queries, the counts every one of them."""
+        from repro.sparql.parser import parse_query
+
+        config = EndpointConfig(timeout_s=0.01, cost_units_per_second=1000)
+        endpoint = SparqlEndpoint(big_store, config)
+        fits = parse_query("SELECT ?o { <http://dbpedia.org/resource/E5> dbo:value ?o }")
+        too_big = parse_query("SELECT * { ?s ?p ?o }")
+        for n in range(2 * QUERY_LOG_SIZE):
+            if n % 4:
+                endpoint.select(fits)
+            else:
+                with pytest.raises(EndpointTimeout):
+                    endpoint.select(too_big)
+        assert len(endpoint.log) == QUERY_LOG_SIZE
+        assert endpoint.query_count == 2 * QUERY_LOG_SIZE
+        assert endpoint.timeout_count == QUERY_LOG_SIZE // 2
+        assert endpoint.log[0].outcome == "timeout" and endpoint.log[-1].outcome == "ok"
+        endpoint.reset_log()
+        assert (len(endpoint.log), endpoint.query_count, endpoint.timeout_count) == (0, 0, 0)
+
+    def test_wire_client_log_is_bounded_too(self):
+        import time
+
+        from repro.net.client import HttpSparqlEndpoint
+
+        client = HttpSparqlEndpoint("http://127.0.0.1:9/sparql")
+        for n in range(2 * QUERY_LOG_SIZE):
+            client._record("ASK {}", "timeout" if n % 2 else "ok", time.perf_counter())
+        assert len(client.log) == QUERY_LOG_SIZE
+        assert (client.query_count, client.timeout_count) == (2 * QUERY_LOG_SIZE, QUERY_LOG_SIZE)
+        client.reset_log()
+        assert (len(client.log), client.query_count, client.timeout_count) == (0, 0, 0)
 
     def test_latency_accumulates(self, big_store):
         config = EndpointConfig(latency_s=0.5, timeout_s=10.0)

@@ -5,11 +5,13 @@ import pytest
 from repro.core import (
     AlternativeTermsFinder,
     QueryBuilder,
+    SapphireCache,
     StructureRelaxer,
     load_cache,
     save_cache,
 )
 from repro.core.qsm_relax import GraphExpander
+from repro.core.qsm_terms import _ScanTally
 from repro.rdf import DBO, FOAF, IRI, Literal, Variable
 from repro.sparql.parser import parse_query
 from repro.sparql.serializer import select_query
@@ -143,16 +145,111 @@ class TestColumnScan:
         assert len(calls) < len(literals) / 4
 
     def test_span_counts_come_from_the_bins(self, tail_finder, window):
+        """``foaf:surname`` is a cached predicate, answered from the
+        vocabulary table: the scorers see the literal window alone, and
+        ``kept`` still counts the predicate's candidates that reached θ."""
         query = parse_query('SELECT ?p WHERE { ?p foaf:surname "Kennedys"@en }')
         tracer = Tracer()
         tail_finder.candidate_positions(query, tracer=tracer)
         span = next(s for s in tracer.finish().walk() if s.name == "qsm-alternatives")
-        _, pc_bins = tail_finder.cache.predicate_class_scan()
-        forms = tail_finder.lexicon.get_lexica(FOAF.term("surname"))
-        scanned = len(window("Kennedys")) + len(pc_bins) * len(forms)
+        scanned = len(window("Kennedys"))
+        assert span.attrs["vocabulary_hits"] == 1
         assert span.attrs["scanned"] == scanned
         assert span.attrs["bounded_out"] + span.attrs["scored"] == scanned
-        assert span.attrs["bounded_out"] > span.attrs["scored"] >= span.attrs["kept"] >= 1
+        assert span.attrs["bounded_out"] > span.attrs["scored"] >= 1
+        literal = _ScanTally()
+        tail_finder.literal_alternatives(Literal("Kennedys", lang="en"), literal)
+        _, predicate_kept = request_time_scan(tail_finder, FOAF.surname)
+        assert span.attrs["kept"] == literal.kept + predicate_kept > literal.kept
+
+
+def request_time_scan(finder, term, tally=None):
+    """The scan ``predicate_alternatives`` runs for a term the vocabulary
+    table does not answer, over the cache as it is now."""
+    cache = finder.cache
+    return finder._scan_predicate(
+        term, cache.dictionary.lookup(term), cache.predicate_class_scan(), tally)
+
+
+def answer(found):
+    return [(entry.term_id, entry.kind, entry.surface, score) for entry, score in found]
+
+
+class TestVocabularyTable:
+    """Every cached predicate and class is scored once, when the finder
+    is built; what the table answers must be what the request-time scan
+    would, bit for bit, on every kind of cache."""
+
+    @pytest.fixture(scope="class", params=["memory", "tiered", "replica"])
+    def vocabulary_finder(self, request, server, runner, tmp_path_factory):
+        """A finder over the in-memory cache, over a tiered cache of its
+        file, or the one a read-only pre-fork replica boots with."""
+        if request.param == "memory":
+            yield AlternativeTermsFinder(server.cache, runner, server.config)
+            return
+        path = tmp_path_factory.mktemp("vocabulary") / "cache.sqlite"
+        save_cache(server.cache, path)
+        if request.param == "tiered":
+            tiered = load_cache(path, server.config)
+            yield AlternativeTermsFinder(tiered, runner, server.config)
+            tiered.close()
+            return
+        from repro.net.prefork import build_backend_from_spec
+
+        replica = build_backend_from_spec({
+            "scale": "tiny", "sapphire": True, "cache_snapshot": str(path),
+            "tree_capacity": server.config.suffix_tree_capacity,
+        })
+        # Built at boot, not by the first /suggest.
+        assert replica._terms_finder is not None
+        yield replica.terms_finder
+        replica.cache.close()
+
+    def test_every_entry_answers_like_a_fresh_scan(self, vocabulary_finder):
+        finder = vocabulary_finder
+        entries, _ = finder.cache.predicate_class_scan()
+        terms = list(dict.fromkeys(entry.term for entry in entries))
+        assert len(terms) > 50
+        truncated = 0
+        for term in terms:
+            tally = _ScanTally()
+            found = finder.predicate_alternatives(term, tally)
+            assert (tally.vocabulary_hits, tally.scanned, tally.scored) == (1, 0, 0)
+            fresh = _ScanTally()
+            expected, kept = request_time_scan(finder, term, fresh)
+            assert fresh.scanned > 0
+            assert answer(found) == answer(expected), term
+            assert tally.kept == kept, term
+            truncated += kept > len(found)
+        # ``kept`` counts before the cut to ``max_alternatives_per_term``.
+        assert truncated > 0
+
+    def test_other_terms_are_scanned(self, vocabulary_finder):
+        for term in (DBO.term("spuse"), DBO.term("wife"), IRI("http://dbpedia.org/resource/Tom_Hanks")):
+            tally = _ScanTally()
+            found = vocabulary_finder.predicate_alternatives(term, tally)
+            expected, kept = request_time_scan(vocabulary_finder, term)
+            assert tally.vocabulary_hits == 0 and tally.scanned > 0
+            assert answer(found) == answer(expected) and tally.kept == kept
+
+    def test_a_cache_changed_since_answers_like_a_new_finder(self, server, runner):
+        cache = SapphireCache(server.config)
+        cache.merge(server.cache)
+        cache.build_indexes()
+        finder = AlternativeTermsFinder(cache, runner, server.config)
+        before = answer(finder.predicate_alternatives(DBO.spouse))
+        added = DBO.term("spouseOf")
+        cache.add_predicate(added)
+        terms = list(dict.fromkeys(entry.term for entry in cache.predicate_class_scan()[0]))
+        rebuilt = AlternativeTermsFinder(cache, runner, server.config)
+        for term in terms:
+            tally = _ScanTally()
+            found = finder.predicate_alternatives(term, tally)
+            assert tally.vocabulary_hits == 0 and tally.scanned > 0
+            assert answer(found) == answer(rebuilt.predicate_alternatives(term)), term
+        after = finder.predicate_alternatives(DBO.spouse)
+        assert added in [entry.term for entry, _ in after]
+        assert answer(after) != before
 
 
 class TestSuggest:

@@ -137,7 +137,8 @@ class TestRegistrationIndexesOnce:
         assert built == {"trees": 2, "indexes": 2}
         # The report describes the cache that was indexed: the merged one.
         assert report.cache_stats == server.cache_stats()
-        assert set(report.stage_seconds) == set(report.stages_completed) | {"index"}
+        assert set(report.stage_seconds) == (
+            set(report.stages_completed) | {"index", "qsm-vocabulary"})
 
     def test_server_restored_from_a_cache_file(self, tmp_path, tiny_dataset, built):
         config = SapphireConfig(suffix_tree_capacity=300)
