@@ -12,7 +12,8 @@ nothing).  The runs: (i) the four spine workloads untraced and ``--traced``,
 (ii) a smoke of every CLI command, (iii) the paper-fidelity scripts
 ``--quick``.  What ``ast`` finds in ``src/`` and no run called is printed
 per file; with ``--check`` the exit code is 1 when such a function matches
-no `` `path.py::Qual.name` `` pattern (``fnmatch``) in ``docs/reachability.md``.
+no `` `path.py::Qual.name` `` pattern (``fnmatch``) in ``docs/reachability.md``,
+or when a pattern there matches no ``def`` of ``src/`` (a stale entry).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 LEDGER = ROOT / "docs" / "reachability.md"
+#: The ledger's own description of its pattern syntax, not an entry.
+SYNTAX_EXAMPLE = "path.py::Qual.name"
 
 HOOK = '''
 import os, sys, threading
@@ -117,16 +120,20 @@ def functions() -> Iterator[Tuple[str, int, str, int]]:
 def main(argv: List[str]) -> int:
     called = reached()
     kept = re.findall(r"`([\w/]+\.py::[^`]+)`", LEDGER.read_text(encoding="utf-8")) if LEDGER.exists() else []
+    kept = [pattern for pattern in kept if pattern != SYNTAX_EXAMPLE]
     total = 0
     per_file: Dict[str, List[Tuple[str, int]]] = {}
     unlisted: List[str] = []
+    defined: List[str] = []
     for path, first, name, n_lines in functions():
         total += 1
+        module = Path(path).relative_to(SRC).as_posix()
+        defined.append(f"{module}::{name}")
         if (path, first) not in called:
-            module = Path(path).relative_to(SRC).as_posix()
             per_file.setdefault(module, []).append((name, n_lines))
             if not any(fnmatch.fnmatchcase(f"{module}::{name}", pattern) for pattern in kept):
                 unlisted.append(f"{module}::{name}")
+    stale = [pattern for pattern in kept if not any(fnmatch.fnmatchcase(name, pattern) for name in defined)]
     for name, missed in sorted(per_file.items(), key=lambda item: -sum(n for _, n in item[1])):
         print(f"{sum(n for _, n in missed):5d} lines  {name}: {', '.join(n for n, _ in missed)}")
     n_missed = sum(len(missed) for missed in per_file.values())
@@ -134,7 +141,9 @@ def main(argv: List[str]) -> int:
           f"src/ reached by no run; {len(unlisted)} of them not in {LEDGER.relative_to(ROOT)}")
     for label in unlisted:
         print(f"  unlisted: {label}")
-    return 1 if "--check" in argv and unlisted else 0
+    for pattern in stale:
+        print(f"  stale: {pattern} matches no def of src/")
+    return 1 if "--check" in argv and (unlisted or stale) else 0
 
 
 if __name__ == "__main__":

@@ -24,11 +24,13 @@ Sapphire over the HTTP suggestion API (``repro serve --sapphire``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+import time
+from typing import Iterator, List, Optional, Tuple
 
-from . import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
-from .data import DatasetConfig, build_dataset
+from . import SapphireConfig, quickstart_server
+from .data import DatasetConfig
 from .sparql.errors import SparqlError
 from .sparql.results import AskResult
 
@@ -164,9 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "subject ID; scatter-gather scans show up in "
                             "EXPLAIN as ShardScan nodes (default: 1)")
     serve.add_argument("--smoke", action="store_true",
-                       help="boot, serve one health probe, drain, and exit "
-                            "(used by CI; single-worker mode just binds "
-                            "and exits)")
+                       help="boot, answer one probe query through the "
+                            "pooled client, read /stats, drain, and exit "
+                            "(used by CI; exit 1 if the drain waited 5 s "
+                            "or more on the idle probe connection)")
 
     replay = commands.add_parser(
         "replay",
@@ -216,12 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_server(args) -> tuple:
-    dataset = build_dataset(_SCALES[args.scale](seed=args.seed))
-    endpoint = SparqlEndpoint(dataset.store, EndpointConfig(timeout_s=1.0),
-                              name="dbpedia-mini")
-    server = SapphireServer(SapphireConfig(suffix_tree_capacity=args.tree_capacity))
-    server.register_endpoint(endpoint)
-    return server, dataset
+    return quickstart_server(
+        _SCALES[args.scale](seed=args.seed),
+        SapphireConfig(suffix_tree_capacity=args.tree_capacity),
+    )
 
 
 def _cmd_stats(args) -> int:
@@ -443,136 +444,109 @@ def _app_settings(args) -> dict:
     }
 
 
-def _serve_prefork(args) -> int:
-    """``serve --workers N``: a pre-fork pool over SQLite snapshots."""
+@contextlib.contextmanager
+def _served(args, sapphire: bool, timeout_s: float, host: str = "127.0.0.1",
+            port: int = 0, **app_kwargs) -> Iterator[Tuple[object, str]]:
+    """The one way ``serve`` and ``replay`` stand a server up.
+
+    ``--workers 1``: the :func:`~repro.net.build_backend_from_spec`
+    backend behind a :class:`~repro.net.SparqlHttpServer`; more: sharded
+    SQLite snapshots (:func:`~repro.net.prepare_snapshots`) behind a
+    :class:`~repro.net.PreforkServer`.  Yields the started server and the
+    base URL of its ``/stats`` (for a pool, the coordinator's merged
+    view); stops the server on exit.
+    """
     import os
     import tempfile
-    import time
 
-    from .net import (
-        HttpSparqlEndpoint,
-        PreforkServer,
-        build_backend_from_spec,
-        prepare_snapshots,
-    )
+    from .net import (PreforkServer, SparqlHttpServer, build_backend_from_spec,
+                      prepare_snapshots, server_root)
 
-    spec = {
-        "scale": args.scale,
-        "seed": args.seed,
-        "timeout_s": args.timeout_s,
-        "tree_capacity": args.tree_capacity,
-        "sapphire": bool(args.sapphire),
-        "n_shards": args.shards,
-    }
-    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-        print(f"preparing {args.shards} SQLite snapshot shard(s) "
-              f"({args.scale}, seed {args.seed}) ...")
-        spec = prepare_snapshots(spec, os.path.join(tmp, "data.sqlite"))
-        pool = PreforkServer(
-            build_backend_from_spec, spec,
-            n_workers=args.workers, host=args.host, port=args.port,
-            app_kwargs=_app_settings(args),
-        )
-        pool.start()
-        try:
-            pids = ", ".join(str(view["pid"]) for view in pool.workers_view())
-            print(f"workers:  {args.workers} (pids {pids}), "
-                  f"{args.shards} shard(s)")
-            print(f"endpoint: {pool.url}")
-            print(f"stats:    {pool.stats_url}/stats  (merged across workers)")
-            if args.sapphire:
-                root = pool.url.rsplit("/", 1)[0]
-                print(f"complete: {root}/complete")
-                print(f"suggest:  {root}/suggest")
-            if args.smoke:
-                # The probe's pooled keep-alive connection stays open on
-                # its worker: the drain must close it, not wait it out.
-                HttpSparqlEndpoint(pool.url, timeout_s=10.0).ask(
-                    "ASK { ?s ?p ?o }")
-                merged = pool.stats()
-                started = time.perf_counter()
-                pool.stop()
-                drain_s = time.perf_counter() - started
-                print(f"smoke: probe ok, merged /stats reached "
-                      f"{merged['n_workers']} worker(s), "
-                      f"{merged['connections']['open']} connection(s) open; "
-                      f"drained in {drain_s:.1f}s")
-                if drain_s >= 5.0:
-                    print("smoke: FAILED — the drain waited on an idle "
-                          "connection", file=sys.stderr)
-                    return 1
-                return 0
-            print("serving — Ctrl+C to stop")
-            try:
-                while True:
-                    time.sleep(3600)
-            except KeyboardInterrupt:  # pragma: no cover - interactive only
-                pass
-        finally:
-            pool.stop()
-    return 0
+    spec = {"scale": args.scale, "seed": args.seed, "timeout_s": timeout_s,
+            "tree_capacity": args.tree_capacity, "sapphire": sapphire,
+            "n_shards": args.shards}
+    with contextlib.ExitStack() as stack:
+        if args.workers == 1:
+            backend = build_backend_from_spec(spec)
+            if sapphire:
+                report = next(iter(backend.reports.values()))
+                print(f"initialized: {report.total_queries} queries, "
+                      f"cache {backend.cache_stats()}")
+            server = stack.enter_context(
+                SparqlHttpServer(backend, host, port, **app_kwargs))
+            stats_url = server_root(server.url)
+            processes = f"in-process, pid {os.getpid()}"
+        else:
+            print(f"preparing {args.shards} SQLite snapshot shard(s) "
+                  f"({args.scale}, seed {args.seed}) ...")
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-serve-"))
+            spec = prepare_snapshots(spec, os.path.join(tmp, "data.sqlite"))
+            server = stack.enter_context(PreforkServer(
+                build_backend_from_spec, spec, n_workers=args.workers,
+                host=host, port=port, app_kwargs=app_kwargs))
+            stats_url = server.stats_url
+            processes = "pids " + ", ".join(str(view["pid"]) for view in server.workers_view())
+        print(f"workers:  {args.workers} ({processes})")
+        print(f"shards:   {args.shards} (subject-hash), {args.scale} dataset, seed {args.seed}")
+        print(f"endpoint: {server.url}")
+        print(f"stats:    {stats_url}/stats"
+              + ("  (merged across workers)" if args.workers > 1 else ""))
+        print(f"health:   {stats_url}/health")
+        if sapphire:
+            root = server_root(server.url)
+            print(f"complete: {root}/complete")
+            print(f"suggest:  {root}/suggest")
+        yield server, stats_url
 
 
 def _cmd_serve(args) -> int:
-    from .net import SparqlHttpServer
-
     if args.workers < 1 or args.shards < 1:
         print("--workers and --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.workers > 1:
-        return _serve_prefork(args)
-    dataset = build_dataset(_SCALES[args.scale](seed=args.seed))
-    store = dataset.store
-    if args.shards > 1:
-        from .store import TripleStore, create_sharded_backend
+    with _served(args, args.sapphire, args.timeout_s, args.host, args.port,
+                 **_app_settings(args)) as (server, stats_url):
+        if args.smoke:
+            return _smoke(server, stats_url)
+        print("serving — Ctrl+C to stop")
+        try:
+            while True:
+                time.sleep(3600)
+        except KeyboardInterrupt:  # pragma: no cover - interactive only
+            pass
+    return 0
 
-        sharded = TripleStore(backend=create_sharded_backend(
-            args.shards, "memory"))
-        sharded.add_all(store.triples())
-        store = sharded
-    endpoint = SparqlEndpoint(
-        store,
-        EndpointConfig(timeout_s=args.timeout_s),
-        name=f"dbpedia-{args.scale}",
-    )
-    config = SapphireConfig(suffix_tree_capacity=args.tree_capacity)
-    if args.sapphire:
-        backend = SapphireServer(config)
-        report = backend.register_endpoint(endpoint)
-        print(f"initialized: {report.total_queries} queries, "
-              f"cache {backend.cache_stats()}")
-    else:
-        backend = endpoint
-    server = SparqlHttpServer(backend, host=args.host, port=args.port, **_app_settings(args))
-    print(f"dataset: {len(dataset.store):,} triples ({args.scale}, seed {args.seed})")
-    if args.shards > 1:
-        print(f"shards:  {store.backend.shard_sizes()} (subject-hash)")
-    print(f"endpoint: {server.url}")
-    print(f"health:   http://{server.host}:{server.port}/health")
-    print(f"stats:    http://{server.host}:{server.port}/stats")
-    if args.sapphire:
-        print(f"complete: http://{server.host}:{server.port}/complete")
-        print(f"suggest:  http://{server.host}:{server.port}/suggest")
-    if args.smoke:
-        server.stop()
-        return 0
-    print("serving — Ctrl+C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.stop()
+
+def _smoke(server, stats_url: str) -> int:
+    """``serve --smoke``: probe, read ``/stats``, stop, time the drain."""
+    from .net import HttpSparqlEndpoint, fetch_stats
+
+    # The probe's pooled keep-alive connection stays open on the server
+    # (the /stats read reuses it in-process): the drain must close it,
+    # not wait it out.
+    HttpSparqlEndpoint(server.url, timeout_s=10.0).ask("ASK { ?s ?p ?o }")
+    stats = fetch_stats(stats_url)
+    started = time.perf_counter()
+    server.stop()
+    drain_s = time.perf_counter() - started
+    print(f"smoke: probe ok, /stats reached {stats.get('n_workers', 1)} worker(s), "
+          f"{stats['connections']['open']} connection(s) open; "
+          f"drained in {drain_s:.1f}s")
+    if drain_s >= 5.0:
+        print("smoke: FAILED — the drain waited on an idle connection",
+              file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_replay(args) -> int:
-    import contextlib
     import json as json_module
 
     from .eval.replay import ReplayConfig, generate_scripts, run_replay
     from .eval.reporting import format_route_series
 
+    if args.workers < 1 or args.shards < 1:
+        print("--workers and --shards must be >= 1", file=sys.stderr)
+        return 2
     config = ReplayConfig(seed=args.replay_seed, n_sessions=args.sessions)
     scripts = generate_scripts(config)
     if args.emit_scripts:
@@ -584,61 +558,16 @@ def _cmd_replay(args) -> int:
         return 0
 
     with contextlib.ExitStack() as stack:
-        stats_url = None
         if args.url:
-            url = args.url
-        elif args.workers > 1:
-            import os
-            import tempfile
-
-            from .net import (PreforkServer, build_backend_from_spec,
-                              prepare_snapshots)
-
-            tmp = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-replay-"))
-            spec = prepare_snapshots({
-                "scale": args.scale, "seed": args.seed, "timeout_s": 2.0,
-                "tree_capacity": args.tree_capacity,
-                "sapphire": True, "n_shards": args.shards,
-            }, os.path.join(tmp, "data.sqlite"))
-            pool = PreforkServer(
-                build_backend_from_spec, spec, n_workers=args.workers,
-                app_kwargs={"trace_sample_rate": 0.05},
-            )
-            pool.start()
-            stack.callback(pool.stop)
-            url = pool.url
-            # Reconciliation must read the coordinator's merged /stats:
-            # any single worker only accounts for its share of requests.
-            stats_url = pool.stats_url
-            print(f"server: {url} (pre-fork, {args.workers} workers, "
-                  f"{args.shards} shard(s), {args.scale} dataset)")
+            url, stats_url = args.url, None
         else:
-            from .net import SparqlHttpServer
-
-            dataset = build_dataset(_SCALES[args.scale](seed=args.seed))
-            store = dataset.store
-            if args.shards > 1:
-                from .store import TripleStore, create_sharded_backend
-
-                sharded = TripleStore(backend=create_sharded_backend(
-                    args.shards, "memory"))
-                sharded.add_all(store.triples())
-                store = sharded
-            endpoint = SparqlEndpoint(
-                store, EndpointConfig(timeout_s=2.0),
-                name=f"dbpedia-{args.scale}",
-            )
-            backend = SapphireServer(
-                SapphireConfig(suffix_tree_capacity=args.tree_capacity)
-            )
-            backend.register_endpoint(endpoint)
             # Sample a slice of replayed requests into the slow-query
-            # log so the run produces traces to report on.
-            server = stack.enter_context(SparqlHttpServer(
-                backend, port=0, trace_sample_rate=0.05))
+            # log so the run produces traces to report on.  A pool's
+            # reconciliation reads the coordinator's merged /stats: any
+            # single worker only accounts for its share of requests.
+            server, stats_url = stack.enter_context(
+                _served(args, True, 2.0, trace_sample_rate=0.05))
             url = server.url
-            print(f"server: {url} (in-process, {args.scale} dataset)")
 
         report = run_replay(
             scripts, url, processes=args.processes, pace=args.pace,

@@ -71,6 +71,10 @@ __all__ = [
 OUTCOMES = ("ok", "rejected", "timeouts", "client_errors",
             "server_errors", "unreachable")
 
+#: Connections a replay must open against a pool before all of its
+#: responses landing on one worker counts as a reconciliation mismatch.
+SPREAD_MIN_CONNECTIONS = 11
+
 _LITERAL_RE = re.compile(r'"([^"\n]{2,})"@en')
 
 
@@ -573,19 +577,23 @@ def reconcile(before: Dict[str, object], after: Dict[str, object],
                 f"session_activity: server {activity} != client "
                 f"{ledger.session_ok_calls}")
     # Load spreading: against a pre-fork pool (the coordinator's /stats
-    # carries n_workers) a replay with a meaningful number of attributed
-    # responses must have reached more than one worker — the kernel
-    # balances per connection and the server recycles every keep-alive
-    # connection after RESPONSES_PER_CONNECTION responses, so
-    # all-on-one-worker means the pool is not actually balancing.
+    # carries n_workers) the kernel balances per *connection*, and the
+    # server recycles a keep-alive connection after
+    # RESPONSES_PER_CONNECTION responses.  k connections all land on one
+    # of n workers by chance with probability n^(1-k), so all-on-one
+    # worker says the pool is not balancing only once the replay opened
+    # SPREAD_MIN_CONNECTIONS (under 0.1 % for two workers).
     n_workers = int(after.get("n_workers", 1))  # type: ignore[arg-type]
     attributed = sum(ledger.workers.values())
-    if n_workers > 1 and attributed >= 8 * n_workers:
+    accepted = (int((after.get("connections") or {}).get("accepted", 0))  # type: ignore[union-attr]
+                - int((before.get("connections") or {}).get("accepted", 0)))  # type: ignore[union-attr]
+    if n_workers > 1 and attributed and accepted >= SPREAD_MIN_CONNECTIONS:
         spread = sum(1 for count in ledger.workers.values() if count > 0)
         if spread < 2:
             mismatches.append(
                 f"worker spread: all {attributed} attributed responses "
-                f"landed on one of {n_workers} workers")
+                f"over {accepted} connections landed on one of "
+                f"{n_workers} workers")
     return mismatches
 
 

@@ -41,6 +41,7 @@ reconciles against cluster totals, not one worker's share.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import socket
@@ -51,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import StatsTimeSeries, merge_stats_bodies
 from .server import WsgiServer
-from .wsgi import SparqlWsgiApp
+from .wsgi import SparqlWsgiApp, _error_body, _json_headers
 
 __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
 
@@ -70,19 +71,17 @@ def build_backend_from_spec(spec: Dict[str, object]):
     """Build one worker's serving backend from a picklable spec dict.
 
     Keys: ``scale``/``seed`` (synthetic dataset), ``timeout_s``,
-    ``execution``, ``tree_capacity``, ``sapphire`` (serve the suggestion
-    API too), ``n_shards``, and optionally ``snapshot_base`` — when set,
-    the worker opens the sharded SQLite snapshot files at that base path
-    **read-only** instead of rebuilding the dataset in memory.
+    ``tree_capacity``, ``sapphire`` (serve the suggestion API too),
+    ``n_shards``, and the two :func:`prepare_snapshots` adds:
+    ``snapshot_base`` — the worker opens the sharded SQLite snapshot
+    files at that base path **read-only** instead of rebuilding the
+    dataset in memory — and ``cache_snapshot`` — a ``sapphire`` worker
+    opens that persisted cache read-only instead of running Section 5
+    initialization.
     """
-    from ..core.config import SapphireConfig
-    from ..core.sapphire import SapphireServer
-    from ..data import DatasetConfig, build_dataset
-    from ..endpoint.endpoint import EndpointConfig, SparqlEndpoint
     from ..store import TripleStore, create_sharded_backend
 
     scale = str(spec.get("scale", "tiny"))
-    seed = int(spec.get("seed", 42))  # type: ignore[arg-type]
     n_shards = int(spec.get("n_shards", 1))  # type: ignore[arg-type]
     snapshot_base = spec.get("snapshot_base")
 
@@ -91,40 +90,55 @@ def build_backend_from_spec(spec: Dict[str, object]):
             n_shards, "sqlite", str(snapshot_base), read_only=True)
         store = TripleStore(backend=backend)
     else:
-        factory = getattr(DatasetConfig, scale)
-        dataset = build_dataset(factory(seed=seed))
+        dataset = _build_dataset(spec)
         if n_shards > 1:
             store = TripleStore(
                 backend=create_sharded_backend(n_shards, "memory"))
             store.add_all(dataset.store.triples())
         else:
             store = dataset.store
+    return _serve_store(store, spec, f"dbpedia-{scale}")
+
+
+def _build_dataset(spec: Dict[str, object]):
+    from ..data import DatasetConfig, build_dataset
+
+    factory = getattr(DatasetConfig, str(spec.get("scale", "tiny")))
+    return build_dataset(factory(seed=int(spec.get("seed", 42))))  # type: ignore[arg-type]
+
+
+def _serve_store(store, spec: Dict[str, object], name: str):
+    """The spec's backend over ``store``: its :class:`SparqlEndpoint`, or
+    with ``sapphire`` a :class:`SapphireServer` in front of it — booted
+    from the spec's ``cache_snapshot`` when there is one, else
+    initialized (registered) against the endpoint."""
+    from ..core.config import SapphireConfig
+    from ..core.sapphire import SapphireServer
+    from ..endpoint.endpoint import EndpointConfig, SparqlEndpoint
 
     endpoint = SparqlEndpoint(
         store,
         EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
-        name=f"dbpedia-{scale}",
+        name=name,
     )
-    if spec.get("sapphire"):
-        config = SapphireConfig(
-            suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
-        )
-        server = SapphireServer(config)
-        cache_snapshot = spec.get("cache_snapshot")
-        if cache_snapshot is not None:
-            # Instant replica boot: open the parent's persisted cache
-            # file (dictionary, cache tables, on-disk term index)
-            # read-only instead of re-running Section 5 initialization
-            # in every worker.
-            from ..core.persistence import load_cache
+    if not spec.get("sapphire"):
+        return endpoint
+    config = SapphireConfig(
+        suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
+    )
+    server = SapphireServer(config)
+    cache_snapshot = spec.get("cache_snapshot")
+    if cache_snapshot is None:
+        server.register_endpoint(endpoint)
+    else:
+        # Instant replica boot: open the parent's persisted cache file
+        # (dictionary, cache tables, on-disk term index) read-only
+        # instead of re-running Section 5 initialization in every worker.
+        from ..core.persistence import load_cache
 
-            server.cache = load_cache(
-                str(cache_snapshot), config, read_only=True)
-            server.attach_endpoint(endpoint)
-        else:
-            server.register_endpoint(endpoint)
-        return server
-    return endpoint
+        server.cache = load_cache(str(cache_snapshot), config, read_only=True)
+        server.attach_endpoint(endpoint)
+    return server
 
 
 def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, object]:
@@ -136,11 +150,9 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
     files).  Returns a new spec with ``snapshot_base`` set — hand that
     to the workers and each opens the files read-only.
     """
-    from ..data import DatasetConfig, build_dataset
     from ..store import TripleStore, create_sharded_backend
 
-    factory = getattr(DatasetConfig, str(spec.get("scale", "tiny")))
-    dataset = build_dataset(factory(seed=int(spec.get("seed", 42))))  # type: ignore[arg-type]
+    dataset = _build_dataset(spec)
     n_shards = int(spec.get("n_shards", 1))  # type: ignore[arg-type]
     backend = create_sharded_backend(n_shards, "sqlite", base_path)
     store = TripleStore(backend=backend)
@@ -148,23 +160,14 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
     backend.close()
     out = {**spec, "snapshot_base": base_path}
     if spec.get("sapphire"):
-        # Run Section 5 initialization ONCE here and persist the cache
-        # (one file: dictionary, cache tables, on-disk term index); each
-        # worker then boots a read-only tiered replica, no rebuild.
-        from ..core.config import SapphireConfig
+        # Run Section 5 initialization ONCE here, over the dataset just
+        # built, and persist the cache (one file: dictionary, cache
+        # tables, on-disk term index); each worker then boots a
+        # read-only tiered replica, no rebuild.
         from ..core.persistence import save_cache
-        from ..core.sapphire import SapphireServer
-        from ..endpoint.endpoint import EndpointConfig, SparqlEndpoint
 
-        config = SapphireConfig(
-            suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
-        )
-        parent = SapphireServer(config)
-        parent.register_endpoint(SparqlEndpoint(
-            dataset.store,
-            EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
-            name="snapshot-init",
-        ))
+        parent = _serve_store(dataset.store, {**spec, "cache_snapshot": None},
+                              "snapshot-init")
         cache_path = base_path + ".cache.sqlite"
         save_cache(parent.cache, cache_path)
         out["cache_snapshot"] = cache_path
@@ -548,31 +551,23 @@ class PreforkServer:
         }
 
     def _start_coordinator(self) -> None:
-        pool = self
+        routes = {
+            "/stats": self.stats,
+            "/health": self.health,
+            "/stats/series": lambda: {"points": self.series.sample(self.stats()),
+                                      "max_points": self.series.max_points},
+        }
 
         def coordinator_app(environ, start_response):
-            import json
-
             path = environ.get("PATH_INFO", "/") or "/"
-            if path == "/stats":
-                status, body = 200, pool.stats()
-            elif path == "/health":
-                status, body = 200, pool.health()
-            elif path == "/stats/series":
-                points = pool.series.sample(pool.stats())
-                status, body = 200, {"points": points,
-                                     "max_points": pool.series.max_points}
+            route = routes.get(path)
+            if route is None:
+                status, payload = "404 Not Found", _error_body(
+                    404, f"no such resource: {path} (coordinator serves "
+                         f"/stats, /stats/series, /health; queries go to {self.url})")
             else:
-                status, body = 404, {"error": {
-                    "status": 404,
-                    "message": f"no such resource: {path} "
-                               f"(coordinator serves /stats, /stats/series,"
-                               f" /health; queries go to {pool.url})"}}
-            payload = json.dumps(body).encode("utf-8")
-            start_response(
-                "200 OK" if status == 200 else "404 Not Found",
-                [("Content-Type", "application/json; charset=utf-8"),
-                 ("Content-Length", str(len(payload)))])
+                status, payload = "200 OK", json.dumps(route()).encode("utf-8")
+            start_response(status, list(_json_headers(len(payload)).items()))
             return [payload]
 
         # The stats app never reads bodies, so any max works here.

@@ -17,8 +17,12 @@ Typical use::
         rows = client.select("SELECT * WHERE { ?s ?p ?o } LIMIT 5").rows
 
 ``port=0`` asks the kernel for an ephemeral port (read it back from
-``server.port``) so tests and benchmarks never collide.  For the
-blocking form used by ``repro serve``, call :meth:`serve_forever`.
+``server.port``) so tests and benchmarks never collide.  The server
+always serves from a background thread: :meth:`start` (or the ``with``
+block) begins, :meth:`stop` drains and releases the socket.  ``repro
+serve --workers 1`` is this class, ``--workers N`` a
+:class:`~repro.net.prefork.PreforkServer`; both are started, waited on
+and stopped by the same CLI code.
 
 Connections (docs/server.md, *Connections*) are persistent: a
 connection carries request after request, each request's head is read by
@@ -368,7 +372,6 @@ class SparqlHttpServer:
         )
         self._httpd = WsgiServer((host, port), self.app)
         self._thread: Optional[threading.Thread] = None
-        self._serving = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -410,7 +413,6 @@ class SparqlHttpServer:
             raise RuntimeError(
                 "server socket is closed (stop() was called); "
                 "build a new SparqlHttpServer to serve again")
-        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name=f"sparql-http-{self.port}",
@@ -419,23 +421,13 @@ class SparqlHttpServer:
         self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (CLI mode)."""
-        if self._closed:
-            raise RuntimeError(
-                "server socket is closed (stop() was called); "
-                "build a new SparqlHttpServer to serve again")
-        self._serving = True
-        self._httpd.serve_forever()
-
     def stop(self) -> None:
         """Stop serving and release the socket (idempotent)."""
         self._closed = True
-        if self._serving:
+        if self._thread is not None:
             # shutdown() blocks on the serve_forever loop acknowledging;
             # calling it on a server that never served would hang.
             self._httpd.shutdown()
-            self._serving = False
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -41,7 +41,8 @@ bounded wait queue (``queue_limit``): when all workers are busy and the
 queue is full, the request is rejected immediately with **503** — the
 same shape public endpoints like DBpedia present under load, and the
 behaviour :class:`~repro.net.client.HttpSparqlEndpoint` retries with
-jitter.  A query the backend kills for exceeding its timeout budget
+jitter; a request that waits in the queue past the deadline gets a 503
+that says so.  A query the backend kills for exceeding its timeout budget
 surfaces as **504** with a JSON error body.  Both outcomes are counted
 in ``/stats`` so a load test can reconcile client and server totals.
 
@@ -241,10 +242,14 @@ class SparqlWsgiApp:
                                extra_headers=[("Allow", "GET, POST")])
 
         started = time.perf_counter()
-        if suggestion:
-            status, headers, payload, rows = self._handle_suggestion(path, environ)
-        else:
-            status, headers, payload, rows = self._handle_query(environ, method)
+        try:
+            if suggestion:
+                status, headers, payload, rows = self._handle_suggestion(path, environ)
+            else:
+                status, headers, payload, rows = self._handle_query(environ, method)
+        except _HttpFail as fail:
+            status, payload, rows = fail.status, _error_body(fail.status, str(fail)), 0
+            headers = _json_headers(retry_after=status == 503)
         self.stats.record(status, time.perf_counter() - started, rows=rows,
                           route=path.lstrip("/") or "sparql")
         headers.setdefault("Content-Length", str(len(payload)))
@@ -338,12 +343,9 @@ class SparqlWsgiApp:
     def _handle_query(
         self, environ, method: str
     ) -> Tuple[int, Dict[str, str], bytes, int]:
-        try:
-            text, explain, analyze = self._extract_query(environ, method)
-        except _HttpFail as fail:
-            return _failure(fail.status, str(fail))
+        text, explain, analyze = self._extract_query(environ, method)
         if text is None:
-            return _failure(400, "missing required 'query' parameter")
+            raise _HttpFail(400, "missing required 'query' parameter")
 
         if explain and not analyze:
             return self._handle_explain(text)
@@ -353,52 +355,19 @@ class SparqlWsgiApp:
             try:
                 mime, writer = negotiate(environ.get("HTTP_ACCEPT"))
             except NotAcceptable as exc:
-                return _failure(406, str(exc))
+                raise _HttpFail(406, str(exc)) from exc
 
         try:
             parsed = parse_query(text)
         except SparqlError as exc:
-            return _failure(400, f"parse error: {exc}")
+            raise _HttpFail(400, f"parse error: {exc}") from exc
 
         # ANALYZE *executes*, so unlike EXPLAIN it goes through the same
         # admission control and deadline as any query.
-        tracer = self._maybe_tracer(environ, text, analyze)
-
-        admitted, queued_s = self._admit()
-        if not admitted:
-            return _failure(
-                503, "server overloaded: worker pool and queue are full")
-        try:
-            if self.deadline_s is not None and queued_s >= self.deadline_s:
-                return _failure(
-                    503, f"queued {queued_s:.2f}s, past the "
-                         f"{self.deadline_s:.2f}s deadline")
-            with self._queue_lock:
-                self._in_flight += 1
-                self.stats.observe_queue(self._queued, self._in_flight)
-            try:
-                result = self.backend.run(parsed, tracer=tracer)
-            finally:
-                with self._queue_lock:
-                    self._in_flight -= 1
-        except QueryRejected as exc:
-            return _failure(503, str(exc))
-        except EndpointTimeout as exc:
-            return _failure(504, str(exc))
-        except SparqlError as exc:
-            return _failure(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 — a handler must not crash the server
-            return _failure(500, f"{type(exc).__name__}: {exc}")
-        finally:
-            self._workers.release()
-
+        result, trace_doc = self._admitted(
+            environ, text, analyze, "sparql",
+            lambda tracer: self.backend.run(parsed, tracer=tracer))
         rows = len(result.rows) if isinstance(result, SelectResult) else 0
-        trace_doc = None
-        if tracer is not None:
-            trace = tracer.finish()
-            trace_doc = trace.to_dict()
-            self.slow_log.offer(text, trace.wall_ms / 1000.0, trace_doc,
-                                route="sparql")
 
         if analyze:
             from ..eval.reporting import format_trace
@@ -409,8 +378,8 @@ class SparqlWsgiApp:
         try:
             payload = writer(result).encode("utf-8")
         except Exception as exc:  # noqa: BLE001 — malformed backend result
-            return _failure(500, f"result serialization failed: "
-                                 f"{type(exc).__name__}: {exc}")
+            raise _HttpFail(500, f"result serialization failed: "
+                                 f"{type(exc).__name__}: {exc}") from exc
         headers = {"Content-Type": f"{mime}; charset=utf-8"}
         if isinstance(result, SelectResult) and result.truncated:
             # The W3C result formats carry no truncation marker, but
@@ -418,6 +387,56 @@ class SparqlWsgiApp:
             # HttpSparqlEndpoint restores the flag from this header.
             headers["X-Result-Truncated"] = "true"
         return 200, headers, payload, rows
+
+    def _admitted(self, environ, text: str, analyze: bool, route: str,
+                  run: Callable[[Optional[Tracer]], object]) -> Tuple[object, Optional[Dict]]:
+        """``run(tracer)`` in a worker slot: the one admission path of
+        ``/sparql``, ``/complete`` and ``/suggest``.
+
+        Decides tracing, claims a slot — 503 when the pool and queue are
+        full, or when the wait reached the deadline — keeps the in-flight
+        gauge, maps the backend's failures to 503/504/400/500 (raised as
+        :class:`_HttpFail`), releases the slot, and offers a finished
+        trace to the slow-query log.  Returns ``(result, trace document
+        or None)``.
+        """
+        tracer = self._maybe_tracer(environ, text, analyze)
+        admitted, queued_s = self._admit()
+        if not admitted or (self.deadline_s is not None and queued_s >= self.deadline_s):
+            if admitted:
+                self._workers.release()
+            # Refused without a wait: the queue was full.  Refused after
+            # one, the wait ran out at the deadline with the queue not full.
+            raise _HttpFail(503, f"queued {queued_s:.2f}s, past the {self.deadline_s:.2f}s deadline"
+                            if admitted or queued_s else
+                            "server overloaded: worker pool and queue are full")
+        try:
+            with self._queue_lock:
+                self._in_flight += 1
+                self.stats.observe_queue(self._queued, self._in_flight)
+            try:
+                result = run(tracer)
+            finally:
+                with self._queue_lock:
+                    self._in_flight -= 1
+        except _HttpFail:
+            raise
+        except QueryRejected as exc:
+            raise _HttpFail(503, str(exc)) from exc
+        except EndpointTimeout as exc:
+            raise _HttpFail(504, str(exc)) from exc
+        except SparqlError as exc:
+            raise _HttpFail(400, str(exc)) from exc
+        except Exception as exc:  # noqa: BLE001 — a handler must not crash the server
+            raise _HttpFail(500, f"{type(exc).__name__}: {exc}") from exc
+        finally:
+            self._workers.release()
+        if tracer is None:
+            return result, None
+        trace = tracer.finish()
+        trace_doc = trace.to_dict()
+        self.slow_log.offer(text, trace.wall_ms / 1000.0, trace_doc, route=route)
+        return result, trace_doc
 
     def _maybe_tracer(
         self, environ, text: str, analyze: bool
@@ -445,66 +464,23 @@ class SparqlWsgiApp:
         self, path: str, environ
     ) -> Tuple[int, Dict[str, str], bytes, int]:
         if self.suggester is None:
-            return _failure(
+            raise _HttpFail(
                 404, "this endpoint has no predictive model: serve a "
                      "SapphireServer to enable /complete and /suggest")
-        try:
-            document = self._read_json_body(environ)
-        except _HttpFail as fail:
-            return _failure(fail.status, str(fail))
+        document = self._read_json_body(environ)
 
         session = document.get("session")
         if session is not None and not isinstance(session, str):
-            return _failure(400, "'session' must be a string token")
+            raise _HttpFail(400, "'session' must be a string token")
 
+        route = path.lstrip("/")
         snippet = document.get("query") or document.get("text") or ""
-        tracer = self._maybe_tracer(
-            environ, snippet if isinstance(snippet, str) else "", False
-        )
-
-        admitted, queued_s = self._admit()
-        if not admitted:
-            return _failure(
-                503, "server overloaded: worker pool and queue are full")
-        try:
-            if self.deadline_s is not None and queued_s >= self.deadline_s:
-                return _failure(
-                    503, f"queued {queued_s:.2f}s, past the "
-                         f"{self.deadline_s:.2f}s deadline")
-            with self._queue_lock:
-                self._in_flight += 1
-                self.stats.observe_queue(self._queued, self._in_flight)
-            try:
-                if path == "/complete":
-                    response = self._run_complete(document, tracer)
-                else:
-                    response = self._run_suggest(document, tracer)
-            finally:
-                with self._queue_lock:
-                    self._in_flight -= 1
-        except _HttpFail as fail:
-            return _failure(fail.status, str(fail))
-        except QueryRejected as exc:
-            return _failure(503, str(exc))
-        except EndpointTimeout as exc:
-            return _failure(504, str(exc))
-        except SparqlError as exc:
-            return _failure(400, str(exc))
-        except Exception as exc:  # noqa: BLE001 — a handler must not crash the server
-            return _failure(500, f"{type(exc).__name__}: {exc}")
-        finally:
-            self._workers.release()
-
+        run = self._run_complete if route == "complete" else self._run_suggest
+        response, _ = self._admitted(
+            environ, snippet if isinstance(snippet, str) else "", False, route,
+            lambda tracer: run(document, tracer))
         if session is not None:
-            self._touch_session(session, path.lstrip("/"))
-        if tracer is not None:
-            trace = tracer.finish()
-            self.slow_log.offer(
-                snippet if isinstance(snippet, str) else "",
-                trace.wall_ms / 1000.0,
-                trace.to_dict(),
-                route=path.lstrip("/"),
-            )
+            self._touch_session(session, route)
         payload = dump_document(response)
         headers = {"Content-Type": f"{MIME_JSON_BODY}; charset=utf-8"}
         return 200, headers, payload, 0
@@ -597,13 +573,13 @@ class SparqlWsgiApp:
         """
         explain = getattr(self.backend, "explain", None)
         if explain is None:
-            return _failure(400, "this endpoint does not support explain")
+            raise _HttpFail(400, "this endpoint does not support explain")
         try:
             plan = explain(text)
         except SparqlError as exc:
-            return _failure(400, f"parse error: {exc}")
+            raise _HttpFail(400, f"parse error: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 — a handler must not crash the server
-            return _failure(500, f"{type(exc).__name__}: {exc}")
+            raise _HttpFail(500, f"{type(exc).__name__}: {exc}") from exc
         payload = plan.encode("utf-8")
         return 200, {"Content-Type": "text/plain; charset=utf-8"}, payload, 0
 
@@ -720,12 +696,6 @@ def _json_headers(length: Optional[int] = None,
     if retry_after:
         headers["Retry-After"] = "1"
     return headers
-
-
-def _failure(status: int, message: str) -> Tuple[int, Dict[str, str], bytes, int]:
-    """A finished error response as the ``_handle_query`` result tuple."""
-    return status, _json_headers(retry_after=status == 503), _error_body(
-        status, message), 0
 
 
 def _error_body(status: int, message: str) -> bytes:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -170,10 +172,14 @@ class TestCommands:
         assert "Tom_Hanks" in capsys.readouterr().out
 
     def test_serve_smoke(self, capsys):
+        """One process serves through the same smoke as a pool: a probe
+        through the pooled client, /stats, then a timed drain."""
         assert main(["serve", "--port", "0", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "/sparql" in out
         assert "/stats" in out
+        assert "smoke: probe ok" in out
+        assert "1 connection(s) open; drained in" in out
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -187,11 +193,36 @@ class TestCommands:
         assert main(["serve", "--workers", "0", "--smoke"]) == 2
         assert main(["serve", "--shards", "0", "--smoke"]) == 2
 
+    def test_replay_rejects_bad_topology(self, capsys):
+        assert main(["replay", "--workers", "0"]) == 2
+        assert main(["replay", "--shards", "0"]) == 2
+
     def test_serve_sharded_smoke(self, capsys):
         assert main(["serve", "--port", "0", "--shards", "3", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "shards:" in out
         assert "/sparql" in out
+        assert "smoke: probe ok" in out
+        assert "drained in" in out
+
+    def test_serve_sapphire_in_process_initializes(self, capsys):
+        assert main(["serve", "--port", "0", "--sapphire", "--shards", "2",
+                     "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"initialized: \d+ queries", out)
+        assert "/complete" in out and "/suggest" in out
+        assert "smoke: probe ok" in out
+
+    @pytest.mark.parametrize("topology", [[], ["--workers", "2", "--shards", "2"]],
+                             ids=["in-process", "prefork"])
+    def test_replay_against_either_topology(self, topology, capsys):
+        """``replay`` stands its server up through the same path as
+        ``serve``, and the ledger reconciles against its /stats."""
+        assert main(["replay", "--sessions", "3", "--processes", "0",
+                     *topology]) == 0
+        out = capsys.readouterr().out
+        assert "reconciliation: clean" in out
+        assert "replayed 3 sessions" in out
 
     def test_serve_prefork_smoke(self, capsys):
         """--workers 2 --smoke boots a real pool, probes it, drains."""
@@ -219,7 +250,7 @@ class TestCommands:
         rates = {}
 
         def stats(server):
-            if isinstance(server, SparqlHttpServer):  # a smoke never starts serving
+            if isinstance(server, SparqlHttpServer):
                 return server.app.stats_body()  # the body GET /stats answers with
             # One worker's own body, through the port the pool shares.
             with urllib.request.urlopen(server.url.rsplit("/", 1)[0] + "/stats", timeout=10) as reply:

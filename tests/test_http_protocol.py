@@ -449,6 +449,41 @@ class TestAdmissionAndErrors:
                 background.join(timeout=10.0)
             assert server.stats.snapshot()["ok"] == 1
 
+    @pytest.mark.parametrize("queue_limit, message", [
+        (4, "past the 0.20s deadline"),
+        (0, "worker pool and queue are full"),
+    ])
+    def test_503_says_why_the_request_was_refused(self, queue_limit, message):
+        """A request that waited out its deadline in a queue with room is
+        told so; only a full queue is reported as full."""
+        release = threading.Event()
+        entered = threading.Event()
+
+        def slow(query):
+            entered.set()
+            release.wait(timeout=1.0)
+            return SelectResult(variables=["s"], rows=[])
+
+        with SparqlHttpServer(_StubBackend(slow), max_workers=1,
+                              queue_limit=queue_limit, deadline_s=0.2) as server:
+            blocker = HttpSparqlEndpoint(server.url, timeout_s=10.0)
+            background = threading.Thread(
+                target=lambda: blocker.select("SELECT * WHERE { ?s ?p ?o }"))
+            background.start()
+            try:
+                assert entered.wait(timeout=5.0)
+                request = urllib.request.Request(
+                    server.url + "?" + urllib.parse.urlencode(
+                        {"query": "SELECT * WHERE { ?s ?p ?o }"}))
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(request, timeout=10.0)
+                assert refused.value.code == 503
+                body = json.loads(refused.value.read().decode("utf-8"))
+                assert message in body["error"]["message"]
+            finally:
+                release.set()
+                background.join(timeout=10.0)
+
     def test_backend_timeout_maps_to_504_and_endpoint_timeout(self):
         def timing_out(query):
             raise EndpointTimeout("stub: query exceeded 2.0s")
@@ -760,8 +795,6 @@ class TestServerLifecycle:
         server.stop()
         with pytest.raises(RuntimeError, match="closed"):
             server.start()
-        with pytest.raises(RuntimeError, match="closed"):
-            server.serve_forever()
 
     def test_double_start_rejected(self, local_endpoints):
         with SparqlHttpServer(local_endpoints[0]) as server:

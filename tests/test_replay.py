@@ -289,9 +289,10 @@ class TestLedger:
         route = {"requests": n, "ok": n, "rejected": 0, "timeouts": 0,
                  "client_errors": 0, "server_errors": 0, "rows_served": n}
         before = {"routes": {}, "rows_served": 0, "session_activity": 0,
-                  "n_workers": 2}
+                  "n_workers": 2, "connections": {"accepted": 0}}
         after = {"routes": {"sparql": dict(route)}, "rows_served": n,
-                 "session_activity": 0, "n_workers": 2}
+                 "session_activity": 0, "n_workers": 2,
+                 "connections": {"accepted": n}}
         skewed = ReplayLedger()
         for _ in range(n):
             skewed.note("sparql", "ok", 0.01, rows=1, worker="0")
@@ -302,6 +303,27 @@ class TestLedger:
         for i in range(n):
             spread.note("sparql", "ok", 0.01, rows=1, worker=str(i % 2))
         assert reconcile(before, after, spread, check_sessions=False) == []
+
+    def test_reconcile_ignores_spread_over_too_few_connections(self):
+        """The kernel balances connections, not responses: two recycled
+        connections land on one of two workers half the time."""
+        from repro.eval.replay import SPREAD_MIN_CONNECTIONS
+
+        n = 55
+        route = {"requests": n, "ok": n, "rejected": 0, "timeouts": 0,
+                 "client_errors": 0, "server_errors": 0, "rows_served": n}
+        before = {"routes": {}, "rows_served": 0, "session_activity": 0,
+                  "n_workers": 2, "connections": {"accepted": 3}}
+        after = {"routes": {"sparql": dict(route)}, "rows_served": n,
+                 "session_activity": 0, "n_workers": 2,
+                 "connections": {"accepted": 5}}
+        skewed = ReplayLedger()
+        for _ in range(n):
+            skewed.note("sparql", "ok", 0.01, rows=1, worker="1")
+        assert reconcile(before, after, skewed, check_sessions=False) == []
+        after["connections"]["accepted"] = 3 + SPREAD_MIN_CONNECTIONS
+        assert any("worker spread" in line for line in
+                   reconcile(before, after, skewed, check_sessions=False))
 
     def test_reconcile_ignores_spread_on_single_worker(self):
         route = {"requests": 2, "ok": 2, "rejected": 0, "timeouts": 0,
