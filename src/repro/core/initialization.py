@@ -198,10 +198,10 @@ class EndpointInitializer:
         """Execute initialization; returns the populated cache, not yet
         indexed (:func:`index_cache` — the server merges first).
 
-        Works against anything with the endpoint query surface —
-        in-process simulators and :class:`~repro.net.client.
-        HttpSparqlEndpoint` network endpoints alike (the latter report
-        no simulated time, so the cost column stays zero).
+        Works against any :class:`~repro.endpoint.endpoint.QueryService`
+        — in-process simulators and :class:`~repro.net.client.
+        HttpSparqlEndpoint` network endpoints alike (the latter account
+        the wall time of their round trips as endpoint seconds).
         """
         cache = SapphireCache(self.config)
         start_time = getattr(self.endpoint, "simulated_seconds", 0.0)

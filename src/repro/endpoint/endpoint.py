@@ -49,6 +49,8 @@ __all__ = [
     "QueryRejected",
     "QueryLogEntry",
     "QUERY_LOG_SIZE",
+    "QueryService",
+    "LoggedQueryService",
     "SparqlEndpoint",
 ]
 
@@ -120,12 +122,150 @@ class QueryLogEntry:
     truncated: bool = False
 
 
-class SparqlEndpoint:
-    """A simulated remote SPARQL endpoint over a local triple store.
+class QueryService:
+    """The one query face of the three query backends.
 
+    :class:`SparqlEndpoint`, :class:`~repro.federation.fedx.
+    FederatedQueryProcessor` and :class:`~repro.net.client.
+    HttpSparqlEndpoint` each implement :meth:`run`, the one execution
+    entry, and :meth:`_plan_text`, the EXPLAIN dump; ``select`` /
+    ``ask`` / ``analyze`` / ``explain`` are written once, here, on top
+    of them.  A new backend implements those two methods.
+    """
+
+    def run(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> Union[SelectResult, AskResult]:
+        """Run a query of either form; raises on timeout/rejection.
+        ``tracer`` (optional) records the execution's spans."""
+        raise NotImplementedError
+
+    def _plan_text(self, query: Union[str, Query]) -> str:
+        """The plan dump for ``query``; executes nothing."""
+        raise NotImplementedError
+
+    def select(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> SelectResult:
+        """Run a SELECT query; raises on timeout/rejection."""
+        return self._run_form(query, tracer, "SELECT", SelectResult)
+
+    def ask(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> AskResult:
+        """Run an ASK query; raises on timeout/rejection."""
+        return self._run_form(query, tracer, "ASK", AskResult)
+
+    def analyze(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> "tuple[Union[SelectResult, AskResult], QueryTrace]":
+        """EXPLAIN ANALYZE: execute ``query`` under a tracer (budgeted
+        and logged like any other run) and return ``(result, trace)``."""
+        if tracer is None:
+            tracer = Tracer(query=query if isinstance(query, str) else "")
+        result = self.run(query, tracer)
+        return result, tracer.finish()
+
+    def explain(self, query: Union[str, Query], analyze: bool = False) -> str:
+        """Plan dump for ``query``.
+
+        With ``analyze=False`` (the default) this is free and unlogged:
+        planning is estimation-only by the store's meter-free contract,
+        so an EXPLAIN can never trip a timeout.
+
+        With ``analyze=True`` the query is *executed* (budgeted and
+        logged like any other run) and the execution trace — per-operator
+        wall time, rows, est→actual — is appended below the plan.
+        """
+        text = self._plan_text(query)
+        if not analyze:
+            return text
+        return f"{text}\n\n{self._trace_text(query)}"
+
+    def _trace_text(self, query: Union[str, Query]) -> str:
+        """EXPLAIN ANALYZE's second half: the rendered execution trace."""
+        # Imported here: eval.reporting sits above endpoint in the
+        # package graph (eval/__init__ pulls in core.sapphire → here).
+        from ..eval.reporting import format_trace
+
+        _, trace = self.analyze(query)
+        return format_trace(trace)
+
+    def _form_of(self, query: Union[str, Query]) -> Optional[str]:
+        """The form of ``query`` known before it runs (``None``: known
+        only from the result)."""
+        return (parse_query(query) if isinstance(query, str) else query).form
+
+    def _run_form(self, query: Union[str, Query], tracer: Optional[Tracer],
+                  form: str, result_type: type):
+        """:meth:`run`, refusing a query of another form before it runs.
+
+        Text reaches ``run`` as given (parsed again there), so a query
+        log records the text that ran.
+        """
+        if self._form_of(query) in (form, None):
+            result = self.run(query, tracer)
+            if isinstance(result, result_type):
+                return result
+        raise SparqlError(f"expected {'an' if form == 'ASK' else 'a'} {form} query")
+
+
+class LoggedQueryService(QueryService):
+    """A :class:`QueryService` that logs every query it runs.
+
+    ``log`` keeps the most recent ``QUERY_LOG_SIZE`` queries, oldest
+    first; ``query_count`` and ``timeout_count`` count every query, and
+    ``simulated_seconds`` adds up their entries' seconds (latency plus
+    simulated execution in-process, the round trip over the wire).
     Thread-safe: the QSM prefetches suggested queries from background
     threads while the user-facing thread keeps issuing queries.
     """
+
+    def __init__(self) -> None:
+        self.log: Deque[QueryLogEntry] = deque(maxlen=QUERY_LOG_SIZE)
+        self.query_count = 0
+        self.timeout_count = 0
+        self.simulated_seconds = 0.0
+        self._log_lock = threading.Lock()
+
+    def reset_log(self) -> None:
+        with self._log_lock:
+            self.log.clear()
+            self.query_count = self.timeout_count = 0
+            self.simulated_seconds = 0.0
+
+    def _record(
+        self,
+        text: str,
+        outcome: str,
+        cost: int,
+        seconds: float,
+        result: Union[SelectResult, AskResult, None] = None,
+    ) -> None:
+        """Log one query; a SELECT ``result`` gives the entry its
+        ``rows`` and ``truncated``."""
+        select = isinstance(result, SelectResult)
+        rows = len(result.rows) if select else 0
+        truncated = select and result.truncated
+        with self._log_lock:
+            self.log.append(
+                QueryLogEntry(
+                    query=text,
+                    outcome=outcome,
+                    cost=cost,
+                    simulated_seconds=seconds,
+                    rows=rows,
+                    truncated=truncated,
+                )
+            )
+            self.query_count += 1
+            if outcome == "timeout":
+                self.timeout_count += 1
+            self.simulated_seconds += seconds
+
+
+class SparqlEndpoint(LoggedQueryService):
+    """A simulated remote SPARQL endpoint over a local triple store."""
 
     def __init__(
         self,
@@ -133,100 +273,28 @@ class SparqlEndpoint:
         config: Optional[EndpointConfig] = None,
         name: str = "endpoint",
     ) -> None:
+        super().__init__()
         self.store = store
         self.config = config or EndpointConfig()
         self.name = name
-        #: The most recent ``QUERY_LOG_SIZE`` queries, oldest first.
-        self.log: Deque[QueryLogEntry] = deque(maxlen=QUERY_LOG_SIZE)
-        self.query_count = 0
-        self.timeout_count = 0
         self._evaluator = QueryEvaluator(store)
-        self._lock = threading.Lock()
-        self._simulated_time = 0.0
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
 
     def run(
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
     ) -> Union[SelectResult, AskResult]:
-        """Run a query of either form — the one execution entry, as
-        ``FederatedQueryProcessor.run`` is (:meth:`select` and
-        :meth:`ask` only check the form); raises on timeout/rejection."""
-        # Untraced calls keep the pre-tracing _run arity: subclasses
-        # (test doubles, failure injectors) override _run(query).
-        return (self._run(query, tracer=tracer) if tracer is not None
-                else self._run(query))
-
-    def select(
-        self, query: Union[str, Query], tracer: Optional[Tracer] = None
-    ) -> SelectResult:
-        """Run a SELECT query; raises on timeout/rejection."""
-        result = self.run(query, tracer)
-        if not isinstance(result, SelectResult):
-            raise SparqlError("expected a SELECT query")
-        return result
-
-    def ask(
-        self, query: Union[str, Query], tracer: Optional[Tracer] = None
-    ) -> AskResult:
-        """Run an ASK query; raises on timeout/rejection."""
-        result = self.run(query, tracer)
-        if not isinstance(result, AskResult):
-            raise SparqlError("expected an ASK query")
-        return result
-
-    def analyze(
-        self, query: Union[str, Query], tracer: Optional[Tracer] = None
-    ) -> "tuple[Union[SelectResult, AskResult], QueryTrace]":
-        """EXPLAIN ANALYZE: execute ``query`` under this endpoint's
-        budget/timeout policy (logged exactly like ``select``/``ask``)
-        and return ``(result, trace)``."""
-        if tracer is None:
-            tracer = Tracer(query=query if isinstance(query, str) else "")
-        result = self._run(query, tracer=tracer)
-        return result, tracer.trace
-
-    def explain(self, query: Union[str, Query], analyze: bool = False) -> str:
-        """Plan dump for ``query`` against this endpoint's store.
-
-        With ``analyze=False`` (the default) this is free and unlogged:
-        planning is estimation-only by the store's meter-free contract,
-        so an EXPLAIN can never trip the timeout.  Plans under the same
-        cost budget ``select``/``ask`` would run with (including the
-        single-pattern scan speedup), so the dump shows the strategy
-        execution will actually use.
-
-        With ``analyze=True`` the query is *executed* (budgeted and
-        logged like any other run) and the execution trace — per-operator
-        wall time, rows, est→actual — is appended below the plan.
-        """
-        parsed = parse_query(query) if isinstance(query, str) else query
-        text = self._evaluator.explain(parsed, budget=self._budget_for(parsed))
-        if not analyze:
-            return text
-        # Imported here: eval.reporting sits above endpoint in the
-        # package graph (eval/__init__ pulls in core.sapphire → here).
-        from ..eval.reporting import format_trace
-
-        _, trace = self.analyze(query)
-        return f"{text}\n\n{format_trace(trace)}"
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated endpoint time spent so far (latency + execution)."""
-        return self._simulated_time
-
-    def reset_log(self) -> None:
-        with self._lock:
-            self.log.clear()
-            self.query_count = self.timeout_count = 0
-            self._simulated_time = 0.0
+        """Run a query under this endpoint's budget, row cap and log."""
+        return self._run(query, tracer)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _plan_text(self, query: Union[str, Query]) -> str:
+        # Plans under the same cost budget a run gets (including the
+        # single-pattern scan speedup), so the dump shows the strategy
+        # execution will actually use.
+        parsed = parse_query(query) if isinstance(query, str) else query
+        return self._evaluator.explain(parsed, budget=self._budget_for(parsed))
 
     def _run(
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
@@ -260,15 +328,11 @@ class SparqlEndpoint:
             raise
 
         seconds = self.config.latency_s + meter.cost / self.config.cost_units_per_second
-        truncated = False
-        rows = 0
-        if isinstance(result, SelectResult):
-            if self.config.max_rows is not None and len(result.rows) > self.config.max_rows:
-                result.rows = result.rows[: self.config.max_rows]
-                result.truncated = True
-                truncated = True
-            rows = len(result.rows)
-        self._record(text, "ok", meter.cost, seconds, rows=rows, truncated=truncated)
+        max_rows = self.config.max_rows
+        if isinstance(result, SelectResult) and max_rows is not None and len(result.rows) > max_rows:
+            result.rows = result.rows[:max_rows]
+            result.truncated = True
+        self._record(text, "ok", meter.cost, seconds, result)
         return result
 
     def _budget_for(self, parsed: Query) -> Optional[int]:
@@ -291,28 +355,3 @@ class SparqlEndpoint:
         if not patterns:
             return 0
         return min(self.store.cardinality_estimate(p) for p in patterns)
-
-    def _record(
-        self,
-        text: str,
-        outcome: str,
-        cost: int,
-        seconds: float,
-        rows: int = 0,
-        truncated: bool = False,
-    ) -> None:
-        with self._lock:
-            self.log.append(
-                QueryLogEntry(
-                    query=text,
-                    outcome=outcome,
-                    cost=cost,
-                    simulated_seconds=seconds,
-                    rows=rows,
-                    truncated=truncated,
-                )
-            )
-            self.query_count += 1
-            if outcome == "timeout":
-                self.timeout_count += 1
-            self._simulated_time += seconds

@@ -60,17 +60,16 @@ import dataclasses
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..endpoint.endpoint import SparqlEndpoint
+from ..endpoint.endpoint import QueryService
 from ..rdf.terms import IRI, Term, Variable
 from ..rdf.triples import Binding, TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query
-from ..sparql.errors import SparqlError
 from ..sparql.evaluator import explain_header, finalize_solutions
 from ..sparql.parser import parse_query
 from ..sparql.plan import CorrelatedLeftJoinNode, PlanNode, QueryPlanner, explain_plan
-from ..sparql.results import AskResult, SelectResult
+from ..sparql.results import AskResult
 from ..sparql.serializer import ask_query
-from ..sparql.trace import QueryTrace, Tracer
+from ..sparql.trace import Tracer
 from ..store.triplestore import TripleStore
 from .remote import (
     REMOTE_BATCH_SIZE,
@@ -111,11 +110,11 @@ def _generalize(pattern: TriplePattern) -> TriplePattern:
     )
 
 
-class FederatedQueryProcessor:
+class FederatedQueryProcessor(QueryService):
     """Evaluates SPARQL queries across a federation of endpoints.
 
-    Members need only the endpoint query surface (``select``/``ask``
-    raising :class:`EndpointError` subclasses) — in-process
+    Members need only the :class:`~repro.endpoint.endpoint.QueryService`
+    face, raising :class:`EndpointError` subclasses — in-process
     :class:`SparqlEndpoint` instances and network-backed
     :class:`~repro.net.client.HttpSparqlEndpoint` instances mix freely.
 
@@ -136,7 +135,7 @@ class FederatedQueryProcessor:
 
     def __init__(
         self,
-        endpoints: Sequence[SparqlEndpoint],
+        endpoints: Sequence[QueryService],
         bind_join_batch_size: int = REMOTE_BATCH_SIZE,
     ) -> None:
         if not endpoints:
@@ -145,7 +144,7 @@ class FederatedQueryProcessor:
             raise ValueError("bind_join_batch_size must be >= 1")
         self.endpoints = list(endpoints)
         self.bind_join_batch_size = bind_join_batch_size
-        self._source_cache: Dict[Tuple, List[SparqlEndpoint]] = {}
+        self._source_cache: Dict[Tuple, List[QueryService]] = {}
         self._cache_lock = threading.Lock()
         self._stats_cache: Dict[int, Optional[Dict]] = {}
         #: Requests, pushes, fallbacks and swallowed member errors
@@ -156,23 +155,9 @@ class FederatedQueryProcessor:
     # Public API
     # ------------------------------------------------------------------
 
-    def select(self, query, tracer: Optional[Tracer] = None) -> SelectResult:
-        """Run a SELECT query across the federation."""
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if parsed.form != "SELECT":
-            raise SparqlError("use ask() for ASK queries")
-        return self.run(parsed, tracer=tracer)
-
-    def ask(self, query, tracer: Optional[Tracer] = None) -> AskResult:
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if parsed.form != "ASK":
-            raise SparqlError("use select() for SELECT queries")
-        return self.run(parsed, tracer=tracer)
-
     def run(self, query, tracer: Optional[Tracer] = None):
         """Run a parsed or textual query of either form — the one
-        execution entry (:meth:`select` and :meth:`ask` only check the
-        form).
+        execution entry.
 
         A query whose patterns all live at one member ships to it as
         written and the member's result is returned as is
@@ -208,29 +193,11 @@ class FederatedQueryProcessor:
             parsed, list(self._solve(parsed.where, tracer)), tracer=tracer
         )
 
-    def analyze(
-        self, query, tracer: Optional[Tracer] = None
-    ) -> "tuple[SelectResult | AskResult, QueryTrace]":
-        """EXPLAIN ANALYZE across the federation: execute ``query``
-        under a tracer and return ``(result, trace)``."""
-        parsed = parse_query(query) if isinstance(query, str) else query
-        if tracer is None:
-            tracer = Tracer(query=query if isinstance(query, str) else "")
-        result = self.run(parsed, tracer=tracer)
-        return result, tracer.finish()
-
-    def explain(self, query, analyze: bool = False) -> str:
-        """Render the federated physical plan for ``query`` — the same
+    def _plan_text(self, query) -> str:
+        """The federated physical plan for ``query`` — the same
         operator-tree EXPLAIN as local execution, preceded by the
-        source-selection verdicts (probing runs, execution does not
-        unless ``analyze=True``, which appends the execution trace).
+        source-selection verdicts (probing runs, execution does not).
         """
-        if analyze:
-            from ..eval.reporting import format_trace
-
-            plan_text = self.explain(query)
-            _, trace = self.analyze(query)
-            return f"{plan_text}\n\n{format_trace(trace)}"
         parsed = parse_query(query) if isinstance(query, str) else query
         lines = [f"Federated {explain_header(parsed)}"]
         if len(self.endpoints) > 1:
@@ -264,7 +231,7 @@ class FederatedQueryProcessor:
     # Source selection
     # ------------------------------------------------------------------
 
-    def relevant_sources(self, pattern: TriplePattern) -> List[SparqlEndpoint]:
+    def relevant_sources(self, pattern: TriplePattern) -> List[QueryService]:
         """Endpoints that may hold matches for ``pattern`` (ASK probes)."""
         signature = _pattern_signature(pattern)
         with self._cache_lock:
@@ -272,7 +239,7 @@ class FederatedQueryProcessor:
         if cached is not None:
             return cached
         probe = ask_query([_generalize(pattern)])
-        relevant: List[SparqlEndpoint] = []
+        relevant: List[QueryService] = []
         for endpoint in self.endpoints:
             held = member_call(endpoint, probe, counters=self.counters)
             # An endpoint that cannot answer the probe (None) stays a
@@ -284,7 +251,7 @@ class FederatedQueryProcessor:
             # write wins so every caller sees one stable source list.
             return self._source_cache.setdefault(signature, relevant)
 
-    def single_source(self, query: Query) -> Optional[SparqlEndpoint]:
+    def single_source(self, query: Query) -> Optional[QueryService]:
         """The member that can answer ``query`` alone, if there is one.
 
         A federation of one member needs no probing.  Otherwise every
@@ -295,7 +262,7 @@ class FederatedQueryProcessor:
         """
         if len(self.endpoints) == 1:
             return self.endpoints[0]
-        named: Optional[SparqlEndpoint] = None
+        named: Optional[QueryService] = None
         for pattern in self._collect_patterns(query.where):
             for endpoint in self.relevant_sources(pattern):
                 if named is None:
@@ -317,7 +284,7 @@ class FederatedQueryProcessor:
             return self._stats_cache.setdefault(key, stats)
 
     def _pattern_estimate(
-        self, pattern: TriplePattern, sources: Sequence[SparqlEndpoint]
+        self, pattern: TriplePattern, sources: Sequence[QueryService]
     ) -> int:
         """Federated cardinality estimate: sum of per-source estimates."""
         total = 0
@@ -342,7 +309,7 @@ class FederatedQueryProcessor:
         return max(total, 1)
 
     def _distinct_estimate(
-        self, pattern: TriplePattern, name: str, sources: Sequence[SparqlEndpoint]
+        self, pattern: TriplePattern, name: str, sources: Sequence[QueryService]
     ) -> int:
         """Distinct values of ``name`` within ``pattern`` across sources."""
         total = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..endpoint.endpoint import EndpointError, SparqlEndpoint
+from ..endpoint.endpoint import EndpointError
 from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
 from ..sparql.plan import IdRow, PlanNode, _pattern_text
@@ -82,9 +82,9 @@ def member_call(source, query: Query, tracer=None,
     ``attrs`` (``kind=...``) label that span; ``rows`` or ``held`` is
     added from the result.
 
-    ``nest`` hands the tracer to an in-process member, so its operator
-    tree records under the remote span (network members continue the
-    trace through the context :meth:`Tracer.remote_call` sets).
+    ``nest`` hands the tracer to the member: an in-process member's
+    operator tree records under the remote span, a network member's
+    server continues the trace through :meth:`Tracer.remote_call`.
     """
     send = source.ask if query.form == "ASK" else source.select
     try:
@@ -93,10 +93,7 @@ def member_call(source, query: Query, tracer=None,
         else:
             with tracer.remote_call(source, **attrs) as span:
                 try:
-                    if nest and isinstance(source, SparqlEndpoint):
-                        result = send(query, tracer)
-                    else:
-                        result = send(query)
+                    result = send(query, tracer if nest else None)
                 except EndpointError as exc:
                     if span is not None:
                         span.attrs["error"] = type(exc).__name__
@@ -119,8 +116,8 @@ class RemoteScanNode(PlanNode):
     """Fetch one pattern (or an exclusive group of patterns that share
     a single relevant source) from remote endpoints.
 
-    ``sources`` need only the endpoint query surface (``select``/``ask``
-    raising ``EndpointError`` subclasses) — in-process and HTTP-backed
+    ``sources`` need only the :class:`~repro.endpoint.endpoint.QueryService`
+    face, raising ``EndpointError`` subclasses — in-process and HTTP-backed
     endpoints mix freely.  Result terms are interned into the executing
     store's dictionary, so the mediator joins them in ID space like any
     local rows.  Rows are deduplicated across sources (two endpoints

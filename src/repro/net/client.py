@@ -1,11 +1,11 @@
 """HTTP client endpoint speaking the SPARQL 1.1 Protocol.
 
-:class:`HttpSparqlEndpoint` presents the exact query surface of the
-in-process :class:`~repro.endpoint.endpoint.SparqlEndpoint` —
-``select``/``ask`` accepting text or a parsed AST, a ``log`` of
-:class:`~repro.endpoint.endpoint.QueryLogEntry`, ``query_count`` /
-``timeout_count`` / ``reset_log`` — but executes every query against a
-remote endpoint over HTTP.  Because the surface matches, a
+:class:`HttpSparqlEndpoint` presents the query face of the
+in-process :class:`~repro.endpoint.endpoint.SparqlEndpoint` — the
+:class:`~repro.endpoint.endpoint.QueryService` methods (``select`` /
+``ask`` / ``explain`` accepting text or a parsed AST) and its query
+log — but executes every query against a remote endpoint over HTTP.
+Because the face is the same, a
 :class:`~repro.federation.fedx.FederatedQueryProcessor` built over
 ``HttpSparqlEndpoint`` instances federates over live network endpoints
 with no code changes: source-selection ASK probes, exclusive groups and
@@ -52,21 +52,19 @@ import ssl
 import threading
 import time
 import urllib.parse
-from collections import deque
-from typing import Deque, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..endpoint.endpoint import (
-    QUERY_LOG_SIZE,
     EndpointError,
     EndpointTimeout,
-    QueryLogEntry,
+    LoggedQueryService,
     QueryRejected,
 )
 from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import serialize_query
-from ..sparql.trace import PARENT_SPAN_HEADER, TRACE_ID_HEADER
+from ..sparql.trace import PARENT_SPAN_HEADER, TRACE_ID_HEADER, Tracer
 from .formats import MIME_JSON, FormatError, parse_json
 from .http11 import FramingError, Headers, Response, read_response
 from .suggest import (
@@ -269,12 +267,12 @@ class _WireClient:
                 attempt += 1
 
 
-class HttpSparqlEndpoint(_WireClient):
+class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
     """A remote SPARQL endpoint reached over the SPARQL 1.1 Protocol.
 
     Drop-in replacement for :class:`SparqlEndpoint` wherever only the
-    query surface is used (the federation, initialization probes).
-    Retry knobs as in :class:`_WireClient`; pass a seeded
+    :class:`QueryService` face is used (the federation, initialization
+    probes).  Retry knobs as in :class:`_WireClient`; pass a seeded
     ``random.Random`` as ``rng`` for deterministic tests.
     """
 
@@ -295,13 +293,9 @@ class HttpSparqlEndpoint(_WireClient):
         # is the only stochastic client path, and a replay must be
         # reproducible end to end.  Pass your own rng to decorrelate
         # concurrent clients sharing a name.
-        super().__init__(name, rng or random.Random(f"endpoint:{name}"),
-                         timeout_s, max_retries, backoff_s, backoff_cap_s)
-        #: The most recent ``QUERY_LOG_SIZE`` queries, oldest first.
-        self.log: Deque[QueryLogEntry] = deque(maxlen=QUERY_LOG_SIZE)
-        self.query_count = 0
-        self.timeout_count = 0
-        self._lock = threading.Lock()
+        _WireClient.__init__(self, name, rng or random.Random(f"endpoint:{name}"),
+                             timeout_s, max_retries, backoff_s, backoff_cap_s)
+        LoggedQueryService.__init__(self)
         # Distributed-trace context (docs/tracing.md): when set by
         # Tracer.remote_call, outgoing queries carry the trace id and
         # the calling span's id as headers so the remote server records
@@ -309,22 +303,35 @@ class HttpSparqlEndpoint(_WireClient):
         # endpoint object may serve concurrent federated queries.
         self._trace_context = threading.local()
 
-    # ------------------------------------------------------------------
-    # Endpoint query surface (mirrors SparqlEndpoint)
-    # ------------------------------------------------------------------
-
-    def select(self, query: Union[str, Query]) -> SelectResult:
-        """Run a SELECT query remotely; raises on timeout/rejection."""
-        result = self._run(query)
-        if not isinstance(result, SelectResult):
-            raise SparqlError("expected a SELECT query")
-        return result
-
-    def ask(self, query: Union[str, Query]) -> AskResult:
-        """Run an ASK query remotely; raises on timeout/rejection."""
-        result = self._run(query)
-        if not isinstance(result, AskResult):
-            raise SparqlError("expected an ASK query")
+    def run(
+        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+    ) -> Union[SelectResult, AskResult]:
+        """Run a query of either form remotely; raises on
+        timeout/rejection.  The remote server records the spans:
+        ``tracer`` continues there through the context
+        :meth:`Tracer.remote_call` sets (:meth:`set_trace_context`)."""
+        text = query if isinstance(query, str) else serialize_query(query)
+        # Remote cost is invisible to the client: logged as 0, with the
+        # elapsed wall time as the entry's seconds.
+        started = time.perf_counter()
+        try:
+            headers, payload = self._call(self.url, _form(text), {
+                "Content-Type": MIME_FORM,
+                "Accept": MIME_JSON,
+                **self._trace_headers(),
+            })
+            try:
+                result = parse_json(payload)
+            except FormatError as exc:
+                raise EndpointError(f"{self.name}: unparseable response: {exc}") from None
+        except (EndpointError, SparqlError) as exc:
+            outcome = ("timeout" if isinstance(exc, EndpointTimeout) else
+                       "rejected" if isinstance(exc, QueryRejected) else "error")
+            self._record(text, outcome, 0, time.perf_counter() - started)
+            raise
+        if headers.get("X-Result-Truncated") == "true" and isinstance(result, SelectResult):
+            result.truncated = True
+        self._record(text, "ok", 0, time.perf_counter() - started, result)
         return result
 
     def set_trace_context(self, trace_id: Optional[str],
@@ -351,27 +358,20 @@ class HttpSparqlEndpoint(_WireClient):
             headers[PARENT_SPAN_HEADER] = parent_span_id
         return headers
 
-    def analyze(self, query: Union[str, Query]) -> str:
-        """Remote EXPLAIN ANALYZE: execute and return the rendered
-        operator trace tree (``analyze=true`` over the protocol).
+    # ------------------------------------------------------------------
+    # Wire protocol
+    # ------------------------------------------------------------------
 
-        Unlike :meth:`explain` this *runs* the query on the server, so
-        it passes through remote admission control and deadlines; like
-        ``explain`` it is not recorded in the client query log.
-        """
-        return self._plan_text(query, "analyze")
+    def _form_of(self, query: Union[str, Query]) -> Optional[str]:
+        # Text is sent as written, never parsed here: its form shows in
+        # the result that comes back.
+        return None if isinstance(query, str) else query.form
 
-    def explain(self, query: Union[str, Query]) -> str:
-        """Remote EXPLAIN: the server's plan dump for ``query``.
-
-        Mirrors :meth:`SparqlEndpoint.explain` over the wire via the
-        protocol's ``explain=true`` form field.  Free and unlogged on
-        both sides (planning is estimation-only), so an EXPLAIN never
-        skews the query log a benchmark is counting.
-        """
-        return self._plan_text(query, "explain")
-
-    def _plan_text(self, query: Union[str, Query], flag: str) -> str:
+    def _plan_text(self, query: Union[str, Query], flag: str = "explain") -> str:
+        """The server's plan dump (``explain=true``), or with ``flag``
+        ``"analyze"`` its rendered trace of one execution.  Both are
+        unlogged on the client; an ANALYZE runs on the server, through
+        its admission control and deadline."""
         # One attempt: a plan is cheap to ask for again, and an ANALYZE
         # that was rejected should say so.
         _, payload = self._once(self.url, _form(query, **{flag: "true"}), {
@@ -381,71 +381,9 @@ class HttpSparqlEndpoint(_WireClient):
         })
         return payload.decode("utf-8")
 
-    def reset_log(self) -> None:
-        with self._lock:
-            self.log.clear()
-            self.query_count = self.timeout_count = 0
-
-    # ------------------------------------------------------------------
-    # Wire protocol
-    # ------------------------------------------------------------------
-
-    def _run(self, query: Union[str, Query]) -> Union[SelectResult, AskResult]:
-        text = query if isinstance(query, str) else serialize_query(query)
-        started = time.perf_counter()
-        try:
-            result = self._post(text)
-        except EndpointTimeout:
-            self._record(text, "timeout", started)
-            raise
-        except QueryRejected:
-            self._record(text, "rejected", started)
-            raise
-        except (EndpointError, SparqlError):
-            self._record(text, "error", started)
-            raise
-        rows = len(result.rows) if isinstance(result, SelectResult) else 0
-        truncated = getattr(result, "truncated", False)
-        self._record(text, "ok", started, rows=rows, truncated=truncated)
-        return result
-
-    def _post(self, text: str) -> Union[SelectResult, AskResult]:
-        headers, payload = self._call(self.url, _form(text), {
-            "Content-Type": MIME_FORM,
-            "Accept": MIME_JSON,
-            **self._trace_headers(),
-        })
-        try:
-            result = parse_json(payload)
-        except FormatError as exc:
-            raise EndpointError(f"{self.name}: unparseable response: {exc}") from None
-        if headers.get("X-Result-Truncated") == "true" and isinstance(result, SelectResult):
-            result.truncated = True
-        return result
-
-    def _record(
-        self,
-        text: str,
-        outcome: str,
-        started: float,
-        rows: int = 0,
-        truncated: bool = False,
-    ) -> None:
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self.log.append(
-                QueryLogEntry(
-                    query=text,
-                    outcome=outcome,
-                    cost=0,  # remote cost is invisible to the client
-                    simulated_seconds=elapsed,
-                    rows=rows,
-                    truncated=truncated,
-                )
-            )
-            self.query_count += 1
-            if outcome == "timeout":
-                self.timeout_count += 1
+    def _trace_text(self, query: Union[str, Query]) -> str:
+        # The server renders the trace of its own execution.
+        return self._plan_text(query, "analyze")
 
 
 class HttpSapphireClient(_WireClient):

@@ -121,8 +121,8 @@ _STATUS_LINES = {
 class SparqlWsgiApp:
     """WSGI callable speaking the SPARQL 1.1 Protocol for one backend.
 
-    ``backend`` is anything with the endpoint query surface: a
-    :class:`~repro.endpoint.endpoint.SparqlEndpoint`, a
+    ``backend`` is a :class:`~repro.endpoint.endpoint.QueryService` —
+    a :class:`~repro.endpoint.endpoint.SparqlEndpoint`, a
     :class:`~repro.federation.fedx.FederatedQueryProcessor`, or a
     :class:`~repro.core.sapphire.SapphireServer` (served through its
     federation).  Parsed queries go to the backend's one execution
@@ -571,11 +571,8 @@ class SparqlWsgiApp:
         text, the same dump the in-process ``explain()`` surfaces
         return.
         """
-        explain = getattr(self.backend, "explain", None)
-        if explain is None:
-            raise _HttpFail(400, "this endpoint does not support explain")
         try:
-            plan = explain(text)
+            plan = self.backend.explain(text)
         except SparqlError as exc:
             raise _HttpFail(400, f"parse error: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 — a handler must not crash the server

@@ -319,14 +319,14 @@ class TestCheckout:
                 releaser.cancel()
                 backend.release.set()
 
-    @pytest.mark.parametrize("method", ["explain", "analyze"])
-    def test_plan_calls_time_out_as_endpoint_timeout(self, method):
+    @pytest.mark.parametrize("analyze", [False, True])
+    def test_plan_calls_time_out_as_endpoint_timeout(self, analyze):
         backend = _Stalling()
         with SparqlHttpServer(backend, deadline_s=30.0) as server:
             client = HttpSparqlEndpoint(server.url, timeout_s=0.3)
             try:
                 with pytest.raises(EndpointTimeout):
-                    getattr(client, method)(ASK)
+                    client.explain(ASK, analyze=analyze)
             finally:
                 backend.release.set()
 

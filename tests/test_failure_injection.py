@@ -23,12 +23,12 @@ class FlakyEndpoint(SparqlEndpoint):
         self._period = period
         self._calls = 0
 
-    def _run(self, query):
+    def _run(self, query, tracer=None):
         self._calls += 1
         if self._calls % self._period == 0:
             self._record("<flaky>", "timeout", 0, 1.0)
             raise EndpointTimeout(f"{self.name}: injected timeout")
-        return super()._run(query)
+        return super()._run(query, tracer)
 
 
 @pytest.fixture

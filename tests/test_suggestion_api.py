@@ -542,14 +542,14 @@ class FlakyRejectingEndpoint(SparqlEndpoint):
         self._flakes = {}
         self._flake_per_query = flake_per_query
 
-    def _run(self, query):
+    def _run(self, query, tracer=None):
         key = query if isinstance(query, str) else id(query)
         seen = self._flakes.get(key, 0)
         if seen < self._flake_per_query:
             self._flakes[key] = seen + 1
             self._record("<flaky>", "rejected", 0, 0.0)
             raise QueryRejected(f"{self.name}: injected 503")
-        return super()._run(query)
+        return super()._run(query, tracer)
 
 
 class TestInitializationRetries:
