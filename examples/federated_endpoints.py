@@ -14,6 +14,7 @@ endpoint (books/films/shows), then runs the federation two ways:
    a real socket, exactly like federating DBpedia with Wikidata.
 
 Run:  python examples/federated_endpoints.py
+(exits non-zero if the HTTP federation's rows differ from the in-process one's)
 """
 
 from repro import (
@@ -114,6 +115,8 @@ def main() -> None:
                      for r in wire_rows.rows}
         print(f"  parity with in-process federation: "
               f"{'identical' if local_rows == over_http else 'MISMATCH'}")
+        if local_rows != over_http:
+            raise SystemExit("the federation over HTTP disagrees with the in-process one")
 
         stats = people_http.stats.snapshot()
         print(f"  people /stats: {stats['requests']} requests, "

@@ -42,8 +42,11 @@ in :mod:`~repro.federation.remote`:
    own OPTIONALs run per base solution (the bindings ship, the optional
    pattern is never fetched whole); those nested in UNION / MINUS
    branches are the algebraic left join.
-5. Solution modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) run at
-   the mediator by reusing the local evaluator's pipeline.
+5. The plan runs and finishes at the mediator through the local
+   evaluator's :func:`~repro.sparql.evaluator.run_plan`: solution
+   modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) are the one
+   columnar tail, and a query whose only cut is LIMIT stops pulling —
+   and so stops sending member requests — once its page is full.
 
 A member's ``EndpointError`` never vetoes the others' answers, and is
 never silent either: every member request is counted
@@ -58,19 +61,18 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..endpoint.endpoint import QueryService
 from ..rdf.terms import IRI, Term, Variable
-from ..rdf.triples import Binding, TriplePattern
+from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query
-from ..sparql.evaluator import explain_header, finalize_solutions
+from ..sparql.evaluator import explain_header, run_plan
 from ..sparql.parser import parse_query
 from ..sparql.plan import CorrelatedLeftJoinNode, PlanNode, QueryPlanner, explain_plan
-from ..sparql.results import AskResult
 from ..sparql.serializer import ask_query
 from ..sparql.trace import Tracer
-from ..store.triplestore import TripleStore
+from ..store.triplestore import CostMeter, TripleStore
 from .remote import (
     REMOTE_BATCH_SIZE,
     FederationCounters,
@@ -183,15 +185,11 @@ class FederatedQueryProcessor(QueryService):
                 self.counters.add("single_source")
                 return result
             self.counters.add("fallbacks")
-        if parsed.form == "ASK":
-            for _ in self._solve(parsed.where, tracer):
-                return AskResult(True)
-            return AskResult(False)
-        # Solution modifiers at the mediator, via the shared pipeline
-        # tail (ORDER BY sees pre-projection solutions, as locally).
-        return finalize_solutions(
-            parsed, list(self._solve(parsed.where, tracer)), tracer=tracer
-        )
+        # Remote terms intern into a fresh mediator store per query; the
+        # plan runs and finishes there exactly as a local plan does.
+        store = TripleStore()
+        plan = FederatedPlanner(self, store).plan(parsed.where)
+        return run_plan(parsed, plan, store, CostMeter(), tracer=tracer)
 
     def _plan_text(self, query) -> str:
         """The federated physical plan for ``query`` — the same
@@ -327,26 +325,6 @@ class FederatedQueryProcessor(QueryService):
             else:
                 return 0
         return total
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-
-    def _solve(
-        self, group: GraphPattern, tracer: Optional[Tracer] = None
-    ) -> Iterator[Binding]:
-        """Execute one group across the federation: compile it, stream
-        the plan over a fresh mediator store, decode."""
-        store = TripleStore()
-        plan = FederatedPlanner(self, store).plan(group)
-        decode = store.decode_id
-        names = plan.variables
-        for row in plan.rows(store, None, tracer=tracer):
-            yield {
-                name: decode(term_id)
-                for name, term_id in zip(names, row)
-                if term_id is not None
-            }
 
     # ------------------------------------------------------------------
     # Introspection helpers

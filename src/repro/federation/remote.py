@@ -1,12 +1,13 @@
 """The federation's remote physical operators.
 
-:class:`RemoteScanNode` and :class:`RemoteBindJoinNode` are row-wise
-:class:`~repro.sparql.plan.PlanNode` subclasses: they fetch a pattern
-(or exclusive group) from remote endpoints, or probe them once per
-*batch* of left rows by shipping the accumulated bindings as a single
-``VALUES`` clause instead of one HTTP round-trip per binding.  Remote
-terms are interned into the mediator's dictionary, so every operator
-in :mod:`repro.sparql.plan` composes with them unchanged.
+:class:`RemoteScanNode` and :class:`RemoteBindJoinNode` are
+:class:`~repro.sparql.plan.PlanNode` subclasses under the one batch
+contract: they fetch a pattern (or exclusive group) from remote
+endpoints, or probe them once per *batch* of left rows by shipping the
+accumulated bindings as a single ``VALUES`` clause instead of one HTTP
+round-trip per binding, and chunk the rows they build into batches.
+Remote terms are interned into the mediator's dictionary, so every
+operator in :mod:`repro.sparql.plan` composes with them unchanged.
 
 Every request the federation sends to a member goes through
 :func:`member_call`: counted in :class:`FederationCounters`, one
@@ -23,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..endpoint.endpoint import EndpointError
 from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import GraphPattern, Query, ValuesClause
-from ..sparql.plan import IdRow, PlanNode, _pattern_text
+from ..sparql.plan import UNBOUND, Batch, IdRow, PlanNode, _chunked, _pattern_text, _raw_rows
 from ..sparql.serializer import ask_query, select_query
 from ..store.triplestore import CostMeter, TripleStore
 
@@ -137,12 +138,16 @@ class RemoteScanNode(PlanNode):
                     names.append(name)
         super().__init__(tuple(names), est_rows)
 
-    def _produce(
+    def _produce_batches(
         self,
         store: TripleStore,
         meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Batch]:
+        return _chunked(self._fetched_rows(store, meter, tracer), batch_size)
+
+    def _fetched_rows(self, store, meter, tracer) -> Iterator[IdRow]:
         charge = meter.charge if meter is not None else None
         if not self.variables:
             # Fully ground patterns: a federated existence check.
@@ -163,7 +168,7 @@ class RemoteScanNode(PlanNode):
                 continue
             for row in result.rows:
                 ids = tuple(
-                    encode(row[name]) if name in row else None
+                    encode(row[name]) if name in row else UNBOUND
                     for name in self.variables
                 )
                 if ids in seen:
@@ -216,14 +221,18 @@ class RemoteBindJoinNode(PlanNode):
         # binds them); the rest of the left row keeps its status.
         self.maybe_unbound = left.maybe_unbound - set(self.shared)
 
-    def _produce(
+    def _produce_batches(
         self,
         store: TripleStore,
         meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Batch]:
+        return _chunked(self._joined_rows(store, meter, batch_size, tracer), batch_size)
+
+    def _joined_rows(self, store, meter, batch_size, tracer) -> Iterator[IdRow]:
         batch: List[IdRow] = []
-        for lrow in self.left.rows(store, meter, tracer=tracer):
+        for lrow in _raw_rows(self.left, store, meter, batch_size, tracer):
             batch.append(lrow)
             if len(batch) >= self.batch_size:
                 yield from self._flush(batch, store, meter, tracer)
@@ -242,7 +251,7 @@ class RemoteBindJoinNode(PlanNode):
         term_keys: Dict[Tuple, None] = {}
         for lrow in batch:
             key = tuple(
-                None if lrow[slot] is None else decode(lrow[slot])
+                None if lrow[slot] == UNBOUND else decode(lrow[slot])
                 for slot in self.left_key_slots
             )
             term_keys.setdefault(key)
@@ -278,7 +287,7 @@ class RemoteBindJoinNode(PlanNode):
 
         for lrow in batch:
             lkey = tuple(
-                None if lrow[slot] is None else decode(lrow[slot])
+                None if lrow[slot] == UNBOUND else decode(lrow[slot])
                 for slot in self.left_key_slots
             )
             if None not in lkey:
@@ -298,11 +307,11 @@ class RemoteBindJoinNode(PlanNode):
                     # unbound: the joined solution takes the new value.
                     cells = list(lrow)
                     for position, slot in enumerate(self.left_key_slots):
-                        if cells[slot] is None and key[position] is not None:
+                        if cells[slot] == UNBOUND and key[position] is not None:
                             cells[slot] = encode(key[position])
                     merged = tuple(cells)
                 yield merged + tuple(
-                    None if term is None else encode(term) for term in extension
+                    UNBOUND if term is None else encode(term) for term in extension
                 )
 
     def label(self) -> str:

@@ -44,7 +44,7 @@ order.  ``maybe_unbound()`` is the subset not guaranteed to be bound in
 every solution (UNION branches that skip a variable, UNDEF cells,
 OPTIONAL extensions).  Physical planners use the distinction: joining
 on a maybe-unbound variable needs SPARQL compatibility semantics, which
-a hash join over IDs cannot express, so those joins get the row-wise
+a hash join over IDs cannot express, so those joins get the nested-loop
 compatibility operators.
 """
 

@@ -5,15 +5,18 @@ optimize → physical execution).  :class:`QueryEvaluator` parses, hands
 the WHERE group to the shared optimizer
 (:class:`~repro.sparql.plan.QueryPlanner`, which translates and
 normalizes through :mod:`~repro.sparql.algebra` and returns a physical
-plan for every group), pulls that plan's batches into one ID column per
-variable and finishes every SELECT through the one columnar tail
+plan for every group) and runs the plan through :func:`run_plan`, which
+pulls its batches into one ID column per variable and finishes every
+SELECT through the one columnar tail
 (:func:`~repro.sparql.tail.finish_columns`): projection, DISTINCT,
 OFFSET / LIMIT, GROUP BY, aggregates and ORDER BY exist once.  The one
-choice left here is how many batches to pull — all of them, or, when
-LIMIT is the query's only cut, page-sized batches until the page can be
-filled.  There is no second way to solve a group or to finish one: the
-term-space solver and tail the engine is checked against live in
-``tests/reference_solver.py`` and ``tests/reference_tail.py``.
+choice :func:`run_plan` makes is how many batches to pull — all of
+them, or, when LIMIT is the query's only cut, page-sized batches until
+the page can be filled.  The split federation finishes its plan through
+the same function.  There is no second way to solve a group or to
+finish one: the term-space solver and tail the engine is checked
+against live in ``tests/reference_solver.py`` and
+``tests/reference_tail.py``.
 
 Cost metering: every index probe and join output charges the meter, so
 a budgeted endpoint aborts long evaluations exactly like a remote
@@ -46,7 +49,7 @@ from .results import AskResult, SelectResult
 from .tail import _variable_name, finish_columns, tail_label
 from .trace import Tracer
 
-__all__ = ["QueryEvaluator", "evaluate", "explain_header", "finalize_solutions"]
+__all__ = ["QueryEvaluator", "evaluate", "explain_header", "finalize_solutions", "run_plan"]
 
 
 class QueryEvaluator:
@@ -82,7 +85,7 @@ class QueryEvaluator:
         store generation); each plan gets a planner of its own (the
         scope of its query-local IDs)."""
         key = (id(group), budget)
-        generation = getattr(self.store, "generation", None)
+        generation = self.store.generation
         entry = self._plan_cache.get(key)
         if entry is not None and entry[0] is group and entry[1] == generation:
             if tracer is not None:
@@ -113,11 +116,8 @@ class QueryEvaluator:
         (a single ``is None`` test per operator per query).
         """
         meter = meter or CostMeter()
-        if query.form == "ASK":
-            plan = self._plan_group(query.where, meter.budget, tracer)
-            held = any(plan.batches(self.store, meter, self.batch_size, tracer))
-            return AskResult(held, cost=meter.cost)
-        return self._evaluate_select(query, meter, tracer)
+        plan = self._plan_group(query.where, meter.budget, tracer)
+        return run_plan(query, plan, self.store, meter, self.batch_size, tracer)
 
     def analyze(
         self,
@@ -165,64 +165,77 @@ class QueryEvaluator:
         lines.append(explain_plan(self._plan_group(parsed.where, budget)))
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
-    # SELECT pipeline
-    # ------------------------------------------------------------------
 
-    def _evaluate_select(
-        self, query: Query, meter: CostMeter, tracer: Optional[Tracer] = None
-    ) -> SelectResult:
-        plan = self._plan_group(query.where, meter.budget, tracer)
-        batches = self._pull(query, plan, meter, tracer)
-        if len(batches) == 1:
-            columns: Sequence[array] = batches[0].columns
+def run_plan(
+    query: Query,
+    plan: PlanNode,
+    store: TripleStore,
+    meter: CostMeter,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    tracer: Optional[Tracer] = None,
+):
+    """Run ``query``'s planned WHERE group over ``store`` and finish it:
+    an ASK holds on the plan's first batch; a SELECT's batches
+    (:func:`_pull`) become one ID column per variable for the tail.
+    Local evaluation and the split federation both end here."""
+    if query.form == "ASK":
+        return AskResult(any(plan.batches(store, meter, batch_size, tracer)), cost=meter.cost)
+    batches = _pull(query, plan, store, meter, batch_size, tracer)
+    if len(batches) == 1:
+        columns: Sequence[array] = batches[0].columns
+    else:
+        columns = [array("q") for _ in plan.variables]
+        for batch in batches:
+            for column, part in zip(columns, batch.columns):
+                column.extend(part)
+    return finish_columns(
+        query,
+        dict(zip(plan.variables, columns)),
+        sum(batch.length for batch in batches),
+        plan.decoder(store),
+        any(batch.has_unbound for batch in batches),
+        cost=meter.cost,
+        tracer=tracer,
+    )
+
+
+def _pull(
+    query: Query,
+    plan: PlanNode,
+    store: TripleStore,
+    meter: CostMeter,
+    batch_size: int,
+    tracer: Optional[Tracer],
+) -> List[Batch]:
+    """The batches the answer needs: all of them, unless LIMIT is the
+    query's only cut.  Then batches of at most OFFSET + LIMIT rows
+    until the rows gathered — under DISTINCT, the distinct projected
+    ID keys — can fill the page, and none at all for ``LIMIT 0``: a
+    paged query is metered for its page, not for the whole answer.
+    """
+    limit = query.limit
+    if limit is None or query.has_aggregates() or query.group_by or query.order_by:
+        return list(plan.batches(store, meter, batch_size, tracer))
+    if limit == 0:
+        return []
+    slots = _distinct_slots(query, plan) if query.distinct else None
+    if query.distinct and slots is None:
+        # An expression's DISTINCT key is its value: drain the plan.
+        return list(plan.batches(store, meter, batch_size, tracer))
+    page = limit + (query.offset or 0)
+    pulled: List[Batch] = []
+    keys: set = set()
+    gathered = 0
+    for batch in plan.batches(store, meter, min(batch_size, page), tracer):
+        pulled.append(batch)
+        if slots is None:
+            gathered += batch.length
         else:
-            columns = [array("q") for _ in plan.variables]
-            for batch in batches:
-                for column, part in zip(columns, batch.columns):
-                    column.extend(part)
-        return finish_columns(
-            query,
-            dict(zip(plan.variables, columns)),
-            sum(batch.length for batch in batches),
-            plan.decoder(self.store),
-            any(batch.has_unbound for batch in batches),
-            cost=meter.cost,
-            tracer=tracer,
-        )
-
-    def _pull(
-        self, query: Query, plan: PlanNode, meter: CostMeter, tracer: Optional[Tracer]
-    ) -> List[Batch]:
-        """The batches the answer needs: all of them, unless LIMIT is the
-        query's only cut.  Then batches of at most OFFSET + LIMIT rows
-        until the rows gathered — under DISTINCT, the distinct projected
-        ID keys — can fill the page, and none at all for ``LIMIT 0``: a
-        paged query is metered for its page, not for the whole answer.
-        """
-        store, batch_size, limit = self.store, self.batch_size, query.limit
-        if limit is None or query.has_aggregates() or query.group_by or query.order_by:
-            return list(plan.batches(store, meter, batch_size, tracer))
-        if limit == 0:
-            return []
-        slots = _distinct_slots(query, plan) if query.distinct else None
-        if query.distinct and slots is None:
-            # An expression's DISTINCT key is its value: drain the plan.
-            return list(plan.batches(store, meter, batch_size, tracer))
-        page = limit + (query.offset or 0)
-        pulled: List[Batch] = []
-        keys: set = set()
-        gathered = 0
-        for batch in plan.batches(store, meter, min(batch_size, page), tracer):
-            pulled.append(batch)
-            if slots is None:
-                gathered += batch.length
-            else:
-                keys.update(_key_column(batch.columns, slots, batch.length))
-                gathered = len(keys)
-            if gathered >= page:
-                break
-        return pulled
+            keys.update(_key_column(batch.columns, slots, batch.length))
+            gathered = len(keys)
+        if gathered >= page:
+            break
+    return pulled
 
 
 def _distinct_slots(query: Query, plan: PlanNode) -> Optional[Tuple[int, ...]]:
@@ -266,9 +279,8 @@ def finalize_solutions(
     """Apply a query's solution modifiers to solutions held as mappings.
 
     A thin caller of the one tail (:func:`~repro.sparql.tail.finish_columns`,
-    here over columns of terms): the federated processor's remote rows,
-    and the QSM's probe-group rows finish through exactly the code local
-    plans finish through.
+    here over columns of terms): the QSM's probe-group rows finish
+    through exactly the code local plans finish through.
     """
     names = list(dict.fromkeys(chain.from_iterable(solutions)))
     columns = {name: [solution.get(name) for solution in solutions] for name in names}

@@ -7,12 +7,12 @@ logical tree into a tree of streaming physical operators.  Execution is
 **batched and columnar**: operators exchange :class:`Batch` objects —
 tuples of ``array('q')`` ID columns plus a length — via the
 :meth:`PlanNode.batches` contract, and terms are decoded only for
-FILTER evaluation and final materialization.  :meth:`PlanNode.rows`
-is a thin row-at-a-time adapter over :meth:`~PlanNode.batches` for
-consumers that want tuples (pagination, federation glue).  Every
-operator has exactly one producer: ``_produce_batches`` when it is
-natively columnar, ``_produce`` when it is row-wise (the base class
-chunks its rows into batches).
+FILTER evaluation and final materialization.  Every operator has one
+producer, ``_produce_batches``, and one empty-cell marker,
+:data:`UNBOUND`; an operator that works a row at a time (the
+compatibility joins, the per-solution OPTIONAL, the federation's
+remote fetches) reads its children's batches row by row and hands its
+rows to :func:`_chunked`.
 
 Plan nodes
 ----------
@@ -28,15 +28,15 @@ Plan nodes
   the right pattern, which keeps selective queries (and their cost-meter
   profile) identical to the seed path.
 * :class:`UnionNode` — concatenates branch streams, padding variables a
-  branch does not bind with ``None`` (the unbound slot marker).
+  branch does not bind with :data:`UNBOUND`.
 * :class:`MinusNode` — anti-join on IDs implementing SPARQL MINUS
   compatibility (drop a left row when a right row agrees on at least
   one shared bound variable and disagrees on none).
 * :class:`ValuesScanNode` — an inline VALUES table, translated to IDs
   at plan time so downstream joins stay in ID space (``Unit()`` — one
   empty row — is the empty group).
-* :class:`CompatJoinNode` / :class:`LeftJoinNode` — row-wise joins with
-  full compatibility semantics, for a key a UNION branch, an ``UNDEF``
+* :class:`CompatJoinNode` / :class:`LeftJoinNode` — nested-loop joins
+  with full compatibility semantics, for a key a UNION branch, an ``UNDEF``
   cell or an earlier OPTIONAL may leave unbound.
 * :class:`CorrelatedLeftJoinNode` — OPTIONAL evaluated once per left
   row with that row's bindings, where the group must see its base
@@ -49,7 +49,7 @@ per distinct key of their variables' columns.  The planner is total:
 ``docs/query-planning.md`` has the table of shape → operator → why it
 is sound, and the federation compiles through a subclass of it
 (:mod:`repro.federation.fedx`; its remote operators compose with the
-ones here through the same two contracts).
+ones here through the same contract).
 
 Cost model
 ----------
@@ -70,12 +70,13 @@ from __future__ import annotations
 
 import threading
 from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
 from ..rdf.triples import TriplePattern
 from ..store.dictionary import NO_ID
+from ..store.sharded import ShardedBackend
 from ..store.triplestore import CostMeter, TripleStore
 from .algebra import (
     AlgebraNode,
@@ -122,13 +123,12 @@ __all__ = [
 BIND_JOIN_FACTOR = 8
 
 #: One intermediate row: dictionary IDs aligned with ``node.variables``.
-#: A ``None`` entry marks an unbound slot (UNION branch that skips the
-#: variable, UNDEF cell in a VALUES table).
-IdRow = Tuple[Optional[int], ...]
+IdRow = Tuple[int, ...]
 
-#: The unbound-slot sentinel inside batch columns.  ``array('q')`` can
-#: only hold integers, and no valid dictionary ID is negative, so ``-1``
-#: plays the role ``None`` plays in :data:`IdRow` tuples.  IDs below it
+#: The one unbound-slot marker, in columns and rows alike (UNION branch
+#: that skips the variable, UNDEF cell in a VALUES table, OPTIONAL that
+#: matched nothing).  ``array('q')`` can only hold integers, and no
+#: valid dictionary ID is negative, so ``-1`` is free.  IDs below it
 #: are query-local: VALUES terms the store never interned
 #: (:meth:`QueryPlanner._term_id`, decoded by :meth:`PlanNode.decoder`).
 UNBOUND = -1
@@ -146,9 +146,9 @@ class Batch:
     in ``node.variables`` slot order; ``length`` is the row count (kept
     explicitly so zero-variable batches — existence rows — still have a
     cardinality).  ``has_unbound`` is True when some cell may hold the
-    :data:`UNBOUND` sentinel; it lets :meth:`iter_rows` skip the
-    ``-1 → None`` translation on the (overwhelmingly common) all-bound
-    batches.  A False flag is a guarantee; True is merely conservative.
+    :data:`UNBOUND` sentinel; it lets the tail skip unbound handling on
+    the (overwhelmingly common) all-bound batches.  A False flag is a
+    guarantee; True is merely conservative.
     """
 
     __slots__ = ("columns", "length", "has_unbound")
@@ -166,27 +166,31 @@ class Batch:
     def __len__(self) -> int:
         return self.length
 
-    def iter_rows(self) -> Iterator[IdRow]:
-        """Rows as :data:`IdRow` tuples (``None`` for unbound slots)."""
+    def iter_raw(self) -> Iterator[IdRow]:
+        """Rows as :data:`IdRow` tuples."""
         if not self.columns:
             empty: IdRow = ()
             for _ in range(self.length):
                 yield empty
             return
-        if not self.has_unbound:
-            yield from zip(*self.columns)
-            return
-        for raw in zip(*self.columns):
-            yield tuple(None if cell == UNBOUND else cell for cell in raw)
-
-    def iter_raw(self) -> Iterator[Tuple[int, ...]]:
-        """Rows as raw int tuples (:data:`UNBOUND` kept as ``-1``)."""
-        if not self.columns:
-            empty: Tuple[int, ...] = ()
-            for _ in range(self.length):
-                yield empty
-            return
         yield from zip(*self.columns)
+
+
+def _chunked(rows: Iterator[IdRow], batch_size: int) -> Iterator[Batch]:
+    """A row-at-a-time operator's rows as batches of ``batch_size``:
+    pulled lazily, so a cut upstream stops the operator mid-stream.
+    (A chunk's width is its rows': zero-variable rows give no columns.)"""
+    for chunk in iter(lambda: list(islice(rows, batch_size)), []):
+        columns = tuple(array("q", column) for column in zip(*chunk))
+        yield Batch(columns, len(chunk), any(UNBOUND in column for column in columns))
+
+
+def _raw_rows(node: "PlanNode", store, meter, batch_size: int, tracer) -> Iterator[IdRow]:
+    """``node``'s batches read row by row — a row-at-a-time operator's
+    view of its child."""
+    return chain.from_iterable(
+        batch.iter_raw() for batch in node.batches(store, meter, batch_size, tracer)
+    )
 
 
 def _gather(columns: Sequence[array], selection: Sequence[int]) -> Tuple[array, ...]:
@@ -288,10 +292,8 @@ class _ColumnFilter:
         return list(map(verdicts.__getitem__, keys))
 
     def passes(self, row: IdRow) -> bool:
-        """The verdict for one row tuple (``None`` marks unbound)."""
-        return self._evaluate(
-            tuple(UNBOUND if row[slot] is None else row[slot] for slot in self.slots)
-        )
+        """The verdict for one row tuple."""
+        return self._evaluate(tuple(row[slot] for slot in self.slots))
 
     def _evaluate(self, cells: Tuple[int, ...]) -> bool:
         kernel = self.kernel
@@ -306,7 +308,8 @@ class _ColumnFilter:
 
 
 class PlanNode:
-    """Base class: a streaming operator producing ID-tuple rows.
+    """Base class: a streaming operator producing batches of ID columns
+    (:class:`Batch`).
 
     ``variables`` fixes the slot order of every row the node yields;
     ``est_rows`` is the cost model's output-cardinality estimate;
@@ -317,10 +320,13 @@ class PlanNode:
     variables: Tuple[str, ...]
     est_rows: int
     filters: List[Expression]
-    #: Variables that may be ``None`` in produced rows (propagated from
-    #: UNION / UNDEF / OPTIONAL inputs).  Joins keyed on these need
+    #: Variables that may be :data:`UNBOUND` in produced rows (propagated
+    #: from UNION / UNDEF / OPTIONAL inputs).  Joins keyed on these need
     #: compatibility semantics (:class:`CompatJoinNode`).
     maybe_unbound: frozenset
+    #: An outer join's condition: the OPTIONAL group's own filters,
+    #: evaluated on the merged row.
+    condition: Sequence[Expression] = ()
     #: The planner's query-local terms, handed to every node of a plan
     #: that has any; ID ``-2 - i`` is ``local_terms[i]``.
     local_terms: Sequence[Term] = ()
@@ -356,11 +362,8 @@ class PlanNode:
         batch_size: int = DEFAULT_BATCH_SIZE,
         tracer=None,
     ) -> Iterator[Batch]:
-        """The primary execution contract: a stream of :class:`Batch`.
-
-        Operators with a native ``_produce_batches`` stay columnar end
-        to end; the base class adapts row-wise ``_produce`` operators by
-        chunking, so every node speaks batches.
+        """The execution contract: a stream of :class:`Batch` — the
+        node's ``_produce_batches``, its FILTERs applied column-wise.
 
         ``tracer`` (a :class:`~repro.sparql.trace.Tracer`) threads the
         EXPLAIN ANALYZE instrumentation through the tree.  It follows
@@ -376,27 +379,6 @@ class PlanNode:
             return tracer.wrap_batches(self, produced)
         return produced
 
-    def rows(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer=None,
-    ) -> Iterator[IdRow]:
-        """Compatibility adapter: flatten :meth:`batches` into tuples."""
-        for batch in self.batches(store, meter, tracer=tracer):
-            yield from batch.iter_rows()
-
-    def _produce(
-        self,
-        store: TripleStore,
-        meter: Optional[CostMeter],
-        tracer,
-    ) -> Iterator[IdRow]:
-        """The producer of a row-wise operator (compatibility joins, the
-        federation's remote fetches): one generator of :data:`IdRow`
-        tuples, pulling children through ``child.rows(...)``."""
-        raise NotImplementedError
-
     def _produce_batches(
         self,
         store: TripleStore,
@@ -404,42 +386,9 @@ class PlanNode:
         batch_size: int,
         tracer=None,
     ) -> Iterator[Batch]:
-        """The producer of a columnar operator; the default chunks a
-        row-wise operator's ``_produce`` into batches, so a node
-        overrides exactly one of the two."""
-        rows = self._produce(store, meter, tracer)
-        width = len(self.variables)
-        if width == 0:
-            count = 0
-            for _ in rows:
-                count += 1
-                if count >= batch_size:
-                    yield Batch((), count)
-                    count = 0
-            if count:
-                yield Batch((), count)
-            return
-        buffers: List[List[int]] = [[] for _ in range(width)]
-        has_unbound = False
-        length = 0
-        for row in rows:
-            for slot, cell in enumerate(row):
-                if cell is None:
-                    cell = UNBOUND
-                    has_unbound = True
-                buffers[slot].append(cell)
-            length += 1
-            if length >= batch_size:
-                yield Batch(
-                    tuple(array("q", buf) for buf in buffers), length, has_unbound
-                )
-                buffers = [[] for _ in range(width)]
-                has_unbound = False
-                length = 0
-        if length:
-            yield Batch(
-                tuple(array("q", buf) for buf in buffers), length, has_unbound
-            )
+        """The node's one producer: its rows as batches of at most
+        ``batch_size``, its children pulled through :meth:`batches`."""
+        raise NotImplementedError
 
     def _filtered_batches(
         self, batches: Iterator[Batch], store: TripleStore
@@ -581,8 +530,7 @@ class ShardScanNode(ScanNode):
         self, store: TripleStore, pattern: TriplePattern, est_rows: int
     ) -> None:
         super().__init__(store, pattern, est_rows)
-        backend = store.backend
-        self.n_shards = getattr(backend, "n_shards", 1)
+        self.n_shards = store.backend.n_shards
         self.fan_out = 1 if self.probe[0] is not None else self.n_shards
 
     def _produce_batches(
@@ -593,19 +541,16 @@ class ShardScanNode(ScanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         s, p, o = self.probe
-        backend = store.backend
-        shards = getattr(backend, "shards", None)
-        if shards is None or not self.variables:
-            # Planned against a sharded store, executed against a plain
-            # one (plan objects can outlive a store swap): degrade to the
-            # ordinary scan rather than failing.  So does the existence
-            # probe, which is one metered ``match_ids`` on any store.
+        if not self.variables:
+            # The existence probe is one metered ``match_ids`` on any store.
             yield from ScanNode._produce_batches(
                 self, store, meter, batch_size, tracer
             )
             return
         if NO_ID in (s, p, o):
             return
+        backend = store.backend
+        shards = backend.shards
         if s is not None:
             index = backend.shard_of(s)
             targets = [(index, shards[index])]
@@ -1120,7 +1065,7 @@ class ValuesScanNode(PlanNode):
     ``id_rows`` are the table's rows already in the plan's ID space —
     the planner translates the terms (:meth:`QueryPlanner._term_id`), so
     the shared local store is never written from the query path.
-    ``None`` cells (UNDEF) stay ``None``.  ``charged=False`` is a base
+    UNDEF cells are :data:`UNBOUND`.  ``charged=False`` is a base
     solution's bindings pinned into an OPTIONAL group: free, as the
     reference solver's initial bindings are.
     """
@@ -1132,7 +1077,7 @@ class ValuesScanNode(PlanNode):
         super().__init__(tuple(names), len(self.id_rows))
         self.maybe_unbound = frozenset(
             name for position, name in enumerate(names)
-            if any(row[position] is None for row in self.id_rows)
+            if any(row[position] == UNBOUND for row in self.id_rows)
         )
 
     def _produce_batches(
@@ -1143,27 +1088,10 @@ class ValuesScanNode(PlanNode):
         tracer=None,
     ) -> Iterator[Batch]:
         charge = meter.charge if meter is not None and self.charged else None
-        width = len(self.variables)
-        id_rows = self.id_rows
-        for start in range(0, len(id_rows), batch_size):
-            chunk = id_rows[start : start + batch_size]
+        for batch in _chunked(iter(self.id_rows), batch_size):
             if charge is not None:
-                charge(len(chunk))
-            if width == 0:
-                yield Batch((), len(chunk))
-                continue
-            has_unbound = False
-            buffers: List[array] = []
-            for slot in range(width):
-                column = array("q")
-                for row in chunk:
-                    cell = row[slot]
-                    if cell is None:
-                        cell = UNBOUND
-                        has_unbound = True
-                    column.append(cell)
-                buffers.append(column)
-            yield Batch(tuple(buffers), len(chunk), has_unbound)
+                charge(batch.length)
+            yield batch
 
     def label(self) -> str:
         if not self.variables:
@@ -1175,7 +1103,7 @@ class ValuesScanNode(PlanNode):
 class UnionNode(PlanNode):
     """Concatenate branch streams over the union of their variables.
 
-    Slots a branch does not bind are padded with ``None`` and recorded
+    Slots a branch does not bind are padded with :data:`UNBOUND` and recorded
     in ``maybe_unbound`` so the planner never hash-joins on them.
     """
 
@@ -1235,8 +1163,8 @@ class MinusNode(PlanNode):
     A left row is dropped when some right row agrees with it on at
     least one shared variable bound on both sides and disagrees on
     none.  With every shared slot certainly bound on both sides this
-    is one set-membership test per row; rows with ``None`` cells fall
-    back to a compatibility scan.
+    is one set-membership test per row; rows with :data:`UNBOUND`
+    cells fall back to a compatibility scan.
     """
 
     def __init__(self, left: PlanNode, right: PlanNode) -> None:
@@ -1254,7 +1182,7 @@ class MinusNode(PlanNode):
         """True when the keys share >=1 bound position and clash on none."""
         common = False
         for a, b in zip(left_key, right_key):
-            if a is None or b is None:
+            if a == UNBOUND or b == UNBOUND:
                 continue
             if a != b:
                 return False
@@ -1276,24 +1204,19 @@ class MinusNode(PlanNode):
         exact: set = set()
         loose: List[IdRow] = []
         right_slots = self.right_slots
-        for rbatch in self.right.batches(store, meter, batch_size, tracer):
-            if rbatch.has_unbound:
-                for row in rbatch.iter_rows():
-                    key = tuple(row[slot] for slot in right_slots)
-                    if None in key:
-                        loose.append(key)
-                    else:
-                        exact.add(key)
+        for row in _raw_rows(self.right, store, meter, batch_size, tracer):
+            key = tuple(row[slot] for slot in right_slots)
+            if UNBOUND in key:
+                loose.append(key)
             else:
-                for row in rbatch.iter_raw():
-                    exact.add(tuple(row[slot] for slot in right_slots))
+                exact.add(key)
         left_slots = self.left_slots
         compatible = self._compatible
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             keep: List[int] = []
-            for index, lrow in enumerate(lbatch.iter_rows()):
+            for index, lrow in enumerate(lbatch.iter_raw()):
                 lkey = tuple(lrow[slot] for slot in left_slots)
-                if None not in lkey:
+                if UNBOUND not in lkey:
                     if lkey in exact:
                         continue
                     if loose and any(compatible(lkey, rkey) for rkey in loose):
@@ -1353,13 +1276,22 @@ class CompatJoinNode(PlanNode):
         if self.outer:
             self.maybe_unbound |= frozenset(residual)
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter], tracer) -> Iterator[IdRow]:
-        right_rows = list(self.right.rows(store, meter, tracer=tracer))
+    def _produce_batches(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Batch]:
+        return _chunked(self._joined_rows(store, meter, batch_size, tracer), batch_size)
+
+    def _joined_rows(self, store, meter, batch_size, tracer) -> Iterator[IdRow]:
+        right_rows = list(_raw_rows(self.right, store, meter, batch_size, tracer))
         charge = meter.charge if meter is not None else None
-        pad = (None,) * len(self.right_residual_slots)
+        pad = (UNBOUND,) * len(self.right_residual_slots)
         decode = self.decoder(store)
         condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
-        for lrow in self.left.rows(store, meter, tracer=tracer):
+        for lrow in _raw_rows(self.left, store, meter, batch_size, tracer):
             matched = False
             for rrow in right_rows:
                 merged = _merge_shared(
@@ -1434,23 +1366,32 @@ class CorrelatedLeftJoinNode(PlanNode):
         self.est_cost = left.est_cost + est_rows  # probes charge per candidate
         self.maybe_unbound = left.maybe_unbound | frozenset(fresh)
 
-    def _produce(self, store: TripleStore, meter: Optional[CostMeter], tracer) -> Iterator[IdRow]:
+    def _produce_batches(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Batch]:
+        return _chunked(self._extended_rows(store, meter, batch_size, tracer), batch_size)
+
+    def _extended_rows(self, store, meter, batch_size, tracer) -> Iterator[IdRow]:
         decode = self.decoder(store)
         names = self.left.variables
-        pad = (None,) * (len(self.variables) - len(names))
-        for lrow in self.left.rows(store, meter, tracer=tracer):
+        pad = (UNBOUND,) * (len(self.variables) - len(names))
+        for lrow in _raw_rows(self.left, store, meter, batch_size, tracer):
             solution = {
-                name: decode(cell) for name, cell in zip(names, lrow) if cell is not None
+                name: decode(cell) for name, cell in zip(names, lrow) if cell != UNBOUND
             }
             bound = self.planner.plan(bind_group(self.group, solution), self.budget)
             slots = [self.slot_of[name] for name in bound.variables]
             matched = False
-            for rrow in bound.rows(store, meter):
+            for rrow in _raw_rows(bound, store, meter, batch_size, None):
                 merged = list(lrow + pad)
                 for slot, cell in zip(slots, rrow):
-                    if merged[slot] is None:
+                    if merged[slot] == UNBOUND:
                         merged[slot] = cell
-                    elif cell is not None and merged[slot] != cell:
+                    elif cell != UNBOUND and merged[slot] != cell:
                         break
                 else:
                     matched = True
@@ -1477,15 +1418,15 @@ def _merge_shared(
     Returns the left row with unbound shared cells filled from the
     right, or ``None`` when two bound cells clash.
     """
-    cells: Optional[List[Optional[int]]] = None
+    cells: Optional[List[int]] = None
     for lslot, rslot in zip(left_slots, right_slots):
         lval, rval = lrow[lslot], rrow[rslot]
-        if lval is None:
-            if rval is not None:
+        if lval == UNBOUND:
+            if rval != UNBOUND:
                 if cells is None:
                     cells = list(lrow)
                 cells[lslot] = rval
-        elif rval is not None and lval != rval:
+        elif rval != UNBOUND and lval != rval:
             return None
     return tuple(cells) if cells is not None else lrow
 
@@ -1555,7 +1496,7 @@ class QueryPlanner:
             node = ValuesScanNode(
                 core.names,
                 [
-                    tuple(None if term is None else term_id(term) for term in row)
+                    tuple(UNBOUND if term is None else term_id(term) for term in row)
                     for row in core.rows
                 ],
                 charged=not core.pinned,
@@ -1630,10 +1571,7 @@ class QueryPlanner:
         renders fan-out and records per-shard row counts under the
         tracer."""
         store = self.store
-        scan_cls = (
-            ShardScanNode if getattr(store.backend, "shards", None) is not None
-            else ScanNode
-        )
+        scan_cls = ShardScanNode if isinstance(store.backend, ShardedBackend) else ScanNode
         return [
             scan_cls(store, pattern, store.cardinality_estimate(pattern))
             for pattern in patterns
@@ -1866,18 +1804,12 @@ def refresh_plan_estimates(node: PlanNode, store: TripleStore) -> PlanNode:
 
 
 def explain_plan(node: PlanNode, indent: int = 0) -> str:
-    """Render the plan tree, one operator per line.
-
-    Each operator is annotated ``batch`` (native columnar producer) or
-    ``rows`` (row-wise, adapted into batches by the base class), so the
-    EXPLAIN surface shows exactly where the vectorized path runs.
-    """
+    """Render the plan tree, one operator per line, each with its
+    estimated output rows, outer-join condition and FILTERs."""
     pad = "  " * indent
-    native = type(node)._produce_batches is not PlanNode._produce_batches
-    mode = "batch" if native else "rows"
-    line = f"{pad}{node.label()}  [est={node.est_rows}, {mode}]"
+    line = f"{pad}{node.label()}  [est={node.est_rows}]"
     for tag, expressions in (
-        ("condition", getattr(node, "condition", ())),  # an outer join's
+        ("condition", node.condition),
         ("filter", node.filters),
     ):
         if expressions:

@@ -1,12 +1,14 @@
 """The SELECT tail over columns: GROUP BY, aggregates, ORDER BY,
 projection, DISTINCT, OFFSET / LIMIT.
 
-One implementation finishes every SELECT.  The local evaluator hands it
-the plan's dictionary-ID columns (``decode`` maps an ID to its term,
-:data:`UNBOUND` marks an empty cell) — the whole solution set, or under
-a bare LIMIT the first batches that can fill the page; the federation and the QSM's probe batcher hand it columns
-of :class:`~repro.rdf.terms.Term` (``decode=None``, ``None`` marks an
-empty cell) through :func:`~repro.sparql.evaluator.finalize_solutions`.
+One implementation finishes every SELECT.  A plan — local or split
+federated — reaches it through :func:`~repro.sparql.evaluator.run_plan`
+as dictionary-ID columns (``decode`` maps an ID to its term,
+:data:`UNBOUND` marks an empty cell): the whole solution set, or under
+a bare LIMIT the first batches that can fill the page.  The QSM's
+probe batcher hands it columns of :class:`~repro.rdf.terms.Term`
+(``decode=None``, ``None`` marks an empty cell) through
+:func:`~repro.sparql.evaluator.finalize_solutions`.
 Cells only have to be hashable: grouping, counting, DISTINCT and the
 sort all work on them as they are, a cell is decoded when a numeric
 aggregate or a sort key needs its term — once per distinct cell — and

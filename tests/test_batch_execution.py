@@ -1,22 +1,31 @@
 """Columnar batch execution: parity, paging cuts, metering, API.
 
 The batch pipeline must be invisible semantically: at every batch size
-``batches()`` and its ``rows()`` adapter must produce the row multiset
-the term-space reference (the ``reference_evaluate`` fixture) produces, for
+``batches()`` must produce the row multiset the term-space reference (the ``reference_evaluate`` fixture) produces, for
 every operator shape on both storage backends; DISTINCT/LIMIT/OFFSET
 must cut mid-batch exactly; and the cost meter must charge the same
 total whatever the batch size.
 """
 
+import re
 from collections import Counter
 
 import pytest
 
-from repro.rdf import IRI, Triple
+from repro.rdf import DBO, IRI, RDF_TYPE, Triple
 from repro.sparql import QueryPlanner, explain_plan, parse_query
 from repro.sparql.evaluator import QueryEvaluator
-from repro.sparql.plan import Batch, DEFAULT_BATCH_SIZE, PlanNode, UNBOUND
+from repro.sparql.plan import (
+    Batch,
+    DEFAULT_BATCH_SIZE,
+    PlanNode,
+    UNBOUND,
+    _chunked,
+    _raw_rows,
+)
 from repro.store import CostMeter, SQLiteBackend, TripleStore, create_sharded_backend
+
+from plan_rows import plan_rows
 
 BATCH_SIZES = [1, 2, 3, 7, DEFAULT_BATCH_SIZE]
 
@@ -90,7 +99,7 @@ def _reference_rows(reference_evaluate, store, plan, query_text):
     solutions = reference_evaluate(store, f"SELECT * WHERE {where}").rows
     return Counter(
         tuple(
-            store.term_id(row[name]) if name in row else None
+            store.term_id(row[name]) if name in row else UNBOUND
             for name in plan.variables
         )
         for row in solutions
@@ -104,19 +113,24 @@ class TestBatchRowParity:
         baseline = _reference_rows(reference_evaluate, parity_store, plan, query)
         assert baseline
         for batch_size in BATCH_SIZES:
-            batched = Counter(
-                row
-                for batch in plan.batches(parity_store, None, batch_size)
-                for row in batch.iter_rows()
-            )
+            batched = Counter(plan_rows(plan, parity_store, batch_size=batch_size))
             assert batched == baseline, (query, batch_size)
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_rows_adapter_matches_reference(self, parity_store, query, reference_evaluate):
+        """The row-at-a-time operators' adapters — ``_raw_rows`` reading a
+        child row by row, ``_chunked`` re-batching the rows — round-trip
+        the plan's answer, in full chunks but the last."""
         plan = _plan(parity_store, query)
-        assert Counter(plan.rows(parity_store, None)) == _reference_rows(
-            reference_evaluate, parity_store, plan, query
-        )
+        baseline = _reference_rows(reference_evaluate, parity_store, plan, query)
+        for batch_size in BATCH_SIZES:
+            rows = _raw_rows(plan, parity_store, None, batch_size, None)
+            assert Counter(rows) == baseline, (query, batch_size)
+            chunks = list(
+                _chunked(_raw_rows(plan, parity_store, None, batch_size, None), batch_size)
+            )
+            assert all(len(chunk) == batch_size for chunk in chunks[:-1])
+            assert Counter(row for chunk in chunks for row in chunk.iter_raw()) == baseline
 
     def test_duplicate_variable_scan_keeps_parity(self, reference_evaluate):
         store = TripleStore()
@@ -131,12 +145,7 @@ class TestBatchRowParity:
         baseline = _reference_rows(reference_evaluate, store, plan, query)
         assert len(baseline) == 2  # the self-loops: the checks path is exercised
         for batch_size in BATCH_SIZES:
-            batched = Counter(
-                row
-                for batch in plan.batches(store, None, batch_size)
-                for row in batch.iter_rows()
-            )
-            assert batched == baseline
+            assert Counter(plan_rows(plan, store, batch_size=batch_size)) == baseline
 
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_meter_total_is_batch_size_independent(self, parity_store, query):
@@ -286,6 +295,26 @@ class TestPagingCuts:
             assert len({row["s"] for row in result.rows}) == 4
             _assert_same_rows(result, reference_evaluate(store, query))
 
+    def test_row_at_a_time_root_is_metered_for_its_page(self, metered_store):
+        """A per-solution OPTIONAL at the root pulls its base plan at the
+        page's batch size, as every operator pulls its children: LIMIT 3
+        costs about three base rows' probes, not a 1,024-row base batch
+        (357 units), nor the whole answer."""
+        text = (
+            "SELECT * WHERE { ?s a dbo:Person . ?s foaf:name ?n "
+            "OPTIONAL { ?s dbo:spouse ?w OPTIONAL { ?w foaf:name ?n } } }"
+        )
+        kind, store = metered_store
+        drained = QueryEvaluator(store).evaluate(parse_query(text))
+        answers = {tuple(sorted(row.items())) for row in drained.rows}
+        for batch_size in (1, 3, 1024):
+            paged = QueryEvaluator(store, batch_size=batch_size).evaluate(
+                parse_query(text + " LIMIT 3")
+            )
+            assert (paged.cost, drained.cost) == ({"memory": 129}.get(kind, 128), 526)
+            assert len(paged.rows) == 3
+            assert all(tuple(sorted(row.items())) in answers for row in paged.rows)
+
     def test_limit_cost_stays_page_sized(self, parity_store):
         parsed = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 10")
         batched = QueryEvaluator(parity_store).evaluate(parsed)
@@ -295,30 +324,28 @@ class TestPagingCuts:
 
 
 class TestBatchType:
-    def test_iter_rows_translates_unbound(self):
+    def test_iter_raw_keeps_unbound(self):
         from array import array
 
         batch = Batch((array("q", [1, UNBOUND]), array("q", [2, 3])), 2, True)
-        assert list(batch.iter_rows()) == [(1, 2), (None, 3)]
         assert list(batch.iter_raw()) == [(1, 2), (UNBOUND, 3)]
 
     def test_zero_column_batch_keeps_length(self):
         batch = Batch((), 3)
         assert len(batch) == 3
-        assert list(batch.iter_rows()) == [(), (), ()]
+        assert list(batch.iter_raw()) == [(), (), ()]
 
-    def test_explain_annotates_batch_operators(self, store):
+    def test_explain_annotates_estimates(self, store):
         evaluator = QueryEvaluator(store)
         text = evaluator.explain(
             "SELECT * WHERE { ?s foaf:surname ?n . ?s foaf:givenName ?g }"
         )
-        assert "batch]" in text
-        assert "est=" in text
+        assert all(re.search(r"  \[est=\d+\]$", line) for line in text.splitlines()[1:])
 
-    def test_explain_marks_rowwise_operators(self, store):
+    def test_explain_has_no_producer_marker(self, store):
         plan = _plan(store, "SELECT ?s WHERE { ?s a dbo:Person }")
-        text = explain_plan(plan)
-        assert "[est=" in text and ", batch]" in text
+        pattern = f"?s {RDF_TYPE.n3()} {DBO.Person.n3()}"
+        assert explain_plan(plan) == f"Scan({pattern})  [est={plan.est_rows}]"
 
 
 def _plan_node_classes():
@@ -338,10 +365,11 @@ class TestOneProducerPerOperator:
         assert {"ScanNode", "HashJoinNode", "LeftJoinNode", "RemoteBindJoinNode"} <= names
 
     @pytest.mark.parametrize("cls", _plan_node_classes(), ids=lambda cls: cls.__name__)
-    def test_exactly_one_of_the_two_producers_is_overridden(self, cls):
-        row_wise = cls._produce is not PlanNode._produce
-        columnar = cls._produce_batches is not PlanNode._produce_batches
-        assert row_wise != columnar
+    def test_produces_batches_and_nothing_else(self, cls):
+        """One contract: each operator, remote ones included, overrides
+        ``_produce_batches``; no row-wise producer or row adapter exists."""
+        assert cls._produce_batches is not PlanNode._produce_batches
+        assert not hasattr(cls, "_produce") and not hasattr(cls, "rows")
 
 
 class TestEvaluatorConstruction:

@@ -15,6 +15,8 @@ from repro.sparql import HashJoinNode, MinusNode, SparqlError, UnionNode, evalua
 from repro.sparql.trace import Tracer
 from repro.store import TripleStore
 
+from plan_rows import plan_rows
+
 
 def lit(text):
     return Literal(text, lang="en")
@@ -128,7 +130,7 @@ class TestCrossEndpointJoins:
         mediator = TripleStore()
         rows = Counter(
             tuple(str(mediator.decode_id(cell)) for cell in row)
-            for row in plan.rows(mediator, None, tracer=maybe_tracer)
+            for row in plan_rows(plan, mediator, tracer=maybe_tracer)
         )
         assert plan.variables == ("p", "c", "n")
         merged = TripleStore()
@@ -425,7 +427,7 @@ class TestMemberErrorsAreCounted:
             [TriplePattern(DBR.term("NY"), RDF_TYPE, DBO.City)], [cities, people], 1
         )
         tracer = Tracer()
-        assert list(plan.rows(TripleStore(), None, tracer=tracer)) == []
+        assert plan_rows(plan, TripleStore(), tracer=tracer) == []
         asks = [span for span in tracer.finish().walk() if span.attrs.get("kind") == "ask"]
         assert [span.attrs.get("error") for span in asks] == ["EndpointTimeout", None]
         assert asks[1].attrs["held"] is False
@@ -498,8 +500,40 @@ class TestSplitFederationCompilesThroughTheSharedPlanner:
             EX + "SELECT * WHERE { ?s :p ?o OPTIONAL { ?o :q ?z FILTER(?z != ?s) } }"
         )
         lines = plan.split("plan:\n", 1)[1].splitlines()
-        assert lines[0].startswith("  CorrelatedLeftJoin(on ?o)  [est=2, rows]")
+        assert lines[0] == "  CorrelatedLeftJoin(on ?o)  [est=2]"
         assert lines[1].startswith("    RemoteScan(?s <http://ex/p> ?o @ one)")
         assert lines[2].startswith("    RemoteScan(?o <http://ex/q> ?z @ two)")
         assert "filter((?z != ?s))" in lines[2] and "per base solution" not in plan
-        assert federation.explain("SELECT * WHERE { }").endswith("plan:\n  Unit()  [est=1, batch]")
+        assert federation.explain("SELECT * WHERE { }").endswith("plan:\n  Unit()  [est=1]")
+
+
+class TestSplitFederationPagesUnderLimit:
+    """A decomposed plan runs and finishes through the local evaluator's
+    ``run_plan``: when LIMIT is the only cut, the mediator stops pulling
+    once the page is full, so the bind join sends fewer batches."""
+
+    QUERY = "SELECT ?s ?n ?c WHERE { ?s a dbo:Person . ?s foaf:name ?n . ?s dbo:birthPlace ?c }"
+
+    def split_of(self, store):
+        triples = list(store.triples())
+        return [
+            SparqlEndpoint(TripleStore(part), EndpointConfig.warehouse(), name=name)
+            for part, name in ((triples[::2], "even"), (triples[1::2], "odd"))
+        ]
+
+    def test_limit_pages_with_fewer_member_requests(self, store, reference_evaluate):
+        members = self.split_of(store)
+        paged = parse_query(self.QUERY + " LIMIT 2")
+        whole = FederatedQueryProcessor(members)
+        limited = FederatedQueryProcessor(members)
+        assert whole.single_source(paged) is None
+
+        drained = whole.run(self.QUERY)
+        assert bag_of(drained) == bag_of(reference_evaluate(store, self.QUERY))
+        result = limited.run(paged)
+        assert len(result) == 2
+        assert agrees_with_reference(result, reference_evaluate, store, paged)
+        sent = whole.counters.snapshot()["subqueries"]
+        assert limited.counters.snapshot()["subqueries"] < sent
+        # The mediator meters the decomposed plan like a local one.
+        assert result.cost > 0 and drained.cost > result.cost

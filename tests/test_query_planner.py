@@ -9,6 +9,8 @@ join, an existence scan or the unit table for the shapes that used to
 be declined).
 """
 
+import re
+
 import pytest
 
 from repro.rdf import IRI, Literal, Triple
@@ -297,8 +299,8 @@ class TestExplainSurfaces:
         text = evaluator.explain(
             'SELECT * WHERE { ?p foaf:name ?n VALUES (?p ?n) { (dbr:Tom_Hanks UNDEF) } }'
         )
-        assert "CompatJoin(on ?p, ?n)" in text and ", rows]" in text
-        assert evaluator.explain("SELECT * WHERE { }").splitlines()[1:] == ["Unit()  [est=1, batch]"]
+        assert "CompatJoin(on ?p, ?n)  [est=" in text
+        assert evaluator.explain("SELECT * WHERE { }").splitlines()[1:] == ["Unit()  [est=1]"]
         for line in text.splitlines()[1:]:
             assert line.lstrip()[0].isupper() and "  [est=" in line
 
@@ -318,7 +320,7 @@ class TestExplainSurfaces:
             "OPTIONAL { ?s dbo:spouse ?w OPTIONAL { ?w foaf:name ?n } } }"
         )
         lines = text.splitlines()
-        assert lines[1].startswith("CorrelatedLeftJoin(on ?s, ?n)  [est=") and ", rows]" in lines[1]
+        assert re.fullmatch(r"CorrelatedLeftJoin\(on \?s, \?n\)  \[est=\d+\]", lines[1])
         assert lines[2].startswith("  HashJoin(on ?s)")
         assert any(line.startswith("  LeftJoin(on ?w)") for line in lines)
         assert "Optional:" not in text and "Backtrack(" not in text

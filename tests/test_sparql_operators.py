@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plan_rows import plan_rows
 from reference_solver import apply_optionals
 from reference_tail import reference_finalize
 from repro.endpoint import EndpointConfig, SparqlEndpoint
@@ -311,9 +312,9 @@ class TestPlannedOptional:
                 tuple(
                     (name, ops_store.decode_id(cell).n3())
                     for name, cell in sorted(zip(plan.variables, row))
-                    if cell is not None
+                    if cell != UNBOUND
                 )
-                for row in plan.rows(ops_store, None)
+                for row in plan_rows(plan, ops_store)
             )
             expected = reference_evaluate(ops_store, f"SELECT * WHERE {text[text.index('{'):]}")
             assert rows == multiset(expected), text
@@ -515,10 +516,10 @@ def per_solution_reference(store, query, meter):
     base = dataclasses.replace(query.where, optionals=[])
     plan = QueryPlanner(store).plan(base, meter.budget)
     solutions = []
-    for row in plan.rows(store, meter):
+    for row in plan_rows(plan, store, meter):
         solution = {
             name: store.decode_id(cell) for name, cell in zip(plan.variables, row)
-            if cell is not None
+            if cell != UNBOUND
         }
         solutions += apply_optionals(store, query.where.optionals, solution, meter)
     return reference_finalize(query, solutions)
@@ -740,7 +741,7 @@ class TestKernels:
     def test_multi_key_paths_stay_on_columns(self, ops_store, outer, monkeypatch):
         """Semi-join (no residual), general join (a residual) and outer
         join over two key columns, built by hand so the path under test
-        is certain — with ``Batch``'s row iterators forbidden."""
+        is certain — with ``Batch``'s row iterator forbidden."""
         a, b, x = Variable("a"), Variable("b"), Variable("x")
         left = HashJoinNode(
             ScanNode(ops_store, TriplePattern(a, ex("p"), b), 5),
@@ -757,7 +758,6 @@ class TestKernels:
             outer=outer,
         )
         monkeypatch.setattr(Batch, "iter_raw", _raising)
-        monkeypatch.setattr(Batch, "iter_rows", _raising)
         semi_rows = sum(batch.length for batch in semi.batches(ops_store, None, 2))
         general_rows = sum(batch.length for batch in general.batches(ops_store, None, 2))
         # (a0,b0) matches q and r, (a1,b0) q, (a2,b2) both; (a0,b1) and
@@ -784,7 +784,6 @@ class TestKernels:
 
         monkeypatch.setattr(plan_module, "compile_filter", counting)
         monkeypatch.setattr(Batch, "iter_raw", _raising)
-        monkeypatch.setattr(Batch, "iter_rows", _raising)
         plan = QueryPlanner(ops_store).plan(parse_query(FILTER_QUERIES[0]).where)
         assert sum(batch.length for batch in plan.batches(ops_store, None, 4)) == 3
         assert len(calls) == 5  # six labelled items, five distinct labels
@@ -921,8 +920,8 @@ def test_formerly_declined_shapes_on_drawn_graphs(reference_evaluate, triples, d
     decode = plan.decoder(store)
     rows = sorted(
         tuple(sorted((name, decode(cell).n3()) for name, cell in zip(plan.variables, row)
-                     if cell is not None))
-        for row in plan.rows(store, None)
+                     if cell != UNBOUND))
+        for row in plan_rows(plan, store)
     )
     assert rows == expected, explain_plan(plan)
     check(store, text, reference_evaluate, batch_size=2)
