@@ -34,8 +34,10 @@ indistinguishable from rows produced in-process.
 
 Transport (docs/server.md, *Connections*): every call of both clients
 and of the ``fetch_*`` helpers is one :func:`_exchange` — one write out,
-the response framed by :mod:`repro.net.http11` — on a keep-alive socket
-of a **process-wide** pool, returned once the body is read.  A pooled
+the response framed by :mod:`repro.net.http11` through the reader the
+connection keeps for its life — on a keep-alive socket of a
+**process-wide** pool, returned once the body is read.  Each client
+encodes a route's request head once (:class:`_Target`).  A pooled
 connection found dead before the response head is dropped and the
 request re-sent once on a fresh one; that is not a retry (``max_retries``
 does not count it) and a refused fresh connection still raises
@@ -52,7 +54,7 @@ import ssl
 import threading
 import time
 import urllib.parse
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..endpoint.endpoint import (
     EndpointError,
@@ -122,6 +124,54 @@ def _connect(split: urllib.parse.SplitResult, timeout_s: float) -> socket.socket
     return sock
 
 
+class _Connection:
+    """A keep-alive socket and the one buffered reader that frames every
+    response it carries, from connect to close (nothing is pipelined, so
+    the reader holds no byte of a later response between exchanges)."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+class _Target:
+    """One URL and the request head every call to it starts with: the
+    request line and the fixed header fields, encoded once.  A call adds
+    its own fields (a trace context), ``Content-Length`` and the body (a
+    GET, only the blank line)."""
+
+    __slots__ = ("name", "split", "key", "head")
+
+    def __init__(self, name: str, url: str, headers: Dict[str, str], method: str = "POST") -> None:
+        self.name = name
+        split = self.split = urllib.parse.urlsplit(url)
+        self.key = (split.scheme, split.hostname, split.port)
+        target = (split.path or "/") + ("?" + split.query if split.query else "")
+        fields = {"Host": split.netloc.rpartition("@")[2], "User-Agent": _USER_AGENT,
+                  "Accept-Encoding": "identity", **headers}
+        self.head = self._encode([f"{method} {target} HTTP/1.1",
+                                  *(f"{field}: {value}" for field, value in fields.items())])
+
+    def _encode(self, lines: List[str]) -> bytes:
+        if any("\r" in line or "\n" in line for line in lines):
+            raise ValueError(f"{self.name}: a line break inside the request head")
+        return "".join(line + "\r\n" for line in lines).encode("latin-1")
+
+    def request(self, body: Optional[bytes], fields: Optional[Dict[str, str]] = None) -> bytes:
+        head = self.head
+        if fields:
+            head += self._encode([f"{field}: {value}" for field, value in fields.items()])
+        if body is None:
+            return head + b"\r\n"
+        return b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
+
+
 class _ConnectionPool:
     """The idle keep-alive connections of this process, oldest first.
 
@@ -131,9 +181,9 @@ class _ConnectionPool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._idle: List[Tuple[tuple, socket.socket, float]] = []
+        self._idle: List[Tuple[tuple, _Connection, float]] = []
 
-    def checkout(self, key: tuple) -> Optional[socket.socket]:
+    def checkout(self, key: tuple) -> Optional[_Connection]:
         """The most recently returned connection to ``key`` still worth
         trying, or None; expired ones (to any server) are closed."""
         oldest = time.monotonic() - _REUSE_WITHIN_S
@@ -149,7 +199,7 @@ class _ConnectionPool:
             connection.close()
         return found
 
-    def checkin(self, key: tuple, connection: socket.socket) -> None:
+    def checkin(self, key: tuple, connection: _Connection) -> None:
         with self._lock:
             self._idle.append((key, connection, time.monotonic()))
             overflow = self._idle[:-MAX_IDLE_CONNECTIONS]
@@ -163,12 +213,11 @@ _POOL = _ConnectionPool()
 os.register_at_fork(after_in_child=_POOL.__init__)
 
 
-def _exchange(
-    name: str, url: str, timeout_s: float,
-    body: Optional[bytes] = None, headers: Optional[dict] = None,
-) -> Tuple[Response, bytes]:
-    """One HTTP exchange (POST when there is a ``body``) on a pooled
-    connection: the response, whatever its status, and its body.
+def _exchange(target: _Target, timeout_s: float, body: Optional[bytes] = None,
+              fields: Optional[Dict[str, str]] = None) -> Tuple[Response, bytes]:
+    """One HTTP exchange with ``target`` (POST when there is a ``body``),
+    ``fields`` added to its head, on a pooled connection: the response,
+    whatever its status, and its body.
 
     Raises :class:`EndpointTimeout` when ``timeout_s`` ran out connecting
     or waiting, :class:`ConnectionFailed` when the server could not be
@@ -176,29 +225,17 @@ def _exchange(
     be framed.  A *pooled* connection found dead before the response head
     is dropped and the request sent once more, on a fresh connection.
     """
-    split = urllib.parse.urlsplit(url)
-    key = (split.scheme, split.hostname, split.port)
-    target = (split.path or "/") + ("?" + split.query if split.query else "")
-    fields = {"Host": split.netloc.rpartition("@")[2], "User-Agent": _USER_AGENT,
-              "Accept-Encoding": "identity", **(headers or {})}
-    if body is not None:
-        fields["Content-Length"] = str(len(body))
-    lines = [f"{'GET' if body is None else 'POST'} {target} HTTP/1.1",
-             *(f"{field}: {value}" for field, value in fields.items())]
-    if any("\r" in line or "\n" in line for line in lines):
-        raise ValueError(f"{name}: a line break inside the request head")
-    request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
-    for connection in (_POOL.checkout(key), None):
+    name, request = target.name, target.request(body, fields)
+    for connection in (_POOL.checkout(target.key), None):
         reused = connection is not None
         response, keep = None, False
         try:
             if not reused:
-                connection = _connect(split, timeout_s)
-            connection.settimeout(timeout_s)
-            connection.sendall(request)
-            with connection.makefile("rb") as rfile:  # nothing is pipelined
-                response = read_response(rfile)
-                payload = response.read_body(rfile)
+                connection = _Connection(_connect(target.split, timeout_s))
+            connection.sock.settimeout(timeout_s)
+            connection.sock.sendall(request)
+            response = read_response(connection.rfile)
+            payload = response.read_body(connection.rfile)
             keep = not response.will_close
         except TimeoutError as exc:
             # The query outlived our read timeout; retrying would re-run
@@ -213,7 +250,7 @@ def _exchange(
             raise ConnectionFailed(f"{name}: connection failed: {exc}") from None
         finally:
             if keep:
-                _POOL.checkin(key, connection)
+                _POOL.checkin(target.key, connection)
             elif connection is not None:
                 connection.close()
         return response, payload
@@ -242,22 +279,24 @@ class _WireClient:
         #: it per-request from its single-threaded session clients.
         self.last_worker: Optional[str] = None
 
-    def _once(self, url: str, body: bytes, headers: dict) -> Tuple[Headers, bytes]:
-        """POST ``body``: the headers and body of a 200, else the mapped
-        error."""
-        response, payload = _exchange(self.name, url, self.timeout_s, body, headers)
+    def _once(self, target: _Target, body: bytes,
+              fields: Optional[Dict[str, str]] = None) -> Tuple[Headers, bytes]:
+        """POST ``body`` to ``target``, with ``fields`` added to its head:
+        the headers and body of a 200, else the mapped error."""
+        response, payload = _exchange(target, self.timeout_s, body, fields)
         self.last_worker = response.headers.get(WORKER_HEADER)
         if response.status != 200:
             raise _http_error(self.name, response, payload)
         return response.headers, payload
 
-    def _call(self, url: str, body: bytes, headers: dict) -> Tuple[Headers, bytes]:
+    def _call(self, target: _Target, body: bytes,
+              fields: Optional[Dict[str, str]] = None) -> Tuple[Headers, bytes]:
         """:meth:`_once`, re-tried up to ``max_retries`` times after a
         503 or a connection failure."""
         attempt = 0
         while True:
             try:
-                return self._once(url, body, headers)
+                return self._once(target, body, fields)
             except (ConnectionFailed, QueryRejected):
                 if attempt >= self.max_retries:
                     raise
@@ -296,6 +335,8 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
         _WireClient.__init__(self, name, rng or random.Random(f"endpoint:{name}"),
                              timeout_s, max_retries, backoff_s, backoff_cap_s)
         LoggedQueryService.__init__(self)
+        self._query = _Target(name, url, {"Content-Type": MIME_FORM, "Accept": MIME_JSON})
+        self._plan = _Target(name, url, {"Content-Type": MIME_FORM, "Accept": "text/plain"})
         # Distributed-trace context (docs/tracing.md): when set by
         # Tracer.remote_call, outgoing queries carry the trace id and
         # the calling span's id as headers so the remote server records
@@ -315,11 +356,7 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
         # elapsed wall time as the entry's seconds.
         started = time.perf_counter()
         try:
-            headers, payload = self._call(self.url, _form(text), {
-                "Content-Type": MIME_FORM,
-                "Accept": MIME_JSON,
-                **self._trace_headers(),
-            })
+            headers, payload = self._call(self._query, _form(text), self._trace_headers())
             try:
                 result = parse_json(payload)
             except FormatError as exc:
@@ -374,11 +411,8 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
         its admission control and deadline."""
         # One attempt: a plan is cheap to ask for again, and an ANALYZE
         # that was rejected should say so.
-        _, payload = self._once(self.url, _form(query, **{flag: "true"}), {
-            "Content-Type": MIME_FORM,
-            "Accept": "text/plain",
-            **self._trace_headers(),
-        })
+        _, payload = self._once(self._plan, _form(query, **{flag: "true"}),
+                                self._trace_headers())
         return payload.decode("utf-8")
 
     def _trace_text(self, query: Union[str, Query]) -> str:
@@ -422,6 +456,9 @@ class HttpSapphireClient(_WireClient):
         super().__init__(
             name, rng or random.Random(f"sapphire:{name}:{session or ''}"),
             timeout_s, max_retries, backoff_s, backoff_cap_s)
+        headers = {"Content-Type": MIME_JSON_BODY, "Accept": MIME_JSON_BODY}
+        self._routes = {route: _Target(name, self.root + route, headers)
+                        for route in ("/complete", "/suggest")}
 
     # ------------------------------------------------------------------
     # PUM surface (mirrors SapphireServer)
@@ -449,18 +486,16 @@ class HttpSapphireClient(_WireClient):
     # ------------------------------------------------------------------
 
     def _post(self, route: str, body: dict) -> bytes:
+        """POST ``body`` (a fresh dict: the session token is added to it)."""
         if self.session is not None:
-            body = dict(body, session=self.session)
-        _, payload = self._call(self.root + route, json.dumps(body).encode("utf-8"), {
-            "Content-Type": MIME_JSON_BODY,
-            "Accept": MIME_JSON_BODY,
-        })
+            body["session"] = self.session
+        _, payload = self._call(self._routes[route], json.dumps(body).encode("utf-8"))
         return payload
 
 
 def _fetch_json(url: str, timeout_s: float) -> dict:
-    response, payload = _exchange(url, url, timeout_s,
-                                  headers={"Accept": "application/json"})
+    response, payload = _exchange(_Target(url, url, {"Accept": "application/json"}, "GET"),
+                                  timeout_s)
     if response.status != 200:
         raise EndpointError(f"{url}: HTTP {response.status}: "
                             f"{_error_detail(response, payload)}")

@@ -1,5 +1,5 @@
 """HTTP/1.1 message framing (RFC 9112) for both ends of the wire: the
-server reads a request's header section with :func:`read_headers`, the
+server reads a request's header fields with :func:`read_fields`, the
 wire clients a response with :func:`read_response` and
 :meth:`Response.read_body` — split on ``":"`` line by line, no ``email``
 parser (docs/server.md, *Wire framing*).  The stdlib's limits stay: a
@@ -9,13 +9,16 @@ in a header section (its blank line counted), is a :class:`FramingError`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import re
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["FramingError", "Headers", "MAX_HEADERS", "MAX_LINE",
-           "Response", "parse_version", "read_head", "read_headers", "read_response"]
+           "Response", "parse_version", "read_fields", "read_head", "read_headers",
+           "read_response"]
 
 MAX_LINE = 65536  #: longest line of a head, in bytes (``http.client._MAXLINE``)
 MAX_HEADERS = 100  #: most lines of a header section (``http.client._MAXHEADERS``)
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 _OWS = " \t\r\n"  # stripped off a field value; a bare strip() would take NBSP too
 
 
@@ -25,28 +28,17 @@ class FramingError(ValueError):
 
 
 class Headers:
-    """The header fields of one message: :meth:`get` is case-insensitive
-    and the first occurrence wins, as in ``email.message.Message.get``;
-    iteration yields the names in the order and case they were sent."""
+    """The header fields of one response, as the wire clients look them
+    up: :meth:`get` is case-insensitive and the first occurrence wins, as
+    in ``email.message.Message.get``."""
 
-    __slots__ = ("_fields", "_first")
+    __slots__ = ("_first",)
 
     def __init__(self, fields: List[Tuple[str, str]]) -> None:
-        self._fields = fields
         self._first: Dict[str, str] = {name.lower(): value for name, value in reversed(fields)}
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self._first.get(name.lower(), default)
-
-    def get_all(self, name: str) -> List[str]:
-        name = name.lower()
-        return [value for field, value in self._fields if field.lower() == name]
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._first
-
-    def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self._fields)
 
 
 def _line(rfile) -> bytes:
@@ -57,13 +49,19 @@ def _line(rfile) -> bytes:
 
 
 def read_headers(rfile) -> Headers:
-    """The header section after a start line, to its blank line or the end of the stream;
-    a line starting with a space or a tab continues the field before it (obsolete folding)."""
+    """The header section after a start line as :class:`Headers`."""
+    return Headers(read_fields(rfile))
+
+
+def read_fields(rfile) -> List[Tuple[str, str]]:
+    """The header section after a start line, to its blank line or the end of the stream,
+    as ``(name, value)`` pairs in the order sent; a line starting with a space or a tab
+    continues the field before it (obsolete folding)."""
     fields: List[Tuple[str, str]] = []
     for _ in range(MAX_HEADERS):
         line = _line(rfile)
         if line in (b"\r\n", b"\n", b""):
-            return Headers(fields)
+            return fields
         text = line.decode("latin-1")
         name, colon, value = text.partition(":")
         if text[0] in " \t" and fields:
@@ -83,10 +81,8 @@ def read_head(rfile) -> Tuple[str, Headers]:
 def parse_version(text: str) -> Optional[Tuple[int, int]]:
     """``(major, minor)`` of ``HTTP/x.y``; None for what the stdlib
     refuses (anything but two decimal numbers of at most ten digits)."""
-    major, dot, minor = text[5:].partition(".")
-    if text[:5] != "HTTP/" or not all(n.isascii() and n.isdigit() and len(n) <= 10 for n in (major, minor)):
-        return None
-    return int(major), int(minor)
+    match = _VERSION.fullmatch(text)
+    return None if match is None else (int(match[1]), int(match[2]))
 
 
 class Response:

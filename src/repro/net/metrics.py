@@ -26,6 +26,7 @@ server is overloaded and the numbers matter (regression-tested in
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from bisect import bisect_left
@@ -302,6 +303,50 @@ class ServerStats:
             }
 
 
+class _GcWatch:
+    """Full (generation-2) collections of this process and their summed
+    pause, counted by a ``gc.callbacks`` hook: the ``gc`` block of
+    ``/stats``.  A collection runs inside whichever request allocated
+    past the threshold, so its pause is that request's latency.
+
+    One watch per process (:data:`GC_WATCH`); :meth:`install` is
+    idempotent, and the counts start when it first runs.
+    """
+
+    def __init__(self) -> None:
+        #: ``(collections, summed pause in seconds)``, replaced whole so a
+        #: reader never sees one field updated without the other.
+        self._totals = (0, 0.0)
+        self._started = 0.0
+        self._installed = False
+        self._lock = threading.Lock()
+
+    def install(self) -> None:
+        with self._lock:
+            if not self._installed:
+                gc.callbacks.append(self._observe)
+                self._installed = True
+
+    def _observe(self, phase: str, info: Dict[str, int]) -> None:
+        # Collections never overlap (the collector runs one at a time),
+        # so this callback is the only writer and needs no lock.
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            collections, pause_s = self._totals
+            self._totals = (collections + 1, pause_s + time.perf_counter() - self._started)
+
+    def snapshot(self) -> Dict[str, object]:
+        collections, pause_s = self._totals
+        return {"gen2_collections": collections, "gen2_pause_us": round(pause_s * 1e6)}
+
+
+#: The process's collector watch; the serving app installs it.
+GC_WATCH = _GcWatch()
+
+
 #: Entries the serving slow-query log keeps (``/stats`` → ``slow_queries``).
 SLOW_LOG_SIZE = 32
 
@@ -475,8 +520,8 @@ def _merge_cache_blocks(blocks: List[Dict[str, object]]) -> Dict[str, object]:
 def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """One coordinator-view ``/stats`` body from per-worker bodies.
 
-    Counters and gauges sum (the ``federation``, ``connections`` and
-    ``formats`` blocks' too), high-water marks take the max, and
+    Counters and gauges sum (the ``federation``, ``connections``,
+    ``formats`` and ``gc`` blocks' too), high-water marks take the max, and
     per-route latency histograms merge **bucket-wise** through
     :meth:`LatencyHistogram.from_dict` / :meth:`~LatencyHistogram.merge`
     — so the merged view's percentiles are computed over the union of
@@ -496,7 +541,7 @@ def merge_stats_bodies(bodies: Sequence[Dict[str, object]]) -> Dict[str, object]
         cache = body.get("cache")
         if isinstance(cache, dict):
             cache_blocks.append(cache)
-        for block in ("federation", "connections", "formats"):
+        for block in ("federation", "connections", "formats", "gc"):
             for name, count in (body.get(block) or {}).items():  # type: ignore[union-attr]
                 summed = summed_blocks.setdefault(block, {})
                 summed[name] = summed.get(name, 0) + int(count)

@@ -41,6 +41,7 @@ reconciles against cluster totals, not one worker's share.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -215,6 +216,10 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
     """
     try:
         backend = factory(spec)
+        # The backend lives as long as the worker: collected once, then
+        # frozen out of every full collection a request would trigger.
+        gc.collect()
+        gc.freeze()
         app = SparqlWsgiApp(backend, worker_id=str(index),
                             **app_kwargs)  # type: ignore[arg-type]
         httpd = _WorkerHttpServer((host, port), app)

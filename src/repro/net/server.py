@@ -38,6 +38,7 @@ closes idle connections at once and in-flight ones after their response.
 
 from __future__ import annotations
 
+import gc
 import io
 import socket
 import threading
@@ -45,7 +46,7 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 
-from .http11 import MAX_LINE, FramingError, parse_version, read_headers
+from .http11 import MAX_LINE, FramingError, parse_version, read_fields
 from .wsgi import SparqlWsgiApp
 
 __all__ = ["IDLE_TIMEOUT_S", "RESPONSES_PER_CONNECTION", "SparqlHttpServer"]
@@ -72,6 +73,39 @@ IDLE_TIMEOUT_S = 5.0
 RESPONSES_PER_CONNECTION = 32
 
 
+class _ProcessFreeze:
+    """``gc.freeze()`` for as long as any server of this process serves.
+
+    The freeze is process-wide and one process may run several servers
+    (a federation's members beside its mediator): the first to start
+    collects and freezes what the process holds, the last to stop thaws
+    it.  A process frozen before its first server keeps its own freeze.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._ours = False
+
+    def hold(self) -> None:
+        with self._lock:
+            self._holders += 1
+            if self._holders == 1 and gc.get_freeze_count() == 0:
+                gc.collect()
+                gc.freeze()
+                self._ours = True
+
+    def release(self) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._ours:
+                gc.unfreeze()
+                self._ours = False
+
+
+_FREEZE = _ProcessFreeze()
+
+
 class ConnectionRegistry:
     """The connections a server holds open, and what became of the rest.
 
@@ -88,7 +122,7 @@ class ConnectionRegistry:
         self._busy: Dict[object, bool] = {}     # open handler -> in a request
         self._draining = False
         self._counts = dict.fromkeys(
-            ("accepted", "requests", "recycled", "idle_closed"), 0)
+            ("accepted", "requests", "recycled", "idle_closed", "stalled"), 0)
 
     def opened(self, handler) -> bool:
         """Register an accepted connection; False once draining."""
@@ -193,7 +227,10 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             else:
                 self.send_error(HTTPStatus.NOT_IMPLEMENTED,
                                 f"Unsupported method ({self.command!r})")
-        except OSError:  # the peer went away (or stalled) mid-request
+        except TimeoutError:  # the peer stalled mid-request: no response is owed
+            connections.count("stalled")
+            self.close_connection = True
+        except OSError:  # the peer went away mid-request
             self.close_connection = True
         finally:
             if connections.end(self):
@@ -201,7 +238,8 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
 
     def parse_request(self) -> bool:
         """The stdlib's request-line outcomes (400, 505, HTTP/1.0 closes, 100 Continue),
-        the head read by :mod:`repro.net.http11` (431; 501 for a chunked body)."""
+        the head read by :mod:`repro.net.http11` (431; 501 for a chunked body) into
+        :attr:`environ` and :attr:`lengths`."""
         self.command, self.request_version = None, self.default_request_version
         self.close_connection = True
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
@@ -223,17 +261,28 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
         if self.path.startswith("//"):  # not an absolute URI (gh-87389)
             self.path = "/" + self.path.lstrip("/")
         try:
-            self.headers = read_headers(self.rfile)
+            fields = read_fields(self.rfile)
         except FramingError as error:  # over MAX_LINE or MAX_HEADERS
             self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, str(error))
             return False
-        if "Transfer-Encoding" in self.headers:
+        # One pass: every header as HTTP_<NAME> (Accept, the trace ids of
+        # docs/tracing.md), the first occurrence winning as in
+        # Headers.get; every Content-Length field kept for _dispatch.
+        self.environ = environ = {}
+        self.lengths = lengths = []
+        for name, value in fields:
+            key = "HTTP_" + name.upper().replace("-", "_")
+            if key not in environ:
+                environ[key] = value
+            if key == "HTTP_CONTENT_LENGTH" and "_" not in name:
+                lengths.append(value)
+        if "HTTP_TRANSFER_ENCODING" in environ:
             self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
             return False
-        connection = self.headers.get("Connection", "").lower()
+        connection = environ.get("HTTP_CONNECTION", "").lower()
         if connection in ("close", "keep-alive"):
             self.close_connection = connection == "close"
-        if self.headers.get("Expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+        if environ.get("HTTP_EXPECT", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
 
@@ -242,7 +291,7 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
         app: SparqlWsgiApp = self.server.wsgi_app  # type: ignore[attr-defined]
         path, _, query_string = self.path.partition("?")
         # Identical duplicates are one length, conflicting ones not a length (RFC 9112 §6.3).
-        claimed = ", ".join(dict.fromkeys(self.headers.get_all("Content-Length"))) or "0"
+        claimed = ", ".join(dict.fromkeys(self.lengths)) or "0"
         try:
             length = int(claimed)
         except ValueError:
@@ -274,23 +323,20 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             # The body may be only partially drained (_DRAIN_CAP); the
             # connection cannot carry another request.
             self.close_connection = True
-        # Every header as HTTP_<NAME>: Accept, and the trace ids (docs/tracing.md).
-        environ = {f"HTTP_{name.upper().replace('-', '_')}": self.headers.get(name)
-                   for name in self.headers}
-        environ.update({
-            "REQUEST_METHOD": self.command,
-            "PATH_INFO": path,
-            "QUERY_STRING": query_string,
-            "CONTENT_TYPE": self.headers.get("Content-Type", ""),
-            "CONTENT_LENGTH": claimed,
-            "wsgi.input": io.BytesIO(body),
-        })
+        environ = self.environ
+        environ["REQUEST_METHOD"] = self.command
+        environ["PATH_INFO"] = path
+        environ["QUERY_STRING"] = query_string
+        environ["CONTENT_TYPE"] = environ.get("HTTP_CONTENT_TYPE", "")
+        environ["CONTENT_LENGTH"] = claimed
+        environ["wsgi.input"] = io.BytesIO(body)
 
         head = []
 
         def start_response(status_line: str, headers) -> None:
             head.append(f"HTTP/1.1 {status_line}\r\n")
-            head.extend(f"{name}: {value}\r\n" for name, value in headers)
+            for name, value in headers:
+                head.append(f"{name}: {value}\r\n")
 
         payload = b"".join(app(environ, start_response))
         if not head:  # pragma: no cover - app always responds
@@ -307,10 +353,11 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
             head.append("Connection: close\r\n")
             self.close_connection = True
         head.append("\r\n")
-        # Every response carries Content-Length and leaves in ONE write:
-        # headers and body in two cost a keep-alive client a Nagle ×
-        # delayed-ACK stall per request (44 ms per /complete, measured).
-        self.wfile.write("".join(head).encode("latin-1") + payload)
+        # Every response carries Content-Length and leaves in ONE write,
+        # straight onto the socket: headers and body in two cost a
+        # keep-alive client a Nagle × delayed-ACK stall per request
+        # (44 ms per /complete, measured).
+        self.connection.sendall("".join(head).encode("latin-1") + payload)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silent: ``/stats`` and the slow-query log are the request log."""
@@ -413,6 +460,10 @@ class SparqlHttpServer:
             raise RuntimeError(
                 "server socket is closed (stop() was called); "
                 "build a new SparqlHttpServer to serve again")
+        # What the process holds now (the backend it serves, above all)
+        # lives as long as the server: collected once, then frozen, it
+        # is never walked again by a full collection inside a request.
+        _FREEZE.hold()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name=f"sparql-http-{self.port}",
@@ -432,6 +483,9 @@ class SparqlHttpServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+            # A process that builds server after server (a test suite)
+            # must not keep each one's garbage for good.
+            _FREEZE.release()
 
     def __enter__(self) -> "SparqlHttpServer":
         return self.start()

@@ -5,7 +5,9 @@ byte encoding**: :func:`dump_document` fixes key order and separators,
 so the bytes a :class:`~repro.net.wsgi.SparqlWsgiApp` serves for a
 completion are identical to the bytes :func:`completion_document` +
 :func:`dump_document` produce in-process — the parity gate the
-suggestion API is held to (``tests/test_suggestion_api.py``).
+suggestion API is held to (``tests/test_suggestion_api.py``).  The
+server writes those bytes with :func:`encode_completion`, which skips
+the document and is held to it byte for byte.
 
 Documents deliberately carry no timings: latency is measured by whoever
 wants it (the client, ``/stats``), and keeping the payload a pure
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..sparql.results import AskResult, SelectResult
 from .formats import FormatError, result_from_document, result_to_document
@@ -31,6 +33,7 @@ from .formats import FormatError, result_from_document, result_to_document
 __all__ = [
     "MIME_JSON_BODY",
     "completion_document",
+    "encode_completion",
     "outcome_document",
     "dump_document",
     "parse_completion",
@@ -45,11 +48,14 @@ __all__ = [
 MIME_JSON_BODY = "application/json"
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+#: One JSON string as the canonical encoding writes it (non-ASCII kept).
+_string = json.encoder.encode_basestring
+
+
 def dump_document(document: Dict) -> bytes:
     """Canonical JSON bytes: sorted keys, minimal separators, UTF-8."""
-    return json.dumps(
-        document, ensure_ascii=False, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _ENCODER.encode(document).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +77,18 @@ def completion_document(result) -> Dict:
             for completion in result.completions
         ],
     }
+
+
+def encode_completion(result) -> bytes:
+    """``dump_document(completion_document(result))``, written without
+    the document: the ``/complete`` body, keys in their sorted order."""
+    completions = ",".join([
+        '{"kinds":[%s],"source":%s,"surface":%s}' % (
+            ",".join(map(_string, completion.kinds)),
+            _string(completion.source), _string(completion.surface))
+        for completion in result.completions])
+    return ('{"completions":[%s],"term":%s,"tree_hit":%s}' % (
+        completions, _string(result.term), "true" if result.tree_hit else "false")).encode("utf-8")
 
 
 def outcome_document(outcome) -> Dict:
@@ -125,9 +143,8 @@ def outcome_document(outcome) -> Dict:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RemoteCompletion:
-    """One completion as seen over the wire."""
+class RemoteCompletion(NamedTuple):
+    """One completion as seen over the wire (an immutable record)."""
 
     surface: str
     kinds: Tuple[str, ...]
@@ -204,11 +221,8 @@ def parse_completion(payload) -> RemoteCompletionResult:
         term=str(document.get("term", "")),
         tree_hit=bool(document.get("tree_hit", False)),
         completions=[
-            RemoteCompletion(
-                surface=str(item["surface"]),
-                kinds=tuple(item.get("kinds", ())),
-                source=str(item.get("source", "")),
-            )
+            RemoteCompletion(str(item["surface"]), tuple(item.get("kinds", ())),
+                             str(item.get("source", "")))
             for item in document["completions"]
         ],
     )

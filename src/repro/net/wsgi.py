@@ -83,13 +83,8 @@ from ..sparql.parser import parse_query
 from ..sparql.results import SelectResult
 from ..sparql.trace import Tracer
 from .formats import NotAcceptable, memo_stats, negotiate
-from .metrics import ServerStats, SlowQueryLog, StatsTimeSeries
-from .suggest import (
-    MIME_JSON_BODY,
-    completion_document,
-    dump_document,
-    outcome_document,
-)
+from .metrics import GC_WATCH, ServerStats, SlowQueryLog, StatsTimeSeries
+from .suggest import MIME_JSON_BODY, dump_document, encode_completion, outcome_document
 
 __all__ = ["ServerStats", "SparqlWsgiApp", "WORKER_HEADER"]
 
@@ -103,6 +98,8 @@ MIME_FORM = "application/x-www-form-urlencoded"
 #: Echoed on every response when the app was built with a ``worker_id``,
 #: so load drivers can attribute responses to workers (docs/server.md).
 WORKER_HEADER = "X-Repro-Worker"
+
+_MIME_JSON_UTF8 = f"{MIME_JSON_BODY}; charset=utf-8"
 
 _STATUS_LINES = {
     200: "200 OK",
@@ -172,12 +169,16 @@ class SparqlWsgiApp:
         self._trace_rng = random.Random()
         self.stats = ServerStats()
         self.series = StatsTimeSeries()
+        GC_WATCH.install()
         #: The serving :class:`~repro.net.server.ConnectionRegistry`
         #: (``/stats`` → ``connections``); set by the HTTP server that
         #: binds this app, None under a foreign WSGI container.
         self.connections = None
-        self._workers = threading.BoundedSemaphore(max_workers)
-        self._queue_lock = threading.Lock()
+        # Admission state: requests holding a worker slot (``_in_flight``)
+        # and waiting for one (``_queued``), under one lock; a waiter
+        # sleeps on the condition until a release frees a slot.
+        self._admission = threading.Lock()
+        self._slots = threading.Condition(self._admission)
         self._queued = 0
         self._in_flight = 0
         # Suggestion-API sessions: token -> activity counters, bounded
@@ -264,7 +265,7 @@ class SparqlWsgiApp:
         harness reconciles against these numbers, so they must be a
         consistent pair.
         """
-        with self._queue_lock:
+        with self._admission:
             return self._in_flight, self._queued
 
     def stats_body(self) -> Dict[str, object]:
@@ -301,6 +302,7 @@ class SparqlWsgiApp:
         if lookup_stats is not None:
             body["cache"] = lookup_stats()
         body["formats"] = memo_stats()
+        body["gc"] = GC_WATCH.snapshot()
         if self.connections is not None:
             body["connections"] = self.connections.snapshot()
         counters = getattr(self.backend, "counters", None)
@@ -401,24 +403,9 @@ class SparqlWsgiApp:
         or None)``.
         """
         tracer = self._maybe_tracer(environ, text, analyze)
-        admitted, queued_s = self._admit()
-        if not admitted or (self.deadline_s is not None and queued_s >= self.deadline_s):
-            if admitted:
-                self._workers.release()
-            # Refused without a wait: the queue was full.  Refused after
-            # one, the wait ran out at the deadline with the queue not full.
-            raise _HttpFail(503, f"queued {queued_s:.2f}s, past the {self.deadline_s:.2f}s deadline"
-                            if admitted or queued_s else
-                            "server overloaded: worker pool and queue are full")
+        self._admit()
         try:
-            with self._queue_lock:
-                self._in_flight += 1
-                self.stats.observe_queue(self._queued, self._in_flight)
-            try:
-                result = run(tracer)
-            finally:
-                with self._queue_lock:
-                    self._in_flight -= 1
+            result = run(tracer)
         except _HttpFail:
             raise
         except QueryRejected as exc:
@@ -430,7 +417,10 @@ class SparqlWsgiApp:
         except Exception as exc:  # noqa: BLE001 — a handler must not crash the server
             raise _HttpFail(500, f"{type(exc).__name__}: {exc}") from exc
         finally:
-            self._workers.release()
+            with self._admission:
+                self._in_flight -= 1
+                if self._queued:
+                    self._slots.notify()
         if tracer is None:
             return result, None
         trace = tracer.finish()
@@ -473,21 +463,17 @@ class SparqlWsgiApp:
         if session is not None and not isinstance(session, str):
             raise _HttpFail(400, "'session' must be a string token")
 
-        route = path.lstrip("/")
+        route = path[1:]
         snippet = document.get("query") or document.get("text") or ""
         run = self._run_complete if route == "complete" else self._run_suggest
-        response, _ = self._admitted(
+        payload, _ = self._admitted(
             environ, snippet if isinstance(snippet, str) else "", False, route,
             lambda tracer: run(document, tracer))
         if session is not None:
             self._touch_session(session, route)
-        payload = dump_document(response)
-        headers = {"Content-Type": f"{MIME_JSON_BODY}; charset=utf-8"}
-        return 200, headers, payload, 0
+        return 200, {"Content-Type": _MIME_JSON_UTF8}, payload, 0
 
-    def _run_complete(
-        self, document: Dict, tracer: Optional[Tracer] = None
-    ) -> Dict:
+    def _run_complete(self, document: Dict, tracer: Optional[Tracer] = None) -> bytes:
         text = document.get("text")
         if not isinstance(text, str):
             raise _HttpFail(400, "missing required 'text' string")
@@ -501,22 +487,18 @@ class SparqlWsgiApp:
             ):
                 raise _HttpFail(400, "'recent' must be a list of strings")
             recent = recent[-32:]  # bounded, like SapphireSession history
-        return completion_document(
-            self.suggester.complete(text, k, tracer, boost_surfaces=recent)
-        )
+        return encode_completion(
+            self.suggester.complete(text, k, tracer, boost_surfaces=recent))
 
-    def _run_suggest(
-        self, document: Dict, tracer: Optional[Tracer] = None
-    ) -> Dict:
+    def _run_suggest(self, document: Dict, tracer: Optional[Tracer] = None) -> bytes:
         query = document.get("query")
         if not isinstance(query, str):
             raise _HttpFail(400, "missing required 'query' string")
         suggest = document.get("suggest", True)
         if not isinstance(suggest, bool):
             raise _HttpFail(400, "'suggest' must be a boolean")
-        return outcome_document(
-            self.suggester.run_query(query, suggest=suggest, tracer=tracer)
-        )
+        return dump_document(outcome_document(
+            self.suggester.run_query(query, suggest=suggest, tracer=tracer)))
 
     def _read_json_body(self, environ) -> Dict:
         """The request body as a JSON object (suggestion routes)."""
@@ -618,24 +600,34 @@ class SparqlWsgiApp:
             415, f"unsupported Content-Type {content_type!r}: "
                  f"use {MIME_FORM} or {MIME_SPARQL_QUERY}")
 
-    def _admit(self) -> Tuple[bool, float]:
-        """Try to claim a worker slot; returns (admitted, seconds queued)."""
-        if self._workers.acquire(blocking=False):
-            return True, 0.0
-        with self._queue_lock:
-            if self._queued >= self.queue_limit:
-                return False, 0.0
-            self._queued += 1
+    def _admit(self) -> None:
+        """Claim a worker slot, counted in flight at once: a 503 when the
+        pool and queue are full, or when the wait for a slot reached the
+        deadline (refused without a wait: the queue was full; refused
+        after one: the wait ran out with the queue not full)."""
+        with self._admission:
+            queued_s = 0.0
+            if self._in_flight >= self.max_workers:
+                if self._queued >= self.queue_limit:
+                    raise _HttpFail(503, "server overloaded: worker pool and queue are full")
+                self._queued += 1
+                self.stats.observe_queue(self._queued, self._in_flight)
+                started = time.perf_counter()
+                try:
+                    # Cap the queue wait at the request deadline: waiting longer
+                    # can only produce a response the client has given up on.
+                    self._slots.wait_for(lambda: self._in_flight < self.max_workers,
+                                         self.deadline_s)
+                finally:
+                    self._queued -= 1
+                queued_s = time.perf_counter() - started
+            free = self._in_flight < self.max_workers
+            if not free or (self.deadline_s is not None and queued_s >= self.deadline_s):
+                if free and self._queued:
+                    self._slots.notify()  # the slot this request leaves is the next waiter's
+                raise _HttpFail(503, f"queued {queued_s:.2f}s, past the {self.deadline_s:.2f}s deadline")
+            self._in_flight += 1
             self.stats.observe_queue(self._queued, self._in_flight)
-        started = time.perf_counter()
-        try:
-            # Cap the queue wait at the request deadline: waiting longer
-            # can only produce a response the client has given up on.
-            admitted = self._workers.acquire(timeout=self.deadline_s)
-        finally:
-            with self._queue_lock:
-                self._queued -= 1
-        return admitted, time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Response helpers
@@ -687,7 +679,7 @@ class _HttpFail(Exception):
 
 def _json_headers(length: Optional[int] = None,
                   retry_after: bool = False) -> Dict[str, str]:
-    headers = {"Content-Type": "application/json; charset=utf-8"}
+    headers = {"Content-Type": _MIME_JSON_UTF8}
     if length is not None:
         headers["Content-Length"] = str(length)
     if retry_after:

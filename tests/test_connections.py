@@ -12,9 +12,11 @@ means "never reached the server").
 
 from __future__ import annotations
 
+import gc
 import http.client
 import http.server
 import json
+import os
 import shutil
 import socket
 import ssl
@@ -244,6 +246,37 @@ class TestStaleConnection:
             raw.close()
             server.stop()
         assert [entry.outcome for entry in client.log] == ["ok", "error"]
+
+
+class TestStalledPeer:
+    """A peer that sends part of a request and then nothing (docs/faults.md):
+    the handler's socket timeout ends the request unanswered, the
+    connection closes, and ``connections.stalled`` counts it."""
+
+    @pytest.mark.parametrize("partial", [
+        b"POST /sparql HTTP/1.1\r\nHost: test\r\nContent-Ty",
+        b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Type: application/x-www-form-urlencoded\r\n"
+        b"Content-Length: 40\r\n\r\nquery=ASK",
+    ], ids=["mid-head", "mid-body"])
+    def test_stall_is_counted_and_the_connection_closed(self, local_endpoint,
+                                                        monkeypatch, partial):
+        monkeypatch.setattr(server_module._WsgiRequestHandler, "timeout", 0.2)
+        with SparqlHttpServer(local_endpoint) as server:
+            raw = _RawClient(server.host, server.port)
+            try:
+                raw.sock.sendall(partial)
+                started = time.perf_counter()
+                assert raw.read_response() is None  # closed, nothing answered
+                assert time.perf_counter() - started < 5.0
+            finally:
+                raw.close()
+            connections = server.app.connections.snapshot()
+            served = server.stats.snapshot()["requests"]
+        assert connections["stalled"] == 1
+        assert connections["idle_closed"] == 0
+        assert connections["requests"] == 1  # its request line was read
+        assert served == 0  # the app never saw it
 
 
 class TestCheckout:
@@ -595,15 +628,157 @@ class TestNoEmailParser:
             assert [entry.outcome for entry in sparql.log] == ["ok"]
 
 
+def _counting_connect(monkeypatch):
+    """Make the client's fresh sockets count the readers made on them and
+    the writes sent through them."""
+    counts = {"readers": 0, "writes": 0}
+    real = client_module._connect
+
+    class Counting(socket.socket):
+        def makefile(self, *args, **kwargs):
+            counts["readers"] += 1
+            return super().makefile(*args, **kwargs)
+
+        def sendall(self, *args, **kwargs):
+            counts["writes"] += 1
+            return super().sendall(*args, **kwargs)
+
+    def connect(split, timeout_s):
+        sock = real(split, timeout_s)
+        counted = Counting(sock.family, sock.type, sock.proto, fileno=sock.detach())
+        counted.settimeout(timeout_s)
+        return counted
+
+    monkeypatch.setattr(client_module, "_connect", connect)
+    return counts
+
+
+def _close_pooled(monkeypatch):
+    """Close every pooled connection: a checkout that finds them all expired."""
+    monkeypatch.setattr(client_module, "_REUSE_WITHIN_S", -1.0)
+    assert client_module._POOL.checkout(("none", None, None)) is None
+    assert client_module._POOL._idle == []
+
+
+def _open_sockets():
+    """The sockets this process holds open, by inode (``socket:[N]``): a
+    socket opened since a baseline shows as a new name even when its
+    descriptor number was freed by someone else meanwhile."""
+    names = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            names.add(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:
+            pass  # closed while listed
+    return {name for name in names if name.startswith("socket:")}
+
+
+class TestLeanPath:
+    """What one exchange costs the client: no reader made per exchange, one
+    write per request, and no socket left open on any close path."""
+
+    def test_one_reader_per_connection_and_one_write_per_request(self, server, monkeypatch):
+        counts = _counting_connect(monkeypatch)
+        calls = RESPONSES_PER_CONNECTION - 1
+        with SparqlHttpServer(server) as http_server:
+            pum = HttpSapphireClient(http_server.url, session="lean", timeout_s=10.0)
+            for _ in range(calls):
+                assert pum.complete("Kenn", 5).completions
+            connections = http_server.app.connections.snapshot()
+        assert connections["accepted"] == 1 and connections["requests"] == calls
+        assert counts == {"readers": 1, "writes": calls}
+
+    def test_a_line_break_in_the_head_is_refused_before_a_write(self, local_endpoint,
+                                                                monkeypatch):
+        counts = _counting_connect(monkeypatch)
+        with SparqlHttpServer(local_endpoint) as server:
+            client = HttpSparqlEndpoint(server.url, timeout_s=10.0, max_retries=0)
+            client.set_trace_context("t1\r\nX-Injected: yes", None)
+            with pytest.raises(ValueError, match="a line break inside the request head"):
+                client.ask(ASK)
+            client.set_trace_context(None, None)
+            assert client.ask(ASK).value is True
+        assert counts == {"readers": 1, "writes": 1}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_sockets_return_to_their_baseline(self, local_endpoint, monkeypatch):
+        _close_pooled(monkeypatch)
+        monkeypatch.undo()
+        baseline = _open_sockets()
+        monkeypatch.setattr(client_module, "MAX_IDLE_CONNECTIONS", 1)
+        with SparqlHttpServer(local_endpoint) as first, \
+                SparqlHttpServer(local_endpoint) as second:
+            to_first = HttpSparqlEndpoint(first.url, timeout_s=10.0)
+            to_second = HttpSparqlEndpoint(second.url, timeout_s=10.0)
+            for _ in range(RESPONSES_PER_CONNECTION + 1):  # a forced recycle
+                assert to_first.ask(ASK).value is True
+            assert to_second.ask(ASK).value is True  # overflow closes first's
+            assert len(_pooled_to(second.port)) == 1 and not _pooled_to(first.port)
+            monkeypatch.setattr(client_module, "_REUSE_WITHIN_S", -1.0)
+            assert to_first.ask(ASK).value is True  # expiry closes second's
+            assert not _pooled_to(second.port)
+            assert first.app.connections.snapshot()["recycled"] == 1
+        _close_pooled(monkeypatch)
+        deadline = time.monotonic() + 5.0  # the servers' threads close their ends
+        while _open_sockets() - baseline and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _open_sockets() - baseline == set()
+
+
 class TestStatsBlock:
     def test_connections_blocks_sum(self):
         block = {"accepted": 3, "open": 1, "requests": 40, "recycled": 1,
-                 "idle_closed": 0}
+                 "idle_closed": 0, "stalled": 2}
         merged = merge_stats_bodies([{"connections": block},
                                      {"connections": block}, {}])
         assert merged["connections"] == {name: 2 * count
                                          for name, count in block.items()}
         assert "connections" not in merge_stats_bodies([{}])
+
+    def test_gc_blocks_sum(self):
+        block = {"gen2_collections": 2, "gen2_pause_us": 1500}
+        merged = merge_stats_bodies([{"gc": block}, {"gc": block}])
+        assert merged["gc"] == {"gen2_collections": 4, "gen2_pause_us": 3000}
+
+
+class TestCollector:
+    """ROADMAP item 2: a served process freezes what it holds at boot, and
+    ``/stats`` counts the full collections that still run."""
+
+    def test_full_collections_are_counted_in_stats(self, local_endpoint):
+        with SparqlHttpServer(local_endpoint) as server:
+            before = fetch_stats(server.url)["gc"]
+            gc.collect()
+            after = fetch_stats(server.url)["gc"]
+        assert after["gen2_collections"] >= before["gen2_collections"] + 1
+        assert after["gen2_pause_us"] > before["gen2_pause_us"]
+
+    def test_serving_freezes_and_stopping_thaws(self, local_endpoint):
+        server = SparqlHttpServer(local_endpoint).start()
+        try:
+            assert gc.get_freeze_count() > 0
+        finally:
+            server.stop()
+        assert gc.get_freeze_count() == 0
+
+    def test_the_last_server_to_stop_thaws(self, local_endpoint):
+        first = SparqlHttpServer(local_endpoint).start()
+        try:
+            with SparqlHttpServer(local_endpoint):
+                assert gc.get_freeze_count() > 0
+            assert gc.get_freeze_count() > 0  # the first one still serves
+        finally:
+            first.stop()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_freeze_made_before_serving_outlives_the_servers(self, local_endpoint):
+        gc.freeze()
+        try:
+            with SparqlHttpServer(local_endpoint):
+                pass
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 # ----------------------------------------------------------------------

@@ -268,20 +268,22 @@ class TestProtocol:
     # -- error paths ---------------------------------------------------
 
     def expect_http_error(self, request):
+        """The status and body of an error response, its socket closed."""
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10.0)
-        return excinfo.value
+        with excinfo.value as error:
+            return error.code, error.read()
 
     def test_missing_query_is_400(self, url):
-        error = self.expect_http_error(urllib.request.Request(url))
-        assert error.code == 400
-        assert "query" in json.loads(error.read())["error"]["message"]
+        code, body = self.expect_http_error(urllib.request.Request(url))
+        assert code == 400
+        assert "query" in json.loads(body)["error"]["message"]
 
     def test_parse_error_is_400(self, url):
         query = urllib.parse.quote("SELECT WHERE garbage {{{")
-        error = self.expect_http_error(
+        code, _ = self.expect_http_error(
             urllib.request.Request(f"{url}?query={query}"))
-        assert error.code == 400
+        assert code == 400
 
     @pytest.mark.parametrize("text, name", [
         ("SELECT * WHERE { ?s ?p ?o FILTER(isliteral()) } LIMIT 3", "ISLITERAL"),
@@ -290,10 +292,10 @@ class TestProtocol:
         ("SELECT (strlen() AS ?n) WHERE { ?s ?p ?o } LIMIT 3", "STRLEN"),
     ])
     def test_wrong_arity_is_400_not_500(self, url, text, name):
-        error = self.expect_http_error(
+        code, body = self.expect_http_error(
             urllib.request.Request(f"{url}?query={urllib.parse.quote(text)}"))
-        assert error.code == 400
-        assert name in json.loads(error.read())["error"]["message"]
+        assert code == 400
+        assert name in json.loads(body)["error"]["message"]
 
     def test_every_function_off_its_arity_is_400(self, url):
         from repro.sparql.functions import FUNCTIONS
@@ -302,51 +304,51 @@ class TestProtocol:
             for n_args in (signature.min_args - 1, signature.max_args + 1):
                 text = "SELECT * WHERE { ?s ?p ?o FILTER(%s(%s)) } LIMIT 3" % (
                     name, ", ".join(["?o"] * n_args))
-                error = self.expect_http_error(
+                code, body = self.expect_http_error(
                     urllib.request.Request(f"{url}?query={urllib.parse.quote(text)}"))
-                assert error.code == 400, text
-                message = json.loads(error.read())["error"]["message"]
+                assert code == 400, text
+                message = json.loads(body)["error"]["message"]
                 assert name in message and f"got {n_args}" in message
 
     def test_unknown_path_is_404(self, servers):
-        error = self.expect_http_error(urllib.request.Request(
+        code, _ = self.expect_http_error(urllib.request.Request(
             f"http://{servers[0].host}:{servers[0].port}/nope"))
-        assert error.code == 404
+        assert code == 404
 
     def test_unacceptable_accept_is_406(self, url):
         query = urllib.parse.quote("ASK { ?s ?p ?o }")
-        error = self.expect_http_error(urllib.request.Request(
+        code, _ = self.expect_http_error(urllib.request.Request(
             f"{url}?query={query}", headers={"Accept": "text/html"}))
-        assert error.code == 406
+        assert code == 406
 
     def test_bad_content_type_is_415(self, url):
-        error = self.expect_http_error(urllib.request.Request(
+        code, _ = self.expect_http_error(urllib.request.Request(
             url, data=b"{}", headers={"Content-Type": "application/json"}))
-        assert error.code == 415
+        assert code == 415
 
     def test_non_utf8_body_is_400(self, url):
-        error = self.expect_http_error(urllib.request.Request(
+        code, body = self.expect_http_error(urllib.request.Request(
             url, data=b"\xff\xfe\xfa",
             headers={"Content-Type": "application/sparql-query"}))
-        assert error.code == 400
-        assert "UTF-8" in json.loads(error.read())["error"]["message"]
+        assert code == 400
+        assert "UTF-8" in json.loads(body)["error"]["message"]
 
     def test_oversized_body_is_413_without_buffering(self, servers):
         """A huge Content-Length is refused before the body is read."""
         app = servers[0].app
         huge = app.max_query_bytes + 1
-        error = self.expect_http_error(urllib.request.Request(
+        code, _ = self.expect_http_error(urllib.request.Request(
             servers[0].url, data=b"x" * huge,
             headers={"Content-Type": "application/sparql-query"}))
-        assert error.code == 413
+        assert code == 413
 
     def test_multi_megabyte_body_still_receives_the_413(self, servers):
         """The server drains what the client is sending, so the 413
         arrives instead of a broken pipe (which the client would retry)."""
-        error = self.expect_http_error(urllib.request.Request(
+        code, _ = self.expect_http_error(urllib.request.Request(
             servers[0].url, data=b"x" * (5 * 1024 * 1024),
             headers={"Content-Type": "application/sparql-query"}))
-        assert error.code == 413
+        assert code == 413
 
     def test_413_is_not_retried_by_the_client(self, servers):
         client = HttpSparqlEndpoint(servers[0].url, max_retries=3,
@@ -477,8 +479,9 @@ class TestAdmissionAndErrors:
                         {"query": "SELECT * WHERE { ?s ?p ?o }"}))
                 with pytest.raises(urllib.error.HTTPError) as refused:
                     urllib.request.urlopen(request, timeout=10.0)
-                assert refused.value.code == 503
-                body = json.loads(refused.value.read().decode("utf-8"))
+                with refused.value as error:
+                    assert error.code == 503
+                    body = json.loads(error.read().decode("utf-8"))
                 assert message in body["error"]["message"]
             finally:
                 release.set()

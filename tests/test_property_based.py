@@ -11,6 +11,7 @@ Invariants covered:
 * parser/serializer round-trip for generated queries,
 * SPARQL Results JSON: the fragment-memo writer ≡ ``json.dumps`` of the
   document, and the interning reader inverts it, at any memo state,
+* ``/complete``: the direct writer ≡ the canonical document's bytes,
 * compiled expressions ≡ the reference interpreter
   (``reference_expressions``): the same term or both an error.
 """
@@ -324,6 +325,34 @@ class TestResultsJsonProperties:
             for memo, bound in zip(memos, saved):
                 memo.clear()
                 memo.bound = bound
+
+
+class _Entry:
+    """A cached term as a completion sees it: only its kind."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+
+# Any text JSON can carry: quotes, backslashes, control and non-ASCII
+# characters (lone surrogates cannot be encoded as UTF-8 either way).
+_WIRE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+class TestCompletionEncodingProperties:
+    @given(_WIRE_TEXT, st.booleans(),
+           st.lists(st.tuples(_WIRE_TEXT, st.lists(_WIRE_TEXT, max_size=3),
+                              st.sampled_from(["tree", "bins"])), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_direct_writer_is_the_canonical_document(self, term, tree_hit, completions):
+        """``/complete``'s writer ≡ ``dump_document(completion_document(...))``."""
+        from repro.core.qcm import Completion, CompletionResult
+        from repro.net.suggest import completion_document, dump_document, encode_completion
+
+        result = CompletionResult(term, [
+            Completion(surface, tuple(_Entry(kind) for kind in kinds), source)
+            for surface, kinds, source in completions], tree_hit=tree_hit)
+        assert encode_completion(result) == dump_document(completion_document(result))
 
 
 # ----------------------------------------------------------------------
