@@ -64,7 +64,9 @@ def test_theta_sweep(small_server, capsys, benchmark):
         for theta in (0.5, 0.6, 0.7, 0.8, 0.9):
             config = dataclasses.replace(small_server.config, theta=theta,
                                          max_alternatives_per_term=50)
-            finder = AlternativeTermsFinder(cache, small_server._run_ast, config)
+            finder = AlternativeTermsFinder(
+                cache, small_server._run_ast, small_server._proves_no_match, config
+            )
             candidates = finder.literal_alternatives(Literal("Kennedys", lang="en"))
             has_gold = any(entry.surface == "Kennedy" for entry, _ in candidates)
             rows.append({

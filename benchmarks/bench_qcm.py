@@ -345,9 +345,9 @@ def test_tiered_repair_window(small_server, scaled_index, capsys, benchmark):
     cache = full.copy_with_capacity(500)
     tiered = load_cache(path, cache.config)
     try:
-        runner = small_server._run_ast
-        memory_finder = AlternativeTermsFinder(cache, runner, cache.config)
-        tiered_finder = AlternativeTermsFinder(tiered, runner, cache.config)
+        runner, proof = small_server._run_ast, small_server._proves_no_match
+        memory_finder = AlternativeTermsFinder(cache, runner, proof, cache.config)
+        tiered_finder = AlternativeTermsFinder(tiered, runner, proof, cache.config)
 
         def repairs(finder):
             return [

@@ -32,25 +32,33 @@ modifier tail local and federated execution use — yielding one
 if the candidate query had run alone.
 
 Queries with aggregates or GROUP BY cannot be split post-hoc (the
-aggregate would mix candidate groups), so :meth:`ProbeBatcher.run`
-returns ``None`` for them and the caller falls back to per-candidate
+aggregate would mix candidate groups), so :meth:`ProbeBatcher.shipped`
+and with it :meth:`ProbeBatcher.run` return ``None`` for them and the caller falls back to per-candidate
 execution.  An ASK probes as the SELECT of its WHERE
 (:func:`select_form`): a repair is worth suggesting when it has
 solutions, and the suggestion shows how many.
+
+Before a batch ships, every candidate whose one-change BGP the data
+proves empty (``QueryService.proves_no_match``: a zero-count pattern,
+or a subject star no characteristic set holds) is dropped, and a
+position with no candidate left sends nothing.  Only the required
+patterns of ``where.patterns`` are given to the proof, and never for an
+aggregate query, whose COUNT over nothing is still a row.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
+from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import Query, ValuesClause
 from ..sparql.evaluator import finalize_solutions
 from ..sparql.results import SelectResult
 
-__all__ = ["PROBE_VAR", "ProbeBatcher", "build_probe_query", "select_form"]
+__all__ = ["PROBE_VAR", "ProbeBatcher", "ProbeTally", "build_probe_query", "select_form"]
 
 #: The fresh variable a probe query binds to the candidate term.  The
 #: name is namespaced so it can never collide with user variables (the
@@ -59,6 +67,19 @@ PROBE_VAR = "sapphire_probe"
 
 #: Executes a query AST somewhere (local store, endpoint, federation).
 QueryRunner = Callable[[Query], SelectResult]
+
+#: Whether the data proves a BGP has no solution
+#: (``QueryService.proves_no_match``).
+NoMatchProof = Callable[[Sequence[TriplePattern]], bool]
+
+
+@dataclass
+class ProbeTally:
+    """What the proof spared one round: the ``proven_empty`` and
+    ``probes_skipped`` attributes of its ``qsm-terms`` span."""
+
+    proven_empty: int = 0    # candidates dropped before their batch shipped
+    probes_skipped: int = 0  # positions left with no candidate: no batch
 
 
 def select_form(query: Query) -> Query:
@@ -111,11 +132,38 @@ class ProbeBatcher:
     ``runner`` is the same callable the QSM modules use (typically
     ``SapphireServer._run_ast``, i.e. the federation) — the batcher adds
     no execution path of its own, only the VALUES packing and the
-    per-candidate finish.
+    per-candidate finish.  ``proves_no_match`` is the proof a candidate
+    must not pass to ship (:meth:`shipped`); a backend that sees no data
+    proves nothing, so there every candidate ships.
     """
 
-    def __init__(self, runner: QueryRunner) -> None:
+    def __init__(self, runner: QueryRunner, proves_no_match: NoMatchProof) -> None:
         self.runner = runner
+        self.proves_no_match = proves_no_match
+
+    def shipped(
+        self,
+        query: Query,
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> Optional[List[Term]]:
+        """The candidates a batch ships: those whose one-change BGP (the
+        required patterns, candidate substituted) the data does not
+        prove empty.  ``None`` for an aggregate query, which is neither
+        batched (the aggregate would mix candidate groups) nor proven
+        (its COUNT over nothing is still a row)."""
+        if query.has_aggregates() or query.group_by:
+            return None
+        prove = self.proves_no_match
+        patterns = list(query.where.patterns)
+        probed = patterns[triple_index]
+        kept: List[Term] = []
+        for candidate in candidates:
+            patterns[triple_index] = replace(probed, **{position: candidate})
+            if not prove(patterns):
+                kept.append(candidate)
+        return kept
 
     def run(
         self,
@@ -124,13 +172,15 @@ class ProbeBatcher:
         position: str,
         candidates: Sequence[Term],
         tracer=None,
+        tally: Optional[ProbeTally] = None,
     ) -> Optional[Dict[Term, SelectResult]]:
         """Per-candidate results for one batched probe.
 
         Returns ``None`` when the query shape cannot be batched
         (aggregates/GROUP BY) or the probe execution failed — callers
         fall back to per-candidate execution.  Candidates absent from
-        the mapping returned no rows.
+        the mapping returned no rows, or were proven to have none and
+        never shipped (counted into ``tally``).
 
         ``tracer`` is the calling request's
         :class:`~repro.sparql.trace.Tracer`, if it has one: the probe
@@ -140,14 +190,20 @@ class ProbeBatcher:
         """
         if not candidates:
             return {}
-        if query.has_aggregates() or query.group_by:
+        shipped = self.shipped(query, triple_index, position, candidates)
+        if shipped is None:
             return None
-        probe = build_probe_query(query, triple_index, position, candidates)
+        if tally is not None:
+            tally.proven_empty += len(candidates) - len(shipped)
+            tally.probes_skipped += not shipped
+        if not shipped:
+            return {}
+        probe = build_probe_query(query, triple_index, position, shipped)
         traced = nullcontext() if tracer is None else tracer.span(
             "qsm-probe-batch",
             position=position,
             triple=triple_index,
-            candidates=len(candidates),
+            candidates=len(shipped),
         )
         with traced as span:
             try:
@@ -169,7 +225,7 @@ class ProbeBatcher:
             grouped.setdefault(candidate, []).append(solution)
         finished: Dict[Term, SelectResult] = {}
         selecting = select_form(query)
-        for candidate in candidates:
+        for candidate in shipped:
             solutions = grouped.get(candidate)
             if not solutions:
                 continue
@@ -180,16 +236,23 @@ class ProbeBatcher:
         self,
         query: Query,
         positions: Sequence[Tuple[int, str, Sequence[Term]]],
-    ) -> List[Tuple[str, Query]]:
-        """The probe queries one suggestion round would ship, labelled —
-        the EXPLAIN surface for batched probing."""
-        labelled: List[Tuple[str, Query]] = []
+    ) -> List[Tuple[str, Optional[Query]]]:
+        """The probe queries one suggestion round would ship, labelled
+        with how many candidates the proof dropped — the EXPLAIN surface
+        for batched probing.  A position left with no candidate is
+        listed with ``None``: it ships nothing."""
+        labelled: List[Tuple[str, Optional[Query]]] = []
         for triple_index, position, candidates in positions:
             if not candidates:
                 continue
+            shipped = self.shipped(query, triple_index, position, candidates)
+            if shipped is None:  # an aggregate: listed with every candidate
+                shipped = list(candidates)
             labelled.append((
                 f"triple {triple_index + 1} {position} "
-                f"({len(candidates)} candidates)",
-                build_probe_query(query, triple_index, position, candidates),
+                f"({len(candidates) - len(shipped)} of {len(candidates)} "
+                "candidates proven empty)",
+                build_probe_query(query, triple_index, position, shipped)
+                if shipped else None,
             ))
         return labelled

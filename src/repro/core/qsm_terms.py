@@ -36,7 +36,9 @@ time — the UI's "did you mean X instead of Y?" phrasing).  Candidate
 *execution* is batched: all candidates for one position ship as a single
 ``VALUES``-constrained probe through the unified algebra pipeline
 (:mod:`repro.core.probes`), which at the federation costs one request
-per endpoint per round instead of one per candidate.  The top k/2
+per endpoint per round instead of one per candidate.  A candidate whose
+one-change query the data proves empty does not ship, and a position
+left with none sends nothing.  The top k/2
 predicate-change and k/2 literal-change queries *that return answers*
 are suggested, in similarity order, with their answers prefetched.
 """
@@ -56,7 +58,7 @@ from ..text.lexicon import Lexicon, default_lexicon
 from ..text.similarity import ThresholdScorer
 from .cache import CachedTerm, CacheReader, SapphireCache
 from .config import SapphireConfig
-from .probes import ProbeBatcher, select_form
+from .probes import NoMatchProof, ProbeBatcher, ProbeTally, select_form
 
 __all__ = ["TermSuggestion", "AlternativeTermsFinder"]
 
@@ -110,12 +112,14 @@ class TermSuggestion:
 
 
 class AlternativeTermsFinder:
-    """Implements Algorithm 2 over one cache + query runner."""
+    """Implements Algorithm 2 over one cache, a query runner and the
+    runner's no-match proof (``QueryService.proves_no_match``)."""
 
     def __init__(
         self,
         cache: CacheReader,
         runner: QueryRunner,
+        proves_no_match: NoMatchProof,
         config: Optional[SapphireConfig] = None,
         lexicon: Optional[Lexicon] = None,
     ) -> None:
@@ -125,7 +129,7 @@ class AlternativeTermsFinder:
         self.runner = runner
         self.config = config or cache.config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self._batcher = ProbeBatcher(runner)
+        self._batcher = ProbeBatcher(runner, proves_no_match)
         # The vocabulary table: every cached predicate and class scored
         # once against the snapshot it came from.  Read-only from here
         # on, so handler threads share it without a lock.
@@ -299,12 +303,14 @@ class AlternativeTermsFinder:
         k: Optional[int] = None,
         positions: Optional[List[Position]] = None,
         tracer: Optional[Tracer] = None,
+        tally: Optional[ProbeTally] = None,
     ) -> List[TermSuggestion]:
         """Top-k one-term-change queries that return answers.
 
         ``positions`` is a :meth:`candidate_positions` result for this
         query, when the caller already has one.  Under a ``tracer``
-        every batched probe records a ``qsm-probe-batch`` span.
+        every batched probe records a ``qsm-probe-batch`` span; ``tally``
+        counts the candidates and positions the proof kept from shipping.
         """
         k = k if k is not None else self.config.k_suggestions
         if positions is None:
@@ -315,7 +321,7 @@ class AlternativeTermsFinder:
             bucket = candidates["predicate" if isinstance(element, IRI) else "literal"]
             results: Optional[Dict[Term, SelectResult]] = self._batcher.run(
                 query, index, position, [entry.term for entry, _ in found],
-                tracer=tracer,
+                tracer=tracer, tally=tally,
             )
             for entry, score in found:
                 bucket.append((
@@ -329,9 +335,10 @@ class AlternativeTermsFinder:
             suggestions.extend(self._top_with_answers(query, kind, bucket, k // 2))
         return suggestions
 
-    def probe_queries(self, query: Query) -> List[Tuple[str, Query]]:
-        """The batched probe queries one suggestion round ships, labelled
-        (the EXPLAIN surface — see ``SapphireServer.explain_suggestions``)."""
+    def probe_queries(self, query: Query) -> List[Tuple[str, Optional[Query]]]:
+        """The batched probe queries one suggestion round ships, labelled,
+        ``None`` for a position that ships nothing (the EXPLAIN surface —
+        see ``SapphireServer.explain_suggestions``)."""
         return self._batcher.probe_queries(
             query,
             [

@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..endpoint.endpoint import SparqlEndpoint
 from ..federation.fedx import FederatedQueryProcessor
@@ -48,6 +48,7 @@ from .cache import CacheReader, SapphireCache
 from .config import SapphireConfig
 from .initialization import EndpointInitializer, InitializationReport, index_cache
 from .persistence import load_cache, load_store, save_cache, save_store
+from .probes import ProbeTally
 from .qcm import CompletionResult, QueryCompletionModule
 from .qsm_relax import RelaxationSuggestion, StructureRelaxer
 from .qsm_terms import AlternativeTermsFinder, Position, TermSuggestion
@@ -252,9 +253,7 @@ class SapphireServer:
         self._terms_finder = None
         self._relaxer = None
         if self.cache.is_indexed:
-            self._terms_finder = AlternativeTermsFinder(
-                self.cache, self._run_ast, self.config, self.lexicon
-            )
+            self._terms_finder = self._new_terms_finder()
 
     # ------------------------------------------------------------------
     # Restart persistence (cache + datasets)
@@ -384,6 +383,9 @@ class SapphireServer:
     def _run_ast(self, query: Query, tracer: Optional[Tracer] = None) -> SelectResult:
         return self.federation.run(query, tracer=tracer)  # type: ignore[return-value]
 
+    def _proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        return self.federation.proves_no_match(patterns)
+
     # ------------------------------------------------------------------
     # PUM: completion (QCM)
     # ------------------------------------------------------------------
@@ -429,10 +431,20 @@ class SapphireServer:
     @property
     def terms_finder(self) -> AlternativeTermsFinder:
         if self._terms_finder is None:
-            self._terms_finder = AlternativeTermsFinder(
-                self.cache, self._run_ast, self.config, self.lexicon
-            )
+            self._terms_finder = self._new_terms_finder()
         return self._terms_finder
+
+    def _new_terms_finder(self) -> AlternativeTermsFinder:
+        """A finder that runs through the federation and skips the
+        candidates its data proves empty.  Each member builds what its
+        proof reads here, with the vocabulary table, so set-up pays for
+        it and not the first repair."""
+        for endpoint in self.endpoints:
+            endpoint.proves_no_match(())
+        return AlternativeTermsFinder(
+            self.cache, self._run_ast, self._proves_no_match, self.config,
+            self.lexicon,
+        )
 
     @property
     def relaxer(self) -> StructureRelaxer:
@@ -476,12 +488,17 @@ class SapphireServer:
             )
         else:
             with tracer.span("qsm-terms") as span:
+                tally = ProbeTally()
                 positions = finder.candidate_positions(query, tracer)
                 outcome.term_suggestions = finder.suggest(
-                    query, positions=positions, tracer=tracer
+                    query, positions=positions, tracer=tracer, tally=tally
                 )
                 if span is not None:
-                    span.attrs["suggestions"] = len(outcome.term_suggestions)
+                    span.attrs.update(
+                        suggestions=len(outcome.term_suggestions),
+                        proven_empty=tally.proven_empty,
+                        probes_skipped=tally.probes_skipped,
+                    )
             with tracer.span("qsm-relax") as span:
                 outcome.relaxations = list(self.relaxer.ground_literals(query))
                 outcome.relaxations.extend(
@@ -561,6 +578,9 @@ class SapphireServer:
             raise RuntimeError("register at least one endpoint first")
         sections = []
         for label, probe in self.terms_finder.probe_queries(query):
+            if probe is None:
+                sections.append(f"-- probe: {label}\nnot shipped")
+                continue
             sections.append(
                 f"-- probe: {label}\n{serialize_query(probe)}\n"
                 f"{self.federation.explain(probe)}"

@@ -32,14 +32,17 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Union
+from typing import Deque, Dict, Optional, Sequence, Union
 
+from ..rdf.terms import IRI
+from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
 from ..sparql.evaluator import QueryEvaluator
 from ..sparql.parser import parse_query
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.trace import QueryTrace, Tracer
+from ..store.stats import PredicateStat
 from ..store.triplestore import CostMeter, QueryAborted, TripleStore
 
 __all__ = [
@@ -143,6 +146,18 @@ class QueryService:
     def _plan_text(self, query: Union[str, Query]) -> str:
         """The plan dump for ``query``; executes nothing."""
         raise NotImplementedError
+
+    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        """Whether this backend's data proves the BGP ``patterns`` has no
+        solution, for free.  A backend that cannot see its data (a
+        network member) proves nothing.  No patterns prove nothing
+        either, but build what the proof reads: set-up asks that."""
+        return False
+
+    def predicate_stats(self) -> Optional[Dict[IRI, PredicateStat]]:
+        """Per-predicate statistics of this backend's data, or ``None``
+        when it cannot see them (a network member)."""
+        return None
 
     def select(
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
@@ -284,6 +299,12 @@ class SparqlEndpoint(LoggedQueryService):
     ) -> Union[SelectResult, AskResult]:
         """Run a query under this endpoint's budget, row cap and log."""
         return self._run(query, tracer)
+
+    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        return self.store.proves_no_match(patterns)
+
+    def predicate_stats(self) -> Dict[IRI, PredicateStat]:
+        return self.store.predicate_stats()
 
     # ------------------------------------------------------------------
     # Internals

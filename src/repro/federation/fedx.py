@@ -220,6 +220,17 @@ class FederatedQueryProcessor(QueryService):
         lines.append(explain_plan(plan, indent=1))
         return "\n".join(lines)
 
+    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        """One member's proof is the federation's.  Across several, a
+        subject's triples may sit at different members, so only a
+        pattern that every member proves empty on its own counts."""
+        if len(self.endpoints) == 1:
+            return self.endpoints[0].proves_no_match(patterns)
+        return any(
+            all(endpoint.proves_no_match([pattern]) for endpoint in self.endpoints)
+            for pattern in patterns
+        )
+
     def invalidate_source_cache(self) -> None:
         with self._cache_lock:
             self._source_cache.clear()
@@ -269,15 +280,14 @@ class FederatedQueryProcessor(QueryService):
                     return None
         return named
 
-    def _endpoint_stats(self, endpoint) -> Optional[Dict]:
-        """Cached ``predicate_stats()`` for members with a local store
-        (None for network members, whose statistics are invisible)."""
+    def _endpoint_stats(self, endpoint: QueryService) -> Optional[Dict]:
+        """Cached ``predicate_stats()`` of a member (None for network
+        members, whose statistics are invisible)."""
         key = id(endpoint)
         with self._cache_lock:
             if key in self._stats_cache:
                 return self._stats_cache[key]
-        store = getattr(endpoint, "store", None)
-        stats = store.predicate_stats() if store is not None else None
+        stats = endpoint.predicate_stats()
         with self._cache_lock:
             return self._stats_cache.setdefault(key, stats)
 

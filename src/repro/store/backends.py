@@ -90,12 +90,16 @@ class StorageBackend(Protocol):
     def estimate_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> int: ...
+    def has_match(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> bool: ...
     def subject_ids(self) -> Iterator[int]: ...
     def subject_count(self) -> int: ...
     def predicate_ids(self) -> Iterator[int]: ...
     def object_ids(self) -> Iterator[int]: ...
     def predicate_fanouts(self) -> Dict[int, int]: ...
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]: ...
+    def subject_predicate_sets(self) -> Iterator[Tuple[int, ...]]: ...
     def object_fanouts(self) -> Dict[int, int]: ...
     def get_meta(self, key: str) -> Optional[str]: ...
     def set_meta(self, key: str, value: str) -> None: ...
@@ -350,6 +354,15 @@ class MemoryBackend:
         _, lo, hi = self._locate(s, p, o)
         return hi - lo
 
+    def has_match(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> bool:
+        """Whether any triple matches: a row range that is not empty."""
+        if s is not None and p is not None and o is not None:
+            return self.contains(s, p, o)
+        _, lo, hi = self._locate(s, p, o)
+        return hi > lo
+
     # -- aggregates ----------------------------------------------------
 
     def subject_ids(self) -> Iterator[int]:
@@ -381,6 +394,14 @@ class MemoryBackend:
                 for p, k, lo, hi in zip(pos.keys, count(), pos.starts, pos.starts[1:])
             }
         return self._pstats
+
+    def subject_predicate_sets(self) -> Iterator[Tuple[int, ...]]:
+        """Each subject's distinct predicates, sorted: one tuple per
+        SPO block, read off its directory (one entry per predicate,
+        sorted by it)."""
+        spo = self._read()[0]
+        dir_b, blocks = spo.dir_b, spo.blocks
+        return (tuple(dir_b[lo:hi]) for lo, hi in zip(blocks, blocks[1:]))
 
     def object_fanouts(self) -> Dict[int, int]:
         return self._read()[2].fanouts()

@@ -183,6 +183,13 @@ class ShardedBackend:
             return self.shards[s % self.n_shards].estimate_ids(s, p, o)
         return sum(shard.estimate_ids(s, p, o) for shard in self.shards)
 
+    def has_match(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> bool:
+        if s is not None:
+            return self.shards[s % self.n_shards].has_match(s, p, o)
+        return any(shard.has_match(s, p, o) for shard in self.shards)
+
     # -- aggregates ----------------------------------------------------
 
     def subject_ids(self) -> Iterator[int]:
@@ -240,6 +247,11 @@ class ShardedBackend:
             for p, (count, n_s, n_o) in merged.items()
         }
         return self._pstats
+
+    def subject_predicate_sets(self) -> Iterator[Tuple[int, ...]]:
+        # Subjects never cross shards: each child's sets are whole.
+        for shard in self.shards:
+            yield from shard.subject_predicate_sets()
 
     def object_fanouts(self) -> Dict[int, int]:
         merged: Dict[int, int] = {}

@@ -48,6 +48,8 @@ from __future__ import annotations
 import sqlite3
 import threading
 from array import array
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from urllib.parse import quote
@@ -318,6 +320,14 @@ class SQLiteBackend:
             return 1
         return self.count_ids(s, p, o)
 
+    def has_match(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> bool:
+        """Whether any triple matches: the first row of a covering-index
+        range, where a count would walk all of it."""
+        where, params = _where_clause(s, p, o)
+        return self._query_one(f"SELECT 1 FROM triples{where} LIMIT 1", params) is not None
+
     # -- aggregates ----------------------------------------------------
 
     def subject_ids(self) -> Iterator[int]:
@@ -355,6 +365,13 @@ class SQLiteBackend:
                 )
             }
         return self._pstats
+
+    def subject_predicate_sets(self) -> Iterator[Tuple[int, ...]]:
+        """Each subject's distinct predicates, sorted: one streamed walk
+        of the SPO primary key, grouped by subject as it goes."""
+        rows = self._stream("SELECT DISTINCT s, p FROM triples ORDER BY s, p")
+        for _, group in groupby(rows, itemgetter(0)):
+            yield tuple(p for _, p in group)
 
     def object_fanouts(self) -> Dict[int, int]:
         return dict(self._query_all("SELECT o, COUNT(*) FROM triples GROUP BY o"))

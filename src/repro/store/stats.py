@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable, Tuple
 
 from ..rdf.terms import IRI
 from .triplestore import TripleStore
 
-__all__ = ["DatasetStats", "PredicateStat", "compute_stats"]
+__all__ = ["CharacteristicSets", "DatasetStats", "PredicateStat", "compute_stats"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,42 @@ class PredicateStat:
     def subject_fanout(self) -> float:
         """Mean triples per distinct subject (≥ 1 when the predicate exists)."""
         return self.count / self.distinct_subjects if self.distinct_subjects else 0.0
+
+
+class CharacteristicSets:
+    """The characteristic sets of one store generation (Neumann &
+    Moerkotte, ICDE 2011): the distinct predicate sets of its subjects.
+
+    Each distinct set gets a bit, and each predicate keeps the bitset of
+    the sets that hold it, so asking whether any subject has all of k
+    predicates is k big-int ANDs.  Built from ``subject_sets``, one
+    sorted tuple per subject, grouped by subject as the backends stream
+    them: what is held is one entry per distinct set, never one per
+    subject.
+    """
+
+    __slots__ = ("n_sets", "_holders")
+
+    def __init__(self, subject_sets: Iterable[Tuple[int, ...]]) -> None:
+        bits: Dict[Tuple[int, ...], int] = {}
+        for predicates in subject_sets:
+            if predicates not in bits:
+                bits[predicates] = 1 << len(bits)
+        holders: Dict[int, int] = {}
+        for predicates, bit in bits.items():
+            for p in predicates:
+                holders[p] = holders.get(p, 0) | bit
+        self.n_sets = len(bits)
+        self._holders = holders
+
+    def holds(self, predicates: Iterable[int]) -> bool:
+        """Whether some subject has every one of ``predicates`` (IDs)."""
+        held = -1
+        for p in predicates:
+            held &= self._holders.get(p, 0)
+            if not held:
+                return False
+        return True
 
 
 @dataclass

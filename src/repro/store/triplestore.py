@@ -91,6 +91,8 @@ class TripleStore:
         # write through this facade invalidates anything derived from
         # the previous contents.
         self._generation = 0
+        # ((generation, size), CharacteristicSets) of the last build.
+        self._charsets: Optional[Tuple[Tuple[int, int], "CharacteristicSets"]] = None
         if triples is not None:
             self.add_all(triples)
 
@@ -363,6 +365,54 @@ class TripleStore:
             )
             if isinstance(term, IRI)
         }
+
+    def characteristic_sets(self) -> "CharacteristicSets":
+        """The subjects' characteristic sets, built once per generation.
+
+        Keyed on the generation and the size, so a write made straight
+        to the backend, which bumps no generation, is seen too.
+        """
+        key = (self._generation, len(self))
+        built = self._charsets
+        if built is None or built[0] != key:
+            from .stats import CharacteristicSets
+
+            built = self._charsets = (
+                key, CharacteristicSets(self._backend.subject_predicate_sets())
+            )
+        return built[1]
+
+    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        """Whether the data proves the BGP ``patterns`` has no solution.
+
+        Two proofs, both free (no meter) and sound against this store's
+        own matching: a pattern no triple matches even with its repeated
+        variables ignored, or a subject variable whose constant
+        predicates no characteristic set holds (a subject it binds to
+        would need every one of them).  An empty summary proves nothing,
+        and so do no patterns, though asking builds the summary.
+        Cheapest first: a term the store never saw, then the stars, which
+        also settle a pattern that binds at most its predicate, then the
+        backend's existence test for the rest.
+        """
+        summary = self.characteristic_sets()
+        if not summary.n_sets:
+            return False
+        stars: Dict[str, Set[int]] = {}
+        ranges: List[Tuple[Optional[int], ...]] = []
+        for pattern in patterns:
+            s, p, o = self.encode_pattern(pattern)
+            if NO_ID in (s, p, o):
+                return True
+            if isinstance(s, str) and isinstance(p, int):
+                stars.setdefault(s, set()).add(p)
+                if isinstance(o, str):
+                    continue
+            ranges.append(tuple(entry if isinstance(entry, int) else None for entry in (s, p, o)))
+        if any(not summary.holds(star) for star in stars.values()):
+            return True
+        has_match = self._backend.has_match
+        return not all(has_match(*ids) for ids in ranges)
 
     def n_subjects(self) -> int:
         """Distinct-subject count without decoding or materializing."""

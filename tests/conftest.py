@@ -124,10 +124,13 @@ def analytic_queries():
 
 @pytest.fixture(scope="session")
 def probe_queries(server, gold_queries):
-    """Every VALUES-batched probe (a :class:`Query`) the QSM would ship
-    for the gold questions with a predicate typo (``dbo:spouse`` ->
-    ``dbo:spuse``, the spine's ``qsm_repair`` variant)."""
+    """Every VALUES-batched probe (a :class:`Query`) the QSM builds for
+    the gold questions with a predicate typo (``dbo:spouse`` ->
+    ``dbo:spuse``, the spine's ``qsm_repair`` variant): one per position,
+    over all its candidates, as it ships with the no-match proof off."""
     import re
+
+    from repro.core.probes import build_probe_query
 
     probes = []
     for gold in gold_queries:
@@ -136,5 +139,8 @@ def probe_queries(server, gold_queries):
             continue
         cut = match.start(1) + 2
         broken = parse_query(gold[:cut] + gold[cut + 1:])
-        probes += [probe for _, probe in server.terms_finder.probe_queries(broken)]
+        probes += [
+            build_probe_query(broken, index, position, [entry.term for entry, _ in found])
+            for index, position, _, found in server.terms_finder.candidate_positions(broken)
+        ]
     return probes

@@ -25,8 +25,13 @@ def runner(server):
 
 
 @pytest.fixture(scope="module")
-def finder(server, runner):
-    return AlternativeTermsFinder(server.cache, runner, server.config)
+def proof(server):
+    return server._proves_no_match
+
+
+@pytest.fixture(scope="module")
+def finder(server, runner, proof):
+    return AlternativeTermsFinder(server.cache, runner, proof, server.config)
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +102,17 @@ class TestColumnScan:
         return cache
 
     @pytest.fixture(scope="class", params=["memory", "tiered"])
-    def tail_finder(self, request, tail_cache, runner, tmp_path_factory):
+    def tail_finder(self, request, tail_cache, runner, proof, tmp_path_factory):
         """A finder over that cache, or over a tiered cache of its file
         (the residual bins loaded from disk)."""
         if request.param == "memory":
-            yield AlternativeTermsFinder(tail_cache, runner, tail_cache.config)
+            yield AlternativeTermsFinder(tail_cache, runner, proof, tail_cache.config)
             return
         path = tmp_path_factory.mktemp("column-scan") / "cache.sqlite"
         save_cache(tail_cache, path)
         tiered = load_cache(path, tail_cache.config)
         assert tiered.n_residual_literals == tail_cache.n_residual_literals
-        yield AlternativeTermsFinder(tiered, runner, tiered.config)
+        yield AlternativeTermsFinder(tiered, runner, proof, tiered.config)
         tiered.close()
 
     @pytest.fixture(scope="class")
@@ -181,17 +186,17 @@ class TestVocabularyTable:
     would, bit for bit, on every kind of cache."""
 
     @pytest.fixture(scope="class", params=["memory", "tiered", "replica"])
-    def vocabulary_finder(self, request, server, runner, tmp_path_factory):
+    def vocabulary_finder(self, request, server, runner, proof, tmp_path_factory):
         """A finder over the in-memory cache, over a tiered cache of its
         file, or the one a read-only pre-fork replica boots with."""
         if request.param == "memory":
-            yield AlternativeTermsFinder(server.cache, runner, server.config)
+            yield AlternativeTermsFinder(server.cache, runner, proof, server.config)
             return
         path = tmp_path_factory.mktemp("vocabulary") / "cache.sqlite"
         save_cache(server.cache, path)
         if request.param == "tiered":
             tiered = load_cache(path, server.config)
-            yield AlternativeTermsFinder(tiered, runner, server.config)
+            yield AlternativeTermsFinder(tiered, runner, proof, server.config)
             tiered.close()
             return
         from repro.net.prefork import build_backend_from_spec
@@ -232,16 +237,16 @@ class TestVocabularyTable:
             assert tally.vocabulary_hits == 0 and tally.scanned > 0
             assert answer(found) == answer(expected) and tally.kept == kept
 
-    def test_a_cache_changed_since_answers_like_a_new_finder(self, server, runner):
+    def test_a_cache_changed_since_answers_like_a_new_finder(self, server, runner, proof):
         cache = SapphireCache(server.config)
         cache.merge(server.cache)
         cache.build_indexes()
-        finder = AlternativeTermsFinder(cache, runner, server.config)
+        finder = AlternativeTermsFinder(cache, runner, proof, server.config)
         before = answer(finder.predicate_alternatives(DBO.spouse))
         added = DBO.term("spouseOf")
         cache.add_predicate(added)
         terms = list(dict.fromkeys(entry.term for entry in cache.predicate_class_scan()[0]))
-        rebuilt = AlternativeTermsFinder(cache, runner, server.config)
+        rebuilt = AlternativeTermsFinder(cache, runner, proof, server.config)
         for term in terms:
             tally = _ScanTally()
             found = finder.predicate_alternatives(term, tally)

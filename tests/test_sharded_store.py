@@ -120,6 +120,9 @@ class TestRoutingParity:
         probe = _probe(baseline, shape)
         assert (sharded.backend.count_ids(*probe)
                 == baseline.backend.count_ids(*probe))
+        absent = tuple(None if v is None else v + 10_000 for v in probe)
+        for ids in (probe, absent):
+            assert sharded.backend.has_match(*ids) is (sharded.backend.count_ids(*ids) > 0)
 
     def test_size_and_shard_sizes(self, baseline, sharded, n_shards):
         backend = sharded.backend

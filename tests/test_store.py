@@ -334,6 +334,7 @@ class TestMemoryLayout:
             n = sum(expected.values())
             assert Counter(backend.match_ids(*pattern)) == expected
             assert backend.count_ids(*pattern) == n
+            assert backend.has_match(*pattern) is (n > 0)
             free = [i for i, v in enumerate(pattern) if v is None]
             if not free:
                 assert backend.contains(*pattern) is (n == 1)

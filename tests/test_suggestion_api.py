@@ -27,7 +27,7 @@ from repro import EndpointConfig, SapphireConfig, SapphireServer, SparqlEndpoint
 from repro.core import ProbeBatcher, initialize_endpoint
 from repro.core.probes import PROBE_VAR, build_probe_query
 from repro.core.qcm import QueryCompletionModule
-from repro.endpoint.endpoint import QueryRejected
+from repro.endpoint.endpoint import QueryRejected, QueryService
 from repro.net import (
     HttpSapphireClient,
     SparqlHttpServer,
@@ -75,6 +75,12 @@ def refuse_batches(server):
     return server
 
 
+def hold_proof_off(monkeypatch):
+    """Every in-process member proves nothing, as a network one, so
+    every candidate ships."""
+    monkeypatch.setattr(SparqlEndpoint, "proves_no_match", QueryService.proves_no_match)
+
+
 def suggestion_signature(outcome):
     return [
         (s.message(), s.n_answers, len(s.prefetched.rows) if s.prefetched else 0)
@@ -116,7 +122,10 @@ class TestBackendParity:
 
 
 class TestBatchedProbes:
-    def test_batched_round_uses_at_least_2x_fewer_requests(self, tiny_dataset):
+    def test_batched_round_uses_at_least_2x_fewer_requests(self, tiny_dataset, monkeypatch):
+        # The no-match proof would empty positions in both modes alike
+        # (tests/test_probe_proof.py); this test measures batching.
+        hold_proof_off(monkeypatch)
         batched_server, batched_ep = build_sapphire(tiny_dataset.store)
         classic_server, classic_ep = build_sapphire(tiny_dataset.store)
         refuse_batches(classic_server)
@@ -135,7 +144,8 @@ class TestBatchedProbes:
                 f"{query}: batched={batched_requests} classic={classic_requests}"
             )
 
-    def test_batched_and_classic_full_outcomes_agree(self, tiny_dataset):
+    def test_batched_and_classic_full_outcomes_agree(self, tiny_dataset, monkeypatch):
+        hold_proof_off(monkeypatch)
         batched_server, batched_ep = build_sapphire(tiny_dataset.store)
         classic_server, classic_ep = build_sapphire(tiny_dataset.store)
         refuse_batches(classic_server)
@@ -157,7 +167,7 @@ class TestBatchedProbes:
         finder = server.terms_finder
         positions = finder.candidate_positions(query)
         assert positions, "expected candidates for the Kennedys query"
-        batcher = ProbeBatcher(server._run_ast)
+        batcher = ProbeBatcher(server._run_ast, server._proves_no_match)
         for index, position, _, found in positions:
             candidates = [entry.term for entry, _ in found]
             grouped = batcher.run(query, index, position, candidates)
@@ -241,7 +251,7 @@ class TestBatchedProbes:
 
     def test_aggregate_queries_fall_back_to_per_candidate(self, tiny_dataset):
         server, _ = build_sapphire(tiny_dataset.store)
-        batcher = ProbeBatcher(server._run_ast)
+        batcher = ProbeBatcher(server._run_ast, server._proves_no_match)
         query = parse_query(
             'SELECT (COUNT(?p) AS ?n) WHERE { ?p foaf:surname "Kennedys"@en }'
         )

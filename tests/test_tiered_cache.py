@@ -149,10 +149,10 @@ class TestWireParity:
 class TestQsmParity:
     @pytest.fixture(scope="class")
     def finders(self, server, mem, tiered):
-        runner = server._run_ast
+        runner, proof = server._run_ast, server._proves_no_match
         return (
-            AlternativeTermsFinder(mem, runner, server.config),
-            AlternativeTermsFinder(tiered, runner, server.config),
+            AlternativeTermsFinder(mem, runner, proof, server.config),
+            AlternativeTermsFinder(tiered, runner, proof, server.config),
         )
 
     def test_predicate_alternatives_identical(self, finders):
@@ -431,7 +431,9 @@ class TestMergeFromReader:
 
     def test_qsm_alternatives_equal(self, server, promoted):
         finders = [
-            AlternativeTermsFinder(cache, server._run_ast, server.config)
+            AlternativeTermsFinder(
+                cache, server._run_ast, server._proves_no_match, server.config
+            )
             for cache in promoted
         ]
         for text in ("Kennedys", "Sydney", "New Yrok"):
