@@ -12,18 +12,15 @@ Absolute evaluation latency is recorded by the benchmark spine
 (``benchmarks/spine``, workload ``sparql_analytic``); this script holds
 no comparison against another engine.
 
-``--json PATH`` writes the machine-readable results consumed by CI.
-
-Run:  PYTHONPATH=src python benchmarks/bench_join_planner.py [--quick] [--json out.json]
+Run:  PYTHONPATH=src python benchmarks/bench_join_planner.py [--quick]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.data import DatasetConfig, build_dataset
 from repro.sparql.evaluator import QueryEvaluator
@@ -34,6 +31,10 @@ from repro.sparql.trace import Tracer
 #: Tracing off costs one ``is None`` test per operator; tracing on adds
 #: span bookkeeping per batch pull — both must stay inside 5%.
 MAX_TRACE_OVERHEAD = 1.05
+
+#: Best of this many passes: the whole timed section is tens of
+#: milliseconds a pass, so a single scheduler hiccup would flip a 5% gate.
+REPEAT = 10
 
 #: Shape -> queries.  Stars fan out from one subject variable, chains
 #: hop subject->object->subject.
@@ -87,33 +88,16 @@ def _time_best(fn, repeat: int) -> float:
     return best
 
 
-def run(repeat: int, json_path: Optional[str] = None) -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="accepted like every benchmark script's; the "
+                             "gate needs its full best-of count either way")
+    parser.parse_args(argv)
     # Medium: the per-batch span bookkeeping only becomes measurable
     # once result sets reach a few thousand rows.
     store = build_dataset(DatasetConfig.medium()).store
     queries = [parse_query(text) for texts in SHAPES.values() for text in texts]
-    tracing, tracing_ok = run_tracing_section(store, queries, repeat)
-    if json_path:
-        payload = {
-            "benchmark": "join_planner",
-            "dataset": {"scale": "medium", "triples": len(store)},
-            "tracing": tracing,
-            "tracing_gate": {
-                "max_overhead": MAX_TRACE_OVERHEAD,
-                "pass": tracing_ok,
-            },
-        }
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"\nresults written to {json_path}")
-    if not tracing_ok:
-        print("REGRESSION: tracing overhead above the gate")
-        return 1
-    return 0
-
-
-def run_tracing_section(store, queries, repeat: int) -> Tuple[Dict, bool]:
-    """EXPLAIN ANALYZE overhead on the hot batch path, best of ``repeat``."""
     evaluator = QueryEvaluator(store)
 
     def run_untraced():
@@ -124,36 +108,23 @@ def run_tracing_section(store, queries, repeat: int) -> Tuple[Dict, bool]:
         for query in queries:
             evaluator.evaluate(query, tracer=Tracer())
 
-    # The whole timed section is ~10ms per pass, so a single scheduler
-    # hiccup flips a 5% gate: warm both paths (plan cache, allocator),
-    # then take the best of at least ten.
+    # Warm both paths (plan cache, allocator) before timing.
     run_untraced()
     run_traced()
-    repeat = max(repeat, 10)
-    off_s = _time_best(run_untraced, repeat)
-    on_s = _time_best(run_traced, repeat)
+    off_s = _time_best(run_untraced, REPEAT)
+    on_s = _time_best(run_traced, REPEAT)
     ratio = on_s / off_s if off_s else float("inf")
     ok = ratio <= MAX_TRACE_OVERHEAD
     print(f"\ntracing overhead (memory backend, {len(queries)} queries, "
-          f"best of {repeat})")
+          f"best of {REPEAT})")
     print(f"  untraced {off_s:.4f}s   traced {on_s:.4f}s   "
           f"ratio {ratio:.3f}x  {'ok' if ok else 'FAIL'}")
     print(f"tracing gate: traced/untraced <= {MAX_TRACE_OVERHEAD:.2f}x: "
           f"{'ok' if ok else 'FAIL'}")
-    return {"untraced_s": off_s, "traced_s": on_s, "ratio": ratio}, ok
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="accepted for CI symmetry; the gate needs its "
-                             "full best-of count either way")
-    parser.add_argument("--repeat", type=int, default=10,
-                        help="timing repetitions (best-of, at least 10)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write machine-readable results to PATH")
-    args = parser.parse_args(argv)
-    return run(args.repeat, args.json)
+    if not ok:
+        print("REGRESSION: tracing overhead above the gate")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

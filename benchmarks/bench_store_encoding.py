@@ -32,7 +32,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_store_encoding.py [--quick]
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -160,13 +159,7 @@ def _time_best(fn, repeat: int) -> Tuple[float, int]:
     return best, rows
 
 
-def run(
-    scale: str,
-    n_patterns: int,
-    repeat: int,
-    seed: int = 42,
-    json_path: Optional[str] = None,
-) -> int:
+def run(scale: str, n_patterns: int, repeat: int, seed: int = 42) -> int:
     config = DatasetConfig.tiny() if scale == "tiny" else DatasetConfig.small()
     dataset = build_dataset(config)
     triples = list(dataset.store.triples())
@@ -235,23 +228,7 @@ def run(
     print(f"\nencoded-memory vs seed: match(ids) {ids_x:.2f}x, "
           f"match(terms) {terms_x:.2f}x, join {join_x:.2f}x "
           f"(gate: ids >= 1x and join >= 1x; target: >= 2x)")
-    gate_ok = ids_x >= 1.0 and join_x >= 1.0
-    if json_path:
-        payload = {
-            "benchmark": "store_encoding",
-            "dataset": {"scale": scale, "triples": len(triples)},
-            "repeat": repeat,
-            "parity": "ok",
-            "results": {
-                name: {"ids_x": x[0], "terms_x": x[1], "join_x": x[2]}
-                for name, x in speedups.items()
-            },
-            "gate": {"min_speedup": 1.0, "pass": gate_ok},
-        }
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"results written to {json_path}")
-    if not gate_ok:
+    if ids_x < 1.0 or join_x < 1.0:
         print("REGRESSION: encoded store slower than the seed baseline")
         return 1
     return 0
@@ -260,20 +237,11 @@ def run(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="tiny dataset, fewer samples (CI smoke run)")
-    parser.add_argument("--scale", choices=("tiny", "small"), default=None,
-                        help="dataset scale (default: small; --quick implies tiny)")
-    parser.add_argument("--patterns", type=int, default=None,
-                        help="number of sampled match patterns")
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="timing repetitions (best-of)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write machine-readable results to PATH")
-    args = parser.parse_args(argv)
-    scale = args.scale or ("tiny" if args.quick else "small")
-    n_patterns = args.patterns or (100 if args.quick else 400)
-    repeat = args.repeat or (2 if args.quick else 3)
-    return run(scale, n_patterns, repeat, json_path=args.json)
+                        help="tiny dataset, 100 patterns, best of 2 (CI smoke "
+                             "run); default: small, 400 patterns, best of 3")
+    if parser.parse_args(argv).quick:
+        return run("tiny", n_patterns=100, repeat=2)
+    return run("small", n_patterns=400, repeat=3)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ harnesses like the user study).
 from __future__ import annotations
 
 import argparse
-import os
 from typing import List, Optional
 
 import pytest
@@ -38,21 +37,7 @@ def bench_main(bench_file: str, argv: Optional[List[str]] = None) -> int:
                         help="single pass, no timing rounds (CI smoke run)")
     parser.add_argument("-k", default=None, metavar="EXPR",
                         help="pytest -k selection expression")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="write machine-readable results to PATH "
-                             "(suites that support it, e.g. bench_http_throughput)")
-    parser.add_argument("--scale", type=int, default=None, metavar="N",
-                        help="lexicon scale factor for suites that grow the "
-                             "cache synthetically (bench_qcm's tiered-index "
-                             "gates run at 10x and 100x)")
     args = parser.parse_args(argv)
-    if args.json:
-        # The suite runs inside pytest; the path travels via environment.
-        os.environ["BENCH_JSON"] = os.path.abspath(args.json)
-    if args.scale is not None:
-        if args.scale < 1:
-            parser.error("--scale must be >= 1")
-        os.environ["BENCH_SCALE"] = str(args.scale)
     pytest_args = [bench_file, "-q"]
     if args.quick:
         pytest_args.append("--benchmark-disable")

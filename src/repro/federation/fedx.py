@@ -34,8 +34,8 @@ in :mod:`~repro.federation.remote`:
 3. **Batched bind joins** — remaining patterns join through
    :class:`~repro.federation.remote.RemoteBindJoinNode`, which sends one
    ``VALUES``-constrained request per endpoint per batch of
-   ``bind_join_batch_size`` bindings instead of one request per
-   binding.
+   :data:`~repro.federation.remote.REMOTE_BATCH_SIZE` bindings instead
+   of one request per binding.
 4. UNION / MINUS / VALUES / OPTIONAL compile to the same ID-space
    operators local execution uses; remote terms are interned into a
    per-query mediator store so everything joins on integers.  A group's
@@ -120,11 +120,9 @@ class FederatedQueryProcessor(QueryService):
     :class:`SparqlEndpoint` instances and network-backed
     :class:`~repro.net.client.HttpSparqlEndpoint` instances mix freely.
 
-    ``bind_join_batch_size`` controls how many accumulated bindings a
-    federated join ships per request (1 degenerates to the classic
-    per-binding nested loop; the default batches
-    :data:`~repro.federation.remote.REMOTE_BATCH_SIZE` bindings into a single
-    VALUES clause).
+    A federated join ships its accumulated bindings
+    :data:`~repro.federation.remote.REMOTE_BATCH_SIZE` at a time, each
+    batch as one VALUES clause.
 
     Thread-safe source selection: the HTTP server evaluates federated
     queries from many handler threads at once, so the pattern-source
@@ -135,17 +133,10 @@ class FederatedQueryProcessor(QueryService):
     never share mutable ID state.
     """
 
-    def __init__(
-        self,
-        endpoints: Sequence[QueryService],
-        bind_join_batch_size: int = REMOTE_BATCH_SIZE,
-    ) -> None:
+    def __init__(self, endpoints: Sequence[QueryService]) -> None:
         if not endpoints:
             raise ValueError("a federation needs at least one endpoint")
-        if bind_join_batch_size < 1:
-            raise ValueError("bind_join_batch_size must be >= 1")
         self.endpoints = list(endpoints)
-        self.bind_join_batch_size = bind_join_batch_size
         self._source_cache: Dict[Tuple, List[QueryService]] = {}
         self._cache_lock = threading.Lock()
         self._stats_cache: Dict[int, Optional[Dict]] = {}
@@ -439,7 +430,7 @@ class FederatedPlanner(QueryPlanner):
                 best.patterns[0],
                 best.sources,
                 self._join_estimate(node, best),
-                batch_size=self.federation.bind_join_batch_size,
+                batch_size=REMOTE_BATCH_SIZE,
                 counters=self.federation.counters,
             )
         return super()._join(node, best, pending, budget, outer, condition)

@@ -19,7 +19,7 @@ Design constraints, in order:
   :class:`~repro.net.metrics.LatencyHistogram`, ``to_dict`` /
   ``from_dict`` are exact inverses (times are rounded to microsecond
   resolution when a trace is finished, so JSON transport loses
-  nothing).  Traces travel in the slow-query log and BENCH artifacts.
+  nothing).  Traces travel in the slow-query log and replay reports.
 * **Bounded.**  Span depth and per-parent fan-out are capped
   (:data:`MAX_DEPTH` / :data:`MAX_CHILDREN`); beyond the caps the
   tracer counts drops instead of allocating, so a pathological plan

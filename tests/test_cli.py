@@ -1,6 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,43 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: STRLEN takes 1 argument, got 0")
 
+    @pytest.mark.parametrize("argv,code,patterns", [
+        pytest.param(
+            ["query", "SELECT * WHERE { ?s ?p ?o FILTER(strlen(?o) > 2) } LIMIT 3"], 0,
+            [r"\A3 answers\n"], id="arity-twin"),
+        pytest.param(
+            ["query", "--format", "csv",
+             "SELECT DISTINCT (STRLEN(?n) AS ?l) WHERE { ?s foaf:surname ?n } LIMIT 3"], 0,
+            [r"\Al\r?\n(?:\d+\r?\n){3}\Z"], id="select-tail"),
+        pytest.param(
+            ["suggest", 'SELECT ?w WHERE { ?t foaf:name "Tom Hanks"@en . ?t dbo:spuse ?w }'], 0,
+            [re.escape("did you mean <http://dbpedia.org/ontology/spouse> instead of "
+                       "<http://dbpedia.org/ontology/spuse>?")], id="predicate-scan"),
+        pytest.param(
+            ["query", "--analyze",
+             'SELECT ?p WHERE { ?p dbo:deathPlace ?c . ?p foaf:surname "Kennedy"@en }'], 1,
+            [re.escape(f"did you mean <http://dbpedia.org/ontology/{name}> instead of "
+                       "<http://dbpedia.org/ontology/deathPlace>?") for name in ("deathDate", "birthPlace")]
+            + [r"^  qsm-terms .*proven_empty=[1-9]\d*, probes_skipped=[1-9]",
+               r"^    qsm-alternatives .*vocabulary_hits=2\b"], id="predicate-table"),
+        pytest.param(
+            ["explain", "--probes",
+             'SELECT ?p WHERE { ?p dbo:deathPlace ?c . ?p foaf:surname "Kennedy"@en }'], 0,
+            [r"^-- probe: triple \d+ [a-z]+ \(\d+ of \d+ candidates proven empty\)$",
+             r"^not shipped$"], id="probe-proof"),
+        pytest.param(
+            ["explain", "--analyze", 'SELECT ?w WHERE { ?t foaf:name "Tom Hanks"@en . ?t dbo:spouse ?w }'], 0,
+            [r"^-- endpoint: .*^BindJoin\(.*^-- analyze$.*^  remote:\S+ .*kind=single-source"
+             r"[^\n]*\n(?:    .*\n)*?    BindJoin\(.*rows=1,"], id="explain-analyze"),
+    ])
+    def test_output_form(self, argv, code, patterns, capsys):
+        """What each command prints, read the way a user reads it: the
+        exit code and the lines of stdout."""
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        for pattern in patterns:
+            assert re.search(pattern, out, re.MULTILINE | re.DOTALL), (pattern, out)
+
     def test_init_saves_cache(self, tmp_path, capsys):
         path = tmp_path / "cache.sqlite"
         assert main(["init", "--save", str(path)]) == 0
@@ -106,14 +146,19 @@ class TestCommands:
         assert "not a SQLite database" in err
         assert "repro init --save" in err
 
-    def test_cache_info_on_indexed_cache(self, tmp_path, capsys):
+    def test_cache_info_opens_the_file_in_another_process(self, tmp_path, capsys):
+        """The cache file is self-contained: a process that never saw
+        the initialized server opens it and reports its counters."""
         path = tmp_path / "cache.sqlite"
         assert main(["init", "--save", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["cache-info", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "tiered" in out
-        assert "predicates" in out
+        counters = next(line[len("cache: "):] for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("cache: "))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-m", "repro.cli", "cache-info", str(path)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert re.search(r"^load:\s+tiered in ", done.stdout, re.MULTILINE)
+        assert re.search(rf"^stats:\s+{re.escape(counters)}$", done.stdout, re.MULTILINE)
 
     def test_study_small(self, capsys):
         assert main(["study", "--participants", "2"]) == 0

@@ -449,7 +449,9 @@ class TestAdmissionAndErrors:
             finally:
                 release.set()
                 background.join(timeout=10.0)
-            assert server.stats.snapshot()["ok"] == 1
+            stats = server.stats.snapshot()
+            # Every request sent is served or rejected, none lost.
+            assert (stats["ok"], stats["rejected"], stats["requests"]) == (1, 2, 3)
 
     @pytest.mark.parametrize("queue_limit, message", [
         (4, "past the 0.20s deadline"),
@@ -481,6 +483,7 @@ class TestAdmissionAndErrors:
                     urllib.request.urlopen(request, timeout=10.0)
                 with refused.value as error:
                     assert error.code == 503
+                    assert error.headers["Retry-After"] == "1"
                     body = json.loads(error.read().decode("utf-8"))
                 assert message in body["error"]["message"]
             finally:

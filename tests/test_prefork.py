@@ -11,6 +11,7 @@ import json
 import os
 import signal
 import time
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -99,12 +100,16 @@ class TestServing:
         assert pool.ping() == [True, True]
 
     def test_merged_stats_account_for_all_workers(self, pool, expected):
-        client = HttpSparqlEndpoint(pool.url, name="t", timeout_s=10.0)
+        """Each request on a fresh connection, so the kernel spreads them
+        over both workers (as in ``test_connections_spread_across_workers``):
+        the merged counters must account for every request and row."""
         before = pool.stats()
-        n = 10
+        n = 24
         rows = 0
         for i in range(n):
-            rows += len(client.select(QUERIES[i % len(QUERIES)]).rows)
+            query = urllib.parse.urlencode({"query": QUERIES[i % len(QUERIES)]})
+            body, _ = _fetch(pool.url + "?" + query)
+            rows += len(body["results"]["bindings"])
         after = pool.stats()
         assert after["requests"] - before["requests"] == n
         assert after["ok"] - before["ok"] == n

@@ -353,10 +353,11 @@ class TestExplainSurfaces:
         assert "filter(" in explain_plan(plan)
 
     def test_the_relaxer_shapes_print_a_plan_on_every_surface(self, store, endpoint, server, capsys):
-        """The CI smoke, in process: a ``VALUES`` table with a literal
-        the store never saw and two stars that share only a literal
-        print operator lines through the evaluator, the endpoint, the
-        server, the protocol and the CLI alike."""
+        """The planner is total on the shapes the relaxer sends: a
+        ``VALUES`` table with a literal the store never saw and two
+        stars that share only a literal print operator lines through the
+        evaluator, the endpoint, the server, the protocol and the CLI
+        alike."""
         from repro.cli import main
         from repro.net import HttpSparqlEndpoint, SparqlHttpServer
 

@@ -6,9 +6,10 @@ The acceptance bar for the harness is twofold:
 * **Determinism** — two runs of :func:`generate_scripts` with the same
   :class:`ReplayConfig` produce *byte-identical* script JSON; the
   workload is part of the experiment's identity.
-* **Reconciliation** — after an inline replay against a loopback
-  server, the client-side ledger and the server's per-route ``/stats``
-  deltas must agree exactly (requests, outcomes, rows, session tokens).
+* **Reconciliation** — after a replay against a loopback server, inline
+  or from spawned client processes, the client-side ledger and the
+  server's per-route ``/stats`` deltas must agree exactly (requests,
+  outcomes, rows, session tokens).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ from repro.net.metrics import (
 import random
 
 CONFIG = ReplayConfig(seed=11, n_sessions=6)
+
+#: Sustained-throughput floor of a replay from spawned client processes,
+#: requests/second with spawn start-up included.  Loopback sustains
+#: far more; the floor catches requests serialised behind one another.
+MIN_RPS = 40.0
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +398,23 @@ class TestInlineReplay:
         second = run_replay(scripts, replay_stack.url, processes=0)
         assert first.mismatches == []
         assert second.mismatches == []
+
+
+class TestSpawnedReplay:
+    def test_spawned_clients_reconcile_above_the_throughput_floor(self, replay_stack):
+        """Two client processes replay at once; the merged ledger
+        reconciles with ``/stats`` as an inline replay does, every event
+        of every script was sent, and the run stays above MIN_RPS."""
+        scripts = generate_scripts(dataclasses.replace(CONFIG, n_sessions=20))
+        report = run_replay(scripts, replay_stack.url, processes=2)
+        assert report.processes == 2
+        assert report.mismatches == [], "\n".join(report.mismatches)
+        assert report.ledger.sessions == len(scripts)
+        assert report.ledger.attempts == sum(len(script.events) for script in scripts)
+        assert report.throughput_rps >= MIN_RPS, report.throughput_rps
+        last = report.series[-1]["routes"]
+        for route in ("sparql", "complete", "suggest"):
+            assert last[route]["latency"]["buckets"], route
 
 
 class TestSessionScriptCounts:

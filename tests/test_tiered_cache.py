@@ -55,10 +55,12 @@ from repro.store.term_tables import fts5_trigram_available
 from repro.text import ThresholdScorer
 
 #: Mix of tree hits, residual-only hits, misses, variables, and inputs
-#: shorter than a trigram (no prefilter possible).
+#: shorter than a trigram (no prefilter possible); every lookup term of
+#: ``benchmarks/bench_qcm.py`` (what study participants typed) is one.
 NEEDLES = [
     "Kenn", "Kennedy", "enn", "spou", "Mater", "New", "Vik", "press",
     "j", "e", "on", "?uri", "", "zzzzqqqq",
+    "alma", "pop", "birth", "Sydn", "label", "gold", "to", "univ",
 ]
 
 

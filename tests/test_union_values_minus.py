@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro import EndpointConfig, FederatedQueryProcessor, SparqlEndpoint
+from repro.federation import fedx
 from repro.net import HttpSparqlEndpoint, SparqlHttpServer
 from repro.rdf import DBO, DBR, FOAF, Literal, RDF_TYPE, RDFS_LABEL, Triple
 from repro.sparql import QueryEvaluator, parse_query
@@ -396,14 +397,15 @@ class TestNestedOptionals:
 
 
 class TestDisconnectedFederatedJoin:
-    def test_cartesian_pattern_fetched_once(self, slices):
+    def test_cartesian_pattern_fetched_once(self, slices, monkeypatch):
         """Regression: a pattern sharing no variable with the rest must
         be fetched once and cross-joined, not re-queried per batch."""
+        monkeypatch.setattr(fedx, "REMOTE_BATCH_SIZE", 2)
         endpoints = [
             SparqlEndpoint(store, EndpointConfig.warehouse(), name=f"x{i}")
             for i, store in enumerate(slices)
         ]
-        federation = FederatedQueryProcessor(endpoints, bind_join_batch_size=2)
+        federation = FederatedQueryProcessor(endpoints)
         text = "SELECT ?p ?c WHERE { ?p a dbo:Person . ?c a dbo:City }"
         local = QueryEvaluator(merged_store()).evaluate(parse_query(text))
         result = federation.select(text)  # warm the probe cache
@@ -421,35 +423,27 @@ class TestDisconnectedFederatedJoin:
 class TestBatchedBindJoin:
     """The round-trip economics that motivated RemoteBindJoinNode."""
 
-    def _request_count(self, slices, batch_size):
+    def test_batching_cuts_round_trips(self, slices):
+        """The 8-person star join takes one request per member: a scan
+        and two bind joins of one batch each (one request per binding
+        would take 1 + 8 + 8)."""
         endpoints = [
             SparqlEndpoint(store, EndpointConfig.warehouse(), name=f"e{i}")
             for i, store in enumerate(slices)
         ]
-        federation = FederatedQueryProcessor(
-            endpoints, bind_join_batch_size=batch_size
-        )
+        federation = FederatedQueryProcessor(endpoints)
         text = (
             "SELECT ?p ?n ?c WHERE { ?p a dbo:Person . ?p foaf:name ?n . "
             "?p dbo:birthPlace ?c }"
         )
-        result = federation.select(text)  # warm the source cache
+        federation.select(text)  # warm the source cache
         for endpoint in endpoints:
             endpoint.reset_log()
         result = federation.select(text)
-        return result, sum(endpoint.query_count for endpoint in endpoints)
-
-    def test_batching_cuts_round_trips(self, slices):
-        batched_result, batched = self._request_count(slices, batch_size=30)
-        single_result, per_binding = self._request_count(slices, batch_size=1)
-        assert row_key(batched_result) == row_key(single_result)
-        assert len(batched_result.rows) == 8
-        assert per_binding >= 5 * batched, (batched, per_binding)
-
-    def test_batch_size_validation(self, slices):
-        endpoint = SparqlEndpoint(slices[0], EndpointConfig.warehouse())
-        with pytest.raises(ValueError):
-            FederatedQueryProcessor([endpoint], bind_join_batch_size=0)
+        assert [endpoint.query_count for endpoint in endpoints] == [1, 1, 1]
+        assert len(result.rows) == 8
+        local = QueryEvaluator(merged_store()).evaluate(parse_query(text))
+        assert row_key(result) == row_key(local)
 
 
 class TestFederatedExplain:
@@ -462,11 +456,16 @@ class TestFederatedExplain:
         assert "RemoteBindJoin" in plan and "batch=" in plan
 
     def test_http_explain_round_trip(self, http_federation):
-        client = http_federation.endpoints[0]
-        before = client.query_count
-        plan = client.explain("SELECT ?x WHERE { ?x a dbo:Person }")
-        assert "Scan(" in plan
-        assert client.query_count == before  # explain stays unlogged
+        """EXPLAIN crosses the wire unlogged, and a federated EXPLAIN over
+        HTTP members prints its batched bind join without a data request."""
+        text = "SELECT ?p ?n WHERE { ?p a dbo:Person . ?p foaf:name ?n }"
+        http_federation.select(text)  # warm the probe cache
+        clients = http_federation.endpoints
+        before = [client.query_count for client in clients]
+        assert "Scan(" in clients[0].explain("SELECT ?x WHERE { ?x a dbo:Person }")
+        plan = http_federation.explain(text)
+        assert "RemoteBindJoin" in plan and f"batch={fedx.REMOTE_BATCH_SIZE}" in plan
+        assert [client.query_count for client in clients] == before
 
     def test_duplicate_patterns_deduplicated(self, slices):
         """The satellite fix: a duplicated triple pattern must be
