@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.data import DatasetConfig, build_dataset
 from repro.sparql.evaluator import QueryEvaluator
@@ -32,8 +32,11 @@ from repro.sparql.trace import Tracer
 #: span bookkeeping per batch pull — both must stay inside 5%.
 MAX_TRACE_OVERHEAD = 1.05
 
-#: Best of this many passes: the whole timed section is tens of
-#: milliseconds a pass, so a single scheduler hiccup would flip a 5% gate.
+#: Best of this many passes per side: the whole timed section is tens
+#: of milliseconds a pass, so a single scheduler hiccup would flip a 5%
+#: gate.  The passes interleave (one of each side per round, the order
+#: alternating), so a change in machine speed during the run reaches
+#: both sides alike instead of the block that ran through it.
 REPEAT = 10
 
 #: Shape -> queries.  Stars fan out from one subject variable, chains
@@ -79,13 +82,19 @@ SHAPES: Dict[str, List[str]] = {
 }
 
 
-def _time_best(fn, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _time_best_interleaved(first, second, repeat: int) -> Tuple[float, float]:
+    """Best-of-``repeat`` seconds of ``first`` and of ``second``, timed
+    one of each per round, first-then-second and second-then-first in
+    turn."""
+    best = [float("inf"), float("inf")]
+    for round_ in range(repeat):
+        order = (0, 1) if round_ % 2 == 0 else (1, 0)
+        for side in order:
+            fn = first if side == 0 else second
+            t0 = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0], best[1]
 
 
 def main(argv=None) -> int:
@@ -111,12 +120,11 @@ def main(argv=None) -> int:
     # Warm both paths (plan cache, allocator) before timing.
     run_untraced()
     run_traced()
-    off_s = _time_best(run_untraced, REPEAT)
-    on_s = _time_best(run_traced, REPEAT)
+    off_s, on_s = _time_best_interleaved(run_untraced, run_traced, REPEAT)
     ratio = on_s / off_s if off_s else float("inf")
     ok = ratio <= MAX_TRACE_OVERHEAD
     print(f"\ntracing overhead (memory backend, {len(queries)} queries, "
-          f"best of {REPEAT})")
+          f"best of {REPEAT} interleaved)")
     print(f"  untraced {off_s:.4f}s   traced {on_s:.4f}s   "
           f"ratio {ratio:.3f}x  {'ok' if ok else 'FAIL'}")
     print(f"tracing gate: traced/untraced <= {MAX_TRACE_OVERHEAD:.2f}x: "

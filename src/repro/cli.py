@@ -142,15 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "503s start (default: 16)")
     serve.add_argument("--timeout-s", type=float, default=2.0,
                        help="endpoint query timeout in seconds (default: 2.0)")
-    serve.add_argument("--trace-sample-rate", type=float, default=None,
+    serve.add_argument("--trace-sample-rate", type=float, default=0.01,
                        metavar="RATE",
                        help="fraction of requests traced into the "
                             "slow-query log without analyze=true "
-                            "(default: the SapphireConfig default)")
-    serve.add_argument("--slow-threshold-s", type=float, default=None,
+                            "(default: 0.01)")
+    serve.add_argument("--slow-threshold-s", type=float, default=0.5,
                        metavar="SECONDS",
                        help="wall-clock threshold marking a traced query "
-                            "slow (default: the SapphireConfig default)")
+                            "slow (default: 0.5)")
     serve.add_argument("--sapphire", action="store_true",
                        help="serve a full Sapphire server (runs Section 5 "
                             "initialization first): queries federate and "
@@ -297,17 +297,6 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-#: Machine formats reuse the SPARQL 1.1 Protocol writers from
-#: :mod:`repro.net.formats` — the CLI and the HTTP server can never
-#: disagree on a serialization.
-_RESULT_WRITERS = {
-    "json": "write_json",
-    "csv": "write_csv",
-    "tsv": "write_tsv",
-    "xml": "write_xml",
-}
-
-
 def _cmd_query(args) -> int:
     server, _ = _make_server(args)
     machine_format = args.format != "table"
@@ -327,9 +316,16 @@ def _cmd_query(args) -> int:
             args.sparql, suggest=not (args.no_suggest or machine_format)
         )
     if machine_format:
+        # The SPARQL 1.1 Protocol writers: the CLI and the HTTP server
+        # can never disagree on a serialization.
         from .net import formats
 
-        writer = getattr(formats, _RESULT_WRITERS[args.format])
+        writer = {
+            "json": formats.write_json,
+            "csv": formats.write_csv,
+            "tsv": formats.write_tsv,
+            "xml": formats.write_xml,
+        }[args.format]
         rendered = writer(outcome.answers)
         print(rendered, end="" if rendered.endswith("\n") else "\n")
         if trace is not None:
@@ -431,16 +427,13 @@ def _cmd_cache_info(args) -> int:
 
 
 def _app_settings(args) -> dict:
-    """The served app's settings, the same for both topologies: the
-    flags, or the :class:`SapphireConfig` defaults they document."""
-    config = SapphireConfig()
+    """The served app's settings from the flags, the same for both
+    topologies."""
     return {
         "max_workers": args.max_workers,
         "queue_limit": args.queue_limit,
-        "trace_sample_rate": (config.trace_sample_rate if args.trace_sample_rate is None
-                              else args.trace_sample_rate),
-        "slow_query_threshold_s": (config.slow_query_threshold_s if args.slow_threshold_s is None
-                                   else args.slow_threshold_s),
+        "trace_sample_rate": args.trace_sample_rate,
+        "slow_query_threshold_s": args.slow_threshold_s,
     }
 
 

@@ -37,18 +37,6 @@ class SapphireConfig:
     page_size: int = 500
     init_query_limit: Optional[int] = None  # max queries per endpoint
     significant_page_size: int = 200
-    #: Retries after a rejected query (HTTP 503 / admission control) —
-    #: overload is transient, so a mid-initialization rejection gets a
-    #: capped, jittered re-attempt instead of aborting the stage.
-    init_retry_rejected: int = 2
-    #: Retries after a timed-out query.  0 keeps the paper's semantics:
-    #: a timeout means "this class is too big", answered by descending
-    #: the hierarchy, not by re-running the same query.  Raise it for
-    #: HTTP endpoints whose 504s are transient (gateway hiccups).
-    init_retry_timeout: int = 0
-    #: Full-jitter backoff base and cap between retry attempts.
-    init_backoff_s: float = 0.05
-    init_backoff_cap_s: float = 0.5
 
     # --- Section 5.2: indexing -----------------------------------------
     suffix_tree_capacity: int = 2_000  # predicates+classes always fit; rest
@@ -69,13 +57,3 @@ class SapphireConfig:
     w_q: float = 1.0
     w_default: float = 2.0
     seed_group_size: int = 3  # the literal itself + top k-1 alternatives
-
-    # --- Tracing / observability (docs/tracing.md) ---------------------
-    #: Fraction of server requests that get a sampled execution trace
-    #: even without ``analyze=true``.  ``0.0`` disables sampling;
-    #: explicit ANALYZE requests and requests arriving with an
-    #: ``X-Repro-Trace-Id`` header are always traced.
-    trace_sample_rate: float = 0.01
-    #: Wall-clock seconds above which a traced request is flagged
-    #: ``slow`` in the slow-query log.
-    slow_query_threshold_s: float = 0.5

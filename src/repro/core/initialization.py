@@ -32,12 +32,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..endpoint.endpoint import EndpointError, EndpointTimeout, QueryRejected, SparqlEndpoint
+from ..endpoint.endpoint import EndpointError, EndpointTimeout, LoggedQueryService, QueryRejected
 from ..rdf.terms import IRI, Literal
 from .cache import SapphireCache
 from .config import SapphireConfig
 
 __all__ = ["InitializationReport", "EndpointInitializer", "initialize_endpoint", "index_cache"]
+
+#: Re-attempts of a rejected query (HTTP 503 / admission control):
+#: overload is transient, so a mid-initialization rejection gets a
+#: capped, jittered re-attempt instead of aborting the stage.  A timeout
+#: is never re-run: the paper answers it by descending the class
+#: hierarchy ("this class is too big").
+INIT_RETRY_REJECTED = 2
+#: Full-jitter backoff base and cap between re-attempts, in seconds.
+INIT_BACKOFF_S = 0.05
+INIT_BACKOFF_CAP_S = 0.5
 
 
 Q1_PREDICATES = """
@@ -168,7 +178,7 @@ class EndpointInitializer:
 
     def __init__(
         self,
-        endpoint: SparqlEndpoint,
+        endpoint: LoggedQueryService,
         config: Optional[SapphireConfig] = None,
         warehouse: bool = False,
         rng: Optional[random.Random] = None,
@@ -204,16 +214,14 @@ class EndpointInitializer:
         the wall time of their round trips as endpoint seconds).
         """
         cache = SapphireCache(self.config)
-        start_time = getattr(self.endpoint, "simulated_seconds", 0.0)
+        start_time = self.endpoint.simulated_seconds
         self._stage_started = time.perf_counter()
         if self.warehouse:
             self.report.architecture = "warehouse"
             self._run_warehouse(cache)
         else:
             self._run_federated(cache)
-        self.report.simulated_seconds = (
-            getattr(self.endpoint, "simulated_seconds", 0.0) - start_time
-        )
+        self.report.simulated_seconds = self.endpoint.simulated_seconds - start_time
         return cache
 
     # ------------------------------------------------------------------
@@ -233,17 +241,13 @@ class EndpointInitializer:
         """Send one query, maintaining the report counters.
 
         A rejected query (admission control / HTTP 503 — transient
-        overload) is re-attempted up to ``init_retry_rejected`` times
-        with capped full-jitter backoff; timeouts likewise honour
-        ``init_retry_timeout`` (0 by default: the paper answers a
-        timeout by descending the class hierarchy, not by re-running
-        the same query).  Every attempt counts against the query budget
-        and its stage counter, so the report reconciles with the
-        endpoint's own log.  Returns the result, or None when all
-        attempts failed or the budget is exhausted.
+        overload) is re-attempted up to :data:`INIT_RETRY_REJECTED`
+        times with capped full-jitter backoff; a timed-out one is not.
+        Every attempt counts against the query budget and its stage
+        counter, so the report reconciles with the endpoint's own log.
+        Returns the result, or None when all attempts failed or the
+        budget is exhausted.
         """
-        rejected_left = max(0, self.config.init_retry_rejected)
-        timeout_left = max(0, self.config.init_retry_timeout)
         attempt = 0
         while True:
             if not self._budget_left():
@@ -256,14 +260,11 @@ class EndpointInitializer:
                 return result
             except EndpointTimeout:
                 self.report.n_timeouts += 1
-                if timeout_left <= 0:
-                    return None
-                timeout_left -= 1
+                return None
             except QueryRejected:
                 self.report.n_rejected += 1
-                if rejected_left <= 0:
+                if attempt >= INIT_RETRY_REJECTED:
                     return None
-                rejected_left -= 1
             except EndpointError:
                 return None
             self.report.n_retries += 1
@@ -273,12 +274,8 @@ class EndpointInitializer:
     def _backoff(self, attempt: int) -> None:
         """Full-jitter exponential backoff, capped (same policy as the
         HTTP client's 503 handling)."""
-        ceiling = min(
-            self.config.init_backoff_cap_s,
-            self.config.init_backoff_s * (2 ** attempt),
-        )
-        if ceiling > 0:
-            self._sleep(self._rng.uniform(0, ceiling))
+        ceiling = min(INIT_BACKOFF_CAP_S, INIT_BACKOFF_S * (2 ** attempt))
+        self._sleep(self._rng.uniform(0, ceiling))
 
     # ------------------------------------------------------------------
     # Federated architecture (Q1–Q8)
@@ -520,7 +517,7 @@ class EndpointInitializer:
 
 
 def initialize_endpoint(
-    endpoint: SparqlEndpoint,
+    endpoint: LoggedQueryService,
     config: Optional[SapphireConfig] = None,
     warehouse: bool = False,
 ) -> Tuple[SapphireCache, InitializationReport]:

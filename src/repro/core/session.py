@@ -160,9 +160,8 @@ class SapphireSession:
         prefetched = chosen.prefetched
         if prefetched is None:  # defensive: execute if not prefetched
             prefetched = self.server.run_query(chosen.query, suggest=False).answers
-        replacement = getattr(chosen, "replacement", None)
-        if isinstance(replacement, Literal):
-            self._note_recent([replacement.lexical])
+        if isinstance(chosen, TermSuggestion) and isinstance(chosen.replacement, Literal):
+            self._note_recent([chosen.replacement.lexical])
         new_outcome = QueryOutcome(
             query=chosen.query,
             query_text=chosen.query_text,

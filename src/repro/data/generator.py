@@ -139,11 +139,11 @@ def build_dataset(config: Optional[DatasetConfig] = None) -> SyntheticDataset:
     store.add_all(ontology_triples())
     _add_planted(dataset)
     _add_kennedys(dataset, rng)
-    _add_random_cities(dataset, rng)
-    _add_random_people(dataset, rng)
-    _add_random_universities(dataset, rng)
-    _add_random_books(dataset, rng)
-    _add_random_films(dataset, rng)
+    cities = _add_random_cities(dataset, rng)
+    people = _add_random_people(dataset, rng, cities)
+    _add_random_universities(dataset, rng, people)
+    _add_random_books(dataset, rng, people)
+    _add_random_films(dataset, rng, people)
     _add_random_companies(dataset, rng)
     return dataset
 
@@ -248,7 +248,7 @@ def _maybe_foreign_label(dataset: SyntheticDataset, rng: random.Random, entity: 
         dataset.store.add(Triple(entity, RDFS_LABEL, Literal(f"{name} ({lang})", lang=lang)))
 
 
-def _add_random_cities(dataset: SyntheticDataset, rng: random.Random) -> None:
+def _add_random_cities(dataset: SyntheticDataset, rng: random.Random) -> List[IRI]:
     store = dataset.store
     countries = [dataset.planted[c] for c in
                  ("United_States", "Canada", "Australia", "United_Kingdom", "Spain", "Greece")]
@@ -271,23 +271,23 @@ def _add_random_cities(dataset: SyntheticDataset, rng: random.Random) -> None:
         store.add(Triple(entity, DBO.country, rng.choice(countries)))
         _maybe_abstract(dataset, rng, entity, name)
         _maybe_foreign_label(dataset, rng, entity, name)
-    dataset._random_cities = dataset_cities  # type: ignore[attr-defined]
+    return dataset_cities
 
 
-def _hub_cities(dataset: SyntheticDataset) -> List[IRI]:
+def _hub_cities(dataset: SyntheticDataset, random_cities: List[IRI]) -> List[IRI]:
     """The cities random people are born in — the first few become
     high-in-degree hubs whose labels are *significant* (Definition 1)."""
-    random_cities = getattr(dataset, "_random_cities", [])
     hubs = [dataset.planted["New_York_City"], dataset.planted["Toronto"],
             dataset.planted["Sydney"], dataset.planted["London"]]
     hubs.extend(random_cities[: dataset.config.hub_city_count])
     return hubs
 
 
-def _add_random_people(dataset: SyntheticDataset, rng: random.Random) -> None:
+def _add_random_people(dataset: SyntheticDataset, rng: random.Random,
+                       cities: List[IRI]) -> List[IRI]:
     store = dataset.store
-    hubs = _hub_cities(dataset)
-    all_cities = hubs + getattr(dataset, "_random_cities", [])
+    hubs = _hub_cities(dataset, cities)
+    all_cities = hubs + cities
     classes = ("Person", "Scientist", "Writer", "Politician",
                "Actor", "MusicalArtist", "Athlete")
     people: List[IRI] = []
@@ -312,12 +312,12 @@ def _add_random_people(dataset: SyntheticDataset, rng: random.Random) -> None:
             store.add(Triple(entity, DBO.spouse, rng.choice(people[:-1])))
         _maybe_abstract(dataset, rng, entity, full_name)
         _maybe_foreign_label(dataset, rng, entity, full_name)
-    dataset._random_people = people  # type: ignore[attr-defined]
+    return people
 
 
-def _add_random_universities(dataset: SyntheticDataset, rng: random.Random) -> None:
+def _add_random_universities(dataset: SyntheticDataset, rng: random.Random,
+                             people: List[IRI]) -> None:
     store = dataset.store
-    people = getattr(dataset, "_random_people", [])
     universities: List[IRI] = []
     for i in range(dataset.config.n_universities):
         name = f"{rng.choice(_CITY_PARTS_A)}{rng.choice(_CITY_PARTS_B)} University"
@@ -333,9 +333,9 @@ def _add_random_universities(dataset: SyntheticDataset, rng: random.Random) -> N
             store.add(Triple(person, DBO.almaMater, rng.choice(universities)))
 
 
-def _add_random_books(dataset: SyntheticDataset, rng: random.Random) -> None:
+def _add_random_books(dataset: SyntheticDataset, rng: random.Random,
+                      writers: List[IRI]) -> None:
     store = dataset.store
-    writers = [e for e in getattr(dataset, "_random_people", [])]
     publishers = [dataset.planted["Viking_Press"], dataset.planted["Grove_Press"],
                   dataset.planted["Penguin_Books"]]
     for i in range(dataset.config.n_books):
@@ -353,9 +353,9 @@ def _add_random_books(dataset: SyntheticDataset, rng: random.Random) -> None:
         _maybe_abstract(dataset, rng, entity, title)
 
 
-def _add_random_films(dataset: SyntheticDataset, rng: random.Random) -> None:
+def _add_random_films(dataset: SyntheticDataset, rng: random.Random,
+                      people: List[IRI]) -> None:
     store = dataset.store
-    people = getattr(dataset, "_random_people", [])
     for i in range(dataset.config.n_films):
         title = f"{rng.choice(_BOOK_WORDS)} of the {rng.choice(_BOOK_WORDS)}"
         local = f"Film_{i}"

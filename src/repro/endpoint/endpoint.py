@@ -42,6 +42,7 @@ from ..sparql.evaluator import QueryEvaluator
 from ..sparql.parser import parse_query
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.trace import QueryTrace, Tracer
+from ..store.sharded import ShardedBackend
 from ..store.stats import PredicateStat
 from ..store.triplestore import CostMeter, QueryAborted, TripleStore
 
@@ -133,8 +134,30 @@ class QueryService:
     HttpSparqlEndpoint` each implement :meth:`run`, the one execution
     entry, and :meth:`_plan_text`, the EXPLAIN dump; ``select`` /
     ``ask`` / ``analyze`` / ``explain`` are written once, here, on top
-    of them.  A new backend implements those two methods.
+    of them.  A new backend implements those two methods.  What a
+    server, a tracer or a federation asks of a backend beyond that is a
+    method here too, with the answer of a backend that knows nothing.
     """
+
+    #: What plans, trace spans and query logs call this backend.
+    name = "?"
+
+    def set_trace_context(self, trace_id: Optional[str],
+                          parent_span_id: Optional[str]) -> None:
+        """Install (or clear, with ``None``s) the distributed-trace
+        context of this backend's next calls.  Only a backend across the
+        wire has a trace to continue; in-process ones record into the
+        tracer they are handed."""
+
+    def query_deadline_s(self) -> Optional[float]:
+        """The longest a query here may run, in seconds, or ``None``
+        when this backend sets no budget (a serving app caps its queue
+        wait at it)."""
+        return None
+
+    def stats_blocks(self) -> Dict[str, object]:
+        """This backend's blocks of a server's ``/stats`` document."""
+        return {}
 
     def run(
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
@@ -305,6 +328,16 @@ class SparqlEndpoint(LoggedQueryService):
 
     def predicate_stats(self) -> Dict[IRI, PredicateStat]:
         return self.store.predicate_stats()
+
+    def query_deadline_s(self) -> float:
+        return self.config.timeout_s
+
+    def stats_blocks(self) -> Dict[str, object]:
+        """``shards``: the triple count of each shard of a sharded store."""
+        if not isinstance(self.store.backend, ShardedBackend):
+            return {}
+        depths = self.store.backend.shard_sizes()
+        return {"shards": {"n_shards": len(depths), "depths": depths}}
 
     # ------------------------------------------------------------------
     # Internals

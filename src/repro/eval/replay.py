@@ -501,12 +501,13 @@ def replay_scripts(scripts: Sequence[SessionScript], url: str,
     return ledger
 
 
-def _worker_main(scripts_json: str, url: str, pace: float,
+def _worker_main(index: int, scripts_json: str, url: str, pace: float,
                  timeout_s: float, result_queue) -> None:
-    """Multiprocessing entry point (module-level for spawn pickling)."""
+    """Multiprocessing entry point (module-level for spawn pickling):
+    replays its share and reports ``(index, ledger)``."""
     scripts = scripts_from_json(scripts_json)
     ledger = replay_scripts(scripts, url, pace=pace, timeout_s=timeout_s)
-    result_queue.put(ledger.to_dict())
+    result_queue.put((index, ledger.to_dict()))
 
 
 @dataclass
@@ -619,6 +620,7 @@ def run_replay(scripts: Sequence[SessionScript], url: str, *,
     stats_url = stats_url or url
     before = fetch_stats(stats_url, timeout_s=timeout_s)
     started = time.perf_counter()
+    lost: List[str] = []
 
     if processes <= 0:
         ledger = ReplayLedger()
@@ -639,36 +641,35 @@ def run_replay(scripts: Sequence[SessionScript], url: str, *,
         workers = [
             context.Process(
                 target=_worker_main,
-                args=(scripts_to_json(partition), url, pace, timeout_s,
+                args=(index, scripts_to_json(partition), url, pace, timeout_s,
                       result_queue),
                 daemon=True,
             )
-            for partition in partitions if partition
+            for index, partition in enumerate(p for p in partitions if p)
         ]
         for worker in workers:
             worker.start()
         ledger = ReplayLedger()
-        pending = len(workers)
-        while pending:
+        pending = set(range(len(workers)))
+
+        def receive(timeout: float) -> bool:
             try:
-                ledger.merge(ReplayLedger.from_dict(
-                    result_queue.get(timeout=tick_s)))
-                pending -= 1
+                index, document = result_queue.get(timeout=timeout)
+            except Exception:  # noqa: BLE001 — queue.Empty
+                return False
+            ledger.merge(ReplayLedger.from_dict(document))
+            pending.discard(index)
+            return True
+
+        while pending:
+            if receive(tick_s):
                 continue
-            except Exception:  # noqa: BLE001 — queue.Empty: tick instead
-                pass
             if all(not worker.is_alive() for worker in workers):
                 # A worker died without reporting (crash, kill): drain
-                # what made it onto the queue, then stop waiting — an
-                # incomplete ledger surfaces as reconciliation
-                # mismatches instead of a hang.
-                while pending:
-                    try:
-                        ledger.merge(ReplayLedger.from_dict(
-                            result_queue.get(timeout=0.1)))
-                        pending -= 1
-                    except Exception:  # noqa: BLE001 — queue drained
-                        break
+                # what made it onto the queue, then stop waiting — a
+                # hang would report nothing at all.
+                while pending and receive(0.1):
+                    pass
                 break
             try:
                 fetch_stats_series(stats_url, timeout_s=timeout_s)
@@ -676,13 +677,18 @@ def run_replay(scripts: Sequence[SessionScript], url: str, *,
                 pass  # the server may be mid-restart (chaos tests)
         for worker in workers:
             worker.join(timeout=30.0)
+        # A ledger that never arrived is a mismatch of its own: the
+        # server's counters cannot show the sessions it never saw.
+        lost = [f"client process {index} sent no ledger "
+                f"(exitcode {workers[index].exitcode})"
+                for index in sorted(pending)]
 
     wall_s = time.perf_counter() - started
     after = fetch_stats(stats_url, timeout_s=timeout_s)
     series_document = fetch_stats_series(stats_url, timeout_s=timeout_s)
     deltas = route_deltas(before, after, routes=sorted(ledger.routes))
-    mismatches = reconcile(before, after, ledger,
-                           check_sessions=check_sessions)
+    mismatches = lost + reconcile(before, after, ledger,
+                                  check_sessions=check_sessions)
     return ReplayReport(
         ledger=ledger, before=before, after=after, deltas=deltas,
         mismatches=mismatches,

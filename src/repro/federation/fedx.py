@@ -222,6 +222,23 @@ class FederatedQueryProcessor(QueryService):
             for pattern in patterns
         )
 
+    def query_deadline_s(self) -> Optional[float]:
+        """The largest member budget: one federated query fans out into
+        sub-queries, so any one member's budget is a floor, not a cap."""
+        budgets = [endpoint.query_deadline_s() for endpoint in self.endpoints]
+        return max((budget for budget in budgets if budget is not None), default=None)
+
+    def stats_blocks(self) -> Dict[str, object]:
+        """``federation``: the request counters; ``shards``: the first
+        member's that has them."""
+        blocks: Dict[str, object] = {"federation": self.counters.snapshot()}
+        for endpoint in self.endpoints:
+            shards = endpoint.stats_blocks().get("shards")
+            if shards is not None:
+                blocks["shards"] = shards
+                break
+        return blocks
+
     def invalidate_source_cache(self) -> None:
         with self._cache_lock:
             self._source_cache.clear()

@@ -180,7 +180,7 @@ class RemoteScanNode(PlanNode):
 
     def label(self) -> str:
         where = " . ".join(_pattern_text(p) for p in self.patterns)
-        at = ",".join(getattr(s, "name", "?") for s in self.sources)
+        at = ",".join(s.name for s in self.sources)
         return f"RemoteScan({where} @ {at})"
 
 
@@ -315,7 +315,7 @@ class RemoteBindJoinNode(PlanNode):
                 )
 
     def label(self) -> str:
-        at = ",".join(getattr(s, "name", "?") for s in self.sources)
+        at = ",".join(s.name for s in self.sources)
         return (
             f"RemoteBindJoin({_pattern_text(self.pattern)} @ {at}, "
             f"batch={self.batch_size})"

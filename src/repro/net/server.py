@@ -390,33 +390,14 @@ class WsgiServer(ThreadingHTTPServer):
 class SparqlHttpServer:
     """A SPARQL 1.1 Protocol endpoint served over HTTP.
 
-    Parameters mirror :class:`~repro.net.wsgi.SparqlWsgiApp`:
-    ``max_workers`` bounds concurrent query execution, ``queue_limit``
-    bounds requests waiting for a worker (beyond it: 503), and
-    ``deadline_s`` (default: the wrapped endpoint's
-    ``EndpointConfig.timeout_s``) caps queue wait.
+    ``app_kwargs`` are :class:`~repro.net.wsgi.SparqlWsgiApp`'s settings
+    (``max_workers``, ``queue_limit``, ``deadline_s``, ...), forwarded
+    as given; the app declares them and their defaults.
     """
 
-    def __init__(
-        self,
-        backend,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_workers: int = 8,
-        queue_limit: int = 16,
-        deadline_s: Optional[float] = None,
-        trace_sample_rate: float = 0.0,
-        slow_query_threshold_s: float = 0.5,
-    ) -> None:
-        self.app = SparqlWsgiApp(
-            backend,
-            max_workers=max_workers,
-            queue_limit=queue_limit,
-            deadline_s=deadline_s,
-            trace_sample_rate=trace_sample_rate,
-            slow_query_threshold_s=slow_query_threshold_s,
-        )
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
+                 **app_kwargs) -> None:
+        self.app = SparqlWsgiApp(backend, **app_kwargs)
         self._httpd = WsgiServer((host, port), self.app)
         self._thread: Optional[threading.Thread] = None
         self._closed = False

@@ -21,8 +21,8 @@ Routes
 ``/`` is an alias for ``/sparql`` so a bare endpoint URL works.
 
 The suggestion routes exist when the backend is a
-:class:`~repro.core.sapphire.SapphireServer` (anything with
-``complete``/``run_query``); plain endpoints answer 404 for them.
+:class:`~repro.core.sapphire.SapphireServer`; a
+:class:`~repro.endpoint.endpoint.QueryService` answers 404 for them.
 Bodies are JSON — ``{"text": ..., "k": ..., "session": ...}`` for
 ``/complete``, ``{"query": ..., "suggest": ..., "session": ...}`` for
 ``/suggest`` — and responses use the canonical encoding of
@@ -73,10 +73,10 @@ import json
 import random
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
-from ..endpoint.endpoint import EndpointTimeout, QueryRejected
+from ..endpoint.endpoint import EndpointTimeout, QueryRejected, QueryService
 from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
 from ..sparql.parser import parse_query
@@ -85,6 +85,9 @@ from ..sparql.trace import Tracer
 from .formats import NotAcceptable, memo_stats, negotiate
 from .metrics import GC_WATCH, ServerStats, SlowQueryLog, StatsTimeSeries
 from .suggest import MIME_JSON_BODY, dump_document, encode_completion, outcome_document
+
+if TYPE_CHECKING:
+    from ..core.sapphire import SapphireServer
 
 __all__ = ["ServerStats", "SparqlWsgiApp", "WORKER_HEADER"]
 
@@ -120,16 +123,22 @@ class SparqlWsgiApp:
 
     ``backend`` is a :class:`~repro.endpoint.endpoint.QueryService` —
     a :class:`~repro.endpoint.endpoint.SparqlEndpoint`, a
-    :class:`~repro.federation.fedx.FederatedQueryProcessor`, or a
-    :class:`~repro.core.sapphire.SapphireServer` (served through its
-    federation).  Parsed queries go to the backend's one execution
+    :class:`~repro.federation.fedx.FederatedQueryProcessor` or an
+    :class:`~repro.net.client.HttpSparqlEndpoint` — or a
+    :class:`~repro.core.sapphire.SapphireServer`, served through its
+    federation.  Parsed queries go to the query backend's one execution
     entry, ``run(query, tracer=None)``; the tracer is an argument on
-    every call, ``None`` when the request is not traced.
+    every call, ``None`` when the request is not traced.  The request
+    deadline and the ``/stats`` blocks are asked of the same face.
+
+    The keyword arguments are the served app's settings, declared here
+    only: :class:`~repro.net.server.SparqlHttpServer` and the pre-fork
+    workers forward theirs.
     """
 
     def __init__(
         self,
-        backend,
+        backend: Union[QueryService, "SapphireServer"],
         *,
         max_workers: int = 8,
         queue_limit: int = 16,
@@ -142,13 +151,12 @@ class SparqlWsgiApp:
         # A SapphireServer fronts its endpoints with a federation; serve
         # that for /sparql, and keep the server itself as the Predictive
         # User Model behind /complete and /suggest.
-        self.suggester = (
-            backend
-            if hasattr(backend, "complete") and hasattr(backend, "run_query")
-            else None
-        )
-        federation = getattr(backend, "federation", None)
-        self.backend = federation if federation is not None else backend
+        if isinstance(backend, QueryService):
+            self.suggester: Optional["SapphireServer"] = None
+            self.backend = backend
+        else:
+            self.suggester = backend
+            self.backend = backend.federation
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if queue_limit < 0:
@@ -156,7 +164,7 @@ class SparqlWsgiApp:
         self.max_workers = max_workers
         self.queue_limit = queue_limit
         if deadline_s is None:
-            deadline_s = _default_deadline(self.backend)
+            deadline_s = self.backend.query_deadline_s()
         if deadline_s is not None and deadline_s == float("inf"):
             deadline_s = None
         self.deadline_s = deadline_s
@@ -294,22 +302,16 @@ class SparqlWsgiApp:
             body["session_activity"] = sum(
                 sum(counters.values()) for counters in self._sessions.values()
             )
-        shards = self._shard_depths()
-        if shards is not None:
-            body["shards"] = {"n_shards": len(shards), "depths": shards}
-        cache = getattr(self.suggester, "cache", None)
-        lookup_stats = getattr(cache, "lookup_stats", None)
-        if lookup_stats is not None:
-            body["cache"] = lookup_stats()
+        # ``shards`` of a sharded store; a federation's ``federation``:
+        # queries, single-source pushes, fallbacks, member requests and
+        # swallowed member errors.
+        body.update(self.backend.stats_blocks())
+        if self.suggester is not None:
+            body["cache"] = self.suggester.cache.lookup_stats()
         body["formats"] = memo_stats()
         body["gc"] = GC_WATCH.snapshot()
         if self.connections is not None:
             body["connections"] = self.connections.snapshot()
-        counters = getattr(self.backend, "counters", None)
-        if counters is not None:
-            # A federation backend: queries, single-source pushes,
-            # fallbacks, member requests and swallowed member errors.
-            body["federation"] = counters.snapshot()
         # Summary only — full traces live under GET /stats/slow.
         slow = self.slow_log.snapshot()
         body["slow_queries"] = {
@@ -320,23 +322,6 @@ class SparqlWsgiApp:
             "sample_rate": self.trace_sample_rate,
         }
         return body
-
-    def _shard_depths(self) -> Optional[List[int]]:
-        """Per-shard triple counts when the backend's store is sharded.
-
-        Duck-typed like the planner's shard detection: any backend whose
-        store exposes ``shard_sizes()`` (one endpoint, or the first
-        member of a federation) contributes its depths to ``/stats``.
-        """
-        candidates = [self.backend]
-        candidates.extend(getattr(self.backend, "endpoints", None) or ())
-        for candidate in candidates:
-            store = getattr(candidate, "store", None)
-            sizes = getattr(getattr(store, "backend", None),
-                            "shard_sizes", None)
-            if sizes is not None:
-                return sizes()
-        return None
 
     # ------------------------------------------------------------------
     # Query handling
@@ -645,28 +630,6 @@ class SparqlWsgiApp:
         headers = list(_json_headers(len(payload)).items()) + (extra_headers or [])
         start_response(_STATUS_LINES[status], headers)
         return [payload]
-
-
-def _default_deadline(backend) -> Optional[float]:
-    """A request deadline inferred from the backend's endpoint config(s).
-
-    A bare endpoint contributes its own ``EndpointConfig.timeout_s``; a
-    federation contributes the largest member timeout (one federated
-    query fans out into several sub-queries, so any single member's
-    budget is a floor, not a cap).  Returns None when nothing is
-    configured — queue waits are then unbounded by deadline.
-    """
-    timeout = getattr(getattr(backend, "config", None), "timeout_s", None)
-    if isinstance(timeout, (int, float)):
-        return float(timeout)
-    member_timeouts = [
-        getattr(getattr(member, "config", None), "timeout_s", None)
-        for member in getattr(backend, "endpoints", None) or ()
-    ]
-    member_timeouts = [t for t in member_timeouts if isinstance(t, (int, float))]
-    if member_timeouts:
-        return float(max(member_timeouts))
-    return None
 
 
 class _HttpFail(Exception):

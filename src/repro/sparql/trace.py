@@ -383,20 +383,18 @@ class Tracer:
     def remote_call(self, source, **attrs):
         """A span around one remote endpoint round-trip.
 
-        Sets the trace context (trace id + this span's id) on sources
-        that support it — :class:`~repro.net.client.HttpSparqlEndpoint`
-        ships both as headers, which is how a federated query's spans
-        stitch into one trace across processes.  The context is cleared
-        on exit so unrelated queries on the same client stay untraced.
+        Hands ``source`` (a :class:`~repro.endpoint.endpoint.QueryService`)
+        the trace context, trace id and this span's id:
+        :class:`~repro.net.client.HttpSparqlEndpoint` ships both as
+        headers, which is how a federated query's spans stitch into one
+        trace across processes.  The context is cleared on exit so
+        unrelated queries on the same client stay untraced.
         """
-        name = getattr(source, "name", None) or "?"
-        span = self._open(f"remote:{name}", {"endpoint": str(name), **attrs})
+        span = self._open(f"remote:{source.name}", {"endpoint": source.name, **attrs})
         if span is None:
             yield None
             return
-        setter = getattr(source, "set_trace_context", None)
-        if setter is not None:
-            setter(self.trace.trace_id, span.span_id)
+        source.set_trace_context(self.trace.trace_id, span.span_id)
         self._stack.append(span)
         started = self._clock()
         try:
@@ -404,8 +402,7 @@ class Tracer:
         finally:
             span.wall_ms += (self._clock() - started) * 1000.0
             self._stack.pop()
-            if setter is not None:
-                setter(None, None)
+            source.set_trace_context(None, None)
 
     # ------------------------------------------------------------------
     # Completion

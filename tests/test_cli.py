@@ -284,12 +284,11 @@ class TestCommands:
     def test_serve_samples_at_the_documented_default_in_both_topologies(
         self, monkeypatch, capsys
     ):
-        """``--trace-sample-rate`` defaults to SapphireConfig's rate: a
+        """``--trace-sample-rate`` defaults to its documented 0.01: a
         worker's ``/stats`` reads it under ``--workers 1`` and ``2``."""
         import json
         import urllib.request
 
-        from repro.core.config import SapphireConfig
         from repro.net import PreforkServer, SparqlHttpServer
 
         rates = {}
@@ -315,5 +314,4 @@ class TestCommands:
         read_rate_before_stop(PreforkServer)
         assert main(["serve", "--port", "0", "--smoke"]) == 0
         assert main(["serve", "--port", "0", "--workers", "2", "--smoke"]) == 0
-        default = SapphireConfig().trace_sample_rate
-        assert rates == {"SparqlHttpServer": default, "PreforkServer": default}
+        assert rates == {"SparqlHttpServer": 0.01, "PreforkServer": 0.01}

@@ -30,7 +30,7 @@ import urllib.parse
 import pytest
 
 from repro import EndpointConfig, SparqlEndpoint
-from repro.endpoint.endpoint import EndpointTimeout
+from repro.endpoint.endpoint import EndpointTimeout, QueryService
 from repro.eval.replay import ReplayLedger, reconcile
 from repro.net import (
     ConnectionFailed,
@@ -58,8 +58,8 @@ def local_endpoint(tiny_dataset):
                           name="connections")
 
 
-class _Stalling:
-    """Endpoint-shaped backend whose every entry waits on ``release``."""
+class _Stalling(QueryService):
+    """A query backend whose every entry waits on ``release``."""
 
     def __init__(self):
         self.release = threading.Event()

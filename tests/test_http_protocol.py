@@ -21,7 +21,8 @@ import urllib.request
 import pytest
 
 from repro import EndpointConfig, FederatedQueryProcessor, SparqlEndpoint
-from repro.endpoint.endpoint import EndpointError, EndpointTimeout, QueryRejected
+from repro.core.sapphire import SapphireServer
+from repro.endpoint.endpoint import EndpointError, EndpointTimeout, QueryRejected, QueryService
 from repro.net import HttpSparqlEndpoint, SparqlHttpServer
 from repro.rdf import DBO, RDF_TYPE
 from repro.sparql.errors import SparqlError
@@ -410,8 +411,8 @@ class TestSparqlRouteAcrossBackends:
 # Admission control and failure mapping
 # ----------------------------------------------------------------------
 
-class _StubBackend:
-    """Endpoint-shaped stub whose behaviour is a callable."""
+class _StubBackend(QueryService):
+    """A query backend whose behaviour is a callable."""
 
     def __init__(self, behaviour):
         self.behaviour = behaviour
@@ -633,10 +634,14 @@ class TestAdmissionAndErrors:
             client.ask("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
 
 
-class _StubSapphire:
-    """Sapphire-shaped stub: has the PUM surface, behaviour injectable."""
+class _StubSapphire(SapphireServer):
+    """A Sapphire server whose PUM surface is a callable; its federation
+    is a stub that no test queries."""
+
+    federation = _StubBackend(None)
 
     def __init__(self, behaviour):
+        super().__init__()
         self.behaviour = behaviour
 
     def complete(self, text, k=None, tracer=None, boost_surfaces=None):

@@ -417,6 +417,29 @@ class TestSpawnedReplay:
             assert last[route]["latency"]["buckets"], route
 
 
+    def test_a_client_process_that_dies_unreported_is_a_mismatch(
+            self, replay_stack, monkeypatch, capsys):
+        """A spawned client that dies before it reports leaves a hole in
+        the ledger that the server's counters cannot show: the report
+        names it, and ``repro replay`` exits 1.  An ``at`` that is not a
+        number kills the replay loop outside its per-request ``try``."""
+        from repro.cli import main
+        from repro.eval import replay as replay_module
+
+        scripts = generate_scripts(dataclasses.replace(CONFIG, n_sessions=2))
+        broken = dataclasses.replace(
+            scripts[1], events=[dict(scripts[1].events[0], at="soon")])
+        report = run_replay([scripts[0], broken], replay_stack.url, processes=2)
+        assert report.mismatches == ["client process 1 sent no ledger (exitcode 1)"]
+        assert report.ledger.sessions == 1
+
+        monkeypatch.setattr(replay_module, "generate_scripts",
+                            lambda config: [scripts[0], broken])
+        assert main(["--scale", "tiny", "replay", "--sessions", "2",
+                     "--processes", "2"]) == 1
+        assert "client process 1 sent no ledger" in capsys.readouterr().out
+
+
 class TestSessionScriptCounts:
     def test_counts_match_events(self):
         script = SessionScript(session="s1", pid=0, qid="q1", events=[

@@ -563,11 +563,13 @@ class FlakyRejectingEndpoint(SparqlEndpoint):
 
 
 class TestInitializationRetries:
-    def test_rejections_are_retried_and_recovered(self, tiny_dataset):
+    def test_rejections_are_retried_and_recovered(self, tiny_dataset, monkeypatch):
+        from repro.core import initialization
         from repro.core.initialization import EndpointInitializer
 
+        monkeypatch.setattr(initialization, "INIT_RETRY_REJECTED", 2)
         endpoint = FlakyRejectingEndpoint(tiny_dataset.store, name="flaky503")
-        config = SapphireConfig(suffix_tree_capacity=300, init_retry_rejected=2)
+        config = SapphireConfig(suffix_tree_capacity=300)
         initializer = EndpointInitializer(endpoint, config, sleep=lambda s: None)
         cache = initializer.run()
         report = initializer.report
@@ -578,9 +580,12 @@ class TestInitializationRetries:
         # Every attempt is visible in both ledgers.
         assert report.total_queries == endpoint.query_count
 
-    def test_without_retries_a_503_aborts_the_stage(self, tiny_dataset):
+    def test_without_retries_a_503_aborts_the_stage(self, tiny_dataset, monkeypatch):
+        from repro.core import initialization
+
+        monkeypatch.setattr(initialization, "INIT_RETRY_REJECTED", 0)
         endpoint = FlakyRejectingEndpoint(tiny_dataset.store, name="flaky503")
-        config = SapphireConfig(suffix_tree_capacity=300, init_retry_rejected=0)
+        config = SapphireConfig(suffix_tree_capacity=300)
         cache, report = initialize_endpoint(endpoint, config)
         # Q1 is rejected once and never retried: no predicates survive.
         assert cache.n_predicates == 0
