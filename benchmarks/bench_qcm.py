@@ -223,8 +223,8 @@ def test_cold_start_tiered_boot(scaled_index, capsys, benchmark):
         # Boot memory is bounded by the tree, not the lexicon: an
         # in-memory cache materializes every literal, the tiered boot
         # must not.  Both hold the same suffix tree, which at 10x is
-        # still half of the in-memory peak (measured ratio 0.51), hence
-        # 0.6 and not a rounder number.
+        # still a third of the in-memory peak (measured ratio 0.35; 0.51
+        # when each leaf was a node), hence 0.6 and not a rounder number.
         assert tiered_peak < 0.6 * rebuild_peak, (tiered_peak, rebuild_peak)
         assert tiered.n_tree_strings <= cache.config.suffix_tree_capacity
     finally:

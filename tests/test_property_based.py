@@ -58,6 +58,8 @@ from repro.text import (
 # Compact alphabets keep shrunk counterexamples readable and force
 # collisions (shared substrings, shared suffixes) to actually occur.
 _WORDS = st.text(alphabet="abcd", min_size=1, max_size=8)
+#: The suffix tree's inputs also cross the Latin-1, BMP and astral planes.
+_TREE_WORDS = st.text(alphabet="abcé中𝔸", min_size=1, max_size=8)
 _TEXT = st.text(
     alphabet=string.ascii_letters + string.digits + " .,-'\"\\\n",
     min_size=0,
@@ -66,21 +68,21 @@ _TEXT = st.text(
 
 
 class TestSuffixTreeProperties:
-    @given(st.lists(_WORDS, max_size=12), _WORDS)
+    @given(st.lists(_TREE_WORDS, max_size=12), _TREE_WORDS)
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_scan(self, strings, pattern):
         tree = GeneralizedSuffixTree(strings)
         expected = sorted(i for i, s in enumerate(strings) if pattern in s)
         assert sorted(tree.find_ids(pattern)) == expected
 
-    @given(st.lists(_WORDS, min_size=1, max_size=10))
+    @given(st.lists(_TREE_WORDS, min_size=1, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_every_string_findable_by_itself(self, strings):
         tree = GeneralizedSuffixTree(strings)
         for index, s in enumerate(strings):
             assert index in tree.find_ids(s)
 
-    @given(st.lists(_WORDS, min_size=1, max_size=10), _WORDS)
+    @given(st.lists(_TREE_WORDS, min_size=1, max_size=10), _TREE_WORDS)
     @settings(max_examples=100, deadline=None)
     def test_occurrences_match_overlapping_count(self, strings, pattern):
         tree = GeneralizedSuffixTree(strings)
@@ -91,14 +93,13 @@ class TestSuffixTreeProperties:
                     expected += 1
         assert tree.count_occurrences(pattern) == expected
 
-    @given(st.lists(_WORDS, max_size=10), _WORDS, st.integers(1, 5))
+    @given(st.lists(_TREE_WORDS, max_size=10), _TREE_WORDS, st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
     def test_limit_is_prefix_of_full_result_set(self, strings, pattern, limit):
         tree = GeneralizedSuffixTree(strings)
-        limited = tree.find_ids(pattern, limit=limit)
-        full = set(tree.find_ids(pattern))
-        assert len(limited) == min(limit, len(full))
-        assert set(limited) <= full
+        full = tree.find_ids(pattern)
+        assert len(full) == len(set(full))
+        assert tree.find_ids(pattern, limit=limit) == full[:limit]
 
 
 class TestAlgorithm1Properties:

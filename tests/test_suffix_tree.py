@@ -1,5 +1,11 @@
 """Unit tests for the generalized suffix tree (Ukkonen)."""
 
+import hashlib
+import json
+import random
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from repro.text import GeneralizedSuffixTree, sentinel_for
@@ -135,3 +141,99 @@ class TestAgainstNaive:
         for pattern in patterns:
             expected = sorted(i for i, s in enumerate(strings) if pattern in s)
             assert sorted(tree.find_ids(pattern)) == expected, pattern
+
+
+# ----------------------------------------------------------------------
+# A fixed seeded corpus: the walk order and the tree's size, pinned
+# ----------------------------------------------------------------------
+
+#: Captured from the tree whose leaves were ``_Node`` objects; the order
+#: of ``find_ids`` is part of the QCM's cold-cache suggestion order.
+GOLDEN = Path(__file__).with_name("suffix_tree_order.json")
+#: ``find_ids`` limit pinned per pattern: the QCM asks for k = 10.
+GOLDEN_LIMIT = 10
+#: Nodes of the seeded corpus's tree, leaves included (the paper's
+#: tree-size figure): a leaf's representation must not change it.
+SEEDED_NODE_COUNT = 9500
+#: tracemalloc bytes the built tree holds per character of its text.  A
+#: ``_Node`` and an empty dict per leaf measured 306 on CPython 3.11, an
+#: int per leaf 155; the bound keeps 25 % headroom for 3.12 and 3.13.
+MAX_BYTES_PER_CHAR = 240
+
+_SYLLABLES = ["ka", "ne", "dy", "on", "an", "ma", "ter", "ur", "ban",
+              "é", "ñ", "ß", "ži", "ö", "中", "国", "𝔸", " ", "-"]
+
+
+def seeded_corpus(seed=2016, n=1200):
+    """``n`` strings of 0–7 syllables, ASCII and not, ~8 % repeated."""
+    rng = random.Random(seed)
+    strings = []
+    while len(strings) < n:
+        if strings and rng.random() < 0.08:
+            strings.append(strings[rng.randrange(len(strings))])
+            continue
+        strings.append("".join(rng.choice(_SYLLABLES) for _ in range(rng.randint(0, 7))))
+    return strings
+
+
+def seeded_patterns(strings, seed=40, n=300):
+    """``n`` distinct substrings (1–6 characters) of the corpus."""
+    rng = random.Random(seed)
+    patterns = []
+    while len(patterns) < n:
+        s = strings[rng.randrange(len(strings))]
+        if not s:
+            continue
+        i = rng.randrange(len(s))
+        pattern = s[i : i + rng.randint(1, 6)]
+        if pattern not in patterns:
+            patterns.append(pattern)
+    return patterns
+
+
+def order_digest(tree, patterns):
+    """sha256 over every pattern's full ``find_ids`` list, in order."""
+    lists = [tree.find_ids(p) for p in patterns]
+    return hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    corpus = seeded_corpus()
+    return GeneralizedSuffixTree(corpus), seeded_patterns(corpus)
+
+
+class TestWalkOrder:
+    """The ids come back in the same order, not just as the same set."""
+
+    def test_limited_ids_match_the_golden(self, seeded):
+        tree, patterns = seeded
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert golden["limit"] == GOLDEN_LIMIT
+        assert list(golden["first"]) == patterns
+        for pattern in patterns:
+            assert tree.find_ids(pattern, GOLDEN_LIMIT) == golden["first"][pattern], pattern
+
+    def test_full_lists_match_the_golden(self, seeded):
+        tree, patterns = seeded
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert order_digest(tree, patterns) == golden["full_sha256"]
+
+
+class TestSize:
+    def test_node_count_is_unchanged(self, seeded):
+        tree, _ = seeded
+        assert tree.node_count() == SEEDED_NODE_COUNT
+
+    def test_bytes_held_per_character(self):
+        corpus = seeded_corpus()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = GeneralizedSuffixTree(corpus)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_char = held / len(tree._text)
+        assert per_char <= MAX_BYTES_PER_CHAR, f"{per_char:.0f} B per character"
+
