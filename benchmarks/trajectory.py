@@ -10,10 +10,12 @@ first.  From each run it reads the JSON on the last line of stdout.
 
 It appends one record to ``benchmarks/trajectory.jsonl``: the change's
 commit (``+dirty`` when the working tree differs from it) and the base's,
-the spine's environment fingerprint, and for each workload and end-to-end
-metric each side's median, its [Q1, Q3], the pairs the change won and the
-spine's verdict (``spine/compare.py``: ``worse``, ``better``,
-``unresolved`` or ``same``).  Then it prints the comparison table.  Exit 1
+its ``kind`` (``pr`` when the base is the change's parent, ``creep``
+otherwise; see :func:`run_kind`), the spine's environment fingerprint,
+and for each workload and end-to-end metric each side's median, its
+[Q1, Q3], the pairs the change won and the spine's verdict
+(``spine/compare.py``: ``worse``, ``better``, ``unresolved`` or
+``same``).  Then it prints the comparison table.  Exit 1
 when a metric reads ``worse`` or a run was not correct.
 """
 
@@ -26,7 +28,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = ROOT / "benchmarks" / "trajectory.jsonl"
@@ -42,6 +44,16 @@ RUN_TIMEOUT_S = 900
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def run_kind(dirty: bool, base: str, head: str, head_parent: Optional[str]) -> str:
+    """``"pr"`` when ``base`` is the change's parent, ``"creep"`` otherwise.
+
+    The change is the working tree when it is ``dirty`` (its parent is
+    ``head``), else the commit ``head`` (its parent is ``head_parent``,
+    ``None`` for a root commit).  All three are full commit hashes.
+    """
+    return "pr" if base == (head if dirty else head_parent) else "creep"
 
 
 def spine_run(tree: Path, workload: str, seed: int) -> Dict[str, object]:
@@ -115,9 +127,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    head_parents = _git("rev-parse", "HEAD^@").split()  # none for a root commit
+    kind = run_kind(dirty, _git("rev-parse", args.base), _git("rev-parse", "HEAD"),
+                    head_parents[0] if head_parents else None)
     record: Dict[str, object] = {
         "commit": _git("rev-parse", "--short", "HEAD") + ("+dirty" if dirty else ""),
         "parent": _git("rev-parse", "--short", args.base),
+        "kind": kind,
         "fingerprint": env.fingerprint(ROOT),
         "seed": args.seed,
         "pairs": args.pairs,

@@ -4,8 +4,9 @@ A backend stores triples of integer IDs minted by a
 :class:`~repro.store.dictionary.TermDictionary` it owns; it knows nothing
 about RDF terms, SPARQL, or cost metering — those live one layer up in
 :class:`~repro.store.triplestore.TripleStore`.  Keeping the seam at the
-ID level means a backend only has to answer eight pattern shapes over
-integer keys, which both implementations do with covering indexes:
+ID level means a backend only has to answer the eight triple-pattern
+shapes over integer keys, which every implementation does with covering
+indexes:
 
 * :class:`MemoryBackend` — three clustered permutations (SPO / POS /
   OSP), each a set of aligned ``array('q')`` columns; the default,
@@ -13,8 +14,34 @@ integer keys, which both implementations do with covering indexes:
 * :class:`~repro.store.sqlite_backend.SQLiteBackend` — the same three
   covering indexes as B-trees in a WAL-mode SQLite file; survives
   restarts (see ``docs/storage.md`` for the schema).
+* :class:`~repro.store.sharded.ShardedBackend` — either of the two,
+  hash-partitioned by subject over N children.
 
-``match_ids`` positions use ``None`` as the wildcard.  Backends never see
+The seam is twelve methods, each asking one question (the
+:class:`TripleStore` calls it backs in brackets):
+
+* ``add`` / ``add_many`` — insert (``add`` / ``add_all``);
+* ``size`` — the triple count (``len``);
+* ``match_ids`` — the rows of one shape, a tuple each (``match``,
+  ``match_ids``, ``triples``: ``match_ids(None, None, None)``);
+* ``match_columns`` — the same rows as batches of ID columns
+  (``match_columns``; ``compute_stats`` reads the store in one such pass);
+* ``count_ids`` — the exact row count of a shape, free: a row range's
+  length or a cached total, never a walk over the triples (``count``,
+  ``cardinality_estimate``);
+* ``has_match`` — whether a shape has a row; with all three positions
+  bound, whether the store holds the triple (``in``, the concrete probe
+  of ``match_ids``, ``proves_no_match``);
+* ``predicate_stats`` — per predicate ``(count, distinct subjects,
+  distinct objects)``, cached until the next write (``predicate_stats``,
+  ``predicate_stats_ids``);
+* ``subject_predicate_sets`` — each subject's sorted predicates
+  (``characteristic_sets``);
+* ``set_meta`` / ``meta_items`` — string metadata such as a dataset
+  fingerprint, which ``save_store`` copies into a snapshot;
+* ``close`` — release what the backend holds (``close``).
+
+Positions use ``None`` as the wildcard.  Backends never see
 :data:`~repro.store.dictionary.NO_ID` in the "present" sense: it is a
 valid probe value that simply never matches anything.
 
@@ -25,8 +52,8 @@ one ``(s, p, o)`` tuple per ``next()`` call, it yields **batches of ID
 columns** — tuples of ``array('q')`` arrays, one per requested wildcard
 position, up to ``batch_size`` rows long.  The physical operators in
 :mod:`~repro.sparql.plan` consume these directly, so a scan crosses the
-backend boundary once per batch instead of once per row.  Both backends
-implement it natively: the memory backend hands out slices of the
+backend boundary once per batch instead of once per row.  Every backend
+implements it natively: the memory backend hands out slices of the
 columns it stores, SQLite fetches only the needed columns with
 ``fetchmany`` over the same covering indexes.
 """
@@ -35,7 +62,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, count, repeat, starmap
+from itertools import accumulate, chain, count, repeat
 from operator import itemgetter, sub
 from threading import Lock
 from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
@@ -58,21 +85,20 @@ COLUMN_BATCH_SIZE = 1024
 class StorageBackend(Protocol):
     """What :class:`TripleStore` needs from a storage engine.
 
-    All IDs are dictionary IDs; ``None`` in a ``match_ids``/``count``
-    position means "any".  Estimation methods must be cheap (index
-    fan-outs, no enumeration) and must never raise on unknown IDs.
+    All IDs are dictionary IDs; ``None`` in a pattern position means
+    "any".  ``count_ids``, ``has_match`` and ``predicate_stats`` must be
+    cheap (row ranges, index prefixes or caches, no enumeration) and must
+    never raise on unknown IDs.
     """
 
-    #: Human-readable backend name (``"memory"`` / ``"sqlite"``).
+    #: Human-readable backend name (``"memory"`` / ``"sqlite"`` / ``"sharded"``).
     name: str
     #: The term dictionary whose IDs this backend stores.
     dictionary: TermDictionary
 
     def add(self, s: int, p: int, o: int) -> bool: ...
     def add_many(self, triples: Iterator[IdTriple]) -> int: ...
-    def contains(self, s: int, p: int, o: int) -> bool: ...
     def size(self) -> int: ...
-    def iter_ids(self) -> Iterator[IdTriple]: ...
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> Iterator[IdTriple]: ...
@@ -87,21 +113,11 @@ class StorageBackend(Protocol):
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> int: ...
-    def estimate_ids(
-        self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> int: ...
     def has_match(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> bool: ...
-    def subject_ids(self) -> Iterator[int]: ...
-    def subject_count(self) -> int: ...
-    def predicate_ids(self) -> Iterator[int]: ...
-    def object_ids(self) -> Iterator[int]: ...
-    def predicate_fanouts(self) -> Dict[int, int]: ...
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]: ...
     def subject_predicate_sets(self) -> Iterator[Tuple[int, ...]]: ...
-    def object_fanouts(self) -> Dict[int, int]: ...
-    def get_meta(self, key: str) -> Optional[str]: ...
     def set_meta(self, key: str, value: str) -> None: ...
     def meta_items(self) -> Dict[str, str]: ...
     def close(self) -> None: ...
@@ -172,13 +188,10 @@ class _Permutation:
         lo, hi = self.group(a, b)
         return c in self.col_c[lo:hi]
 
-    def fanouts(self) -> Dict[int, int]:
-        """Rows per key, in key order."""
-        return dict(zip(self.keys, map(sub, self.starts[1:], self.starts)))
-
     def key_column(self) -> array:
         """``a`` for every row: each key repeated over its block."""
-        return array("q", chain.from_iterable(starmap(repeat, self.fanouts().items())))
+        lengths = map(sub, self.starts[1:], self.starts)
+        return array("q", chain.from_iterable(map(repeat, self.keys, lengths)))
 
     def rows(self) -> Iterator[IdTriple]:
         """Every ``(a, b, c)``, in clustered order."""
@@ -202,10 +215,10 @@ class MemoryBackend:
     Every shape with a wildcard is one row range ``[lo, hi)`` of one
     permutation, so a scan hands out slices of the stored columns.  The
     enumeration order is part of the contract: keys at both levels come
-    out in first-insertion order, leaves in ``set`` order (so
-    ``contains`` scans its group rather than bisecting).  Writes go to a
-    pending log, which the first read after them folds in; the loaders
-    write everything, then read, so that is one fold.
+    out in first-insertion order, leaves in ``set`` order (so a fully
+    bound ``has_match`` scans its group rather than bisecting).  Writes
+    go to a pending log, which the first read after them folds in; the
+    loaders write everything, then read, so that is one fold.
     """
 
     name = "memory"
@@ -257,14 +270,8 @@ class MemoryBackend:
 
     # -- lookup --------------------------------------------------------
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return self._read()[0].has(s, p, o)
-
     def size(self) -> int:
         return self._size
-
-    def iter_ids(self) -> Iterator[IdTriple]:
-        return self.match_ids(None, None, None)
 
     def _locate(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -340,17 +347,10 @@ class MemoryBackend:
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> int:
-        """Exact match count (used by ``TripleStore.count``; still free —
-        a row range's length, never a walk over the triples)."""
+        """Exact match count, free: a row range's length, never a walk
+        over the triples."""
         if s is not None and p is not None and o is not None:
-            return 1 if self.contains(s, p, o) else 0
-        return self.estimate_ids(s, p, o)
-
-    def estimate_ids(
-        self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> int:
-        if s is not None and p is not None and o is not None:
-            return 1
+            return 1 if self._read()[0].has(s, p, o) else 0
         _, lo, hi = self._locate(s, p, o)
         return hi - lo
 
@@ -359,26 +359,11 @@ class MemoryBackend:
     ) -> bool:
         """Whether any triple matches: a row range that is not empty."""
         if s is not None and p is not None and o is not None:
-            return self.contains(s, p, o)
+            return self._read()[0].has(s, p, o)
         _, lo, hi = self._locate(s, p, o)
         return hi > lo
 
     # -- aggregates ----------------------------------------------------
-
-    def subject_ids(self) -> Iterator[int]:
-        return iter(self._read()[0].keys)
-
-    def subject_count(self) -> int:
-        return len(self._read()[0].keys)
-
-    def predicate_ids(self) -> Iterator[int]:
-        return iter(self._read()[1].keys)
-
-    def object_ids(self) -> Iterator[int]:
-        return iter(self._read()[2].keys)
-
-    def predicate_fanouts(self) -> Dict[int, int]:
-        return self._read()[1].fanouts()
 
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]:
         """Per-predicate ``(count, distinct subjects, distinct objects)``.
@@ -403,14 +388,8 @@ class MemoryBackend:
         dir_b, blocks = spo.dir_b, spo.blocks
         return (tuple(dir_b[lo:hi]) for lo, hi in zip(blocks, blocks[1:]))
 
-    def object_fanouts(self) -> Dict[int, int]:
-        return self._read()[2].fanouts()
-
-    def get_meta(self, key: str) -> Optional[str]:
-        """Read a metadata value (ephemeral, like the triples)."""
-        return self._meta.get(key)
-
     def set_meta(self, key: str, value: str) -> None:
+        """Write a metadata value (ephemeral, like the triples)."""
         self._meta[key] = value
 
     def meta_items(self) -> Dict[str, str]:

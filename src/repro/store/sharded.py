@@ -14,11 +14,11 @@ Partitioning by subject buys three properties the layers above lean on:
   ``(s, p, *)``, ``(s, *, o)`` and full-triple probes — the shapes bind
   joins hammer — touch exactly one child, so a sharded store answers
   them with zero fan-out overhead.
-* **Subject sets are disjoint across shards.**  ``subject_ids`` is a
-  plain concatenation, ``subject_count`` a plain sum, and the
-  per-predicate *distinct-subject* statistic merges **exactly** by
-  addition.  Distinct-object counts are not disjoint, so their merged
-  value is an upper bound (still capped by the exact triple count) —
+* **Subject sets are disjoint across shards.**  Each subject's
+  predicate set lives whole in one child, and the per-predicate
+  *distinct-subject* statistic merges **exactly** by addition.
+  Distinct-object counts are not disjoint, so their merged value is an
+  upper bound (still capped by the exact triple count) —
   fine for the cost model, which only ranks candidates.
 * **Scatter-gather scans stream.**  Wildcard-subject ``match_ids`` /
   ``match_columns`` chain the shards in shard order; within a shard the
@@ -127,15 +127,8 @@ class ShardedBackend:
 
     # -- lookup --------------------------------------------------------
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return self.shards[s % self.n_shards].contains(s, p, o)
-
     def size(self) -> int:
         return sum(shard.size() for shard in self.shards)
-
-    def iter_ids(self) -> Iterator[IdTriple]:
-        for shard in self.shards:
-            yield from shard.iter_ids()
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -176,13 +169,6 @@ class ShardedBackend:
             return self.shards[s % self.n_shards].count_ids(s, p, o)
         return sum(shard.count_ids(s, p, o) for shard in self.shards)
 
-    def estimate_ids(
-        self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> int:
-        if s is not None:
-            return self.shards[s % self.n_shards].estimate_ids(s, p, o)
-        return sum(shard.estimate_ids(s, p, o) for shard in self.shards)
-
     def has_match(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> bool:
@@ -191,37 +177,6 @@ class ShardedBackend:
         return any(shard.has_match(s, p, o) for shard in self.shards)
 
     # -- aggregates ----------------------------------------------------
-
-    def subject_ids(self) -> Iterator[int]:
-        # Disjoint by construction: plain concatenation, no dedupe.
-        for shard in self.shards:
-            yield from shard.subject_ids()
-
-    def subject_count(self) -> int:
-        return sum(shard.subject_count() for shard in self.shards)
-
-    def predicate_ids(self) -> Iterator[int]:
-        seen = set()
-        for shard in self.shards:
-            for p in shard.predicate_ids():
-                if p not in seen:
-                    seen.add(p)
-                    yield p
-
-    def object_ids(self) -> Iterator[int]:
-        seen = set()
-        for shard in self.shards:
-            for o in shard.object_ids():
-                if o not in seen:
-                    seen.add(o)
-                    yield o
-
-    def predicate_fanouts(self) -> Dict[int, int]:
-        merged: Dict[int, int] = {}
-        for shard in self.shards:
-            for p, count in shard.predicate_fanouts().items():
-                merged[p] = merged.get(p, 0) + count
-        return merged
 
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]:
         """Predicate-aware merge of per-shard ``(count, n_s, n_o)``.
@@ -253,17 +208,7 @@ class ShardedBackend:
         for shard in self.shards:
             yield from shard.subject_predicate_sets()
 
-    def object_fanouts(self) -> Dict[int, int]:
-        merged: Dict[int, int] = {}
-        for shard in self.shards:
-            for o, count in shard.object_fanouts().items():
-                merged[o] = merged.get(o, 0) + count
-        return merged
-
     # -- metadata (shard 0 owns it, like the dictionary) ---------------
-
-    def get_meta(self, key: str) -> Optional[str]:
-        return self.shards[0].get_meta(key)
 
     def set_meta(self, key: str, value: str) -> None:
         self.shards[0].set_meta(key, value)

@@ -134,11 +134,8 @@ class SQLiteBackend:
             self.dictionary = TermDictionary(on_intern=self._persist_term)
         self._load_terms()
         self._size = self._conn.execute("SELECT COUNT(*) FROM triples").fetchone()[0]
-        # Per-predicate triple counts, rebuilt lazily after mutations so
-        # planning estimates stay index-free (see estimate_ids).
-        self._pred_counts: Optional[Dict[int, int]] = None
-        # Per-predicate (count, distinct s, distinct o) for the planner,
-        # same lazy-rebuild policy.
+        # Per-predicate (count, distinct s, distinct o) for the planner
+        # and count_ids, rebuilt lazily after mutations.
         self._pstats: Optional[Dict[int, Tuple[int, int, int]]] = None
         # Columnar scan cache: (s, p, o, positions) -> tuple of ID
         # arrays.  Full-pattern scans repeat constantly (QSM probes,
@@ -174,7 +171,6 @@ class SQLiteBackend:
             added = cursor.rowcount > 0
             if added:
                 self._size += 1
-                self._pred_counts = None
                 self._pstats = None
                 self._col_cache.clear()
             self._conn.commit()
@@ -203,7 +199,6 @@ class SQLiteBackend:
                 added = self._conn.total_changes - before
                 if added:
                     self._size += added
-                    self._pred_counts = None
                     self._pstats = None
                     self._col_cache.clear()
                 self._conn.commit()
@@ -212,17 +207,8 @@ class SQLiteBackend:
 
     # -- lookup --------------------------------------------------------
 
-    def contains(self, s: int, p: int, o: int) -> bool:
-        row = self._query_one(
-            "SELECT 1 FROM triples WHERE s = ? AND p = ? AND o = ?", (s, p, o)
-        )
-        return row is not None
-
     def size(self) -> int:
         return self._size
-
-    def iter_ids(self) -> Iterator[IdTriple]:
-        yield from self._stream("SELECT s, p, o FROM triples")
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -298,27 +284,21 @@ class SQLiteBackend:
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> int:
-        where, params = _where_clause(s, p, o)
-        row = self._query_one(f"SELECT COUNT(*) FROM triples{where}", params)
-        return row[0] if row else 0
-
-    def estimate_ids(
-        self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> int:
         # Planning calls this meter-free and often, so the unselective
         # shapes must not walk index leaves: the all-wildcard shape uses
         # the cached size and the predicate-only shape (a scan of every
-        # triple with that predicate if COUNTed) uses the cached per-
-        # predicate fan-outs.  The remaining shapes COUNT(*) a narrow
+        # triple with that predicate if COUNTed) the cached predicate
+        # statistics.  The remaining shapes COUNT(*) a narrow
         # covering-index prefix range, bounded by the matching rows of a
         # selective key — the same O(fan-out) the memory backend pays.
-        if s is None and p is None and o is None:
-            return self._size
-        if s is None and p is not None and o is None:
-            return self.predicate_fanouts().get(p, 0)
-        if s is not None and p is not None and o is not None:
-            return 1
-        return self.count_ids(s, p, o)
+        if s is None and o is None:
+            if p is None:
+                return self._size
+            stat = self.predicate_stats().get(p)
+            return stat[0] if stat else 0
+        where, params = _where_clause(s, p, o)
+        row = self._query_one(f"SELECT COUNT(*) FROM triples{where}", params)
+        return row[0] if row else 0
 
     def has_match(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -329,26 +309,6 @@ class SQLiteBackend:
         return self._query_one(f"SELECT 1 FROM triples{where} LIMIT 1", params) is not None
 
     # -- aggregates ----------------------------------------------------
-
-    def subject_ids(self) -> Iterator[int]:
-        return (row[0] for row in self._query_all("SELECT DISTINCT s FROM triples"))
-
-    def subject_count(self) -> int:
-        row = self._query_one("SELECT COUNT(DISTINCT s) FROM triples")
-        return row[0] if row else 0
-
-    def predicate_ids(self) -> Iterator[int]:
-        return (row[0] for row in self._query_all("SELECT DISTINCT p FROM triples"))
-
-    def object_ids(self) -> Iterator[int]:
-        return (row[0] for row in self._query_all("SELECT DISTINCT o FROM triples"))
-
-    def predicate_fanouts(self) -> Dict[int, int]:
-        if self._pred_counts is None:
-            self._pred_counts = dict(
-                self._query_all("SELECT p, COUNT(*) FROM triples GROUP BY p")
-            )
-        return self._pred_counts
 
     def predicate_stats(self) -> Dict[int, Tuple[int, int, int]]:
         """Per-predicate ``(count, distinct subjects, distinct objects)``.
@@ -373,15 +333,7 @@ class SQLiteBackend:
         for _, group in groupby(rows, itemgetter(0)):
             yield tuple(p for _, p in group)
 
-    def object_fanouts(self) -> Dict[int, int]:
-        return dict(self._query_all("SELECT o, COUNT(*) FROM triples GROUP BY o"))
-
     # -- metadata ------------------------------------------------------
-
-    def get_meta(self, key: str) -> Optional[str]:
-        """Read a metadata value (e.g. the dataset fingerprint)."""
-        row = self._query_one("SELECT value FROM meta WHERE key = ?", (key,))
-        return row[0] if row else None
 
     def set_meta(self, key: str, value: str) -> None:
         """Write a metadata value, replacing any previous one."""

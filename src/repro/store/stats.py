@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Tuple
 
-from ..rdf.terms import IRI
+from ..rdf.terms import IRI, Literal
 from .triplestore import TripleStore
 
 __all__ = ["CharacteristicSets", "DatasetStats", "PredicateStat", "compute_stats"]
@@ -106,36 +106,49 @@ class DatasetStats:
 
 
 def compute_stats(store: TripleStore) -> DatasetStats:
-    """Compute :class:`DatasetStats` for ``store`` in a single pass.
+    """Compute :class:`DatasetStats` for ``store`` in one pass.
 
-    The degree statistics come from :meth:`TripleStore.entity_in_degrees`,
-    which aggregates in ID space (one fan-out scan on the backend) and
-    decodes each entity exactly once at materialization time — no
-    per-entity index probes.
+    The predicate figures are the backend's cached
+    :meth:`TripleStore.predicate_stats`; everything else comes from one
+    scan of the subject and object columns, counted in ID space, with
+    each distinct term decoded once.  An entity is an IRI subject or
+    object, and its in-degree is the number of triples naming it as
+    object (0 for one that is only ever a subject).
     """
+    subjects = set()
+    in_degrees: Counter = Counter()
+    for batch_s, batch_o in store.match_columns(None, None, None, (0, 2)):
+        subjects.update(batch_s)
+        in_degrees.update(batch_o)
+
+    decode = store.decode_id
     length_hist: Counter = Counter()
     lang_counts: Counter = Counter()
-    n_literals = 0
-    for literal in store.literals():
-        n_literals += 1
-        length_hist[len(literal.lexical)] += 1
-        lang_counts[literal.lang or ""] += 1
+    degrees: Dict[int, int] = {}
+    for o, n in in_degrees.items():
+        term = decode(o)
+        if isinstance(term, Literal):
+            length_hist[len(term.lexical)] += 1
+            lang_counts[term.lang or ""] += 1
+        elif isinstance(term, IRI):
+            degrees[o] = n
+    for s in subjects:
+        if isinstance(decode(s), IRI):
+            degrees.setdefault(s, 0)
+    max_in = max(degrees.values(), default=0)
+    mean_in = sum(degrees.values()) / len(degrees) if degrees else 0.0
 
-    degrees = store.entity_in_degrees()
-    in_degrees = list(degrees.values())
-    max_in = max(in_degrees, default=0)
-    mean_in = sum(in_degrees) / len(in_degrees) if in_degrees else 0.0
-
+    predicate_stats = store.predicate_stats()
     return DatasetStats(
         n_triples=len(store),
-        n_subjects=store.n_subjects(),
-        n_predicates=len(store.predicates()),
-        n_literals=n_literals,
+        n_subjects=len(subjects),
+        n_predicates=len(predicate_stats),
+        n_literals=sum(length_hist.values()),
         n_entities=len(degrees),
         literal_length_histogram=dict(length_hist),
         literal_language_counts=dict(lang_counts),
-        predicate_frequencies=store.predicate_frequencies(),
-        predicate_stats=store.predicate_stats(),
+        predicate_frequencies={p: stat.count for p, stat in predicate_stats.items()},
+        predicate_stats=predicate_stats,
         max_in_degree=max_in,
         mean_in_degree=mean_in,
     )

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..rdf.terms import IRI, Literal, Term, Variable
+from ..rdf.terms import IRI, Term, Variable
 from ..rdf.triples import Triple, TriplePattern
 from .backends import COLUMN_BATCH_SIZE, ColumnBatch, MemoryBackend, StorageBackend
 from .dictionary import NO_ID, TermDictionary
@@ -150,7 +150,7 @@ class TripleStore:
         s, p, o = lookup(triple.subject), lookup(triple.predicate), lookup(triple.object)
         if NO_ID in (s, p, o):
             return False
-        return self._backend.contains(s, p, o)
+        return self._backend.has_match(s, p, o)
 
     def add(self, triple: Triple) -> bool:
         """Insert ``triple``; returns False if it was already present."""
@@ -175,7 +175,7 @@ class TripleStore:
     def triples(self) -> Iterator[Triple]:
         """Iterate over every triple in the store (decoded)."""
         decode = self._dict.decode
-        for s, p, o in self._backend.iter_ids():
+        for s, p, o in self._backend.match_ids(None, None, None):
             yield Triple(decode(s), decode(p), decode(o))
 
     # ------------------------------------------------------------------
@@ -234,7 +234,7 @@ class TripleStore:
         if s is not None and p is not None and o is not None:
             if meter is not None:
                 meter.charge()
-            if NO_ID not in (s, p, o) and self._backend.contains(s, p, o):
+            if NO_ID not in (s, p, o) and self._backend.has_match(s, p, o):
                 yield (s, p, o)
             return
         if NO_ID in (s, p, o):
@@ -315,34 +315,15 @@ class TripleStore:
             return 1
         if NO_ID in (s, p, o):
             return 0
-        return self._backend.estimate_ids(
+        return self._backend.count_ids(
             s if isinstance(s, int) else None,
             p if isinstance(p, int) else None,
             o if isinstance(o, int) else None,
         )
 
     # ------------------------------------------------------------------
-    # Dataset-level accessors used by initialization and baselines
+    # Statistics: the planner's, the no-match proof's and reporting's
     # ------------------------------------------------------------------
-
-    def predicates(self) -> Set[IRI]:
-        """All distinct predicates in the store."""
-        decode = self._dict.decode
-        return {
-            term for term in (decode(p) for p in self._backend.predicate_ids())
-            if isinstance(term, IRI)
-        }
-
-    def predicate_frequencies(self) -> Dict[IRI, int]:
-        """Map each predicate to its triple count."""
-        decode = self._dict.decode
-        return {
-            term: n
-            for term, n in (
-                (decode(p), n) for p, n in self._backend.predicate_fanouts().items()
-            )
-            if isinstance(term, IRI)
-        }
 
     def predicate_stats_ids(self) -> Dict[int, Tuple[int, int, int]]:
         """Per-predicate ``(count, distinct s, distinct o)`` keyed by ID.
@@ -413,37 +394,6 @@ class TripleStore:
             return True
         has_match = self._backend.has_match
         return not all(has_match(*ids) for ids in ranges)
-
-    def n_subjects(self) -> int:
-        """Distinct-subject count without decoding or materializing."""
-        return self._backend.subject_count()
-
-    def literals(self) -> Iterator[Literal]:
-        """All distinct literal objects."""
-        decode = self._dict.decode
-        for o in self._backend.object_ids():
-            term = decode(o)
-            if isinstance(term, Literal):
-                yield term
-
-    def entity_in_degrees(self) -> Dict[IRI, int]:
-        """In-degree of every IRI entity (subjects and objects), one pass.
-
-        Computed entirely in ID space from the object fan-outs; entities
-        that only ever appear as subjects get degree 0.  Feeds the
-        Definition 1 significance statistics without per-entity probes.
-        """
-        decode = self._dict.decode
-        degrees: Dict[IRI, int] = {}
-        for o, n in self._backend.object_fanouts().items():
-            term = decode(o)
-            if isinstance(term, IRI):
-                degrees[term] = n
-        for s in self._backend.subject_ids():
-            term = decode(s)
-            if isinstance(term, IRI):
-                degrees.setdefault(term, 0)
-        return degrees
 
 
 def _repeated_positions(encoded: Sequence[IdOrVar]) -> List[Tuple[int, int]]:

@@ -5,6 +5,7 @@ import pytest
 from repro.core import SapphireConfig, initialize_endpoint
 from repro.data import DatasetConfig, build_dataset
 from repro.endpoint import EndpointConfig, SparqlEndpoint
+from repro.store import compute_stats
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestFederatedInitialization:
     def test_caches_all_predicates(self, dataset):
         endpoint = make_endpoint(dataset)
         cache, report = initialize_endpoint(endpoint, SapphireConfig(suffix_tree_capacity=300))
-        assert cache.n_predicates == len(dataset.store.predicates())
+        assert cache.n_predicates == compute_stats(dataset.store).n_predicates
 
     def test_caches_classes_from_hierarchy(self, dataset):
         endpoint = make_endpoint(dataset)

@@ -8,6 +8,8 @@ also pin the places where that property is load-bearing (exactly
 additive subject stats, single-shard routing for subject-bound probes).
 """
 
+from itertools import chain
+
 import pytest
 
 from repro.data import DatasetConfig, build_dataset
@@ -95,6 +97,18 @@ def _probe(store, shape):
             o if "o" in shape else None)
 
 
+def _column(backend, position):
+    """One position of every triple, off the all-wildcard column scan."""
+    return chain.from_iterable(
+        batch[0] for batch in backend.match_columns(None, None, None, (position,))
+    )
+
+
+def _fanouts(predicate_stats):
+    """Triples per predicate: the counts in ``predicate_stats``."""
+    return {p: stat[0] for p, stat in predicate_stats.items()}
+
+
 @pytest.mark.parametrize("storage", ["memory", "sqlite"])
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 class TestRoutingParity:
@@ -135,15 +149,15 @@ class TestRoutingParity:
         """Every triple lives in the shard its subject hashes to."""
         backend = sharded.backend
         for index, shard in enumerate(backend.shards):
-            for s, _, _ in shard.iter_ids():
+            for s, _, _ in shard.match_ids(None, None, None):
                 assert backend.shard_of(s) == index == s % n_shards
 
     def test_vocabulary_views_identical(self, baseline, sharded):
-        for view in ("subject_ids", "predicate_ids", "object_ids"):
-            assert (sorted(set(getattr(sharded.backend, view)()))
-                    == sorted(set(getattr(baseline.backend, view)())))
-        assert (sharded.backend.predicate_fanouts()
-                == baseline.backend.predicate_fanouts())
+        for position in range(3):  # subjects, predicates, objects
+            assert (sorted(set(_column(sharded.backend, position)))
+                    == sorted(set(_column(baseline.backend, position))))
+        assert (_fanouts(sharded.backend.predicate_stats())
+                == _fanouts(baseline.backend.predicate_stats()))
 
     def test_predicate_stats_aggregation(self, baseline, sharded):
         flat = baseline.backend.predicate_stats()
@@ -271,7 +285,7 @@ class TestSnapshots:
         store = TripleStore(backend=create_sharded_backend(2, "sqlite", base))
         store.add_all(_triples())
         store.backend.set_meta("k", "v")
-        assert store.backend.get_meta("k") == "v"
+        assert store.backend.meta_items().get("k") == "v"
         store.close()
         counts = []
         for shard in range(2):

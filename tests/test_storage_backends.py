@@ -159,7 +159,7 @@ class TestSQLitePersistence:
         path = tmp_path / "snap.sqlite"
         save_store(source, path)
         reopened = load_store(path)
-        assert reopened.backend.get_meta("dataset_fingerprint") == "abc123"
+        assert reopened.backend.meta_items().get("dataset_fingerprint") == "abc123"
         reopened.close()
 
     def test_save_store_overwrites_stale_file(self, tmp_path):

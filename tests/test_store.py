@@ -6,11 +6,14 @@ SQLite) — since the two must be behaviourally identical behind the
 """
 
 import gc
+import json
 import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from itertools import chain, groupby, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,9 @@ from repro.store import (
     QueryAborted,
     ShardedBackend,
     SQLiteBackend,
+    StorageBackend,
     TripleStore,
+    compute_stats,
     create_sharded_backend,
 )
 
@@ -244,7 +249,7 @@ class TestEstimates:
             backend = store.backend
             if isinstance(backend, ShardedBackend):  # a new façade merges anew
                 return ShardedBackend(backend.shards).predicate_stats()
-            triples = list(backend.iter_ids())
+            triples = list(backend.match_ids(None, None, None))
             return {
                 p: (
                     sum(1 for t in triples if t[1] == p),
@@ -279,21 +284,76 @@ class TestEstimates:
 
 class TestAccessors:
     def test_predicates(self, small_store):
-        assert small_store.predicates() == {P, Q}
+        assert set(compute_stats(small_store).predicate_frequencies) == {P, Q}
 
     def test_predicate_frequencies(self, small_store):
-        freqs = small_store.predicate_frequencies()
+        freqs = compute_stats(small_store).predicate_frequencies
         assert freqs[P] == 3
         assert freqs[Q] == 2
 
     def test_literals(self, small_store):
-        assert {lit.lexical for lit in small_store.literals()} == {"label a", "label b"}
+        # "label a"@en and "label b"@en: two distinct literals of length 7.
+        stats = compute_stats(small_store)
+        assert stats.n_literals == 2
+        assert stats.literal_length_histogram == {7: 2}
+        assert stats.literal_language_counts == {"en": 2}
 
     def test_entity_in_degrees(self, small_store):
-        degrees = small_store.entity_in_degrees()
-        assert degrees[C] == 2
-        assert degrees[B] == 1
-        assert degrees[A] == 0  # subject-only entity present with degree 0
+        # C has in-degree 2, B 1, and the subject-only A is an entity of
+        # degree 0: three entities, the largest 2, summing to 3.
+        stats = compute_stats(small_store)
+        assert stats.n_entities == 3
+        assert stats.max_in_degree == 2
+        assert stats.mean_in_degree == 1.0
+
+
+class TestStatsGolden:
+    """``compute_stats`` on ``tiny`` against ``dataset_stats_tiny.json``,
+    captured from the implementation that asked the backends for their
+    subject, predicate and object IDs and fan-outs one question at a
+    time.  Dicts are written as sorted pairs.  A 2-shard store's distinct
+    objects per predicate are its merged upper bound, so that one field
+    has its own golden list."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "dataset_stats_tiny.json").read_text())
+
+    @staticmethod
+    def _written(stats):
+        def pairs(mapping, key=lambda k: k):
+            return sorted([key(k), v] for k, v in mapping.items())
+
+        return {
+            "n_triples": stats.n_triples,
+            "n_subjects": stats.n_subjects,
+            "n_predicates": stats.n_predicates,
+            "n_literals": stats.n_literals,
+            "n_entities": stats.n_entities,
+            "literal_length_histogram": pairs(stats.literal_length_histogram),
+            "literal_language_counts": pairs(stats.literal_language_counts),
+            "predicate_frequencies": pairs(stats.predicate_frequencies, lambda p: p.value),
+            "predicate_stats": pairs(
+                {p: list(astuple(stat)) for p, stat in stats.predicate_stats.items()},
+                lambda p: p.value,
+            ),
+            "max_in_degree": stats.max_in_degree,
+            "mean_in_degree": stats.mean_in_degree,
+        }
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return build_dataset(DatasetConfig.tiny())
+
+    @pytest.mark.parametrize("name", ["memory", "sqlite", "sharded"])
+    def test_matches_the_golden(self, dataset, name):
+        store = dataset.store
+        if name != "memory":
+            store = TripleStore(dataset.store.triples(), backend=_make_backend(name))
+        expected = dict(self.GOLDEN)
+        sharded_stats = expected.pop("predicate_stats_2_shards")
+        if name == "sharded":
+            expected["predicate_stats"] = sharded_stats
+        assert self._written(compute_stats(store)) == expected
+        store.close()
 
 
 class TestEncodingSeam:
@@ -309,6 +369,22 @@ class TestEncodingSeam:
         rows = list(small_store.match_ids(s, p, None))
         objects = {small_store.decode_id(row[2]) for row in rows}
         assert objects == {B, C}
+
+
+class TestProtocol:
+    #: What a backend answers, one method per question.
+    METHODS = {
+        "add", "add_many", "size", "match_ids", "match_columns", "count_ids", "has_match",
+        "predicate_stats", "subject_predicate_sets", "set_meta", "meta_items", "close",
+    }
+
+    def test_the_seam_is_twelve_methods(self):
+        declared = {name for name in vars(StorageBackend) if not name.startswith("_")}
+        assert declared == self.METHODS
+
+    @pytest.mark.parametrize("backend_class", [MemoryBackend, SQLiteBackend, ShardedBackend])
+    def test_every_backend_defines_every_method(self, backend_class):
+        assert self.METHODS <= set(vars(backend_class))
 
 
 class TestMemoryLayout:
@@ -337,10 +413,8 @@ class TestMemoryLayout:
             assert backend.has_match(*pattern) is (n > 0)
             free = [i for i, v in enumerate(pattern) if v is None]
             if not free:
-                assert backend.contains(*pattern) is (n == 1)
-                assert backend.estimate_ids(*pattern) == 1
+                assert backend.has_match(*pattern) is (n == 1)
                 continue
-            assert backend.estimate_ids(*pattern) == n
             positions = free[::-1]  # any order of the free positions
             for batch_size in (1, 3, 1024):
                 batches = list(backend.match_columns(*pattern, positions, batch_size))
@@ -359,9 +433,8 @@ class TestMemoryLayout:
         def runs(values):
             return [key for key, _ in groupby(values)]
 
-        for position, keys in enumerate((backend.subject_ids, backend.predicate_ids, backend.object_ids)):
-            assert list(keys()) == first_seen(t[position] for t in inserted)
-        assert runs(t[0] for t in backend.iter_ids()) == first_seen(t[0] for t in inserted)
+        assert runs(t[0] for t in backend.match_ids(None, None, None)) == first_seen(t[0] for t in inserted)
+        assert list(backend.predicate_stats()) == first_seen(t[1] for t in inserted)
         for bound in range(3):  # the single-bound scans: SPO, POS, OSP
             second = (bound + 1) % 3
             for key in {t[bound] for t in inserted}:
@@ -392,6 +465,29 @@ class TestMemoryLayout:
         assert backend.size() == len(inserted)
         self._check_shapes(backend, inserted, inserted + [(self.ABSENT,) * 3])
         self._check_key_order(backend, inserted)
+
+    @pytest.mark.parametrize("name", ["sqlite", "sharded"])
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.booleans()), max_size=40,
+    ))
+    def test_other_backends_match_brute_force(self, name, steps):
+        """The same brute-force check on an SQLite ``:memory:`` backend
+        and a 2-shard one: ``has_match`` and the batched and cached
+        ``match_columns`` included, with writes between reads."""
+        backend = _make_backend(name)
+        try:
+            inserted = []
+            for triple, read_after in steps:
+                assert backend.add(*triple) is (triple not in inserted)
+                if triple not in inserted:
+                    inserted.append(triple)
+                if read_after:
+                    self._check_shapes(backend, inserted, [triple])
+            assert backend.size() == len(inserted)
+            self._check_shapes(backend, inserted, inserted + [(self.ABSENT,) * 3])
+        finally:
+            backend.close()
 
     def test_group_by_tie_returns_the_group_inserted_first(self):
         """Under ``ORDER BY DESC(COUNT)`` a tie goes to the group whose key
@@ -438,7 +534,7 @@ class TestMemoryLayout:
         dictionary excluded: ~670 B as nested dicts of sets, ~140 B as
         clustered columns."""
         dataset = build_dataset(DatasetConfig.small())
-        triples = list(dataset.store.backend.iter_ids())
+        triples = list(dataset.store.backend.match_ids(None, None, None))
         gc.collect()
         tracemalloc.start()
         try:

@@ -46,3 +46,19 @@ def test_a_clear_gain_reads_better_with_quartiles_and_pairs():
     q1, q3 = row["base"]["q1_q3"]
     assert q1 <= row["base"]["median"] <= q3
     assert row["change"]["median"] < q1
+
+
+HEAD, PARENT, OLDER = "c" * 40, "b" * 40, "a" * 40
+
+
+def test_a_change_against_its_parent_is_a_pr_row():
+    assert trajectory.run_kind(True, HEAD, HEAD, PARENT) == "pr"  # dirty tree vs HEAD
+    assert trajectory.run_kind(False, PARENT, HEAD, PARENT) == "pr"  # HEAD vs HEAD~1
+
+
+def test_any_other_base_is_a_creep_row():
+    assert trajectory.run_kind(True, PARENT, HEAD, PARENT) == "creep"  # dirty vs HEAD~1
+    assert trajectory.run_kind(False, HEAD, HEAD, PARENT) == "creep"  # HEAD vs itself
+    assert trajectory.run_kind(False, OLDER, HEAD, PARENT) == "creep"
+    assert trajectory.run_kind(True, OLDER, HEAD, PARENT) == "creep"
+    assert trajectory.run_kind(False, OLDER, HEAD, None) == "creep"  # a root commit
