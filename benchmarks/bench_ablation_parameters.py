@@ -65,7 +65,7 @@ def test_theta_sweep(small_server, capsys, benchmark):
             config = dataclasses.replace(small_server.config, theta=theta,
                                          max_alternatives_per_term=50)
             finder = AlternativeTermsFinder(
-                cache, small_server._run_ast, small_server._proves_no_match, config
+                cache, small_server._run_ast, small_server._unproven, config
             )
             candidates = finder.literal_alternatives(Literal("Kennedys", lang="en"))
             has_gold = any(entry.surface == "Kennedy" for entry, _ in candidates)

@@ -39,11 +39,12 @@ execution.  An ASK probes as the SELECT of its WHERE
 solutions, and the suggestion shows how many.
 
 Before a batch ships, every candidate whose one-change BGP the data
-proves empty (``QueryService.proves_no_match``: a zero-count pattern,
-or a subject star no characteristic set holds) is dropped, and a
-position with no candidate left sends nothing.  Only the required
-patterns of ``where.patterns`` are given to the proof, and never for an
-aggregate query, whose COUNT over nothing is still a row.
+proves empty (``QueryService.unproven``: a zero-count pattern, or a
+subject star no characteristic set holds) is dropped, and a position
+with no candidate left sends nothing.  The proof is asked once per
+position, for all its candidates.  Only the required patterns of
+``where.patterns`` are given to it, and never for an aggregate query,
+whose COUNT over nothing is still a row.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ PROBE_VAR = "sapphire_probe"
 #: Executes a query AST somewhere (local store, endpoint, federation).
 QueryRunner = Callable[[Query], SelectResult]
 
-#: Whether the data proves a BGP has no solution
-#: (``QueryService.proves_no_match``).
-NoMatchProof = Callable[[Sequence[TriplePattern]], bool]
+#: The candidates of one position whose one-change BGP the data does
+#: not prove empty: ``(patterns, triple_index, position, candidates)``
+#: → the kept candidates, in order (``QueryService.unproven``).
+NoMatchProof = Callable[[Sequence[TriplePattern], int, str, Sequence[Term]], List[Term]]
 
 
 @dataclass
@@ -132,14 +134,15 @@ class ProbeBatcher:
     ``runner`` is the same callable the QSM modules use (typically
     ``SapphireServer._run_ast``, i.e. the federation) — the batcher adds
     no execution path of its own, only the VALUES packing and the
-    per-candidate finish.  ``proves_no_match`` is the proof a candidate
-    must not pass to ship (:meth:`shipped`); a backend that sees no data
-    proves nothing, so there every candidate ships.
+    per-candidate finish.  ``unproven`` is the proof, asked once per
+    position: it keeps the candidates that ship (:meth:`shipped`); a
+    backend that sees no data proves nothing, so there every candidate
+    ships.
     """
 
-    def __init__(self, runner: QueryRunner, proves_no_match: NoMatchProof) -> None:
+    def __init__(self, runner: QueryRunner, unproven: NoMatchProof) -> None:
         self.runner = runner
-        self.proves_no_match = proves_no_match
+        self.unproven = unproven
 
     def shipped(
         self,
@@ -155,15 +158,7 @@ class ProbeBatcher:
         (its COUNT over nothing is still a row)."""
         if query.has_aggregates() or query.group_by:
             return None
-        prove = self.proves_no_match
-        patterns = list(query.where.patterns)
-        probed = patterns[triple_index]
-        kept: List[Term] = []
-        for candidate in candidates:
-            patterns[triple_index] = replace(probed, **{position: candidate})
-            if not prove(patterns):
-                kept.append(candidate)
-        return kept
+        return self.unproven(query.where.patterns, triple_index, position, candidates)
 
     def run(
         self,

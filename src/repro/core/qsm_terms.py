@@ -113,13 +113,13 @@ class TermSuggestion:
 
 class AlternativeTermsFinder:
     """Implements Algorithm 2 over one cache, a query runner and the
-    runner's no-match proof (``QueryService.proves_no_match``)."""
+    runner's no-match proof (``QueryService.unproven``)."""
 
     def __init__(
         self,
         cache: CacheReader,
         runner: QueryRunner,
-        proves_no_match: NoMatchProof,
+        unproven: NoMatchProof,
         config: Optional[SapphireConfig] = None,
         lexicon: Optional[Lexicon] = None,
     ) -> None:
@@ -129,7 +129,7 @@ class AlternativeTermsFinder:
         self.runner = runner
         self.config = config or cache.config
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self._batcher = ProbeBatcher(runner, proves_no_match)
+        self._batcher = ProbeBatcher(runner, unproven)
         # The vocabulary table: every cached predicate and class scored
         # once against the snapshot it came from.  Read-only from here
         # on, so handler threads share it without a lock.

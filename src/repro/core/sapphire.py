@@ -383,8 +383,14 @@ class SapphireServer:
     def _run_ast(self, query: Query, tracer: Optional[Tracer] = None) -> SelectResult:
         return self.federation.run(query, tracer=tracer)  # type: ignore[return-value]
 
-    def _proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
-        return self.federation.proves_no_match(patterns)
+    def _unproven(
+        self,
+        patterns: Sequence[TriplePattern],
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> List[Term]:
+        return self.federation.unproven(patterns, triple_index, position, candidates)
 
     # ------------------------------------------------------------------
     # PUM: completion (QCM)
@@ -442,7 +448,7 @@ class SapphireServer:
         for endpoint in self.endpoints:
             endpoint.proves_no_match(())
         return AlternativeTermsFinder(
-            self.cache, self._run_ast, self._proves_no_match, self.config,
+            self.cache, self._run_ast, self._unproven, self.config,
             self.lexicon,
         )
 

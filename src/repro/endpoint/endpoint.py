@@ -32,9 +32,9 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
-from ..rdf.terms import IRI
+from ..rdf.terms import IRI, Term
 from ..rdf.triples import TriplePattern
 from ..sparql.ast_nodes import Query
 from ..sparql.errors import SparqlError
@@ -170,12 +170,30 @@ class QueryService:
         """The plan dump for ``query``; executes nothing."""
         raise NotImplementedError
 
+    def unproven(
+        self,
+        patterns: Sequence[TriplePattern],
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> List[Term]:
+        """The ``candidates``, in order, whose one-change BGP — ``patterns``
+        with the candidate at ``position`` (``"subject"``, ``"predicate"``
+        or ``"object"``) of pattern ``triple_index`` — this backend's
+        data does not prove empty, for free.  The QSM asks it once per
+        probe position.  A backend that cannot see its data (a network
+        member) proves nothing: every candidate."""
+        return list(candidates)
+
     def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
         """Whether this backend's data proves the BGP ``patterns`` has no
-        solution, for free.  A backend that cannot see its data (a
-        network member) proves nothing.  No patterns prove nothing
-        either, but build what the proof reads: set-up asks that."""
-        return False
+        solution: :meth:`unproven` of the BGP as its own one-change
+        variant.  No patterns prove nothing, but a backend that sees its
+        data builds what the proof reads: set-up asks that."""
+        if not patterns:
+            return False
+        last = len(patterns) - 1
+        return not self.unproven(patterns, last, "subject", (patterns[last].subject,))
 
     def predicate_stats(self) -> Optional[Dict[IRI, PredicateStat]]:
         """Per-predicate statistics of this backend's data, or ``None``
@@ -322,6 +340,15 @@ class SparqlEndpoint(LoggedQueryService):
     ) -> Union[SelectResult, AskResult]:
         """Run a query under this endpoint's budget, row cap and log."""
         return self._run(query, tracer)
+
+    def unproven(
+        self,
+        patterns: Sequence[TriplePattern],
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> List[Term]:
+        return self.store.unproven(patterns, triple_index, position, candidates)
 
     def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
         return self.store.proves_no_match(patterns)

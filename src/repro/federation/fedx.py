@@ -211,16 +211,31 @@ class FederatedQueryProcessor(QueryService):
         lines.append(explain_plan(plan, indent=1))
         return "\n".join(lines)
 
-    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+    def unproven(
+        self,
+        patterns: Sequence[TriplePattern],
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> List[Term]:
         """One member's proof is the federation's.  Across several, a
         subject's triples may sit at different members, so only a
-        pattern that every member proves empty on its own counts."""
-        if len(self.endpoints) == 1:
-            return self.endpoints[0].proves_no_match(patterns)
-        return any(
-            all(endpoint.proves_no_match([pattern]) for endpoint in self.endpoints)
-            for pattern in patterns
-        )
+        pattern that every member proves empty on its own counts: the
+        unchanged patterns are asked once, and a candidate goes only
+        when every member proves its changed pattern empty."""
+        members = self.endpoints
+        if len(members) == 1:
+            return members[0].unproven(patterns, triple_index, position, candidates)
+        if any(
+            all(member.proves_no_match([pattern]) for member in members)
+            for index, pattern in enumerate(patterns) if index != triple_index
+        ):
+            return []
+        changed = [patterns[triple_index]]
+        kept = set()
+        for member in members:
+            kept.update(member.unproven(changed, 0, position, candidates))
+        return [candidate for candidate in candidates if candidate in kept]
 
     def query_deadline_s(self) -> Optional[float]:
         """The largest member budget: one federated query fans out into
@@ -431,7 +446,7 @@ class FederatedPlanner(QueryPlanner):
             for grouped in groups
         ]
 
-    def _join(self, node, best, pending, budget, outer=False, condition=()) -> PlanNode:
+    def _join(self, node, best, pending, budget, outer=False, condition=(), est=None) -> PlanNode:
         """A connected lone pattern joins through a batched bind join
         (which ships ``UNDEF`` for an unbound key, so it needs no
         compatibility join); everything else joins at the mediator
@@ -446,11 +461,11 @@ class FederatedPlanner(QueryPlanner):
                 node,
                 best.patterns[0],
                 best.sources,
-                self._join_estimate(node, best),
+                self._join_estimate(node, best) if est is None else est,
                 batch_size=REMOTE_BATCH_SIZE,
                 counters=self.federation.counters,
             )
-        return super()._join(node, best, pending, budget, outer, condition)
+        return super()._join(node, best, pending, budget, outer, condition, est)
 
     def _join_estimate(self, left: PlanNode, candidate: PlanNode) -> int:
         shared = [name for name in candidate.variables if name in left.slot_of]

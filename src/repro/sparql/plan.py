@@ -425,11 +425,19 @@ def _pattern_text(pattern: TriplePattern) -> str:
 
 
 class ScanNode(PlanNode):
-    """Stream one triple pattern off the backend index."""
+    """Stream one triple pattern off the backend index.
 
-    def __init__(self, store: TripleStore, pattern: TriplePattern, est_rows: int) -> None:
+    The pattern is encoded once, here: ``encoded`` (IDs and variable
+    names) and ``probe`` (IDs, ``None`` where free) are what the
+    estimate, a bind join over this scan and the join estimates read.
+    Without ``est_rows`` the scan estimates itself from ``probe``.
+    """
+
+    def __init__(
+        self, store: TripleStore, pattern: TriplePattern, est_rows: Optional[int] = None
+    ) -> None:
         self.pattern = pattern
-        encoded = store.encode_pattern(pattern)
+        self.encoded = encoded = store.encode_pattern(pattern)
         probe: List[Optional[int]] = [None, None, None]
         out: List[Tuple[int, str]] = []
         checks: List[Tuple[int, int]] = []
@@ -446,6 +454,8 @@ class ScanNode(PlanNode):
         self.probe: Tuple[Optional[int], Optional[int], Optional[int]] = tuple(probe)  # type: ignore[assignment]
         self.out_positions = tuple(position for position, _ in out)
         self.checks = tuple(checks)
+        if est_rows is None:
+            est_rows = store.estimate_ids(*self.probe)
         super().__init__(tuple(name for _, name in out), est_rows)
 
     def _produce_batches(
@@ -527,7 +537,7 @@ class ShardScanNode(ScanNode):
     """
 
     def __init__(
-        self, store: TripleStore, pattern: TriplePattern, est_rows: int
+        self, store: TripleStore, pattern: TriplePattern, est_rows: Optional[int] = None
     ) -> None:
         super().__init__(store, pattern, est_rows)
         self.n_shards = store.backend.n_shards
@@ -966,29 +976,28 @@ class HashJoinNode(PlanNode):
 
 
 class BindJoinNode(PlanNode):
-    """Probe the store once per left row with shared variables bound;
-    ``outer`` / ``condition`` as on :class:`HashJoinNode`."""
+    """Probe the store once per left row with shared variables bound:
+    ``scan``'s pattern, read off the IDs the scan encoded; ``outer`` /
+    ``condition`` as on :class:`HashJoinNode`."""
 
     def __init__(
         self,
-        store: TripleStore,
         left: PlanNode,
-        pattern: TriplePattern,
+        scan: ScanNode,
         est_rows: int,
         outer: bool = False,
         condition: Sequence[Expression] = (),
     ) -> None:
         self.left = left
-        self.pattern = pattern
+        self.pattern = scan.pattern
         self.outer = outer
         self.condition = list(condition)
-        encoded = store.encode_pattern(pattern)
         # Probe spec per position: a constant ID, a left slot, or free.
         spec: List[Tuple[str, Optional[int]]] = []
         out: List[Tuple[int, str]] = []
         checks: List[Tuple[int, int]] = []
         first_at: Dict[str, int] = {}
-        for position, entry in enumerate(encoded):
+        for position, entry in enumerate(scan.encoded):
             if isinstance(entry, str):
                 if entry in left.slot_of:
                     spec.append(("left", left.slot_of[entry]))
@@ -1572,10 +1581,7 @@ class QueryPlanner:
         tracer."""
         store = self.store
         scan_cls = ShardScanNode if isinstance(store.backend, ShardedBackend) else ScanNode
-        return [
-            scan_cls(store, pattern, store.cardinality_estimate(pattern))
-            for pattern in patterns
-        ]
+        return [scan_cls(store, pattern) for pattern in patterns]
 
     def _compile_conjunction(
         self,
@@ -1609,15 +1615,17 @@ class QueryPlanner:
                 candidate for candidate in candidates
                 if any(name in node.slot_of for name in candidate.variables)
             ]
+            est: Optional[int] = None
             if connected:
-                best = min(
-                    connected, key=lambda candidate: self._join_estimate(node, candidate)
-                )
+                # Each estimate once; the smallest (first of equals) joins.
+                estimates = [self._join_estimate(node, candidate) for candidate in connected]
+                est = min(estimates)
+                best = connected[estimates.index(est)]
             else:
                 # Disconnected inputs cross-join: one scan per input.
                 best = min(candidates, key=lambda c: c.est_rows)
             candidates.remove(best)
-            node = self._join(node, best, pending, budget)
+            node = self._join(node, best, pending, budget, est=est)
             attach_ready_filters(node, pending)
 
         # Filters whose variables never appear in any input evaluate
@@ -1633,15 +1641,18 @@ class QueryPlanner:
         budget: Optional[int],
         outer: bool = False,
         condition: Sequence[Expression] = (),
+        est: Optional[int] = None,
     ) -> PlanNode:
         """The one join selection, inner and outer: the compatibility
         join where a shared variable may be unbound on either side; a
         bind join while the accumulated side is :data:`BIND_JOIN_FACTOR`
         times smaller than a scan of ``best`` or a hash join would not
         fit ``budget``; a hash join otherwise (keyless — the cross
-        product — for inputs that share nothing)."""
+        product — for inputs that share nothing).  ``est`` is the join
+        estimate when the greedy step has it already."""
         keys = tuple(name for name in best.variables if name in node.slot_of)
-        est = self._join_estimate(node, best)
+        if est is None:
+            est = self._join_estimate(node, best)
         if outer:
             est = max(est, node.est_rows)  # every left row comes back
         if joins_on_maybe_unbound(node, best):
@@ -1656,7 +1667,7 @@ class QueryPlanner:
             node.est_rows * BIND_JOIN_FACTOR < best.est_rows
             or (budget is not None and hash_cost * 2 > budget)
         ):
-            joined = BindJoinNode(self.store, node, best.pattern, est, outer, condition)
+            joined = BindJoinNode(node, best, est, outer, condition)
             # Probes charge per produced candidate.
             joined.est_cost = node.est_cost + est
         else:
@@ -1691,11 +1702,7 @@ class QueryPlanner:
     ) -> int:
         """Distinct count of variable ``name`` within ``scan``'s pattern."""
         pattern = scan.pattern
-        predicate = pattern.predicate
-        if isinstance(predicate, Variable):
-            return max(scan.est_rows, 1)
-        pid = self.store.term_id(predicate)
-        stat = stats.get(pid)
+        stat = stats.get(scan.probe[1])  # None: a free predicate
         if stat is None:
             return max(scan.est_rows, 1)
         count, distinct_s, distinct_o = stat

@@ -51,7 +51,7 @@ from array import array
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from urllib.parse import quote
 
 from ..rdf.terms import Term, flatten_term, unflatten_term
@@ -213,8 +213,8 @@ class SQLiteBackend:
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> Iterator[IdTriple]:
-        where, params = _where_clause(s, p, o)
-        yield from self._stream(f"SELECT s, p, o FROM triples{where}", params)
+        mask = _mask(s, p, o)
+        yield from self._stream(_MATCH_SQL[mask], _PARAMS[mask](s, p, o))
 
     def match_columns(
         self,
@@ -247,7 +247,8 @@ class SQLiteBackend:
                 stop = start + batch_size
                 yield tuple(col[start:stop] for col in cols)
             return
-        where, params = _where_clause(s, p, o)
+        mask = _mask(s, p, o)
+        where, params = _WHERE[mask], _PARAMS[mask](s, p, o)
         select = ", ".join("spo"[pos] for pos in positions)
         if batch_size >= 1024:
             with self._lock:
@@ -296,8 +297,8 @@ class SQLiteBackend:
                 return self._size
             stat = self.predicate_stats().get(p)
             return stat[0] if stat else 0
-        where, params = _where_clause(s, p, o)
-        row = self._query_one(f"SELECT COUNT(*) FROM triples{where}", params)
+        mask = _mask(s, p, o)
+        row = self._query_one(_COUNT_SQL[mask], _PARAMS[mask](s, p, o))
         return row[0] if row else 0
 
     def has_match(
@@ -305,8 +306,8 @@ class SQLiteBackend:
     ) -> bool:
         """Whether any triple matches: the first row of a covering-index
         range, where a count would walk all of it."""
-        where, params = _where_clause(s, p, o)
-        return self._query_one(f"SELECT 1 FROM triples{where} LIMIT 1", params) is not None
+        mask = _mask(s, p, o)
+        return self._query_one(_HAS_MATCH_SQL[mask], _PARAMS[mask](s, p, o)) is not None
 
     # -- aggregates ----------------------------------------------------
 
@@ -386,12 +387,31 @@ class SQLiteBackend:
             return self._conn.execute(sql, params).fetchone()
 
 
-def _where_clause(
-    s: Optional[int], p: Optional[int], o: Optional[int]
-) -> Tuple[str, Tuple]:
-    clauses = [f"{column} = ?" for column, value in
-               (("s", s), ("p", p), ("o", o)) if value is not None]
-    params = tuple(value for value in (s, p, o) if value is not None)
-    if not clauses:
-        return "", ()
-    return " WHERE " + " AND ".join(clauses), params
+def _mask(s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
+    """Which positions a probe binds: bit 2 ``s``, bit 1 ``p``, bit 0 ``o``."""
+    return (s is not None) << 2 | (p is not None) << 1 | (o is not None)
+
+
+#: Per mask, the ``WHERE`` clause binding those positions, in ``s, p, o``
+#: order ("" when none is bound), and the statements built on it: every
+#: probe's SQL is one of these eight strings, built once.
+_WHERE: Tuple[str, ...] = tuple(
+    " WHERE " + " AND ".join(f"{column} = ?" for column, bit in (("s", 4), ("p", 2), ("o", 1))
+                             if mask & bit)
+    if mask else ""
+    for mask in range(8)
+)
+_MATCH_SQL = tuple(f"SELECT s, p, o FROM triples{where}" for where in _WHERE)
+_COUNT_SQL = tuple(f"SELECT COUNT(*) FROM triples{where}" for where in _WHERE)
+_HAS_MATCH_SQL = tuple(f"SELECT 1 FROM triples{where} LIMIT 1" for where in _WHERE)
+#: Per mask, the bound values in ``s, p, o`` order: the statement's parameters.
+_PARAMS: Tuple[Callable[[Optional[int], Optional[int], Optional[int]], Tuple[int, ...]], ...] = (
+    lambda s, p, o: (),
+    lambda s, p, o: (o,),
+    lambda s, p, o: (p,),
+    lambda s, p, o: (p, o),
+    lambda s, p, o: (s,),
+    lambda s, p, o: (s, o),
+    lambda s, p, o: (s, p),
+    lambda s, p, o: (s, p, o),
+)

@@ -303,23 +303,28 @@ class TripleStore:
     def cardinality_estimate(
         self, pattern: TriplePattern, meter: Optional[CostMeter] = None
     ) -> int:
-        """Cheap upper-bound estimate used for join ordering.
-
-        Uses index fan-outs without enumerating matches; variables
-        repeated inside the pattern are ignored (the estimate stays an
-        upper bound).  Like :meth:`count`, this **never charges a meter**.
-        """
+        """Cheap upper-bound estimate used for join ordering: the pattern
+        encoded, then :meth:`estimate_ids`.  Like :meth:`count`, this
+        **never charges a meter**."""
         del meter  # free by contract
-        s, p, o = self.encode_pattern(pattern)
-        if isinstance(s, int) and isinstance(p, int) and isinstance(o, int):
+        return self.estimate_ids(*(
+            entry if isinstance(entry, int) else None
+            for entry in self.encode_pattern(pattern)
+        ))
+
+    def estimate_ids(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> int:
+        """:meth:`cardinality_estimate` of an encoded pattern, ``None``
+        positions free: index fan-outs, no match enumerated; variables
+        repeated inside the pattern are ignored (the estimate stays an
+        upper bound).  A scan estimates itself from the IDs it encoded
+        once."""
+        if s is not None and p is not None and o is not None:
             return 1
         if NO_ID in (s, p, o):
             return 0
-        return self._backend.count_ids(
-            s if isinstance(s, int) else None,
-            p if isinstance(p, int) else None,
-            o if isinstance(o, int) else None,
-        )
+        return self._backend.count_ids(s, p, o)
 
     # ------------------------------------------------------------------
     # Statistics: the planner's, the no-match proof's and reporting's
@@ -363,37 +368,90 @@ class TripleStore:
             )
         return built[1]
 
-    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
-        """Whether the data proves the BGP ``patterns`` has no solution.
+    def unproven(
+        self,
+        patterns: Sequence[TriplePattern],
+        triple_index: int,
+        position: str,
+        candidates: Sequence[Term],
+    ) -> List[Term]:
+        """The ``candidates``, in order, whose one-change BGP — ``patterns``
+        with the candidate at ``position`` of pattern ``triple_index`` —
+        the data does not prove empty.
 
         Two proofs, both free (no meter) and sound against this store's
         own matching: a pattern no triple matches even with its repeated
         variables ignored, or a subject variable whose constant
         predicates no characteristic set holds (a subject it binds to
-        would need every one of them).  An empty summary proves nothing,
-        and so do no patterns, though asking builds the summary.
-        Cheapest first: a term the store never saw, then the stars, which
-        also settle a pattern that binds at most its predicate, then the
-        backend's existence test for the rest.
+        would need every one of them).  An empty summary proves nothing.
+        The unchanged patterns are encoded once, and their stars and
+        existence settled once, cheapest first: a term the store never
+        saw, then the stars, which also settle a pattern that binds at
+        most its predicate, then the backend's existence test for the
+        rest.  A candidate then costs one dictionary lookup, at most one
+        ``holds`` (when it adds a predicate to a star) and at most one
+        ``has_match``.
         """
         summary = self.characteristic_sets()
         if not summary.n_sets:
-            return False
+            return list(candidates)
         stars: Dict[str, Set[int]] = {}
         ranges: List[Tuple[Optional[int], ...]] = []
-        for pattern in patterns:
+        for index, pattern in enumerate(patterns):
+            if index == triple_index:
+                continue
             s, p, o = self.encode_pattern(pattern)
             if NO_ID in (s, p, o):
-                return True
+                return []
             if isinstance(s, str) and isinstance(p, int):
                 stars.setdefault(s, set()).add(p)
                 if isinstance(o, str):
                     continue
             ranges.append(tuple(entry if isinstance(entry, int) else None for entry in (s, p, o)))
         if any(not summary.holds(star) for star in stars.values()):
-            return True
+            return []
         has_match = self._backend.has_match
-        return not all(has_match(*ids) for ids in ranges)
+        if not all(has_match(*ids) for ids in ranges):
+            return []
+        lookup = self._dict.lookup
+        slot = _SLOTS[position]
+        changed: List[IdOrVar] = [
+            NO_ID if at == slot else term.name if isinstance(term, Variable) else lookup(term)
+            for at, term in enumerate(patterns[triple_index].as_tuple())
+        ]
+        kept: List[Term] = []
+        for candidate in candidates:
+            changed[slot] = (
+                candidate.name if isinstance(candidate, Variable) else lookup(candidate)
+            )
+            s, p, o = changed
+            if NO_ID in (s, p, o):
+                continue
+            if isinstance(s, str) and isinstance(p, int):
+                star = stars.get(s, ())
+                if p not in star and not summary.holds((*star, p)):
+                    continue
+                if isinstance(o, str):
+                    kept.append(candidate)
+                    continue
+            if has_match(*(entry if isinstance(entry, int) else None for entry in changed)):
+                kept.append(candidate)
+        return kept
+
+    def proves_no_match(self, patterns: Sequence[TriplePattern]) -> bool:
+        """Whether the data proves the BGP ``patterns`` has no solution:
+        :meth:`unproven` of the BGP as its own one-change variant.  No
+        patterns prove nothing, though asking builds the summary the
+        proof reads."""
+        if not patterns:
+            self.characteristic_sets()
+            return False
+        last = len(patterns) - 1
+        return not self.unproven(patterns, last, "subject", (patterns[last].subject,))
+
+
+#: A pattern position's name (``TriplePattern`` field) → its index.
+_SLOTS = {"subject": 0, "predicate": 1, "object": 2}
 
 
 def _repeated_positions(encoded: Sequence[IdOrVar]) -> List[Tuple[int, int]]:

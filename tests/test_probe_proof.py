@@ -96,7 +96,7 @@ def test_set_up_builds_the_summary(boot, tiny_dataset, monkeypatch):
 def test_dropped_candidates_have_no_answers(server):
     """Every candidate the proof drops, run alone, returns no rows."""
     finder = server.terms_finder
-    batcher = ProbeBatcher(server._run_ast, server._proves_no_match)
+    batcher = ProbeBatcher(server._run_ast, server._unproven)
     dropped = 0
     for text in repair_queries():
         query = parse_query(text)

@@ -26,7 +26,7 @@ def runner(server):
 
 @pytest.fixture(scope="module")
 def proof(server):
-    return server._proves_no_match
+    return server._unproven
 
 
 @pytest.fixture(scope="module")

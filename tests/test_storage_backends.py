@@ -258,6 +258,36 @@ class TestBackendParity:
         assert a.predicate_frequencies == b.predicate_frequencies
 
 
+def _old_where_clause(s, p, o):
+    """The ``WHERE`` builder every SQLite probe ran before its eight
+    statements were built once, kept as the reference for their text."""
+    clauses = [f"{column} = ?" for column, value in
+               (("s", s), ("p", p), ("o", o)) if value is not None]
+    params = tuple(value for value in (s, p, o) if value is not None)
+    if not clauses:
+        return "", ()
+    return " WHERE " + " AND ".join(clauses), params
+
+
+class TestStatementTexts:
+    """The SQLite probes' statements, one per mask of bound positions,
+    are byte for byte what the per-probe builder made, and bind the
+    values it bound."""
+
+    MASKS = [(s, p, o) for s in (None, 7) for p in (None, 8) for o in (None, 9)]
+
+    @pytest.mark.parametrize("ids", MASKS)
+    def test_each_mask_builds_the_old_text(self, ids):
+        from repro.store import sqlite_backend as sb
+
+        mask = sb._mask(*ids)
+        where, params = _old_where_clause(*ids)
+        assert (sb._WHERE[mask], sb._PARAMS[mask](*ids)) == (where, params)
+        assert sb._MATCH_SQL[mask] == f"SELECT s, p, o FROM triples{where}"
+        assert sb._COUNT_SQL[mask] == f"SELECT COUNT(*) FROM triples{where}"
+        assert sb._HAS_MATCH_SQL[mask] == f"SELECT 1 FROM triples{where} LIMIT 1"
+
+
 class TestServerStatePersistence:
     def test_save_and_load_state(self, tmp_path):
         dataset = build_dataset(DatasetConfig.tiny())

@@ -78,7 +78,7 @@ def refuse_batches(server):
 def hold_proof_off(monkeypatch):
     """Every in-process member proves nothing, as a network one, so
     every candidate ships."""
-    monkeypatch.setattr(SparqlEndpoint, "proves_no_match", QueryService.proves_no_match)
+    monkeypatch.setattr(SparqlEndpoint, "unproven", QueryService.unproven)
 
 
 def suggestion_signature(outcome):
@@ -167,7 +167,7 @@ class TestBatchedProbes:
         finder = server.terms_finder
         positions = finder.candidate_positions(query)
         assert positions, "expected candidates for the Kennedys query"
-        batcher = ProbeBatcher(server._run_ast, server._proves_no_match)
+        batcher = ProbeBatcher(server._run_ast, server._unproven)
         for index, position, _, found in positions:
             candidates = [entry.term for entry, _ in found]
             grouped = batcher.run(query, index, position, candidates)
@@ -251,7 +251,7 @@ class TestBatchedProbes:
 
     def test_aggregate_queries_fall_back_to_per_candidate(self, tiny_dataset):
         server, _ = build_sapphire(tiny_dataset.store)
-        batcher = ProbeBatcher(server._run_ast, server._proves_no_match)
+        batcher = ProbeBatcher(server._run_ast, server._unproven)
         query = parse_query(
             'SELECT (COUNT(?p) AS ?n) WHERE { ?p foaf:surname "Kennedys"@en }'
         )

@@ -151,7 +151,7 @@ class TestWireParity:
 class TestQsmParity:
     @pytest.fixture(scope="class")
     def finders(self, server, mem, tiered):
-        runner, proof = server._run_ast, server._proves_no_match
+        runner, proof = server._run_ast, server._unproven
         return (
             AlternativeTermsFinder(mem, runner, proof, server.config),
             AlternativeTermsFinder(tiered, runner, proof, server.config),
@@ -434,7 +434,7 @@ class TestMergeFromReader:
     def test_qsm_alternatives_equal(self, server, promoted):
         finders = [
             AlternativeTermsFinder(
-                cache, server._run_ast, server._proves_no_match, server.config
+                cache, server._run_ast, server._unproven, server.config
             )
             for cache in promoted
         ]
