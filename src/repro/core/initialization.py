@@ -300,47 +300,32 @@ class EndpointInitializer:
         self._mark_stage("predicates", ok)
         ok = self._queries_ok
         hierarchy = self._fetch_hierarchy(cache)
-        if hierarchy:
-            classes_in_order = self._hierarchy_levels(hierarchy)
-        else:
-            self.report.used_class_hierarchy = False
-            classes_in_order = None
+        self.report.used_class_hierarchy = bool(hierarchy)
         self._mark_stage("hierarchy", ok)
         ok = self._queries_ok
         literal_predicates = self._fetch_literal_predicates(predicates)
         filtered = self._probe_predicates(literal_predicates)
         self._mark_stage("probes", ok)
 
-        if classes_in_order is not None:
-            roots = [cls for cls, parent in hierarchy.items() if parent not in hierarchy]
-            ok = self._queries_ok
-            for predicate in filtered:
-                if not self._budget_left():
-                    return
-                self._descend_literals(cache, predicate, roots, hierarchy)
-            self._mark_stage("literals", ok)
-            ok = self._queries_ok
-            for predicate in filtered:
-                if not self._budget_left():
-                    return
-                self._descend_significant(cache, predicate, roots, hierarchy)
-            self._mark_stage("significance", ok)
+        # The walk starts at the hierarchy's roots, or at Q3's entity
+        # types when there is none (a type has no children to descend to).
+        if hierarchy:
+            classes = [cls for cls, parent in hierarchy.items() if parent not in hierarchy]
         else:
-            types = self._fetch_types()
+            classes = self._fetch_types()
+        config = self.config
+        stages = (
+            ("literals", (q6_literals, config.page_size, "n_literal_queries", _take_literal)),
+            ("significance", (q8_significant, config.significant_page_size,
+                              "n_significance_queries", _take_significant)),
+        )
+        for stage, page in stages:
             ok = self._queries_ok
             for predicate in filtered:
-                for cls in types:
-                    if not self._budget_left():
-                        return
-                    self._paged_literals(cache, predicate, cls)
-            self._mark_stage("literals", ok)
-            ok = self._queries_ok
-            for predicate in filtered:
-                for cls in types:
-                    if not self._budget_left():
-                        return
-                    self._paged_significant(cache, predicate, cls)
-            self._mark_stage("significance", ok)
+                if not self._budget_left():
+                    return
+                self._descend(cache, page, predicate, classes, hierarchy)
+            self._mark_stage(stage, ok)
 
     def _fetch_predicates(self, cache: SapphireCache) -> List[IRI]:
         result = self._issue(Q1_PREDICATES, "n_setup_queries")
@@ -393,85 +378,33 @@ class EndpointInitializer:
                 keep.append(predicate)
         return keep
 
-    def _hierarchy_levels(self, hierarchy: Dict[IRI, IRI]) -> List[IRI]:
-        return list(hierarchy.keys())
-
-    def _children(self, cls: IRI, hierarchy: Dict[IRI, IRI]) -> List[IRI]:
-        return [child for child, parent in hierarchy.items() if parent == cls]
-
-    def _descend_literals(
-        self,
-        cache: SapphireCache,
-        predicate: IRI,
-        classes: Sequence[IRI],
-        hierarchy: Dict[IRI, IRI],
-    ) -> None:
+    def _descend(self, cache: SapphireCache, page, predicate: IRI,
+                 classes: Sequence[IRI], hierarchy: Dict[IRI, IRI]) -> None:
         """Walk the hierarchy root-to-leaves; descend only on timeout."""
         for cls in classes:
             if not self._budget_left():
                 return
-            ok = self._paged_literals(cache, predicate, cls)
-            if not ok:
-                children = self._children(cls, hierarchy)
-                if children:
-                    self._descend_literals(cache, predicate, children, hierarchy)
+            if not self._paged(cache, page, predicate, cls):
+                children = [child for child, parent in hierarchy.items() if parent == cls]
+                self._descend(cache, page, predicate, children, hierarchy)
 
-    def _paged_literals(self, cache: SapphireCache, predicate: IRI, cls: IRI) -> bool:
-        """Q6/Q7 with pagination.  Returns False when a page timed out."""
+    def _paged(self, cache: SapphireCache, page, predicate: IRI, cls: IRI) -> bool:
+        """One (predicate, class) pair, page by page: Q6/Q7 or Q8, as
+        ``page`` (query builder, page size, report counter, row handler)
+        says.  Returns False when a page timed out."""
+        build, size, counter, take = page
         offset = 0
         while self._budget_left():
-            query = q6_literals(cls, predicate, self.config.literal_language,
-                                self.config.literal_max_length,
-                                self.config.page_size, offset)
-            result = self._issue(query, "n_literal_queries")
+            query = build(cls, predicate, self.config.literal_language,
+                          self.config.literal_max_length, size, offset)
+            result = self._issue(query, counter)
             if result is None:
                 return False
             for row in result.rows:
-                term = row.get("o")
-                if isinstance(term, Literal):
-                    cache.add_literal(term, source_predicate=predicate)
-            if len(result.rows) < self.config.page_size:
+                take(cache, predicate, row)
+            if len(result.rows) < size:
                 return True
-            offset += self.config.page_size
-        return True
-
-    def _descend_significant(
-        self,
-        cache: SapphireCache,
-        predicate: IRI,
-        classes: Sequence[IRI],
-        hierarchy: Dict[IRI, IRI],
-    ) -> None:
-        for cls in classes:
-            if not self._budget_left():
-                return
-            ok = self._paged_significant(cache, predicate, cls)
-            if not ok:
-                children = self._children(cls, hierarchy)
-                if children:
-                    self._descend_significant(cache, predicate, children, hierarchy)
-
-    def _paged_significant(self, cache: SapphireCache, predicate: IRI, cls: IRI) -> bool:
-        offset = 0
-        while self._budget_left():
-            query = q8_significant(cls, predicate, self.config.literal_language,
-                                   self.config.literal_max_length,
-                                   self.config.significant_page_size, offset)
-            result = self._issue(query, "n_significance_queries")
-            if result is None:
-                return False
-            for row in result.rows:
-                term, freq = row.get("o"), row.get("frequency")
-                if isinstance(term, Literal) and isinstance(freq, Literal):
-                    try:
-                        significance = int(freq.lexical)
-                    except ValueError:
-                        continue
-                    cache.add_literal(term, source_predicate=predicate,
-                                      significance=significance)
-            if len(result.rows) < self.config.significant_page_size:
-                return True
-            offset += self.config.significant_page_size
+            offset += size
         return True
 
     # ------------------------------------------------------------------
@@ -514,6 +447,24 @@ class EndpointInitializer:
                     except ValueError:
                         continue
         self._mark_stage("significance", ok)
+
+
+def _take_literal(cache: SapphireCache, predicate: IRI, row) -> None:
+    """A Q6/Q7 row: one literal of ``predicate``."""
+    term = row.get("o")
+    if isinstance(term, Literal):
+        cache.add_literal(term, source_predicate=predicate)
+
+
+def _take_significant(cache: SapphireCache, predicate: IRI, row) -> None:
+    """A Q8 row: a literal and its significance (incoming edges)."""
+    term, freq = row.get("o"), row.get("frequency")
+    if isinstance(term, Literal) and isinstance(freq, Literal):
+        try:
+            significance = int(freq.lexical)
+        except ValueError:
+            return
+        cache.add_literal(term, source_predicate=predicate, significance=significance)
 
 
 def initialize_endpoint(

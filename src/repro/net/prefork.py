@@ -41,7 +41,6 @@ reconciles against cluster totals, not one worker's share.
 
 from __future__ import annotations
 
-import gc
 import json
 import multiprocessing
 import os
@@ -52,8 +51,8 @@ from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import StatsTimeSeries, merge_stats_bodies
-from .server import WsgiServer
-from .wsgi import SparqlWsgiApp, _error_body, _json_headers
+from .server import SparqlHttpServer, WsgiServer
+from .wsgi import _error_body, _json_headers
 
 __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
 
@@ -180,14 +179,14 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
 # ----------------------------------------------------------------------
 
 
-class _WorkerHttpServer(WsgiServer):
-    """One worker's :class:`~repro.net.server.WsgiServer`, on its own
-    ``SO_REUSEPORT`` socket at the shared address.
+class _WorkerHttpServer(SparqlHttpServer):
+    """One worker's :class:`~repro.net.server.SparqlHttpServer`, on its
+    own ``SO_REUSEPORT`` socket at the shared address.
 
     Non-daemon request threads + ``block_on_close`` give graceful
-    drain: ``shutdown()`` stops accepting, ``server_close()`` then
-    closes the idle connections and waits for every in-flight request
-    to finish before the worker exits.
+    drain: :meth:`stop` stops accepting, then closes the idle
+    connections and waits for every in-flight request to finish before
+    the worker exits.
     """
 
     daemon_threads = False
@@ -196,11 +195,6 @@ class _WorkerHttpServer(WsgiServer):
     def server_bind(self) -> None:
         self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
-
-
-def _drain_and_exit(httpd: _WorkerHttpServer) -> None:
-    httpd.shutdown()
-    httpd.server_close()  # blocks until in-flight requests complete
 
 
 def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
@@ -215,14 +209,8 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
     workers never linger.
     """
     try:
-        backend = factory(spec)
-        # The backend lives as long as the worker: collected once, then
-        # frozen out of every full collection a request would trigger.
-        gc.collect()
-        gc.freeze()
-        app = SparqlWsgiApp(backend, worker_id=str(index),
-                            **app_kwargs)  # type: ignore[arg-type]
-        httpd = _WorkerHttpServer((host, port), app)
+        httpd = _WorkerHttpServer(factory(spec), host, port, worker_id=str(index),
+                                  **app_kwargs)  # type: ignore[arg-type]
     except Exception as exc:  # noqa: BLE001 — report, don't vanish silently
         try:
             conn.send(("failed", index, f"{type(exc).__name__}: {exc}"))
@@ -230,9 +218,7 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
             conn.close()
         return
 
-    serving = threading.Thread(target=httpd.serve_forever,
-                               name=f"prefork-worker-{index}", daemon=True)
-    serving.start()
+    httpd.start()
     conn.send(("ready", index, os.getpid()))
     try:
         while True:
@@ -241,13 +227,13 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
             if kind == "ping":
                 conn.send(("pong", index))
             elif kind == "stats":
-                conn.send(("stats", index, app.stats_body()))
+                conn.send(("stats", index, httpd.app.stats_body()))
             elif kind == "shutdown":
-                _drain_and_exit(httpd)
-                conn.send(("bye", index, app.stats_body()))
+                httpd.stop()
+                conn.send(("bye", index, httpd.app.stats_body()))
                 return
     except (EOFError, OSError):
-        _drain_and_exit(httpd)
+        httpd.stop()
     finally:
         conn.close()
 
@@ -328,7 +314,7 @@ class PreforkServer:
         """Base URL of the coordinator's merged observability port."""
         if self._coordinator is None:
             raise RuntimeError("coordinator is not running")
-        return ("http://%s:%d" % self._coordinator.server_address[:2])
+        return f"http://{self._coordinator.host}:{self._coordinator.port}"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -415,8 +401,7 @@ class PreforkServer:
             self._shutdown_worker(worker)
         self._workers.clear()
         if self._coordinator is not None:
-            self._coordinator.shutdown()
-            self._coordinator.server_close()
+            self._coordinator.stop()
             self._coordinator = None
 
     def _shutdown_worker(self, worker: _Worker) -> None:
@@ -577,9 +562,7 @@ class PreforkServer:
 
         # The stats app never reads bodies, so any max works here.
         coordinator_app.max_query_bytes = 1 << 20  # type: ignore[attr-defined]
-        # The same server class as the workers', with a tiny app: same
-        # wire behaviour as a worker's stats routes, but the bodies are
-        # cluster-wide merges.
-        self._coordinator = WsgiServer((self.host, 0), coordinator_app)
-        threading.Thread(target=self._coordinator.serve_forever,
-                         name="prefork-coordinator", daemon=True).start()
+        # The workers' base server class, with a tiny app: same wire
+        # behaviour as a worker's stats routes, but the bodies are
+        # cluster-wide merges, and no backend to freeze.
+        self._coordinator = WsgiServer((self.host, 0), coordinator_app).start()

@@ -17,10 +17,13 @@ Typical use::
         rows = client.select("SELECT * WHERE { ?s ?p ?o } LIMIT 5").rows
 
 ``port=0`` asks the kernel for an ephemeral port (read it back from
-``server.port``) so tests and benchmarks never collide.  The server
-always serves from a background thread: :meth:`start` (or the ``with``
-block) begins, :meth:`stop` drains and releases the socket.  ``repro
-serve --workers 1`` is this class, ``--workers N`` a
+``server.port``) so tests and benchmarks never collide.  Every server
+here (this one, a pre-fork worker's, the pool's coordinator) is a
+:class:`WsgiServer`: :meth:`~WsgiServer.start` (or the ``with`` block)
+serves from a background thread, :meth:`~WsgiServer.stop` drains and
+releases the socket.  One that serves a backend freezes the collector
+while it serves; the coordinator, serving merged stats, does not.
+``repro serve --workers 1`` is this class, ``--workers N`` a
 :class:`~repro.net.prefork.PreforkServer`; both are started, waited on
 and stopped by the same CLI code.
 
@@ -288,7 +291,7 @@ class _WsgiRequestHandler(BaseHTTPRequestHandler):
 
     # The app is attached to the server object by WsgiServer.
     def _dispatch(self) -> None:
-        app: SparqlWsgiApp = self.server.wsgi_app  # type: ignore[attr-defined]
+        app: SparqlWsgiApp = self.server.app  # type: ignore[attr-defined]
         path, _, query_string = self.path.partition("?")
         # Identical duplicates are one length, conflicting ones not a length (RFC 9112 §6.3).
         claimed = ", ".join(dict.fromkeys(self.lengths)) or "0"
@@ -374,10 +377,45 @@ class WsgiServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(self, address, app) -> None:
-        self.wsgi_app = app
+        self.app = app
         self.connections = ConnectionRegistry()
         app.connections = self.connections   # the /stats ``connections`` block
+        self._thread: Optional[threading.Thread] = None
+        self._closed = False
         super().__init__(address, _WsgiRequestHandler)
+
+    @property
+    def host(self) -> str:
+        return self.server_address[0]
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def start(self) -> "WsgiServer":
+        """Serve in a background daemon thread; returns ``self``."""
+        if self._thread is not None:
+            raise RuntimeError("server is already running")
+        if self._closed:
+            raise RuntimeError(
+                "server socket is closed (stop() was called); "
+                "build a new server to serve again")
+        self._thread = threading.Thread(
+            target=self.serve_forever, name=f"sparql-http-{self.port}", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop serving and release the socket (idempotent)."""
+        self._closed = True
+        if self._thread is not None:
+            # shutdown() blocks on the serve_forever loop acknowledging;
+            # calling it on a server that never served would hang.
+            self.shutdown()
+        self.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
 
     def server_close(self) -> None:
         """Release the socket and the connections: idle ones now, each
@@ -386,8 +424,14 @@ class WsgiServer(ThreadingHTTPServer):
         self.connections.drain()
         super().server_close()
 
+    def __enter__(self) -> "WsgiServer":
+        return self.start()
 
-class SparqlHttpServer:
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class SparqlHttpServer(WsgiServer):
     """A SPARQL 1.1 Protocol endpoint served over HTTP.
 
     ``app_kwargs`` are :class:`~repro.net.wsgi.SparqlWsgiApp`'s settings
@@ -397,22 +441,7 @@ class SparqlHttpServer:
 
     def __init__(self, backend, host: str = "127.0.0.1", port: int = 0,
                  **app_kwargs) -> None:
-        self.app = SparqlWsgiApp(backend, **app_kwargs)
-        self._httpd = WsgiServer((host, port), self.app)
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Addressing
-    # ------------------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
+        super().__init__((host, port), SparqlWsgiApp(backend, **app_kwargs))
 
     @property
     def url(self) -> str:
@@ -429,47 +458,18 @@ class SparqlHttpServer:
         """The bounded slow-query log behind ``/stats/slow``."""
         return self.app.slow_log
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
     def start(self) -> "SparqlHttpServer":
-        """Serve in a background daemon thread; returns ``self``."""
-        if self._thread is not None:
-            raise RuntimeError("server is already running")
-        if self._closed:
-            raise RuntimeError(
-                "server socket is closed (stop() was called); "
-                "build a new SparqlHttpServer to serve again")
+        super().start()
         # What the process holds now (the backend it serves, above all)
         # lives as long as the server: collected once, then frozen, it
         # is never walked again by a full collection inside a request.
         _FREEZE.hold()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"sparql-http-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        self._closed = True
-        if self._thread is not None:
-            # shutdown() blocks on the serve_forever loop acknowledging;
-            # calling it on a server that never served would hang.
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        serving = self._thread is not None
+        super().stop()
+        if serving:
             # A process that builds server after server (a test suite)
             # must not keep each one's garbage for good.
             _FREEZE.release()
-
-    def __enter__(self) -> "SparqlHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -55,6 +55,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from urllib.parse import quote
 
 from ..rdf.terms import Term, flatten_term, unflatten_term
+from .backends import COLUMN_BATCH_SIZE
 from .dictionary import TermDictionary
 
 __all__ = ["SQLiteBackend"]
@@ -142,7 +143,7 @@ class SQLiteBackend:
         # planner-driven joins), and re-fetching them through sqlite3
         # re-boxes every row into a Python tuple; serving array slices
         # out of this cache is the SQLite half of the batched executor.
-        # Cleared on any mutation.
+        # Holds scans of at most one batch; cleared on any mutation.
         self._col_cache: Dict[Tuple, Tuple[array, ...]] = {}
 
     # -- dictionary persistence ---------------------------------------
@@ -222,16 +223,18 @@ class SQLiteBackend:
         p: Optional[int],
         o: Optional[int],
         positions: Sequence[int],
-        batch_size: int = 1024,
+        batch_size: int = COLUMN_BATCH_SIZE,
     ) -> Iterator[Tuple[array, ...]]:
         """Columnar scan: fetched rows transposed into cached ID arrays.
 
         Only the requested wildcard ``positions`` appear in the SELECT
         list, so each shape stays a covering-index prefix range.  Full
         scans (``batch_size`` at least the default) are fetched in one
-        ``fetchall``, transposed once, and memoized in ``_col_cache`` —
-        repeat scans of the same pattern (QSM probes, benchmark reruns,
-        join rebuilds) hand out array slices without re-boxing rows.
+        ``fetchall`` and transposed once; a scan whose rows fit in one
+        default batch is memoized in ``_col_cache`` — repeat scans of the
+        same pattern (QSM probes, benchmark reruns, join rebuilds) hand
+        out array slices without re-boxing rows, while a longer one (an
+        all-wildcard pass, ``compute_stats``) is not kept.
         Small batch sizes signal an early-terminating consumer (LIMIT
         pages), which streams via ``fetchmany`` and skips the cache.
         """
@@ -250,7 +253,7 @@ class SQLiteBackend:
         mask = _mask(s, p, o)
         where, params = _WHERE[mask], _PARAMS[mask](s, p, o)
         select = ", ".join("spo"[pos] for pos in positions)
-        if batch_size >= 1024:
+        if batch_size >= COLUMN_BATCH_SIZE:
             with self._lock:
                 rows = self._conn.execute(
                     f"SELECT {select} FROM triples{where}", params
@@ -261,9 +264,10 @@ class SQLiteBackend:
                 cols = tuple(array("q", col) for col in zip(*rows))
             else:
                 cols = tuple(array("q") for _ in positions)
-            if len(self._col_cache) >= 128:
-                self._col_cache.clear()
-            self._col_cache[key] = cols
+            if len(rows) <= COLUMN_BATCH_SIZE:
+                if len(self._col_cache) >= 128:
+                    self._col_cache.clear()
+                self._col_cache[key] = cols
             for start in range(0, len(cols[0]), batch_size):
                 stop = start + batch_size
                 yield tuple(col[start:stop] for col in cols)

@@ -1,7 +1,7 @@
 """The no-match proof in a repair round: fewer probes, the same round.
 
 Before a batch ships, ``ProbeBatcher`` drops every candidate whose
-one-change BGP the data proves empty (``QueryService.proves_no_match``).
+one-change BGP the data proves empty (``QueryService.unproven``).
 For the 52 gold questions × {gold, literal typo, predicate typo}, on the
 in-memory cache and on a read-only tiered replica, the rounds must
 return what they return with the proof held off — same suggestions in

@@ -33,6 +33,7 @@ from repro.store import (
     compute_stats,
     create_sharded_backend,
 )
+from repro.store.backends import COLUMN_BATCH_SIZE
 
 A, B, C = IRI("http://x/a"), IRI("http://x/b"), IRI("http://x/c")
 P, Q = IRI("http://x/p"), IRI("http://x/q")
@@ -353,6 +354,20 @@ class TestStatsGolden:
         if name == "sharded":
             expected["predicate_stats"] = sharded_stats
         assert self._written(compute_stats(store)) == expected
+        store.close()
+
+    def test_sqlite_memoizes_no_scan_longer_than_one_batch(self, dataset):
+        """``compute_stats`` reads both columns of every triple in one
+        scan: the scan is served, not kept, while a predicate's scan that
+        fits in one batch still is."""
+        backend = SQLiteBackend(":memory:")
+        store = TripleStore(dataset.store.triples(), backend=backend)
+        compute_stats(store)
+        name = store.dictionary.lookup(IRI("http://xmlns.com/foaf/0.1/name"))
+        rows = sum(len(s) for s, _ in backend.match_columns(None, name, None, (0, 2)))
+        assert 0 < rows <= COLUMN_BATCH_SIZE < len(store)
+        assert (None, name, None, (0, 2)) in backend._col_cache
+        assert all(len(cols[0]) <= COLUMN_BATCH_SIZE for cols in backend._col_cache.values())
         store.close()
 
 
