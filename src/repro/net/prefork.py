@@ -29,11 +29,14 @@ specs rebuild the deterministic synthetic dataset per worker instead.
 
 Control plane
 -------------
-Each worker keeps a :class:`multiprocessing.Pipe` to the parent: the
-parent requests stats snapshots (merged bucket-wise into one
-coordinator ``/stats`` view by
-:func:`~repro.net.metrics.merge_stats_bodies`), pings for liveness, and
-signals graceful drain.  A monitor thread respawns workers that die.
+Each worker keeps a :class:`multiprocessing.Pipe` to the parent, which
+carries one request: ``stats``, answered with the worker's ``/stats``
+body (merged bucket-wise into one coordinator view by
+:func:`~repro.net.metrics.merge_stats_bodies`).  Closing the pipe
+drains the worker: at EOF it stops accepting, finishes what is in
+flight and exits — whether the parent called :meth:`PreforkServer.stop`,
+exited without it (``start`` registers ``stop`` with :mod:`atexit`) or
+died.  A monitor thread respawns workers that die.
 The merged view is also served over HTTP on the coordinator's own port
 (``/stats``, ``/stats/series``, ``/health``) so the replay harness
 reconciles against cluster totals, not one worker's share.
@@ -41,6 +44,7 @@ reconciles against cluster totals, not one worker's share.
 
 from __future__ import annotations
 
+import atexit
 import json
 import multiprocessing
 import os
@@ -48,7 +52,7 @@ import socket
 import threading
 import time
 from multiprocessing.connection import Connection
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .metrics import StatsTimeSeries, merge_stats_bodies
 from .server import SparqlHttpServer, WsgiServer
@@ -58,8 +62,11 @@ __all__ = ["PreforkServer", "build_backend_from_spec", "prepare_snapshots"]
 
 #: Seconds every worker gets to build its backend and report ready.
 START_TIMEOUT_S = 120.0
-#: Seconds a worker gets to answer the shutdown request, then to exit.
+#: Seconds the workers get to drain and exit once their pipes close:
+#: one deadline shared by all of them, which drain at once.
 DRAIN_TIMEOUT_S = 10.0
+#: Seconds between the monitor's liveness checks.
+HEALTH_INTERVAL_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -203,10 +210,10 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
     """Worker entry point (module-level so ``spawn`` can import it).
 
     Builds the backend, serves HTTP from background threads, and runs
-    the control loop on the main thread: ``ping`` → ``pong``, ``stats``
-    → the app's ``/stats`` body, ``shutdown`` → graceful drain.  EOF on
-    the pipe (the parent died) also drains and exits, so orphaned
-    workers never linger.
+    the control loop on the main thread, answering each ``stats``
+    request with the app's ``/stats`` body.  EOF on the pipe (the parent
+    closed it, or died) drains and exits, so no worker outlives its
+    parent.
     """
     try:
         httpd = _WorkerHttpServer(factory(spec), host, port, worker_id=str(index),
@@ -222,19 +229,12 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
     conn.send(("ready", index, os.getpid()))
     try:
         while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "ping":
-                conn.send(("pong", index))
-            elif kind == "stats":
-                conn.send(("stats", index, httpd.app.stats_body()))
-            elif kind == "shutdown":
-                httpd.stop()
-                conn.send(("bye", index, httpd.app.stats_body()))
-                return
+            conn.recv()  # ("stats",), the one request the parent sends
+            conn.send(httpd.app.stats_body())
     except (EOFError, OSError):
-        httpd.stop()
+        pass
     finally:
+        httpd.stop()
         conn.close()
 
 
@@ -280,7 +280,6 @@ class PreforkServer:
         host: str = "127.0.0.1",
         port: int = 0,
         app_kwargs: Optional[Dict[str, object]] = None,
-        health_interval_s: float = 0.5,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -291,7 +290,6 @@ class PreforkServer:
         self._requested_port = port
         self.port: Optional[int] = None
         self.app_kwargs = dict(app_kwargs or {})
-        self.health_interval_s = health_interval_s
         self.series = StatsTimeSeries()
         self._context = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
@@ -329,6 +327,10 @@ class PreforkServer:
                 "cannot share one port — serve from a single process "
                 "instead (repro serve --workers 1)")
         self._started = True
+        # A pool its process forgets to stop drains at exit, before
+        # multiprocessing's own exit hook (registered at its import, so
+        # run after this one) joins the non-daemon workers.
+        atexit.register(self.stop)
         reservation = self._reserve_port()
         try:
             for index in range(self.n_workers):
@@ -392,37 +394,29 @@ class PreforkServer:
                                f"{message[0]!r} before ready")
 
     def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, exit workers."""
+        """Graceful drain: close every worker's pipe, and each stops
+        accepting, finishes in-flight requests and exits — all at once."""
+        atexit.unregister(self.stop)
         self._stopping.set()
         if self._monitor is not None:
-            self._monitor.join(timeout=self.health_interval_s * 4 + 1.0)
+            self._monitor.join(timeout=HEALTH_INTERVAL_S * 4 + 1.0)
             self._monitor = None
         for worker in self._workers:
-            self._shutdown_worker(worker)
-        self._workers.clear()
+            with worker.lock:
+                if worker.conn is not None:
+                    worker.conn.close()
+                    worker.conn = None
         if self._coordinator is not None:
             self._coordinator.stop()
             self._coordinator = None
-
-    def _shutdown_worker(self, worker: _Worker) -> None:
-        process, conn = worker.process, worker.conn
-        if conn is not None:
-            with worker.lock:
-                try:
-                    self._drain_pipe(conn)
-                    conn.send(("shutdown",))
-                    if conn.poll(DRAIN_TIMEOUT_S):
-                        conn.recv()  # ("bye", index, final_stats)
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-                conn.close()
-            worker.conn = None
-        if process is not None:
-            process.join(timeout=DRAIN_TIMEOUT_S)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-            worker.process = None
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        for worker in self._workers:
+            if worker.process is not None:
+                worker.process.join(max(0.0, deadline - time.monotonic()))
+                if worker.process.is_alive():
+                    worker.process.terminate()
+                    worker.process.join(timeout=5.0)
+        self._workers.clear()
 
     def __enter__(self) -> "PreforkServer":
         return self.start()
@@ -435,7 +429,7 @@ class PreforkServer:
     # ------------------------------------------------------------------
 
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.health_interval_s):
+        while not self._stopping.wait(HEALTH_INTERVAL_S):
             for worker in self._workers:
                 process = worker.process
                 if process is None or process.is_alive():
@@ -476,37 +470,26 @@ class PreforkServer:
     # Merged observability
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _drain_pipe(conn: Connection) -> None:
-        # A previous timed-out call may have left a stale reply queued;
-        # drop everything pending so request/response stay paired.
-        while conn.poll(0):
-            try:
-                conn.recv()
-            except (EOFError, OSError):
-                return
-
-    def _call(self, worker: _Worker, message: Tuple,
-              timeout_s: float) -> Optional[Tuple]:
-        conn = worker.conn
-        if conn is None:
-            return None
+    def _stats_body(self, worker: _Worker,
+                    timeout_s: float) -> Optional[Dict[str, object]]:
+        """One worker's ``/stats`` body over its pipe; ``None`` when the
+        pipe is closed (a stopping pool) or the worker does not answer."""
         with worker.lock:
+            conn = worker.conn
+            if conn is None:
+                return None
             try:
-                self._drain_pipe(conn)
-                conn.send(message)
+                # A previous timed-out call may have left a stale reply
+                # queued; drop everything pending so request/response
+                # stay paired.
+                while conn.poll(0):
+                    conn.recv()
+                conn.send(("stats",))
                 if conn.poll(timeout_s):
                     return conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
+            except (EOFError, OSError):
                 return None
         return None
-
-    def ping(self, timeout_s: float = 2.0) -> List[bool]:
-        """Round-trip liveness through each worker's control pipe."""
-        return [
-            (self._call(worker, ("ping",), timeout_s) or (None,))[0] == "pong"
-            for worker in self._workers
-        ]
 
     def stats(self, timeout_s: float = 5.0) -> Dict[str, object]:
         """The merged cluster ``/stats`` body.
@@ -519,9 +502,9 @@ class PreforkServer:
         """
         bodies: List[Dict[str, object]] = []
         for worker in self._workers:
-            reply = self._call(worker, ("stats",), timeout_s)
-            if reply is not None and reply[0] == "stats":
-                bodies.append(reply[2])
+            body = self._stats_body(worker, timeout_s)
+            if body is not None:
+                bodies.append(body)
         merged = merge_stats_bodies(bodies)
         for body in bodies:
             if "shards" in body:

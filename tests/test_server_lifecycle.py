@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -100,3 +104,39 @@ class TestPool:
         finally:
             pool.stop()
         assert not serving_threads(coordinator)
+
+    def test_idle_workers_drain_at_once(self):
+        """``stop()`` closes every worker's pipe before it joins any, so
+        the workers' drains overlap: three take about as long as one
+        (~0.5 s, the poll of each ``serve_forever``).  One after another,
+        a worker's poll and then the coordinator's would already take
+        1.0 s."""
+        pool = PreforkServer(build_backend_from_spec, {"scale": "tiny", "n_shards": 1},
+                             n_workers=3).start()
+        began = time.perf_counter()
+        pool.stop()
+        assert time.perf_counter() - began < 0.9
+
+    def test_a_pool_its_process_forgets_to_stop_drains_at_exit(self):
+        """A process that returns without ``stop()`` still exits, and
+        takes its worker with it: ``start`` registered ``stop`` to run
+        at exit, before ``multiprocessing`` joins the workers."""
+        script = (
+            "from repro.net import PreforkServer, build_backend_from_spec\n"
+            "pool = PreforkServer(build_backend_from_spec,\n"
+            "                     {'scale': 'tiny', 'n_shards': 1}, n_workers=1).start()\n"
+            "print(pool.workers_view()[0]['pid'], flush=True)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            out, _ = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            # The killed child's pipe closes, so its worker drains too.
+            child.kill()
+            child.communicate()
+            pytest.fail("the process that started the pool did not exit")
+        assert child.returncode == 0
+        with pytest.raises(OSError):
+            os.kill(int(out.split()[0]), 0)
