@@ -1,0 +1,213 @@
+"""The set-up budget: where a served system's set-up time and memory go.
+
+    python3 benchmarks/setup_budget.py
+
+The set-up counterpart of ``round_budget.py``.  It builds what the
+spine's ``session_mix`` child builds — ``build_dataset`` →
+``SparqlEndpoint`` → ``SapphireServer.register_endpoint`` →
+``SparqlHttpServer`` — at ``small`` and ``medium``, each run in a fresh
+interpreter, through public calls only: nothing under ``src/`` is
+patched or wrapped.  After each stage a run records its seconds,
+``VmRSS`` and ``VmHWM`` (MB).  The stages:
+
+* ``import``        — ``import repro``;
+* ``build_dataset`` — the store loaded, its writes in the pending log;
+* ``fold``          — the first read, which folds the log into the
+  memory store's permutations;
+* each stage of ``InitializationReport.stage_seconds`` (Section 5's
+  crawl, ``index``, ``qsm-vocabulary``), in the order the report lists
+  them; their memory is read off a 2 ms sampler thread, as the last
+  sample before the stage's end;
+* ``serve``         — ``SparqlHttpServer.start()``: the server is ready.
+
+``coverage`` is the share of the child's wall time (its first line to
+ready) the stages account for; ``ready`` holds ``VmRSS``, ``VmHWM`` and
+their difference at ready, the memory set-up took and gave back.  Five
+runs a scale give medians.  One more run per scale traces the fold alone
+with ``tracemalloc``: ``peak_mb`` is its traced peak, ``kept_mb`` what
+is still allocated after it (the layout), ``ratio`` the two's quotient.
+The record is printed and appended to ``benchmarks/trajectory.jsonl`` as
+``"kind": "setup_budget"``.
+"""
+
+from __future__ import annotations
+
+import time
+
+STARTED = time.perf_counter()  # the child's wall time counts from here
+
+import json  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+from typing import Dict, List, Optional, Sequence, Tuple  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+TRAJECTORY = ROOT / "benchmarks" / "trajectory.jsonl"
+SCALES = ("small", "medium")
+RUNS = 5
+#: What the spine's ``session_mix`` child serves with.
+TREE_CAPACITY = 2000
+TIMEOUT_S = 2.0
+SAMPLE_S = 0.002
+
+
+def memory_mb() -> Tuple[float, float]:
+    """This process's ``(VmRSS, VmHWM)`` in MB."""
+    found = {}
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith(("VmRSS:", "VmHWM:")):
+                found[line[:5]] = int(line.split()[1]) / 1024.0
+    return found["VmRSS"], found["VmHWM"]
+
+
+class _Sampler(threading.Thread):
+    """``(time, VmRSS, VmHWM)`` every :data:`SAMPLE_S` until stopped."""
+
+    def __init__(self) -> None:
+        super().__init__(daemon=True)
+        self.samples: List[Tuple[float, float, float]] = [(time.perf_counter(), *memory_mb())]
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        while not self.done.wait(SAMPLE_S):
+            self.samples.append((time.perf_counter(), *memory_mb()))
+
+    def at(self, moment: float) -> Tuple[float, float]:
+        """Memory as last sampled before ``moment``."""
+        return [sample for sample in self.samples if sample[0] <= moment][-1][1:]
+
+
+def child(scale: str, traced: bool) -> Dict[str, object]:
+    """One run in this fresh interpreter: its stages, or (``traced``) the
+    fold's traced peak and kept bytes."""
+    stages: List[Dict[str, object]] = []
+    mark = STARTED
+
+    def stage(name: str, seconds: Optional[float] = None, memory=None) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        rss, hwm = memory if memory is not None else memory_mb()
+        stages.append({"stage": name, "s": round(now - mark if seconds is None else seconds, 5),
+                       "rss_mb": round(rss, 2), "hwm_mb": round(hwm, 2)})
+        mark = now
+
+    sys.path.insert(0, str(ROOT / "src"))
+    import repro
+
+    stage("import")
+    dataset = repro.build_dataset(getattr(repro.DatasetConfig, scale)())
+    stage("build_dataset")
+    backend = dataset.store.backend
+    if traced:
+        tracemalloc.start()
+        backend.has_match(None, None, None)  # the first read folds
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return {"peak_mb": round(peak / 2**20, 3), "kept_mb": round(kept / 2**20, 3),
+                "ratio": round(peak / kept, 3)}
+    backend.has_match(None, None, None)
+    stage("fold")
+    sampler = _Sampler()
+    sampler.start()
+    endpoint = repro.SparqlEndpoint(dataset.store, repro.EndpointConfig(timeout_s=TIMEOUT_S),
+                                    name=f"dbpedia-{scale}")
+    sapphire = repro.SapphireServer(repro.SapphireConfig(suffix_tree_capacity=TREE_CAPACITY))
+    report = sapphire.register_endpoint(endpoint)
+    registered = time.perf_counter()
+    sampler.done.set()
+    sampler.join()
+    # The report's stages ran back to back and end with the call.
+    moment = registered - sum(report.stage_seconds.values())
+    for name, seconds in report.stage_seconds.items():
+        moment += seconds
+        stage(name, seconds, sampler.at(moment))
+    mark = registered
+    server = repro.SparqlHttpServer(sapphire, max_workers=8, queue_limit=32).start()
+    stage("serve")
+    wall = time.perf_counter() - STARTED
+    server.stop()
+    return {"stages": stages, "wall_s": round(wall, 5),
+            "coverage": round(sum(row["s"] for row in stages) / wall, 4)}  # type: ignore[misc]
+
+
+def _spawn(scale: str, traced: bool) -> Dict[str, object]:
+    args = [sys.executable, str(Path(__file__).resolve()), "--child", scale] + (["--traced"] if traced else [])
+    done = subprocess.run(args, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _median(values: Sequence[float]) -> float:
+    return round(statistics.median(values), 4)
+
+
+def summary(runs: List[Dict[str, object]], fold: Dict[str, object]) -> Dict[str, object]:
+    """Per stage the median seconds, VmRSS and VmHWM over ``runs``; the
+    wall time, coverage and ready memory likewise; the traced fold."""
+    names = [row["stage"] for row in runs[0]["stages"]]  # type: ignore[index]
+    by_stage = {name: [row for run in runs for row in run["stages"] if row["stage"] == name]  # type: ignore[attr-defined]
+                for name in names}
+    ready = [run["stages"][-1] for run in runs]  # type: ignore[index]
+    return {
+        "stages": {name: {key: _median([row[key] for row in rows]) for key in ("s", "rss_mb", "hwm_mb")}
+                   for name, rows in by_stage.items()},
+        "wall_s": _median([run["wall_s"] for run in runs]),  # type: ignore[misc]
+        "coverage": _median([run["coverage"] for run in runs]),  # type: ignore[misc]
+        "ready": {"rss_mb": _median([row["rss_mb"] for row in ready]),
+                  "hwm_mb": _median([row["hwm_mb"] for row in ready]),
+                  "hwm_minus_rss_mb": _median([row["hwm_mb"] - row["rss_mb"] for row in ready])},
+        "fold_traced": fold,
+        "runs": runs,
+    }
+
+
+def run(scales: Sequence[str] = SCALES, runs: int = RUNS) -> Dict[str, object]:
+    """The full record (not yet written anywhere)."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from round_budget import _dirty
+    from spine import env
+
+    fingerprint = env.fingerprint(ROOT)
+    return {
+        "kind": "setup_budget",
+        "commit": f"{fingerprint['commit']}{'+dirty' if _dirty() else ''}",
+        "fingerprint": fingerprint,
+        "runs": runs,
+        "scales": {scale: summary([_spawn(scale, False) for _ in range(runs)], _spawn(scale, True))
+                   for scale in scales},
+    }
+
+
+def print_record(record: Dict[str, object]) -> None:
+    print(f"== set-up budget, {record['runs']} runs a scale (medians), commit {record['commit']}")
+    for scale, block in record["scales"].items():  # type: ignore[union-attr]
+        ready, fold = block["ready"], block["fold_traced"]
+        print(f"-- {scale}: {block['wall_s']:.3f} s to ready, stages cover {block['coverage']:.1%}; "
+              f"at ready VmRSS {ready['rss_mb']:.1f} MB, VmHWM {ready['hwm_mb']:.1f} MB "
+              f"(+{ready['hwm_minus_rss_mb']:.2f})")
+        for name, row in block["stages"].items():
+            print(f"  {name:<15} {row['s']:8.4f} s  VmRSS {row['rss_mb']:6.1f}  VmHWM {row['hwm_mb']:6.1f}")
+        print(f"  fold, traced: peak {fold['peak_mb']:.2f} MB, kept {fold['kept_mb']:.2f} MB, "
+              f"ratio {fold['ratio']:.2f}")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["--child"]:
+        print(json.dumps(child(argv[1], "--traced" in argv)))
+        return 0
+    if argv:
+        raise SystemExit(f"usage: {Path(__file__).name} (no options)")
+    record = run()
+    with TRAJECTORY.open("a", encoding="utf-8") as out:
+        out.write(json.dumps(record, sort_keys=True) + "\n")
+    print_record(record)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

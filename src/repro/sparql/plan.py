@@ -71,7 +71,7 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import chain, compress, islice, repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
 from ..rdf.triples import TriplePattern
@@ -209,23 +209,15 @@ def _key_column(columns: Sequence[array], slots: Tuple[int, ...], length: int):
     return zip(*[columns[slot] for slot in slots])
 
 
-def _joined(
+def _surviving(
     left: Batch,
     selection: List[int],
     fresh: List[List[int]],
-    condition: Sequence["_ColumnFilter"] = (),
-    outer_span: Optional[range] = None,
-    right_unbound: bool = False,
-) -> Optional[Batch]:
-    """Assemble one join output batch: left rows ``selection`` beside
-    the ``fresh`` right-side columns.
-
-    ``condition`` (an OPTIONAL group's own filters) drops candidates on
-    the merged row.  ``outer_span`` — the left row indexes this batch
-    answers for, ``None`` on an inner join — gets every left row no
-    candidate survived for back once, right side :data:`UNBOUND`, at
-    its place in left order.
-    """
+    condition: Sequence["_ColumnFilter"],
+) -> Tuple[List[int], List[List[int]]]:
+    """The join candidates — left rows ``selection`` beside the
+    ``fresh`` right-side columns — that ``condition`` (an OPTIONAL
+    group's own filters) keeps on the merged row."""
     for kernel in condition:
         if not selection:
             break
@@ -234,9 +226,26 @@ def _joined(
         if not all(flags):
             selection = list(compress(selection, flags))
             fresh = [list(compress(column, flags)) for column in fresh]
+    return selection, fresh
+
+
+def _joined(
+    left: Batch,
+    selection: List[int],
+    fresh: List[List[int]],
+    outer_rows: Optional[Iterable[int]] = None,
+    right_unbound: bool = False,
+) -> Optional[Batch]:
+    """Assemble one join output batch: left rows ``selection`` beside
+    the ``fresh`` right-side columns.
+
+    ``outer_rows`` — the left row indexes this batch answers for,
+    ``None`` on an inner join — gets each of them ``selection`` lacks
+    back once, right side :data:`UNBOUND`, at its place in left order.
+    """
     has_unbound = left.has_unbound or right_unbound
-    if outer_span is not None:
-        missing = sorted(set(outer_span).difference(selection))
+    if outer_rows is not None:
+        missing = sorted(set(outer_rows).difference(selection))
         if missing:
             has_unbound = has_unbound or bool(fresh)
             selection = selection + missing
@@ -823,7 +832,9 @@ class HashJoinNode(PlanNode):
                 )
                 return
         # Duplicate keys on both sides: int-list buckets, probed over
-        # the already-materialized left columns in one pass.
+        # the already-materialized left columns in one pass, the output
+        # cut into batches of at most ``batch_size`` rows, each charged
+        # before the next is built.
         flat: Dict[int, List[int]] = {}
         setdefault = flat.setdefault
         for key_col, res_col in zip(rkey_cols, rres_cols):
@@ -835,6 +846,7 @@ class HashJoinNode(PlanNode):
         res_buf: List[int] = []
         res_append = res_buf.append
         res_extend = res_buf.extend
+        unbound = left_unbound or right_unbound
         for index, bucket in enumerate(map(flat.get, left_cols[lkey])):
             if bucket is None:
                 continue
@@ -844,6 +856,15 @@ class HashJoinNode(PlanNode):
             else:
                 extend([index] * len(bucket))
                 res_extend(bucket)
+            while len(selection) >= batch_size:
+                if charge is not None:
+                    charge(batch_size)
+                yield Batch(
+                    _gather(left_cols, selection[:batch_size]) + (array("q", res_buf[:batch_size]),),
+                    batch_size,
+                    unbound,
+                )
+                del selection[:batch_size], res_buf[:batch_size]
         if not selection:
             return
         if charge is not None:
@@ -851,7 +872,7 @@ class HashJoinNode(PlanNode):
         yield Batch(
             _gather(left_cols, selection) + (array("q", res_buf),),
             len(selection),
-            left_unbound or right_unbound,
+            unbound,
         )
 
     def _collect_left(
@@ -941,31 +962,60 @@ class HashJoinNode(PlanNode):
                     bucket.append(residual)
         decode = self.decoder(store)
         condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
+        outer = self.outer
+
+        def chunk(lbatch, selection, residual_rows, outer_rows):
+            fresh = list(map(list, zip(*residual_rows))) or [[] for _ in rres]
+            selection, fresh = _surviving(lbatch, selection, fresh, condition)
+            return selection, _joined(lbatch, selection, fresh, outer_rows, right_unbound)
+
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             selection: List[int] = []
             residual_rows: List[Tuple[int, ...]] = []
+            # Output goes in chunks of at most ``batch_size`` rows, cut
+            # anywhere in the candidate sequence, even inside one left
+            # row's bucket.  An outer join also counts the rows without
+            # candidates (``bare``), each back once padded; ``first`` is
+            # the first left row the next chunk answers for, and
+            # ``answered`` whether that row, cut across chunks, already
+            # kept a candidate.
+            first, answered, bare = 0, False, 0
             keys = _key_column(lbatch.columns, lkeys, lbatch.length)
             for index, bucket in enumerate(map(table.get, keys)):
-                if bucket is None:
-                    continue
-                if len(bucket) == 1:
-                    selection.append(index)
-                    residual_rows.append(bucket[0])
+                if bucket is not None:
+                    if len(bucket) == 1:
+                        selection.append(index)
+                        residual_rows.append(bucket[0])
+                    else:
+                        selection.extend([index] * len(bucket))
+                        residual_rows.extend(bucket)
+                elif outer:
+                    bare += 1
                 else:
-                    selection.extend([index] * len(bucket))
-                    residual_rows.extend(bucket)
-            batch = _joined(
-                lbatch,
-                selection,
-                list(map(list, zip(*residual_rows))) or [[] for _ in rres],
-                condition,
-                range(lbatch.length) if self.outer else None,
-                right_unbound,
-            )
-            if batch is not None:
-                if charge is not None:
-                    charge(batch.length)
-                yield batch
+                    continue
+                while len(selection) + bare >= batch_size:
+                    cut = batch_size - bare
+                    whole = cut == len(selection)  # the chunk ends with row ``index``
+                    kept, batch = chunk(
+                        lbatch, selection[:cut], residual_rows[:cut],
+                        range(first + answered, index + whole) if outer else None,
+                    )
+                    if batch is not None:
+                        if charge is not None:
+                            charge(batch.length)
+                        yield batch
+                    del selection[:cut], residual_rows[:cut]
+                    answered = not whole and ((answered and first == index) or index in kept)
+                    first, bare = index + whole, 0
+            if selection or outer:
+                _, batch = chunk(
+                    lbatch, selection, residual_rows,
+                    range(first + answered, lbatch.length) if outer else None,
+                )
+                if batch is not None:
+                    if charge is not None:
+                        charge(batch.length)
+                    yield batch
 
     def label(self) -> str:
         keys = ", ".join(f"?{name}" for name in self.keys)
@@ -1053,7 +1103,7 @@ class BindJoinNode(PlanNode):
                         column.append(row[position])
                 if len(selection) >= batch_size or index + 1 == lbatch.length:
                     batch = _joined(
-                        lbatch, selection, fresh, condition,
+                        lbatch, *_surviving(lbatch, selection, fresh, condition),
                         range(first, index + 1) if outer else None,
                     )
                     if batch is not None:

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate, chain, count, repeat
 from operator import itemgetter, sub
 from threading import Lock
@@ -80,6 +81,11 @@ ColumnBatch = Tuple[array, ...]
 
 #: Default rows per ``match_columns`` batch.
 COLUMN_BATCH_SIZE = 1024
+
+
+def _zeros(n: int) -> array:
+    """``n`` zeros as an ``array('q')``, allocated once at that size."""
+    return array("q", (0,)) * n
 
 
 class StorageBackend(Protocol):
@@ -141,32 +147,63 @@ class _Permutation:
 
     __slots__ = ("order", "keys", "starts", "blocks", "dir_b", "dir_lo", "dir_hi", "col_b", "col_c")
 
-    def __init__(self, order: Tuple[int, int, int], rows: Iterable[IdTriple] = ()) -> None:
-        """Cluster ``rows``, ``(a, b, c)`` tuples in insertion order."""
-        groups: Dict[int, Dict[int, List[int]]] = {}
-        for a, b, c in rows:
-            leaves = groups.get(a)
-            if leaves is None:
-                groups[a] = {b: [c]}
-            elif b in leaves:
-                leaves[b].append(c)
-            else:
-                leaves[b] = [c]
-        # The rest runs in C, a pass or a sort per array.
-        per_block = list(map(len, groups.values()))
-        leaf_lists = list(chain.from_iterable(map(dict.values, groups.values())))
-        per_group = list(map(len, leaf_lists))
-        group_b = list(chain.from_iterable(groups.values()))
-        row_at = list(accumulate(per_group, initial=0))
-        block_of = chain.from_iterable(map(repeat, count(), per_block))
-        directory = sorted(zip(block_of, group_b, row_at, row_at[1:]))
+    def __init__(self, order: Tuple[int, int, int], a_col: array, b_col: array, c_col: array) -> None:
+        """Cluster the rows ``(a_col[i], b_col[i], c_col[i])``, given in
+        insertion order.
+
+        Every array is allocated once, at its final size.  A stable
+        counting sort writes the rows into ``col_b`` / ``col_c`` block by
+        block; each block is then put in group order in place.  The
+        temporaries are the dict of one block's groups at a time."""
         self.order = order
-        self.keys = dict(zip(groups, count()))
-        self.blocks = array("q", accumulate(per_block, initial=0))
-        self.starts = array("q", map(row_at.__getitem__, self.blocks))
-        self.dir_b, self.dir_lo, self.dir_hi = (array("q", map(itemgetter(i), directory)) for i in (1, 2, 3))
-        self.col_b = array("q", chain.from_iterable(map(repeat, group_b, per_group)))
-        self.col_c = array("q", chain.from_iterable(map(set, leaf_lists)))
+        n = len(a_col)
+        sizes = Counter(a_col)  # rows per key, keys in first-insertion order
+        self.keys = keys = dict(zip(sizes, count()))
+        self.starts = starts = array("q", accumulate(sizes.values(), initial=0))
+        del sizes
+        self.col_b, self.col_c = col_b, col_c = _zeros(n), _zeros(n)
+        fill = list(starts)
+        for k, b, c in zip(map(keys.__getitem__, a_col), b_col, c_col):
+            at = fill[k]
+            col_b[at] = b
+            col_c[at] = c
+            fill[k] = at + 1
+        del fill
+        ends = starts[1:]
+        # A block's directory holds an entry per distinct ``b``.
+        self.blocks = blocks = array("q", accumulate(
+            (len(set(col_b[lo:hi])) for lo, hi in zip(starts, ends)), initial=0
+        ))
+        self.dir_b, self.dir_lo, self.dir_hi = dir_b, dir_lo, dir_hi = [_zeros(blocks[-1]) for _ in range(3)]
+        for lo, hi, j, last in zip(starts, ends, blocks, blocks[1:]):
+            if last - j == hi - lo:  # one leaf per group: the rows are in place
+                for j, at in enumerate(sorted(range(lo, hi), key=col_b.__getitem__), j):
+                    dir_b[j] = col_b[at]
+                    dir_lo[j] = at
+                    dir_hi[j] = at + 1
+                continue
+            groups: Dict[int, List[int]] = {}  # b -> its leaves, both in insertion order
+            for b, c in zip(col_b[lo:hi], col_c[lo:hi]):
+                leaves = groups.get(b)
+                if leaves is None:
+                    groups[b] = [c]
+                else:
+                    leaves.append(c)
+            first: Dict[int, int] = {}  # b -> its group's first row
+            for b, leaves in groups.items():
+                first[b] = lo
+                m = len(leaves)
+                if m == 1:
+                    col_b[lo] = b
+                    col_c[lo] = leaves[0]
+                else:
+                    col_b[lo:lo + m] = array("q", (b,)) * m
+                    col_c[lo:lo + m] = array("q", set(leaves))
+                lo += m
+            for j, b in enumerate(sorted(groups), j):
+                dir_b[j] = b
+                dir_lo[j] = at = first[b]
+                dir_hi[j] = at + len(groups[b])
 
     def block(self, a: int) -> Tuple[int, int]:
         """The row range of key ``a``."""
@@ -193,9 +230,17 @@ class _Permutation:
         lengths = map(sub, self.starts[1:], self.starts)
         return array("q", chain.from_iterable(map(repeat, self.keys, lengths)))
 
-    def rows(self) -> Iterator[IdTriple]:
-        """Every ``(a, b, c)``, in clustered order."""
-        return zip(self.key_column(), self.col_b, self.col_c)
+    def grown(self, log: Sequence[array]) -> "_Permutation":
+        """This permutation with the log's rows added: rebuilt from its
+        own rows, in clustered order, followed by the log's, given as its
+        ``s`` / ``p`` / ``o`` columns in insertion order.  Every old row
+        was inserted before every logged one, so first appearance in that
+        sequence is first insertion (each permutation refolds from its
+        own rows: another's clustered order is not this one's)."""
+        a_col, b_col, c_col = (log[i] for i in self.order)
+        if self.col_b:
+            a_col, b_col, c_col = self.key_column() + a_col, self.col_b + b_col, self.col_c + c_col
+        return _Permutation(self.order, a_col, b_col, c_col)
 
 
 #: Triple positions ``(a, b, c)`` of SPO, POS and OSP.
@@ -205,7 +250,7 @@ _Layout = Tuple[_Permutation, _Permutation, _Permutation]
 
 #: The layout of a backend never read since its last write: nothing
 #: mutates a permutation, so every backend can start from these.
-_EMPTY: _Layout = tuple(_Permutation(order) for order in _ORDERS)  # type: ignore[assignment]
+_EMPTY: _Layout = tuple(_Permutation(order, *[array("q")] * 3) for order in _ORDERS)  # type: ignore[assignment]
 
 
 class MemoryBackend:
@@ -226,8 +271,11 @@ class MemoryBackend:
     def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self._layout: _Layout = _EMPTY
-        # Triples added since the last fold, in insertion order.
+        # Triples added since the last fold, in insertion order; while
+        # ``_stale``, the layout lacks them (the fold empties the log
+        # before it publishes).
         self._pending: Dict[IdTriple, None] = {}
+        self._stale = False
         self._fold_lock = Lock()
         self._size = 0
         self._meta: Dict[str, str] = {}
@@ -242,6 +290,7 @@ class MemoryBackend:
         if triple in self._pending or self._layout[0].has(s, p, o):
             return False
         self._pending[triple] = None
+        self._stale = True
         self._size += 1
         return True
 
@@ -251,21 +300,22 @@ class MemoryBackend:
     def _read(self) -> _Layout:
         """The permutations, with the pending log folded in first.
 
-        Each permutation is rebuilt from its own rows followed by the
-        pending ones: every old row was inserted before every pending
-        one, so first appearance in that sequence is first insertion.
-        The new layout is published before the log is emptied, so a
-        reader that finds the log empty finds its rows in the layout.
+        The fold moves the log into three columns and drops its tuples
+        before it builds a permutation, then rebuilds each permutation
+        with :meth:`_Permutation.grown`.  A reader that finds the layout
+        stale waits on the fold lock, so one that arrives mid-fold, with
+        the log already empty, still finds every row once it gets in.
         """
-        if self._pending:
+        if self._stale:
             with self._fold_lock:
-                if self._pending:  # not folded by another reader meanwhile
-                    self._layout = tuple(  # type: ignore[assignment]
-                        _Permutation(old.order, chain(old.rows(), map(itemgetter(*old.order), self._pending)))
-                        for old in self._layout
-                    )
+                if self._stale:  # not folded by another reader meanwhile
+                    log, self._pending = self._pending, {}
+                    # Each column from a list: allocated once, at its size.
+                    columns = [array("q", list(map(itemgetter(i), log))) for i in range(3)]
+                    del log
+                    self._layout = tuple(old.grown(columns) for old in self._layout)  # type: ignore[assignment]
                     self._pstats = None
-                    self._pending = {}
+                    self._stale = False
         return self._layout
 
     # -- lookup --------------------------------------------------------

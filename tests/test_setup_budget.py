@@ -1,0 +1,25 @@
+"""``benchmarks/setup_budget.py`` at ``tiny``: its stages explain a set-up."""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import setup_budget  # noqa: E402
+
+
+def test_the_stages_cover_a_set_up(capsys):
+    record = json.loads(json.dumps(setup_budget.run(["tiny"], runs=1)))
+    assert record["kind"] == "setup_budget" and set(record["scales"]) == {"tiny"}
+    block = record["scales"]["tiny"]
+    assert block["coverage"] >= 0.9, block["stages"]
+    stages = list(block["stages"])
+    assert stages[:3] == ["import", "build_dataset", "fold"] and stages[-1] == "serve"
+    assert {"significance", "index", "qsm-vocabulary"} <= set(stages)
+    assert all(row["hwm_mb"] >= row["rss_mb"] > 0 for row in block["stages"].values())
+    assert block["ready"]["hwm_mb"] >= block["ready"]["rss_mb"]
+    assert block["fold_traced"]["kept_mb"] > 0 and block["fold_traced"]["ratio"] >= 1
+    setup_budget.print_record(record)
+    assert "stages cover" in capsys.readouterr().out

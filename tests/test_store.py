@@ -33,6 +33,7 @@ from repro.store import (
     compute_stats,
     create_sharded_backend,
 )
+from repro.store import backends
 from repro.store.backends import COLUMN_BATCH_SIZE
 
 A, B, C = IRI("http://x/a"), IRI("http://x/b"), IRI("http://x/c")
@@ -521,28 +522,45 @@ class TestMemoryLayout:
         )
         assert [(row["c"], row["n"].lexical) for row in result.rows] == [(newer, "2")]
 
-    def test_racing_first_reads_all_see_the_fold(self):
-        """Readers that race to fold the same pending log each see every
-        triple: the fold publishes the new layout before it empties the
-        log, and one lock makes the others wait for it."""
+    def test_racing_first_reads_all_see_the_fold(self, monkeypatch):
+        """The fold drops the log's tuples before it builds a permutation.
+        Held right there, with the log already empty, it makes every
+        other reader wait on the fold lock until the layout is published;
+        all of them then see every triple."""
         backend = MemoryBackend()
         backend.add_many((s, p, o) for s in range(60) for p in range(4) for o in range(5))
+        held, release = threading.Event(), threading.Event()
+
+        class HeldPermutation(backends._Permutation):
+            def __init__(self, *args):
+                if not held.is_set():  # the fold's first permutation
+                    held.set()
+                    release.wait(timeout=30)
+                super().__init__(*args)
+
+        monkeypatch.setattr(backends, "_Permutation", HeldPermutation)
         seen = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+        def read():
+            seen.append(sum(1 for _ in backend.match_ids(None, 2, None)))
+
+        folding = threading.Thread(target=read)
+        waiting = [threading.Thread(target=read) for _ in range(4)]
+        folding.start()
         try:
-            readers = [
-                threading.Thread(target=lambda: seen.append(sum(1 for _ in backend.match_ids(None, 2, None))))
-                for _ in range(8)
-            ]
-            for reader in readers:
+            assert held.wait(timeout=30)
+            assert backend._pending == {}  # the log is released
+            for reader in waiting:
                 reader.start()
-            for reader in readers:
-                reader.join(timeout=30)
+            waiting[-1].join(timeout=0.2)
+            assert all(reader.is_alive() for reader in waiting) and seen == []  # blocked on the lock
         finally:
-            sys.setswitchinterval(switch)
-        assert not any(reader.is_alive() for reader in readers)
-        assert seen == [300] * 8
+            release.set()
+            for reader in [folding, *waiting]:
+                if reader.ident is not None:  # started
+                    reader.join(timeout=30)
+        assert not any(reader.is_alive() for reader in [folding, *waiting])
+        assert seen == [300] * 5
 
     def test_bytes_per_triple_at_small(self):
         """What the backend retains per triple at ``small``, the term
@@ -562,3 +580,21 @@ class TestMemoryLayout:
             tracemalloc.stop()
         assert backend.size() == len(triples)
         assert retained / len(triples) <= 250
+
+    def test_first_read_at_small_peaks_under_twice_what_it_keeps(self):
+        """The fold's transient: the traced peak of the first read at
+        ``small`` over what the three permutations keep.  A fold through a
+        dict of dicts of lists and a directory of 4-tuples peaked at 3.6×;
+        one that builds each array once, at its final size, with one
+        block's groups at a time as its largest temporary, at ~1.5×."""
+        backend = build_dataset(DatasetConfig.small()).store.backend
+        gc.collect()
+        tracemalloc.start()
+        try:
+            layout = backend._read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = ("keys", "starts", "blocks", "dir_b", "dir_lo", "dir_hi", "col_b", "col_c")
+        kept = sum(sys.getsizeof(getattr(perm, field)) for perm in layout for field in fields)
+        assert peak <= 2.0 * kept
