@@ -45,8 +45,9 @@ in :mod:`~repro.federation.remote`:
 5. The plan runs and finishes at the mediator through the local
    evaluator's :func:`~repro.sparql.evaluator.run_plan`: solution
    modifiers (DISTINCT/GROUP BY/ORDER/LIMIT/aggregates) are the one
-   columnar tail, and a query whose only cut is LIMIT stops pulling —
-   and so stops sending member requests — once its page is full.
+   tail, which folds the batches as they arrive, and a query whose only
+   cut is LIMIT stops pulling — and so stops sending member requests —
+   once its page is full.
 
 A member's ``EndpointError`` never vetoes the others' answers, and is
 never silent either: every member request is counted

@@ -6,17 +6,14 @@ the WHERE group to the shared optimizer
 (:class:`~repro.sparql.plan.QueryPlanner`, which translates and
 normalizes through :mod:`~repro.sparql.algebra` and returns a physical
 plan for every group) and runs the plan through :func:`run_plan`, which
-pulls its batches into one ID column per variable and finishes every
-SELECT through the one columnar tail
-(:func:`~repro.sparql.tail.finish_columns`): projection, DISTINCT,
-OFFSET / LIMIT, GROUP BY, aggregates and ORDER BY exist once.  The one
-choice :func:`run_plan` makes is how many batches to pull — all of
-them, or, when LIMIT is the query's only cut, page-sized batches until
-the page can be filled.  The split federation finishes its plan through
-the same function.  There is no second way to solve a group or to
-finish one: the term-space solver and tail the engine is checked
-against live in ``tests/reference_solver.py`` and
-``tests/reference_tail.py``.
+hands the plan's batches, one at a time, to the one SELECT tail
+(:func:`~repro.sparql.tail.finish`): projection, DISTINCT, OFFSET /
+LIMIT, GROUP BY, aggregates and ORDER BY exist once, and the tail folds
+each batch into what its answer needs and stops pulling when it needs
+no more.  The split federation finishes its plan through the same
+function.  There is no second way to solve a group or to finish one:
+the term-space solver and tail the engine is checked against live in
+``tests/reference_solver.py`` and ``tests/reference_tail.py``.
 
 Cost metering: every index probe and join output charges the meter, so
 a budgeted endpoint aborts long evaluations exactly like a remote
@@ -28,9 +25,8 @@ OPTIONALs extend last.
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..rdf.triples import Binding
 from ..store.triplestore import CostMeter, TripleStore
@@ -38,15 +34,13 @@ from .ast_nodes import GraphPattern, Query
 from .parser import parse_query
 from .plan import (
     DEFAULT_BATCH_SIZE,
-    Batch,
     PlanNode,
     QueryPlanner,
-    _key_column,
     explain_plan,
     refresh_plan_estimates,
 )
 from .results import AskResult, SelectResult
-from .tail import _variable_name, finish_columns, tail_label
+from .tail import Chunk, finish, finish_columns, tail_label
 from .trace import Tracer
 
 __all__ = ["QueryEvaluator", "evaluate", "explain_header", "finalize_solutions", "run_plan"]
@@ -160,8 +154,9 @@ class QueryEvaluator:
         """
         parsed = parse_query(query) if isinstance(query, str) else query
         lines = [explain_header(parsed)]
-        if parsed.has_aggregates() or parsed.group_by or parsed.order_by:
-            lines.append(f"{tail_label(parsed)}  [columns]")
+        label = tail_label(parsed)
+        if label:
+            lines.append(f"{label}  [columns]")
         lines.append(explain_plan(self._plan_group(parsed.where, budget)))
         return "\n".join(lines)
 
@@ -175,80 +170,29 @@ def run_plan(
     tracer: Optional[Tracer] = None,
 ):
     """Run ``query``'s planned WHERE group over ``store`` and finish it:
-    an ASK holds on the plan's first batch; a SELECT's batches
-    (:func:`_pull`) become one ID column per variable for the tail.
-    Local evaluation and the split federation both end here."""
+    an ASK holds on the plan's first batch; a SELECT's batches go to the
+    tail (:func:`~repro.sparql.tail.finish`) one at a time, and the tail
+    stops pulling when its answer needs no more.  Local evaluation and
+    the split federation both end here."""
     if query.form == "ASK":
         return AskResult(any(plan.batches(store, meter, batch_size, tracer)), cost=meter.cost)
-    batches = _pull(query, plan, store, meter, batch_size, tracer)
-    if len(batches) == 1:
-        columns: Sequence[array] = batches[0].columns
-    else:
-        columns = [array("q") for _ in plan.variables]
-        for batch in batches:
-            for column, part in zip(columns, batch.columns):
-                column.extend(part)
-    return finish_columns(
-        query,
-        dict(zip(plan.variables, columns)),
-        sum(batch.length for batch in batches),
-        plan.decoder(store),
-        any(batch.has_unbound for batch in batches),
-        cost=meter.cost,
-        tracer=tracer,
+    if query.limit and not tail_label(query):
+        # A bare LIMIT is metered for its page, not for a whole batch.
+        batch_size = min(batch_size, (query.offset or 0) + query.limit)
+    result = finish(
+        query, _chunks(plan, store, meter, batch_size, tracer), plan.decoder(store), tracer
     )
+    result.cost = meter.cost
+    return result
 
 
-def _pull(
-    query: Query,
-    plan: PlanNode,
-    store: TripleStore,
-    meter: CostMeter,
-    batch_size: int,
-    tracer: Optional[Tracer],
-) -> List[Batch]:
-    """The batches the answer needs: all of them, unless LIMIT is the
-    query's only cut.  Then batches of at most OFFSET + LIMIT rows
-    until the rows gathered — under DISTINCT, the distinct projected
-    ID keys — can fill the page, and none at all for ``LIMIT 0``: a
-    paged query is metered for its page, not for the whole answer.
-    """
-    limit = query.limit
-    if limit is None or query.has_aggregates() or query.group_by or query.order_by:
-        return list(plan.batches(store, meter, batch_size, tracer))
-    if limit == 0:
-        return []
-    slots = _distinct_slots(query, plan) if query.distinct else None
-    if query.distinct and slots is None:
-        # An expression's DISTINCT key is its value: drain the plan.
-        return list(plan.batches(store, meter, batch_size, tracer))
-    page = limit + (query.offset or 0)
-    pulled: List[Batch] = []
-    keys: set = set()
-    gathered = 0
-    for batch in plan.batches(store, meter, min(batch_size, page), tracer):
-        pulled.append(batch)
-        if slots is None:
-            gathered += batch.length
-        else:
-            keys.update(_key_column(batch.columns, slots, batch.length))
-            gathered = len(keys)
-        if gathered >= page:
-            break
-    return pulled
-
-
-def _distinct_slots(query: Query, plan: PlanNode) -> Optional[Tuple[int, ...]]:
-    """The plan slots of the tail's DISTINCT key (a variable the plan
-    never binds is a constant, so it has none); None when some projected
-    cell is an expression's value."""
-    names = query.projected_names()
-    if not query.select_star:
-        source = {item.output_name: _variable_name(item.expression) for item in query.select_items}
-        names = [source[name] for name in names]
-    if None in names:
-        return None
-    return tuple(plan.slot_of[name] for name in names if name in plan.slot_of)
+def _chunks(plan: PlanNode, store, meter, batch_size: int, tracer) -> Iterator[Chunk]:
+    """The plan's batches as the tail's chunks.  Nothing runs before the
+    tail asks for its first chunk, so under a tracer the tail's span is
+    the parent of the plan's, as EXPLAIN draws them."""
+    names = plan.variables
+    for batch in plan.batches(store, meter, batch_size, tracer):
+        yield dict(zip(names, batch.columns)), batch.length, batch.has_unbound
 
 
 def explain_header(query: Query) -> str:

@@ -1,18 +1,23 @@
-"""The SELECT tail over columns: GROUP BY, aggregates, ORDER BY,
-projection, DISTINCT, OFFSET / LIMIT.
+"""The SELECT tail: GROUP BY, aggregates, ORDER BY, projection,
+DISTINCT, OFFSET / LIMIT — one fold over the solutions as they arrive.
 
-One implementation finishes every SELECT.  A plan — local or split
-federated — reaches it through :func:`~repro.sparql.evaluator.run_plan`
-as dictionary-ID columns (``decode`` maps an ID to its term,
-:data:`UNBOUND` marks an empty cell): the whole solution set, or under
-a bare LIMIT the first batches that can fill the page.  The QSM's
-probe batcher hands it columns of :class:`~repro.rdf.terms.Term`
-(``decode=None``, ``None`` marks an empty cell) through
-:func:`~repro.sparql.evaluator.finalize_solutions`.
-Cells only have to be hashable: grouping, counting, DISTINCT and the
-sort all work on them as they are, a cell is decoded when a numeric
-aggregate or a sort key needs its term — once per distinct cell — and
-otherwise only in the rows that survive OFFSET / LIMIT.
+:func:`finish` finishes every SELECT.  It takes the solutions as
+*chunks* — one column of cells per variable, the same variables in
+every chunk — one at a time, and keeps only what the answer needs: a
+grouped query, per-group accumulators; a bare LIMIT, its rows until
+OFFSET + LIMIT of them (under DISTINCT, of distinct projected keys)
+are in, when it stops pulling; ORDER BY under LIMIT without DISTINCT,
+the page (past twice the page, a stable sort of the rows held is cut
+to it: the survivors came first, so every later sort orders them as
+one full sort would); anything else, its rows.  A plan — local or split
+federated — sends one chunk of dictionary IDs per batch through
+:func:`~repro.sparql.evaluator.run_plan` (``decode`` maps an ID to its
+term, :data:`UNBOUND` marks an empty cell); the QSM's probe batcher one
+chunk of :class:`~repro.rdf.terms.Term` columns (``decode=None``,
+``None`` marks an empty cell) through :func:`finish_columns`.  Cells
+only have to be hashable: a cell is decoded when a numeric aggregate or
+a sort key needs its term — once per distinct cell — and otherwise only
+in the rows that survive OFFSET / LIMIT.
 
 Ordering contract
 -----------------
@@ -23,17 +28,19 @@ literals, IRIs, the rest; ``DESC`` reverses rank and value — so rows
 that tie on every condition keep their input order and a ``LIMIT`` cuts
 the same rows whatever the cell space.  ORDER BY sees the solutions
 before projection (an unprojected variable can order) and, on a grouped
-query, the aggregated rows.
+query, the aggregated rows.  SUM is ``0 + v1 + v2 + ...`` in arrival
+order on every interpreter (``sum()`` compensates since Python 3.12).
 
 When some expression is more than a bare variable (``SUM(?a + ?b)``,
-``ORDER BY STRLEN(?n)``, ``SELECT (?x * 2 AS ?y)``) ID columns are
-decoded up front and the expression evaluates per row on terms.
+``ORDER BY STRLEN(?n)``, ``SELECT (?x * 2 AS ?y)``) each chunk is
+decoded as it arrives and the expression evaluates per row on terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import IRI, Literal, Term, Variable, XSD_DOUBLE, XSD_INTEGER
 from ..rdf.triples import Binding
@@ -43,76 +50,55 @@ from .functions import compile_expression
 from .plan import UNBOUND
 from .results import SelectResult
 
-__all__ = ["finish_columns", "tail_label"]
+__all__ = ["finish", "finish_columns", "tail_label"]
 
 Columns = Dict[str, Sequence]
+#: ``length`` solutions as one column of cells per variable, and whether
+#: a cell may be empty (False is a guarantee, like
+#: :attr:`~repro.sparql.plan.Batch.has_unbound`; True merely conservative).
+Chunk = Tuple[Columns, int, bool]
 
-#: Sort key of an unbound cell or an erroring expression: first, as in SPARQL.
-_UNBOUND_KEY = (0, "")
+
+def finish(
+    query: Query, chunks: Iterable[Chunk], decode: Optional[Callable[[int], Term]] = None,
+    tracer=None,
+) -> SelectResult:
+    """Apply ``query``'s solution modifiers to the solutions ``chunks``
+    yields, pulling no chunk the answer does not need.  Under a
+    ``tracer`` a grouping or ordering tail records one span named
+    :func:`tail_label`, rows in and out, around the whole fold — so
+    around the spans of whatever produces the chunks."""
+    label = tail_label(query)
+    if tracer is None or not label:
+        return _fold(query, iter(chunks), decode)
+    rows_in = 0
+
+    def tallied() -> Iterator[Chunk]:
+        nonlocal rows_in
+        for chunk in chunks:
+            rows_in += chunk[1]
+            yield chunk
+
+    with tracer.span(label) as span:
+        result = _fold(query, tallied(), decode)
+        if span is not None:
+            span.attrs.update(rows_in=rows_in, rows=len(result.rows))
+    return result
 
 
 def finish_columns(
-    query: Query,
-    columns: Columns,
-    length: int,
-    decode: Optional[Callable[[int], Term]] = None,
-    has_unbound: bool = True,
-    cost: int = 0,
-    tracer=None,
+    query: Query, columns: Columns, length: int, decode: Optional[Callable[[int], Term]] = None,
+    has_unbound: bool = True, cost: int = 0, tracer=None,
 ) -> SelectResult:
-    """Apply ``query``'s solution modifiers to ``length`` solutions held
-    as one column of cells per variable.
-
-    ``has_unbound=False`` guarantees no cell is empty (like
-    :attr:`~repro.sparql.plan.Batch.has_unbound`); True is merely
-    conservative.  Under a ``tracer`` a grouping or ordering tail
-    records one span named :func:`tail_label`, rows in and out.
-    """
-    if tracer is not None and (
-        query.has_aggregates() or query.group_by or query.order_by
-    ):
-        with tracer.span(tail_label(query), rows_in=length) as span:
-            result = finish_columns(query, columns, length, decode, has_unbound, cost)
-            if span is not None:
-                span.attrs["rows"] = len(result.rows)
-        return result
-    unbound = None if decode is None else UNBOUND
-    if not _bare_variables_only(query):
-        # Expressions evaluate on terms, and may leave a cell empty.
-        has_unbound = True
-        if decode is not None:
-            columns = {
-                name: [None if cell == UNBOUND else decode(cell) for cell in cells]
-                for name, cells in columns.items()
-            }
-            decode = unbound = None
-    aggregated = query.has_aggregates()
-    if aggregated or query.group_by:
-        columns, length = _aggregate(query, columns, length, decode, unbound, has_unbound)
-        decode = unbound = None
-        has_unbound = True
-    order: Sequence[int] = range(length)
-    if query.order_by:
-        order = _order(query.order_by, columns, length, decode, unbound)
-    names = query.projected_names()
-    if not aggregated:
-        columns = _project(query, names, columns, length)
-    if query.distinct and length > 1:
-        blank = [unbound] * length
-        keys = list(zip(*[columns.get(name, blank) for name in names])) or [()] * length
-        first: Dict[Tuple, int] = {}
-        for index in order:
-            first.setdefault(keys[index], index)
-        order = list(first.values())
-    offset = query.offset or 0
-    if offset or query.limit is not None:
-        order = order[offset : None if query.limit is None else offset + query.limit]
-    rows = _materialize(columns, order, length, decode, has_unbound)
-    return SelectResult(variables=names, rows=rows, cost=cost)
+    """:func:`finish` over one chunk."""
+    result = finish(query, [(columns, length, has_unbound)], decode, tracer)
+    result.cost = cost
+    return result
 
 
 def tail_label(query: Query) -> str:
-    """The tail's EXPLAIN line and ANALYZE span name."""
+    """The tail's EXPLAIN line and ANALYZE span name; empty when the
+    tail neither groups nor orders."""
     parts = []
     if query.has_aggregates() or query.group_by:
         keys = ", ".join(f"?{name}" for name in query.group_by) or "-"
@@ -120,6 +106,101 @@ def tail_label(query: Query) -> str:
     if query.order_by:
         parts.append(f"Order[{len(query.order_by)}]")
     return " -> ".join(parts)
+
+
+def _fold(query: Query, chunks: Iterator[Chunk], decode) -> SelectResult:
+    unbound = None if decode is None else UNBOUND
+    if not _bare_variables_only(query):
+        chunks = _on_terms(chunks, decode)
+        decode = unbound = None
+    names = query.projected_names()
+    offset = query.offset or 0
+    page = None if query.limit is None else offset + query.limit
+    aggregated = query.has_aggregates()
+    memo: Dict[object, Tuple[int, object]] = {}
+    if aggregated or query.group_by:
+        columns, length = _groups(query, chunks, decode, unbound)
+        decode = unbound = None
+        has_unbound = True
+    else:
+        columns, length, has_unbound = _rows(query, names, chunks, decode, unbound, memo, page)
+    order: Sequence[int] = range(length)
+    if query.order_by:
+        order = _order(query.order_by, columns, length, decode, unbound, memo)
+    if not aggregated:
+        columns = _project(query, names, columns, length)
+    if query.distinct and length > 1:
+        keys = _distinct_keys(columns, names, length, unbound)
+        first: Dict[Tuple, int] = {}
+        for index in order:
+            first.setdefault(keys[index], index)
+        order = list(first.values())
+    if offset or page is not None:
+        order = order[offset:page]
+    rows = _materialize(columns, order, length, decode, has_unbound)
+    return SelectResult(variables=names, rows=rows)
+
+
+def _on_terms(chunks: Iterator[Chunk], decode) -> Iterator[Chunk]:
+    """The chunks over terms (``None`` for an empty cell), flagged
+    maybe-unbound: an expression may leave a cell empty."""
+    for columns, length, _ in chunks:
+        if decode is not None:
+            columns = {
+                name: [None if cell == UNBOUND else decode(cell) for cell in cells]
+                for name, cells in columns.items()
+            }
+        yield columns, length, True
+
+
+def _rows(
+    query: Query, names, chunks: Iterator[Chunk], decode, unbound, memo, page: Optional[int]
+) -> Chunk:
+    """The rows an ungrouped query keeps: under a bare LIMIT, the chunks
+    until ``page`` rows — under DISTINCT, distinct projected keys — are
+    in; under ORDER BY, LIMIT and no DISTINCT, the page, cut from a
+    stable sort whenever more than twice the page is held; else all."""
+    need = None if query.order_by or page is None else page if query.limit else 0
+    cut = page if query.order_by and not query.distinct else None
+    seen: set = set()
+    held: List[Chunk] = []
+    kept = 0
+    while need is None or kept < need:
+        chunk = next(chunks, None)
+        if chunk is None:
+            break
+        held.append(chunk)
+        columns, length, _ = chunk
+        if need is not None and query.distinct:
+            projected = _project(query, names, columns, length)
+            seen.update(_distinct_keys(projected, names, length, unbound))
+            kept = len(seen)
+        else:
+            kept += length
+        if cut is not None and kept > 2 * cut:
+            columns, length, has_unbound = _joined(held)
+            order = _order(query.order_by, columns, length, decode, unbound, memo)[:cut]
+            taken = {name: [cells[index] for index in order] for name, cells in columns.items()}
+            held, kept = [(taken, len(order), has_unbound)], len(order)
+    return _joined(held)
+
+
+def _joined(chunks: List[Chunk]) -> Chunk:
+    """The chunks as one (a lone chunk as it came)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    columns = {name: cells[:0] for name, cells in chunks[0][0].items()} if chunks else {}
+    for part, _, _ in chunks:
+        for name, cells in columns.items():
+            cells.extend(part[name])
+    return columns, sum(chunk[1] for chunk in chunks), any(chunk[2] for chunk in chunks)
+
+
+def _distinct_keys(columns: Columns, names: Sequence[str], length: int, unbound) -> List[Tuple]:
+    """DISTINCT's key per row: the projected cells (a variable no
+    solution binds is one empty cell)."""
+    blank = [unbound] * length
+    return list(zip(*[columns.get(name, blank) for name in names])) or [()] * length
 
 
 def _variable_name(expr: Optional[Expression]) -> Optional[str]:
@@ -144,24 +225,14 @@ def _bare_variables_only(query: Query) -> bool:
     return all(_variable_name(expr) is not None for expr in expressions)
 
 
-def _bindings(columns: Columns, length: int) -> Iterator[Binding]:
-    """Term-space rows as solution mappings, for expression evaluation."""
-    if not columns:
-        return iter([{} for _ in range(length)])
-    names = list(columns)
-    return (
-        {name: cell for name, cell in zip(names, cells) if cell is not None}
-        for cells in zip(*columns.values())
-    )
-
-
 def _evaluated(expr: Expression, columns: Columns, length: int) -> List[Optional[Term]]:
     """``expr`` per term-space row; an erroring row yields ``None``."""
     evaluate = compile_expression(expr)
+    names = list(columns)
     values: List[Optional[Term]] = []
-    for binding in _bindings(columns, length):
+    for cells in zip(*columns.values()) if columns else repeat((), length):
         try:
-            values.append(evaluate(binding))
+            values.append(evaluate({name: cell for name, cell in zip(names, cells) if cell is not None}))
         except ExpressionError:
             values.append(None)
     return values
@@ -181,21 +252,15 @@ def _cells(expr: Expression, columns: Columns, length: int, unbound) -> Sequence
 # ----------------------------------------------------------------------
 
 
-def _aggregate(
-    query: Query, columns: Columns, length: int, decode, unbound, has_unbound: bool
-) -> Tuple[Columns, int]:
+def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Columns, int]:
     """One term-space row per group, groups in first-seen order: the
-    bound group keys, then every select item (an erroring aggregate —
-    ``AVG`` over nothing numeric — leaves its cell empty)."""
+    bound group keys, then every select item, each folding the chunks
+    into per-group state as they arrive — COUNT a ``Counter`` (never
+    decoding), SUM / AVG / MIN / MAX ``[sum, n, min, max]``, a plain
+    item its group's first cell; a DISTINCT aggregate reads each
+    ``(key, cell)`` pair once.  An erroring aggregate (``AVG`` over
+    nothing numeric) leaves its cell empty."""
     group_by = query.group_by
-    if group_by:
-        keys: Sequence[Tuple] = list(
-            zip(*[columns.get(name) or [unbound] * length for name in group_by])
-        )
-        groups = list(dict.fromkeys(keys))
-    else:
-        # The implicit single group: one row even over no solutions.
-        keys, groups = [()] * length, [()]
     term = decode or (lambda cell: cell)
     numbers: Dict[object, Optional[float]] = {}
 
@@ -209,103 +274,89 @@ def _aggregate(
                 numbers[cell] = None
         return numbers[cell]
 
+    # (output name, expression, per-group state, (key, cell) pairs
+    # seen); a group key has no state: it is its group's own cell.
+    items = [
+        (item.output_name, item.expression,
+         None if _variable_name(item.expression) in group_by else Counter(), set())
+        for item in query.select_items
+    ]
+    # The implicit single group: one row even over no solutions.
+    groups: Dict[object, None] = {} if group_by else {(): None}
+    for columns, length, has_unbound in chunks:
+        keys: Sequence = [()] * length
+        if group_by:
+            cells = [columns.get(name) or [unbound] * length for name in group_by]
+            # One key variable: its cells are the keys, no tuple per row.
+            keys = cells[0] if len(cells) == 1 else list(zip(*cells))
+            groups.update(dict.fromkeys(keys))
+        for _, expr, state, seen in items:
+            if state is None:
+                continue
+            if not isinstance(expr, Aggregate):
+                cells = _cells(expr, columns, length, unbound)
+                for key, cell in dict(zip(reversed(keys), reversed(cells))).items():
+                    state.setdefault(key, cell)
+            elif expr.argument is None and expr.name != "COUNT":
+                continue  # SUM(*) and friends have nothing to add up
+            else:
+                # ``*`` is one constant per solution — also under DISTINCT,
+                # where it counts as that one value.
+                argument = expr.argument
+                cells = repeat(0, length) if argument is None else _cells(argument, columns, length, unbound)
+                if expr.name != "COUNT":
+                    _add_numbers(state, seen if expr.distinct else None, keys, cells, unbound, number)
+                elif expr.distinct:
+                    seen.update(zip(keys, cells))
+                elif argument is None or (not has_unbound and _variable_name(argument) in columns):
+                    state.update(keys)
+                else:
+                    state.update(key for key, cell in zip(keys, cells) if cell != unbound)
+    slots = [list(groups)] if len(group_by) == 1 else list(zip(*groups)) or [()] * len(group_by)
     out: Columns = {
-        name: [None if key[slot] == unbound else term(key[slot]) for key in groups]
-        for slot, name in enumerate(group_by)
+        name: [None if cell == unbound else term(cell) for cell in cells]
+        for name, cells in zip(group_by, slots)
     }
-    first: Optional[Dict[Tuple, int]] = None
-    for item in query.select_items:
-        expr = item.expression
-        if isinstance(expr, Aggregate):
-            out[item.output_name] = _aggregate_column(
-                expr, keys, groups, columns, length, unbound, has_unbound, number
-            )
-            continue
-        # A plain item is constant within its group: a group key, or
-        # whatever the group's first member says.
-        name = _variable_name(expr)
-        if name in group_by:
-            out[item.output_name] = out[name]
-            continue
-        if first is None:
-            first = dict(zip(reversed(keys), range(length - 1, -1, -1)))
-        cells = _cells(expr, columns, length, unbound)
-        out[item.output_name] = [
-            None
-            if key not in first or cells[first[key]] == unbound
-            else term(cells[first[key]])
-            for key in groups
-        ]
+    for name, expr, state, seen in items:
+        if state is None:
+            out[name] = out[_variable_name(expr)]
+        elif not isinstance(expr, Aggregate):
+            out[name] = [
+                None if state.get(key, unbound) == unbound else term(state[key]) for key in groups
+            ]
+        elif expr.name == "COUNT":
+            count = Counter(key for key, cell in seen if cell != unbound) if expr.distinct else state
+            literal = {n: Literal(str(n), datatype=XSD_INTEGER) for n in {0, *count.values()}}
+            out[name] = [literal[count[key]] for key in groups]
+        else:
+            out[name] = [_numeric(expr.name, state.get(key)) for key in groups]
     return out, len(groups)
 
 
-def _aggregate_column(
-    aggregate: Aggregate,
-    keys: Sequence[Tuple],
-    groups: Sequence[Tuple],
-    columns: Columns,
-    length: int,
-    unbound,
-    has_unbound: bool,
-    number: Callable[[object], Optional[float]],
-) -> List[Optional[Literal]]:
-    """One aggregate's value per group.  ``COUNT`` works on the cells as
-    they are; the numeric ones take each cell's value from ``number``."""
-    argument = aggregate.argument
-    if argument is None:
-        # ``*`` is one constant per solution — also under DISTINCT,
-        # where it has always counted as that one value.
-        cells: Sequence = [0] * length
-        every_row_counts = True
-    else:
-        cells = _cells(argument, columns, length, unbound)
-        every_row_counts = not has_unbound and _variable_name(argument) in columns
-    if aggregate.name == "COUNT":
-        if every_row_counts and not aggregate.distinct:
-            count = Counter(keys)
-        else:
-            pairs = zip(keys, cells)
-            if aggregate.distinct:
-                pairs = dict.fromkeys(pairs)
-            count = Counter(key for key, cell in pairs if cell != unbound)
-        literal = {
-            n: Literal(str(n), datatype=XSD_INTEGER) for n in {0, *count.values()}
-        }
-        return [literal[count[key]] for key in groups]
-    if argument is None:
-        return [None] * len(groups)  # SUM(*) and friends have nothing to add up
-    members: Dict[Tuple, List] = {key: [] for key in groups}
+def _add_numbers(folds, seen: Optional[set], keys, cells, unbound, number) -> None:
+    """Fold each bound, numeric cell into its group's ``[sum, n, min,
+    max]`` in arrival order (``0 + v1 + v2 + ...``), each ``(key, cell)``
+    pair once when ``seen`` is a set."""
     for key, cell in zip(keys, cells):
-        if cell != unbound:
-            members[key].append(cell)
-    return [
-        _numeric_aggregate(
-            aggregate.name,
-            [
-                value
-                for value in map(
-                    number,
-                    dict.fromkeys(members[key]) if aggregate.distinct else members[key],
-                )
-                if value is not None
-            ],
-        )
-        for key in groups
-    ]
+        if cell == unbound or (seen is not None and (key, cell) in seen):
+            continue
+        if seen is not None:
+            seen.add((key, cell))
+        value = number(cell)
+        if value is not None:
+            fold = folds.setdefault(key, [0, 0, value, value])
+            fold[0] += value
+            fold[1] += 1
+            fold[2], fold[3] = min(fold[2], value), max(fold[3], value)
 
 
-def _numeric_aggregate(name: str, values: List[float]) -> Optional[Literal]:
-    if name == "SUM":
-        return _int_or_double(sum(values))
-    if not values:
-        return None
-    if name == "MIN":
-        return _int_or_double(min(values))
-    if name == "MAX":
-        return _int_or_double(max(values))
-    if name == "AVG":
-        return _int_or_double(sum(values) / len(values))
-    return None
+def _numeric(name: str, fold: Optional[list]) -> Optional[Literal]:
+    """SUM, AVG, MIN or MAX of a group's fold; over nothing numeric, SUM
+    is 0 and the others err (an empty cell)."""
+    if fold is None:
+        return _int_or_double(0) if name == "SUM" else None
+    total, n, low, high = fold
+    return _int_or_double({"SUM": total, "AVG": total / n, "MIN": low, "MAX": high}[name])
 
 
 def _int_or_double(value: float) -> Literal:
@@ -320,23 +371,18 @@ def _int_or_double(value: float) -> Literal:
 
 
 def _order(
-    conditions: Sequence[OrderCondition], columns: Columns, length: int, decode, unbound
+    conditions: Sequence[OrderCondition], columns: Columns, length: int, decode, unbound, memo
 ) -> List[int]:
-    """Row indexes in ORDER BY order (see the module's ordering contract)."""
+    """Row indexes in ORDER BY order (see the module's ordering
+    contract).  ``memo`` holds each cell's sort key across calls, so a
+    distinct cell is decoded and keyed once however often it is sorted."""
     order = list(range(length))
     for condition in reversed(conditions):
         cells = _cells(condition.expression, columns, length, unbound)
-        if decode is None:
-            keys = [
-                _UNBOUND_KEY if cell is None else _orderable(cell) for cell in cells
-            ]
-        else:
-            # IDs hash for free: one decode and one key per distinct cell.
-            key_of = {
-                cell: _UNBOUND_KEY if cell == UNBOUND else _orderable(decode(cell))
-                for cell in set(cells)
-            }
-            keys = list(map(key_of.__getitem__, cells))
+        for cell in set(cells).difference(memo):
+            # An unbound cell (or an erroring expression) sorts first, as in SPARQL.
+            memo[cell] = (0, "") if cell == unbound else _orderable(decode(cell) if decode else cell)
+        keys = list(map(memo.__getitem__, cells))
         order.sort(key=keys.__getitem__, reverse=not condition.ascending)
     return order
 

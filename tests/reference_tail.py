@@ -10,6 +10,8 @@ rows *and order* — to an implementation that shares no code with it.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Dict, List, Sequence, Tuple
 
 from repro.rdf.terms import IRI, Literal, Term, XSD_DOUBLE, XSD_INTEGER
@@ -143,8 +145,11 @@ def _compute_aggregate(aggregate: Aggregate, members: List[Binding]) -> Term:
                 numbers.append(float(value.lexical))
             except ValueError:
                 continue
+    # SUM is 0 + v1 + v2 + ... in row order on every interpreter:
+    # ``sum()`` compensates its float additions since Python 3.12.
+    total = functools.reduce(operator.add, numbers, 0)
     if aggregate.name == "SUM":
-        return _int_or_double(sum(numbers))
+        return _int_or_double(total)
     if not numbers:
         raise EvaluationError(f"{aggregate.name} over empty/non-numeric group")
     if aggregate.name == "MIN":
@@ -152,7 +157,7 @@ def _compute_aggregate(aggregate: Aggregate, members: List[Binding]) -> Term:
     if aggregate.name == "MAX":
         return _int_or_double(max(numbers))
     if aggregate.name == "AVG":
-        return _int_or_double(sum(numbers) / len(numbers))
+        return _int_or_double(total / len(numbers))
     raise EvaluationError(f"unsupported aggregate {aggregate.name}")
 
 

@@ -267,20 +267,19 @@ class TestPagingCuts:
             assert result.cost == 3
             _assert_same_rows(result, reference_evaluate(store, query))
 
-    def test_distinct_expression_drains_the_plan(self, metered_store, reference_evaluate):
-        """DISTINCT over an expression is keyed by the evaluated value, so
-        a LIMIT cannot stop the pull early: the page costs the whole
-        answer, and its rows are the reference's."""
+    def test_distinct_expression_stops_at_its_page(self, metered_store, reference_evaluate):
+        """DISTINCT over an expression is keyed by the evaluated value,
+        which the tail counts as the batches arrive: the pull stops once
+        the page holds three distinct lengths, where draining the plan
+        costs 117, and the rows are the reference's."""
         query = parse_query(
             "SELECT DISTINCT (STRLEN(?n) AS ?l) WHERE { ?s foaf:surname ?n } LIMIT 3"
         )
-        _, store = metered_store
-        drained = QueryEvaluator(store).evaluate(
-            parse_query("SELECT ?n WHERE { ?s foaf:surname ?n }")
-        )
-        for batch_size in (1, 3, 1024):
+        kind, store = metered_store
+        pinned = {"memory": (21, 21, 21), "sqlite": (3, 3, 3), "sharded": (10, 12, 12)}[kind]
+        for batch_size, cost in zip((1, 3, 1024), pinned):
             result = QueryEvaluator(store, batch_size=batch_size).evaluate(query)
-            assert result.cost == drained.cost == 117
+            assert result.cost == cost
             assert len(result.rows) == 3
             _assert_same_rows(result, reference_evaluate(store, query))
 

@@ -45,7 +45,7 @@ from repro.sparql.plan import (
     ValuesScanNode,
     explain_plan,
 )
-from repro.sparql.tail import finish_columns
+from repro.sparql.tail import finish, finish_columns
 from repro.store import CostMeter, SQLiteBackend, TripleStore
 from repro.store.sharded import create_sharded_backend
 from repro.store.triplestore import QueryAborted
@@ -609,6 +609,9 @@ TAIL_QUERIES = [
     # two group keys
     f"SELECT ?c ?l (COUNT(*) AS ?n) WHERE {{ ?i <{EX}in> ?c . ?i <{EX}label> ?l }} "
     f"GROUP BY ?c ?l ORDER BY DESC(?n) ?c ?l",
+    # a count and a sum per group, ordered by the count
+    f"SELECT ?c (COUNT(?i) AS ?n) (SUM(?v) AS ?s) WHERE {{ {THINGS} }} "
+    f"GROUP BY ?c ORDER BY DESC(?n) ?c",
 ]
 
 
@@ -643,21 +646,16 @@ class TestColumnarTail:
             )
             assert over_ids.rows == expected.rows
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
     @pytest.mark.parametrize("text", TAIL_QUERIES)
-    def test_engine_matches_reference(self, ops_store, text, reference_evaluate, maybe_tracer):
-        check(ops_store, text, reference_evaluate, maybe_tracer)
+    def test_engine_matches_reference(
+        self, ops_store, text, batch_size, reference_evaluate, maybe_tracer
+    ):
+        check(ops_store, text, reference_evaluate, maybe_tracer, batch_size=batch_size)
 
-    @pytest.mark.parametrize("batch_size", [1, 3])
-    def test_many_batches_concatenate(self, ops_store, batch_size, reference_evaluate):
-        check(
-            ops_store,
-            f"SELECT ?c (COUNT(?i) AS ?n) (SUM(?v) AS ?s) WHERE {{ {THINGS} }} "
-            f"GROUP BY ?c ORDER BY DESC(?n) ?c",
-            reference_evaluate, ordered=True, batch_size=batch_size,
-        )
-
+    @pytest.mark.parametrize("batch_size", [1, 3, 1024])
     def test_total_orders_match_the_reference_exactly(
-        self, data_store, reference_evaluate, maybe_tracer
+        self, data_store, batch_size, reference_evaluate, maybe_tracer
     ):
         for text in (
             "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s rdf:type dbo:Person . "
@@ -666,16 +664,42 @@ class TestColumnarTail:
             "ORDER BY DESC(?d) ?n LIMIT 20 OFFSET 5",
             "SELECT DISTINCT ?g WHERE { ?s foaf:givenName ?g } ORDER BY ?g",
         ):
-            check(data_store, text, reference_evaluate, maybe_tracer, ordered=True)
+            check(
+                data_store, text, reference_evaluate, maybe_tracer, ordered=True,
+                batch_size=batch_size,
+            )
 
-    def test_each_cell_is_decoded_at_most_once(self, ops_store, reference_solutions):
-        """Counting and grouping never decode; a numeric aggregate and a
-        sort key decode a distinct cell once; rows that LIMIT cuts are
-        not decoded at all."""
-        query = parse_query(
+    def test_sum_adds_in_arrival_order_on_every_interpreter(self):
+        """SUM is ``0 + v1 + v2 + ...`` and AVG that sum over the count,
+        in both cell spaces: ten ``0.1`` doubles add up to
+        0.9999999999999999 (Python 3.12's compensated ``sum()`` says 1)."""
+        tenth = Literal("0.1", datatype=XSD_DOUBLE)
+        query = parse_query("SELECT (SUM(?v) AS ?s) (AVG(?v) AS ?a) WHERE { ?i <http://ex/w> ?v }")
+        expected = [{
+            "s": Literal("0.9999999999999999", datatype=XSD_DOUBLE),
+            "a": Literal("0.09999999999999999", datatype=XSD_DOUBLE),
+        }]
+        solutions = [{"i": ex(f"i{i}"), "v": tenth} for i in range(10)]
+        assert finalize_solutions(query, solutions).rows == expected
+        store = TripleStore([Triple(ex(f"i{i}"), ex("w"), tenth) for i in range(10)])
+        assert QueryEvaluator(store, batch_size=3).evaluate(query).rows == expected
+
+    @pytest.mark.parametrize("text, chunk_size", [
+        (
             f"SELECT ?c (COUNT(?i) AS ?n) (SUM(?v) AS ?s) WHERE {{ ?i <{EX}in> ?c . "
-            f"?i <{EX}score> ?v }} GROUP BY ?c ORDER BY DESC(?n) LIMIT 1"
-        )
+            f"?i <{EX}score> ?v }} GROUP BY ?c ORDER BY DESC(?n) LIMIT 1",
+            None,
+        ),
+        # the page is re-sorted as the chunks arrive
+        (f"SELECT ?i WHERE {{ ?i <{EX}score> ?v }} ORDER BY ?v LIMIT 2", 3),
+    ])
+    def test_each_cell_is_decoded_at_most_once(
+        self, ops_store, reference_solutions, text, chunk_size
+    ):
+        """Counting and grouping never decode; a numeric aggregate and a
+        sort key decode a distinct cell once, however often it is
+        sorted; rows that LIMIT cuts are not decoded at all."""
+        query = parse_query(text)
         solutions = reference_solutions(ops_store, query)
         columns, has_unbound = id_columns(ops_store, solutions)
         decoded = []
@@ -684,9 +708,19 @@ class TestColumnarTail:
             decoded.append(cell)
             return ops_store.decode_id(cell)
 
-        finish_columns(query, columns, len(solutions), decode, has_unbound)
+        size = chunk_size or len(solutions)
+        chunks = [
+            (
+                {name: cells[start : start + size] for name, cells in columns.items()},
+                len(solutions[start : start + size]),
+                has_unbound,
+            )
+            for start in range(0, len(solutions), size)
+        ]
+        result = finish(query, chunks, decode)
         assert len(decoded) == len(set(decoded))
-        assert not set(decoded) & set(columns["i"])
+        shown = {ops_store.term_id(row["i"]) for row in result.rows if "i" in row}
+        assert set(decoded) & set(columns["i"]) == shown
 
     def test_traced_tail_records_its_span(self, ops_store):
         text = f"SELECT ?c (COUNT(?i) AS ?n) WHERE {{ ?i <{EX}in> ?c }} GROUP BY ?c ORDER BY ?c"
@@ -695,6 +729,14 @@ class TestColumnarTail:
         _, trace = evaluator.analyze(text)
         span = next(s for s in trace.walk() if s.name == "Group(by ?c) -> Order[1]")
         assert span.attrs == {"rows_in": 6, "rows": 3}
+
+    def test_traced_tail_is_the_parent_of_the_plan(self, ops_store):
+        """The tail pulls the plan's batches as it folds them, so its span
+        holds the plan's root span, as EXPLAIN draws the tail above it."""
+        text = f"SELECT (COUNT(*) AS ?n) WHERE {{ ?i <{EX}in> ?c }}"
+        _, trace = QueryEvaluator(ops_store).analyze(text)
+        span = next(s for s in trace.walk() if s.name == "Group(by -)")
+        assert [child.attrs["rows"] for child in span.children] == [6]
 
 
 # ----------------------------------------------------------------------
