@@ -1,6 +1,6 @@
 """The repair-round budget: where a QSM round's time goes, in process.
 
-    python3 benchmarks/round_budget.py
+    python3 benchmarks/round_budget.py [--base REV]
 
 Replays the 156 ``qsm_repair`` requests (52 gold questions x {gold,
 literal typo, predicate typo}, the spine's default seed) as
@@ -37,6 +37,15 @@ parts account for.  A last pass counts calls: plans, ``encode_pattern``,
 dictionary lookups (``TermDictionary.lookup``) and ``has_match`` on the
 store's backend.  The record is printed and appended to
 ``benchmarks/trajectory.jsonl`` as ``"kind": "round_budget"``.
+
+Milliseconds from two runs of the script compare only loosely (one
+commit has read 1.7x apart).  ``--base REV`` makes the record paired:
+``REV`` is checked out in a ``git worktree`` (``trajectory.py``'s
+helpers), and :data:`PAIRS` runs of its own ``run()`` and of this
+checkout's alternate, each in a fresh interpreter.  Each server
+then holds a ``base`` and a ``change`` block: ``ms_per_round`` and
+``timed_ms_per_round`` as median and [Q1, Q3] over the runs, each
+part's median share, and the last run's counts.
 """
 
 from __future__ import annotations
@@ -77,6 +86,8 @@ from spine.workloads import FULL, WORKLOADS  # noqa: E402
 
 SEED = 2016
 PASSES = 3
+#: Runs a side of a paired record (each ~30 s at the default scales).
+PAIRS = 3
 
 #: (owner, attribute, part, inherit): an ``inherit`` wrapper books its
 #: time to the part it runs inside, and to its own only at the top.
@@ -239,6 +250,44 @@ def run(scale: Optional[str] = None) -> Dict[str, object]:
     return record
 
 
+#: A child of :func:`paired`: one :func:`run` of the checkout it runs in.
+CHILD = ("import json, sys; sys.path.insert(0, 'benchmarks'); import round_budget; "
+         "print(json.dumps(round_budget.run(sys.argv[1] or None)))")
+
+
+def _spawn(tree: Path, scale: Optional[str]) -> Dict[str, object]:
+    done = subprocess.run([sys.executable, "-c", CHILD, scale or ""], cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def paired(base: str, base_tree: Path, scale: Optional[str] = None, pairs: int = PAIRS) -> Dict[str, object]:
+    """The paired record: ``pairs`` runs of ``base_tree``'s :func:`run`
+    alternating with this checkout's, each side summarized per server."""
+    from trajectory import alternated, summary
+
+    sides = alternated(pairs, base_tree, lambda tree: _spawn(tree, scale))
+    change = sides["change"][-1]
+    servers: Dict[str, Dict[str, object]] = {}
+    for name in change["servers"]:  # type: ignore[union-attr]
+        servers[name] = {}
+        for side, runs in sides.items():
+            blocks = [run["servers"][name] for run in runs]  # type: ignore[index]
+            parts = sorted({part for block in blocks for part in block["parts"]})
+            servers[name][side] = {
+                "ms_per_round": summary([block["ms_per_round"] for block in blocks]),
+                "timed_ms_per_round": summary([block["timed_ms_per_round"] for block in blocks]),
+                "coverage": statistics.median(block["coverage"] for block in blocks),
+                "shares": {part: statistics.median(block["parts"].get(part, {"share": 0.0})["share"]
+                                                   for block in blocks) for part in parts},
+                "counts": blocks[-1]["counts"],
+                "runs": blocks,
+            }
+    return {key: change[key] for key in ("kind", "commit", "fingerprint", "seed", "rounds", "scale")} | {
+        "base": base, "base_commit": sides["base"][-1]["commit"], "pairs": pairs, "servers": servers,
+    }
+
+
 def _dirty() -> bool:
     """Whether the working tree differs from its commit (as
     ``trajectory.py`` marks a change that is not committed yet)."""
@@ -248,6 +297,9 @@ def _dirty() -> bool:
 
 
 def print_record(record: Dict[str, object]) -> None:
+    if "base" in record:
+        print_paired(record)
+        return
     print(f"== round budget, {record['rounds']} rounds, commit {record['commit']}")
     for name, block in record["servers"].items():  # type: ignore[union-attr]
         print(f"-- {name}: {block['ms_per_round']:.3f} ms/round "
@@ -258,9 +310,32 @@ def print_record(record: Dict[str, object]) -> None:
         print("  counts: " + ", ".join(f"{key} {value:,}" for key, value in block["counts"].items()))
 
 
+def print_paired(record: Dict[str, object]) -> None:
+    print(f"== round budget, {record['rounds']} rounds, {record['pairs']} pairs (medians [Q1, Q3]), "
+          f"commit {record['commit']} against {record['base']}")
+    for name, block in record["servers"].items():  # type: ignore[union-attr]
+        base, change = block["base"], block["change"]
+        a, b = base["ms_per_round"], change["ms_per_round"]
+        shift = (b["median"] - a["median"]) / a["median"] if a["median"] else 0.0
+        print(f"-- {name}: {a['median']:.3f} [{a['q1_q3'][0]:.3f}, {a['q1_q3'][1]:.3f}] -> "
+              f"{b['median']:.3f} [{b['q1_q3'][0]:.3f}, {b['q1_q3'][1]:.3f}] ms/round  {shift:+.1%}")
+        for part in sorted(change["shares"], key=lambda part: -change["shares"][part]):
+            print(f"  {part:<12} share {base['shares'].get(part, 0.0):6.1%} -> {change['shares'][part]:6.1%}")
+        print("  counts: " + ", ".join(f"{key} {base['counts'][key]:,} -> {value:,}"
+                                       for key, value in change["counts"].items()))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
-    record = run()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="pair the record with this revision's runs")
+    args = parser.parse_args(argv)
+    if args.base is None:
+        record = run()
+    else:
+        from trajectory import short, worktree
+
+        with worktree(args.base) as base_tree:
+            record = paired(short(args.base), base_tree)
     with TRAJECTORY.open("a", encoding="utf-8") as out:
         out.write(json.dumps(record, sort_keys=True) + "\n")
     print_record(record)

@@ -1,6 +1,6 @@
 """The set-up budget: where a served system's set-up time and memory go.
 
-    python3 benchmarks/setup_budget.py
+    python3 benchmarks/setup_budget.py [--base REV]
 
 The set-up counterpart of ``round_budget.py``.  It builds what the
 spine's ``session_mix`` child builds — ``build_dataset`` →
@@ -28,6 +28,14 @@ with ``tracemalloc``: ``peak_mb`` is its traced peak, ``kept_mb`` what
 is still allocated after it (the layout), ``ratio`` the two's quotient.
 The record is printed and appended to ``benchmarks/trajectory.jsonl`` as
 ``"kind": "setup_budget"``.
+
+Seconds from two runs of the script compare only loosely: one commit has
+read 1.7x apart from one run to the next.  ``--base REV`` makes the
+record paired: ``REV`` is checked out in a ``git worktree``
+(``trajectory.py``'s helpers) and its own ``setup_budget.py`` children
+alternate with this checkout's, run by run, so both sides see the same
+machine.  Each scale then holds a ``base`` and a ``change`` block, each
+stage with its median seconds and their [Q1, Q3].
 """
 
 from __future__ import annotations
@@ -135,10 +143,21 @@ def child(scale: str, traced: bool) -> Dict[str, object]:
             "coverage": round(sum(row["s"] for row in stages) / wall, 4)}  # type: ignore[misc]
 
 
-def _spawn(scale: str, traced: bool) -> Dict[str, object]:
-    args = [sys.executable, str(Path(__file__).resolve()), "--child", scale] + (["--traced"] if traced else [])
+def _spawn(scale: str, traced: bool, tree: Path = ROOT) -> Dict[str, object]:
+    """One child run of ``tree``'s own copy of this script, on its own ``src``."""
+    script = tree / "benchmarks" / Path(__file__).name
+    args = [sys.executable, str(script), "--child", scale] + (["--traced"] if traced else [])
     done = subprocess.run(args, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _trajectory():
+    """``trajectory.py``, imported on first use (a child does without)."""
+    if str(ROOT / "benchmarks") not in sys.path:
+        sys.path.insert(0, str(ROOT / "benchmarks"))
+    import trajectory
+
+    return trajectory
 
 
 def _median(values: Sequence[float]) -> float:
@@ -152,9 +171,13 @@ def summary(runs: List[Dict[str, object]], fold: Dict[str, object]) -> Dict[str,
     by_stage = {name: [row for run in runs for row in run["stages"] if row["stage"] == name]  # type: ignore[attr-defined]
                 for name in names}
     ready = [run["stages"][-1] for run in runs]  # type: ignore[index]
+    stages = {name: {key: _median([row[key] for row in rows]) for key in ("s", "rss_mb", "hwm_mb")}
+              for name, rows in by_stage.items()}
+    for name, rows in by_stage.items():
+        q1_q3 = _trajectory().summary([row["s"] for row in rows])["q1_q3"]
+        stages[name]["s_q1_q3"] = [round(q, 4) for q in q1_q3]
     return {
-        "stages": {name: {key: _median([row[key] for row in rows]) for key in ("s", "rss_mb", "hwm_mb")}
-                   for name, rows in by_stage.items()},
+        "stages": stages,
         "wall_s": _median([run["wall_s"] for run in runs]),  # type: ignore[misc]
         "coverage": _median([run["coverage"] for run in runs]),  # type: ignore[misc]
         "ready": {"rss_mb": _median([row["rss_mb"] for row in ready]),
@@ -165,24 +188,40 @@ def summary(runs: List[Dict[str, object]], fold: Dict[str, object]) -> Dict[str,
     }
 
 
-def run(scales: Sequence[str] = SCALES, runs: int = RUNS) -> Dict[str, object]:
-    """The full record (not yet written anywhere)."""
-    sys.path.insert(0, str(ROOT / "benchmarks"))
+def run(scales: Sequence[str] = SCALES, runs: int = RUNS,
+        base: Optional[Tuple[str, Path]] = None) -> Dict[str, object]:
+    """The full record (not yet written anywhere); with ``base`` — a
+    revision and its checkout — paired: ``runs`` pairs of that tree's
+    children and this checkout's."""
+    trajectory = _trajectory()
     from round_budget import _dirty
     from spine import env
 
     fingerprint = env.fingerprint(ROOT)
-    return {
+    record: Dict[str, object] = {
         "kind": "setup_budget",
         "commit": f"{fingerprint['commit']}{'+dirty' if _dirty() else ''}",
         "fingerprint": fingerprint,
         "runs": runs,
-        "scales": {scale: summary([_spawn(scale, False) for _ in range(runs)], _spawn(scale, True))
-                   for scale in scales},
+        "scales": {},
     }
+    if base is not None:
+        record["base"], base_tree = base
+    for scale in scales:
+        if base is None:
+            block = summary([_spawn(scale, False) for _ in range(runs)], _spawn(scale, True))
+        else:
+            sides = trajectory.alternated(runs, base_tree, lambda tree: _spawn(scale, False, tree))
+            trees = {"base": base_tree, "change": ROOT}
+            block = {side: summary(done, _spawn(scale, True, trees[side])) for side, done in sides.items()}
+        record["scales"][scale] = block  # type: ignore[index]
+    return record
 
 
 def print_record(record: Dict[str, object]) -> None:
+    if "base" in record:
+        print_paired(record)
+        return
     print(f"== set-up budget, {record['runs']} runs a scale (medians), commit {record['commit']}")
     for scale, block in record["scales"].items():  # type: ignore[union-attr]
         ready, fold = block["ready"], block["fold_traced"]
@@ -195,14 +234,34 @@ def print_record(record: Dict[str, object]) -> None:
               f"ratio {fold['ratio']:.2f}")
 
 
+def print_paired(record: Dict[str, object]) -> None:
+    print(f"== set-up budget, {record['runs']} pairs a scale (medians [Q1, Q3]), "
+          f"commit {record['commit']} against {record['base']}")
+    for scale, block in record["scales"].items():  # type: ignore[union-attr]
+        base, change = block["base"], block["change"]
+        print(f"-- {scale}: {base['wall_s']:.3f} -> {change['wall_s']:.3f} s to ready")
+        for name, row in change["stages"].items():
+            was = base["stages"].get(name)
+            if was is None:
+                continue
+            shift = (row["s"] - was["s"]) / was["s"] if was["s"] else 0.0
+            print(f"  {name:<15} {was['s']:8.4f} [{was['s_q1_q3'][0]:.4f}, {was['s_q1_q3'][1]:.4f}]"
+                  f"  {row['s']:8.4f} [{row['s_q1_q3'][0]:.4f}, {row['s_q1_q3'][1]:.4f}]  {shift:+7.1%}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["--child"]:
         print(json.dumps(child(argv[1], "--traced" in argv)))
         return 0
+    if argv and argv[0] != "--base" or len(argv) not in (0, 2):
+        raise SystemExit(f"usage: {Path(__file__).name} [--base REV]")
     if argv:
-        raise SystemExit(f"usage: {Path(__file__).name} (no options)")
-    record = run()
+        trajectory = _trajectory()
+        with trajectory.worktree(argv[1]) as base_tree:
+            record = run(base=(trajectory.short(argv[1]), base_tree))
+    else:
+        record = run()
     with TRAJECTORY.open("a", encoding="utf-8") as out:
         out.write(json.dumps(record, sort_keys=True) + "\n")
     print_record(record)

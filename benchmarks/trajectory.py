@@ -27,8 +27,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = ROOT / "benchmarks" / "trajectory.jsonl"
@@ -40,10 +41,41 @@ from spine.compare import quartiles, verdict  # noqa: E402
 #: Each run's limit, as ``spine/spread.py`` allows.
 RUN_TIMEOUT_S = 900
 
+T = TypeVar("T")
+
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+@contextmanager
+def worktree(rev: str) -> Iterator[Path]:
+    """``rev`` checked out with ``git worktree add`` in a temporary
+    directory, for as long as the block runs."""
+    with tempfile.TemporaryDirectory(prefix="trajectory-") as scratch:
+        tree = Path(scratch) / "base"
+        _git("worktree", "add", "--detach", str(tree), rev)
+        try:
+            yield tree
+        finally:
+            _git("worktree", "remove", "--force", str(tree))
+
+
+def alternated(pairs: int, base_tree: Path, run: Callable[[Path], T]) -> Dict[str, List[T]]:
+    """``run(tree)`` for ``pairs`` pairs of the base tree and this
+    checkout, alternating which side goes first: each side's results."""
+    runs: Dict[str, List[T]] = {"base": [], "change": []}
+    for index in range(pairs):
+        sides = [("base", base_tree), ("change", ROOT)]
+        for side, tree in sides if index % 2 == 0 else sides[::-1]:
+            runs[side].append(run(tree))
+    return runs
+
+
+def short(rev: str) -> str:
+    """``rev``'s abbreviated commit hash."""
+    return _git("rev-parse", "--short", rev)
 
 
 def run_kind(dirty: bool, base: str, head: str, head_parent: Optional[str]) -> str:
@@ -81,8 +113,8 @@ def compare(base: Sequence[Dict[str, object]], change: Sequence[Dict[str, object
         sign = 1.0 if spec["better"] == "lower" else -1.0
         label, _ = verdict(a, b, str(spec["better"]), float(spec["bound"]))  # type: ignore[arg-type]
         rows[name] = {
-            "base": _summary(a),
-            "change": _summary(b),
+            "base": summary(a),
+            "change": summary(b),
             "won": sum(1 for x, y in zip(a, b) if sign * y < sign * x),
             "pairs": len(a),
             "verdict": label,
@@ -95,7 +127,8 @@ def flagged(rows: Dict[str, Dict[str, object]]) -> List[str]:
     return [name for name, row in rows.items() if row["verdict"] == "worse"]
 
 
-def _summary(values: Sequence[float]) -> Dict[str, object]:
+def summary(values: Sequence[float]) -> Dict[str, object]:
+    """``values``' median and [Q1, Q3]."""
     q1, _, q3 = quartiles(values)
     return {"median": statistics.median(values), "q1_q3": [q1, q3]}
 
@@ -131,31 +164,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     kind = run_kind(dirty, _git("rev-parse", args.base), _git("rev-parse", "HEAD"),
                     head_parents[0] if head_parents else None)
     record: Dict[str, object] = {
-        "commit": _git("rev-parse", "--short", "HEAD") + ("+dirty" if dirty else ""),
-        "parent": _git("rev-parse", "--short", args.base),
+        "commit": short("HEAD") + ("+dirty" if dirty else ""),
+        "parent": short(args.base),
         "kind": kind,
         "fingerprint": env.fingerprint(ROOT),
         "seed": args.seed,
         "pairs": args.pairs,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="trajectory-") as scratch:
-        base_tree = Path(scratch) / "base"
-        _git("worktree", "add", "--detach", str(base_tree), args.base)
-        try:
-            for workload in args.workload or [w["name"] for w in contract["workloads"]]:
-                runs: Dict[str, List[Dict[str, object]]] = {"base": [], "change": []}
-                for index in range(args.pairs):
-                    sides = [("base", base_tree), ("change", ROOT)]
-                    for side, tree in sides if index % 2 == 0 else sides[::-1]:
-                        runs[side].append(spine_run(tree, workload, args.seed))
-                record["workloads"][workload] = {  # type: ignore[index]
-                    "incorrect": {side: sum(1 for run in done if not run["correct"])
-                                  for side, done in runs.items()},
-                    "metrics": compare(runs["base"], runs["change"], contract["end_to_end"]),
-                }
-        finally:
-            _git("worktree", "remove", "--force", str(base_tree))
+    with worktree(args.base) as base_tree:
+        for workload in args.workload or [w["name"] for w in contract["workloads"]]:
+            runs = alternated(args.pairs, base_tree,
+                              lambda tree: spine_run(tree, workload, args.seed))
+            record["workloads"][workload] = {  # type: ignore[index]
+                "incorrect": {side: sum(1 for run in done if not run["correct"])
+                              for side, done in runs.items()},
+                "metrics": compare(runs["base"], runs["change"], contract["end_to_end"]),
+            }
     with TRAJECTORY.open("a", encoding="utf-8") as out:
         out.write(json.dumps(record, sort_keys=True) + "\n")
     print_table(record)

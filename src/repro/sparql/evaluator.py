@@ -40,7 +40,7 @@ from .plan import (
     refresh_plan_estimates,
 )
 from .results import AskResult, SelectResult
-from .tail import Chunk, finish, finish_columns, tail_label
+from .tail import Chunk, counted, finish, finish_columns, tail_label
 from .trace import Tracer
 
 __all__ = ["QueryEvaluator", "evaluate", "explain_header", "finalize_solutions", "run_plan"]
@@ -110,7 +110,7 @@ class QueryEvaluator:
         (a single ``is None`` test per operator per query).
         """
         meter = meter or CostMeter()
-        plan = self._plan_group(query.where, meter.budget, tracer)
+        query, plan = counted(query, self._plan_group(query.where, meter.budget, tracer))
         return run_plan(query, plan, self.store, meter, self.batch_size, tracer)
 
     def analyze(
@@ -157,7 +157,7 @@ class QueryEvaluator:
         label = tail_label(parsed)
         if label:
             lines.append(f"{label}  [columns]")
-        lines.append(explain_plan(self._plan_group(parsed.where, budget)))
+        lines.append(explain_plan(counted(parsed, self._plan_group(parsed.where, budget))[1]))
         return "\n".join(lines)
 
 

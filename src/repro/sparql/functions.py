@@ -57,6 +57,8 @@ from .ast_nodes import (
 from .errors import ExpressionError
 
 __all__ = [
+    "AttributeFilter",
+    "attribute_filter",
     "compile_expression",
     "compile_filter",
     "evaluate_expression",
@@ -498,6 +500,74 @@ def compile_filter(expr: Expression) -> Callable[[Binding], bool]:
             return False
 
     return passes
+
+
+class AttributeFilter(NamedTuple):
+    """A FILTER that a term's language tag and string length decide: a
+    conjunction, over one variable, of ``isLiteral(?v)``, ``lang(?v) =
+    "tag"`` and ``strlen(str(?v)) op n`` (``n`` a well-formed number;
+    ``=`` and ``!=`` only with an integer).  Its verdict is the compiled
+    filter's: every conjunct true, an error (an unbound ``?v``, ``LANG``
+    of a non-literal, ``STR`` of a blank node) none."""
+
+    variable: str
+    literal: bool  #: ``isLiteral(?v)`` is a conjunct
+    languages: Tuple[str, ...]  #: each ``lang(?v) = tag`` conjunct's tag
+    lengths: Tuple[Tuple[Callable[[int, object], bool], object], ...]  #: (op, n) per STRLEN conjunct
+
+
+_FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
+_LENGTH_OPS = dict(_ORDERS, **{"=": operator.eq, "!=": operator.ne})
+
+
+def attribute_filter(expr: Expression) -> Optional[AttributeFilter]:
+    """``expr`` as an :class:`AttributeFilter`, or None when it is not
+    one (it then runs through :func:`compile_filter`)."""
+    parts, conjuncts = [expr], []
+    while parts:
+        part = parts.pop()
+        if isinstance(part, BinaryExpr) and part.op == "&&":
+            parts += [part.right, part.left]
+        else:
+            conjuncts.append(part)
+    names, literal, languages, lengths = set(), False, [], []
+    for part in conjuncts:
+        if isinstance(part, FunctionCall) and part.name == "ISLITERAL":
+            name, literal = _variable_argument(part), True
+        elif isinstance(part, BinaryExpr) and part.op in _LENGTH_OPS:
+            call, constant, op = part.left, part.right, part.op
+            if isinstance(call, TermExpr):
+                call, constant, op = constant, call, _FLIPPED[op]
+            if not isinstance(call, FunctionCall) or not isinstance(constant, TermExpr):
+                return None
+            compiled = _constant(constant.term)
+            if call.name == "LANG" and op == "=" and compiled.kind == _PLAIN:
+                name = _variable_argument(call)
+                languages.append(compiled.native({}))
+            elif (
+                call.name == "STRLEN" and len(call.args) == 1
+                and isinstance(call.args[0], FunctionCall) and call.args[0].name == "STR"
+                and compiled.kind in ((_INTEGER,) if op in ("=", "!=") else (_INTEGER, _NUMBER))
+            ):
+                name = _variable_argument(call.args[0])
+                lengths.append((_LENGTH_OPS[op], compiled.native({})))
+            else:
+                return None
+        else:
+            return None
+        names.add(name)
+    if len(names) != 1 or None in names:
+        return None
+    return AttributeFilter(names.pop(), literal, tuple(languages), tuple(lengths))
+
+
+def _variable_argument(call: FunctionCall) -> Optional[str]:
+    """The variable's name when ``call`` has one argument, a variable."""
+    if len(call.args) == 1 and isinstance(call.args[0], TermExpr):
+        term = call.args[0].term
+        if isinstance(term, Variable):
+            return term.name
+    return None
 
 
 def evaluate_expression(expr: Expression, binding: Binding) -> Term:

@@ -71,11 +71,11 @@ from __future__ import annotations
 import threading
 from array import array
 from itertools import chain, compress, islice, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
 from ..rdf.triples import TriplePattern
-from ..store.dictionary import NO_ID
+from ..store.dictionary import NO_ID, NO_STRING, NOT_A_LITERAL
 from ..store.sharded import ShardedBackend
 from ..store.triplestore import CostMeter, TripleStore
 from .algebra import (
@@ -95,7 +95,7 @@ from .algebra import (
 )
 from .ast_nodes import Expression, GraphPattern
 from .errors import SparqlError
-from .functions import compile_filter
+from .functions import AttributeFilter, attribute_filter, compile_filter
 
 __all__ = [
     "Batch",
@@ -104,6 +104,7 @@ __all__ = [
     "ShardScanNode",
     "HashJoinNode",
     "BindJoinNode",
+    "CountJoinNode",
     "UnionNode",
     "MinusNode",
     "ValuesScanNode",
@@ -111,6 +112,7 @@ __all__ = [
     "LeftJoinNode",
     "CorrelatedLeftJoinNode",
     "QueryPlanner",
+    "count_joins",
     "explain_plan",
     "joins_on_maybe_unbound",
     "refresh_plan_estimates",
@@ -132,6 +134,11 @@ IdRow = Tuple[int, ...]
 #: are query-local: VALUES terms the store never interned
 #: (:meth:`QueryPlanner._term_id`, decoded by :meth:`PlanNode.decoder`).
 UNBOUND = -1
+
+#: The column a :class:`CountJoinNode` adds: each row's multiplicity,
+#: the number of solutions it stands for.  No SPARQL variable has this
+#: name, so no query can read, join on or project it.
+MULTIPLICITY = "#"
 
 #: Rows per :class:`Batch` on the columnar path.  Matches the storage
 #: seam's ``COLUMN_BATCH_SIZE`` so one ``match_columns`` batch becomes
@@ -274,17 +281,29 @@ class _ColumnFilter:
     memoized verdicts are mapped over the column in C.  Erroring
     expressions drop the row (SPARQL FILTER semantics); a variable
     without a slot is simply unbound.
+
+    A filter over one slot that a term's language tag and string length
+    decide (:class:`~repro.sparql.functions.AttributeFilter`) reads a
+    stored ID's verdict off ``dictionary``'s per-ID attributes, never
+    decoding the term; a query-local or unbound cell, and every other
+    filter, decodes its cells and runs the compiled expression.
     """
 
-    __slots__ = ("expr", "names", "slots", "decode", "verdicts", "kernel")
+    __slots__ = ("expr", "names", "slots", "decode", "verdicts", "kernel", "judge")
 
-    def __init__(self, expr: Expression, slot_of: Dict[str, int], decode) -> None:
+    def __init__(self, expr: Expression, slot_of: Dict[str, int], decode, dictionary) -> None:
         self.expr = expr
         self.names = tuple(name for name in expr.variables() if name in slot_of)
         self.slots = tuple(slot_of[name] for name in self.names)
         self.decode = decode
         self.verdicts: Dict[object, bool] = {}
         self.kernel = None  #: ``expr`` compiled, at the first verdict asked for
+        form = attribute_filter(expr) if len(self.names) == 1 else None
+        #: A stored ID's verdict off the dictionary's attributes, or None.
+        self.judge = (
+            _attribute_judge(form, dictionary)
+            if form is not None and form.variable == self.names[0] else None
+        )
 
     def flags(self, columns: Sequence[Sequence[int]], length: int) -> List[bool]:
         """One verdict per row of ``columns``."""
@@ -296,13 +315,20 @@ class _ColumnFilter:
         else:
             keys = [()] * length
         verdicts = self.verdicts
+        judge = self.judge
         for key in set(keys).difference(verdicts):
-            verdicts[key] = self._evaluate((key,) if len(slots) == 1 else key)
+            if judge is not None and key >= 0:
+                verdicts[key] = judge(key)
+            else:
+                verdicts[key] = self._evaluate((key,) if len(slots) == 1 else key)
         return list(map(verdicts.__getitem__, keys))
 
     def passes(self, row: IdRow) -> bool:
         """The verdict for one row tuple."""
-        return self._evaluate(tuple(row[slot] for slot in self.slots))
+        cells = tuple(row[slot] for slot in self.slots)
+        if self.judge is not None and cells[0] >= 0:
+            return self.judge(cells[0])
+        return self._evaluate(cells)
 
     def _evaluate(self, cells: Tuple[int, ...]) -> bool:
         kernel = self.kernel
@@ -314,6 +340,31 @@ class _ColumnFilter:
             for name, cell in zip(self.names, cells)
             if cell != UNBOUND
         })
+
+
+def _attribute_judge(form: AttributeFilter, dictionary) -> Callable[[int], bool]:
+    """``form``'s verdict for a stored ID, read off ``dictionary``'s
+    language codes and string lengths."""
+    codes, languages, lengths = dictionary.lang_codes, dictionary.languages, dictionary.lengths
+    literal, tags, bounds = form.literal, form.languages, form.lengths
+
+    def judge(term_id: int) -> bool:
+        code = codes[term_id]
+        if literal and code == NOT_A_LITERAL:
+            return False
+        for tag in tags:
+            if languages[code] != tag:  # ``None`` for a non-literal: LANG errs
+                return False
+        if bounds:
+            length = lengths[term_id]
+            if length == NO_STRING:
+                return False
+            for compare, bound in bounds:
+                if not compare(length, bound):
+                    return False
+        return True
+
+    return judge
 
 
 class PlanNode:
@@ -404,8 +455,7 @@ class PlanNode:
     ) -> Iterator[Batch]:
         """Apply FILTERs column-wise (:class:`_ColumnFilter`), gathering
         only the batches some row of which fails."""
-        decode = self.decoder(store)
-        kernels = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.filters]
+        kernels = self._kernels(self.filters, store)
         for batch in batches:
             columns, length = batch.columns, batch.length
             for kernel in kernels:
@@ -419,6 +469,11 @@ class PlanNode:
                 yield batch
             elif length:
                 yield Batch(columns, length, batch.has_unbound)
+
+    def _kernels(self, expressions: Sequence[Expression], store: TripleStore) -> List[_ColumnFilter]:
+        """``expressions`` compiled against this node's slots and ``store``."""
+        decode = self.decoder(store)
+        return [_ColumnFilter(expr, self.slot_of, decode, store.dictionary) for expr in expressions]
 
     # -- display -------------------------------------------------------
 
@@ -595,6 +650,15 @@ class ShardScanNode(ScanNode):
         )
 
 
+def _charged_rows(batches: Iterator[Batch], charge, weights: Optional[int]) -> Iterator[Batch]:
+    """Charge the meter one unit per row of each batch, before passing
+    it on — a row's multiplicity (column ``weights``) where a
+    :class:`CountJoinNode` below counted rows it did not produce."""
+    for batch in batches:
+        charge(batch.length if weights is None else sum(batch.columns[weights]))
+        yield batch
+
+
 def _charged_columns(columns_iter, charge) -> Iterator:
     """Charge the meter per fetched candidate, exactly like
     ``TripleStore.match_columns`` does — cost parity with the unsharded
@@ -608,8 +672,9 @@ class HashJoinNode(PlanNode):
     """Hash the right input on the shared variables, stream the left.
 
     Both inputs are scanned exactly once; each emitted row charges the
-    cost meter one unit so budgeted endpoints retain their abort
-    behaviour on explosive joins.
+    cost meter one unit — a row of a :class:`CountJoinNode` below, its
+    multiplicity — so budgeted endpoints retain their abort behaviour
+    on explosive joins.
 
     ``outer=True`` is OPTIONAL as a left outer join: a left row without
     a match that passes ``condition`` (the OPTIONAL group's own filters,
@@ -655,12 +720,16 @@ class HashJoinNode(PlanNode):
         single = len(self.left_key_slots) == 1
         rres = self.right_residual_slots
         if self.outer:
-            return self._join_general(store, meter, batch_size, tracer)
-        if not rres:
-            return self._semi_join(store, meter, batch_size, tracer)
-        if single and len(rres) == 1:
-            return self._join_one_residual(store, meter, batch_size, tracer)
-        return self._join_general(store, meter, batch_size, tracer)
+            produced = self._join_general(store, meter, batch_size, tracer)
+        elif not rres:
+            produced = self._semi_join(store, meter, batch_size, tracer)
+        elif single and len(rres) == 1:
+            produced = self._join_one_residual(store, meter, batch_size, tracer)
+        else:
+            produced = self._join_general(store, meter, batch_size, tracer)
+        if meter is None:
+            return produced
+        return _charged_rows(produced, meter.charge, self.slot_of.get(MULTIPLICITY))
 
     def _semi_join(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
         """The build side adds no variables: build a key -> multiplicity
@@ -670,7 +739,6 @@ class HashJoinNode(PlanNode):
         single = len(self.left_key_slots) == 1
         rkeys = self.right_key_slots
         lkeys = self.left_key_slots
-        charge = meter.charge if meter is not None else None
         counts: Dict[object, int] = {}
         if single:
             rcols = []
@@ -684,15 +752,11 @@ class HashJoinNode(PlanNode):
                 for lbatch in self.left.batches(store, meter, batch_size, tracer):
                     flags = list(map(contains, lbatch.columns[lkeys[0]]))
                     if all(flags):
-                        if charge is not None:
-                            charge(lbatch.length)
                         yield lbatch
                         continue
                     selection = [i for i, hit in enumerate(flags) if hit]
                     if not selection:
                         continue
-                    if charge is not None:
-                        charge(len(selection))
                     yield Batch(
                         _gather(lbatch.columns, selection),
                         len(selection),
@@ -726,8 +790,6 @@ class HashJoinNode(PlanNode):
                     extend([index] * count)
             if not selection:
                 continue
-            if charge is not None:
-                charge(len(selection))
             if identity:
                 yield lbatch
             else:
@@ -748,7 +810,6 @@ class HashJoinNode(PlanNode):
         lkey = self.left_key_slots[0]
         rkey = self.right_key_slots[0]
         rres0 = self.right_residual_slots[0]
-        charge = meter.charge if meter is not None else None
         # The accumulated left side is much smaller than the probe side
         # (4x keeps star hops — near-equal sides with reference
         # pass-through on the left — out of this tier): build from it
@@ -768,7 +829,6 @@ class HashJoinNode(PlanNode):
                         (rbatch.columns[rkey], rbatch.columns[rres0], rbatch.has_unbound)
                         for rbatch in self.right.batches(store, meter, batch_size, tracer)
                     ),
-                    charge,
                 )
                 return
         rkey_cols: List[array] = []
@@ -809,8 +869,6 @@ class HashJoinNode(PlanNode):
                 # Where every left row joins exactly once the output is
                 # the left batch plus one C-built residual column — no
                 # per-row Python at all.
-                if charge is not None:
-                    charge(len(matches))
                 yield Batch(
                     columns + (array("q", matches),),
                     len(matches),
@@ -828,7 +886,6 @@ class HashJoinNode(PlanNode):
                     index_of,
                     left_unbound,
                     zip(rkey_cols, rres_cols, repeat(right_unbound)),
-                    charge,
                 )
                 return
         # Duplicate keys on both sides: int-list buckets, probed over
@@ -857,8 +914,6 @@ class HashJoinNode(PlanNode):
                 extend([index] * len(bucket))
                 res_extend(bucket)
             while len(selection) >= batch_size:
-                if charge is not None:
-                    charge(batch_size)
                 yield Batch(
                     _gather(left_cols, selection[:batch_size]) + (array("q", res_buf[:batch_size]),),
                     batch_size,
@@ -867,8 +922,6 @@ class HashJoinNode(PlanNode):
                 del selection[:batch_size], res_buf[:batch_size]
         if not selection:
             return
-        if charge is not None:
-            charge(len(selection))
         yield Batch(
             _gather(left_cols, selection) + (array("q", res_buf),),
             len(selection),
@@ -891,10 +944,16 @@ class HashJoinNode(PlanNode):
         index_of = dict(zip(key_col, range(len(key_col))))
         if len(index_of) != len(key_col):
             index_of = None
+        weights = self.left.slot_of.get(MULTIPLICITY)
+        if weights is not None and any(weight != 1 for weight in columns[weights]):
+            # A row of multiplicity n stands for n rows of its key: the
+            # keys are not unique, and the join takes the path (and
+            # emits the row order) it takes over the n rows.
+            index_of = None
         return columns, has_unbound, index_of
 
     def _probe_unique_left(
-        self, left_cols, index_of, left_unbound, right_parts, charge
+        self, left_cols, index_of, left_unbound, right_parts
     ) -> Iterator[Batch]:
         """Join materialized left rows with unique keys against a
         stream of right ``(key column, residual column, has_unbound)``
@@ -933,8 +992,6 @@ class HashJoinNode(PlanNode):
             # right residual.
             res_out.insert(lkey, rkey_col)
             res_out.append(rres_col)
-            if charge is not None:
-                charge(len(found))
             yield Batch(tuple(res_out), len(found), left_unbound or right_unbound)
 
     def _join_general(self, store, meter, batch_size, tracer) -> Iterator[Batch]:
@@ -943,7 +1000,6 @@ class HashJoinNode(PlanNode):
         rkeys = self.right_key_slots
         rres = self.right_residual_slots
         lkeys = self.left_key_slots
-        charge = meter.charge if meter is not None else None
         right_unbound = False
         table: Dict[object, List[Tuple[int, ...]]] = {}
         for rbatch in self.right.batches(store, meter, batch_size, tracer):
@@ -960,8 +1016,7 @@ class HashJoinNode(PlanNode):
                     table[key] = [residual]
                 else:
                     bucket.append(residual)
-        decode = self.decoder(store)
-        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
+        condition = self._kernels(self.condition, store)
         outer = self.outer
 
         def chunk(lbatch, selection, residual_rows, outer_rows):
@@ -1001,8 +1056,6 @@ class HashJoinNode(PlanNode):
                         range(first + answered, index + whole) if outer else None,
                     )
                     if batch is not None:
-                        if charge is not None:
-                            charge(batch.length)
                         yield batch
                     del selection[:cut], residual_rows[:cut]
                     answered = not whole and ((answered and first == index) or index in kept)
@@ -1013,8 +1066,6 @@ class HashJoinNode(PlanNode):
                     range(first + answered, lbatch.length) if outer else None,
                 )
                 if batch is not None:
-                    if charge is not None:
-                        charge(batch.length)
                     yield batch
 
     def label(self) -> str:
@@ -1028,7 +1079,9 @@ class HashJoinNode(PlanNode):
 class BindJoinNode(PlanNode):
     """Probe the store once per left row with shared variables bound:
     ``scan``'s pattern, read off the IDs the scan encoded; ``outer`` /
-    ``condition`` as on :class:`HashJoinNode`."""
+    ``condition`` as on :class:`HashJoinNode`.  A left row of
+    multiplicity n (a :class:`CountJoinNode` below) is probed once and
+    charged as n probes; its matches keep its multiplicity."""
 
     def __init__(
         self,
@@ -1039,6 +1092,7 @@ class BindJoinNode(PlanNode):
         condition: Sequence[Expression] = (),
     ) -> None:
         self.left = left
+        self.scan = scan
         self.pattern = scan.pattern
         self.outer = outer
         self.condition = list(condition)
@@ -1085,8 +1139,20 @@ class BindJoinNode(PlanNode):
         checks = self.checks
         match_ids = store.match_ids
         outer = self.outer
-        decode = self.decoder(store)
-        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
+        condition = self._kernels(self.condition, store)
+        weights = self.left.slot_of.get(MULTIPLICITY)
+        weighted = weights is not None and meter is not None
+        if weighted:
+            # ``match_ids`` charges one unit per candidate — one per
+            # probe when the pattern is concrete — for each of the n.
+            concrete = all(kind != "free" for kind, _ in self.spec)
+            charge, plain = meter.charge, match_ids
+
+            def match_ids(s, p, o, multiplicity):
+                rows = list(plain(s, p, o))
+                charge(multiplicity * (1 if concrete else len(rows)))
+                return rows
+
         for lbatch in self.left.batches(store, meter, batch_size, tracer):
             selection: List[int] = []
             fresh: List[List[int]] = [[] for _ in positions]
@@ -1095,7 +1161,7 @@ class BindJoinNode(PlanNode):
                 s = s_val if s_kind == "const" else lrow[s_val] if s_kind == "left" else None
                 p = p_val if p_kind == "const" else lrow[p_val] if p_kind == "left" else None
                 o = o_val if o_kind == "const" else lrow[o_val] if o_kind == "left" else None
-                for row in match_ids(s, p, o, meter):
+                for row in match_ids(s, p, o, lrow[weights] if weighted else meter):
                     if checks and not all(row[a] == row[b] for a, b in checks):
                         continue
                     selection.append(index)
@@ -1113,6 +1179,72 @@ class BindJoinNode(PlanNode):
     def label(self) -> str:
         kind = "LeftBindJoin" if self.outer else "BindJoin"
         return f"{kind}({_pattern_text(self.pattern)})"
+
+    def children(self) -> Sequence[PlanNode]:
+        return (self.left,)
+
+
+class CountJoinNode(PlanNode):
+    """A :class:`BindJoinNode` whose fresh variables nothing reads but a
+    COUNT: per left row, one ``count_ids`` of the probe instead of its
+    matches — a row whose count is 0 dropped, the others passed on with
+    the count in a :data:`MULTIPLICITY` column (eager aggregation, Yan
+    & Larson, VLDB 1995, in its smallest form).
+
+    It charges the meter what the bind join's ``match_ids`` calls would
+    have — one unit per match, nothing for a probe on an unmatchable
+    ID — and keeps the join's estimates, so plans, ``cost`` and timeouts
+    are the bind join's.  :func:`count_joins` places it.
+    """
+
+    def __init__(self, join: BindJoinNode) -> None:
+        self.left = join.left
+        self.pattern = join.pattern
+        self.spec = join.spec
+        super().__init__(join.left.variables + (MULTIPLICITY,), join.est_rows)
+        self.est_cost = join.est_cost
+        self.filters = list(join.filters)
+        self.maybe_unbound = join.maybe_unbound
+        self.local_terms = join.local_terms
+
+    def _produce_batches(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Batch]:
+        count_ids = store.backend.count_ids
+
+        def count(s, p, o) -> int:
+            # An unbound or query-local ID matches nothing, for free.
+            if (s is not None and s < 0) or (p is not None and p < 0) or (o is not None and o < 0):
+                return 0
+            return count_ids(s, p, o)
+
+        # A constant the store never interned: no probe matches, none is charged.
+        unmatchable = any(kind == "const" and value < 0 for kind, value in self.spec)
+        slots = [value for kind, value in self.spec if kind == "left"]
+        for lbatch in self.left.batches(store, meter, batch_size, tracer):
+            if unmatchable:
+                continue
+            columns = lbatch.columns
+            probes = [
+                repeat(value) if kind == "const" else columns[value] if kind == "left" else repeat(None)
+                for kind, value in self.spec
+            ]
+            clean = all(min(columns[slot], default=0) >= 0 for slot in slots)
+            counts = list(map(count_ids if clean else count, *probes))
+            if meter is not None:
+                meter.charge(sum(counts))
+            selection = [index for index, n in enumerate(counts) if n]
+            if not selection:
+                continue
+            weights = array("q", [counts[index] for index in selection])
+            yield Batch(_gather(columns, selection) + (weights,), len(selection), lbatch.has_unbound)
+
+    def label(self) -> str:
+        return f"CountJoin({_pattern_text(self.pattern)})"
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left,)
@@ -1348,8 +1480,7 @@ class CompatJoinNode(PlanNode):
         right_rows = list(_raw_rows(self.right, store, meter, batch_size, tracer))
         charge = meter.charge if meter is not None else None
         pad = (UNBOUND,) * len(self.right_residual_slots)
-        decode = self.decoder(store)
-        condition = [_ColumnFilter(expr, self.slot_of, decode) for expr in self.condition]
+        condition = self._kernels(self.condition, store)
         for lrow in _raw_rows(self.left, store, meter, batch_size, tracer):
             matched = False
             for rrow in right_rows:
@@ -1761,6 +1892,39 @@ class QueryPlanner:
         if isinstance(pattern.object, Variable) and pattern.object.name == name:
             return max(distinct_o, 1)
         return max(scan.est_rows, 1)
+
+
+def count_joins(node: PlanNode, countable: Callable[[BindJoinNode], bool]) -> Optional[PlanNode]:
+    """``node`` with a bind join that ``countable`` accepts replaced by a
+    :class:`CountJoinNode`, or None when there is none it may replace.
+
+    Only a bind join on ``node``'s chain of inner joins' left sides
+    qualifies, the first from the top that ``countable`` accepts: a
+    hash or bind join fed weighted rows charges what the rows they
+    stand for would (:func:`_charged_rows`, the bind join's probes), and
+    emits each distinct row first where they would (a hash join takes
+    its unique-key path over them only when every multiplicity is 1,
+    ``_collect_left``); a FILTER drops a weighted row as it would each
+    of them.  No other operator carries a multiplicity.  The joins above
+    are rebuilt, with their estimates, for the narrower rows."""
+    if type(node) not in (BindJoinNode, HashJoinNode) or node.outer:
+        return None
+    if isinstance(node, BindJoinNode):
+        # A probe with no fresh variable, or a repeated one, counts
+        # otherwise than it matches.
+        if not node.checks and len(node.variables) > len(node.left.variables) and countable(node):
+            return CountJoinNode(node)
+    left = count_joins(node.left, countable)
+    if left is None:
+        return None
+    if isinstance(node, BindJoinNode):
+        joined: PlanNode = BindJoinNode(left, node.scan, node.est_rows)
+    else:
+        joined = HashJoinNode(left, node.right, node.keys, node.est_rows)
+    joined.est_cost = node.est_cost
+    joined.filters = list(node.filters)
+    joined.local_terms = node.local_terms
+    return joined
 
 
 def _hand_down(node: PlanNode, local_terms: Sequence[Term]) -> None:

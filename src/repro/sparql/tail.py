@@ -9,7 +9,11 @@ OFFSET + LIMIT of them (under DISTINCT, of distinct projected keys)
 are in, when it stops pulling; ORDER BY under LIMIT without DISTINCT,
 the page (past twice the page, a stable sort of the rows held is cut
 to it: the survivors came first, so every later sort orders them as
-one full sort would); anything else, its rows.  A plan — local or split
+one full sort would); DISTINCT, unless an unprojected variable or an
+expression orders it, each projected key's first row; anything else,
+its rows.  A row of a counted join (:func:`counted`) stands for as
+many solutions as its :data:`~repro.sparql.plan.MULTIPLICITY` cell
+says, and COUNT adds that.  A plan — local or split
 federated — sends one chunk of dictionary IDs per batch through
 :func:`~repro.sparql.evaluator.run_plan` (``decode`` maps an ID to its
 term, :data:`UNBOUND` marks an empty cell); the QSM's probe batcher one
@@ -39,18 +43,19 @@ decoded as it arrives and the expression evaluates per row on terms.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import IRI, Literal, Term, Variable, XSD_DOUBLE, XSD_INTEGER
 from ..rdf.triples import Binding
-from .ast_nodes import Aggregate, Expression, OrderCondition, Query, TermExpr
+from .ast_nodes import Aggregate, Expression, GraphPattern, OrderCondition, Query, SelectItem, TermExpr
 from .errors import ExpressionError
 from .functions import compile_expression
-from .plan import UNBOUND
+from .plan import MULTIPLICITY, UNBOUND, PlanNode, count_joins
 from .results import SelectResult
 
-__all__ = ["finish", "finish_columns", "tail_label"]
+__all__ = ["counted", "finish", "finish_columns", "tail_label"]
 
 Columns = Dict[str, Sequence]
 #: ``length`` solutions as one column of cells per variable, and whether
@@ -108,6 +113,63 @@ def tail_label(query: Query) -> str:
     return " -> ".join(parts)
 
 
+def counted(query: Query, plan: PlanNode) -> Tuple[Query, PlanNode]:
+    """``query`` and ``plan`` with a bind join counted instead of
+    enumerated (:func:`~repro.sparql.plan.count_joins`) where the answer
+    cannot tell: a grouped SELECT whose aggregates are all COUNTs, over
+    a pattern whose fresh variables occur nowhere else in the query —
+    no other pattern, FILTER, VALUES, projection, GROUP BY or ORDER BY
+    — but as the argument of a non-DISTINCT COUNT.  Such a variable is
+    bound in every solution, so its COUNT becomes ``COUNT(*)``, which
+    folds the rows' multiplicities.  Anything else comes back as it
+    was."""
+    if query.form != "SELECT" or query.select_star or not (query.has_aggregates() or query.group_by):
+        return query, plan
+    if not _bare_variables_only(query):
+        return query, plan
+    read = set(query.group_by)
+    for item in query.select_items:
+        expr = item.expression
+        if isinstance(expr, Aggregate):
+            if expr.name != "COUNT":
+                return query, plan
+            if not expr.distinct:
+                continue  # a bare variable or ``*``: the fold reads it as a count
+        read.update(expr.variables())
+    for condition in query.order_by:
+        read.update(condition.expression.variables())
+    mentions = Counter(_mentions(query.where))
+
+    def countable(join) -> bool:
+        fresh = join.variables[len(join.left.variables):]
+        return all(name not in read and mentions[name] == 1 for name in fresh)
+
+    rewritten = count_joins(plan, countable)
+    if rewritten is None:
+        return query, plan
+    gone = set(plan.variables).difference(rewritten.variables)
+    items = [
+        SelectItem(Aggregate("COUNT", None), item.alias)
+        if isinstance(item.expression, Aggregate) and _variable_name(item.expression.argument) in gone
+        else item
+        for item in query.select_items
+    ]
+    return replace(query, select_items=items), rewritten
+
+
+def _mentions(group: GraphPattern) -> Iterator[str]:
+    """Every variable occurrence in ``group``: one per triple pattern
+    position, FILTER, VALUES column and nested group mention."""
+    for pattern in group.patterns:
+        yield from pattern.variables()
+    for expr in group.filters:
+        yield from expr.variables()
+    for clause in group.values:
+        yield from clause.variables
+    for nested in [*group.optionals, *group.minuses, *(b for bs in group.unions for b in bs)]:
+        yield from _mentions(nested)
+
+
 def _fold(query: Query, chunks: Iterator[Chunk], decode) -> SelectResult:
     unbound = None if decode is None else UNBOUND
     if not _bare_variables_only(query):
@@ -122,14 +184,20 @@ def _fold(query: Query, chunks: Iterator[Chunk], decode) -> SelectResult:
         columns, length = _groups(query, chunks, decode, unbound)
         decode = unbound = None
         has_unbound = True
+        # A row per group: distinct already when it shows every group key.
+        shown = _shown(query)
+        deduped = shown is None or set(query.group_by) <= shown
     else:
-        columns, length, has_unbound = _rows(query, names, chunks, decode, unbound, memo, page)
+        deduped = query.distinct and _first_rows_only(query)
+        columns, length, has_unbound = _rows(
+            query, names, chunks, decode, unbound, memo, page, deduped
+        )
     order: Sequence[int] = range(length)
     if query.order_by:
         order = _order(query.order_by, columns, length, decode, unbound, memo)
     if not aggregated:
         columns = _project(query, names, columns, length)
-    if query.distinct and length > 1:
+    if query.distinct and length > 1 and not deduped:
         keys = _distinct_keys(columns, names, length, unbound)
         first: Dict[Tuple, int] = {}
         for index in order:
@@ -154,9 +222,13 @@ def _on_terms(chunks: Iterator[Chunk], decode) -> Iterator[Chunk]:
 
 
 def _rows(
-    query: Query, names, chunks: Iterator[Chunk], decode, unbound, memo, page: Optional[int]
+    query: Query, names, chunks: Iterator[Chunk], decode, unbound, memo, page: Optional[int],
+    first_only: bool,
 ) -> Chunk:
-    """The rows an ungrouped query keeps: under a bare LIMIT, the chunks
+    """The rows an ungrouped query keeps: with ``first_only`` (DISTINCT,
+    where the order cannot tell a key's rows apart:
+    :func:`_first_rows_only`), each projected key's first row as the
+    chunks arrive; under a bare LIMIT, the chunks
     until ``page`` rows — under DISTINCT, distinct projected keys — are
     in; under ORDER BY, LIMIT and no DISTINCT, the page, cut from a
     stable sort whenever more than twice the page is held; else all."""
@@ -169,20 +241,50 @@ def _rows(
         chunk = next(chunks, None)
         if chunk is None:
             break
-        held.append(chunk)
-        columns, length, _ = chunk
-        if need is not None and query.distinct:
+        columns, length, has_unbound = chunk
+        if first_only:
             projected = _project(query, names, columns, length)
-            seen.update(_distinct_keys(projected, names, length, unbound))
+            keys = _distinct_keys(projected, names, length, unbound)
+            first = [index for index, key in enumerate(keys) if key not in seen and not seen.add(key)]
+            if len(first) < length:
+                columns = {name: [cells[index] for index in first] for name, cells in columns.items()}
+                chunk = columns, len(first), has_unbound
             kept = len(seen)
         else:
             kept += length
+        held.append(chunk)
         if cut is not None and kept > 2 * cut:
             columns, length, has_unbound = _joined(held)
             order = _order(query.order_by, columns, length, decode, unbound, memo)[:cut]
             taken = {name: [cells[index] for index in order] for name, cells in columns.items()}
             held, kept = [(taken, len(order), has_unbound)], len(order)
     return _joined(held)
+
+
+def _first_rows_only(query: Query) -> bool:
+    """Whether DISTINCT's answer is each projected key's first row in
+    arrival order: true without ORDER BY, and when every ORDER BY key is
+    a projected variable — a key's rows then tie on every condition and
+    the stable sort keeps the first one first."""
+    if not query.order_by:
+        return True
+    shown = _shown(query)
+    return all(
+        _variable_name(condition.expression) is not None
+        and (shown is None or _variable_name(condition.expression) in shown)
+        for condition in query.order_by
+    )
+
+
+def _shown(query: Query) -> Optional[set]:
+    """The variables the projection shows as themselves; None for
+    ``SELECT *``, which shows them all."""
+    if query.select_star:
+        return None
+    return {
+        _variable_name(item.expression) for item in query.select_items
+        if _variable_name(item.expression) == item.output_name
+    }
 
 
 def _joined(chunks: List[Chunk]) -> Chunk:
@@ -256,8 +358,10 @@ def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Col
     """One term-space row per group, groups in first-seen order: the
     bound group keys, then every select item, each folding the chunks
     into per-group state as they arrive — COUNT a ``Counter`` (never
-    decoding), SUM / AVG / MIN / MAX ``[sum, n, min, max]``, a plain
-    item its group's first cell; a DISTINCT aggregate reads each
+    decoding; a row adds its :data:`~repro.sparql.plan.MULTIPLICITY`
+    where a counted join gave it one), SUM / AVG / MIN / MAX
+    ``[sum, n, min, max]``, a plain item its group's first cell; a
+    DISTINCT aggregate reads each
     ``(key, cell)`` pair once.  An erroring aggregate (``AVG`` over
     nothing numeric) leaves its cell empty."""
     group_by = query.group_by
@@ -284,6 +388,7 @@ def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Col
     # The implicit single group: one row even over no solutions.
     groups: Dict[object, None] = {} if group_by else {(): None}
     for columns, length, has_unbound in chunks:
+        weights = columns.get(MULTIPLICITY)
         keys: Sequence = [()] * length
         if group_by:
             cells = [columns.get(name) or [unbound] * length for name in group_by]
@@ -308,6 +413,10 @@ def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Col
                     _add_numbers(state, seen if expr.distinct else None, keys, cells, unbound, number)
                 elif expr.distinct:
                     seen.update(zip(keys, cells))
+                elif weights is not None:
+                    for key, cell, weight in zip(keys, cells, weights):
+                        if cell != unbound:
+                            state[key] += weight
                 elif argument is None or (not has_unbound and _variable_name(argument) in columns):
                     state.update(keys)
                 else:

@@ -13,13 +13,33 @@ import setup_budget  # noqa: E402
 def test_the_stages_cover_a_set_up(capsys):
     record = json.loads(json.dumps(setup_budget.run(["tiny"], runs=1)))
     assert record["kind"] == "setup_budget" and set(record["scales"]) == {"tiny"}
-    block = record["scales"]["tiny"]
+    check_block(record["scales"]["tiny"])
+    setup_budget.print_record(record)
+    assert "stages cover" in capsys.readouterr().out
+
+
+def check_block(block):
     assert block["coverage"] >= 0.9, block["stages"]
     stages = list(block["stages"])
     assert stages[:3] == ["import", "build_dataset", "fold"] and stages[-1] == "serve"
     assert {"significance", "index", "qsm-vocabulary"} <= set(stages)
     assert all(row["hwm_mb"] >= row["rss_mb"] > 0 for row in block["stages"].values())
+    assert all(low <= row["s"] <= high for row in block["stages"].values()
+               for low, high in [row["s_q1_q3"]])
     assert block["ready"]["hwm_mb"] >= block["ready"]["rss_mb"]
     assert block["fold_traced"]["kept_mb"] > 0 and block["fold_traced"]["ratio"] >= 1
+
+
+def test_a_paired_record_holds_both_sides(capsys):
+    """``--base`` alternates the base tree's children with this
+    checkout's; here the base is this checkout itself."""
+    record = json.loads(json.dumps(setup_budget.run(["tiny"], runs=2, base=("self", ROOT))))
+    assert record["base"] == "self" and record["runs"] == 2
+    block = record["scales"]["tiny"]
+    assert set(block) == {"base", "change"}
+    for side in block.values():
+        assert len(side["runs"]) == 2
+        check_block(side)
     setup_budget.print_record(record)
-    assert "stages cover" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "against self" in out and "significance" in out
