@@ -200,8 +200,10 @@ def save_store(store: TripleStore, path: Union[str, Path]) -> int:
 
     If the store already sits on a SQLite backend at ``path`` it is
     already durable (every write commits into the WAL) and nothing needs
-    copying; otherwise the triples are bulk-copied into a fresh database
-    at ``path``.
+    copying; otherwise the store is copied by IDs
+    (``TripleStore.copy_into``: the IDs ``add_all(store.triples())``
+    would mint, each term written once) into a scratch database,
+    published at ``path`` when complete.
     """
     backend = store.backend
     if (
@@ -213,7 +215,7 @@ def save_store(store: TripleStore, path: Union[str, Path]) -> int:
     scratch = _scratch(path)
     snapshot = SQLiteBackend(scratch)
     target = TripleStore(backend=snapshot)
-    target.add_all(store.triples())
+    store.copy_into(target)
     for key, value in store.backend.meta_items().items():
         snapshot.set_meta(key, value)  # provenance travels with the data
     count = len(target)

@@ -101,7 +101,7 @@ def build_backend_from_spec(spec: Dict[str, object]):
         if n_shards > 1:
             store = TripleStore(
                 backend=create_sharded_backend(n_shards, "memory"))
-            store.add_all(dataset.store.triples())
+            dataset.store.copy_into(store)
         else:
             store = dataset.store
     return _serve_store(store, spec, f"dbpedia-{scale}")
@@ -114,25 +114,36 @@ def _build_dataset(spec: Dict[str, object]):
     return build_dataset(factory(seed=int(spec.get("seed", 42))))  # type: ignore[arg-type]
 
 
+def _endpoint(store, spec: Dict[str, object], name: str):
+    """The spec's :class:`SparqlEndpoint` over ``store``."""
+    from ..endpoint.endpoint import EndpointConfig, SparqlEndpoint
+
+    return SparqlEndpoint(
+        store,
+        EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
+        name=name,
+    )
+
+
+def _sapphire_config(spec: Dict[str, object]):
+    from ..core.config import SapphireConfig
+
+    return SapphireConfig(
+        suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
+    )
+
+
 def _serve_store(store, spec: Dict[str, object], name: str):
     """The spec's backend over ``store``: its :class:`SparqlEndpoint`, or
     with ``sapphire`` a :class:`SapphireServer` in front of it — booted
     from the spec's ``cache_snapshot`` when there is one, else
     initialized (registered) against the endpoint."""
-    from ..core.config import SapphireConfig
     from ..core.sapphire import SapphireServer
-    from ..endpoint.endpoint import EndpointConfig, SparqlEndpoint
 
-    endpoint = SparqlEndpoint(
-        store,
-        EndpointConfig(timeout_s=float(spec.get("timeout_s", 2.0))),  # type: ignore[arg-type]
-        name=name,
-    )
+    endpoint = _endpoint(store, spec, name)
     if not spec.get("sapphire"):
         return endpoint
-    config = SapphireConfig(
-        suffix_tree_capacity=int(spec.get("tree_capacity", 500)),  # type: ignore[arg-type]
-    )
+    config = _sapphire_config(spec)
     server = SapphireServer(config)
     cache_snapshot = spec.get("cache_snapshot")
     if cache_snapshot is None:
@@ -151,32 +162,38 @@ def _serve_store(store, spec: Dict[str, object], name: str):
 def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, object]:
     """Materialize the spec's dataset as sharded SQLite snapshot files.
 
-    Builds the synthetic dataset once in this process, writes it into
-    ``n_shards`` WAL database files at ``shard_path(base_path, i)``, and
-    closes them (the close checkpoints the WAL, leaving self-contained
-    files).  Returns a new spec with ``snapshot_base`` set — hand that
-    to the workers and each opens the files read-only.
+    Builds the synthetic dataset once in this process, copies it by IDs
+    (``TripleStore.copy_into``: each distinct term interned and written
+    once, no triple decoded) into ``n_shards`` WAL database files at
+    ``shard_path(base_path, i)``, and closes them (the close checkpoints
+    the WAL, leaving self-contained files).  With ``sapphire`` it then
+    runs Section 5's crawl once over the in-memory dataset and saves its
+    cache file, without indexing a cache this process never serves.  Returns a new spec with ``snapshot_base`` (and
+    ``cache_snapshot``) set — hand that to the workers and each opens
+    the files read-only.
     """
     from ..store import TripleStore, create_sharded_backend
 
     dataset = _build_dataset(spec)
     n_shards = int(spec.get("n_shards", 1))  # type: ignore[arg-type]
     backend = create_sharded_backend(n_shards, "sqlite", base_path)
-    store = TripleStore(backend=backend)
-    store.add_all(dataset.store.triples())
+    dataset.store.copy_into(TripleStore(backend=backend))
     backend.close()
     out = {**spec, "snapshot_base": base_path}
     if spec.get("sapphire"):
-        # Run Section 5 initialization ONCE here, over the dataset just
-        # built, and persist the cache (one file: dictionary, cache
-        # tables, on-disk term index); each worker then boots a
-        # read-only tiered replica, no rebuild.
+        # Run Section 5's crawl ONCE here, over the dataset just built,
+        # and persist its cache (one file: dictionary, cache tables,
+        # on-disk term index); each worker then boots a read-only tiered
+        # replica, no rebuild.  This process serves nothing, so it builds
+        # no suffix tree, bins or vocabulary table of its own: the file
+        # is the crawl's cache, as a registered server would save it.
+        from ..core.initialization import EndpointInitializer
         from ..core.persistence import save_cache
 
-        parent = _serve_store(dataset.store, {**spec, "cache_snapshot": None},
-                              "snapshot-init")
+        cache = EndpointInitializer(
+            _endpoint(dataset.store, spec, "snapshot-init"), _sapphire_config(spec)).run()
         cache_path = base_path + ".cache.sqlite"
-        save_cache(parent.cache, cache_path)
+        save_cache(cache, cache_path)
         out["cache_snapshot"] = cache_path
     return out
 

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_left
 from itertools import chain, compress, islice, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -432,9 +433,10 @@ class PlanNode:
         machinery costs the hot path exactly one ``is None`` test per
         operator per query.
         """
-        produced = self._produce_batches(store, meter, batch_size, tracer)
         if self.filters:
-            produced = self._filtered_batches(produced, store)
+            produced = self._filtered_batches(store, meter, batch_size, tracer)
+        else:
+            produced = self._produce_batches(store, meter, batch_size, tracer)
         if tracer is not None:
             return tracer.wrap_batches(self, produced)
         return produced
@@ -450,25 +452,62 @@ class PlanNode:
         ``batch_size``, its children pulled through :meth:`batches`."""
         raise NotImplementedError
 
+    def _reads(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Tuple[Batch, Optional[int]]]:
+        """What the FILTERs judge: ``(read, window)`` pairs.  Here each
+        read is one produced batch, charged by its producer (``window``
+        None); :class:`ScanNode` reads ahead under a clamped page."""
+        return ((batch, None) for batch in self._produce_batches(store, meter, batch_size, tracer))
+
     def _filtered_batches(
-        self, batches: Iterator[Batch], store: TripleStore
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
     ) -> Iterator[Batch]:
-        """Apply FILTERs column-wise (:class:`_ColumnFilter`), gathering
-        only the batches some row of which fails."""
+        """Apply FILTERs column-wise (:class:`_ColumnFilter`) over each
+        read, gathering only the reads some row of which fails.  A read
+        with a ``window`` is released window by window, each charged to
+        ``meter`` as it is released: the batches and the charges of a
+        scan made one window at a time."""
         kernels = self._kernels(self.filters, store)
-        for batch in batches:
-            columns, length = batch.columns, batch.length
+        for read, window in self._reads(store, meter, batch_size, tracer):
+            columns, length = read.columns, read.length
+            kept: Optional[List[int]] = None  # the rows of ``read`` that pass
             for kernel in kernels:
                 flags = kernel.flags(columns, length)
                 if not all(flags):
                     selection = list(compress(range(length), flags))
+                    kept = selection if kept is None else [kept[i] for i in selection]
                     columns, length = _gather(columns, selection), len(selection)
                     if not length:
                         break
-            if length == batch.length:
-                yield batch
-            elif length:
-                yield Batch(columns, length, batch.has_unbound)
+            if window is None:
+                if length == read.length:
+                    yield read
+                elif length:
+                    yield Batch(columns, length, read.has_unbound)
+                continue
+            at = 0
+            for start in range(0, read.length, window):
+                stop = min(start + window, read.length)
+                if meter is not None:
+                    meter.charge(stop - start)
+                if kept is None:
+                    yield Batch(tuple(column[start:stop] for column in columns),
+                                stop - start, read.has_unbound)
+                    continue
+                end = bisect_left(kept, stop, at)
+                if end > at:
+                    yield Batch(tuple(column[at:end] for column in columns),
+                                end - at, read.has_unbound)
+                at = end
 
     def _kernels(self, expressions: Sequence[Expression], store: TripleStore) -> List[_ColumnFilter]:
         """``expressions`` compiled against this node's slots and ``store``."""
@@ -537,6 +576,27 @@ class ScanNode(PlanNode):
         return self._project_batches(
             store.match_columns(s, p, o, fetch, meter, batch_size), pairs
         )
+
+    def _reads(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Tuple[Batch, Optional[int]]]:
+        """Under a clamped page (``batch_size`` below the default, e.g.
+        ``run_plan``'s bare LIMIT) a scan without repeated variables
+        reads ahead: unmetered store reads of ``batch_size`` rows, then
+        doubling up to :data:`DEFAULT_BATCH_SIZE`, each a whole number of
+        ``batch_size`` windows, which the FILTERs judge at once and
+        :meth:`_filtered_batches` releases and charges window by window."""
+        if batch_size >= DEFAULT_BATCH_SIZE or self.checks or not self.variables:
+            return super()._reads(store, meter, batch_size, tracer)
+        s, p, o = self.probe
+        reads = store.match_columns(
+            s, p, o, self.out_positions, meter=None, batch_size=batch_size,
+            max_batch_size=DEFAULT_BATCH_SIZE // batch_size * batch_size)
+        return ((Batch(columns, len(columns[0])), batch_size) for columns in reads)
 
     def _fetch_positions(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
         """The column positions to fetch and the equality pairs to check.
@@ -642,6 +702,19 @@ class ShardScanNode(ScanNode):
                 yield batch
             if tracer is not None:
                 tracer.event("shard-scan", shard=index, rows=rows)
+
+    def _reads(
+        self,
+        store: TripleStore,
+        meter: Optional[CostMeter],
+        batch_size: int,
+        tracer=None,
+    ) -> Iterator[Tuple[Batch, Optional[int]]]:
+        """:meth:`ScanNode._reads`; traced, the scan streams shard by
+        shard instead, to record each shard's span."""
+        if tracer is not None:
+            return PlanNode._reads(self, store, meter, batch_size, tracer)
+        return super()._reads(store, meter, batch_size, tracer)
 
     def label(self) -> str:
         return (

@@ -50,7 +50,10 @@ Columnar seam
 ``match_columns`` is the batched counterpart of ``match_ids``: instead of
 one ``(s, p, o)`` tuple per ``next()`` call, it yields **batches of ID
 columns** — tuples of ``array('q')`` arrays, one per requested wildcard
-position, up to ``batch_size`` rows long.  The physical operators in
+position, up to ``batch_size`` rows long (with ``max_batch_size``, the
+first batch is ``batch_size`` rows and each next one doubles, up to
+``max_batch_size``: a LIMIT page that reads ahead,
+:func:`batch_sizes`).  The physical operators in
 :mod:`~repro.sparql.plan` consume these directly, so a scan crosses the
 backend boundary once per batch instead of once per row.  Every backend
 implements it natively: the memory backend hands out slices of the
@@ -81,6 +84,28 @@ ColumnBatch = Tuple[array, ...]
 
 #: Default rows per ``match_columns`` batch.
 COLUMN_BATCH_SIZE = 1024
+
+
+def batch_sizes(batch_size: int, max_batch_size: Optional[int] = None) -> Iterator[int]:
+    """The rows of each ``match_columns`` batch, in turn: ``batch_size``
+    first, then doubling up to ``max_batch_size`` (default: no growth)."""
+    size = batch_size
+    top = max(batch_size, max_batch_size or batch_size)
+    while True:
+        yield size
+        size = min(size * 2, top)
+
+
+def column_slices(
+    columns: Sequence[array], lo: int, hi: int, batch_size: int,
+    max_batch_size: Optional[int] = None,
+) -> Iterator[ColumnBatch]:
+    """Rows ``lo:hi`` of ``columns`` as batches of :func:`batch_sizes` rows."""
+    sizes = batch_sizes(batch_size, max_batch_size)
+    while lo < hi:
+        stop = min(lo + next(sizes), hi)
+        yield tuple(column[lo:stop] for column in columns)
+        lo = stop
 
 
 def _zeros(n: int) -> array:
@@ -115,6 +140,7 @@ class StorageBackend(Protocol):
         o: Optional[int],
         positions: Sequence[int],
         batch_size: int = COLUMN_BATCH_SIZE,
+        max_batch_size: Optional[int] = None,
     ) -> Iterator[ColumnBatch]: ...
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -372,6 +398,7 @@ class MemoryBackend:
         o: Optional[int],
         positions: Sequence[int],
         batch_size: int = COLUMN_BATCH_SIZE,
+        max_batch_size: Optional[int] = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar scan: batches of ID arrays for the wildcard ``positions``.
 
@@ -390,9 +417,7 @@ class MemoryBackend:
             perm.key_column() if pos == a_pos else perm.col_b if pos == b_pos else perm.col_c
             for pos in positions
         ]
-        for start in range(lo, hi, batch_size):
-            stop = min(start + batch_size, hi)
-            yield tuple(column[start:stop] for column in columns)
+        yield from column_slices(columns, lo, hi, batch_size, max_batch_size)
 
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]

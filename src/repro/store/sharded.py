@@ -146,21 +146,23 @@ class ShardedBackend:
         o: Optional[int],
         positions: Sequence[int],
         batch_size: int = COLUMN_BATCH_SIZE,
+        max_batch_size: Optional[int] = None,
     ) -> Iterator[Tuple[array, ...]]:
         """Scatter-gather columnar scan: shard streams, concatenated.
 
         Batches from shard *k* are exhausted before shard *k+1* starts —
         the same shard order ``match_ids`` uses, so both pipelines see
         one enumeration order.  Batches may run ragged at shard
-        boundaries (consumers only rely on batch length).
+        boundaries (consumers only rely on batch length), and a growing
+        scan (``max_batch_size``) grows afresh in each shard.
         """
         if s is not None:
             yield from self.shards[s % self.n_shards].match_columns(
-                s, p, o, positions, batch_size
+                s, p, o, positions, batch_size, max_batch_size
             )
             return
         for shard in self.shards:
-            yield from shard.match_columns(s, p, o, positions, batch_size)
+            yield from shard.match_columns(s, p, o, positions, batch_size, max_batch_size)
 
     def count_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]

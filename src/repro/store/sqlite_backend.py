@@ -55,7 +55,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from urllib.parse import quote
 
 from ..rdf.terms import Term, flatten_term, unflatten_term
-from .backends import COLUMN_BATCH_SIZE
+from .backends import COLUMN_BATCH_SIZE, batch_sizes, column_slices
 from .dictionary import TermDictionary
 
 __all__ = ["SQLiteBackend"]
@@ -133,6 +133,10 @@ class SQLiteBackend:
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
             self.dictionary = TermDictionary(on_intern=self._persist_term)
+        # Terms interned since the last write, as ``terms`` rows: the next
+        # write (``add``, ``add_many``, ``set_meta``, ``close``) inserts
+        # them in one ``executemany`` inside its own transaction.
+        self._pending_terms: List[Tuple] = []
         self._load_terms()
         self._size = self._conn.execute("SELECT COUNT(*) FROM triples").fetchone()[0]
         # Per-predicate (count, distinct s, distinct o) for the planner
@@ -157,15 +161,23 @@ class SQLiteBackend:
 
     def _persist_term(self, term_id: int, term: Term) -> None:
         with self._lock:
-            self._conn.execute(
+            self._pending_terms.append((term_id, *flatten_term(term)))
+
+    def _write_pending_terms(self) -> None:
+        """Insert the terms interned since the last write; the caller
+        holds the lock and commits."""
+        if self._pending_terms:
+            pending, self._pending_terms = self._pending_terms, []
+            self._conn.executemany(
                 "INSERT INTO terms (id, kind, lexical, lang, datatype) VALUES (?, ?, ?, ?, ?)",
-                (term_id, *flatten_term(term)),
+                pending,
             )
 
     # -- mutation ------------------------------------------------------
 
     def add(self, s: int, p: int, o: int) -> bool:
         with self._lock:
+            self._write_pending_terms()
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO triples (s, p, o) VALUES (?, ?, ?)", (s, p, o)
             )
@@ -193,6 +205,7 @@ class SQLiteBackend:
             if not chunk:
                 break
             with self._lock:
+                self._write_pending_terms()
                 before = self._conn.total_changes
                 self._conn.executemany(
                     "INSERT OR IGNORE INTO triples (s, p, o) VALUES (?, ?, ?)", chunk
@@ -224,6 +237,7 @@ class SQLiteBackend:
         o: Optional[int],
         positions: Sequence[int],
         batch_size: int = COLUMN_BATCH_SIZE,
+        max_batch_size: Optional[int] = None,
     ) -> Iterator[Tuple[array, ...]]:
         """Columnar scan: fetched rows transposed into cached ID arrays.
 
@@ -236,7 +250,8 @@ class SQLiteBackend:
         out array slices without re-boxing rows, while a longer one (an
         all-wildcard pass, ``compute_stats``) is not kept.
         Small batch sizes signal an early-terminating consumer (LIMIT
-        pages), which streams via ``fetchmany`` and skips the cache.
+        pages), which streams via ``fetchmany`` and skips the cache;
+        with ``max_batch_size`` each fetch doubles up to it.
         """
         if not positions:
             raise ValueError("match_columns needs at least one position")
@@ -246,9 +261,7 @@ class SQLiteBackend:
         key = (s, p, o, tuple(positions))
         cols = self._col_cache.get(key)
         if cols is not None:
-            for start in range(0, len(cols[0]), batch_size):
-                stop = start + batch_size
-                yield tuple(col[start:stop] for col in cols)
+            yield from column_slices(cols, 0, len(cols[0]), batch_size, max_batch_size)
             return
         mask = _mask(s, p, o)
         where, params = _WHERE[mask], _PARAMS[mask](s, p, o)
@@ -268,17 +281,15 @@ class SQLiteBackend:
                 if len(self._col_cache) >= 128:
                     self._col_cache.clear()
                 self._col_cache[key] = cols
-            for start in range(0, len(cols[0]), batch_size):
-                stop = start + batch_size
-                yield tuple(col[start:stop] for col in cols)
+            yield from column_slices(cols, 0, len(cols[0]), batch_size, max_batch_size)
             return
         with self._lock:
             cursor = self._conn.execute(
                 f"SELECT {select} FROM triples{where}", params
             )
-        while True:
+        for size in batch_sizes(batch_size, max_batch_size):
             with self._lock:
-                rows = cursor.fetchmany(batch_size)
+                rows = cursor.fetchmany(size)
             if not rows:
                 return
             if single:
@@ -343,6 +354,7 @@ class SQLiteBackend:
     def set_meta(self, key: str, value: str) -> None:
         """Write a metadata value, replacing any previous one."""
         with self._lock:
+            self._write_pending_terms()
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", (key, value)
             )
@@ -355,6 +367,7 @@ class SQLiteBackend:
 
     def close(self) -> None:
         with self._lock:
+            self._write_pending_terms()
             self._conn.commit()
             self._conn.close()
 

@@ -132,17 +132,16 @@ def populate_index_tables(
     significance, display)``.  Literal surfaces (``kinds & 4``) feed the
     FTS5 substring table, keyed by sid.
     """
-    literal_bit = KIND_MASK["literal"]
-    literal_sids = []
-    for sid, surface, significance, kinds, pc_ord in surface_rows:
-        conn.execute(
-            "INSERT INTO cache_surfaces "
-            "(sid, surface, length, significance, kinds, pc_ord) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (sid, surface, len(surface), significance, kinds, pc_ord),
-        )
-        if kinds & literal_bit:
-            literal_sids.append((sid, surface))
+    surfaces = [
+        (sid, surface, len(surface), significance, kinds, pc_ord)
+        for sid, surface, significance, kinds, pc_ord in surface_rows
+    ]
+    conn.executemany(
+        "INSERT INTO cache_surfaces "
+        "(sid, surface, length, significance, kinds, pc_ord) "
+        "VALUES (?, ?, ?, ?, ?, ?)",
+        surfaces,
+    )
     conn.executemany(
         "INSERT INTO cache_entries "
         "(sid, seq, kind, term_id, source_id, significance, display) "
@@ -150,7 +149,8 @@ def populate_index_tables(
         entry_rows,
     )
     if use_fts:
+        literal_bit = KIND_MASK["literal"]
         conn.executemany(
             "INSERT INTO cache_fts (rowid, surface) VALUES (?, ?)",
-            literal_sids,
+            [(row[0], row[1]) for row in surfaces if row[4] & literal_bit],
         )

@@ -32,6 +32,7 @@ could trip the timeout it is trying to avoid.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..rdf.terms import IRI, Term, Variable
@@ -172,6 +173,37 @@ class TripleStore:
             (encode(t.subject), encode(t.predicate), encode(t.object)) for t in triples
         )
 
+    def copy_into(self, target: "TripleStore") -> int:
+        """Copy every triple into ``target`` by IDs; returns the number
+        ``target`` actually added.
+
+        One walk of ``match_ids(None, None, None)``: each source ID gets
+        its target ID at first use, in (s, p, o) order, which is the ID
+        ``target.add_all(self.triples())`` would give it, so files, shard
+        routing and row orders come out the same.  Each distinct term is
+        interned once through the target's dictionary (a term it already
+        holds keeps its ID), and the renumbered rows stream through the
+        target's ``add_many`` in chunks; no triple is decoded.
+        """
+        terms = self._dict.terms
+        encode = target._dict.encode
+        remap = [NO_ID] * len(terms)  # source ID -> target ID
+        rows = self._backend.match_ids(None, None, None)
+        target._generation += 1
+
+        def renumbered() -> Iterator[Tuple[int, int, int]]:
+            while True:
+                chunk = list(islice(rows, _COPY_CHUNK))
+                if not chunk:
+                    return
+                # First use in (s, p, o) order: ``dict.fromkeys`` keeps it.
+                for term_id in dict.fromkeys(chain.from_iterable(chunk)):
+                    if remap[term_id] == NO_ID:
+                        remap[term_id] = encode(terms[term_id])
+                yield from [(remap[s], remap[p], remap[o]) for s, p, o in chunk]
+
+        return target._backend.add_many(renumbered())
+
     def triples(self) -> Iterator[Triple]:
         """Iterate over every triple in the store (decoded)."""
         decode = self._dict.decode
@@ -254,6 +286,7 @@ class TripleStore:
         positions: Sequence[int],
         meter: Optional[CostMeter] = None,
         batch_size: int = COLUMN_BATCH_SIZE,
+        max_batch_size: Optional[int] = None,
     ) -> Iterator[ColumnBatch]:
         """Columnar ID-level matching for the batched executor.
 
@@ -263,13 +296,16 @@ class TripleStore:
         is where the metered scan speedup comes from.  Callers must pass
         at least one wildcard position, so the fully concrete shape never
         reaches here (ScanNode probes it via :meth:`match_ids`).
+        ``max_batch_size`` lets the batches grow from ``batch_size``
+        (``backends.batch_sizes``).
         """
         if NO_ID in (s, p, o):
             return
+        batches = self._backend.match_columns(s, p, o, positions, batch_size, max_batch_size)
         if meter is None:
-            yield from self._backend.match_columns(s, p, o, positions, batch_size)
+            yield from batches
             return
-        for batch in self._backend.match_columns(s, p, o, positions, batch_size):
+        for batch in batches:
             meter.charge(len(batch[0]))
             yield batch
 
@@ -449,6 +485,11 @@ class TripleStore:
         last = len(patterns) - 1
         return not self.unproven(patterns, last, "subject", (patterns[last].subject,))
 
+
+#: Source rows :meth:`TripleStore.copy_into` renumbers at a time: the
+#: SQLite and sharded backends' ingest chunk, so each chunk's new terms
+#: are written with its rows.
+_COPY_CHUNK = 10_000
 
 #: A pattern position's name (``TriplePattern`` field) → its index.
 _SLOTS = {"subject": 0, "predicate": 1, "object": 2}

@@ -19,11 +19,12 @@ from repro.sparql.plan import (
     Batch,
     DEFAULT_BATCH_SIZE,
     PlanNode,
+    ScanNode,
     UNBOUND,
     _chunked,
     _raw_rows,
 )
-from repro.store import CostMeter, SQLiteBackend, TripleStore, create_sharded_backend
+from repro.store import CostMeter, QueryAborted, SQLiteBackend, TripleStore, create_sharded_backend
 
 from plan_rows import plan_rows
 
@@ -320,6 +321,86 @@ class TestPagingCuts:
         # The root batch size is clamped to LIMIT+OFFSET, so the scan
         # charges for the page it returns and not for a whole batch.
         assert batched.cost == 10
+
+
+class TestClampedFilterReads:
+    """A filtered scan under a page clamp (a batch size below the
+    default) reads ahead in growing store reads and releases its rows
+    window by window: the batches, the charges and the window a timeout
+    fires at are a one-window-at-a-time scan's."""
+
+    FILTERED = [
+        "SELECT ?s ?o WHERE { ?s foaf:name ?o "
+        "FILTER (isliteral(?o) && lang(?o) = 'en' && strlen(str(?o)) < 12) }",
+        'SELECT ?s ?n WHERE { ?s foaf:surname ?n . FILTER (regex(?n, "^[A-H]")) }',
+    ]
+
+    @staticmethod
+    def _windows(store, plan, batch_size):
+        """The scan one window at a time: each window's rows, and the
+        rows the FILTERs keep (those of the unclamped plan)."""
+        kept = set(plan_rows(plan, store))
+        windows = [list(zip(*columns)) for columns in store.match_columns(
+            *plan.probe, plan.out_positions, None, batch_size)]
+        return windows, kept
+
+    @pytest.mark.parametrize("query", FILTERED)
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 5])
+    def test_batches_and_charges_are_the_windows(self, metered_store, query, batch_size):
+        _, store = metered_store
+        plan = _plan(store, query)
+        assert isinstance(plan, ScanNode) and plan.filters
+        windows, kept = self._windows(store, plan, batch_size)
+        expected = [[row for row in window if row in kept] for window in windows]
+        meter = CostMeter()
+        batches = [list(batch.iter_raw()) for batch in plan.batches(store, meter, batch_size)]
+        assert batches == [rows for rows in expected if rows]
+        assert any(len(rows) < len(window) for rows, window in zip(expected, windows))
+        assert meter.cost == sum(map(len, windows))
+        # A budget trips at the same window, with the same rows released.
+        budget = meter.cost // 2
+        meter, released = CostMeter(budget), []
+        with pytest.raises(QueryAborted):
+            for batch in plan.batches(store, meter, batch_size):
+                released.append(list(batch.iter_raw()))
+        charged, tripped = 0, 0
+        while charged <= budget:
+            charged += len(windows[tripped])
+            tripped += 1
+        assert meter.cost == charged
+        assert released == [rows for rows in expected[:tripped - 1] if rows]
+
+    def test_q5_probes_read_the_store_in_growing_reads(self, monkeypatch):
+        """Section 5's Q5 probes (``LIMIT 1`` over a FILTERed scan) at
+        ``medium``: store reads counted by wrapping the backend's
+        ``match_columns``; a one-row window a read made 5,350."""
+        from repro import EndpointConfig, SapphireConfig, SparqlEndpoint
+        from repro.core.initialization import EndpointInitializer, initialize_endpoint
+        from repro.data import DatasetConfig, build_dataset
+
+        store = build_dataset(DatasetConfig.medium()).store
+        reads, probing = [0], [False]
+        scan = store.backend.match_columns
+
+        def counting_scan(*args, **kwargs):
+            for columns in scan(*args, **kwargs):
+                reads[0] += probing[0]
+                yield columns
+
+        probe = EndpointInitializer._probe_predicates
+
+        def probing_predicates(self, predicates):
+            probing[0] = True
+            try:
+                return probe(self, predicates)
+            finally:
+                probing[0] = False
+
+        monkeypatch.setattr(store.backend, "match_columns", counting_scan)
+        monkeypatch.setattr(EndpointInitializer, "_probe_predicates", probing_predicates)
+        report = initialize_endpoint(SparqlEndpoint(store, EndpointConfig()), SapphireConfig())[1]
+        assert report.n_setup_queries > 0
+        assert 0 < reads[0] <= 535
 
 
 class TestBatchType:

@@ -43,3 +43,29 @@ def test_a_paired_record_holds_both_sides(capsys):
     setup_budget.print_record(record)
     out = capsys.readouterr().out
     assert "against self" in out and "significance" in out
+
+
+def check_replica_block(block):
+    assert block["coverage"] >= 0.9, block["stages"]
+    assert list(block["stages"]) == [
+        "import", "build_dataset", "snapshot_copy", "prepare_snapshots", "prefork_start"]
+    assert all(row["hwm_mb"] >= row["rss_mb"] > 0 for row in block["stages"].values())
+    assert all(low <= row["s"] <= high for row in block["stages"].values()
+               for low, high in [row["s_q1_q3"]])
+    assert "fold_traced" not in block
+
+
+def test_a_replica_record_times_the_copy_and_the_pool(capsys):
+    """The replica scale: the snapshot copy alone, ``prepare_snapshots``
+    and a 2-worker ``PreforkServer.start``, paired like the others."""
+    record = json.loads(json.dumps(
+        setup_budget.run([], runs=1, base=("self", ROOT), replica_scales=["tiny"])))
+    assert record["scales"] == {} and set(record["replica"]) == {"tiny"}
+    block = record["replica"]["tiny"]
+    assert set(block) == {"base", "change"}
+    for side in block.values():
+        assert len(side["runs"]) == 1
+        check_replica_block(side)
+    setup_budget.print_record(record)
+    out = capsys.readouterr().out
+    assert "replica tiny" in out and "snapshot_copy" in out and "prefork_start" in out

@@ -201,16 +201,18 @@ class TestSQLitePersistence:
         good = Triple(IRI("http://x/good"), IRI("http://x/p"), IRI("http://x/o"))
         save_store(TripleStore([good]), path)
 
-        def exploding_triples():
-            yield Triple(IRI("http://x/partial"), IRI("http://x/p"), IRI("http://x/o"))
-            raise RuntimeError("disk died")
+        class Exploding(MemoryBackend):
+            """Its scan dies after one row, mid-copy."""
 
-        class Exploding(TripleStore):
-            def triples(self):
-                return exploding_triples()
+            def match_ids(self, s, p, o):
+                rows = super().match_ids(s, p, o)
+                yield next(rows)
+                raise RuntimeError("disk died")
 
+        partial = [Triple(IRI(f"http://x/partial{i}"), IRI("http://x/p"), IRI("http://x/o"))
+                   for i in range(2)]
         with pytest.raises(RuntimeError, match="disk died"):
-            save_store(Exploding(), path)
+            save_store(TripleStore(partial, backend=Exploding()), path)
         reopened = load_store(path)
         assert set(reopened.triples()) == {good}  # old snapshot intact
         reopened.close()
