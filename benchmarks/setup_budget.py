@@ -37,7 +37,13 @@ then ``PreforkServer.start`` with 2 workers.  Before them it builds the
 same dataset and times the snapshot copy alone, the step
 ``prepare_snapshots`` takes from the dataset store to the shards.  Its
 stages: ``import``, ``build_dataset``, ``snapshot_copy``,
-``prepare_snapshots``, ``prefork_start``.
+``prepare_snapshots``, ``prefork_start``, and ``worker_boot`` — the
+longest of the workers' factory calls, which ``prefork_start`` holds and
+``coverage`` does not count again, so ``prefork_start − worker_boot`` is
+what starting the processes costs.  Each worker times its own call of
+``build_backend_from_spec`` (:func:`timed_backend`, the factory this
+script hands the pool), so trees that predate the ready message's
+``boot_s`` are timed the same way.
 
 Seconds from two runs of the script compare only loosely: one commit has
 read 1.7x apart from one run to the next.  ``--base REV`` makes the
@@ -59,6 +65,7 @@ import time
 STARTED = time.perf_counter()  # the child's wall time counts from here
 
 import json  # noqa: E402
+import os  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -124,11 +131,17 @@ class _Stages:
                           "rss_mb": round(rss, 2), "hwm_mb": round(hwm, 2)})
         self.mark = now
 
+    def within(self, name: str, seconds: float) -> None:
+        """A part of the stage just closed: a row ``coverage`` skips."""
+        rss, hwm = memory_mb()
+        self.rows.append({"stage": name, "s": round(seconds, 5), "within": self.rows[-1]["stage"],
+                          "rss_mb": round(rss, 2), "hwm_mb": round(hwm, 2)})
+
     def record(self) -> Dict[str, object]:
         """The run: its stages, its wall time and their coverage of it."""
         wall = time.perf_counter() - STARTED
-        return {"stages": self.rows, "wall_s": round(wall, 5),
-                "coverage": round(sum(row["s"] for row in self.rows) / wall, 4)}  # type: ignore[misc]
+        covered = sum(row["s"] for row in self.rows if "within" not in row)  # type: ignore[misc]
+        return {"stages": self.rows, "wall_s": round(wall, 5), "coverage": round(covered / wall, 4)}
 
 
 def child(scale: str, traced: bool) -> Dict[str, object]:
@@ -173,6 +186,17 @@ def child(scale: str, traced: bool) -> Dict[str, object]:
     return record
 
 
+def timed_backend(spec: Dict[str, object]):
+    """A replica run's pool factory: ``build_backend_from_spec``, timed in
+    the worker, its seconds left in ``spec["boot_dir"]`` under its pid."""
+    from repro.net import build_backend_from_spec
+
+    started = time.perf_counter()
+    backend = build_backend_from_spec(spec)
+    (Path(str(spec["boot_dir"])) / str(os.getpid())).write_text(repr(time.perf_counter() - started))
+    return backend
+
+
 def replica_child(scale: str, src: Path) -> Dict[str, object]:
     """One replica set-up in this fresh interpreter, on ``src``: the
     snapshot copy alone, then ``prepare_snapshots`` and the pool's start."""
@@ -181,7 +205,7 @@ def replica_child(scale: str, src: Path) -> Dict[str, object]:
     stage = _Stages()
     sys.path.insert(0, str(src))
     import repro
-    from repro.net import PreforkServer, build_backend_from_spec, prepare_snapshots
+    from repro.net import PreforkServer, prepare_snapshots
     from repro.store import create_sharded_backend
 
     stage("import")
@@ -201,8 +225,12 @@ def replica_child(scale: str, src: Path) -> Dict[str, object]:
                 "tree_capacity": REPLICA_TREE_CAPACITY, "timeout_s": TIMEOUT_S}
         prepared = prepare_snapshots(spec, str(Path(scratch) / "snapshot"))
         stage("prepare_snapshots")
-        pool = PreforkServer(build_backend_from_spec, prepared, n_workers=N_WORKERS).start()
+        boot_dir = Path(scratch) / "boot"
+        boot_dir.mkdir()
+        pool = PreforkServer(timed_backend, {**prepared, "boot_dir": str(boot_dir)},
+                             n_workers=N_WORKERS).start()
         stage("prefork_start")
+        stage.within("worker_boot", max(float(path.read_text()) for path in boot_dir.iterdir()))
         record = stage.record()
         pool.stop()
     return record

@@ -3,10 +3,23 @@
 One Python process behind :class:`~repro.net.server.SparqlHttpServer`
 caps throughput at a single core no matter how many threads it runs —
 query execution is pure Python, so the GIL serializes it.
-:class:`PreforkServer` is the scale-out answer: K **worker processes**
-(spawn-compatible, so it works where ``fork`` is unsafe), each running
-its own :class:`~repro.net.wsgi.SparqlWsgiApp` over its own read-only
-store replica, all accepting from ONE address.
+:class:`PreforkServer` is the scale-out answer: K **worker processes**,
+each running its own :class:`~repro.net.wsgi.SparqlWsgiApp` over its own
+read-only store replica, all accepting from ONE address.
+
+Workers are born warm
+---------------------
+Each worker is forked by a ``multiprocessing`` **forkserver** that has
+this module (and so ``repro``) imported already: a fork takes
+milliseconds, where a spawned interpreter spent ~0.36 s importing
+before it built anything.  :func:`prepare_snapshots` starts that server
+first, so its import runs on another core while the snapshot is built.
+Workers keep spawn's semantics: the forkserver is single-threaded and
+holds nothing but imports, arguments are pickled, the main module is
+imported in each child.  They share the forkserver's string-hash seed;
+no answer depends on it.  If the forkserver dies, every worker it forked
+reads as dead (its exit status came through the server) and is drained
+and respawned from a new one.
 
 Socket sharing
 --------------
@@ -46,9 +59,10 @@ from __future__ import annotations
 
 import atexit
 import json
-import multiprocessing
+import multiprocessing.forkserver
 import os
 import socket
+import sys
 import threading
 import time
 from multiprocessing.connection import Connection
@@ -68,9 +82,38 @@ DRAIN_TIMEOUT_S = 10.0
 #: Seconds between the monitor's liveness checks.
 HEALTH_INTERVAL_S = 0.5
 
+#: The pid that imported this module: a worker whose pid differs was
+#: forked with it preloaded.
+_IMPORTED_BY = os.getpid()
+_LAUNCH_LOCK = threading.Lock()
+
+
+def _warm_context():
+    """The forkserver context, its server running with this module
+    preloaded (started, or restarted if it died).
+
+    Python's forkserver imports its preload on the ``sys.path`` it was
+    launched with, and drops an ``ImportError`` silently: it is handed
+    this process's ``sys.path`` as ``PYTHONPATH``, so a caller that put
+    ``src`` on ``sys.path`` in process still preloads.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    with _LAUNCH_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
+        try:
+            multiprocessing.forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
+
 
 # ----------------------------------------------------------------------
-# Worker-side backend construction (module-level: spawn must pickle it)
+# Worker-side backend construction (module-level: it is pickled by name)
 # ----------------------------------------------------------------------
 
 
@@ -174,6 +217,7 @@ def prepare_snapshots(spec: Dict[str, object], base_path: str) -> Dict[str, obje
     """
     from ..store import TripleStore, create_sharded_backend
 
+    _warm_context()  # its import overlaps the build below
     dataset = _build_dataset(spec)
     n_shards = int(spec.get("n_shards", 1))  # type: ignore[arg-type]
     backend = create_sharded_backend(n_shards, "sqlite", base_path)
@@ -224,16 +268,20 @@ class _WorkerHttpServer(SparqlHttpServer):
 def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
                  host: str, port: int,
                  app_kwargs: Dict[str, object], conn: Connection) -> None:
-    """Worker entry point (module-level so ``spawn`` can import it).
+    """Worker entry point (module-level, so it is pickled by name).
 
     Builds the backend, serves HTTP from background threads, and runs
     the control loop on the main thread, answering each ``stats``
-    request with the app's ``/stats`` body.  EOF on the pipe (the parent
-    closed it, or died) drains and exits, so no worker outlives its
-    parent.
+    request with the app's ``/stats`` body.  Ready carries the factory's
+    seconds and whether this module was preloaded.  EOF on the pipe (the
+    parent closed it, or died) drains and exits, so no worker outlives
+    its parent.
     """
     try:
-        httpd = _WorkerHttpServer(factory(spec), host, port, worker_id=str(index),
+        started = time.perf_counter()
+        backend = factory(spec)
+        boot_s = time.perf_counter() - started
+        httpd = _WorkerHttpServer(backend, host, port, worker_id=str(index),
                                   **app_kwargs)  # type: ignore[arg-type]
     except Exception as exc:  # noqa: BLE001 — report, don't vanish silently
         try:
@@ -243,7 +291,7 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
         return
 
     httpd.start()
-    conn.send(("ready", index, os.getpid()))
+    conn.send(("ready", index, boot_s, os.getpid() != _IMPORTED_BY))
     try:
         while True:
             conn.recv()  # ("stats",), the one request the parent sends
@@ -263,7 +311,8 @@ def _worker_main(index: int, factory: Callable, spec: Dict[str, object],
 class _Worker:
     """Parent-side handle for one worker process."""
 
-    __slots__ = ("index", "process", "conn", "lock", "restarts", "pid")
+    __slots__ = ("index", "process", "conn", "lock", "restarts", "pid",
+                 "boot_s", "preloaded")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -272,13 +321,15 @@ class _Worker:
         self.lock = threading.Lock()
         self.restarts = 0
         self.pid: Optional[int] = None
+        self.boot_s: Optional[float] = None
+        self.preloaded = False
 
 
 class PreforkServer:
     """K pre-forked workers serving one SPARQL endpoint address.
 
     ``factory(spec)`` builds each worker's backend *inside the worker*
-    (it must be a module-level callable — spawn pickles it by name);
+    (it must be a module-level callable — it is pickled by name);
     :func:`build_backend_from_spec` is the standard one.  ``app_kwargs``
     are passed through to each worker's
     :class:`~repro.net.wsgi.SparqlWsgiApp`.
@@ -308,7 +359,6 @@ class PreforkServer:
         self.port: Optional[int] = None
         self.app_kwargs = dict(app_kwargs or {})
         self.series = StatsTimeSeries()
-        self._context = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
         self._coordinator: Optional[WsgiServer] = None
         self._monitor: Optional[threading.Thread] = None
@@ -381,8 +431,9 @@ class PreforkServer:
         return sock
 
     def _spawn(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
+        context = _warm_context()
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
             target=_worker_main,
             args=(worker.index, self.factory, self.spec, self.host, self.port,
                   self.app_kwargs, child_conn),
@@ -409,6 +460,7 @@ class PreforkServer:
         if message[0] != "ready":
             raise RuntimeError(f"worker {worker.index} sent unexpected "
                                f"{message[0]!r} before ready")
+        worker.boot_s, worker.preloaded = message[2:]
 
     def stop(self) -> None:
         """Graceful drain: close every worker's pipe, and each stops
@@ -449,18 +501,20 @@ class PreforkServer:
         while not self._stopping.wait(HEALTH_INTERVAL_S):
             for worker in self._workers:
                 process = worker.process
-                if process is None or process.is_alive():
+                if process is not None and process.is_alive():
                     continue
                 if self._stopping.is_set():
                     return
-                # Dead worker: reap it and bring up a replacement on the
-                # same index.  Its counters die with it (documented) —
-                # respawn keeps *capacity*, not history.
+                # Dead worker (or a respawn that failed last tick): reap
+                # it and bring up a replacement on the same index.  Its
+                # counters die with it (documented) — respawn keeps
+                # *capacity*, not history.
                 with worker.lock:
                     if worker.conn is not None:
                         worker.conn.close()
-                    process.join(timeout=1.0)
-                    worker.restarts += 1
+                    if process is not None:
+                        process.join(timeout=1.0)
+                        worker.restarts += 1
                     try:
                         self._spawn(worker)
                         self._await_ready(
@@ -471,7 +525,8 @@ class PreforkServer:
                         worker.conn = None
 
     def workers_view(self) -> List[Dict[str, object]]:
-        """Liveness + restart counts, the ``/stats`` ``workers`` field."""
+        """Liveness, restart counts, each worker's boot seconds and
+        whether it was forked preloaded: the ``/stats`` ``workers`` field."""
         return [
             {
                 "id": worker.index,
@@ -479,6 +534,8 @@ class PreforkServer:
                 "alive": bool(worker.process is not None
                               and worker.process.is_alive()),
                 "restarts": worker.restarts,
+                "boot_s": worker.boot_s,
+                "preloaded": worker.preloaded,
             }
             for worker in self._workers
         ]

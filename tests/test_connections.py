@@ -787,7 +787,7 @@ class TestCollector:
 
 
 def slow_backend_from_spec(spec):
-    """Worker factory (module-level: spawn pickles it by name) whose
+    """Worker factory (module-level: it is pickled by name) whose
     ``run`` takes ``spec["slow_s"]`` seconds."""
     backend = build_backend_from_spec(spec)
     run = backend.run

@@ -1,18 +1,22 @@
 """Pre-fork worker pool tests: boot, serve, merge, respawn, drain.
 
-A :class:`PreforkServer` spawns workers over read-only sharded SQLite
+A :class:`PreforkServer` forks workers over read-only sharded SQLite
 snapshots behind one port.  These tests drive a real pool over
 loopback: correctness of served rows, worker attribution via the
 ``X-Repro-Worker`` header, coordinator-merged ``/stats``, dead-worker
-respawn, and the refusal where ``SO_REUSEPORT`` is unavailable.
+respawn, the refusal where ``SO_REUSEPORT`` is unavailable, and the
+preloaded forkserver the workers come from.
 """
 
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +116,8 @@ class TestServing:
         assert after["rows_served"] - before["rows_served"] == rows
         assert after["n_workers"] == 2
         assert len(after["workers"]) == 2
+        # Each worker was forked with repro imported, and timed its boot.
+        assert all(view["preloaded"] and view["boot_s"] > 0 for view in after["workers"])
         # Shard depths come from one worker's snapshot view (every
         # worker opens the same files), never summed across workers.
         assert after["shards"]["n_shards"] == 2
@@ -211,6 +217,148 @@ class TestGracefulDrain:
             # A reaped child is gone; signal 0 must fail.
             with pytest.raises(OSError):
                 os.kill(pid, 0)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _parent(pid):
+    """``pid``'s parent, off ``/proc`` (the field after the parenthesized name)."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[1])
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process: gone and zombie both count as ended."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _run_child(script, timeout_s=60):
+    """``script`` in a fresh interpreter with ``PYTHONPATH`` unset, as the
+    spine runs: the script puts ``src`` on ``sys.path`` itself."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=timeout_s)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestForkserver:
+    """Workers are forked by a forkserver that has ``repro`` imported."""
+
+    def test_workers_are_preloaded_with_src_on_sys_path_only(self, tmp_path):
+        """Python's forkserver ignores the ``sys.path`` it is sent and
+        drops a failed preload silently: without the hand-off, each
+        worker would import ``repro`` itself and report not preloaded."""
+        out = _run_child(f"""
+import json, sys
+sys.path.insert(0, {SRC!r})
+from repro.net import HttpSparqlEndpoint, PreforkServer, build_backend_from_spec, prepare_snapshots
+spec = prepare_snapshots({{"scale": "tiny", "n_shards": 2}}, {str(tmp_path / "data.sqlite")!r})
+with PreforkServer(build_backend_from_spec, spec, n_workers=2) as pool:
+    answer = HttpSparqlEndpoint(pool.url, timeout_s=10.0).ask("ASK {{ ?s ?p ?o }}").value
+    print(json.dumps({{"workers": pool.workers_view(), "answer": answer}}))
+""")
+        assert out["answer"] is True
+        assert [view["preloaded"] for view in out["workers"]] == [True, True]
+        assert all(view["boot_s"] > 0 for view in out["workers"])
+
+    def test_a_dead_forkserver_is_restarted_by_the_respawn(self, snapshot_spec, expected):
+        """Killing the forkserver ends the exit status of every worker it
+        forked, so the monitor reads them all as dead: it drains them and
+        forks each replacement from a new, preloaded forkserver."""
+        with PreforkServer(build_backend_from_spec, snapshot_spec, n_workers=2) as pool:
+            before = pool.workers_view()
+            forkserver = _parent(before[0]["pid"])
+            os.kill(forkserver, signal.SIGKILL)
+            os.kill(before[0]["pid"], signal.SIGKILL)
+            old = {view["pid"] for view in before}
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                views = pool.workers_view()
+                if all(view["alive"] and view["pid"] not in old for view in views):
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail(f"workers were not respawned within 30s: {pool.workers_view()}")
+            assert all(view["restarts"] == 1 and view["preloaded"] for view in views)
+            parents = {_parent(view["pid"]) for view in views}
+            assert len(parents) == 1 and forkserver not in parents
+            client = HttpSparqlEndpoint(pool.url, name="t", timeout_s=10.0)
+            for _ in range(6):
+                assert _row_key(client.select(QUERIES[0])) == expected[QUERIES[0]]
+
+    def test_no_helper_process_outlives_the_pools_process(self, tmp_path):
+        """A process that started and stopped a pool exits, and its
+        forkserver and resource tracker follow it within 5 s."""
+        out = _run_child(f"""
+import json, os, sys
+sys.path.insert(0, {SRC!r})
+from repro.net import PreforkServer, build_backend_from_spec, prepare_snapshots
+spec = prepare_snapshots({{"scale": "tiny", "n_shards": 1}}, {str(tmp_path / "data.sqlite")!r})
+PreforkServer(build_backend_from_spec, spec, n_workers=2).start().stop()
+helpers = {{}}
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        with open(f"/proc/{{pid}}/stat") as stat, open(f"/proc/{{pid}}/cmdline") as cmdline:
+            if int(stat.read().rsplit(")", 1)[1].split()[1]) == os.getpid():
+                helpers[pid] = cmdline.read()
+    except OSError:
+        pass
+print(json.dumps(helpers))
+""")
+        names = sorted(name for cmdline in out.values()
+                       for name in ("forkserver", "resource_tracker") if name in cmdline)
+        assert names == ["forkserver", "resource_tracker"], out
+        deadline = time.monotonic() + 5.0
+        while any(_running(int(pid)) for pid in out) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in out if _running(int(pid))], out
+
+
+def gated_backend_from_spec(spec):
+    """Worker factory (module-level: it is pickled by name) that fails
+    while the file ``spec["gate"]`` exists."""
+    if os.path.exists(str(spec["gate"])):
+        raise RuntimeError("the gate is closed")
+    return build_backend_from_spec(spec)
+
+
+class TestFailedRespawn:
+    def test_a_failed_respawn_is_tried_again(self, snapshot_spec, tmp_path):
+        """A replacement that fails to boot leaves its slot empty only
+        until the next check: the monitor tries again, and counts the
+        death once."""
+        gate = tmp_path / "gate"
+        with PreforkServer(gated_backend_from_spec, {**snapshot_spec, "gate": str(gate)},
+                           n_workers=1) as pool:
+            victim = pool.workers_view()[0]["pid"]
+            gate.touch()
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                view = pool.workers_view()[0]
+                if view["pid"] != victim and not view["alive"]:
+                    break  # a replacement was forked, and failed
+                time.sleep(0.05)
+            else:
+                pytest.fail("no replacement was tried within 30s")
+            gate.unlink()
+            while time.monotonic() < deadline:
+                # stats() waits on the worker's lock, which the monitor
+                # holds through an attempt: the view is of a finished one.
+                view = pool.stats()["workers"][0]
+                if view["alive"]:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"the failed respawn was not tried again: {view}")
+            assert pool.stats()["workers"][0]["restarts"] == 1
+            assert HttpSparqlEndpoint(pool.url, timeout_s=10.0).ask("ASK { ?s ?p ?o }").value
 
 
 class TestMergeStatsBodies:

@@ -48,7 +48,9 @@ def test_a_paired_record_holds_both_sides(capsys):
 def check_replica_block(block):
     assert block["coverage"] >= 0.9, block["stages"]
     assert list(block["stages"]) == [
-        "import", "build_dataset", "snapshot_copy", "prepare_snapshots", "prefork_start"]
+        "import", "build_dataset", "snapshot_copy", "prepare_snapshots", "prefork_start",
+        "worker_boot"]
+    assert 0 < block["stages"]["worker_boot"]["s"] < block["stages"]["prefork_start"]["s"]
     assert all(row["hwm_mb"] >= row["rss_mb"] > 0 for row in block["stages"].values())
     assert all(low <= row["s"] <= high for row in block["stages"].values()
                for low, high in [row["s_q1_q3"]])
@@ -69,3 +71,4 @@ def test_a_replica_record_times_the_copy_and_the_pool(capsys):
     setup_budget.print_record(record)
     out = capsys.readouterr().out
     assert "replica tiny" in out and "snapshot_copy" in out and "prefork_start" in out
+    assert "worker_boot" in out
