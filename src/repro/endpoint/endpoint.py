@@ -247,20 +247,24 @@ class QueryService:
         _, trace = self.analyze(query)
         return format_trace(trace)
 
-    def _form_of(self, query: Union[str, Query]) -> Optional[str]:
-        """The form of ``query`` known before it runs (``None``: known
-        only from the result)."""
-        return (parse_query(query) if isinstance(query, str) else query).form
+    def _parsed(self, query: Union[str, Query]) -> Optional[Query]:
+        """``query`` parsed (``None``: this backend learns its form only
+        from the result)."""
+        return parse_query(query) if isinstance(query, str) else query
+
+    def _run(self, parsed: Optional[Query], text: Optional[str],
+             tracer: Optional[Tracer] = None):
+        """:meth:`run` of a query at hand as its :meth:`_parsed` and its
+        ``text`` (``None``: it was given parsed)."""
+        return self.run(text if parsed is None else parsed, tracer)
 
     def _run_form(self, query: Union[str, Query], tracer: Optional[Tracer],
                   form: str, result_type: type):
         """:meth:`run`, refusing a query of another form before it runs.
-
-        Text reaches ``run`` as given (parsed again there), so a query
-        log records the text that ran.
-        """
-        if self._form_of(query) in (form, None):
-            result = self.run(query, tracer)
+        Text is parsed once, here (a query log still records the text)."""
+        parsed = self._parsed(query)
+        if parsed is None or parsed.form == form:
+            result = self._run(parsed, query if isinstance(query, str) else None, tracer)
             if isinstance(result, result_type):
                 return result
         raise SparqlError(f"expected {'an' if form == 'ASK' else 'a'} {form} query")
@@ -292,21 +296,21 @@ class LoggedQueryService(QueryService):
 
     def _record(
         self,
-        text: str,
+        text: Optional[str],
         outcome: str,
         cost: int,
         seconds: float,
         result: Union[SelectResult, AskResult, None] = None,
     ) -> None:
-        """Log one query; a SELECT ``result`` gives the entry its
-        ``rows`` and ``truncated``."""
+        """Log one query (``text`` ``None``: one given parsed); a SELECT
+        ``result`` gives the entry its ``rows`` and ``truncated``."""
         select = isinstance(result, SelectResult)
         rows = len(result.rows) if select else 0
         truncated = select and result.truncated
         with self._log_lock:
             self.log.append(
                 QueryLogEntry(
-                    query=text,
+                    query="<preparsed>" if text is None else text,
                     outcome=outcome,
                     cost=cost,
                     simulated_seconds=seconds,
@@ -339,7 +343,7 @@ class SparqlEndpoint(LoggedQueryService):
         self, query: Union[str, Query], tracer: Optional[Tracer] = None
     ) -> Union[SelectResult, AskResult]:
         """Run a query under this endpoint's budget, row cap and log."""
-        return self._run(query, tracer)
+        return self._run(self._parsed(query), query if isinstance(query, str) else None, tracer)
 
     def unproven(
         self,
@@ -374,14 +378,13 @@ class SparqlEndpoint(LoggedQueryService):
         # Plans under the same cost budget a run gets (including the
         # single-pattern scan speedup), so the dump shows the strategy
         # execution will actually use.
-        parsed = parse_query(query) if isinstance(query, str) else query
+        parsed = self._parsed(query)
         return self._evaluator.explain(parsed, budget=self._budget_for(parsed))
 
     def _run(
-        self, query: Union[str, Query], tracer: Optional[Tracer] = None
+        self, parsed: Query, text: Optional[str], tracer: Optional[Tracer] = None
     ) -> Union[SelectResult, AskResult]:
-        parsed = parse_query(query) if isinstance(query, str) else query
-        text = query if isinstance(query, str) else "<preparsed>"
+        """Run ``parsed``, logged as ``text``."""
 
         if self.config.reject_threshold is not None:
             estimate = self._estimate(parsed)

@@ -5,9 +5,9 @@ The paper's Sapphire talks to *real* remote endpoints (DBpedia's
 the reproduction do the same, stdlib-only:
 
 * :mod:`repro.net.formats` — SPARQL Results JSON/XML/CSV/TSV writers and
-  a JSON parser (each term encoded once and decoded once: a fragment
-  memo under the writer, an interning reader), plus Accept-header
-  content negotiation;
+  JSON and TSV parsers (each term encoded once and decoded once: a memo
+  under the writer, an interning reader), plus Accept-header content
+  negotiation;
 * :mod:`repro.net.wsgi` — the protocol logic as a WSGI app with
   admission control (bounded workers, bounded queue → 503; deadlines →
   504) and ``/health`` + ``/stats`` + ``/stats/series`` observability;
@@ -45,6 +45,7 @@ from .formats import (
     NotAcceptable,
     negotiate,
     parse_json,
+    parse_tsv,
     result_from_document,
     result_to_document,
     write_csv,
@@ -106,6 +107,7 @@ __all__ = [
     "NotAcceptable",
     "negotiate",
     "parse_json",
+    "parse_tsv",
     "write_json",
     "result_to_document",
     "result_from_document",

@@ -28,8 +28,9 @@ Failure mapping keeps the endpoint error hierarchy intact:
   server's ``/stats`` counters; every other failure *was* counted
   server-side.
 
-Results travel as SPARQL Results JSON and are parsed back into the
-library's result containers, so rows coming off the wire are
+Results travel as SPARQL Results TSV — asked for first, JSON second —
+and are parsed back into the library's result containers by the reader
+the response's ``Content-Type`` names, so rows coming off the wire are
 indistinguishable from rows produced in-process.
 
 Transport (docs/server.md, *Connections*): every call of both clients
@@ -67,7 +68,7 @@ from ..sparql.errors import SparqlError
 from ..sparql.results import AskResult, SelectResult
 from ..sparql.serializer import serialize_query
 from ..sparql.trace import PARENT_SPAN_HEADER, TRACE_ID_HEADER, Tracer
-from .formats import MIME_JSON, FormatError, parse_json
+from .formats import MIME_JSON, MIME_TSV, FormatError, parse_json, parse_tsv
 from .http11 import FramingError, Headers, Response, read_response
 from .suggest import (
     MIME_JSON_BODY,
@@ -100,6 +101,9 @@ class ConnectionFailed(EndpointError):
 
 
 _USER_AGENT = "sapphire-repro-client/1.0"
+
+#: ``/sparql`` answers as TSV (the cheaper body to write, send and read), else JSON.
+_ACCEPT_RESULTS = f"{MIME_TSV}, {MIME_JSON};q=0.9"
 
 #: Idle connections this process keeps, over all servers; past it the
 #: one returned longest ago is closed.  A closed-loop caller holds at
@@ -335,7 +339,7 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
         _WireClient.__init__(self, name, rng or random.Random(f"endpoint:{name}"),
                              timeout_s, max_retries, backoff_s, backoff_cap_s)
         LoggedQueryService.__init__(self)
-        self._query = _Target(name, url, {"Content-Type": MIME_FORM, "Accept": MIME_JSON})
+        self._query = _Target(name, url, {"Content-Type": MIME_FORM, "Accept": _ACCEPT_RESULTS})
         self._plan = _Target(name, url, {"Content-Type": MIME_FORM, "Accept": "text/plain"})
         # Distributed-trace context (docs/tracing.md): when set by
         # Tracer.remote_call, outgoing queries carry the trace id and
@@ -357,8 +361,9 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
         started = time.perf_counter()
         try:
             headers, payload = self._call(self._query, _form(text), self._trace_headers())
+            mime = (headers.get("Content-Type") or "").partition(";")[0].strip().lower()
             try:
-                result = parse_json(payload)
+                result = (parse_tsv if mime == MIME_TSV else parse_json)(payload)
             except FormatError as exc:
                 raise EndpointError(f"{self.name}: unparseable response: {exc}") from None
         except (EndpointError, SparqlError) as exc:
@@ -399,10 +404,10 @@ class HttpSparqlEndpoint(_WireClient, LoggedQueryService):
     # Wire protocol
     # ------------------------------------------------------------------
 
-    def _form_of(self, query: Union[str, Query]) -> Optional[str]:
+    def _parsed(self, query: Union[str, Query]) -> Optional[Query]:
         # Text is sent as written, never parsed here: its form shows in
         # the result that comes back.
-        return None if isinstance(query, str) else query.form
+        return None if isinstance(query, str) else query
 
     def _plan_text(self, query: Union[str, Query], flag: str = "explain") -> str:
         """The server's plan dump (``explain=true``), or with ``flag``

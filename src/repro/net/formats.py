@@ -3,19 +3,20 @@
 The wire formats spoken by the HTTP subsystem:
 
 * **SPARQL Results JSON** (https://www.w3.org/TR/sparql11-results-json/)
-  — writer *and* parser; this is the format the bundled client requests.
+  — writer *and* parser; the server's default and ``/suggest``'s body.
 * **SPARQL Results XML** (https://www.w3.org/TR/rdf-sparql-XMLres/) — writer.
-* **CSV/TSV** (https://www.w3.org/TR/sparql11-results-csv-tsv/) — writers.
-  CSV carries plain lexical values (lossy by design); TSV carries
-  N-Triples-encoded terms.
+* **CSV/TSV** (https://www.w3.org/TR/sparql11-results-csv-tsv/) — CSV a
+  writer of plain lexical values (lossy by design); TSV, one term per
+  cell, a writer *and* parser, the format the bundled client asks for first.
 
 All writers take the library's :class:`~repro.sparql.results.SelectResult`
 or :class:`~repro.sparql.results.AskResult` containers and return text;
-:func:`parse_json` is the exact inverse of :func:`write_json` so a result
-round-trips the network losslessly (datatypes, language tags, and blank
-node labels included).  Both pay for a term once — a fragment memo under
-the writer, an interning reader; ``docs/server.md``, *The result path* —
-and both sit on a document half (:func:`result_to_document` /
+:func:`parse_json` / :func:`parse_tsv` are the exact inverses of
+:func:`write_json` / :func:`write_tsv`, so a result round-trips the
+network losslessly (datatypes, language tags, and blank node labels
+included).  Each pays for a term once — a memo under the writer, an
+interning reader; ``docs/server.md``, *The result path* — and the JSON
+pair sits on a document half (:func:`result_to_document` /
 :func:`result_from_document`) that ``/suggest`` embeds directly.
 
 :func:`negotiate` implements the Accept-header content negotiation the
@@ -27,11 +28,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import threading
 from typing import Callable, Dict, List, Optional, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
 
-from ..rdf.terms import IRI, BlankNode, Literal, Term
+from ..rdf.ntriples import unescape
+from ..rdf.terms import IRI, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, BlankNode, Literal, Term
 from ..rdf.triples import Binding
 from ..sparql.results import AskResult, SelectResult
 
@@ -52,6 +55,7 @@ __all__ = [
     "write_xml",
     "write_csv",
     "write_tsv",
+    "parse_tsv",
     "negotiate",
 ]
 
@@ -169,10 +173,10 @@ _TERMS = _Memo(_decode_term)
 
 
 def memo_stats() -> Dict[str, int]:
-    """The ``formats`` block of ``/stats``: the fragment memo's size and
-    how many fragments it has built (flat on a repeated query)."""
-    return {"fragment_entries": len(_FRAGMENTS),
-            "fragment_builds": _FRAGMENTS.builds}
+    """The ``formats`` block of ``/stats``: the writer memos' (JSON and
+    TSV) entries and builds, summed (flat on a repeated query)."""
+    return {"fragment_entries": len(_FRAGMENTS) + len(_TSV_CELLS),
+            "fragment_builds": _FRAGMENTS.builds + _TSV_CELLS.builds}
 
 
 def term_from_json(obj: Dict[str, str]) -> Term:
@@ -312,7 +316,7 @@ def write_xml(result: Result) -> str:
 
 
 # ----------------------------------------------------------------------
-# CSV / TSV (writers)
+# CSV (writer), TSV (writer + parser)
 # ----------------------------------------------------------------------
 
 def _csv_value(term: Optional[Term]) -> str:
@@ -342,23 +346,111 @@ def write_csv(result: Result) -> str:
     return buffer.getvalue()
 
 
+#: A cell's escapes, the separators ``n3()`` leaves raw among them: ECHARs
+#: in a lexical form, UCHARs (IRIREF's one escape) in an IRI, label or tag.
+_ECHARS = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+_UCHARS = str.maketrans({char: "\\u%04X" % ord(char) for char in "\t\n\r\\<>"})
+
+
+def _tsv_cell(term: Term) -> str:
+    """A term's TSV cell: its N-Triples form, keeping the explicit
+    ``xsd:string`` that ``n3()`` drops (or the cell would not read back
+    as the same term).  Ordinary terms spell exactly as ``n3()``."""
+    if isinstance(term, IRI):
+        return f"<{term.value.translate(_UCHARS)}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label.translate(_UCHARS)}"
+    text = f'"{term.lexical.translate(_ECHARS)}"'
+    if term.lang:
+        return f"{text}@{term.lang.translate(_UCHARS)}"
+    if term.datatype is not None:
+        return f"{text}^^<{term.datatype.value.translate(_UCHARS)}>"
+    return text
+
+
+#: A term in SPARQL/Turtle syntax, the whole cell (the TSV format's section
+#: 4): an IRI; a blank node (the rest of the cell is its label); a literal
+#: in double or single quotes, N-Triples escapes, an optional language tag
+#: or datatype IRI; or a number or boolean in Turtle's short form.
+_CELL = re.compile(
+    r"<([^<>]*)>|_:(.+)"
+    r"""|(["'])((?:(?!\3)[^\\]|\\[tbnrf"'\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*)\3"""
+    r"(?:@(.+)|\^\^<([^<>]*)>)?"
+    r"|([+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.?[0-9]+[eE][+-]?[0-9]+|[0-9]*\.[0-9]+|[0-9]+))"
+    r"|(true|false)", re.DOTALL)
+
+
+def _decode_cell(cell: str) -> Term:
+    """The term a TSV cell spells; :class:`FormatError` if it spells none."""
+    match = _CELL.fullmatch(cell)
+    if match is None:
+        raise FormatError(f"TSV cell is not an RDF term: {cell!r}")
+    iri, label, _, lexical, lang, datatype, number, boolean = match.groups()
+    if number is not None:  # Turtle's INTEGER, DECIMAL or DOUBLE: the token is the lexical form
+        kind = XSD_DOUBLE if "e" in number.lower() else XSD_DECIMAL if "." in number else XSD_INTEGER
+        return Literal(number, datatype=kind)
+    if boolean is not None:
+        return Literal(boolean, datatype=XSD_BOOLEAN)
+    try:
+        if iri is not None:
+            return IRI(unescape(iri))
+        if label is not None:
+            return BlankNode(unescape(label))
+        lexical = unescape(lexical)
+        if datatype is not None:  # one IRI object per datatype, not per literal
+            return Literal(lexical, datatype=_TERM_CELLS[f"<{datatype}>"])
+        return Literal(lexical, lang=lang and unescape(lang))
+    except ValueError as exc:  # a \U escape past U+10FFFF
+        raise FormatError(f"bad escape in TSV cell {cell!r}: {exc}") from None
+
+
+#: ``term -> _tsv_cell(term)``, the TSV writer's table (as ``_FRAGMENTS``).
+_TSV_CELLS = _Memo(_tsv_cell)
+#: ``cell -> term``, the TSV reader's table (as ``_TERMS``).
+_TERM_CELLS = _Memo(_decode_cell)
+
+
 def write_tsv(result: Result) -> str:
-    """Serialize as SPARQL Results TSV (N-Triples-encoded terms)."""
+    """Serialize as SPARQL Results TSV, each cell from ``_TSV_CELLS``."""
     if isinstance(result, AskResult):
         return "?boolean\n%s\n" % ("true" if result.value else "false")
-    lines = ["\t".join(f"?{name}" for name in result.variables)]
-    for row in result.rows:
-        cells = []
-        for name in result.variables:
-            term = row.get(name)
-            if term is None:
-                cells.append("")
-            else:
-                # n3() escapes \n but not the other record separators a
-                # TSV consumer splits on; escape them at the cell level.
-                cells.append(term.n3().replace("\t", "\\t").replace("\r", "\\r"))
-        lines.append("\t".join(cells))
+    names, cells = result.variables, _TSV_CELLS
+    lines = ["\t".join([f"?{name}" for name in names])]
+    lines += ["\t".join(["" if (term := row.get(name)) is None else cells[term] for name in names])
+              for row in result.rows]
     return "\n".join(lines) + "\n"
+
+
+def parse_tsv(text: Union[str, bytes]) -> Result:
+    """Parse SPARQL Results TSV (``_CELL``: any server's cells) into a
+    result container, the exact inverse of :func:`write_tsv`.  An empty
+    cell is unbound; ``?boolean`` over ``true`` / ``false`` is an ASK
+    (this writer's: the format defines none)."""
+    try:
+        lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"response is not UTF-8: {exc}") from exc
+    if len(lines) < 2 or lines.pop():
+        raise FormatError("TSV results must be a header and rows, each ending in a line break")
+    header, body = lines[0], lines[1:]
+    if header == "?boolean" and body in (["true"], ["false"]):
+        return AskResult(body == ["true"])
+    names = header.split("\t") if header else []
+    if not all(len(name) > 1 and name[0] == "?" for name in names):
+        raise FormatError(f"TSV header is not a tab-separated list of ?names: {header!r}")
+    variables = [name[1:] for name in names]
+    if not variables:
+        if any(body):
+            raise FormatError("a TSV row has cells where the header has no variables")
+        return SelectResult(variables=[], rows=[{} for _ in body])
+    terms, width = _TERM_CELLS, len(variables)
+    rows: List[Binding] = []
+    for line in body:
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise FormatError(f"TSV row has {len(cells)} cells for {width} variables: {line!r}")
+        rows.append({name: terms[cell] for name, cell in zip(variables, cells) if cell})
+    return SelectResult(variables=variables, rows=rows)
 
 
 RESULT_WRITERS: Dict[str, Callable[[Result], str]] = {

@@ -8,37 +8,33 @@ ignored.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, List
 
 from .terms import IRI, BlankNode, Literal, Term
 from .triples import Triple
 
-__all__ = ["parse_ntriples", "serialize_ntriples", "NTriplesError"]
+__all__ = ["parse_ntriples", "serialize_ntriples", "unescape", "NTriplesError"]
 
 
 class NTriplesError(ValueError):
     """Raised when a line cannot be parsed as an N-Triples statement."""
 
 
-def _unescape(text: str) -> str:
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-            if nxt in mapping:
-                out.append(mapping[nxt])
-                i += 2
-                continue
-            if nxt == "u" and i + 6 <= len(text):
-                out.append(chr(int(text[i + 2:i + 6], 16)))
-                i += 6
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+#: An escape: ``\uXXXX``, ``\UXXXXXXXX``, or a backslash and one character.
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+_ESCAPED = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _unescaped(match: "re.Match[str]") -> str:
+    short, long, char = match.groups()
+    return chr(int(short or long, 16)) if char is None else _ESCAPED.get(char, match.group(0))
+
+
+def unescape(text: str) -> str:
+    """``text`` with its N-Triples escapes (ECHAR and UCHAR) undone; an
+    unknown escape is kept as written."""
+    return _ESCAPE.sub(_unescaped, text) if "\\" in text else text
 
 
 class _LineParser:
@@ -102,7 +98,7 @@ class _LineParser:
                 break
             out.append(ch)
             self.pos += 1
-        lexical = _unescape("".join(out))
+        lexical = unescape("".join(out))
         if not self.at_end() and self.line[self.pos] == "@":
             self.pos += 1
             start = self.pos

@@ -182,7 +182,8 @@ def _fold(query: Query, chunks: Iterator[Chunk], decode) -> SelectResult:
     memo: Dict[object, Tuple[int, object]] = {}
     if aggregated or query.group_by:
         columns, length = _groups(query, chunks, decode, unbound)
-        decode = unbound = None
+        if decode is not None:
+            decode = _or_term(decode)
         has_unbound = True
         # A row per group: distinct already when it shows every group key.
         shown = _shown(query)
@@ -355,15 +356,15 @@ def _cells(expr: Expression, columns: Columns, length: int, unbound) -> Sequence
 
 
 def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Columns, int]:
-    """One term-space row per group, groups in first-seen order: the
-    bound group keys, then every select item, each folding the chunks
-    into per-group state as they arrive — COUNT a ``Counter`` (never
-    decoding; a row adds its :data:`~repro.sparql.plan.MULTIPLICITY`
-    where a counted join gave it one), SUM / AVG / MIN / MAX
-    ``[sum, n, min, max]``, a plain item its group's first cell; a
-    DISTINCT aggregate reads each
-    ``(key, cell)`` pair once.  An erroring aggregate (``AVG`` over
-    nothing numeric) leaves its cell empty."""
+    """One row per group, groups in first-seen order: the group keys,
+    then every select item, each folding the chunks into per-group state
+    as they arrive — COUNT a ``Counter`` (never decoding; a row adds its
+    :data:`~repro.sparql.plan.MULTIPLICITY` where a counted join gave it
+    one), SUM / AVG / MIN / MAX ``[sum, n, min, max]``, a plain item its
+    group's first cell; a DISTINCT aggregate reads each ``(key, cell)``
+    pair once.  Keys and plain items stay IDs until a row survives the
+    page cut or is sorted on; aggregates are terms.  An erroring
+    aggregate (``AVG`` over nothing numeric) leaves its cell empty."""
     group_by = query.group_by
     term = decode or (lambda cell: cell)
     numbers: Dict[object, Optional[float]] = {}
@@ -422,24 +423,25 @@ def _groups(query: Query, chunks: Iterator[Chunk], decode, unbound) -> Tuple[Col
                 else:
                     state.update(key for key, cell in zip(keys, cells) if cell != unbound)
     slots = [list(groups)] if len(group_by) == 1 else list(zip(*groups)) or [()] * len(group_by)
-    out: Columns = {
-        name: [None if cell == unbound else term(cell) for cell in cells]
-        for name, cells in zip(group_by, slots)
-    }
+    out: Columns = dict(zip(group_by, slots))
     for name, expr, state, seen in items:
         if state is None:
             out[name] = out[_variable_name(expr)]
         elif not isinstance(expr, Aggregate):
-            out[name] = [
-                None if state.get(key, unbound) == unbound else term(state[key]) for key in groups
-            ]
+            out[name] = [state.get(key, unbound) for key in groups]
         elif expr.name == "COUNT":
             count = Counter(key for key, cell in seen if cell != unbound) if expr.distinct else state
             literal = {n: Literal(str(n), datatype=XSD_INTEGER) for n in {0, *count.values()}}
             out[name] = [literal[count[key]] for key in groups]
         else:
-            out[name] = [_numeric(expr.name, state.get(key)) for key in groups]
+            values = [_numeric(expr.name, state.get(key)) for key in groups]
+            out[name] = [unbound if value is None else value for value in values]
     return out, len(groups)
+
+
+def _or_term(decode: Callable[[int], Term]) -> Callable[[object], Term]:
+    """``decode`` over a grouped row's cells, an aggregate's a term already."""
+    return lambda cell: cell if isinstance(cell, Term) else decode(cell)
 
 
 def _add_numbers(folds, seen: Optional[set], keys, cells, unbound, number) -> None:

@@ -282,3 +282,35 @@ class TestWrongFormRunsNothing:
             with pytest.raises(SparqlError, match="expected a SELECT"):
                 client.select("ASK { ?s ?p ?o }")
             assert [entry.query for entry in client.log] == ["ASK { ?s ?p ?o }"]
+
+
+class TestTextIsParsedOnce:
+    """``select`` / ``ask`` of text parse it once — the form check's
+    parse is the one that runs — and the query log records the text."""
+
+    @pytest.mark.parametrize("method, text", [
+        ("select", "SELECT ?s { ?s a dbo:Thing } LIMIT 2"),
+        ("ask", "ASK { ?s a dbo:Thing }"),
+    ])
+    def test_one_parse_per_call(self, big_store, monkeypatch, method, text):
+        from repro.endpoint import endpoint as endpoint_module
+        from repro.federation import FederatedQueryProcessor, fedx
+        from repro.sparql.parser import parse_query
+
+        parses = []
+
+        def counting(query, *args, **kwargs):
+            parses.append(query)
+            return parse_query(query, *args, **kwargs)
+
+        for module in (endpoint_module, fedx):
+            monkeypatch.setattr(module, "parse_query", counting)
+        endpoint = _warehouse_endpoint(big_store)
+        getattr(endpoint, method)(text)
+        assert parses == [text]
+        assert [entry.query for entry in endpoint.log] == [text]
+
+        parses.clear()
+        member = _warehouse_endpoint(big_store)
+        getattr(FederatedQueryProcessor([member]), method)(text)
+        assert parses == [text]

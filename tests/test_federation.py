@@ -395,7 +395,7 @@ class TestMemberErrorsAreCounted:
         people, cities = two_endpoints
 
         class Down(SparqlEndpoint):
-            def _run(self, query, tracer=None):
+            def _run(self, parsed, text, tracer=None):
                 self._record("<down>", "timeout", 0, 0.0)
                 raise EndpointTimeout(f"{self.name}: down")
 

@@ -11,6 +11,7 @@ serialization, and client must be collectively invisible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import threading
@@ -24,7 +25,8 @@ from repro import EndpointConfig, FederatedQueryProcessor, SparqlEndpoint
 from repro.core.sapphire import SapphireServer
 from repro.endpoint.endpoint import EndpointError, EndpointTimeout, QueryRejected, QueryService
 from repro.net import HttpSparqlEndpoint, SparqlHttpServer
-from repro.rdf import DBO, RDF_TYPE
+from repro.net.formats import MIME_JSON, MIME_TSV, negotiate, parse_json, parse_tsv, write_json, write_tsv
+from repro.rdf import DBO, IRI, RDF_TYPE, XSD_BOOLEAN, XSD_INTEGER, XSD_STRING, BlankNode, Literal
 from repro.sparql.errors import SparqlError
 from repro.sparql.results import AskResult, SelectResult
 from repro.store import TripleStore
@@ -634,6 +636,129 @@ class TestAdmissionAndErrors:
             client.ask("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1")
 
 
+# ----------------------------------------------------------------------
+# The result body: TSV asked for first, JSON still read
+# ----------------------------------------------------------------------
+
+#: A result with every term shape a cell spells, an explicit
+#: ``xsd:string`` and an unbound cell.
+_SHAPES = SelectResult(variables=["s", "v"], rows=[
+    {"s": IRI("http://example.org/a"), "v": Literal("tab\there", lang="en")},
+    {"s": BlankNode("b1"), "v": Literal("7", datatype=XSD_INTEGER)},
+    {"s": IRI("http://example.org/b"), "v": Literal("x", datatype=XSD_STRING)},
+    {"v": Literal('say "hi"\r\n')},
+])
+
+
+@contextlib.contextmanager
+def _answering(content_type, body):
+    """A foreign endpoint that answers every POST with ``body`` as
+    ``content_type``; yields its URL and the ``Accept`` headers it saw."""
+    import http.server
+
+    accepts = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            accepts.append(self.headers["Accept"])
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    stub = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{stub.server_address[1]}/sparql", accepts
+    finally:
+        stub.shutdown()
+        stub.server_close()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+class TestTsvResults:
+    def test_client_asks_for_tsv_first_and_reads_it(self):
+        body = write_tsv(_SHAPES).encode("utf-8")
+        with _answering(f"{MIME_TSV}; charset=utf-8", body) as (url, accepts):
+            client = HttpSparqlEndpoint(url, timeout_s=10.0, max_retries=0)
+            result = client.select("SELECT ?s ?v WHERE { ?s ?p ?v }")
+        assert result.variables == _SHAPES.variables
+        assert result.rows == _SHAPES.rows
+        assert accepts == [f"{MIME_TSV}, {MIME_JSON};q=0.9"]
+        assert negotiate(accepts[0])[0] == MIME_TSV
+
+    def test_a_server_that_answers_json_is_read_as_before(self):
+        body = write_json(_SHAPES).encode("utf-8")
+        with _answering(f"{MIME_JSON}; charset=utf-8", body) as (url, accepts):
+            client = HttpSparqlEndpoint(url, timeout_s=10.0, max_retries=0)
+            result = client.select("SELECT ?s ?v WHERE { ?s ?p ?v }")
+        assert accepts == [f"{MIME_TSV}, {MIME_JSON};q=0.9"]
+        assert result.variables == parse_json(body).variables == _SHAPES.variables
+        assert result.rows == parse_json(body).rows == _SHAPES.rows
+        assert [e.outcome for e in client.log] == ["ok"]
+
+    def test_a_foreign_servers_short_forms_are_read(self):
+        """A server that honours the preference may write numbers and
+        booleans in Turtle's short form, as the TSV format allows."""
+        body = b'?s\t?v\n<http://example.org/a>\t42\n_:b1\tfalse\n\t"x"@en\n'
+        with _answering(MIME_TSV, body) as (url, _):
+            client = HttpSparqlEndpoint(url, timeout_s=10.0, max_retries=0)
+            result = client.select("SELECT ?s ?v WHERE { ?s ?p ?v }")
+        assert result.rows == [
+            {"s": IRI("http://example.org/a"), "v": Literal("42", datatype=XSD_INTEGER)},
+            {"s": BlankNode("b1"), "v": Literal("false", datatype=XSD_BOOLEAN)},
+            {"v": Literal("x", lang="en")},
+        ]
+
+    def test_json_is_still_the_default_and_the_wildcard(self, url):
+        for accept in (None, "*/*"):
+            status, headers, _ = http_get(
+                url + "?" + urllib.parse.urlencode({"query": "ASK { ?s ?p ?o }"}), accept)
+            assert status == 200 and headers["Content-Type"].startswith(MIME_JSON)
+
+    @pytest.mark.parametrize("body", [
+        b"?s\nnope\n",                                # a cell that is no term
+        b"?s\n\"open\n",                              # an unterminated literal
+        b"?s\t?v\n<http://example.org/a>\n",          # a ragged line
+        b"?s\n<http://example.org/a>",                 # no final line break
+        b"s\n<http://example.org/a>\n",                # a header without ?
+        b"?s\n\"\\q\"\n",                            # an escape N-Triples lacks
+        b"?s\n\xff\n",                                # not UTF-8
+    ])
+    def test_a_malformed_tsv_body_is_an_endpoint_error(self, body):
+        with _answering(MIME_TSV, body) as (url, _):
+            client = HttpSparqlEndpoint(url, timeout_s=10.0, max_retries=0)
+            with pytest.raises(EndpointError, match="unparseable response"):
+                client.select("SELECT ?s WHERE { ?s ?p ?o }")
+        assert [e.outcome for e in client.log] == ["error"]
+
+    def test_row_cap_truncation_survives_tsv(self, tiny_dataset, monkeypatch):
+        from repro.net import client as client_module
+
+        read = []
+
+        def spy(payload):
+            read.append(payload)
+            return parse_tsv(payload)
+
+        monkeypatch.setattr(client_module, "parse_tsv", spy)
+        endpoint = SparqlEndpoint(tiny_dataset.store, EndpointConfig(timeout_s=30.0, max_rows=3),
+                                  name="capped")
+        with SparqlHttpServer(endpoint) as server:
+            client = HttpSparqlEndpoint(server.url, timeout_s=10.0)
+            remote = client.select("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+        assert len(read) == 1 and read[0].startswith(b"?s\t?p\t?o\n")
+        assert remote.truncated and len(remote.rows) == 3
+        assert client.log[-1].truncated
+
+
 class _StubSapphire(SapphireServer):
     """A Sapphire server whose PUM surface is a callable; its federation
     is a stub that no test queries."""
@@ -701,7 +826,8 @@ class TestStats:
     def test_fragment_builds_stop_growing_on_a_repeated_query(self, servers):
         from repro.net import fetch_stats, formats
 
-        formats._FRAGMENTS.clear()
+        formats._FRAGMENTS.clear()  # the JSON and the TSV writer's tables
+        formats._TSV_CELLS.clear()
         client = HttpSparqlEndpoint(servers[0].url, timeout_s=10.0)
         query = "SELECT ?s ?n WHERE { ?s foaf:surname ?n } LIMIT 25"
         cold = fetch_stats(servers[0].url)["formats"]

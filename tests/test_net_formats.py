@@ -22,6 +22,7 @@ from repro.net.formats import (
     NotAcceptable,
     negotiate,
     parse_json,
+    parse_tsv,
     result_from_document,
     result_to_document,
     term_from_json,
@@ -31,7 +32,16 @@ from repro.net.formats import (
     write_tsv,
     write_xml,
 )
-from repro.rdf.terms import IRI, XSD_BOOLEAN, XSD_INTEGER, BlankNode, Literal
+from repro.rdf.terms import (
+    IRI,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+    BlankNode,
+    Literal,
+)
 from repro.sparql.parser import parse_query
 from repro.sparql.results import AskResult, SelectResult
 
@@ -165,13 +175,16 @@ class TestJsonRoundTrip:
 
 @pytest.fixture
 def small_memos():
-    """Both term tables emptied and bounded at 8 entries, restored after."""
-    memos = (formats._FRAGMENTS, formats._TERMS)
+    """Every term table emptied and bounded at 8 entries, restored after;
+    yields the JSON writer's and reader's (the TSV pair is emptied too,
+    so ``memo_stats`` counts only what the test writes)."""
+    json_memos = (formats._FRAGMENTS, formats._TERMS)
+    memos = json_memos + (formats._TSV_CELLS, formats._TERM_CELLS)
     saved = [memo.bound for memo in memos]
     for memo in memos:
         memo.clear()
         memo.bound = 8
-    yield memos
+    yield json_memos
     for memo, bound in zip(memos, saved):
         memo.clear()
         memo.bound = bound
@@ -302,6 +315,81 @@ class TestCsvTsv:
 
     def test_tsv_ask(self):
         assert write_tsv(AskResult(False)) == "?boolean\nfalse\n"
+
+    def test_tsv_round_trip_is_lossless(self, spec_result):
+        parsed = parse_tsv(write_tsv(spec_result).encode("utf-8"))
+        assert parsed.variables == spec_result.variables
+        assert parsed.rows == spec_result.rows
+
+    def test_tsv_keeps_an_explicit_xsd_string(self):
+        """The one cell whose bytes differ from ``n3()``: without the
+        datatype it would read back as a different (simple) literal."""
+        typed = Literal("x", datatype=XSD_STRING)
+        body = write_tsv(SelectResult(variables=["x"], rows=[{"x": typed}, {"x": Literal("x")}]))
+        assert body.splitlines()[1:] == [f'"x"^^<{XSD_STRING.value}>', '"x"']
+        assert [row["x"] for row in parse_tsv(body).rows] == [typed, Literal("x")]
+
+    def test_memo_stats_count_both_writer_tables(self, small_memos, spec_result):
+        cold = formats.memo_stats()
+        write_json(spec_result)
+        distinct = formats.memo_stats()["fragment_entries"]
+        write_tsv(spec_result)
+        write_tsv(spec_result)
+        stats = formats.memo_stats()
+        assert stats["fragment_entries"] == 2 * distinct
+        assert stats["fragment_builds"] - cold["fragment_builds"] == 2 * distinct
+
+    def test_tsv_reads_what_the_spec_allows(self):
+        """A body in the shape of the TSV section's example (SPARQL 1.1
+        Query Results CSV and TSV Formats, section 4): Turtle's short
+        forms for numbers and booleans, single quotes, an unbound cell."""
+        body = "\n".join([
+            "?x\t?literal",
+            '<http://example/x>\t"String"',
+            '<http://example/x>\t"String-with-dquote\\""',
+            '_:b0\t"Blank node"',
+            '<http://example/x>\t""',
+            '<http://example/x>\t"Hello"@en-US',
+            "<http://example/x>\t123",
+            "<http://example/x>\t-1.5",
+            "<http://example/x>\t1.0e0",
+            "<http://example/x>\ttrue",
+            "<http://example/x>\t'single \\' quoted'",
+            "<http://example/x>\t",
+        ]) + "\n"
+        x = IRI("http://example/x")
+        result = parse_tsv(body)
+        assert result.variables == ["x", "literal"]
+        assert [row.get("literal") for row in result.rows] == [
+            Literal("String"),
+            Literal('String-with-dquote"'),
+            Literal("Blank node"),
+            Literal(""),
+            Literal("Hello", lang="en-US"),
+            Literal("123", datatype=XSD_INTEGER),
+            Literal("-1.5", datatype=XSD_DECIMAL),
+            Literal("1.0e0", datatype=XSD_DOUBLE),
+            Literal("true", datatype=XSD_BOOLEAN),
+            Literal("single ' quoted"),
+            None,
+        ]
+        assert [row["x"] for row in result.rows] == [x, x, BlankNode("b0")] + [x] * 8
+
+    @pytest.mark.parametrize("cell", ["5.", "1e", "+", "True", "12a", "'mixed\"", "<a>b>", "_:"])
+    def test_tsv_refuses_what_is_no_term(self, cell):
+        with pytest.raises(FormatError, match="not an RDF term"):
+            parse_tsv(f"?x\n{cell}\n")
+
+    def test_tsv_spells_separators_in_iris_labels_and_tags_as_uchars(self):
+        """An IRI, label or tag holding a tab, line break, backslash or
+        angle bracket reads back as itself, not as its escape's text."""
+        terms = [IRI("a\tb\\<c>"), BlankNode("l\r\n"), Literal("v", lang="x\ty"),
+                 Literal("v", datatype=IRI("d\tt"))]
+        body = write_tsv(SelectResult(variables=["x"], rows=[{"x": term} for term in terms]))
+        assert body.splitlines()[1:] == [
+            "<a\\u0009b\\u005C\\u003Cc\\u003E>", "_:l\\u000D\\u000A", '"v"@x\\u0009y',
+            '"v"^^<d\\u0009t>']
+        assert [row["x"] for row in parse_tsv(body).rows] == terms
 
     def test_tsv_escapes_record_separators(self):
         result = SelectResult(

@@ -11,6 +11,8 @@ Invariants covered:
 * parser/serializer round-trip for generated queries,
 * SPARQL Results JSON: the fragment-memo writer ≡ ``json.dumps`` of the
   document, and the interning reader inverts it, at any memo state,
+* SPARQL Results TSV: the interning reader inverts the cell-memo writer
+  (SELECT and ASK), at any memo state,
 * ``/complete``: the direct writer ≡ the canonical document's bytes,
 * compiled expressions ≡ the reference interpreter
   (``reference_expressions``): the same term or both an error.
@@ -326,6 +328,65 @@ class TestResultsJsonProperties:
             for memo, bound in zip(memos, saved):
                 memo.clear()
                 memo.bound = bound
+
+
+# TSV's header is split on tabs, so a variable is a SPARQL name.  Terms
+# carry anything UTF-8 can: the writer escapes a lexical form's breaks as
+# ECHARs and an IRI's, label's or language tag's as UCHARs (tabs, line
+# breaks, backslashes and angle brackets included).
+_TSV_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_TSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_TSV_SPECIALS = st.sampled_from(["a\tb", "\r\n", "\\u0041", "<x>", "\\", "é ☃"])
+_TSV_IRI = _TSV_TEXT | _TSV_SPECIALS
+_TSV_TERMS = st.one_of(
+    st.builds(IRI, _TSV_IRI),
+    st.builds(BlankNode, _TSV_IRI.filter(bool)),
+    st.builds(Literal, _TSV_TEXT | st.sampled_from(["\t\r\n\\\"", "\\t", "\\u0041", "é ☃"])),
+    st.builds(Literal, _TSV_TEXT, lang=(_TSV_TEXT | _TSV_SPECIALS).filter(bool)),
+    st.builds(Literal, _TSV_TEXT, lang=st.sampled_from(["en", "de-CH", "1x", "zh-Hänt"])),
+    st.builds(Literal, _TSV_TEXT, datatype=st.builds(IRI, _TSV_IRI)),
+    st.builds(Literal, _TSV_TEXT, datatype=st.sampled_from([XSD_STRING, XSD_INTEGER])),
+)
+# Variables, then rows over them: each cell bound, None, or absent.
+_TSV_RESULTS = st.lists(_TSV_NAME, unique=True, max_size=4).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(st.fixed_dictionaries(
+        {}, optional={name: st.none() | _TSV_TERMS for name in names}), max_size=6)))
+
+
+class TestResultsTsvProperties:
+    @given(_TSV_RESULTS, st.sampled_from([1, 2, 1 << 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_reader_inverts_the_writer(self, results, bound):
+        from repro.sparql.results import SelectResult
+
+        names, rows = results
+        result = SelectResult(variables=names, rows=rows)
+        bound_rows = [{name: term for name, term in row.items() if term is not None}
+                      for row in rows]
+        memos = (formats._TSV_CELLS, formats._TERM_CELLS)
+        saved = [memo.bound for memo in memos]
+        try:
+            for memo in memos:
+                memo.clear()
+                memo.bound = bound
+            body = formats.write_tsv(result)
+            for _ in range(2):  # cold, then warm
+                assert formats.write_tsv(result) == body
+                parsed = formats.parse_tsv(body.encode("utf-8"))
+                assert parsed.variables == names
+                assert parsed.rows == bound_rows
+                assert all(len(memo) <= bound for memo in memos)
+        finally:
+            for memo, bound in zip(memos, saved):
+                memo.clear()
+                memo.bound = bound
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_ask_round_trip(self, value):
+        from repro.sparql.results import AskResult
+
+        parsed = formats.parse_tsv(formats.write_tsv(AskResult(value)))
+        assert isinstance(parsed, AskResult) and parsed.value is value
 
 
 class _Entry:

@@ -44,6 +44,16 @@ class TestParsing:
         [triple] = parse_ntriples('<http://a> <http://p> "line\\nbreak \\"q\\"" .')
         assert triple.object.lexical == 'line\nbreak "q"'
 
+    @pytest.mark.parametrize("escaped, lexical", [
+        ("\\t\\b\\r\\f\\'", "\t\b\r\f'"),           # every ECHAR
+        ("\\u00e9 \\U0001F600", "é \U0001F600"),       # both UCHARs
+        ("\\\\u0041", "\\u0041"),                       # an escaped backslash
+        ("\\q \\uZZ", "\\q \\uZZ"),                     # unknown: kept as written
+    ])
+    def test_every_n_triples_escape(self, escaped, lexical):
+        [triple] = parse_ntriples(f'<http://a> <http://p> "{escaped}" .')
+        assert triple.object.lexical == lexical
+
     def test_comments_and_blank_lines_skipped(self):
         text = "# comment\n\n<http://a> <http://p> <http://o> .\n"
         assert len(list(parse_ntriples(text))) == 1

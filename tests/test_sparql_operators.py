@@ -722,6 +722,26 @@ class TestColumnarTail:
         shown = {ops_store.term_id(row["i"]) for row in result.rows if "i" in row}
         assert set(decoded) & set(columns["i"]) == shown
 
+    @pytest.mark.parametrize("page", ["LIMIT 1", "LIMIT 1 OFFSET 1", "OFFSET 2"])
+    def test_group_keys_are_decoded_only_on_the_page(self, ops_store, reference_solutions, page):
+        """A grouped query keeps its keys as IDs until OFFSET / LIMIT cut
+        the page: ordered on an aggregate, the keys of the groups the
+        page drops are never decoded."""
+        query = parse_query(
+            f"SELECT ?c (COUNT(?i) AS ?n) WHERE {{ ?i <{EX}in> ?c }} GROUP BY ?c ORDER BY DESC(?n) {page}")
+        solutions = reference_solutions(ops_store, query)
+        columns, has_unbound = id_columns(ops_store, solutions)
+        decoded = []
+
+        def decode(cell):
+            decoded.append(cell)
+            return ops_store.decode_id(cell)
+
+        result = finish(query, [(columns, len(solutions), has_unbound)], decode)
+        assert result.rows == finalize_solutions(query, solutions).rows
+        assert len(set(columns["c"])) == 3 and len(result.rows) == 1
+        assert decoded == [ops_store.term_id(result.rows[0]["c"])]
+
     def test_traced_tail_records_its_span(self, ops_store):
         text = f"SELECT ?c (COUNT(?i) AS ?n) WHERE {{ ?i <{EX}in> ?c }} GROUP BY ?c ORDER BY ?c"
         evaluator = QueryEvaluator(ops_store)

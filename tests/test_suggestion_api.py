@@ -552,14 +552,14 @@ class FlakyRejectingEndpoint(SparqlEndpoint):
         self._flakes = {}
         self._flake_per_query = flake_per_query
 
-    def _run(self, query, tracer=None):
-        key = query if isinstance(query, str) else id(query)
+    def _run(self, parsed, text, tracer=None):
+        key = id(parsed) if text is None else text
         seen = self._flakes.get(key, 0)
         if seen < self._flake_per_query:
             self._flakes[key] = seen + 1
             self._record("<flaky>", "rejected", 0, 0.0)
             raise QueryRejected(f"{self.name}: injected 503")
-        return super()._run(query, tracer)
+        return super()._run(parsed, text, tracer)
 
 
 class TestInitializationRetries:
